@@ -199,9 +199,10 @@ let json_workloads ~quick () =
   in
   (* The certifier dimension: the SSI files keep their historical names and
      (with the default certifier) their exact contents, so committed SSI
-     baselines stay byte-identical.  The watermark certifiers write
-     _ssn/_essn-suffixed files covering the serializable modes only — SI
-     and S2PL never consult a certifier. *)
+     baselines stay byte-identical.  SSN writes _ssn-suffixed files
+     covering the serializable modes only — SI and S2PL never consult a
+     certifier.  ESSN has no rows: on every preset it committed exactly
+     what SSN did. *)
   let entries =
     List.concat_map
       (fun (name, setup, specs, modes) ->
@@ -214,7 +215,7 @@ let json_workloads ~quick () =
                 List.filter (fun m -> m = Driver.SSI || m = Driver.SSI_no_ro_opt) modes
             in
             (stem, fun () -> run_json_workload ~certifier ~duration stem ~setup ~specs modes))
-          [ (Certifier.SSI, ""); (Certifier.SSN, "_ssn"); (Certifier.ESSN, "_essn") ])
+          [ (Certifier.SSI, ""); (Certifier.SSN, "_ssn") ])
       base
   in
   let entries =

@@ -1,30 +1,10 @@
-(* The pluggable serializability-certifier interface: every point where the
-   engine consults its certifier — registration, SIREAD acquisition,
-   rw-antidependency evidence, write checks, the pre-commit test, the
-   2PC/recovery lifecycle, and introspection — expressed as one vtable of
-   closures over a per-engine certifier instance.
-
-   Three certifiers implement it:
-   - {b SSI} (the paper): dangerous-structure detection over
-     rw-antidependency pairs, with the read-only safe-snapshot machinery.
-     The vtable closures delegate 1:1 to the [Ssi] manager, so an engine
-     configured with [SSI] behaves byte-identically to the pre-interface
-     engine on seeded histories.
-   - {b SSN} (Wang, Johnson, Fekete): the Serial Safety Net's
-     pstamp/sstamp exclusion-window test.
-   - {b ESSN} (Kitazawa et al.): SSN with the effective-commit-stamp
-     refinement for read-only transactions.
-
-   The per-transaction state is an extensible variant so each certifier
-   keeps its own node type behind the shared [node]. *)
+(* The pluggable serializability certifier: the signature and shared types
+   of [Certifier_intf], the kind names, and [make], which packs the chosen
+   implementation with its instance once per engine. *)
 
 open Ssi_storage
-module Mvcc = Ssi_mvcc.Mvcc
 module Obs = Ssi_obs.Obs
-
-type cseq = Mvcc.cseq
-
-type kind = SSI | SSN | ESSN
+include Certifier_intf
 
 let all_kinds = [ SSI; SSN; ESSN ]
 let kind_to_string = function SSI -> "ssi" | SSN -> "ssn" | ESSN -> "essn"
@@ -40,213 +20,32 @@ let kind_of_string s =
    [<prefix>.conflicts], [<prefix>.victims.<slug>], [<prefix>.fail], ... *)
 let prefix = kind_to_string
 
-type node = ..
-type node += Ssi_node of Ssi.node | Ssn_node of Ssn.node
+type packed = Cert : (module S with type t = 'c and type node = 'n) * 'c -> packed
 
-type t = {
-  kind : kind;
-  locks : Predlock.t;
-  obs : Obs.t;
-  supports_deferrable : bool;
-      (** Safe snapshots / [BEGIN DEFERRABLE] are an SSI-only notion. *)
-  ssi : Ssi.t option;
-      (** The underlying SSI manager when [kind = SSI] — the compatibility
-          handle behind [Engine.ssi]. *)
-  (* Lifecycle *)
-  register :
-    xid:Heap.xid -> snap_cseq:cseq -> read_only:bool -> deferrable:bool -> node;
-  xid_of : node -> Heap.xid;
-  snap_cseq_of : node -> cseq;
-  is_doomed : node -> bool;
-  is_read_only : node -> bool;
-  check_doomed : node -> unit;
-  note_write : node -> unit;
-  prepare : node -> unit;
-  restore_prepared : node -> unit;
-  mark_conservative : node -> unit;
-  precommit : node -> unit;
-  committed : node -> commit_cseq:cseq -> unit;
-  aborted : node -> unit;
-  (* Reads *)
-  read_tuple : node -> rel:string -> key:Value.t -> page:int -> unit;
-  read_tuples_page : node -> rel:string -> page:int -> keys:Value.t list -> unit;
-  read_relation : node -> rel:string -> unit;
-  read_index_gap : node -> index:string -> page:int -> unit;
-  read_index_key : node -> index:string -> key:Value.t -> unit;
-  read_index_inf : node -> index:string -> unit;
-  read_index_rel : node -> index:string -> unit;
-  conflict_out : node -> writer:Heap.xid -> unit;
-  read_from : node -> creator:Heap.xid -> unit;
-      (** The transaction read (or is overwriting) a version created by
-          [creator]: a w:r / w:w dependency edge.  SSI infers everything it
-          needs from SIREAD locks and visibility and ignores this; the
-          watermark certifiers fold the creator's commit stamp into the
-          reader's pstamp. *)
-  forget_own_tuple_lock :
-    node -> rel:string -> key:Value.t -> in_subtransaction:bool -> unit;
-  (* Writes *)
-  write_check : node -> rel:string -> key:Value.t -> page:int -> unit;
-  index_insert_check : node -> index:string -> page:int -> unit;
-  index_insert_check_nextkey :
-    node -> index:string -> key:Value.t -> succ:Value.t option -> unit;
-  (* Read-only safety *)
-  is_safe : node -> bool;
-  safety_determined : node -> bool;
-  safety_waitq : node -> Ssi_util.Waitq.t;
-  (* Structural notifications and recovery *)
-  on_ddl_rewrite : rel:string -> unit;
-  on_index_drop : index:string -> heap_rel:string -> unit;
-  on_index_page_split : index:string -> old_page:int -> new_page:int -> unit;
-  recover : unit -> unit;
-  (* Introspection and tuning *)
-  dump_graph : unit -> Ssi.node_info list;
-  graph_dot : unit -> string;
-  active_count : unit -> int;
-  committed_retained : unit -> int;
-  oldserxid_size : unit -> int;
-  max_committed_sxacts : unit -> int;
-  set_max_committed_sxacts : int -> unit;
-}
+let make ?(config = default_config) ?(obs = Obs.create ()) clog =
+  match config.kind with
+  | SSI -> Cert ((module Ssi), Ssi.create ~config ~obs clog)
+  | SSN -> Cert ((module Ssn), Ssn.create ~config ~obs ~extended:false clog)
+  | ESSN -> Cert ((module Ssn), Ssn.create ~config ~obs ~extended:true clog)
 
-let ssi_node = function
-  | Ssi_node n -> n
-  | _ -> invalid_arg "Certifier: foreign transaction node (expected SSI)"
-
-let ssn_node = function
-  | Ssn_node n -> n
-  | _ -> invalid_arg "Certifier: foreign transaction node (expected SSN/ESSN)"
-
-let make_ssi ~config ~obs clog =
-  let s = Ssi.create ~config ~obs clog in
-  let un = ssi_node in
-  {
-    kind = SSI;
-    locks = Ssi.locks s;
-    obs;
-    supports_deferrable = true;
-    ssi = Some s;
-    register =
-      (fun ~xid ~snap_cseq ~read_only ~deferrable ->
-        Ssi_node (Ssi.register s ~xid ~snap_cseq ~read_only ~deferrable));
-    xid_of = (fun n -> Ssi.xid_of (un n));
-    snap_cseq_of = (fun n -> Ssi.snap_cseq_of (un n));
-    is_doomed = (fun n -> Ssi.is_doomed (un n));
-    is_read_only = (fun n -> Ssi.is_read_only (un n));
-    check_doomed = (fun n -> Ssi.check_doomed (un n));
-    note_write = (fun n -> Ssi.note_write (un n));
-    prepare = (fun n -> Ssi.prepare s (un n));
-    restore_prepared = (fun n -> Ssi.restore_prepared s (un n));
-    mark_conservative = (fun n -> Ssi.mark_conservative s (un n));
-    precommit = (fun n -> Ssi.precommit s (un n));
-    committed = (fun n ~commit_cseq -> Ssi.committed s (un n) ~commit_cseq);
-    aborted = (fun n -> Ssi.aborted s (un n));
-    read_tuple = (fun n ~rel ~key ~page -> Ssi.read_tuple s (un n) ~rel ~key ~page);
-    read_tuples_page =
-      (fun n ~rel ~page ~keys -> Ssi.read_tuples_page s (un n) ~rel ~page ~keys);
-    read_relation = (fun n ~rel -> Ssi.read_relation s (un n) ~rel);
-    read_index_gap = (fun n ~index ~page -> Ssi.read_index_gap s (un n) ~index ~page);
-    read_index_key = (fun n ~index ~key -> Ssi.read_index_key s (un n) ~index ~key);
-    read_index_inf = (fun n ~index -> Ssi.read_index_inf s (un n) ~index);
-    read_index_rel = (fun n ~index -> Ssi.read_index_rel s (un n) ~index);
-    conflict_out = (fun n ~writer -> Ssi.conflict_out s (un n) ~writer);
-    read_from = (fun _ ~creator:_ -> ());
-    forget_own_tuple_lock =
-      (fun n ~rel ~key ~in_subtransaction ->
-        Ssi.forget_own_tuple_lock s (un n) ~rel ~key ~in_subtransaction);
-    write_check = (fun n ~rel ~key ~page -> Ssi.write_check s (un n) ~rel ~key ~page);
-    index_insert_check =
-      (fun n ~index ~page -> Ssi.index_insert_check s (un n) ~index ~page);
-    index_insert_check_nextkey =
-      (fun n ~index ~key ~succ ->
-        Ssi.index_insert_check_nextkey s (un n) ~index ~key ~succ);
-    is_safe = (fun n -> Ssi.is_safe (un n));
-    safety_determined = (fun n -> Ssi.safety_determined (un n));
-    safety_waitq = (fun n -> Ssi.safety_waitq (un n));
-    on_ddl_rewrite = (fun ~rel -> Ssi.on_ddl_rewrite s ~rel);
-    on_index_drop = (fun ~index ~heap_rel -> Ssi.on_index_drop s ~index ~heap_rel);
-    on_index_page_split =
-      (fun ~index ~old_page ~new_page ->
-        Ssi.on_index_page_split s ~index ~old_page ~new_page);
-    recover = (fun () -> Ssi.recover s);
-    dump_graph = (fun () -> Ssi.dump_graph s);
-    graph_dot = (fun () -> Ssi.graph_dot s);
-    active_count = (fun () -> Ssi.active_count s);
-    committed_retained = (fun () -> Ssi.committed_retained s);
-    oldserxid_size = (fun () -> Ssi.oldserxid_size s);
-    max_committed_sxacts = (fun () -> Ssi.max_committed_sxacts s);
-    set_max_committed_sxacts = (fun n -> Ssi.set_max_committed_sxacts s n);
-  }
-
-(* SSN and ESSN have no safe-snapshot machinery: no snapshot is ever
-   "safe" (tracking never stops early), and safety is trivially
-   determined so nothing ever waits on it. *)
-let never_safe_waitq = Ssi_util.Waitq.create ()
-
-let make_ssn ~kind ~(s : Ssn.t) () =
-  let un = ssn_node in
-  {
-    kind;
-    locks = Ssn.locks s;
-    obs = Ssn.obs s;
-    supports_deferrable = false;
-    ssi = None;
-    register =
-      (fun ~xid ~snap_cseq ~read_only ~deferrable ->
-        Ssn_node (Ssn.register s ~xid ~snap_cseq ~read_only ~deferrable));
-    xid_of = (fun n -> Ssn.xid_of (un n));
-    snap_cseq_of = (fun n -> Ssn.snap_cseq_of (un n));
-    is_doomed = (fun n -> Ssn.is_doomed (un n));
-    is_read_only = (fun n -> Ssn.is_read_only (un n));
-    check_doomed = (fun n -> Ssn.check_doomed (un n));
-    note_write = (fun n -> Ssn.note_write (un n));
-    prepare = (fun n -> Ssn.prepare s (un n));
-    restore_prepared = (fun n -> Ssn.restore_prepared s (un n));
-    mark_conservative = (fun n -> Ssn.mark_conservative s (un n));
-    precommit = (fun n -> Ssn.precommit s (un n));
-    committed = (fun n ~commit_cseq -> Ssn.committed s (un n) ~commit_cseq);
-    aborted = (fun n -> Ssn.aborted s (un n));
-    read_tuple = (fun n ~rel ~key ~page -> Ssn.read_tuple s (un n) ~rel ~key ~page);
-    read_tuples_page =
-      (fun n ~rel ~page ~keys -> Ssn.read_tuples_page s (un n) ~rel ~page ~keys);
-    read_relation = (fun n ~rel -> Ssn.read_relation s (un n) ~rel);
-    read_index_gap = (fun n ~index ~page -> Ssn.read_index_gap s (un n) ~index ~page);
-    read_index_key = (fun n ~index ~key -> Ssn.read_index_key s (un n) ~index ~key);
-    read_index_inf = (fun n ~index -> Ssn.read_index_inf s (un n) ~index);
-    read_index_rel = (fun n ~index -> Ssn.read_index_rel s (un n) ~index);
-    conflict_out = (fun n ~writer -> Ssn.conflict_out s (un n) ~writer);
-    read_from = (fun n ~creator -> Ssn.read_from s (un n) ~creator);
-    forget_own_tuple_lock =
-      (fun n ~rel ~key ~in_subtransaction ->
-        Ssn.forget_own_tuple_lock s (un n) ~rel ~key ~in_subtransaction);
-    write_check = (fun n ~rel ~key ~page -> Ssn.write_check s (un n) ~rel ~key ~page);
-    index_insert_check =
-      (fun n ~index ~page -> Ssn.index_insert_check s (un n) ~index ~page);
-    index_insert_check_nextkey =
-      (fun n ~index ~key ~succ ->
-        Ssn.index_insert_check_nextkey s (un n) ~index ~key ~succ);
-    is_safe = (fun _ -> false);
-    safety_determined = (fun _ -> true);
-    safety_waitq = (fun _ -> never_safe_waitq);
-    on_ddl_rewrite = (fun ~rel -> Ssn.on_ddl_rewrite s ~rel);
-    on_index_drop = (fun ~index ~heap_rel -> Ssn.on_index_drop s ~index ~heap_rel);
-    on_index_page_split =
-      (fun ~index ~old_page ~new_page ->
-        Ssn.on_index_page_split s ~index ~old_page ~new_page);
-    recover = (fun () -> Ssn.recover s);
-    dump_graph = (fun () -> Ssn.dump_graph s);
-    graph_dot = (fun () -> Ssn.graph_dot s);
-    active_count = (fun () -> Ssn.active_count s);
-    committed_retained = (fun () -> Ssn.committed_retained s);
-    oldserxid_size = (fun () -> Ssn.oldserxid_size s);
-    max_committed_sxacts = (fun () -> Ssn.max_committed_sxacts s);
-    set_max_committed_sxacts = (fun n -> Ssn.set_max_committed_sxacts s n);
-  }
-
-let make kind ?(config = Ssi.default_config) ?(obs = Obs.create ()) clog =
-  match kind with
-  | SSI -> make_ssi ~config ~obs clog
-  | SSN -> make_ssn ~kind:SSN ~s:(Ssn.create ~config ~obs ~extended:false clog) ()
-  | ESSN -> make_ssn ~kind:ESSN ~s:(Essn.create ~config ~obs clog) ()
+let graph_dot kind infos =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf (Printf.sprintf "digraph %s {\n  rankdir=LR;\n" (prefix kind));
+  List.iter
+    (fun info ->
+      Buffer.add_string buf
+        (Printf.sprintf "  t%d [label=\"T%d\\n%s%s\"%s];\n" info.info_xid info.info_xid
+           info.info_status
+           (if info.info_doomed then " (doomed)" else "")
+           (if info.info_doomed then " color=red" else ""));
+      List.iter
+        (fun w ->
+          Buffer.add_string buf
+            (Printf.sprintf "  t%d -> t%d [label=\"rw\"];\n" info.info_xid w))
+        info.info_out)
+    infos;
+  Buffer.add_string buf "}\n";
+  Buffer.contents buf
 
 (* ---- Cross-node conflict summaries --------------------------------------------- *)
 
@@ -257,16 +56,14 @@ type conflict_summary = {
   cs_conservative : bool;
 }
 
-let conflict_summary t ~xid =
-  match
-    List.find_opt (fun i -> i.Ssi.info_xid = xid) (t.dump_graph ())
-  with
+let conflict_summary (Cert ((module C), c)) ~xid =
+  match C.info c xid with
   | Some i ->
       {
         cs_xid = xid;
-        cs_in_conflict = i.Ssi.info_in <> [] || i.Ssi.info_conservative_in;
-        cs_out_conflict = i.Ssi.info_out <> [] || i.Ssi.info_conservative_out;
-        cs_conservative = i.Ssi.info_conservative_in || i.Ssi.info_conservative_out;
+        cs_in_conflict = i.info_in <> [] || i.info_conservative_in;
+        cs_out_conflict = i.info_out <> [] || i.info_conservative_out;
+        cs_conservative = i.info_conservative_in || i.info_conservative_out;
       }
   | None ->
       (* Summarized away: all we know is the §7.1 conservative bound. *)

@@ -2,21 +2,9 @@ open Ssi_storage
 open Ssi_util
 module Mvcc = Ssi_mvcc.Mvcc
 module Obs = Ssi_obs.Obs
-
-type cseq = Mvcc.cseq
+open Certifier_intf
 
 let invalid_cseq = Mvcc.invalid_cseq
-
-exception Serialization_failure of { xid : Heap.xid; reason : string }
-
-type config = {
-  max_committed_sxacts : int;
-  read_only_opt : bool;
-  predlock : Predlock.config;
-}
-
-let default_config =
-  { max_committed_sxacts = 64; read_only_opt = true; predlock = Predlock.default_config }
 
 type status = Active | Prepared | Committed | Aborted
 
@@ -307,6 +295,7 @@ let create ?(config = default_config) ?(obs = Obs.create ()) clog =
       };
   }
 
+let supports_deferrable = true
 let locks t = t.locks
 let obs t = t.obs
 
@@ -368,9 +357,7 @@ let set_max_committed_sxacts t n =
   t.config <- { t.config with max_committed_sxacts = max 0 n }
 
 let xid_of n = n.xid
-let snap_cseq_of n = n.snap_cseq
 let is_doomed n = n.doomed
-let is_read_only n = n.declared_read_only
 let is_safe n = n.safe
 let safety_determined n = n.safety_known
 let is_unsafe n = n.unsafe
@@ -772,6 +759,11 @@ let conflict_out t node ~writer =
             (* node as pivot with T3 = summarized writer. *)
             check_pivot_out t ~actor:node ~r:node ~t3_cseq:old_commit)
 
+(* SSI needs no w:r / w:w evidence: every cycle under snapshot isolation
+   contains two consecutive rw-antidependencies (Fekete et al.), and
+   SIREAD locks plus MVCC visibility find all of those. *)
+let read_from _t _node ~creator:_ = ()
+
 let forget_own_tuple_lock t node ~rel ~key ~in_subtransaction =
   (* §7.3: inside a subtransaction the write lock would vanish on rollback
      to a savepoint, so the SIREAD lock must be kept. *)
@@ -1049,19 +1041,6 @@ let aborted t node =
 
 (* ---- Introspection -------------------------------------------------------------- *)
 
-type node_info = {
-  info_xid : Heap.xid;
-  info_status : string;
-  info_doomed : bool;
-  info_read_only : bool;
-  info_safe : bool;
-  info_commit_cseq : cseq option;
-  info_in : Heap.xid list;
-  info_out : Heap.xid list;
-  info_conservative_in : bool;
-  info_conservative_out : bool;
-}
-
 let node_info n =
   {
     info_xid = n.xid;
@@ -1088,24 +1067,9 @@ let dump_graph t =
   let committed = List.of_seq (Queue.to_seq t.committed) in
   List.map node_info (active @ committed)
 
-let graph_dot t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "digraph ssi {\n  rankdir=LR;\n";
-  List.iter
-    (fun info ->
-      Buffer.add_string buf
-        (Printf.sprintf "  t%d [label=\"T%d\\n%s%s\"%s];\n" info.info_xid info.info_xid
-           info.info_status
-           (if info.info_doomed then " (doomed)" else "")
-           (if info.info_doomed then " color=red" else ""));
-      List.iter
-        (fun w ->
-          Buffer.add_string buf
-            (Printf.sprintf "  t%d -> t%d [label=\"rw\"];\n" info.info_xid w))
-        info.info_out)
-    (dump_graph t);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+(* [by_xid] holds exactly the nodes [dump_graph] lists: the active list
+   (active and prepared) and the retained committed queue. *)
+let info t xid = Option.map node_info (Hashtbl.find_opt t.by_xid xid)
 
 (* ---- DDL / recovery ----------------------------------------------------------- *)
 

@@ -55,8 +55,7 @@
 open Ssi_storage
 module Mvcc = Ssi_mvcc.Mvcc
 module Obs = Ssi_obs.Obs
-
-type cseq = Mvcc.cseq
+open Certifier_intf
 
 let inf = Mvcc.invalid_cseq
 
@@ -92,7 +91,7 @@ type old_entry = { old_commit : cseq; old_pi : cseq }
 type t = {
   clog : Mvcc.Clog.t;
   locks : Predlock.t;
-  mutable config : Ssi.config;
+  mutable config : config;
   extended : bool;  (** ESSN stamp refinement on? *)
   prefix : string;  (** metric/event namespace: ["ssn"] or ["essn"] *)
   by_xid : (Heap.xid, node) Hashtbl.t;
@@ -105,11 +104,11 @@ type t = {
   metrics : metrics;
 }
 
-let create ?(config = Ssi.default_config) ?(obs = Obs.create ()) ~extended clog =
+let create ?(config = default_config) ?(obs = Obs.create ()) ~extended clog =
   let prefix = if extended then "essn" else "ssn" in
   {
     clog;
-    locks = Predlock.create ~config:config.Ssi.predlock ~obs ();
+    locks = Predlock.create ~config:config.predlock ~obs ();
     config;
     extended;
     prefix;
@@ -130,18 +129,20 @@ let create ?(config = Ssi.default_config) ?(obs = Obs.create ()) ~extended clog 
       };
   }
 
+let supports_deferrable = false
 let locks t = t.locks
-let obs t = t.obs
-let prefix t = t.prefix
-let max_committed_sxacts t = t.config.Ssi.max_committed_sxacts
+let max_committed_sxacts t = t.config.max_committed_sxacts
 
 let set_max_committed_sxacts t n =
-  t.config <- { t.config with Ssi.max_committed_sxacts = max 0 n }
+  t.config <- { t.config with max_committed_sxacts = max 0 n }
 
-let xid_of n = n.xid
-let snap_cseq_of n = n.snap_cseq
-let is_doomed n = n.doomed
-let is_read_only n = n.declared_read_only
+(* No safe-snapshot machinery: no snapshot is ever safe (tracking never
+   stops early), and safety is trivially determined so nothing ever waits
+   on it. *)
+let is_safe _ = false
+let safety_determined _ = true
+let never_safe_waitq = Ssi_util.Waitq.create ()
+let safety_waitq _ = never_safe_waitq
 let active_count t = t.active_n
 let committed_retained t = Queue.length t.committed
 let oldserxid_size t = Hashtbl.length t.oldserxid
@@ -154,7 +155,7 @@ let ro_in_theory n = n.declared_read_only || (n.status = Committed && not n.wrot
    successors.  A read-only transaction is serializable at its snapshot,
    so it repositions there; everyone else sits at its commit stamp. *)
 let e_of t n =
-  if t.extended && t.config.Ssi.read_only_opt && ro_in_theory n then n.snap_cseq
+  if t.extended && t.config.read_only_opt && ro_in_theory n then n.snap_cseq
   else n.commit_cseq
 
 (* The stamp a still-active reader would hand out if it committed right
@@ -162,7 +163,7 @@ let e_of t n =
    [inf] stands in for; an ESSN read-only transaction repositions at its
    snapshot, which is already known. *)
 let e_estimate t n =
-  if t.extended && t.config.Ssi.read_only_opt && n.declared_read_only then n.snap_cseq
+  if t.extended && t.config.read_only_opt && n.declared_read_only then n.snap_cseq
   else inf
 
 (* ---- Victim accounting (same shape as the SSI manager's) ---------------- *)
@@ -204,7 +205,7 @@ let fail t node reason =
   count_victim t reason;
   Obs.span_event_owner t.obs node.xid (t.prefix ^ ".fail")
     ~fields:[ ("xid", Obs.I node.xid); ("reason", Obs.S reason) ];
-  raise (Ssi.Serialization_failure { xid = node.xid; reason })
+  raise (Serialization_failure { xid = node.xid; reason })
 
 let doom t victim ~reason =
   if not victim.doomed then begin
@@ -218,7 +219,7 @@ let doom t victim ~reason =
 let check_doomed node =
   if node.doomed then
     raise
-      (Ssi.Serialization_failure
+      (Serialization_failure
          { xid = node.xid; reason = "transaction doomed by a concurrent conflict" })
 
 let note_write node = node.wrote <- true
@@ -457,7 +458,7 @@ let cleanup t =
     | Some _ | None -> ()
   in
   drain ();
-  while Queue.length t.committed > t.config.Ssi.max_committed_sxacts do
+  while Queue.length t.committed > t.config.max_committed_sxacts do
     summarize_oldest t
   done;
   Predlock.cleanup_old_committed t.locks ~before:horizon;
@@ -643,7 +644,7 @@ let recover t =
 
 let node_info n =
   {
-    Ssi.info_xid = n.xid;
+    info_xid = n.xid;
     info_status =
       (match n.status with
       | Active -> "active"
@@ -676,21 +677,9 @@ let dump_graph t =
   let committed = List.of_seq (Queue.to_seq t.committed) in
   List.map node_info (live @ committed)
 
-let graph_dot t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n  rankdir=LR;\n" t.prefix);
-  List.iter
-    (fun (info : Ssi.node_info) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  t%d [label=\"T%d\\n%s%s\"%s];\n" info.Ssi.info_xid
-           info.Ssi.info_xid info.Ssi.info_status
-           (if info.Ssi.info_doomed then " (doomed)" else "")
-           (if info.Ssi.info_doomed then " color=red" else ""));
-      List.iter
-        (fun w ->
-          Buffer.add_string buf
-            (Printf.sprintf "  t%d -> t%d [label=\"rw\"];\n" info.Ssi.info_xid w))
-        info.Ssi.info_out)
-    (dump_graph t);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+(* [by_xid] also holds the committed nodes, exactly those of the
+   [committed] queue; aborted nodes never stay in it. *)
+let info t xid =
+  match Hashtbl.find_opt t.by_xid xid with
+  | Some ({ status = Active | Prepared | Committed; _ } as n) -> Some (node_info n)
+  | Some { status = Aborted; _ } | None -> None

@@ -1,6 +1,7 @@
 (** The Serial Safety Net (Wang, Johnson, Fekete) and its extended variant
     (ESSN, Kitazawa et al.): serializability certification by
-    per-transaction watermarks instead of dangerous-structure search.
+    per-transaction watermarks instead of dangerous-structure search — the
+    second implementation of {!Certifier_intf.S}.
 
     Each transaction carries a high watermark [pstamp] (eta — the largest
     effective commit stamp among its committed predecessors) and a low
@@ -8,126 +9,35 @@
     rw-antidependency successors).  A transaction whose {e exclusion
     window} closes ([sstamp <= pstamp]) cannot be placed in any serial
     order and must abort.  Stamps only tighten, so the test runs eagerly
-    at every stamp mutation: bystanders are doomed, the acting
-    transaction raises {!Ssi.Serialization_failure} (the exception — and
-    the {!Ssi.config} record — are shared with the SSI manager so engine
-    plumbing is certifier-agnostic).
+    at every stamp mutation: bystanders are doomed, the acting transaction
+    raises [Serialization_failure].
+
+    Where the signature leaves room, SSN differs from SSI as follows:
+    - [read_from] feeds a committed creator's stamp (read from the Clog)
+      into pstamp: w:r and w:w predecessors count here;
+    - there are no safe snapshots: [is_safe] is always [false],
+      [safety_determined] always [true], and [register] rejects
+      [~deferrable:true];
+    - [prepare] refuses an rw edge to another prepared transaction, so
+      commit-time stamp propagation never has to doom a prepared peer, and
+      [precommit] fails a committer that would close a prepared peer's
+      window;
+    - [restore_prepared] / [mark_conservative] close the window outright
+      ([pstamp = sstamp = 0]): every later transaction forming an rw edge
+      with it gives way, generalizing §7.1's both-ways flags, and
+      [dump_graph] reports that state as both conservative bits.
 
     With [extended = true] the effective stamp of a read-only-in-theory
     transaction is its snapshot position rather than its commit stamp
-    (ESSN), admitting schedules SSN would abort.  Raises under the same
-    exception; reports under the [essn.*] metric namespace instead of
-    [ssn.*]. *)
+    (ESSN), admitting schedules SSN would abort.  Metrics and events go to
+    the [ssn.*] namespace, or [essn.*] when extended. *)
 
-open Ssi_storage
-
-type cseq = Ssi_mvcc.Mvcc.cseq
-
-type node
-(** The state of one serializable transaction under SSN/ESSN. *)
-
-type t
+include Certifier_intf.S
 
 val create :
-  ?config:Ssi.config -> ?obs:Ssi_obs.Obs.t -> extended:bool -> Ssi_mvcc.Mvcc.Clog.t -> t
-(** [extended] selects ESSN's effective-commit-stamp refinement.
-    [config.read_only_opt] gates that refinement (there are no safe
-    snapshots here); [config.max_committed_sxacts] bounds retained
-    committed nodes before summarization, as in the SSI manager. *)
-
-val locks : t -> Predlock.t
-val obs : t -> Ssi_obs.Obs.t
-
-val prefix : t -> string
-(** Metric/event namespace: ["ssn"] or ["essn"]. *)
-
-val max_committed_sxacts : t -> int
-val set_max_committed_sxacts : t -> int -> unit
-
-(** {1 Transaction lifecycle} *)
-
-val register :
-  t -> xid:Heap.xid -> snap_cseq:cseq -> read_only:bool -> deferrable:bool -> node
-(** [deferrable] must be [false]: safe snapshots are an SSI-only notion. *)
-
-val xid_of : node -> Heap.xid
-val snap_cseq_of : node -> cseq
-val is_doomed : node -> bool
-val is_read_only : node -> bool
-val check_doomed : node -> unit
-val note_write : node -> unit
-
-val prepare : t -> node -> unit
-(** Two-phase commit: check the exclusion window, refuse to prepare with
-    an rw edge to another prepared transaction (so commit-time stamp
-    propagation never has to doom a prepared peer), and mark prepared. *)
-
-val restore_prepared : t -> node -> unit
-(** Cold-start recovery of an in-doubt 2PC transaction: conservative
-    closed window [pstamp = sstamp = 0] — every later transaction that
-    forms an rw edge with it gives way, generalizing the paper's §7.1
-    both-ways conflict flags. *)
-
-val mark_conservative : t -> node -> unit
-(** Close the window of a live prepared transaction (distributed 2PC):
-    its remote rw edges are invisible to this instance, so treat it as
-    {!restore_prepared} would. *)
-
-val precommit : t -> node -> unit
-(** The commit-time exclusion check, plus the prepared-peer gates: raises
-    if committing would close this window or a prepared transaction's. *)
-
-val committed : t -> node -> commit_cseq:cseq -> unit
-(** Finalize pi, propagate stamps over the in-flight rw edges (dooming
-    bystanders whose windows close), retain/summarize/cleanup. *)
-
-val aborted : t -> node -> unit
-
-(** {1 Read-side hooks} *)
-
-val read_tuple : t -> node -> rel:string -> key:Value.t -> page:int -> unit
-val read_tuples_page : t -> node -> rel:string -> page:int -> keys:Value.t list -> unit
-val read_relation : t -> node -> rel:string -> unit
-val read_index_gap : t -> node -> index:string -> page:int -> unit
-val read_index_key : t -> node -> index:string -> key:Value.t -> unit
-val read_index_inf : t -> node -> index:string -> unit
-val read_index_rel : t -> node -> index:string -> unit
-
-val read_from : t -> node -> creator:Heap.xid -> unit
-(** w:r / w:w dependency: the transaction read (or overwrites) a version
-    created by [creator]; a committed creator's stamp feeds pstamp.  The
-    stamp comes from the Clog, so no certifier state is needed for it. *)
-
-val conflict_out : t -> node -> writer:Heap.xid -> unit
-(** rw-antidependency out: MVCC evidence that [writer] overwrote data this
-    transaction read. *)
-
-val forget_own_tuple_lock :
-  t -> node -> rel:string -> key:Value.t -> in_subtransaction:bool -> unit
-
-(** {1 Write-side hooks} *)
-
-val write_check : t -> node -> rel:string -> key:Value.t -> page:int -> unit
-val index_insert_check : t -> node -> index:string -> page:int -> unit
-
-val index_insert_check_nextkey :
-  t -> node -> index:string -> key:Value.t -> succ:Value.t option -> unit
-
-(** {1 Structural notifications and recovery} *)
-
-val on_ddl_rewrite : t -> rel:string -> unit
-val on_index_drop : t -> index:string -> heap_rel:string -> unit
-val on_index_page_split : t -> index:string -> old_page:int -> new_page:int -> unit
-val recover : t -> unit
-
-(** {1 Introspection} *)
-
-val dump_graph : t -> Ssi.node_info list
-(** Tracked transactions and their in-flight rw edges, in the SSI
-    manager's introspection format (behind [SHOW CONFLICTS]). *)
-
-val graph_dot : t -> string
-val active_count : t -> int
-val committed_retained : t -> int
-val oldserxid_size : t -> int
-val min_active_snap : t -> cseq
+  ?config:Certifier_intf.config -> ?obs:Ssi_obs.Obs.t -> extended:bool ->
+  Ssi_mvcc.Mvcc.Clog.t -> t
+(** [extended] selects ESSN's effective-commit-stamp refinement, which
+    [config.read_only_opt] gates; [config.max_committed_sxacts] bounds
+    retained committed nodes before summarization, as in the SSI manager.
+    [config.kind] is not consulted. *)

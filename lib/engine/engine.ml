@@ -4,7 +4,6 @@ module Mvcc = Ssi_mvcc.Mvcc
 module Clog = Mvcc.Clog
 module Snapshot = Mvcc.Snapshot
 module Visibility = Mvcc.Visibility
-module Ssi = Ssi_core.Ssi
 module Certifier = Ssi_core.Certifier
 module Btree = Ssi_btree.Btree
 module Lockmgr = Ssi_lockmgr.Lockmgr
@@ -22,7 +21,7 @@ let pp_isolation ppf iso =
     | Serializable -> "SERIALIZABLE"
     | Serializable_2pl -> "SERIALIZABLE (2PL)")
 
-exception Serialization_failure = Ssi.Serialization_failure
+exception Serialization_failure = Certifier.Serialization_failure
 exception Duplicate_key of { table : string; key : Value.t }
 exception Read_only_transaction
 exception Transient_fault of { op : string; reason : string }
@@ -62,11 +61,7 @@ type commit_record = {
 }
 
 type config = {
-  ssi : Ssi.config;
-  certifier : Certifier.kind;
-      (** Which serializability certifier SERIALIZABLE transactions run
-          under; SSI (the paper) is the default and the only one with
-          safe snapshots / [DEFERRABLE]. *)
+  certifier : Certifier.config;
   tuples_per_page : int;
   btree_order : int;
   next_key_gaps : bool;
@@ -77,8 +72,7 @@ type config = {
 
 let default_config =
   {
-    ssi = Ssi.default_config;
-    certifier = Certifier.SSI;
+    certifier = Certifier.default_config;
     tuples_per_page = 64;
     btree_order = 32;
     next_key_gaps = false;
@@ -124,9 +118,16 @@ type index_s = {
 
 type table_s = { heap : Heap.t; pk_index : index_s; mutable secondary : index_s list }
 
+(* A serializable transaction's certifier node, packed with the
+   certifier instance and implementation that created it. *)
+type sx =
+  | No_sx
+  | Sx : (module Certifier.S with type t = 'c and type node = 'n) * 'c * 'n -> sx
+
 type t = {
   clog : Clog.t;
-  cert : Certifier.t;
+  cert : Certifier.packed;
+  predlocks : Predlock.t;  (** the certifier's SIREAD lock table *)
   locks : Lockmgr.t;
   tables : (string, table_s) Hashtbl.t;
   idx_by_name : (string, index_s) Hashtbl.t;
@@ -150,7 +151,7 @@ and txn = {
   iso : isolation;
   ro : bool;
   mutable snapshot : Snapshot.t;
-  sxact : Certifier.node option;
+  sxact : sx;
   mutable finished : bool;
   mutable prepared_gid : string option;
   mutable undo : undo_entry list;  (** stack, newest first *)
@@ -181,9 +182,12 @@ let create ?(scheduler = Waitq.direct) ?(config = default_config) ?obs () =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   Obs.set_clock obs scheduler.Waitq.now;
   let clog = Clog.create () in
+  let cert = Certifier.make ~config:config.certifier ~obs clog in
+  let (Certifier.Cert ((module C), c)) = cert in
   {
     clog;
-    cert = Certifier.make config.certifier ~config:config.ssi ~obs clog;
+    cert;
+    predlocks = C.locks c;
     locks = Lockmgr.create ~obs scheduler;
     tables = Hashtbl.create 16;
     idx_by_name = Hashtbl.create 16;
@@ -256,15 +260,8 @@ let fault_point db ~op =
 
 let obs t = t.obs
 let certifier t = t.cert
-let certifier_kind t = t.cert.Certifier.kind
-
-let ssi t =
-  match t.cert.Certifier.ssi with
-  | Some s -> s
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Engine.ssi: engine runs the %s certifier, not SSI"
-           (Certifier.kind_to_string t.cert.Certifier.kind))
+let certifier_kind t = t.cfg.certifier.kind
+let predicate_locks t = t.predlocks
 
 let active_transactions t = Hashtbl.length t.active
 
@@ -340,8 +337,9 @@ let table_indexes t ~table =
   :: List.map (fun i -> (i.idx_name, col i)) tbl.secondary
 
 let hook_split db index =
+  let (Certifier.Cert ((module C), c)) = db.cert in
   Btree.set_on_split index.tree (fun ~old_page ~new_page ->
-      db.cert.Certifier.on_index_page_split ~index:index.idx_name ~old_page ~new_page)
+      C.on_index_page_split c ~index:index.idx_name ~old_page ~new_page)
 
 let create_table db ~name ~cols ~key =
   if Hashtbl.mem db.tables name then invalid_arg ("Engine.create_table: duplicate " ^ name);
@@ -409,13 +407,15 @@ let drop_index db ~name =
       Hashtbl.remove db.idx_by_name name;
       (* §5.2.1: index-gap locks are replaced with a relation-level lock on
          the heap. *)
-      db.cert.Certifier.on_index_drop ~index:name ~heap_rel:index.table_name
+      let (Certifier.Cert ((module C), c)) = db.cert in
+      C.on_index_drop c ~index:name ~heap_rel:index.table_name
 
 let recluster db ~table =
   let tbl = table_of db table in
   Heap.rewrite tbl.heap;
   (* Physical locations changed: promote page/tuple SIREAD locks (§5.2.1). *)
-  db.cert.Certifier.on_ddl_rewrite ~rel:table
+  let (Certifier.Cert ((module C), c)) = db.cert in
+  C.on_ddl_rewrite c ~rel:table
 
 (* ---- Transaction lifecycle ------------------------------------------------- *)
 
@@ -426,7 +426,7 @@ let is_finished txn = txn.finished
 let snapshot_cseq txn = txn.snapshot.Snapshot.horizon
 
 let snapshot_is_safe txn =
-  match txn.sxact with Some node -> txn.db.cert.Certifier.is_safe node | None -> false
+  match txn.sxact with Sx ((module C), _, node) -> C.is_safe node | No_sx -> false
 
 let make_txn db ~iso ~ro ~xid ~snapshot ~sxact ~span =
   (* Without a client-supplied span the transaction roots its own trace,
@@ -483,17 +483,17 @@ let rec begin_deferrable ?span db =
      unsafe verdict, throw the snapshot away and retry with a new one. *)
   let xid = Clog.new_xid db.clog in
   let snapshot = Snapshot.take db.clog ~owner:xid in
+  let (Certifier.Cert (((module C) as m), c)) = db.cert in
   let node =
-    db.cert.Certifier.register ~xid ~snap_cseq:snapshot.Snapshot.horizon ~read_only:true
-      ~deferrable:true
+    C.register c ~xid ~snap_cseq:snapshot.Snapshot.horizon ~read_only:true ~deferrable:true
   in
-  while not (db.cert.Certifier.safety_determined node) do
-    db.sched.suspend (db.cert.Certifier.safety_waitq node)
+  while not (C.safety_determined node) do
+    db.sched.suspend (C.safety_waitq node)
   done;
-  if db.cert.Certifier.is_safe node then
-    make_txn db ~iso:Serializable ~ro:true ~xid ~snapshot ~sxact:(Some node) ~span
+  if C.is_safe node then
+    make_txn db ~iso:Serializable ~ro:true ~xid ~snapshot ~sxact:(Sx (m, c, node)) ~span
   else begin
-    db.cert.Certifier.aborted node;
+    C.aborted c node;
     Clog.abort db.clog xid;
     begin_deferrable ?span db
   end
@@ -502,12 +502,13 @@ let begin_txn ?(isolation = Serializable) ?(read_only = false) ?(deferrable = fa
   if deferrable then begin
     if not (read_only && isolation = Serializable) then
       invalid_arg "Engine.begin_txn: DEFERRABLE requires READ ONLY SERIALIZABLE";
-    if not db.cfg.ssi.Ssi.read_only_opt then
+    if not db.cfg.certifier.read_only_opt then
       invalid_arg "Engine.begin_txn: DEFERRABLE requires the read-only optimizations";
-    if not db.cert.Certifier.supports_deferrable then
+    let (Certifier.Cert ((module C), _)) = db.cert in
+    if not C.supports_deferrable then
       invalid_arg
         (Printf.sprintf "Engine.begin_txn: DEFERRABLE requires the SSI certifier (running %s)"
-           (Certifier.kind_to_string db.cert.Certifier.kind));
+           (Certifier.kind_to_string (certifier_kind db)));
     begin_deferrable ?span db
   end
   else begin
@@ -516,10 +517,13 @@ let begin_txn ?(isolation = Serializable) ?(read_only = false) ?(deferrable = fa
     let sxact =
       match isolation with
       | Serializable ->
-          Some
-            (db.cert.Certifier.register ~xid ~snap_cseq:snapshot.Snapshot.horizon
-               ~read_only ~deferrable:false)
-      | Read_committed | Repeatable_read | Serializable_2pl -> None
+          let (Certifier.Cert (((module C) as m), c)) = db.cert in
+          Sx
+            ( m,
+              c,
+              C.register c ~xid ~snap_cseq:snapshot.Snapshot.horizon ~read_only
+                ~deferrable:false )
+      | Read_committed | Repeatable_read | Serializable_2pl -> No_sx
     in
     make_txn db ~iso:isolation ~ro:read_only ~xid ~snapshot ~sxact ~span
   end
@@ -533,15 +537,17 @@ let begin_txn ?isolation ?read_only ?deferrable ?span db =
    have no (active) sxact. *)
 let tracking txn =
   match txn.sxact with
-  | Some node when not (txn.db.cert.Certifier.is_safe node) -> Some node
-  | _ -> None
+  | Sx ((module C), _, node) when not (C.is_safe node) -> txn.sxact
+  | Sx _ | No_sx -> No_sx
+
+let is_tracked txn = match tracking txn with Sx _ -> true | No_sx -> false
 
 let ensure_running txn =
   if txn.crashed then
     raise (Transient_fault { op = "txn"; reason = "connection lost: server crashed" });
   if txn.finished then invalid_arg "Engine: transaction already finished";
   if txn.prepared_gid <> None then invalid_arg "Engine: transaction is prepared";
-  match txn.sxact with Some node -> txn.db.cert.Certifier.check_doomed node | None -> ()
+  match txn.sxact with Sx ((module C), _, node) -> C.check_doomed node | No_sx -> ()
 
 let start_op txn =
   ensure_running txn;
@@ -579,7 +585,7 @@ let apply_undo_entry db = function
       if Btree.delete idx.tree ~key:ikey ~pk && idx.next_key
          && Btree.lookup idx.tree ikey ~pages:(ref []) = []
       then
-        Predlock.on_index_key_remove db.cert.Certifier.locks
+        Predlock.on_index_key_remove db.predlocks
           ~index:idx.idx_name ~key:ikey
           ~succ:(Btree.next_key_after idx.tree ikey)
   | U_set_xmax tuple -> Heap.set_xmax tuple Heap.invalid_xid
@@ -698,8 +704,10 @@ let rec live_head txn tbl key =
 
 (* ---- Shared read path ----------------------------------------------------------- *)
 
-let conflict_out_many node db xs =
-  List.iter (fun w -> db.cert.Certifier.conflict_out node ~writer:w) xs
+let conflict_out_many sx xs =
+  match sx with
+  | Sx ((module C), c, node) -> List.iter (fun w -> C.conflict_out c node ~writer:w) xs
+  | No_sx -> ()
 
 (* Probe the primary-key index for gap protection, then walk the version
    chain.  Returns the visible version, recording SSI conflicts and
@@ -708,22 +716,24 @@ let conflict_out_many node db xs =
    examined leaf page; next-key mode locks the distinct keys returned plus
    the successor of the probe's upper bound, which covers every gap the
    scan observed (§5.2.1 "next-key locking" future work). *)
-let ssi_lock_index_gaps db node idx ~hi ~keys ~pages =
-  if idx.next_key then begin
-    let seen = Hashtbl.create 8 in
-    List.iter
-      (fun k ->
-        if not (Hashtbl.mem seen k) then begin
-          Hashtbl.add seen k ();
-          db.cert.Certifier.read_index_key node ~index:idx.idx_name ~key:k
-        end)
-      keys;
-    match Btree.next_key_after idx.tree hi with
-    | Some succ -> db.cert.Certifier.read_index_key node ~index:idx.idx_name ~key:succ
-    | None -> db.cert.Certifier.read_index_inf node ~index:idx.idx_name
-  end
-  else
-    List.iter (fun p -> db.cert.Certifier.read_index_gap node ~index:idx.idx_name ~page:p) pages
+let ssi_lock_index_gaps sx idx ~hi ~keys ~pages =
+  match sx with
+  | No_sx -> ()
+  | Sx ((module C), c, node) ->
+      if idx.next_key then begin
+        let seen = Hashtbl.create 8 in
+        List.iter
+          (fun k ->
+            if not (Hashtbl.mem seen k) then begin
+              Hashtbl.add seen k ();
+              C.read_index_key c node ~index:idx.idx_name ~key:k
+            end)
+          keys;
+        match Btree.next_key_after idx.tree hi with
+        | Some succ -> C.read_index_key c node ~index:idx.idx_name ~key:succ
+        | None -> C.read_index_inf c node ~index:idx.idx_name
+      end
+      else List.iter (fun p -> C.read_index_gap c node ~index:idx.idx_name ~page:p) pages
 
 (* Under 2PL an index probe is only valid once shared locks on the visited
    leaf pages are held: acquiring a lock can block, and by the time it is
@@ -765,30 +775,23 @@ let fetch txn tbl key ~for_write =
   else begin
     let pages = ref [] in
     let hits = Btree.lookup tbl.pk_index.tree key ~pages in
-    match tracking txn with
-    | Some node ->
-        let keys = if hits = [] then [] else [ key ] in
-        ssi_lock_index_gaps db node tbl.pk_index ~hi:key ~keys ~pages:!pages
-    | None -> ()
+    let keys = if hits = [] then [] else [ key ] in
+    ssi_lock_index_gaps (tracking txn) tbl.pk_index ~hi:key ~keys ~pages:!pages
   end;
   match Heap.head tbl.heap key with
   | None -> None
   | Some head -> (
       let visible, conflicts = Visibility.latest_visible db.clog txn.snapshot head in
-      (match tracking txn with
-      | Some node -> conflict_out_many node db conflicts
-      | None -> ());
+      conflict_out_many (tracking txn) conflicts;
       match visible with
       | None -> None
       | Some (v, deleter) ->
           (match tracking txn with
-          | Some node ->
-              (match deleter with
-              | Some w -> db.cert.Certifier.conflict_out node ~writer:w
-              | None -> ());
-              db.cert.Certifier.read_from node ~creator:v.xmin;
-              db.cert.Certifier.read_tuple node ~rel ~key ~page:(Heap.page_of_tid v.tid)
-          | None -> ());
+          | Sx ((module C), c, node) ->
+              (match deleter with Some w -> C.conflict_out c node ~writer:w | None -> ());
+              C.read_from c node ~creator:v.xmin;
+              C.read_tuple c node ~rel ~key ~page:(Heap.page_of_tid v.tid)
+          | No_sx -> ());
           Some v)
 
 (* ---- Reads ------------------------------------------------------------------------ *)
@@ -810,7 +813,7 @@ let read txn ~table ~key =
         | None -> None
         | Some v -> Some (Array.copy v.row))
   in
-  finish_op txn.db ~tuples:1 ~locks:(if tracking txn <> None || is_2pl txn then 2 else 0) ~pages:2;
+  finish_op txn.db ~tuples:1 ~locks:(if is_tracked txn || is_2pl txn then 2 else 0) ~pages:2;
   result
 
 let index_of db name =
@@ -841,12 +844,11 @@ let index_scan txn ~table ~index ~lo ~hi =
           let pages = ref [] in
           let entries = Btree.range idx.tree ~lo ~hi ~pages in
           (match tracking txn with
-          | Some node ->
+          | Sx ((module C), c, node) as sx ->
               if idx.pred_locks then
-                ssi_lock_index_gaps db node idx ~hi ~keys:(List.map fst entries)
-                  ~pages:!pages
-              else db.cert.Certifier.read_index_rel node ~index
-          | None -> ());
+                ssi_lock_index_gaps sx idx ~hi ~keys:(List.map fst entries) ~pages:!pages
+              else C.read_index_rel c node ~index
+          | No_sx -> ());
           (entries, !pages)
         end
       in
@@ -868,19 +870,19 @@ let index_scan txn ~table ~index ~lo ~hi =
             Hashtbl.add batch_pages page (ref [ pk ]);
             batch_order := page :: !batch_order
       in
-      let flush_batch node =
-        List.iter
-          (fun page ->
-            match Hashtbl.find_opt batch_pages page with
-            | Some keys ->
-                db.cert.Certifier.read_tuples_page node ~rel ~page ~keys:(List.rev !keys)
-            | None -> ())
-          (List.rev !batch_order)
+      let flush_batch = function
+        | Sx ((module C), c, node) ->
+            List.iter
+              (fun page ->
+                match Hashtbl.find_opt batch_pages page with
+                | Some keys -> C.read_tuples_page c node ~rel ~page ~keys:(List.rev !keys)
+                | None -> ())
+              (List.rev !batch_order)
+        | No_sx -> ()
       in
       let rows =
         Fun.protect
-          ~finally:(fun () ->
-            match tracking txn with Some node -> flush_batch node | None -> ())
+          ~finally:(fun () -> flush_batch (tracking txn))
           (fun () ->
             List.filter_map
               (fun (ikey, pk) ->
@@ -899,9 +901,7 @@ let index_scan txn ~table ~index ~lo ~hi =
                     let visible, conflicts =
                       Visibility.latest_visible db.clog txn.snapshot head
                     in
-                    (match tracking txn with
-                    | Some node -> conflict_out_many node db conflicts
-                    | None -> ());
+                    conflict_out_many (tracking txn) conflicts;
                     match visible with
                     | None -> None
                     | Some (v, deleter) ->
@@ -909,13 +909,13 @@ let index_scan txn ~table ~index ~lo ~hi =
                            visible version: filter on the current value. *)
                         if Value.equal v.row.(idx.col) ikey then begin
                           (match tracking txn with
-                          | Some node ->
+                          | Sx ((module C), c, node) ->
                               (match deleter with
-                              | Some w -> db.cert.Certifier.conflict_out node ~writer:w
+                              | Some w -> C.conflict_out c node ~writer:w
                               | None -> ());
-                              db.cert.Certifier.read_from node ~creator:v.xmin;
+                              C.read_from c node ~creator:v.xmin;
                               batch_read pk (Heap.page_of_tid v.tid)
-                          | None -> ());
+                          | No_sx -> ());
                           Some (Array.copy v.row)
                         end
                         else None))
@@ -923,7 +923,7 @@ let index_scan txn ~table ~index ~lo ~hi =
       in
       finish_op db ~tuples:!tuples
         ~locks:
-          (if tracking txn <> None || is_2pl txn then !tuples + List.length scan_pages else 0)
+          (if is_tracked txn || is_2pl txn then !tuples + List.length scan_pages else 0)
         ~pages:(List.length scan_pages + !tuples);
       rows)
 
@@ -940,31 +940,27 @@ let seq_scan txn ~table ?(filter = fun _ -> true) () =
         refresh_stmt_snapshot txn
       end;
       (match tracking txn with
-      | Some node -> db.cert.Certifier.read_relation node ~rel
-      | None -> ());
+      | Sx ((module C), c, node) -> C.read_relation c node ~rel
+      | No_sx -> ());
       let tuples = ref 0 in
       let rows = ref [] in
       Heap.iter_heads tbl.heap (fun head ->
           incr tuples;
           let visible, conflicts = Visibility.latest_visible db.clog txn.snapshot head in
-          (match tracking txn with
-          | Some node -> conflict_out_many node db conflicts
-          | None -> ());
+          conflict_out_many (tracking txn) conflicts;
           match visible with
           | None -> ()
           | Some (v, deleter) ->
               (match tracking txn with
-              | Some node ->
-                  (match deleter with
-                  | Some w -> db.cert.Certifier.conflict_out node ~writer:w
-                  | None -> ());
-                  db.cert.Certifier.read_from node ~creator:v.xmin
-              | None -> ());
+              | Sx ((module C), c, node) ->
+                  (match deleter with Some w -> C.conflict_out c node ~writer:w | None -> ());
+                  C.read_from c node ~creator:v.xmin
+              | No_sx -> ());
               if filter v.row then rows := Array.copy v.row :: !rows);
       (* Read tracking is per tuple (visibility conflict-out checks), while
          the 2PL baseline locks the whole relation once. *)
       finish_op db ~tuples:!tuples
-        ~locks:(if tracking txn <> None then !tuples else if is_2pl txn then 1 else 0)
+        ~locks:(if is_tracked txn then !tuples else if is_2pl txn then 1 else 0)
         ~pages:(Heap.npages tbl.heap);
       !rows)
 
@@ -992,15 +988,15 @@ let index_insert txn idx ~ikey ~pk =
        uncommitted insert).  Unconditional — a lower-isolation inserter
        splits gaps guarded for serializable readers too. *)
     if idx.next_key then
-      Predlock.on_index_key_insert db.cert.Certifier.locks ~index:idx.idx_name
-        ~key:ikey ~succ:(Btree.next_key_after idx.tree ikey);
+      Predlock.on_index_key_insert db.predlocks ~index:idx.idx_name ~key:ikey
+        ~succ:(Btree.next_key_after idx.tree ikey);
     (match tracking txn with
-    | Some node ->
+    | Sx ((module C), c, node) ->
         if idx.next_key then
-          db.cert.Certifier.index_insert_check_nextkey node ~index:idx.idx_name ~key:ikey
+          C.index_insert_check_nextkey c node ~index:idx.idx_name ~key:ikey
             ~succ:(Btree.next_key_after idx.tree ikey)
-        else db.cert.Certifier.index_insert_check node ~index:idx.idx_name ~page
-    | None -> ());
+        else C.index_insert_check c node ~index:idx.idx_name ~page
+    | No_sx -> ());
     if is_2pl txn then
       Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Index_page (idx.idx_name, page))
         Lockmgr.X
@@ -1036,11 +1032,10 @@ let insert txn ~table row =
           (* Re-inserting over a committed-dead head is a w:w dependency on
              the dead version's creator and deleter. *)
           (match tracking txn with
-          | Some node ->
-              db.cert.Certifier.read_from node ~creator:v.xmin;
-              if v.xmax <> Heap.invalid_xid then
-                db.cert.Certifier.read_from node ~creator:v.xmax
-          | None -> ()));
+          | Sx ((module C), c, node) ->
+              C.read_from c node ~creator:v.xmin;
+              if v.xmax <> Heap.invalid_xid then C.read_from c node ~creator:v.xmax
+          | No_sx -> ()));
       let old_page =
         match Heap.head tbl.heap key with
         | Some h -> Some (Heap.page_of_tid h.Heap.tid)
@@ -1050,20 +1045,20 @@ let insert txn ~table row =
       txn.undo <- U_new_version (tbl, key) :: txn.undo;
       txn.undo_len <- txn.undo_len + 1;
       (match tracking txn with
-      | Some node ->
-          db.cert.Certifier.write_check node ~rel:table ~key ~page:(Heap.page_of_tid tuple.tid);
+      | Sx ((module C), c, node) ->
+          C.write_check c node ~rel:table ~key ~page:(Heap.page_of_tid tuple.tid);
           (match old_page with
           | Some p when p <> Heap.page_of_tid tuple.tid ->
-              db.cert.Certifier.write_check node ~rel:table ~key ~page:p
+              C.write_check c node ~rel:table ~key ~page:p
           | Some _ | None -> ())
-      | None -> ());
+      | No_sx -> ());
       List.iter
         (fun idx -> index_insert txn idx ~ikey:(Array.copy row).(idx.col) ~pk:key)
         (all_indexes tbl);
       txn.wal <- Wal_insert { table; key; row = Array.copy row } :: txn.wal;
       txn.wal_len <- txn.wal_len + 1;
       finish_op db ~tuples:1
-        ~locks:(if tracking txn <> None || is_2pl txn then 2 + List.length tbl.secondary else 0)
+        ~locks:(if is_tracked txn || is_2pl txn then 2 + List.length tbl.secondary else 0)
         ~pages:(2 + List.length tbl.secondary))
 
 (* Shared write-side logic of update and delete: locate the visible
@@ -1129,11 +1124,10 @@ let rec locate_for_write txn tbl key =
   (match result with
   | Some v ->
       (match tracking txn with
-      | Some node ->
-          db.cert.Certifier.write_check node ~rel ~key ~page:(Heap.page_of_tid v.Heap.tid);
-          db.cert.Certifier.forget_own_tuple_lock node ~rel ~key
-            ~in_subtransaction:(txn.subdepth > 0)
-      | None -> ())
+      | Sx ((module C), c, node) ->
+          C.write_check c node ~rel ~key ~page:(Heap.page_of_tid v.Heap.tid);
+          C.forget_own_tuple_lock c node ~rel ~key ~in_subtransaction:(txn.subdepth > 0)
+      | No_sx -> ())
   | None -> ());
   result
 
@@ -1166,7 +1160,7 @@ let update txn ~table ~key ~f =
           txn.wal <- Wal_update { table; key; row = Array.copy row' } :: txn.wal;
           txn.wal_len <- txn.wal_len + 1;
           finish_op db ~tuples:2
-            ~locks:(if tracking txn <> None || is_2pl txn then 3 + List.length tbl.secondary else 0)
+            ~locks:(if is_tracked txn || is_2pl txn then 3 + List.length tbl.secondary else 0)
             ~pages:(2 + List.length tbl.secondary);
           true)
 
@@ -1189,7 +1183,7 @@ let delete txn ~table ~key =
           txn.wal <- Wal_delete { table; key } :: txn.wal;
           txn.wal_len <- txn.wal_len + 1;
           finish_op db ~tuples:1
-            ~locks:(if tracking txn <> None || is_2pl txn then 2 else 0)
+            ~locks:(if is_tracked txn || is_2pl txn then 2 else 0)
             ~pages:1;
           true)
 
@@ -1322,7 +1316,7 @@ let siread_targets db xid =
   List.sort compare
     (List.filter_map
        (fun (target, holders, _) -> if List.mem xid holders then Some target else None)
-       (Predlock.dump db.cert.Certifier.locks))
+       (Predlock.dump db.predlocks))
 
 let prepared_image_of db txn gid =
   {
@@ -1343,7 +1337,7 @@ let abort txn =
     txn.wal <- [];
     txn.wal_len <- 0;
     Clog.abort db.clog txn.txn_xid;
-    (match txn.sxact with Some node -> db.cert.Certifier.aborted node | None -> ());
+    (match txn.sxact with Sx ((module C), c, node) -> C.aborted c node | No_sx -> ());
     (match txn.prepared_gid with
     | Some gid -> Hashtbl.remove db.prepared_by_gid gid
     | None -> ());
@@ -1381,7 +1375,7 @@ let commit txn =
         primary refuses new commits here, so clients see a retryable
         failure rather than a write the cluster will never accept. *)
      (match db.commit_gate with Some gate -> gate () | None -> ());
-     match txn.sxact with Some node -> db.cert.Certifier.precommit node | None -> ()
+     match txn.sxact with Sx ((module C), c, node) -> C.precommit c node | No_sx -> ()
    with (Serialization_failure _ | Transient_fault _) as e ->
      close_span ~ok:false ();
      abort txn;
@@ -1389,8 +1383,8 @@ let commit txn =
   let cseq = Clog.commit db.clog txn.txn_xid in
   trace db "x%d commit cseq=%d" txn.txn_xid cseq;
   (match txn.sxact with
-  | Some node -> db.cert.Certifier.committed node ~commit_cseq:cseq
-  | None -> ());
+  | Sx ((module C), c, node) -> C.committed c node ~commit_cseq:cseq
+  | No_sx -> ());
   (match txn.span with Some s -> Obs.Span.add s "outcome" (Obs.S "committed") | None -> ());
   finish_txn txn;
   Obs.incr db.metrics.m_commits;
@@ -1421,7 +1415,7 @@ let prepare txn ~gid =
   (try
      ensure_running txn;
      fault_point db ~op:"prepare";
-     match txn.sxact with Some node -> db.cert.Certifier.prepare node | None -> ()
+     match txn.sxact with Sx ((module C), c, node) -> C.prepare c node | No_sx -> ()
    with (Serialization_failure _ | Transient_fault _) as e ->
      abort txn;
      raise e);
@@ -1456,8 +1450,8 @@ let commit_prepared db ~gid =
   in
   let cseq = Clog.commit db.clog txn.txn_xid in
   (match txn.sxact with
-  | Some node -> db.cert.Certifier.committed node ~commit_cseq:cseq
-  | None -> ());
+  | Sx ((module C), c, node) -> C.committed c node ~commit_cseq:cseq
+  | No_sx -> ());
   (match txn.span with Some s -> Obs.Span.add s "outcome" (Obs.S "committed") | None -> ());
   finish_txn txn;
   Obs.incr db.metrics.m_commits;
@@ -1514,9 +1508,7 @@ type prepared_summary = {
    prepare time, not the conservatism added here. *)
 let mark_prepared_conservative db ~gid =
   let txn = prepared_txn db gid in
-  match txn.sxact with
-  | Some node -> db.cert.Certifier.mark_conservative node
-  | None -> ()
+  match txn.sxact with Sx ((module C), c, node) -> C.mark_conservative c node | No_sx -> ()
 
 let prepared_summary db ~gid =
   let txn = prepared_txn db gid in
@@ -1575,7 +1567,8 @@ let simulate_connection_loss db =
       | None -> ());
       Waitq.wake_all txn.commit_wq)
     in_flight;
-  db.cert.Certifier.recover ();
+  let (Certifier.Cert ((module C), c)) = db.cert in
+  C.recover c;
   Obs.incr ~by:(List.length in_flight) db.metrics.m_aborts;
   Obs.trace db.obs "crash" ~fields:[ ("in_flight", Obs.I (List.length in_flight)) ]
 
@@ -1686,7 +1679,7 @@ let replay_op db ~xid ~track op =
              transactions' SIREAD locks: keep gap coverage intact here
              exactly as on the live insert path. *)
           if idx.next_key then
-            Predlock.on_index_key_insert db.cert.Certifier.locks
+            Predlock.on_index_key_insert db.predlocks
               ~index:idx.idx_name ~key:row.(idx.col)
               ~succ:(Btree.next_key_after idx.tree row.(idx.col))
         end)
@@ -1717,11 +1710,9 @@ let reinstate_prepared db (img : Wal.prepared_image) =
   Clog.install db.clog xid Clog.In_progress;
   let undo = ref [] in
   List.iter (replay_op db ~xid ~track:(Some undo)) img.Wal.p_ops;
-  let node =
-    db.cert.Certifier.register ~xid ~snap_cseq:img.Wal.p_snap_cseq ~read_only:false
-      ~deferrable:false
-  in
-  let locks = db.cert.Certifier.locks in
+  let (Certifier.Cert (((module C) as m), c)) = db.cert in
+  let node = C.register c ~xid ~snap_cseq:img.Wal.p_snap_cseq ~read_only:false ~deferrable:false in
+  let locks = db.predlocks in
   List.iter
     (fun (target : Predlock.target) ->
       match target with
@@ -1746,10 +1737,10 @@ let reinstate_prepared db (img : Wal.prepared_image) =
       | Predlock.Index_inf index -> Predlock.lock_index_inf locks ~owner:xid ~index
       | Predlock.Index_rel index -> Predlock.lock_index_rel locks ~owner:xid ~index)
     img.Wal.p_sireads;
-  db.cert.Certifier.restore_prepared node;
+  C.restore_prepared c node;
   let snapshot = { Snapshot.owner = xid; horizon = img.Wal.p_snap_cseq } in
   let txn =
-    make_txn db ~iso:Serializable ~ro:false ~xid ~snapshot ~sxact:(Some node) ~span:None
+    make_txn db ~iso:Serializable ~ro:false ~xid ~snapshot ~sxact:(Sx (m, c, node)) ~span:None
   in
   txn.prepared_gid <- Some img.Wal.p_gid;
   txn.undo <- !undo;
@@ -1843,8 +1834,8 @@ let recover ?scheduler ?config ?obs w =
             Hashtbl.remove db.prepared_by_gid gid;
             Clog.install db.clog c_xid (Clog.Committed c_cseq);
             (match txn.sxact with
-            | Some node -> db.cert.Certifier.committed node ~commit_cseq:c_cseq
-            | None -> ());
+            | Sx ((module C), c, node) -> C.committed c node ~commit_cseq:c_cseq
+            | No_sx -> ());
             finish_txn txn
         | Wal.Commit { c_xid; c_cseq; c_ops; _ } ->
             List.iter (replay_op db ~xid:c_xid ~track:None) c_ops;

@@ -83,12 +83,11 @@ type commit_record = {
 }
 
 type config = {
-  ssi : Ssi_core.Ssi.config;
-  certifier : Ssi_core.Certifier.kind;
-      (** Which serializability certifier the engine runs: the paper's SSI
-          (default), the Serial Safety Net, or its extended variant.  SSI
-          is the only certifier with safe snapshots, so [BEGIN DEFERRABLE]
-          is rejected under the others. *)
+  certifier : Ssi_core.Certifier.config;
+      (** Which serializability certifier the engine runs ([kind]: the
+          paper's SSI by default, the Serial Safety Net, or its extended
+          variant) and its settings.  SSI is the only certifier with safe
+          snapshots, so [BEGIN DEFERRABLE] is rejected under the others. *)
   tuples_per_page : int;
   btree_order : int;
   next_key_gaps : bool;
@@ -413,15 +412,16 @@ val obs : t -> Ssi_obs.Obs.t
     [Obs.delta_*] accessors, which replaced the old mutable stats
     records. *)
 
-val ssi : t -> Ssi_core.Ssi.t
-(** The underlying SSI manager.  Raises [Invalid_argument] when the engine
-    was configured with a non-SSI certifier; certifier-agnostic callers
-    should go through {!certifier}. *)
-
-val certifier : t -> Ssi_core.Certifier.t
-(** The engine's certifier vtable — valid for every {!config.certifier}. *)
+val certifier : t -> Ssi_core.Certifier.packed
+(** The engine's certifier instance with its implementation: unpack it as
+    [let (Certifier.Cert ((module C), c)) = certifier db in C.dump_graph c]
+    to introspect through {!Ssi_core.Certifier.S}. *)
 
 val certifier_kind : t -> Ssi_core.Certifier.kind
+
+val predicate_locks : t -> Ssi_core.Predlock.t
+(** The certifier's SIREAD lock table. *)
+
 val active_transactions : t -> int
 val table_names : t -> string list
 

@@ -162,13 +162,13 @@ let execute ?(observer = fun _ _ -> ()) target plan ~log =
                   set_fault_rate inj 0.;
                   logf "fault-burst end"))
       | Memory_pressure { cap; duration } ->
-          let cert = E.certifier target.engine in
-          let before = cert.Ssi_core.Certifier.max_committed_sxacts () in
+          let (Ssi_core.Certifier.Cert ((module C), c)) = E.certifier target.engine in
+          let before = C.max_committed_sxacts c in
           logf "memory-pressure begin cap=%d (was %d)" cap before;
-          cert.Ssi_core.Certifier.set_max_committed_sxacts cap;
+          C.set_max_committed_sxacts c cap;
           Sim.spawn (fun () ->
               Sim.delay duration;
-              cert.Ssi_core.Certifier.set_max_committed_sxacts before;
+              C.set_max_committed_sxacts c before;
               logf "memory-pressure end")
       | Lag_spike { lag; duration } -> (
           (* With a fleet configured, the spike hits one member (picked

@@ -16,7 +16,13 @@ let vi i = Value.Int i
 let sim_costs =
   { E.zero_costs with E.cpu_per_op = 80e-6; cpu_per_tuple = 4e-6; io_commit = 40e-6 }
 
-let config ~certifier = { E.default_config with E.costs = sim_costs; certifier }
+let config ~certifier =
+  {
+    E.default_config with
+    E.costs = sim_costs;
+    certifier = { Ssi_core.Certifier.default_config with kind = certifier };
+  }
+
 let flush_interval = 2e-4
 let workers = 4
 let txns_per_worker = 12

@@ -11,7 +11,6 @@ module Obs = Ssi_obs.Obs
 module Sim = Ssi_sim.Sim
 module Waitq = Ssi_util.Waitq
 module Certifier = Ssi_core.Certifier
-module Ssi = Ssi_core.Ssi
 
 (* The per-participant SSI conflict summary piggybacked on prepare-acks
    and commit-acks (the wire format of DESIGN.md §12). *)
@@ -110,18 +109,15 @@ let shard_of_key t key = Hashtbl.hash key mod t.n_shards
    during the decision window, and the window-closing flags themselves
    must not read as such. *)
 let edge_summary t shard ~xid ~snap_cseq =
-  let cert = E.certifier t.engines.(shard) in
-  let info =
-    List.find_opt (fun i -> i.Ssi.info_xid = xid) (cert.Certifier.dump_graph ())
-  in
-  match info with
+  let (Certifier.Cert ((module C), c)) = E.certifier t.engines.(shard) in
+  match C.info c xid with
   | Some i ->
       {
         sm_shard = shard;
         sm_xid = xid;
         sm_snap_cseq = snap_cseq;
-        sm_in = i.Ssi.info_in <> [];
-        sm_out = i.Ssi.info_out <> [];
+        sm_in = i.Certifier.info_in <> [];
+        sm_out = i.info_out <> [];
         sm_conservative = false;
         sm_digest = "";
       }

@@ -465,7 +465,7 @@ let exec t stmt =
       E.vacuum t.engine;
       Message "VACUUM"
   | Show_locks ->
-      let locks = (E.certifier t.engine).Ssi_core.Certifier.locks in
+      let locks = E.predicate_locks t.engine in
       let rows =
         List.map
           (fun (target, holders, old_c) ->
@@ -478,17 +478,18 @@ let exec t stmt =
       in
       Rows { cols = [ "target"; "holders"; "summarized_cseq" ]; rows }
   | Show_conflicts ->
+      let (Ssi_core.Certifier.Cert ((module C), c)) = E.certifier t.engine in
       let rows =
         List.map
-          (fun (i : Ssi_core.Ssi.node_info) ->
+          (fun (i : Ssi_core.Certifier.node_info) ->
             [|
-              Value.Int i.Ssi_core.Ssi.info_xid;
+              Value.Int i.info_xid;
               Value.Str i.info_status;
               Value.Bool i.info_doomed;
               Value.Str (String.concat "," (List.map string_of_int i.info_in));
               Value.Str (String.concat "," (List.map string_of_int i.info_out));
             |])
-          ((E.certifier t.engine).Ssi_core.Certifier.dump_graph ())
+          (C.dump_graph c)
       in
       Rows { cols = [ "xid"; "status"; "doomed"; "conflicts_in"; "conflicts_out" ]; rows }
   | Show_tables ->

@@ -1,7 +1,7 @@
 open Ssi_util
 module E = Ssi_engine.Engine
 module Sim = Ssi_sim.Sim
-module Ssi = Ssi_core.Ssi
+module Certifier = Ssi_core.Certifier
 module Obs = Ssi_obs.Obs
 
 type mode = SI | SSI | SSI_no_ro_opt | S2PL
@@ -29,7 +29,7 @@ type spec = {
 
 type bench = {
   mode : mode;
-  certifier : Ssi_core.Certifier.kind;
+  certifier : Certifier.kind;
   workers : int;
   duration : float;
   warmup : float;
@@ -69,7 +69,7 @@ let disk_bound_costs =
 let default_bench =
   {
     mode = SSI;
-    certifier = Ssi_core.Certifier.SSI;
+    certifier = Certifier.SSI;
     workers = 4;
     duration = 5.0;
     warmup = 1.0;
@@ -140,7 +140,7 @@ type window = {
    for the others. *)
 let close_window ~certifier obs base =
   let d name = Obs.delta_counter obs base name in
-  let p = Ssi_core.Certifier.prefix certifier in
+  let p = Certifier.prefix certifier in
   let abort_reasons =
     List.filter_map
       (fun (name, _) ->
@@ -184,18 +184,16 @@ let run ~setup ~specs bench =
         if !charging && x > 0. then
           match disk with Some d -> Sim.use d x | None -> Sim.delay x
       in
-      let ssi_cfg =
-        {
-          Ssi.read_only_opt = bench.mode <> SSI_no_ro_opt;
-          max_committed_sxacts = bench.max_committed_sxacts;
-          predlock = bench.predlock;
-        }
-      in
       let config =
         {
           E.default_config with
-          E.ssi = ssi_cfg;
-          certifier = bench.certifier;
+          E.certifier =
+            {
+              Certifier.kind = bench.certifier;
+              read_only_opt = bench.mode <> SSI_no_ro_opt;
+              max_committed_sxacts = bench.max_committed_sxacts;
+              predlock = bench.predlock;
+            };
           costs = bench.costs;
           next_key_gaps = bench.next_key_gaps;
           charge_cpu = Some charge_cpu;

@@ -131,7 +131,7 @@ let txn_body rng cfg t =
   done;
   (List.rev !reads, List.rev !writes)
 
-let run_history ?tracer ~isolation cfg =
+let run_history ?tracer ?on_create ~isolation cfg =
   let log = ref [] in
   let order = ref 0 in
   let config =
@@ -139,15 +139,16 @@ let run_history ?tracer ~isolation cfg =
       E.default_config with
       E.costs = sim_costs;
       next_key_gaps = cfg.next_key_gaps;
-      certifier = cfg.certifier;
-      ssi =
+      certifier =
         {
-          Ssi_core.Ssi.default_config with
-          Ssi_core.Ssi.max_committed_sxacts = cfg.max_committed_sxacts;
+          Ssi_core.Certifier.default_config with
+          kind = cfg.certifier;
+          max_committed_sxacts = cfg.max_committed_sxacts;
         };
     }
   in
   let db = E.create ~scheduler:Sim.scheduler ~config () in
+  Option.iter (fun f -> f db) on_create;
   (match tracer with
   | Some f -> E.set_tracer db (Some (fun line -> f (Printf.sprintf "%.6f %s" (Sim.now ()) line)))
   | None -> ());

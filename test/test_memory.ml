@@ -4,7 +4,7 @@
 
 open Ssi_storage
 module E = Ssi_engine.Engine
-module Ssi = Ssi_core.Ssi
+module Certifier = Ssi_core.Certifier
 module Predlock = Ssi_core.Predlock
 
 let vi i = Value.Int i
@@ -12,7 +12,7 @@ let vi i = Value.Int i
 let config ?(max_committed = 64) ?(predlock = Predlock.default_config) () =
   {
     E.default_config with
-    E.ssi = { Ssi.default_config with Ssi.max_committed_sxacts = max_committed; predlock };
+    E.certifier = { Certifier.default_config with max_committed_sxacts = max_committed; predlock };
   }
 
 let fresh ?max_committed ?predlock () =
@@ -26,14 +26,22 @@ let fresh ?max_committed ?predlock () =
 
 let bump t k = ignore (E.update t ~table:"kv" ~key:(vi k) ~f:(fun r -> [| r.(0); vi 1 |]))
 
-let total_locks db = Predlock.total_lock_count (Ssi.locks (E.ssi db))
+let total_locks db = Predlock.total_lock_count (E.predicate_locks db)
+
+let committed_retained db =
+  let (Certifier.Cert ((module C), c)) = E.certifier db in
+  C.committed_retained c
+
+let oldserxid_size db =
+  let (Certifier.Cert ((module C), c)) = E.certifier db in
+  C.oldserxid_size c
 
 let test_locks_released_when_no_concurrent () =
   let db = fresh () in
   E.with_txn db (fun t -> ignore (E.seq_scan t ~table:"kv" ()));
   Alcotest.(check int) "no SIREAD locks survive an idle system" 0 (total_locks db);
   Alcotest.(check int) "no committed nodes retained" 0
-    (Ssi.committed_retained (E.ssi db))
+    (committed_retained db)
 
 let test_locks_retained_while_concurrent () =
   let db = fresh () in
@@ -41,7 +49,7 @@ let test_locks_retained_while_concurrent () =
   ignore (E.read holdopen ~table:"kv" ~key:(vi 0));
   E.with_txn db (fun t -> ignore (E.read t ~table:"kv" ~key:(vi 1)));
   Alcotest.(check bool) "committed reader's locks retained" true (total_locks db > 0);
-  Alcotest.(check int) "node retained" 1 (Ssi.committed_retained (E.ssi db));
+  Alcotest.(check int) "node retained" 1 (committed_retained db);
   E.commit holdopen;
   Alcotest.(check int) "released after the concurrent commit" 0 (total_locks db)
 
@@ -69,7 +77,7 @@ let test_summarization_under_pressure () =
         ignore (E.read t ~table:"kv" ~key:(vi k));
         bump t k)
   done;
-  Alcotest.(check bool) "bounded retention" true (Ssi.committed_retained (E.ssi db) <= 1);
+  Alcotest.(check bool) "bounded retention" true (committed_retained db <= 1);
   Alcotest.(check bool) "summarized" true
     (Ssi_obs.Obs.get_counter (E.obs db) "ssi.summarized" > 0);
   E.commit holdopen
@@ -108,12 +116,12 @@ let test_lock_promotion_bounds_memory () =
   for k = 0 to 19 do
     ignore (E.read reader ~table:"kv" ~key:(vi k))
   done;
-  let held = Predlock.owner_lock_count (Ssi.locks (E.ssi db)) (E.xid reader) in
+  let held = Predlock.owner_lock_count (E.predicate_locks db) (E.xid reader) in
   Alcotest.(check bool)
     (Printf.sprintf "promotion keeps the lock count small (%d)" held)
     true (held <= 6);
   Alcotest.(check bool) "promotions happened" true
-    (Predlock.promotions (Ssi.locks (E.ssi db)) > 0);
+    (Predlock.promotions (E.predicate_locks db) > 0);
   E.commit reader;
   E.commit holdopen
 
@@ -152,10 +160,10 @@ let test_oldserxid_bounded () =
         bump t (round mod 20))
   done;
   Alcotest.(check bool) "oldserxid populated under pressure" true
-    (Ssi.oldserxid_size (E.ssi db) > 0);
+    (oldserxid_size db > 0);
   E.commit holdopen;
   E.with_txn db (fun t -> ignore (E.read t ~table:"kv" ~key:(vi 1)));
-  Alcotest.(check int) "oldserxid drained once idle" 0 (Ssi.oldserxid_size (E.ssi db))
+  Alcotest.(check int) "oldserxid drained once idle" 0 (oldserxid_size db)
 
 (* ---- Bounded histograms (telemetry memory, §6 in spirit) ------------------ *)
 

@@ -4,7 +4,7 @@
 
 open Ssi_storage
 module E = Ssi_engine.Engine
-module Ssi = Ssi_core.Ssi
+module Certifier = Ssi_core.Certifier
 module Predlock = Ssi_core.Predlock
 
 let vi i = Value.Int i
@@ -163,10 +163,10 @@ let test_nextkey_promotion () =
     {
       E.default_config with
       E.next_key_gaps = true;
-      ssi =
+      certifier =
         {
-          Ssi.default_config with
-          Ssi.predlock =
+          Certifier.default_config with
+          predlock =
             {
               Predlock.max_tuple_locks_per_page = 64;
               max_page_locks_per_relation = 64;
@@ -187,7 +187,7 @@ let test_nextkey_promotion () =
   for k = 0 to 9 do
     ignore (E.read reader ~table:"kv" ~key:(vi k))
   done;
-  let locks = Ssi.locks (E.ssi db) in
+  let locks = E.predicate_locks db in
   Alcotest.(check bool) "promoted to whole-index lock" true
     (Predlock.holds locks ~owner:(E.xid reader) (Predlock.Index_rel "kv_pkey"));
   Alcotest.(check bool) "lock count bounded" true

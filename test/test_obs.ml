@@ -13,7 +13,7 @@ module Watchdog = Ssi_obs.Watchdog
 module Stats = Ssi_util.Stats
 module Bhist = Ssi_util.Bhist
 module E = Ssi_engine.Engine
-module Ssi = Ssi_core.Ssi
+module Certifier = Ssi_core.Certifier
 module Sim = Ssi_sim.Sim
 module Rng = Ssi_util.Rng
 
@@ -347,7 +347,8 @@ let test_shrink_mid_run () =
              (* Mid-run: the workload above lasts a few virtual ms. *)
              Sim.delay 2e-3;
              at_shrink := Some (Obs.snap (E.obs db));
-             Ssi.set_max_committed_sxacts (E.ssi db) 0)));
+             let (Certifier.Cert ((module C), c)) = E.certifier db in
+             C.set_max_committed_sxacts c 0)));
   let base = match !at_shrink with Some s -> s | None -> Alcotest.fail "shrink never ran" in
   let after_shrink = Obs.delta_counter (E.obs db) base "ssi.summarized" in
   Alcotest.(check bool)

@@ -176,10 +176,10 @@ let oracle_cfgs =
     ("nextkey", Oracle.nextkey_cfg);
   |]
 
-(* Under SSI — now running through the CERTIFIER interface rather than
-   calling [Ssi] directly — every random history must (a) replay
-   identically from its seed: the vtable indirection, the intrusive edge
-   lists and the caches may not perturb victim selection or wake order —
+(* Under SSI — reached through the packed certifier module rather than
+   called by name — every random history must (a) replay identically
+   from its seed: the packing, the intrusive edge lists and the caches
+   may not perturb victim selection or wake order —
    and (b) pass the multiversion serialization-graph check.  ≥30 seeded
    workloads certify the interface port was behavior-preserving. *)
 let prop_ssi_replay_and_dsg =

@@ -149,9 +149,10 @@ let test_no_siread_tracking () =
   let db = E.create () in
   setup db;
   E.with_txn ~isolation:iso db (fun t -> ignore (E.seq_scan t ~table:"kv" ()));
-  Alcotest.(check int) "no SSI transactions" 0 (Ssi_core.Ssi.active_count (E.ssi db));
+  let (Ssi_core.Certifier.Cert ((module C), c)) = E.certifier db in
+  Alcotest.(check int) "no SSI transactions" 0 (C.active_count c);
   Alcotest.(check int) "no SIREAD locks" 0
-    (Ssi_core.Predlock.total_lock_count (Ssi_core.Ssi.locks (E.ssi db)))
+    (Ssi_core.Predlock.total_lock_count (E.predicate_locks db))
 
 let () =
   Alcotest.run "s2pl"

@@ -22,7 +22,7 @@ module Obs = Ssi_obs.Obs
 module Sim = Ssi_sim.Sim
 module F = Ssi_fault.Fault
 module Rng = Ssi_util.Rng
-module Ssi = Ssi_core.Ssi
+module Certifier = Ssi_core.Certifier
 module Explain = Ssi_harness.Explain
 
 let vi i = Value.Int i
@@ -71,13 +71,11 @@ let run_scenario seed =
   (* Capacities far above the run's volume and summarization disabled, so
      completeness of the reconstruction is actually testable. *)
   let obs = Obs.create ~trace_capacity:65536 ~span_capacity:65536 () in
-  let ssi_cfg =
-    { Ssi.default_config with Ssi.max_committed_sxacts = 1_000_000 }
-  in
+  let certifier = { Certifier.default_config with max_committed_sxacts = 1_000_000 } in
   let costs =
     { E.zero_costs with E.cpu_per_op = 60e-6; cpu_per_tuple = 3e-6; io_commit = 30e-6 }
   in
-  let config = { E.default_config with E.ssi = ssi_cfg; costs } in
+  let config = { E.default_config with E.certifier; costs } in
   let db = E.create ~scheduler:Sim.scheduler ~config ~obs () in
   let net = Net.create ~obs ~seed () in
   let committed = ref 0 in

@@ -111,7 +111,7 @@ let test_planner_uses_indexes () =
   ignore (exec s "BEGIN");
   ignore (rows_of s "SELECT * FROM t WHERE k = 2");
   let db = Sql.db s in
-  let locks = Ssi_core.Ssi.locks (E.ssi db) in
+  let locks = E.predicate_locks db in
   let total_before = Ssi_core.Predlock.total_lock_count locks in
   ignore (rows_of s "SELECT * FROM t WHERE v = 20") (* unindexed: seq scan *);
   Alcotest.(check bool) "seq scan added a relation lock" true

@@ -7,13 +7,14 @@ open Ssi_storage
 module Mvcc = Ssi_mvcc.Mvcc
 module Clog = Mvcc.Clog
 module Ssi = Ssi_core.Ssi
+module Certifier = Ssi_core.Certifier
 module Predlock = Ssi_core.Predlock
 
 let vi i = Value.Int i
 
 type env = { clog : Clog.t; mgr : Ssi.t }
 
-let make_env ?(config = Ssi.default_config) () =
+let make_env ?(config = Certifier.default_config) () =
   let clog = Clog.create () in
   { clog; mgr = Ssi.create ~config clog }
 
@@ -43,7 +44,7 @@ let read_then_write env (_, reader) (_, writer) key =
 let expect_failure name f =
   match f () with
   | () -> Alcotest.failf "%s: expected Serialization_failure" name
-  | exception Ssi.Serialization_failure _ -> ()
+  | exception Certifier.Serialization_failure _ -> ()
 
 (* ---- Basic dangerous structures --------------------------------------------- *)
 
@@ -167,7 +168,7 @@ let test_theorem3_rule () =
 
 let test_theorem3_disabled () =
   (* The same history without the read-only optimization aborts. *)
-  let env = make_env ~config:{ Ssi.default_config with Ssi.read_only_opt = false } () in
+  let env = make_env ~config:{ Certifier.default_config with read_only_opt = false } () in
   let t1 = begin_txn ~ro:true env in
   let t2 = begin_txn env and t3 = begin_txn env in
   read_then_write env t2 t3 1;
@@ -265,7 +266,7 @@ let test_committed_retained_while_concurrent () =
   Alcotest.(check int) "released afterwards" 0 (Ssi.committed_retained env.mgr)
 
 let test_summarization_bounds_memory () =
-  let env = make_env ~config:{ Ssi.default_config with Ssi.max_committed_sxacts = 2 } () in
+  let env = make_env ~config:{ Certifier.default_config with max_committed_sxacts = 2 } () in
   let holdopen = begin_txn env in
   for i = 1 to 10 do
     let t = begin_txn env in
@@ -282,7 +283,7 @@ let test_summarized_conflict_in_detected () =
   (* A committed reader is summarized; a new writer touching what it read
      must still see the conflict (via the dummy owner) and, with a
      committed out-edge, abort. *)
-  let env = make_env ~config:{ Ssi.default_config with Ssi.max_committed_sxacts = 0 } () in
+  let env = make_env ~config:{ Certifier.default_config with max_committed_sxacts = 0 } () in
   let holdopen = begin_txn env in
   (* t2 reads key 1 and gains an out-edge to t3, which commits first. *)
   let t2 = begin_txn env and t3 = begin_txn env in
@@ -308,7 +309,7 @@ let test_summarized_conflict_in_detected () =
   commit env (snd holdopen)
 
 let test_oldserxid_cleanup () =
-  let env = make_env ~config:{ Ssi.default_config with Ssi.max_committed_sxacts = 0 } () in
+  let env = make_env ~config:{ Certifier.default_config with max_committed_sxacts = 0 } () in
   let holdopen = begin_txn env in
   for i = 1 to 5 do
     let t = begin_txn env in
@@ -380,8 +381,8 @@ let test_graph_dump_and_dot () =
   let infos = Ssi.dump_graph env.mgr in
   Alcotest.(check int) "two nodes" 2 (List.length infos);
   Alcotest.(check bool) "edge recorded" true
-    (List.exists (fun i -> i.Ssi.info_out = [ fst t2 ]) infos);
-  let dot = Ssi.graph_dot env.mgr in
+    (List.exists (fun i -> i.Certifier.info_out = [ fst t2 ]) infos);
+  let dot = Certifier.graph_dot Certifier.SSI infos in
   Alcotest.(check bool) "dot has edge" true
     (let needle = Printf.sprintf "t%d -> t%d" (fst t1) (fst t2) in
      let rec contains i =
