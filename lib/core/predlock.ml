@@ -13,14 +13,16 @@ type target =
   | Index_inf of string
   | Index_rel of string
 
-let pp_target ppf = function
-  | Relation r -> Format.fprintf ppf "rel:%s" r
-  | Page (r, p) -> Format.fprintf ppf "page:%s/%d" r p
-  | Tuple (r, k) -> Format.fprintf ppf "tuple:%s/%a" r Value.pp k
-  | Index_page (i, p) -> Format.fprintf ppf "idxpage:%s/%d" i p
-  | Index_key (i, k) -> Format.fprintf ppf "idxkey:%s/%a" i Value.pp k
-  | Index_inf i -> Format.fprintf ppf "idxinf:%s" i
-  | Index_rel i -> Format.fprintf ppf "idx:%s" i
+let target_to_string = function
+  | Relation r -> "rel:" ^ r
+  | Page (r, p) -> "page:" ^ r ^ "/" ^ string_of_int p
+  | Tuple (r, k) -> "tuple:" ^ r ^ "/" ^ Value.to_string k
+  | Index_page (i, p) -> "idxpage:" ^ i ^ "/" ^ string_of_int p
+  | Index_key (i, k) -> "idxkey:" ^ i ^ "/" ^ Value.to_string k
+  | Index_inf i -> "idxinf:" ^ i
+  | Index_rel i -> "idx:" ^ i
+
+let pp_target ppf t = Format.pp_print_string ppf (target_to_string t)
 
 type config = {
   max_tuple_locks_per_page : int;
@@ -275,7 +277,7 @@ let grant t owner state target =
        but per-transaction they are exactly what an abort post-mortem
        wants to see. *)
     Obs.span_event_owner t.obs ~ring:false owner "predlock.lock"
-      ~fields:[ ("target", Obs.S (Format.asprintf "%a" pp_target target)) ];
+      ~fields:(fun () -> [ ("target", Obs.S (target_to_string target)) ]);
     true
   end
   else false

@@ -37,7 +37,13 @@ type target =
       (** Whole-index lock, used by promotion and by index access methods
           that do not support predicate locking (§7.4). *)
 
+val target_to_string : target -> string
+(** ["rel:t"], ["page:t/3"], ["tuple:t/<key>"], ["idxpage:i/3"],
+    ["idxkey:i/<key>"], ["idxinf:i"] or ["idx:i"], keys as
+    {!Value.to_string}. *)
+
 val pp_target : Format.formatter -> target -> unit
+(** Prints {!target_to_string}. *)
 
 type config = {
   max_tuple_locks_per_page : int;

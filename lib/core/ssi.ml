@@ -370,7 +370,7 @@ let fail t node reason =
   Obs.incr t.metrics.m_failures;
   count_victim t reason;
   Obs.span_event_owner t.obs node.xid "ssi.fail"
-    ~fields:[ ("xid", Obs.I node.xid); ("reason", Obs.S reason) ];
+    ~fields:(fun () -> [ ("xid", Obs.I node.xid); ("reason", Obs.S reason) ]);
   raise (Serialization_failure { xid = node.xid; reason })
 
 let check_doomed node =
@@ -432,7 +432,7 @@ let resolve_xid_by_cseq t c =
 let record_dangerous t ~victim ~reason ~rule ~t1:(t1_xid, t1_cseq, t1_ro)
     ~t2:(t2_xid, t2_cseq) ~t3:(t3_xid, t3_cseq) =
   Obs.span_event_owner t.obs victim "ssi.dangerous"
-    ~fields:
+    ~fields:(fun () ->
       [
         ("victim", Obs.I victim);
         ("reason", Obs.S reason);
@@ -444,7 +444,7 @@ let record_dangerous t ~victim ~reason ~rule ~t1:(t1_xid, t1_cseq, t1_ro)
         ("t2_cseq", Obs.I t2_cseq);
         ("t3", Obs.I t3_xid);
         ("t3_cseq", Obs.I t3_cseq);
-      ]
+      ])
 
 let node_cseq_or_neg n = if n.status = Committed then n.commit_cseq else -1
 let t1_fields n = (n.xid, node_cseq_or_neg n, ro_in_theory n)
@@ -490,7 +490,7 @@ let doom ?(reason = "doomed by first committer") t victim =
     Obs.incr t.metrics.m_dooms;
     count_victim t reason;
     Obs.span_event_owner t.obs victim.xid "ssi.doom"
-      ~fields:[ ("xid", Obs.I victim.xid); ("reason", Obs.S reason) ]
+      ~fields:(fun () -> [ ("xid", Obs.I victim.xid); ("reason", Obs.S reason) ])
   end
 
 let abortable n = (n.status = Active) && not n.doomed
@@ -592,13 +592,13 @@ let flag_conflict t ~actor ~reader ~writer =
        of a new rw-antidependency may turn out to be the T2 of a dangerous
        structure. *)
     Obs.span_event_owner t.obs actor.xid "ssi.rw_edge"
-      ~fields:
+      ~fields:(fun () ->
         [
           ("reader", Obs.I reader.xid);
           ("writer", Obs.I writer.xid);
           ("reader_cseq", Obs.I (node_cseq_or_neg reader));
           ("writer_cseq", Obs.I (node_cseq_or_neg writer));
-        ];
+        ]);
     if is_committed writer then note_out_target_committed reader writer.commit_cseq;
     (* writer as pivot: reader --rw--> writer --rw--> T3. *)
     check_pivot_in t ~actor ~r:reader ~t2:writer;
@@ -727,14 +727,14 @@ let conflict_out t node ~writer =
         | Some { old_commit; old_earliest_out } ->
             Obs.incr t.metrics.m_conflicts;
             Obs.span_event_owner t.obs node.xid "ssi.rw_edge"
-              ~fields:
+              ~fields:(fun () ->
                 [
                   ("reader", Obs.I node.xid);
                   ("writer", Obs.I writer);
                   ("reader_cseq", Obs.I (node_cseq_or_neg node));
                   ("writer_cseq", Obs.I old_commit);
                   ("summarized", Obs.B true);
-                ];
+                ]);
             note_out_target_committed node old_commit;
             (* Summarized writer as pivot: node --rw--> W --rw--> T3 with
                T3 at W's recorded earliest out-conflict (§6.2). *)
@@ -788,14 +788,14 @@ let conflict_in_readers t node readers =
   | Some c when c >= node.snap_cseq ->
       Obs.incr t.metrics.m_conflicts;
       Obs.span_event_owner t.obs node.xid "ssi.rw_edge"
-        ~fields:
+        ~fields:(fun () ->
           [
             ("reader", Obs.I (resolve_xid_by_cseq t c));
             ("writer", Obs.I node.xid);
             ("reader_cseq", Obs.I c);
             ("writer_cseq", Obs.I (node_cseq_or_neg node));
             ("summarized", Obs.B true);
-          ];
+          ]);
       if c > node.summarized_in_max then node.summarized_in_max <- c;
       (* Summarized committed reader --rw--> node --rw--> T3? *)
       let eo = effective_earliest_out node in

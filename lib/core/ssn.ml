@@ -191,20 +191,20 @@ let count_victim t reason =
    window was already closed, e.g. a conservative restored stamp). *)
 let record_exclusion t ~victim ~reason ~pstamp ~sstamp ~peer =
   Obs.span_event_owner t.obs victim (t.prefix ^ ".exclusion")
-    ~fields:
+    ~fields:(fun () ->
       [
         ("victim", Obs.I victim);
         ("reason", Obs.S reason);
         ("pstamp", Obs.I pstamp);
         ("sstamp", Obs.I (if sstamp = inf then -1 else sstamp));
         ("peer", Obs.I peer);
-      ]
+      ])
 
 let fail t node reason =
   Obs.incr t.metrics.m_failures;
   count_victim t reason;
   Obs.span_event_owner t.obs node.xid (t.prefix ^ ".fail")
-    ~fields:[ ("xid", Obs.I node.xid); ("reason", Obs.S reason) ];
+    ~fields:(fun () -> [ ("xid", Obs.I node.xid); ("reason", Obs.S reason) ]);
   raise (Serialization_failure { xid = node.xid; reason })
 
 let doom t victim ~reason =
@@ -213,7 +213,7 @@ let doom t victim ~reason =
     Obs.incr t.metrics.m_dooms;
     count_victim t reason;
     Obs.span_event_owner t.obs victim.xid (t.prefix ^ ".doom")
-      ~fields:[ ("xid", Obs.I victim.xid); ("reason", Obs.S reason) ]
+      ~fields:(fun () -> [ ("xid", Obs.I victim.xid); ("reason", Obs.S reason) ])
   end
 
 let check_doomed node =
@@ -274,13 +274,13 @@ let add_edge t ~actor ~reader ~writer =
     writer.in_readers <- reader :: writer.in_readers;
     Obs.incr t.metrics.m_conflicts;
     Obs.span_event_owner t.obs actor.xid (t.prefix ^ ".rw_edge")
-      ~fields:
+      ~fields:(fun () ->
         [
           ("reader", Obs.I reader.xid);
           ("writer", Obs.I writer.xid);
           ("reader_sstamp", Obs.I (if reader.sstamp = inf then -1 else reader.sstamp));
           ("writer_pstamp", Obs.I writer.pstamp);
-        ];
+        ]);
     (* An edge with a committed endpoint folds into the live endpoint's
        stamp immediately; a fully in-flight edge is resolved when either
        endpoint commits. *)
@@ -365,12 +365,12 @@ let conflict_out t node ~writer =
         | Some { old_commit = _; old_pi } ->
             Obs.incr t.metrics.m_conflicts;
             Obs.span_event_owner t.obs node.xid (t.prefix ^ ".rw_edge")
-              ~fields:
+              ~fields:(fun () ->
                 [
                   ("reader", Obs.I node.xid);
                   ("writer", Obs.I writer);
                   ("summarized", Obs.B true);
-                ];
+                ]);
             absorb_pi t ~actor:node ~peer:writer node old_pi ~reason:reason_succ)
 
 let forget_own_tuple_lock t node ~rel ~key ~in_subtransaction =

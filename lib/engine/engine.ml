@@ -13,13 +13,13 @@ module Wal = Ssi_wal.Wal
 
 type isolation = Read_committed | Repeatable_read | Serializable | Serializable_2pl
 
-let pp_isolation ppf iso =
-  Format.pp_print_string ppf
-    (match iso with
-    | Read_committed -> "READ COMMITTED"
-    | Repeatable_read -> "REPEATABLE READ"
-    | Serializable -> "SERIALIZABLE"
-    | Serializable_2pl -> "SERIALIZABLE (2PL)")
+let isolation_to_string = function
+  | Read_committed -> "READ COMMITTED"
+  | Repeatable_read -> "REPEATABLE READ"
+  | Serializable -> "SERIALIZABLE"
+  | Serializable_2pl -> "SERIALIZABLE (2PL)"
+
+let pp_isolation ppf iso = Format.pp_print_string ppf (isolation_to_string iso)
 
 exception Serialization_failure = Certifier.Serialization_failure
 exception Duplicate_key of { table : string; key : Value.t }
@@ -239,10 +239,9 @@ let set_tracer t f =
   t.tracer <- f;
   Lockmgr.set_tracer t.locks f
 
-let trace db fmt =
-  match db.tracer with
-  | None -> Printf.ifprintf () fmt
-  | Some f -> Printf.ksprintf f fmt
+(* [trace db (fun m -> m fmt args)]: the message, and so every argument,
+   is formatted only while a tracer is installed. *)
+let trace db msg = match db.tracer with None -> () | Some f -> msg (Printf.ksprintf f)
 
 (* A fault point: where an installed injector may kill the current
    operation with a retryable error.  Never placed after a commit point, so
@@ -255,7 +254,7 @@ let fault_point db ~op =
       with Transient_fault _ as e ->
         Obs.incr db.metrics.m_faults;
         Obs.trace db.obs "fault" ~fields:[ ("op", Obs.S op) ];
-        trace db "fault injected at %s" op;
+        trace db (fun m -> m "fault injected at %s" op);
         raise e)
 
 let obs t = t.obs
@@ -440,7 +439,7 @@ let make_txn db ~iso ~ro ~xid ~snapshot ~sxact ~span =
                ~attrs:
                  [
                    ("xid", Obs.I xid);
-                   ("iso", Obs.S (Format.asprintf "%a" pp_isolation iso));
+                   ("iso", Obs.S (isolation_to_string iso));
                  ]),
           true )
   in
@@ -805,7 +804,7 @@ let map_lock_errors txn f =
 let read txn ~table ~key =
   start_op txn;
   fault_point txn.db ~op:"read";
-  trace txn.db "x%d read %s/%s" txn.txn_xid table (Value.to_string key);
+  trace txn.db (fun m -> m "x%d read %s/%s" txn.txn_xid table (Value.to_string key));
   let tbl = table_of txn.db table in
   let result =
     map_lock_errors txn (fun () ->
@@ -824,7 +823,8 @@ let index_of db name =
 let index_scan txn ~table ~index ~lo ~hi =
   start_op txn;
   fault_point txn.db ~op:"index_scan";
-  trace txn.db "x%d scan %s[%s..%s]" txn.txn_xid index (Value.to_string lo) (Value.to_string hi);
+  trace txn.db (fun m ->
+      m "x%d scan %s[%s..%s]" txn.txn_xid index (Value.to_string lo) (Value.to_string hi));
   let db = txn.db in
   let tbl = table_of db table in
   let idx = index_of db index in
@@ -930,7 +930,7 @@ let index_scan txn ~table ~index ~lo ~hi =
 let seq_scan txn ~table ?(filter = fun _ -> true) () =
   start_op txn;
   fault_point txn.db ~op:"seq_scan";
-  trace txn.db "x%d seqscan %s" txn.txn_xid table;
+  trace txn.db (fun m -> m "x%d seqscan %s" txn.txn_xid table);
   let db = txn.db in
   let tbl = table_of db table in
   let rel = Heap.rel_name tbl.heap in
@@ -1007,14 +1007,13 @@ let all_indexes tbl = tbl.pk_index :: tbl.secondary
 let insert txn ~table row =
   start_op txn;
   fault_point txn.db ~op:"insert";
-  trace txn.db "x%d insert %s/%s" txn.txn_xid table
-    (Value.to_string (Schema.key_of_row (Heap.schema (table_of txn.db table).heap) row));
-  ensure_writable txn;
   let db = txn.db in
   let tbl = table_of db table in
   let schema = Heap.schema tbl.heap in
-  Schema.check_row schema row;
   let key = Schema.key_of_row schema row in
+  trace db (fun m -> m "x%d insert %s/%s" txn.txn_xid table (Value.to_string key));
+  ensure_writable txn;
+  Schema.check_row schema row;
   map_lock_errors txn (fun () ->
       if is_2pl txn then begin
         Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Relation table) Lockmgr.IX;
@@ -1134,7 +1133,7 @@ let rec locate_for_write txn tbl key =
 let update txn ~table ~key ~f =
   start_op txn;
   fault_point txn.db ~op:"update";
-  trace txn.db "x%d update %s/%s" txn.txn_xid table (Value.to_string key);
+  trace txn.db (fun m -> m "x%d update %s/%s" txn.txn_xid table (Value.to_string key));
   ensure_writable txn;
   let db = txn.db in
   let tbl = table_of db table in
@@ -1167,7 +1166,7 @@ let update txn ~table ~key ~f =
 let delete txn ~table ~key =
   start_op txn;
   fault_point txn.db ~op:"delete";
-  trace txn.db "x%d delete %s/%s" txn.txn_xid table (Value.to_string key);
+  trace txn.db (fun m -> m "x%d delete %s/%s" txn.txn_xid table (Value.to_string key));
   ensure_writable txn;
   let db = txn.db in
   let tbl = table_of db table in
@@ -1209,7 +1208,7 @@ let op_timed txn h name f =
   let db = txn.db in
   let sp =
     match txn.span with
-    | Some parent -> Some (Obs.Span.start db.obs ~parent ("op." ^ name))
+    | Some parent -> Some (Obs.Span.start db.obs ~parent name)
     | None -> None
   in
   let t0 = db.sched.now () in
@@ -1230,23 +1229,23 @@ let op_timed txn h name f =
       raise e
 
 let read txn ~table ~key =
-  op_timed txn txn.db.metrics.h_read "read" (fun () -> read txn ~table ~key)
+  op_timed txn txn.db.metrics.h_read "op.read" (fun () -> read txn ~table ~key)
 
 let index_scan txn ~table ~index ~lo ~hi =
-  op_timed txn txn.db.metrics.h_index_scan "index_scan" (fun () ->
+  op_timed txn txn.db.metrics.h_index_scan "op.index_scan" (fun () ->
       index_scan txn ~table ~index ~lo ~hi)
 
 let seq_scan txn ~table ?filter () =
-  op_timed txn txn.db.metrics.h_seq_scan "seq_scan" (fun () -> seq_scan txn ~table ?filter ())
+  op_timed txn txn.db.metrics.h_seq_scan "op.seq_scan" (fun () -> seq_scan txn ~table ?filter ())
 
 let insert txn ~table row =
-  op_timed txn txn.db.metrics.h_insert "insert" (fun () -> insert txn ~table row)
+  op_timed txn txn.db.metrics.h_insert "op.insert" (fun () -> insert txn ~table row)
 
 let update txn ~table ~key ~f =
-  op_timed txn txn.db.metrics.h_update "update" (fun () -> update txn ~table ~key ~f)
+  op_timed txn txn.db.metrics.h_update "op.update" (fun () -> update txn ~table ~key ~f)
 
 let delete txn ~table ~key =
-  op_timed txn txn.db.metrics.h_delete "delete" (fun () -> delete txn ~table ~key)
+  op_timed txn txn.db.metrics.h_delete "op.delete" (fun () -> delete txn ~table ~key)
 
 (* ---- Commit / abort -------------------------------------------------------------------- *)
 
@@ -1330,7 +1329,7 @@ let prepared_image_of db txn gid =
 let abort txn =
   if not txn.finished then begin
     let db = txn.db in
-    trace db "x%d abort" txn.txn_xid;
+    trace db (fun m -> m "x%d abort" txn.txn_xid);
     List.iter (apply_undo_entry db) txn.undo;
     txn.undo <- [];
     txn.undo_len <- 0;
@@ -1381,7 +1380,7 @@ let commit txn =
      abort txn;
      raise e);
   let cseq = Clog.commit db.clog txn.txn_xid in
-  trace db "x%d commit cseq=%d" txn.txn_xid cseq;
+  trace db (fun m -> m "x%d commit cseq=%d" txn.txn_xid cseq);
   (match txn.sxact with
   | Sx ((module C), c, node) -> C.committed c node ~commit_cseq:cseq
   | No_sx -> ());
@@ -1520,7 +1519,7 @@ let prepared_summary db ~gid =
       (Digest.string
          (String.concat "|"
             (List.map
-               (fun t -> Format.asprintf "%a" Predlock.pp_target t)
+               Predlock.target_to_string
                (siread_targets db txn.txn_xid))))
   in
   {
@@ -1997,7 +1996,7 @@ let dump_active db =
         Printf.sprintf
           "xid=%d iso=%s ro=%b finished=%b prepared=%b waiting_for=%s undo=%d commit_wq=%d"
           x
-          (Format.asprintf "%a" pp_isolation txn.iso)
+          (isolation_to_string txn.iso)
           txn.ro txn.finished
           (txn.prepared_gid <> None)
           (match txn.write_waiting_for with None -> "-" | Some w -> string_of_int w)

@@ -27,7 +27,12 @@ open Ssi_storage
 
 type isolation = Read_committed | Repeatable_read | Serializable | Serializable_2pl
 
+val isolation_to_string : isolation -> string
+(** The SQL name: ["READ COMMITTED"], ["REPEATABLE READ"], ["SERIALIZABLE"]
+    or ["SERIALIZABLE (2PL)"]. *)
+
 val pp_isolation : Format.formatter -> isolation -> unit
+(** Prints {!isolation_to_string}. *)
 
 exception Serialization_failure of { xid : Heap.xid; reason : string }
 (** The retryable error: SSI dangerous structures, snapshot-isolation
@@ -433,7 +438,10 @@ val table_indexes : t -> table:string -> (string * string) list
     primary-key index first. *)
 
 val set_tracer : t -> (string -> unit) option -> unit
-(** Install (or clear) a debug tracer receiving one line per operation. *)
+(** Install (or clear) a debug tracer receiving one line per operation
+    (and, through the lock manager, per heavyweight lock request).
+    Messages are formatted only while a tracer is installed: with [None]
+    no operation builds a trace string. *)
 
 val dump_active : t -> string list
 (** One debug line per in-flight transaction (for tests and debugging). *)

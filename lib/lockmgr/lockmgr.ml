@@ -8,17 +8,18 @@ type target =
   | Tuple of string * Value.t
   | Index_page of string * int
 
-let pp_target ppf = function
-  | Relation r -> Format.fprintf ppf "rel:%s" r
-  | Page (r, p) -> Format.fprintf ppf "page:%s/%d" r p
-  | Tuple (r, k) -> Format.fprintf ppf "tuple:%s/%a" r Value.pp k
-  | Index_page (i, p) -> Format.fprintf ppf "idxpage:%s/%d" i p
+let target_to_string = function
+  | Relation r -> "rel:" ^ r
+  | Page (r, p) -> "page:" ^ r ^ "/" ^ string_of_int p
+  | Tuple (r, k) -> "tuple:" ^ r ^ "/" ^ Value.to_string k
+  | Index_page (i, p) -> "idxpage:" ^ i ^ "/" ^ string_of_int p
+
+let pp_target ppf t = Format.pp_print_string ppf (target_to_string t)
 
 type mode = IS | IX | S | SIX | X
 
-let pp_mode ppf m =
-  Format.pp_print_string ppf
-    (match m with IS -> "IS" | IX -> "IX" | S -> "S" | SIX -> "SIX" | X -> "X")
+let mode_to_string = function IS -> "IS" | IX -> "IX" | S -> "S" | SIX -> "SIX" | X -> "X"
+let pp_mode ppf m = Format.pp_print_string ppf (mode_to_string m)
 
 let compatible a b =
   match (a, b) with
@@ -95,10 +96,9 @@ let create ?(obs = Obs.create ()) sched =
 
 let set_tracer t f = t.tracer <- f
 
-let trace t fmt =
-  match t.tracer with
-  | None -> Printf.ifprintf () fmt
-  | Some f -> Printf.ksprintf f fmt
+(* [trace t (fun m -> m fmt args)]: the message, and so every argument,
+   is formatted only while a tracer is installed. *)
+let trace t msg = match t.tracer with None -> () | Some f -> msg (Printf.ksprintf f)
 
 let get_lock t target =
   match Target_table.find_opt t.table target with
@@ -225,9 +225,7 @@ let remove_request lock req =
 
 let acquire t ~owner target mode =
   let lock = get_lock t target in
-  trace t "lock x%d %s %s" owner
-    (Format.asprintf "%a" pp_target target)
-    (Format.asprintf "%a" pp_mode mode);
+  trace t (fun m -> m "lock x%d %s %s" owner (target_to_string target) (mode_to_string mode));
   if holds t ~owner target mode then ()
   else if
     (not (conflicts_with_holders lock ~owner ~mode)) && Queue.is_empty lock.waiters
@@ -241,7 +239,7 @@ let acquire t ~owner target mode =
     t.waiting <- t.waiting + 1;
     (* Maybe the queue was non-empty only with compatible requests. *)
     grant_waiters t lock;
-    trace t "lock x%d WAIT" owner;
+    trace t (fun m -> m "lock x%d WAIT" owner);
     if not req.granted then begin
       Obs.incr t.m_waits;
       (* The wait interval is a child span of the owning transaction's span
@@ -253,8 +251,8 @@ let acquire t ~owner target mode =
               (Obs.Span.start t.obs ~parent
                  ~attrs:
                    [
-                     ("target", Obs.S (Format.asprintf "%a" pp_target target));
-                     ("mode", Obs.S (Format.asprintf "%a" pp_mode mode));
+                     ("target", Obs.S (target_to_string target));
+                     ("mode", Obs.S (mode_to_string mode));
                    ]
                  "lockmgr.wait")
         | None -> None

@@ -19,11 +19,20 @@ type target =
   | Tuple of string * Value.t
   | Index_page of string * int
 
+val target_to_string : target -> string
+(** ["rel:t"], ["page:t/3"], ["tuple:t/<key>"] or ["idxpage:i/3"], keys as
+    {!Value.to_string}. *)
+
 val pp_target : Format.formatter -> target -> unit
+(** Prints {!target_to_string}. *)
 
 type mode = IS | IX | S | SIX | X
 
+val mode_to_string : mode -> string
+(** ["IS"], ["IX"], ["S"], ["SIX"] or ["X"]. *)
+
 val pp_mode : Format.formatter -> mode -> unit
+(** Prints {!mode_to_string}. *)
 
 val compatible : mode -> mode -> bool
 (** Standard multigranularity compatibility matrix. *)
@@ -44,7 +53,9 @@ val create : ?obs:Ssi_obs.Obs.t -> Ssi_util.Waitq.scheduler -> t
     created when omitted. *)
 
 val set_tracer : t -> (string -> unit) option -> unit
-(** Install a debug tracer receiving one line per acquisition/wait. *)
+(** Install a debug tracer receiving one line per acquisition/wait.
+    Messages are formatted only while a tracer is installed: with [None]
+    an acquisition builds no string. *)
 
 val acquire : t -> owner:Heap.xid -> target -> mode -> unit
 (** Grant the lock, suspending while incompatible locks are held by other

@@ -384,17 +384,25 @@ module Span = struct
 
   let add sp k v = sp.sp_attrs <- (k, v) :: List.remove_assoc k sp.sp_attrs
 
-  let event t ?(ring = true) ?(fields = []) sp name =
+  (* An event consumes its seq whether or not anything keeps it, but its
+     fields are built only for the span or the ring that will hold them. *)
+  let event_lazy t ~ring ~fields sp name =
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
-    let fields = ("span", I sp.sp_id) :: ("trace", I sp.sp_trace) :: fields in
-    let ev = { seq; ts = now t; name; fields } in
-    if ring && t.trace_on then ring_put t ev;
-    if sp.sp_nevents >= span_event_cap then incr t.span_events_dropped
-    else begin
-      sp.sp_events <- ev :: sp.sp_events;
-      sp.sp_nevents <- sp.sp_nevents + 1
+    let to_ring = ring && t.trace_on and kept = sp.sp_nevents < span_event_cap in
+    if not kept then incr t.span_events_dropped;
+    if to_ring || kept then begin
+      let fields = ("span", I sp.sp_id) :: ("trace", I sp.sp_trace) :: fields () in
+      let ev = { seq; ts = now t; name; fields } in
+      if to_ring then ring_put t ev;
+      if kept then begin
+        sp.sp_events <- ev :: sp.sp_events;
+        sp.sp_nevents <- sp.sp_nevents + 1
+      end
     end
+
+  let event t ?(ring = true) ?(fields = []) sp name =
+    event_lazy t ~ring ~fields:(fun () -> fields) sp name
 
   let ctx sp = { trace_id = sp.sp_trace; span_id = sp.sp_id }
   let name sp = sp.sp_name
@@ -412,10 +420,10 @@ let set_owner_span t xid sp = Hashtbl.replace t.owner_spans xid sp
 let clear_owner_span t xid = Hashtbl.remove t.owner_spans xid
 let owner_span t xid = Hashtbl.find_opt t.owner_spans xid
 
-let span_event_owner t ?ring ?fields xid name =
+let span_event_owner t ?(ring = true) ?(fields = fun () -> []) xid name =
   match owner_span t xid with
-  | Some sp -> Span.event t ?ring ?fields sp name
-  | None -> if ring <> Some false then trace t ?fields name
+  | Some sp -> Span.event_lazy t ~ring ~fields sp name
+  | None -> if ring && t.trace_on then trace t ~fields:(fields ()) name
 
 module Spans = struct
   let finished t =

@@ -258,11 +258,13 @@ val clear_owner_span : t -> int -> unit
 val owner_span : t -> int -> span option
 
 val span_event_owner :
-  t -> ?ring:bool -> ?fields:(string * field) list -> int -> string -> unit
+  t -> ?ring:bool -> ?fields:(unit -> (string * field) list) -> int -> string -> unit
 (** Attach an event to xid's registered span, falling back to a plain
     ring {!trace} when no span is registered for the xid (unless
     [~ring:false], in which case an ownerless event is dropped — it was
-    asked to stay out of the ring). *)
+    asked to stay out of the ring).  [fields] is called only when
+    something keeps the event: an ownerless event that is dropped, or one
+    past the span's event cap that the ring does not take, builds none. *)
 
 (** {2 Consuming spans} *)
 

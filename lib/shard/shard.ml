@@ -52,6 +52,7 @@ type t = {
   sobs : Obs.t;
   net : msg Net.t;
   engines : E.t array;
+  nodes : string array;  (* shard i's network node name, [node_name i] *)
   rto : float;
   (* Cross-shard deadlock wound deadline: each engine detects waits-for
      cycles among its own transactions, but a cycle threaded through two
@@ -152,7 +153,7 @@ let is_prepared e gid = List.mem gid (E.prepared_gids e)
 
 let shard_handler t s ~src:_ msg =
   let e = t.engines.(s) in
-  let reply m = send t ~src:(node_name s) ~dst:coord m in
+  let reply m = send t ~src:t.nodes.(s) ~dst:coord m in
   match msg with
   | Prepare_req { gid } -> (
       match Hashtbl.find_opt t.acked_summaries (gid, s) with
@@ -248,6 +249,7 @@ let create ?obs:(sobs = Obs.create ()) ?(config = E.default_config) ?(rto = 1e-3
       sobs;
       net;
       engines;
+      nodes = Array.init shards node_name;
       rto;
       wound_ttl;
       next_gxid = 2;  (* 1 is every shard's seed writer *)
@@ -274,7 +276,7 @@ let create ?obs:(sobs = Obs.create ()) ?(config = E.default_config) ?(rto = 1e-3
   in
   Net.add_node net coord ~handler:(coord_handler t);
   for s = 0 to shards - 1 do
-    Net.add_node net (node_name s) ~handler:(shard_handler t s)
+    Net.add_node net t.nodes.(s) ~handler:(shard_handler t s)
   done;
   t
 
@@ -474,7 +476,7 @@ let two_phase g parts =
     List.iter
       (fun s ->
         if not (List.mem s pd.pd_acked) then
-          Net.send t.net ~span_ctx:(Obs.Span.ctx span) ~src:coord ~dst:(node_name s) m)
+          Net.send t.net ~span_ctx:(Obs.Span.ctx span) ~src:coord ~dst:t.nodes.(s) m)
       pd.pd_parts
   in
   let prepared_all =

@@ -55,10 +55,13 @@ and spawn_in st body =
   st.unfinished <- st.unfinished + 1;
   schedule st ~after:0. (fun () -> exec_process st body)
 
-let suspended_at : (int, string) Hashtbl.t = Hashtbl.create 32
+(* Wait-queue id of every process suspended in {!wait}, by suspension;
+   labels are formatted only when someone asks for them. *)
+let suspended_at : (int, int) Hashtbl.t = Hashtbl.create 32
 let suspend_counter = ref 0
 
-let suspended_labels () = Hashtbl.fold (fun _ l acc -> l :: acc) suspended_at []
+let suspended_labels () =
+  Hashtbl.fold (fun _ q acc -> ("waitq:" ^ string_of_int q) :: acc) suspended_at []
 
 let run main =
   (match !current with
@@ -66,7 +69,10 @@ let run main =
   | None -> ());
   let st = { events = Pqueue.create (); now = 0.; seq = 0; unfinished = 0 } in
   current := Some st;
-  let finish () = current := None in
+  let finish () =
+    current := None;
+    Hashtbl.reset suspended_at
+  in
   (try
      spawn_in st main;
      let rec loop () =
@@ -83,16 +89,12 @@ let run main =
      raise e);
   let t = st.now in
   let stuck = st.unfinished in
+  let labels = if stuck > 0 then List.sort compare (suspended_labels ()) else [] in
   finish ();
   if stuck > 0 then begin
-    let labels =
-      List.sort compare (Hashtbl.fold (fun _ l acc -> l :: acc) suspended_at [])
-    in
     List.iter (fun l -> Printf.eprintf "[sim] stuck process at %s\n%!" l) labels;
-    Hashtbl.reset suspended_at;
     raise (Stuck { count = stuck; labels })
   end;
-  Hashtbl.reset suspended_at;
   t
 
 let spawn body = spawn_in (get ()) body
@@ -109,7 +111,7 @@ let suspend register = Effect.perform (Suspend register)
 let wait q =
   incr suspend_counter;
   let sid = !suspend_counter in
-  Hashtbl.replace suspended_at sid (Printf.sprintf "waitq:%d" (Waitq.id q));
+  Hashtbl.replace suspended_at sid (Waitq.id q);
   suspend (fun resume ->
       Waitq.enqueue q (fun () ->
           Hashtbl.remove suspended_at sid;

@@ -470,7 +470,7 @@ let exec t stmt =
         List.map
           (fun (target, holders, old_c) ->
             [|
-              Value.Str (Format.asprintf "%a" Ssi_core.Predlock.pp_target target);
+              Value.Str (Ssi_core.Predlock.target_to_string target);
               Value.Str (String.concat "," (List.map string_of_int holders));
               (match old_c with Some c -> Value.Int c | None -> Value.Null);
             |])

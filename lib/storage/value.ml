@@ -29,14 +29,19 @@ let hash = function
   | Float f -> Hashtbl.hash f
   | Str s -> Hashtbl.hash s
 
-let pp ppf = function
-  | Null -> Format.pp_print_string ppf "NULL"
-  | Bool b -> Format.pp_print_bool ppf b
-  | Int i -> Format.pp_print_int ppf i
-  | Float f -> Format.fprintf ppf "%g" f
-  | Str s -> Format.fprintf ppf "%S" s
+(* The primitive behind Printf's [%g], which expands it to ["%.6g"]. *)
+external format_float : string -> float -> string = "caml_format_float"
 
-let to_string v = Format.asprintf "%a" pp v
+(* Built directly rather than through [Format]: trace and span fields call
+   this per operation.  Same text as [%g] for floats and [%S] for strings. *)
+let to_string = function
+  | Null -> "NULL"
+  | Bool b -> string_of_bool b
+  | Int i -> string_of_int i
+  | Float f -> format_float "%.6g" f
+  | Str s -> "\"" ^ String.escaped s ^ "\""
+
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 let as_int = function Int i -> i | v -> invalid_arg ("Value.as_int: " ^ to_string v)
 

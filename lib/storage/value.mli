@@ -15,9 +15,12 @@ val equal : t -> t -> bool
 
 val hash : t -> int
 
-val pp : Format.formatter -> t -> unit
-
 val to_string : t -> string
+(** [NULL], [true]/[false], the integer, the float as [%g], or the string
+    as an OCaml literal ([%S]). *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)
 
 (** Accessors raising [Invalid_argument] on a type mismatch. *)
 

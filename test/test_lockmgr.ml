@@ -68,6 +68,25 @@ let test_release_all () =
   Alcotest.(check int) "all gone" 0 (lock_count lm);
   Alcotest.(check bool) "free again" true (try_acquire lm ~owner:2 (tup 1) X)
 
+(* With no tracer installed an uncontended acquire formats nothing: one
+   intention lock, one tuple lock and their release stay within a small
+   allocation budget (building the trace strings cost about 1,300 words). *)
+let test_untraced_allocation () =
+  let lm = create Ssi_util.Waitq.direct in
+  let cycle k =
+    acquire lm ~owner:1 rel IX;
+    acquire lm ~owner:1 (tup k) X;
+    release_all lm ~owner:1
+  in
+  cycle 0;
+  let rounds = 1000 in
+  let before = Gc.minor_words () in
+  for k = 1 to rounds do
+    cycle k
+  done;
+  let words = (Gc.minor_words () -. before) /. float rounds in
+  if words > 256. then Alcotest.failf "%.1f words per acquire/acquire/release (budget 256)" words
+
 (* ---- Blocking under the simulator ----------------------------------------------- *)
 
 let test_blocking_grant () =
@@ -186,6 +205,7 @@ let () =
           Alcotest.test_case "conflict raises" `Quick test_direct_conflict_raises;
           Alcotest.test_case "try_acquire" `Quick test_try_acquire;
           Alcotest.test_case "release_all" `Quick test_release_all;
+          Alcotest.test_case "untraced allocation" `Quick test_untraced_allocation;
         ] );
       ( "blocking",
         [

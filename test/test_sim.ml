@@ -74,6 +74,24 @@ let test_stuck_detection () =
        [ Printf.sprintf "waitq:%d" (Waitq.id q) ]
        labels)
 
+(* A run that raises while a process waits must not leave that waiter's
+   label behind: the next stuck run names only its own queue. *)
+let test_stuck_labels_after_raise () =
+  let q1 = Waitq.create () and q2 = Waitq.create () in
+  Alcotest.check_raises "first run raises" (Failure "boom") (fun () ->
+      ignore
+        (Sim.run (fun () ->
+             Sim.spawn (fun () -> Sim.wait q1);
+             Sim.spawn (fun () ->
+                 Sim.yield ();
+                 failwith "boom"))));
+  match Sim.run (fun () -> Sim.spawn (fun () -> Sim.wait q2)) with
+  | _ -> Alcotest.fail "expected Stuck"
+  | exception Sim.Stuck { labels; _ } ->
+      Alcotest.(check (list string)) "only the second run's waiter"
+        [ Printf.sprintf "waitq:%d" (Waitq.id q2) ]
+        labels
+
 let test_exception_propagates () =
   Alcotest.check_raises "process exception escapes run" (Failure "boom") (fun () ->
       ignore (Sim.run (fun () -> failwith "boom")))
@@ -174,6 +192,7 @@ let () =
           Alcotest.test_case "yield fifo" `Quick test_yield_fifo;
           Alcotest.test_case "wait/wake" `Quick test_wait_wake;
           Alcotest.test_case "stuck detection" `Quick test_stuck_detection;
+          Alcotest.test_case "stuck labels after a raise" `Quick test_stuck_labels_after_raise;
           Alcotest.test_case "exceptions propagate" `Quick test_exception_propagates;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "scheduler record" `Quick test_scheduler_record;

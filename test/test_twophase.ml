@@ -212,6 +212,41 @@ let test_duplicate_gid_rejected () =
   E.abort t2;
   E.rollback_prepared db ~gid:"g"
 
+(* One global transaction with a branch on each of two engines, as a
+   sharded coordinator drives them.  The SIREAD digest each shard acks at
+   prepare covers tuple, page, index-page and next-key targets with int,
+   float and escaped string keys; both digests are pinned. *)
+let test_prepared_summary_digest () =
+  (* Shard 0 indexes floats, shard 1 strings that need escaping. *)
+  let cat n k =
+    if n = 0 then Value.Float (float k /. 4.) else Value.Str (Printf.sprintf "c\"\\\n\xe9%d" k)
+  in
+  let shard n =
+    let db = E.create () in
+    E.create_table db ~name:"kv" ~cols:[ "k"; "v"; "cat" ] ~key:"k";
+    E.create_index db ~table:"kv" ~name:"kv_cat" ~column:"cat" ~next_key_gaps:true ();
+    E.with_txn db (fun t ->
+        for k = 0 to 9 do
+          E.insert t ~table:"kv" [| vi ((10 * n) + k); vi 0; cat n k |]
+        done);
+    db
+  in
+  let branch n db =
+    let t = E.begin_txn db in
+    ignore (E.read t ~table:"kv" ~key:(vi (10 * n)));
+    ignore (E.read t ~table:"kv" ~key:(Value.Str "q\"\\\n\xe9"));
+    ignore (E.read t ~table:"kv" ~key:(Value.Float (-0.)));
+    ignore (E.index_scan t ~table:"kv" ~index:"kv_cat" ~lo:(cat n 2) ~hi:(cat n 3));
+    ignore (E.update t ~table:"kv" ~key:(vi ((10 * n) + 5)) ~f:(fun r -> [| r.(0); vi 1; r.(2) |]));
+    E.prepare t ~gid:"g1";
+    (E.prepared_summary db ~gid:"g1").E.ps_siread_digest
+  in
+  let digests = List.map (fun n -> branch n (shard n)) [ 0; 1 ] in
+  Alcotest.(check (list string))
+    "siread digests"
+    [ "58e0510c0299215180d3b4437d48bb00"; "9643965692e22ac8521e74420a1e3cdb" ]
+    digests
+
 let () =
   Alcotest.run "twophase"
     [
@@ -222,6 +257,7 @@ let () =
           Alcotest.test_case "no ops after prepare" `Quick test_no_ops_after_prepare;
           Alcotest.test_case "duplicate gid" `Quick test_duplicate_gid_rejected;
           Alcotest.test_case "write locks held" `Quick test_write_lock_held_through_prepare;
+          Alcotest.test_case "prepared summary digest" `Quick test_prepared_summary_digest;
         ] );
       ( "ssi interactions (§7.1)",
         [
