@@ -1,38 +1,23 @@
-(* pg_ssi: command-line front end.
+(* pg_ssi: command-line front end; `pg_ssi --help` lists the subcommands
+   (demo, bench, workload, stats, monitor, trace, explain, chaos, recover,
+   sql) and `pg_ssi CMD --help` their options.
 
-     pg_ssi demo                          -- write-skew walkthrough (paper Figure 1)
-     pg_ssi bench <fig4|fig5a|fig5b|fig6|defer> [--quick]
-                                          -- regenerate a table or figure from the paper
-     pg_ssi workload <sibench|tpcc|rubis> --mode <si|ssi|ssi-noro|s2pl>
-                                          -- run one configuration, report its numbers
-     pg_ssi stats <sibench|tpcc|rubis>    -- run, then dump the metric registry
-                  [--format text|prom|json] [--window N]
-     pg_ssi monitor <sibench|tpcc|rubis>  -- run with scrape + SLO watchdog: windowed
-                                             time-series table and fired alerts
-     pg_ssi trace <sibench|tpcc|rubis>    -- run, then dump trace events as JSONL
-     pg_ssi explain <sibench|tpcc|rubis>  -- run, then explain every certifier abort
-     pg_ssi chaos [--kill-points N]       -- seeded fault plan, or recovery torture
-     pg_ssi chaos --shards N              -- cross-shard 2PC chaos + spliced-DSG oracle
-     pg_ssi recover <FILE>                -- cold-start from a durable-log image
-     pg_ssi sql [-f FILE]                 -- SQL shell on a fresh in-memory database
-
-   Every workload-running subcommand (workload, stats, trace, explain,
-   chaos) also takes --certifier <ssi|ssn|essn> to pick the
-   serializability certifier the serializable modes run under: the
-   paper's SSI (default), the Serial Safety Net's exclusion-window test,
-   or its extended read-only refinement.
-
-   The bench subcommand prints the same tables as bench/main.exe; the
-   workload subcommand runs a single configuration and reports its
-   numbers, which is handy for ad-hoc comparisons.  stats and trace run
-   the same workloads but expose the observability core: every counter,
-   gauge and latency histogram the engine recorded, or the ring of
-   structured trace events. *)
+   The workload-running subcommands share one argument term (WORKLOAD,
+   --mode, --certifier, --workers, --duration, --seed) and one driver call,
+   [drive].  chaos runs one of the four seeded scenarios of lib/harness
+   (plain fault plan, kill-point torture, read fleet, sharded 2PC) through
+   [Scenario.main]: run twice, report, and fail unless the replay is
+   byte-identical.  bench prints the figure presets of
+   [Experiments.figures], the same tables as bench/main.exe. *)
 
 open Cmdliner
 open Ssi_workload
 open Ssi_harness
 module E = Ssi_engine.Engine
+module Certifier = Ssi_core.Certifier
+module Obs = Ssi_obs.Obs
+module Scrape = Ssi_obs.Scrape
+module Watchdog = Ssi_obs.Watchdog
 
 (* ---- demo -------------------------------------------------------------- *)
 
@@ -78,305 +63,204 @@ let run_demo () =
 
 (* ---- bench -------------------------------------------------------------- *)
 
-let run_bench name quick =
-  (match name with
-  | "fig4" ->
-      let sizes = if quick then [ 10; 100; 1000 ] else [ 10; 30; 100; 300; 1000; 3000 ] in
-      let ms = Experiments.fig4 ~sizes ~duration:(if quick then 1.0 else 3.0) () in
-      print_string
-        (Experiments.render_normalized ~title:"Figure 4: SIBENCH"
-           ~x_header:"table size (rows)" ms)
-  | "fig5a" ->
-      let ms =
-        Experiments.fig5a
-          ~fractions:(if quick then [ 0.; 0.5; 1.0 ] else [ 0.; 0.2; 0.4; 0.6; 0.8; 1.0 ])
-          ~duration:(if quick then 1.0 else 3.0)
-          ()
-      in
-      print_string
-        (Experiments.render_normalized ~title:"Figure 5a: DBT-2++ (in-memory)"
-           ~x_header:"read-only fraction" ms)
-  | "fig5b" ->
-      let ms =
-        Experiments.fig5b
-          ~fractions:(if quick then [ 0.; 0.5; 1.0 ] else [ 0.; 0.2; 0.4; 0.6; 0.8; 1.0 ])
-          ~duration:(if quick then 5.0 else 20.0)
-          ~warehouses:(if quick then 8 else 60)
-          ~workers:(if quick then 12 else 36)
-          ()
-      in
-      print_string
-        (Experiments.render_normalized ~title:"Figure 5b: DBT-2++ (disk-bound)"
-           ~x_header:"read-only fraction" ms)
-  | "fig6" ->
-      let ms = Experiments.fig6 ~duration:(if quick then 1.0 else 4.0) () in
-      print_string (Experiments.render_fig6 ms)
-  | "defer" ->
-      let r = Experiments.deferrable ~samples:(if quick then 15 else 60) () in
-      print_string (Experiments.render_deferrable r)
-  | other ->
-      Format.eprintf "unknown experiment %s@." other;
-      exit 1);
+let run_bench (f : Experiments.figure) quick =
+  Printf.printf "%s\n%s%!" f.Experiments.title (f.Experiments.table ~quick);
   0
 
-(* ---- workload ------------------------------------------------------------ *)
+(* ---- workload-running subcommands ----------------------------------------- *)
 
-let mode_of_string = function
-  | "si" -> Driver.SI
-  | "ssi" -> Driver.SSI
-  | "ssi-noro" -> Driver.SSI_no_ro_opt
-  | "s2pl" -> Driver.S2PL
-  | other -> invalid_arg ("unknown mode " ^ other)
+type run = {
+  workload : string;
+  mode : Driver.mode;
+  certifier : Certifier.kind;
+  workers : int;
+  duration : float;
+  seed : int;
+}
 
-module Certifier = Ssi_core.Certifier
+let workloads =
+  [
+    ("sibench", fun () -> (Sibench.setup ~rows:100, Sibench.specs ~rows:100 ()));
+    ("tpcc", fun () -> (Tpcc.setup ~warehouses:5, Tpcc.specs ~warehouses:5 ~ro_fraction:0.08));
+    ("rubis", fun () -> (Rubis.setup ~users:200 ~items:220, Rubis.specs ~users:200 ~items:220));
+  ]
 
-let certifier_of_string s =
-  match Certifier.kind_of_string s with
-  | Some k -> k
-  | None -> invalid_arg ("unknown certifier " ^ s ^ " (expected ssi, ssn or essn)")
+(* Run [r], holding on to the engine through the driver's pre-setup hook
+   so the caller can read the observability core afterwards. *)
+let drive ?(chaos = ignore) ?trace_capacity r =
+  let eng = ref None in
+  let setup, specs = (List.assoc r.workload workloads) () in
+  let res =
+    Driver.run ~setup ~specs
+      {
+        Driver.default_bench with
+        Driver.mode = r.mode;
+        certifier = r.certifier;
+        workers = r.workers;
+        duration = r.duration;
+        warmup = r.duration /. 5.;
+        seed = r.seed;
+        chaos = Some (fun db -> eng := Some db; chaos db);
+        trace_capacity;
+      }
+  in
+  (Option.get !eng, res)
 
-let workload_config = function
-  | "sibench" -> (Sibench.setup ~rows:100, Sibench.specs ~rows:100 ())
-  | "tpcc" -> (Tpcc.setup ~warehouses:5, Tpcc.specs ~warehouses:5 ~ro_fraction:0.08)
-  | "rubis" -> (Rubis.setup ~users:200 ~items:220, Rubis.specs ~users:200 ~items:220)
-  | other -> invalid_arg ("unknown workload " ^ other)
+(* [drive] with an always-on scraper ticking [windows] times across the
+   run (warmup included: the scraper sees the whole horizon; the driver
+   summary still discards warmup) and a watchdog on the default rules. *)
+let drive_windowed ~windows r =
+  let horizon = r.duration +. (r.duration /. 5.) in
+  let tel = ref None in
+  let db, res =
+    drive r ~chaos:(fun db ->
+        let s = Scrape.create ~capacity:(max windows 8) (E.obs db) in
+        tel := Some (s, Watchdog.create s (Watchdog.default_rules ()));
+        Scrape.run s ~interval:(horizon /. float_of_int (max 1 windows)) ~until:horizon)
+  in
+  let s, w = Option.get !tel in
+  (db, res, s, w)
 
-let print_summary name mode certifier workers duration (r : Driver.result) =
+let print_summary r (res : Driver.result) =
   let lat x = if Float.is_finite x then Printf.sprintf "%.6f" x else "-" in
-  Format.printf "workload=%s mode=%s certifier=%s workers=%d duration=%.1fs@." name
-    (Driver.mode_name mode)
-    (Certifier.kind_to_string certifier)
-    workers duration;
-  Format.printf "  committed    %d (%.0f tx/s)@." r.Driver.committed r.Driver.throughput;
-  Format.printf "  failures     %d (%.3f%%), of which %d deadlocks@." r.Driver.failures
-    (100. *. r.Driver.failure_rate) r.Driver.deadlocks;
+  Format.printf "workload=%s mode=%s certifier=%s workers=%d duration=%.1fs@." r.workload
+    (Driver.mode_name r.mode)
+    (Certifier.kind_to_string r.certifier)
+    r.workers r.duration;
+  Format.printf "  committed    %d (%.0f tx/s)@." res.Driver.committed res.Driver.throughput;
+  Format.printf "  failures     %d (%.3f%%), of which %d deadlocks@." res.Driver.failures
+    (100. *. res.Driver.failure_rate) res.Driver.deadlocks;
   Format.printf "  latency (s)  p50 %s  p95 %s  p99 %s@."
-    (lat r.Driver.latency_p50) (lat r.Driver.latency_p95) (lat r.Driver.latency_p99);
-  if r.Driver.abort_reasons <> [] then begin
+    (lat res.Driver.latency_p50) (lat res.Driver.latency_p95) (lat res.Driver.latency_p99);
+  if res.Driver.abort_reasons <> [] then begin
     Format.printf "  abort reasons:@.";
     List.iter
       (fun (reason, n) -> Format.printf "    %-44s %d@." reason n)
-      r.Driver.abort_reasons
+      res.Driver.abort_reasons
   end;
-  Format.printf "  cpu busy     %.0f%%@." (100. *. r.Driver.cpu_busy)
+  Format.printf "  cpu busy     %.0f%%@." (100. *. res.Driver.cpu_busy)
 
-let run_workload name mode_str cert_str workers duration seed =
-  let mode = mode_of_string mode_str in
-  let certifier = certifier_of_string cert_str in
-  let bench =
-    {
-      Driver.default_bench with
-      Driver.mode;
-      certifier;
-      workers;
-      duration;
-      warmup = duration /. 5.;
-      seed;
-    }
-  in
-  let setup, specs = workload_config name in
-  let r = Driver.run ~setup ~specs bench in
-  print_summary name mode certifier workers duration r;
+let run_workload r =
+  print_summary r (snd (drive r));
   0
-
-(* ---- stats / trace / monitor ---------------------------------------------- *)
-
-(* Run a workload while holding on to the engine (via the pre-setup chaos
-   hook), then dump the observability core: the full metric registry
-   (stats) or the retained trace-event ring as JSON Lines (trace). *)
-
-module Scrape = Ssi_obs.Scrape
-module Watchdog = Ssi_obs.Watchdog
 
 (* The curated panel for the windowed views; metrics a given run never
    registered render as "-". *)
 let monitor_metrics =
-  [
-    "engine.commits";
-    "engine.aborts";
-    "engine.serialization_failures";
-    "engine.active_txns";
-    "driver.txn_latency";
-    "ssi.summarized";
-    "wal.appends";
-    "wal.flushes";
-    "fleet.markdowns";
-  ]
+  [ "engine.commits"; "engine.aborts"; "engine.serialization_failures"; "engine.active_txns";
+    "driver.txn_latency"; "ssi.summarized"; "wal.appends"; "wal.flushes"; "fleet.markdowns" ]
 
-let run_observed ?trace_capacity name mode_str cert_str workers duration seed k =
-  let mode = mode_of_string mode_str in
-  let certifier = certifier_of_string cert_str in
-  let eng = ref None in
-  let bench =
-    {
-      Driver.default_bench with
-      Driver.mode;
-      certifier;
-      workers;
-      duration;
-      warmup = duration /. 5.;
-      seed;
-      chaos = Some (fun db -> eng := Some db);
-      trace_capacity;
-    }
-  in
-  let setup, specs = workload_config name in
-  let r = Driver.run ~setup ~specs bench in
-  match !eng with
-  | Some db -> k db r
-  | None ->
-      prerr_endline "internal error: engine was not captured";
-      1
-
-(* Like [run_observed], but with an always-on scraper ticking [windows]
-   times across the run (warmup included: the scraper sees the whole
-   horizon; the driver summary still discards warmup) and a watchdog on
-   the default rule catalog. *)
-let run_windowed name mode_str cert_str workers duration seed ~windows k =
-  let windows = max 1 windows in
-  let horizon = duration +. (duration /. 5.) in
-  let scr = ref None in
-  let wd = ref None in
-  let mode = mode_of_string mode_str in
-  let certifier = certifier_of_string cert_str in
-  let eng = ref None in
-  let chaos db =
-    eng := Some db;
-    let s = Scrape.create ~capacity:(max windows 8) (E.obs db) in
-    scr := Some s;
-    wd := Some (Watchdog.create s (Watchdog.default_rules ()));
-    Scrape.run s ~interval:(horizon /. float_of_int windows) ~until:horizon
-  in
-  let bench =
-    {
-      Driver.default_bench with
-      Driver.mode;
-      certifier;
-      workers;
-      duration;
-      warmup = duration /. 5.;
-      seed;
-      chaos = Some chaos;
-    }
-  in
-  let setup, specs = workload_config name in
-  let r = Driver.run ~setup ~specs bench in
-  match (!eng, !scr, !wd) with
-  | Some db, Some s, Some w -> k db s w r
-  | _ ->
-      prerr_endline "internal error: engine was not captured";
-      1
-
-let run_stats name mode_str cert_str workers duration seed format window =
-  match format with
-  | "text" when window = None ->
+let run_stats r format window =
+  (match (format, window) with
+  | `Text, None ->
       (* No scraper at all: byte-identical to the historical output. *)
-      run_observed name mode_str cert_str workers duration seed (fun db r ->
-          print_summary name (mode_of_string mode_str) (certifier_of_string cert_str)
-            workers duration r;
-          Format.printf "@.";
-          print_string (Ssi_obs.Obs.render (E.obs db));
-          0)
-  | "text" ->
-      let windows = Option.value window ~default:8 in
-      run_windowed name mode_str cert_str workers duration seed ~windows
-        (fun db s _wd r ->
-          print_summary name (mode_of_string mode_str) (certifier_of_string cert_str)
-            workers duration r;
-          Format.printf "@.";
-          print_string (Ssi_obs.Obs.render (E.obs db));
-          Format.printf "@.";
-          let metrics = List.map fst (Ssi_obs.Obs.raw_metrics (E.obs db)) in
-          print_string (Scrape.render ~last:windows s ~metrics);
-          0)
-  | "prom" ->
+      let db, res = drive r in
+      print_summary r res;
+      Format.printf "@.";
+      print_string (Obs.render (E.obs db))
+  | `Text, Some windows ->
+      let db, res, s, _ = drive_windowed ~windows r in
+      print_summary r res;
+      Format.printf "@.";
+      print_string (Obs.render (E.obs db));
+      Format.printf "@.";
+      let metrics = List.map fst (Obs.raw_metrics (E.obs db)) in
+      print_string (Scrape.render ~last:windows s ~metrics)
+  | `Prom, _ ->
       (* Cumulative exposition needs no scraper, so the registry stays
          exactly what the run produced. *)
-      run_observed name mode_str cert_str workers duration seed (fun db _r ->
-          let text = Scrape.openmetrics (E.obs db) in
-          (match Scrape.validate_openmetrics text with
-          | Ok _ -> ()
-          | Error e ->
-              Printf.eprintf "internal error: invalid OpenMetrics output: %s\n" e);
-          print_string text;
-          0)
-  | "json" ->
-      let windows = Option.value window ~default:8 in
-      run_windowed name mode_str cert_str workers duration seed ~windows
-        (fun _db s _wd _r ->
-          print_string (Scrape.to_jsonl s);
-          0)
-  | other ->
-      Printf.eprintf "unknown format %s (expected text, prom or json)\n" other;
-      1
+      let text = Scrape.openmetrics (E.obs (fst (drive r))) in
+      (match Scrape.validate_openmetrics text with
+      | Ok _ -> ()
+      | Error e -> Printf.eprintf "internal error: invalid OpenMetrics output: %s\n" e);
+      print_string text
+  | `Json, _ ->
+      let _, _, s, _ = drive_windowed ~windows:(Option.value window ~default:8) r in
+      print_string (Scrape.to_jsonl s));
+  0
 
-let run_monitor name mode_str cert_str workers duration seed windows =
-  run_windowed name mode_str cert_str workers duration seed ~windows (fun _db s w r ->
-      print_summary name (mode_of_string mode_str) (certifier_of_string cert_str) workers
-        duration r;
-      Format.printf "@.";
-      print_string (Scrape.render ~last:windows s ~metrics:monitor_metrics);
-      let alerts = Watchdog.alerts w in
-      Format.printf "@.alerts (%d):@." (List.length alerts);
-      List.iter (fun a -> Format.printf "  %s@." (Watchdog.render_alert a)) alerts;
-      (match Watchdog.active w with
-      | [] -> ()
-      | act -> Format.printf "still active at end of run: %s@." (String.concat ", " act));
-      0)
+let run_monitor r windows =
+  let _, res, s, w = drive_windowed ~windows r in
+  print_summary r res;
+  Format.printf "@.";
+  print_string (Scrape.render ~last:windows s ~metrics:monitor_metrics);
+  let alerts = Watchdog.alerts w in
+  Format.printf "@.alerts (%d):@." (List.length alerts);
+  List.iter (fun a -> Format.printf "  %s@." (Watchdog.render_alert a)) alerts;
+  (match Watchdog.active w with
+  | [] -> ()
+  | act -> Format.printf "still active at end of run: %s@." (String.concat ", " act));
+  0
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
+let run_trace r filter limit =
+  let db, _ = drive r in
+  let evs = Obs.events (E.obs db) in
+  let evs =
+    match filter with
+    | None -> evs
+    | Some prefix -> List.filter (fun (e : Obs.event) -> String.starts_with ~prefix e.Obs.name) evs
+  in
+  let evs =
+    match limit with
+    | None -> evs
+    | Some n ->
+        (* Keep the most recent [n]: the tail of the emission order. *)
+        let skip = List.length evs - n in
+        if skip <= 0 then evs else List.filteri (fun i _ -> i >= skip) evs
+  in
+  List.iter (fun e -> print_endline (Obs.event_to_json e)) evs;
+  0
 
-let run_trace name mode_str cert_str workers duration seed filter limit =
-  run_observed name mode_str cert_str workers duration seed (fun db _r ->
-      let evs = Ssi_obs.Obs.events (E.obs db) in
-      let evs =
-        match filter with
-        | None -> evs
-        | Some prefix ->
-            List.filter (fun (e : Ssi_obs.Obs.event) -> has_prefix ~prefix e.Ssi_obs.Obs.name) evs
-      in
-      let evs =
-        match limit with
-        | None -> evs
-        | Some n ->
-            (* Keep the most recent [n]: the tail of the emission order. *)
-            let skip = List.length evs - n in
-            if skip <= 0 then evs else List.filteri (fun i _ -> i >= skip) evs
-      in
-      List.iter (fun e -> print_endline (Ssi_obs.Obs.event_to_json e)) evs;
-      0)
-
-let run_explain name mode_str cert_str workers duration seed trace_capacity =
-  run_observed ~trace_capacity name mode_str cert_str workers duration seed (fun db r ->
-      print_summary name (mode_of_string mode_str) (certifier_of_string cert_str) workers
-        duration r;
-      Format.printf "@.";
-      print_string (Explain.render (E.obs db));
-      0)
+let run_explain r trace_capacity =
+  let db, res = drive ~trace_capacity r in
+  print_summary r res;
+  Format.printf "@.";
+  print_string (Explain.render (E.obs db));
+  0
 
 (* ---- chaos ---------------------------------------------------------------- *)
 
-module F = Ssi_fault.Fault
-module Replica = Ssi_replication.Replica
-module Stream = Ssi_replication.Stream
-module Net = Ssi_net.Net
-module Sim = Ssi_sim.Sim
+(* At most one of the scenario selectors; the plain fault plan when none. *)
+let run_chaos (c : Chaos.cfg) certifier kill_points kill_every torn_writes wal_out read_fleet
+    read_mix shards =
+  let c = { c with Chaos.certifier = Option.value certifier ~default:Certifier.SSI } in
+  let or_default n d = if n = 0 then d else n in
+  (* flag, value, takes --certifier, scenario *)
+  let selectors =
+    [
+      ( "--kill-points", kill_points, true,
+        fun () ->
+          Scenario.main (module Ssi_fault.Torture.Sweep)
+            { seed = c.seed; certifier = c.certifier; kill_points; kill_every; torn_writes; wal_out } );
+      ( "--shards", shards, false,
+        fun () ->
+          let d = Sharded.default_cfg in
+          Scenario.main (module Sharded)
+            { d with seed = c.seed; shards; workers = c.workers;
+              partitions = or_default c.partitions d.partitions;
+              net_chaos = or_default c.net_chaos d.net_chaos } );
+      ( "--read-fleet", read_fleet, false,
+        fun () ->
+          let d = Readfleet.default_cfg in
+          Scenario.main (module Readfleet)
+            { d with seed = c.seed; replicas = read_fleet; read_mix; workers = c.workers;
+              failover = c.failover; partitions = or_default c.partitions d.partitions;
+              net_chaos = or_default c.net_chaos d.net_chaos } );
+    ]
+  in
+  match List.filter (fun (_, n, _, _) -> n > 0) selectors with
+  | [] -> `Ok (Scenario.main (module Chaos) c)
+  | [ (flag, _, false, _) ] when certifier <> None ->
+      `Error (true, flag ^ " runs its own certifier setup; --certifier does not apply")
+  | [ (_, _, _, main) ] -> `Ok (main ())
+  | many ->
+      let flags = List.map (fun (flag, _, _, _) -> flag) many in
+      `Error (true, String.concat " and " flags ^ " select different scenarios; give at most one")
 
-let row_count eng =
-  E.with_txn eng (fun txn ->
-      List.fold_left
-        (fun acc t -> acc + List.length (E.seq_scan txn ~table:t ()))
-        0 (E.table_names eng))
-
-(* ---- recover / torture --------------------------------------------------- *)
-
-module Torture = Ssi_fault.Torture
-module Wal = Ssi_wal.Wal
+(* ---- recover ---------------------------------------------------------------- *)
 
 let run_recover file =
-  let wal = try Wal.load file with Sys_error m -> prerr_endline m; exit 1 in
+  let wal = try Ssi_wal.Wal.load file with Sys_error m -> prerr_endline m; exit 1 in
   let db, r = E.recover wal in
   Format.printf "recovered from %s@." file;
   Format.printf "  checkpoint cseq    %s@."
@@ -398,309 +282,6 @@ let run_recover file =
   Format.printf "@.";
   print_string (Ssi_obs.Obs.render (E.obs db));
   0
-
-let run_torture seed certifier kill_points kill_every torn_writes wal_out =
-  Format.printf "recovery torture seed=%d certifier=%s kill-points=%d stride=%d torn-writes=%b@."
-    seed
-    (Certifier.kind_to_string certifier)
-    kill_points kill_every torn_writes;
-  let outcomes =
-    Torture.sweep ?wal_out ~certifier ~max_kills:kill_points ~kill_every ~seed
-      ~with_damage:torn_writes ()
-  in
-  List.iter (fun o -> Format.printf "  %s@." (Torture.pp_outcome o)) outcomes;
-  let crashes = List.length (List.filter (fun o -> o.Torture.o_crashed) outcomes) in
-  let damaged = List.length (List.filter (fun o -> o.Torture.o_damage <> None) outcomes) in
-  let truncations = List.length (List.filter (fun o -> o.Torture.o_truncated > 0) outcomes) in
-  Format.printf "ran %d recoveries: %d crashed, %d damaged tails, %d truncations@."
-    (List.length outcomes) crashes damaged truncations;
-  (match wal_out with
-  | Some f -> Format.printf "first run's log saved to %s@." f
-  | None -> ());
-  let bad = List.filter (fun o -> not (Torture.invariants_ok o)) outcomes in
-  if bad = [] then begin
-    Format.printf "all durability invariants held@.";
-    0
-  end
-  else begin
-    Format.printf "INVARIANT VIOLATIONS:@.";
-    List.iter (fun o -> Format.printf "  %s@." (Torture.pp_outcome o)) bad;
-    1
-  end
-
-let print_promotion (p : Replica.promotion) =
-  Format.printf
-    "  failover           promoted at cseq %d: %d rows (safe snapshot), %d commits discarded@."
-    p.Replica.promote_cseq (row_count p.Replica.engine) p.Replica.discarded_commits
-
-(* Read-fleet mode: route a read-heavy workload through the replica read
-   router under a seeded fault plan, check every routed read against the
-   commit order, and replay the run to prove determinism. *)
-let run_readfleet seed fleet read_mix workers failover partitions net_chaos =
-  let module RF = Ssi_harness.Readfleet in
-  let cfg =
-    {
-      RF.default_cfg with
-      RF.seed;
-      replicas = fleet;
-      read_mix;
-      workers;
-      failover;
-      partitions = (if partitions = 0 then RF.default_cfg.RF.partitions else partitions);
-      net_chaos = (if net_chaos = 0 then RF.default_cfg.RF.net_chaos else net_chaos);
-    }
-  in
-  Format.printf "read-fleet chaos seed=%d replicas=%d read-mix=%.2f workers=%d failover=%b@."
-    seed fleet read_mix workers cfg.RF.failover;
-  let o = RF.run cfg in
-  Format.printf "%a" RF.pp_outcome o;
-  let o2 = RF.run cfg in
-  let identical = RF.fingerprint o = RF.fingerprint o2 in
-  Format.printf "replay: %s@."
-    (if identical then "byte-identical" else "DIVERGED from the first run");
-  let ok =
-    o.RF.violation = None && o.RF.read_giveups = 0 && o.RF.write_giveups = 0
-    && o.RF.session_violations = 0 && identical
-  in
-  if ok then 0 else 1
-
-let run_sharded seed shards workers partitions net_chaos =
-  let module S = Ssi_harness.Sharded in
-  let cfg =
-    {
-      S.default_cfg with
-      S.seed;
-      shards;
-      workers;
-      partitions = (if partitions = 0 then S.default_cfg.S.partitions else partitions);
-      net_chaos = (if net_chaos = 0 then S.default_cfg.S.net_chaos else net_chaos);
-    }
-  in
-  Format.printf "sharded chaos seed=%d shards=%d workers=%d partitions=%d net-chaos=%d@."
-    seed shards cfg.S.workers cfg.S.partitions cfg.S.net_chaos;
-  let o = S.run cfg in
-  Format.printf "%a" S.pp_outcome o;
-  let o2 = S.run cfg in
-  let identical = S.fingerprint o = S.fingerprint o2 in
-  Format.printf "replay: %s@."
-    (if identical then "byte-identical" else "DIVERGED from the first run");
-  if o.S.violation = None && identical then 0 else 1
-
-let run_chaos seed cert_str duration workers failover replicas quorum partitions net_chaos
-    explain trace_out trace_capacity kill_points kill_every torn_writes wal_out read_fleet
-    read_mix shards alerts scrape_out metrics_out =
-  let certifier = certifier_of_string cert_str in
-  if kill_points > 0 then run_torture seed certifier kill_points kill_every torn_writes wal_out
-  else if shards > 0 then run_sharded seed shards workers partitions net_chaos
-  else if read_fleet > 0 then
-    (* The read-fleet harness runs its own always-on scraper and
-       watchdog; its alerts are part of the printed outcome (and of the
-       replay fingerprint). *)
-    run_readfleet seed read_fleet read_mix workers failover partitions net_chaos
-  else begin
-  let rows = 100 in
-  let plan = F.gen_plan ~seed ~horizon:duration ~failover ~partitions ~net_chaos () in
-  Format.printf "chaos seed=%d certifier=%s horizon=%.1fs workers=%d replicas=%d@." seed
-    (Certifier.kind_to_string certifier)
-    duration workers replicas;
-  Format.printf "fault plan:@.";
-  List.iter (fun l -> Format.printf "  %s@." l) (F.describe plan);
-  let log_lines = ref [] in
-  let log s = log_lines := s :: !log_lines in
-  let injector = F.injector ~seed in
-  let eng = ref None in
-  let replica = ref None in
-  let promoted = ref None in
-  let net = ref None in
-  let old_primary = ref None in
-  let streamed = ref [] in
-  let failed_over = ref None in
-  let scr = ref None in
-  let wd = ref None in
-  let want_telemetry = alerts || scrape_out <> None || metrics_out <> None in
-  let chaos db =
-    eng := Some db;
-    E.set_fault_injector db (Some (fun ~op -> F.hook injector ~op));
-    if want_telemetry then begin
-      let s = Scrape.create ~capacity:64 (E.obs db) in
-      scr := Some s;
-      let replica_names = List.init replicas (fun i -> Printf.sprintf "r%d" (i + 1)) in
-      wd :=
-        Some
-          (Watchdog.create s
-             (Watchdog.default_rules
-                ~certifier_prefix:(Certifier.kind_to_string certifier)
-                ~replicas:replica_names ()));
-      (* Past the workload horizon so the post-heal catch-up is scraped
-         too. *)
-      Scrape.run s ~interval:(duration /. 25.) ~until:(duration +. 0.1)
-    end;
-    if replicas = 0 then begin
-      (* Direct mode: the replica hangs off the primary's in-process commit
-         hook; network events in the plan are logged as skipped. *)
-      let r = Replica.attach db in
-      replica := Some r;
-      let target = { F.engine = db; injector = Some injector; replica = Some r; fleet = []; net = None; net_ops = None } in
-      let observer phase (ev : F.event) =
-        match (phase, ev.F.kind) with
-        | `After, F.Failover -> promoted := Some (Replica.promote r ~primary:db `Latest_safe)
-        | _ -> ()
-      in
-      Sim.spawn (fun () -> F.execute ~observer target plan ~log)
-    end
-    else begin
-      (* Streaming mode: WAL records cross a seeded adversarial network. *)
-      let n = Net.create ~obs:(E.obs db) ~seed () in
-      net := Some n;
-      let quorum = Option.map (fun k -> { Stream.k; deadline = 0.002 }) quorum in
-      let p = Stream.make_primary n ~node:"p" ~epoch:1 ?quorum db in
-      old_primary := Some p;
-      let subs =
-        List.init replicas (fun i ->
-            let name = Printf.sprintf "r%d" (i + 1) in
-            let core = Replica.create ~obs:(E.obs db) ~name () in
-            Stream.subscribe n ~node:name ~primary_node:"p" ~epoch:1 core)
-      in
-      streamed := subs;
-      let target = { F.engine = db; injector = Some injector; replica = None; fleet = []; net = Some n; net_ops = None } in
-      let observer phase (ev : F.event) =
-        match (phase, ev.F.kind) with
-        | `After, F.Failover -> (
-            match subs with
-            | [] -> ()
-            | first :: rest ->
-                let fo = Stream.promote first ~schema_from:db ?quorum `Latest_safe in
-                failed_over := Some fo;
-                List.iter
-                  (fun s ->
-                    Stream.resubscribe s ~primary_node:(Stream.sub_node first)
-                      ~epoch:(Stream.epoch fo.Stream.new_primary))
-                  rest)
-        | _ -> ()
-      in
-      Sim.spawn (fun () -> F.execute ~observer target plan ~log);
-      (* After the workload horizon: heal every partition and drive the
-         catch-up, so the run ends with converged replicas. *)
-      Sim.spawn (fun () ->
-          Sim.delay (duration +. 0.05);
-          Net.heal_all n;
-          let acting =
-            match !failed_over with Some fo -> fo.Stream.new_primary | None -> p
-          in
-          Stream.retransmit_unacked acting;
-          List.iter
-            (fun s -> if Stream.sub_node s <> Stream.primary_node acting then Stream.sync s)
-            subs)
-    end
-  in
-  let bench =
-    {
-      Driver.default_bench with
-      Driver.mode = Driver.SSI;
-      certifier;
-      workers;
-      duration;
-      warmup = 0.;
-      seed;
-      chaos = Some chaos;
-      trace_capacity;
-    }
-  in
-  let r = Driver.run ~setup:(Sibench.setup ~rows) ~specs:(Sibench.specs ~rows ()) bench in
-  Format.printf "chaos log:@.";
-  List.iter (fun l -> Format.printf "  %s@." l) (List.rev !log_lines);
-  Format.printf "results:@.";
-  Format.printf "  committed          %d (%.0f tx/s)@." r.Driver.committed r.Driver.throughput;
-  Format.printf "  serialization fail %d, deadlocks %d@." r.Driver.failures r.Driver.deadlocks;
-  Format.printf "  injected faults    %d@." r.Driver.injected_faults;
-  Format.printf "  retries            %d, giveups %d@." r.Driver.retries r.Driver.giveups;
-  Format.printf "  attempts/commit    %.2f@." r.Driver.attempts_per_commit;
-  (match !replica with
-  | Some rep ->
-      Format.printf "  replica            applied cseq %d, safe cseq %d@."
-        (Replica.applied_cseq rep) (Replica.last_safe_cseq rep)
-  | None -> ());
-  (match !promoted with Some p -> print_promotion p | None -> ());
-  (match (!net, !old_primary) with
-  | Some n, Some p ->
-      let obs = E.obs (Stream.engine p) in
-      Format.printf "network:@.";
-      List.iter (fun (k, v) -> Format.printf "  %-18s %d@." k v) (Net.stats n);
-      let acting = match !failed_over with Some fo -> fo.Stream.new_primary | None -> p in
-      (* Captured before any report query commits on the acting primary. *)
-      let acting_last = Stream.last_cseq acting in
-      Format.printf "streaming:@.";
-      Format.printf "  primary            %s (epoch %d), last cseq %d%s@."
-        (Stream.primary_node acting) (Stream.epoch acting) acting_last
-        (if Stream.is_deposed p && acting != p then "; old primary fenced" else "");
-      (match !failed_over with
-      | Some fo ->
-          print_promotion fo.Stream.promotion;
-          Format.printf "  fenced primary     deposed=%b@." (Stream.is_deposed p)
-      | None -> ());
-      let counters = [ "stream.wal_sent"; "stream.retransmits"; "stream.quorum_waits";
-                       "stream.quorum_timeouts" ] in
-      List.iter
-        (fun name -> Format.printf "  %-18s %d@." name (Ssi_obs.Obs.get_counter obs name))
-        counters;
-      List.iter
-        (fun s ->
-          let core = Stream.core s in
-          if Stream.sub_node s <> Stream.primary_node acting then
-            Format.printf "  %-18s applied cseq %d, safe cseq %d%s@." (Replica.name core)
-              (Replica.applied_cseq core) (Replica.last_safe_cseq core)
-              (if Replica.applied_cseq core >= acting_last then " (converged)" else " (behind)"))
-        !streamed
-  | _ -> ());
-  (match !eng with
-  | None -> ()
-  | Some db ->
-      let obs = E.obs db in
-      if explain then begin
-        Format.printf "explain:@.";
-        print_string (Explain.render obs)
-      end;
-      match trace_out with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          output_string oc (Ssi_obs.Obs.Spans.to_chrome_json obs);
-          close_out oc;
-          Format.printf "trace written to %s (%d spans retained, %d dropped)@." path
-            (List.length (Ssi_obs.Obs.Spans.all obs))
-            (Ssi_obs.Obs.Spans.dropped obs));
-  let telemetry_ok = ref true in
-  (match (!scr, !wd, !eng) with
-  | Some s, Some w, Some db ->
-      if alerts then begin
-        let als = Watchdog.alerts w in
-        Format.printf "alerts (%d):@." (List.length als);
-        List.iter (fun a -> Format.printf "  %s@." (Watchdog.render_alert a)) als
-      end;
-      let om = Scrape.openmetrics (E.obs db) in
-      (match Scrape.validate_openmetrics om with
-      | Ok families -> Format.printf "openmetrics: valid, %d families@." families
-      | Error e ->
-          Format.printf "openmetrics: INVALID (%s)@." e;
-          telemetry_ok := false);
-      (match scrape_out with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          output_string oc (Scrape.to_jsonl s);
-          close_out oc;
-          Format.printf "time series written to %s (%d windows retained)@." path
-            (List.length (Scrape.windows s)));
-      (match metrics_out with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          output_string oc om;
-          close_out oc;
-          Format.printf "openmetrics written to %s@." path)
-  | _ -> ());
-  if !telemetry_ok then 0 else 1
-  end
 
 (* ---- sql REPL ------------------------------------------------------------ *)
 
@@ -746,302 +327,207 @@ let run_sql script_file =
 
 (* ---- cmdliner wiring --------------------------------------------------------- *)
 
-let demo_cmd =
-  Cmd.v (Cmd.info "demo" ~doc:"Write-skew walkthrough (paper Figure 1)")
-    Term.(const run_demo $ const ())
+open Term.Syntax
+
+let opt c default ?docv names doc = Arg.(value & opt c default & info names ?docv ~doc)
+let flag names doc = Arg.(value & flag & info names ~doc)
+let file names doc = opt Arg.(some string) None ~docv:"FILE" names doc
+let pos0 c docv doc = Arg.(required & pos 0 (some c) None & info [] ~docv ~doc)
+
+let certifier_conv =
+  Arg.enum (List.map (fun k -> (Certifier.kind_to_string k, k)) Certifier.all_kinds)
+
+let certifier_doc =
+  "Serializability certifier for serializable modes: ssi (the paper's dangerous-structure \
+   detection), ssn (Serial Safety Net exclusion windows) or essn (SSN with the read-only \
+   effective-stamp refinement)"
+
+let run_term =
+  let+ workload =
+    pos0 (Arg.enum (List.map (fun (n, _) -> (n, n)) workloads)) "WORKLOAD" "sibench, tpcc or rubis"
+  and+ mode =
+    opt
+      (Arg.enum
+         [ ("si", Driver.SI); ("ssi", Driver.SSI); ("ssi-noro", Driver.SSI_no_ro_opt);
+           ("s2pl", Driver.S2PL) ])
+      Driver.SSI [ "mode" ] "si, ssi, ssi-noro or s2pl"
+  and+ certifier = opt certifier_conv Certifier.SSI [ "certifier" ] certifier_doc
+  and+ workers = opt Arg.int 4 [ "workers" ] "Concurrent sessions"
+  and+ duration = opt Arg.float 3.0 [ "duration" ] "Measured simulated seconds"
+  and+ seed = opt Arg.int 42 [ "seed" ] "Random seed" in
+  { workload; mode; certifier; workers; duration; seed }
+
+let cmd name doc term = Cmd.v (Cmd.info name ~doc) term
 
 let bench_cmd =
-  let exp_arg =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"EXPERIMENT" ~doc:"fig4, fig5a, fig5b, fig6 or defer")
+  let figure =
+    Arg.enum (List.map (fun (f : Experiments.figure) -> (f.name, f)) Experiments.figures)
   in
-  let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced problem sizes") in
-  Cmd.v (Cmd.info "bench" ~doc:"Regenerate a table or figure from the paper (§8)")
-    Term.(const run_bench $ exp_arg $ quick_arg)
-
-let wl_arg =
-  Arg.(required & pos 0 (some string) None
-       & info [] ~docv:"WORKLOAD" ~doc:"sibench, tpcc or rubis")
-
-let mode_arg =
-  Arg.(value & opt string "ssi" & info [ "mode" ] ~doc:"si, ssi, ssi-noro or s2pl")
-
-let certifier_arg =
-  Arg.(value & opt string "ssi"
-       & info [ "certifier" ]
-           ~doc:
-             "Serializability certifier for serializable modes: ssi (the paper's \
-              dangerous-structure detection), ssn (Serial Safety Net exclusion windows) \
-              or essn (SSN with the read-only effective-stamp refinement)")
-
-let workers_arg = Arg.(value & opt int 4 & info [ "workers" ] ~doc:"Concurrent sessions")
-
-let duration_arg =
-  Arg.(value & opt float 3.0 & info [ "duration" ] ~doc:"Measured simulated seconds")
-
-let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed")
+  cmd "bench" "Regenerate a table or figure from the paper (§8)"
+    Term.(
+      const run_bench
+      $ pos0 figure "EXPERIMENT" "fig4, fig5a, fig5b, fig6 or defer"
+      $ flag [ "quick" ] "Reduced problem sizes (bench/main.exe's quick preset)")
 
 let workload_cmd =
-  Cmd.v (Cmd.info "workload" ~doc:"Run one workload configuration and report its numbers")
-    Term.(
-      const run_workload $ wl_arg $ mode_arg $ certifier_arg $ workers_arg $ duration_arg
-      $ seed_arg)
+  cmd "workload" "Run one workload configuration and report its numbers"
+    Term.(const run_workload $ run_term)
 
 let stats_cmd =
-  let format_arg =
-    Arg.(value & opt string "text"
-         & info [ "format" ] ~docv:"FMT"
-             ~doc:
-               "Output format: text (the registry table, plus a windowed time-series \
-                table when $(b,--window) is given), prom (Prometheus/OpenMetrics text \
-                exposition of the cumulative registry) or json (JSON Lines, one object \
-                per scrape window)")
-  in
-  let window_arg =
-    Arg.(value & opt (some int) None
-         & info [ "window" ] ~docv:"N"
-             ~doc:
-               "Scrape the registry $(docv) times across the run and report windowed \
-                deltas (default 8 for $(b,--format) json; off for text)")
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:
-         "Run a workload, then dump every metric in the observability registry \
-          (counters, gauges, latency histograms) as a table — or as OpenMetrics / \
-          windowed JSON Lines with $(b,--format)")
-    Term.(
-      const run_stats $ wl_arg $ mode_arg $ certifier_arg $ workers_arg $ duration_arg
-      $ seed_arg $ format_arg $ window_arg)
+  cmd "stats"
+    "Run a workload, then dump every metric in the observability registry (counters, \
+     gauges, latency histograms) as a table — or as OpenMetrics / windowed JSON Lines \
+     with $(b,--format)"
+    (let+ r = run_term
+     and+ format =
+       opt
+         (Arg.enum [ ("text", `Text); ("prom", `Prom); ("json", `Json) ])
+         `Text ~docv:"FMT" [ "format" ]
+         "Output format: text (the registry table, plus a windowed time-series table when \
+          $(b,--window) is given), prom (Prometheus/OpenMetrics text exposition of the \
+          cumulative registry) or json (JSON Lines, one object per scrape window)"
+     and+ window =
+       opt Arg.(some int) None ~docv:"N" [ "window" ]
+         "Scrape the registry $(docv) times across the run and report windowed deltas \
+          (default 8 for $(b,--format) json; off for text)"
+     in
+     run_stats r format window)
 
 let monitor_cmd =
-  let window_arg =
-    Arg.(value & opt int 12
-         & info [ "window" ] ~docv:"N" ~doc:"Number of scrape windows across the run")
-  in
-  Cmd.v
-    (Cmd.info "monitor"
-       ~doc:
-         "Run a workload with the always-on telemetry pipeline: scrape the registry into \
-          windowed deltas on the virtual clock, render the key metrics as a time-series \
-          table, and report every SLO-watchdog alert the run fired")
+  cmd "monitor"
+    "Run a workload with the always-on telemetry pipeline: scrape the registry into \
+     windowed deltas on the virtual clock, render the key metrics as a time-series table, \
+     and report every SLO-watchdog alert the run fired"
     Term.(
-      const run_monitor $ wl_arg $ mode_arg $ certifier_arg $ workers_arg $ duration_arg
-      $ seed_arg $ window_arg)
+      const run_monitor $ run_term
+      $ opt Arg.int 12 ~docv:"N" [ "window" ] "Number of scrape windows across the run")
 
 let trace_cmd =
-  let filter_arg =
-    Arg.(value & opt (some string) None
-         & info [ "filter" ] ~docv:"PREFIX"
-             ~doc:"Only events whose dotted name starts with $(docv) (e.g. ssi. or txn)")
-  in
-  let limit_arg =
-    Arg.(value & opt (some int) None
-         & info [ "limit" ] ~docv:"N" ~doc:"Only the most recent $(docv) matching events")
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run a workload, then dump the retained structured trace events (commits, \
-          aborts, conflicts, summarizations) as JSON Lines")
+  cmd "trace"
+    "Run a workload, then dump the retained structured trace events (commits, aborts, \
+     conflicts, summarizations) as JSON Lines"
     Term.(
-      const run_trace $ wl_arg $ mode_arg $ certifier_arg $ workers_arg $ duration_arg
-      $ seed_arg $ filter_arg $ limit_arg)
+      const run_trace $ run_term
+      $ opt Arg.(some string) None ~docv:"PREFIX" [ "filter" ]
+          "Only events whose dotted name starts with $(docv) (e.g. ssi. or txn)"
+      $ opt Arg.(some int) None ~docv:"N" [ "limit" ] "Only the most recent $(docv) matching events")
 
 let explain_cmd =
-  let cap_arg =
-    Arg.(value & opt int 65536
-         & info [ "trace-capacity" ] ~docv:"N"
-             ~doc:
-               "Size of the trace ring and span table; must exceed the run's event volume \
-                or evidence is overwritten (the report then says so)")
-  in
-  Cmd.v
-    (Cmd.info "explain"
-       ~doc:
-         "Run a workload, then reconstruct and pretty-print the conflict evidence behind \
-          every serialization failure: the dangerous structure (T1 --rw--> T2 --rw--> T3, \
-          the rule that fired, the victim-selection reason) under SSI, or the closed \
-          exclusion window (pstamp/sstamp and the peer that closed it) under SSN/ESSN")
+  cmd "explain"
+    "Run a workload, then reconstruct and pretty-print the conflict evidence behind every \
+     serialization failure: the dangerous structure (T1 --rw--> T2 --rw--> T3, the rule \
+     that fired, the victim-selection reason) under SSI, or the closed exclusion window \
+     (pstamp/sstamp and the peer that closed it) under SSN/ESSN"
     Term.(
-      const run_explain $ wl_arg $ mode_arg $ certifier_arg $ workers_arg $ duration_arg
-      $ seed_arg $ cap_arg)
+      const run_explain $ run_term
+      $ opt Arg.int 65536 ~docv:"N" [ "trace-capacity" ]
+          "Size of the trace ring and span table; must exceed the run's event volume or \
+           evidence is overwritten (the report then says so)")
 
 let chaos_cmd =
-  let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Fault-plan seed") in
-  let duration_arg =
-    Arg.(value & opt float 3.0 & info [ "duration" ] ~doc:"Simulated seconds (fault horizon)")
+  let chaos_cfg =
+    let+ seed = opt Arg.int 42 [ "seed" ] "Fault-plan seed"
+    and+ duration = opt Arg.float 3.0 [ "duration" ] "Simulated seconds (fault horizon)"
+    and+ workers = opt Arg.int 8 [ "workers" ] "Concurrent sessions"
+    and+ failover = flag [ "failover" ] "Promote the replica near the end of the run"
+    and+ replicas =
+      opt Arg.int 0 ~docv:"N" [ "replicas" ]
+        "Stream WAL to $(docv) replicas over a simulated lossy network instead of the \
+         in-process commit hook (0 = direct mode)"
+    and+ quorum =
+      opt Arg.(some int) None ~docv:"K" [ "quorum" ]
+        "Quorum-synchronous commit: hold each commit ack for $(docv) replica acks (deadline \
+         2ms of virtual time, then degrade to async)"
+    and+ partitions =
+      opt Arg.int 0 ~docv:"N" [ "partitions" ] "Seeded network partitions to schedule"
+    and+ net_chaos =
+      opt Arg.int 0 ~docv:"N" [ "net-chaos" ] "Seeded drop/duplicate/reorder windows to schedule"
+    and+ explain = flag [ "explain" ] "Print the dangerous structure behind every SSI abort after the run"
+    and+ trace_out =
+      file [ "trace-out" ]
+        "Export all retained spans as Chrome trace-event JSON (Perfetto / chrome://tracing) \
+         to $(docv)"
+    and+ trace_capacity =
+      opt Arg.(some int) None ~docv:"N" [ "trace-capacity" ]
+        "Size of the trace ring and span table (default 4096 each); exports and explanations \
+         need this above the run's event volume"
+    and+ alerts =
+      flag [ "alerts" ]
+        "Run the SLO watchdog (default rule catalog) over an always-on scrape of the run and \
+         print every alert it fired; also validates the OpenMetrics exposition of the final \
+         registry (non-zero exit if invalid)"
+    and+ scrape_out =
+      file [ "scrape-out" ]
+        "Write the scraped time series (one JSON object per window) to $(docv); implies the \
+         always-on scrape"
+    and+ metrics_out =
+      file [ "metrics-out" ]
+        "Write the final registry in OpenMetrics text format to $(docv); implies the \
+         always-on scrape"
+    in
+    {
+      Chaos.default_cfg with
+      seed;
+      duration;
+      workers;
+      failover;
+      replicas;
+      quorum;
+      partitions;
+      net_chaos;
+      explain;
+      trace_out;
+      trace_capacity;
+      alerts;
+      scrape_out;
+      metrics_out;
+    }
   in
-  let workers_arg = Arg.(value & opt int 8 & info [ "workers" ] ~doc:"Concurrent sessions") in
-  let failover_arg =
-    Arg.(value & flag & info [ "failover" ] ~doc:"Promote the replica near the end of the run")
-  in
-  let replicas_arg =
-    Arg.(value & opt int 0
-         & info [ "replicas" ]
-             ~doc:
-               "Stream WAL to $(docv) replicas over a simulated lossy network instead of the \
-                in-process commit hook (0 = direct mode)"
-             ~docv:"N")
-  in
-  let quorum_arg =
-    Arg.(value & opt (some int) None
-         & info [ "quorum" ]
-             ~doc:
-               "Quorum-synchronous commit: hold each commit ack for $(docv) replica acks \
-                (deadline 2ms of virtual time, then degrade to async)"
-             ~docv:"K")
-  in
-  let partitions_arg =
-    Arg.(value & opt int 0
-         & info [ "partitions" ] ~doc:"Seeded network partitions to schedule" ~docv:"N")
-  in
-  let net_chaos_arg =
-    Arg.(value & opt int 0
-         & info [ "net-chaos" ]
-             ~doc:"Seeded drop/duplicate/reorder windows to schedule" ~docv:"N")
-  in
-  let explain_arg =
-    Arg.(value & flag
-         & info [ "explain" ]
-             ~doc:"Print the dangerous structure behind every SSI abort after the run")
-  in
-  let trace_out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "trace-out" ] ~docv:"FILE"
-             ~doc:
-               "Export all retained spans as Chrome trace-event JSON (Perfetto / \
-                chrome://tracing) to $(docv)")
-  in
-  let trace_capacity_arg =
-    Arg.(value & opt (some int) None
-         & info [ "trace-capacity" ] ~docv:"N"
-             ~doc:
-               "Size of the trace ring and span table (default 4096 each); exports and \
-                explanations need this above the run's event volume")
-  in
-  let kill_points_arg =
-    Arg.(value & opt int 0
-         & info [ "kill-points" ]
-             ~doc:
-               "Recovery torture: crash the durable log at up to $(docv) successive engine \
-                fault points (one crash/recover cycle each) and check the durability \
-                invariants, instead of running a fault plan (0 = off)"
-             ~docv:"N")
-  in
-  let kill_every_arg =
-    Arg.(value & opt int 3
-         & info [ "kill-every" ]
-             ~doc:"Stride between successive kill points in the torture sweep" ~docv:"K")
-  in
-  let torn_writes_arg =
-    Arg.(value & flag
-         & info [ "torn-writes" ]
-             ~doc:
-               "With $(b,--kill-points): damage the flush in flight at each crash (seeded \
-                torn write, short write or bit flip)")
-  in
-  let wal_out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "wal-out" ] ~docv:"FILE"
-             ~doc:
-               "With $(b,--kill-points): save the first run's crashed log image to $(docv) \
-                for $(b,pg_ssi recover)")
-  in
-  let read_fleet_arg =
-    Arg.(value & opt int 0
-         & info [ "read-fleet" ]
-             ~doc:
-               "Read-fleet chaos: route a read-heavy workload through the replica read \
-                router over $(docv) streaming replicas under partitions, lag spikes and \
-                network chaos (one of each unless overridden), check every routed read \
-                against the commit order, and verify byte-identical replay (0 = off)"
-             ~docv:"N")
-  in
-  let read_mix_arg =
-    Arg.(value & opt float 0.9
-         & info [ "read-mix" ]
-             ~doc:"With $(b,--read-fleet): fraction of client transactions that are reads"
-             ~docv:"F")
-  in
-  let shards_arg =
-    Arg.(value & opt int 0
-         & info [ "shards" ]
-             ~doc:
-               "Sharded chaos: hash-partition one table across $(docv) engines behind the \
-                2PC coordinator, drive multi-shard transactions under partitions, message \
-                chaos and participant crashes (one of each unless overridden), check the \
-                combined multi-shard history with the spliced-DSG oracle, and verify \
-                byte-identical replay (0 = off)"
-             ~docv:"N")
-  in
-  let alerts_arg =
-    Arg.(value & flag
-         & info [ "alerts" ]
-             ~doc:
-               "Run the SLO watchdog (default rule catalog) over an always-on scrape of \
-                the run and print every alert it fired; also validates the OpenMetrics \
-                exposition of the final registry (non-zero exit if invalid)")
-  in
-  let scrape_out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "scrape-out" ] ~docv:"FILE"
-             ~doc:
-               "Write the scraped time series (one JSON object per window) to $(docv); \
-                implies the always-on scrape")
-  in
-  let metrics_out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "metrics-out" ] ~docv:"FILE"
-             ~doc:
-               "Write the final registry in OpenMetrics text format to $(docv); implies \
-                the always-on scrape")
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Run a workload under a seeded fault plan (crashes, I/O faults, memory pressure, \
-          replica lag, network partitions and chaos) and report resilience counters; with \
-          $(b,--kill-points), run the kill-point recovery torture sweep instead; with \
-          $(b,--read-fleet), run the oracle-checked read-fleet router scenario instead")
+  cmd "chaos"
+    "Run a seeded scenario twice and require a byte-identical replay: by default a workload \
+     under a fault plan (crashes, I/O faults, memory pressure, replica lag, network \
+     partitions and chaos) reporting resilience counters; with $(b,--kill-points), the \
+     kill-point recovery torture sweep; with $(b,--read-fleet), the oracle-checked \
+     read-fleet router scenario; with $(b,--shards), sharded 2PC chaos.  At most one of \
+     the three selectors may be given"
     Term.(
-      const run_chaos $ seed_arg $ certifier_arg $ duration_arg $ workers_arg $ failover_arg
-      $ replicas_arg $ quorum_arg $ partitions_arg $ net_chaos_arg $ explain_arg
-      $ trace_out_arg $ trace_capacity_arg $ kill_points_arg $ kill_every_arg
-      $ torn_writes_arg $ wal_out_arg $ read_fleet_arg $ read_mix_arg $ shards_arg
-      $ alerts_arg $ scrape_out_arg $ metrics_out_arg)
-
-let recover_cmd =
-  let file_arg =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"FILE" ~doc:"Durable-log image (e.g. from chaos $(b,--wal-out))")
-  in
-  Cmd.v
-    (Cmd.info "recover"
-       ~doc:
-         "Cold-start an engine from a durable-log image: truncate any damaged tail, replay \
-          from the latest checkpoint, restore prepared transactions, and print the recovery \
-          report and row counts")
-    Term.(const run_recover $ file_arg)
-
-let sql_cmd =
-  let file_arg =
-    Arg.(value & opt (some string) None
-         & info [ "file"; "f" ] ~docv:"FILE" ~doc:"Execute a SQL script instead of a REPL")
-  in
-  Cmd.v (Cmd.info "sql" ~doc:"Interactive SQL shell on a fresh in-memory database")
-    Term.(const run_sql $ file_arg)
+      ret
+        (const run_chaos $ chaos_cfg
+        $ opt Arg.(some certifier_conv) None [ "certifier" ]
+            (certifier_doc ^ " (default ssi; not with $(b,--shards) or $(b,--read-fleet))")
+        $ opt Arg.int 0 ~docv:"N" [ "kill-points" ]
+            "Recovery torture: crash the durable log at up to $(docv) successive engine \
+             fault points (one crash/recover cycle each) and check the durability \
+             invariants, instead of running a fault plan (0 = off)"
+        $ opt Arg.int 3 ~docv:"K" [ "kill-every" ]
+            "Stride between successive kill points in the torture sweep"
+        $ flag [ "torn-writes" ]
+            "With $(b,--kill-points): damage the flush in flight at each crash (seeded torn \
+             write, short write or bit flip)"
+        $ file [ "wal-out" ]
+            "With $(b,--kill-points): save the first run's crashed log image to $(docv) for \
+             $(b,pg_ssi recover)"
+        $ opt Arg.int 0 ~docv:"N" [ "read-fleet" ]
+            "Read-fleet chaos: route a read-heavy workload through the replica read router \
+             over $(docv) streaming replicas under partitions, lag spikes and network chaos \
+             (one of each unless overridden), check every routed read against the commit \
+             order (0 = off)"
+        $ opt Arg.float 0.9 ~docv:"F" [ "read-mix" ]
+            "With $(b,--read-fleet): fraction of client transactions that are reads"
+        $ opt Arg.int 0 ~docv:"N" [ "shards" ]
+            "Sharded chaos: hash-partition one table across $(docv) engines behind the 2PC \
+             coordinator, drive multi-shard transactions under partitions, message chaos \
+             and participant crashes (one of each unless overridden), and check the combined \
+             multi-shard history with the spliced-DSG oracle (0 = off)"))
 
 let () =
-  let info =
-    Cmd.info "pg_ssi" ~version:"1.0.0"
-      ~doc:"Serializable Snapshot Isolation in PostgreSQL, reproduced in OCaml"
-  in
   exit
     (Cmd.eval'
-       (Cmd.group info
+       (Cmd.group
+          (Cmd.info "pg_ssi" ~version:"1.0.0"
+             ~doc:"Serializable Snapshot Isolation in PostgreSQL, reproduced in OCaml")
           [
-            demo_cmd;
+            cmd "demo" "Write-skew walkthrough (paper Figure 1)" Term.(const run_demo $ const ());
             bench_cmd;
             workload_cmd;
             stats_cmd;
@@ -1049,6 +535,13 @@ let () =
             trace_cmd;
             explain_cmd;
             chaos_cmd;
-            recover_cmd;
-            sql_cmd;
+            cmd "recover"
+              "Cold-start an engine from a durable-log image: truncate any damaged tail, \
+               replay from the latest checkpoint, restore prepared transactions, and print \
+               the recovery report and row counts"
+              Term.(
+                const run_recover
+                $ pos0 Arg.string "FILE" "Durable-log image (e.g. from chaos $(b,--wal-out))");
+            cmd "sql" "Interactive SQL shell on a fresh in-memory database"
+              Term.(const run_sql $ file [ "file"; "f" ] "Execute a SQL script instead of a REPL");
           ]))

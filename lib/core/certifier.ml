@@ -9,13 +9,6 @@ include Certifier_intf
 let all_kinds = [ SSI; SSN; ESSN ]
 let kind_to_string = function SSI -> "ssi" | SSN -> "ssn" | ESSN -> "essn"
 
-let kind_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "ssi" -> Some SSI
-  | "ssn" -> Some SSN
-  | "essn" -> Some ESSN
-  | _ -> None
-
 (* The metric/event namespace each certifier reports under:
    [<prefix>.conflicts], [<prefix>.victims.<slug>], [<prefix>.fail], ... *)
 let prefix = kind_to_string

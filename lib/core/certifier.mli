@@ -29,7 +29,6 @@ end
 
 val all_kinds : kind list
 val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
 
 val prefix : kind -> string
 (** The metric/event namespace the certifier reports under:

@@ -45,15 +45,10 @@ let zero_costs =
     io_commit = 0.;
   }
 
-type wal_op =
-  | Wal_insert of { table : string; key : Value.t; row : Value.t array }
-  | Wal_update of { table : string; key : Value.t; row : Value.t array }
-  | Wal_delete of { table : string; key : Value.t }
-
 type commit_record = {
   wal_xid : Heap.xid;
   wal_cseq : int;
-  wal_ops : wal_op list;
+  wal_ops : Wal.op list;
   wal_safe_point : bool;
   wal_span : Obs.span_ctx option;
       (** trace context of the origin commit span, so a replica's apply
@@ -156,7 +151,7 @@ and txn = {
   mutable prepared_gid : string option;
   mutable undo : undo_entry list;  (** stack, newest first *)
   mutable undo_len : int;  (** [List.length undo], maintained incrementally *)
-  mutable wal : wal_op list;  (** reversed *)
+  mutable wal : Wal.op list;  (** reversed *)
   mutable wal_len : int;  (** [List.length wal], maintained incrementally *)
   mutable savepoints : (string * int * int) list;
       (** name, undo length, wal length — newest first *)
@@ -288,16 +283,6 @@ let finish_op db ~tuples ~locks ~pages =
   charge_io db (float_of_int pages *. c.miss_ratio *. c.io_per_page)
 
 (* ---- Durable log plumbing ------------------------------------------------- *)
-
-let wal_op_to_log = function
-  | Wal_insert { table; key; row } -> Wal.Insert { table; key; row }
-  | Wal_update { table; key; row } -> Wal.Update { table; key; row }
-  | Wal_delete { table; key } -> Wal.Delete { table; key }
-
-let wal_op_of_log = function
-  | Wal.Insert { table; key; row } -> Wal_insert { table; key; row }
-  | Wal.Update { table; key; row } -> Wal_update { table; key; row }
-  | Wal.Delete { table; key } -> Wal_delete { table; key }
 
 (* The device died mid-operation: the in-memory commit can never become
    durable, so the client must treat the attempt as failed and retry
@@ -1054,7 +1039,7 @@ let insert txn ~table row =
       List.iter
         (fun idx -> index_insert txn idx ~ikey:(Array.copy row).(idx.col) ~pk:key)
         (all_indexes tbl);
-      txn.wal <- Wal_insert { table; key; row = Array.copy row } :: txn.wal;
+      txn.wal <- Wal.Insert { table; key; row = Array.copy row } :: txn.wal;
       txn.wal_len <- txn.wal_len + 1;
       finish_op db ~tuples:1
         ~locks:(if is_tracked txn || is_2pl txn then 2 + List.length tbl.secondary else 0)
@@ -1156,7 +1141,7 @@ let update txn ~table ~key ~f =
           txn.undo_len <- txn.undo_len + 1;
           List.iter (fun idx -> index_insert txn idx ~ikey:row'.(idx.col) ~pk:key) (all_indexes tbl);
           ignore tuple;
-          txn.wal <- Wal_update { table; key; row = Array.copy row' } :: txn.wal;
+          txn.wal <- Wal.Update { table; key; row = Array.copy row' } :: txn.wal;
           txn.wal_len <- txn.wal_len + 1;
           finish_op db ~tuples:2
             ~locks:(if is_tracked txn || is_2pl txn then 3 + List.length tbl.secondary else 0)
@@ -1179,7 +1164,7 @@ let delete txn ~table ~key =
           Heap.set_xmax v txn.txn_xid;
           txn.undo <- U_set_xmax v :: txn.undo;
           txn.undo_len <- txn.undo_len + 1;
-          txn.wal <- Wal_delete { table; key } :: txn.wal;
+          txn.wal <- Wal.Delete { table; key } :: txn.wal;
           txn.wal_len <- txn.wal_len + 1;
           finish_op db ~tuples:1
             ~locks:(if is_tracked txn || is_2pl txn then 2 else 0)
@@ -1301,7 +1286,7 @@ let wal_append_commit db txn cseq ~gid =
             c_xid = txn.txn_xid;
             c_cseq = cseq;
             c_gid = gid;
-            c_ops = List.rev_map wal_op_to_log txn.wal;
+            c_ops = List.rev txn.wal;
             c_safe = not (serializable_rw_active db);
           }
       in
@@ -1322,7 +1307,7 @@ let prepared_image_of db txn gid =
     Wal.p_xid = txn.txn_xid;
     p_gid = gid;
     p_snap_cseq = txn.snapshot.Snapshot.horizon;
-    p_ops = List.rev_map wal_op_to_log txn.wal;
+    p_ops = List.rev txn.wal;
     p_sireads = siread_targets db txn.txn_xid;
   }
 
@@ -1744,7 +1729,7 @@ let reinstate_prepared db (img : Wal.prepared_image) =
   txn.prepared_gid <- Some img.Wal.p_gid;
   txn.undo <- !undo;
   txn.undo_len <- List.length !undo;
-  txn.wal <- List.rev_map wal_op_of_log img.Wal.p_ops;
+  txn.wal <- List.rev img.Wal.p_ops;
   txn.wal_len <- List.length img.Wal.p_ops;
   Hashtbl.add db.prepared_by_gid img.Wal.p_gid txn
 

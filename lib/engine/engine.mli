@@ -67,16 +67,11 @@ type costs = {
 
 val zero_costs : costs
 
-(** A committed transaction's effects, as shipped to replicas (§7.2). *)
-type wal_op =
-  | Wal_insert of { table : string; key : Value.t; row : Value.t array }
-  | Wal_update of { table : string; key : Value.t; row : Value.t array }
-  | Wal_delete of { table : string; key : Value.t }
-
 type commit_record = {
   wal_xid : Heap.xid;
   wal_cseq : int;
-  wal_ops : wal_op list;
+  wal_ops : Ssi_wal.Wal.op list;
+      (** the transaction's effects, as shipped to replicas (§7.2) *)
   wal_safe_point : bool;
       (** No read/write serializable transaction was active when this
           commit completed: the post-commit state is a safe snapshot

@@ -404,3 +404,47 @@ let sweep ?wal_out ?certifier ?(max_kills = 64) ?(kill_every = 1) ~seed ~with_da
     end
   in
   go 1 kill_every []
+
+module Sweep = struct
+  type cfg = {
+    seed : int;
+    certifier : Ssi_core.Certifier.kind;
+    kill_points : int;
+    kill_every : int;
+    torn_writes : bool;
+    wal_out : string option;
+  }
+
+  type nonrec outcome = { runs : outcome list; saved_to : string option }
+
+  let header c =
+    Printf.sprintf "recovery torture seed=%d certifier=%s kill-points=%d stride=%d torn-writes=%b\n"
+      c.seed
+      (Ssi_core.Certifier.kind_to_string c.certifier)
+      c.kill_points c.kill_every c.torn_writes
+
+  let run c =
+    {
+      runs =
+        sweep ?wal_out:c.wal_out ~certifier:c.certifier ~max_kills:c.kill_points
+          ~kill_every:c.kill_every ~seed:c.seed ~with_damage:c.torn_writes ();
+      saved_to = c.wal_out;
+    }
+
+  let ok o = List.for_all invariants_ok o.runs
+
+  let pp ppf o =
+    let count p = List.length (List.filter p o.runs) in
+    List.iter (fun r -> Format.fprintf ppf "  %s@." (pp_outcome r)) o.runs;
+    Format.fprintf ppf "ran %d recoveries: %d crashed, %d damaged tails, %d truncations@."
+      (List.length o.runs)
+      (count (fun r -> r.o_crashed))
+      (count (fun r -> r.o_damage <> None))
+      (count (fun r -> r.o_truncated > 0));
+    Option.iter (Format.fprintf ppf "first run's log saved to %s@.") o.saved_to;
+    match List.filter (fun r -> not (invariants_ok r)) o.runs with
+    | [] -> Format.fprintf ppf "all durability invariants held@."
+    | bad ->
+        Format.fprintf ppf "INVARIANT VIOLATIONS:@.";
+        List.iter (fun r -> Format.fprintf ppf "  %s@." (pp_outcome r)) bad
+end

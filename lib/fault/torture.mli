@@ -57,9 +57,6 @@ val invariants_ok : outcome -> bool
 (** All of [o_lost_acked = []], [o_dense_prefix], [o_prepared_ok],
     [o_state_ok] and [o_replica_ok]. *)
 
-val pp_outcome : outcome -> string
-(** One summary line per run, for logs and the CLI. *)
-
 val run_one :
   ?wal_out:string -> ?certifier:Ssi_core.Certifier.kind ->
   seed:int -> kill_point:int -> with_damage:bool -> unit -> outcome
@@ -80,3 +77,24 @@ val sweep :
     each, at most [max_kills] runs, default 64) until a run completes
     without crashing — the exhaustive scan of crash points the durability
     claim is checked against.  [wal_out] applies to the first run. *)
+
+(** The sweep as a {!Ssi_harness.Scenario.S}: [pg_ssi chaos --kill-points]. *)
+module Sweep : sig
+  type cfg = {
+    seed : int;
+    certifier : Ssi_core.Certifier.kind;
+    kill_points : int;  (** [max_kills] *)
+    kill_every : int;
+    torn_writes : bool;  (** [with_damage] *)
+    wal_out : string option;
+  }
+
+  type nonrec outcome = { runs : outcome list; saved_to : string option }
+
+  val header : cfg -> string
+  val run : cfg -> outcome
+  val pp : Format.formatter -> outcome -> unit
+
+  val ok : outcome -> bool
+  (** Every run kept {!invariants_ok}. *)
+end

@@ -2,7 +2,6 @@ open Ssi_util
 open Ssi_workload
 module E = Ssi_engine.Engine
 module Sim = Ssi_sim.Sim
-module Ssi = Ssi_core.Ssi
 
 type measurement = {
   x_label : string;
@@ -46,13 +45,11 @@ let fig4 ?(sizes = [ 10; 30; 100; 300; 1000; 3000 ]) ?(duration = 3.0) ?(workers
 
 (* ---- Figure 5: DBT-2++ ------------------------------------------------------- *)
 
-let dbt2_points fractions = fractions
-
 let fig5a ?(fractions = [ 0.; 0.2; 0.4; 0.6; 0.8; 1.0 ]) ?(warehouses = 25)
     ?(duration = 3.0) ?(workers = 4) ?(cores = 4) () =
   sweep
     ~modes:[ Driver.SI; Driver.SSI; Driver.SSI_no_ro_opt; Driver.S2PL ]
-    ~points:(dbt2_points fractions)
+    ~points:fractions
     ~bench_of:(fun mode _ ->
       {
         Driver.default_bench with
@@ -71,7 +68,7 @@ let fig5b ?(fractions = [ 0.; 0.2; 0.4; 0.6; 0.8; 1.0 ]) ?(warehouses = 60)
     ?(duration = 20.0) ?(workers = 36) ?(cores = 16) ?(disks = 4) () =
   sweep
     ~modes:[ Driver.SI; Driver.SSI; Driver.S2PL ]
-    ~points:(dbt2_points fractions)
+    ~points:fractions
     ~bench_of:(fun mode _ ->
       {
         Driver.default_bench with
@@ -285,15 +282,6 @@ let si_throughput group =
   | Some m -> m.result.Driver.throughput
   | None -> nan
 
-let normalized_throughput measurements ~x_label mode =
-  match group_by_x measurements |> List.assoc_opt x_label with
-  | None -> nan
-  | Some group -> (
-      let base = si_throughput group in
-      match List.find_opt (fun m -> m.mode = mode) group with
-      | Some m -> m.result.Driver.throughput /. base
-      | None -> nan)
-
 let render_normalized ~title ~x_header measurements =
   let groups = group_by_x measurements in
   let modes =
@@ -465,3 +453,30 @@ let render_deferrable r =
     "Deferrable transactions (§8.4): safe-snapshot latency over %d samples\n\
      median %.2f s   90th percentile %.2f s   max %.2f s\n"
     r.samples r.median_s r.p90_s r.max_s
+
+(* ---- Figure presets ---------------------------------------------------------------- *)
+
+type figure = { name : string; title : string; table : quick:bool -> string }
+
+let figures =
+  let fractions = [ 0.; 0.5; 1.0 ] in
+  let normalized x_header ms = render_normalized ~title:"" ~x_header ms in
+  let figure name title table = { name; title; table } in
+  [
+    figure "fig4" "Figure 4: SIBENCH transaction throughput (normalized to SI)" (fun ~quick ->
+        normalized "table size (rows)"
+          (if quick then fig4 ~sizes:[ 10; 100; 1000 ] ~duration:1.0 () else fig4 ()));
+    figure "fig5a" "Figure 5a: DBT-2++ throughput, in-memory configuration (normalized to SI)"
+      (fun ~quick ->
+        normalized "read-only fraction"
+          (if quick then fig5a ~fractions ~warehouses:4 ~duration:1.0 () else fig5a ()));
+    figure "fig5b" "Figure 5b: DBT-2++ throughput, disk-bound configuration (normalized to SI)"
+      (fun ~quick ->
+        normalized "read-only fraction"
+          (if quick then fig5b ~fractions ~warehouses:8 ~duration:5.0 ~workers:12 ()
+           else fig5b ()));
+    figure "fig6" "Figure 6: RUBiS web application benchmark" (fun ~quick ->
+        render_fig6 (if quick then fig6 ~users:100 ~items:120 ~duration:1.0 () else fig6 ()));
+    figure "defer" "Deferrable transactions (§8.4): time to obtain a safe snapshot" (fun ~quick ->
+        render_deferrable (if quick then deferrable ~samples:15 () else deferrable ()));
+  ]

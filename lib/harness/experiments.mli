@@ -1,7 +1,7 @@
 (** One experiment per table and figure of the paper's evaluation (§8).
 
-    Each experiment returns structured measurements; the [render_*]
-    functions produce the text tables printed by [bench/main.exe].
+    Each experiment returns structured measurements; {!figures} runs and
+    renders the paper's figures for [bench/main.exe] and [pg_ssi bench].
     Throughput series are normalized to snapshot isolation, exactly as the
     paper's figures plot them.  Parameters default to values sized for a
     few-minute run; tests override them with smaller ones. *)
@@ -100,13 +100,6 @@ val render_ablation : title:string -> x_header:string -> measurement list -> str
 
 (** {1 Rendering} *)
 
-val render_normalized : title:string -> x_header:string -> measurement list -> string
-(** Rows = x values; columns = modes, as throughput normalized to SI
-    (SI column shows absolute committed tx/s for reference). *)
-
-val render_fig6 : measurement list -> string
-val render_deferrable : deferrable_result -> string
-
 val render_latency : title:string -> measurement list -> string
 (** Rows = measurements; columns = throughput, nearest-rank p50/p95/p99
     client latency (virtual seconds) and failure rate. *)
@@ -117,6 +110,16 @@ val bench_json : workload:string -> duration:float -> measurement list -> string
     Non-finite numbers render as [null].  Written by [bench/main.exe] to
     [BENCH_<workload>.json]. *)
 
-val normalized_throughput : measurement list -> x_label:string -> Driver.mode -> float
-(** Helper for tests: throughput of [mode] at [x_label], normalized to the
-    SI measurement at the same x. *)
+(** {1 Figure presets} *)
+
+type figure = {
+  name : string;  (** [fig4], [fig5a], [fig5b], [fig6] or [defer] *)
+  title : string;
+  table : quick:bool -> string;
+      (** Run the experiment and render its table: at the full paper-shaped
+          sizes, or at the reduced [quick] preset. *)
+}
+
+val figures : figure list
+(** The paper's figures and the §8.4 latency table, in paper order: the
+    one preset table both [bench/main.exe] and [pg_ssi bench] print. *)

@@ -432,9 +432,14 @@ let run cfg =
     final_rows = !final_rows;
   }
 
-let fingerprint o = Digest.to_hex (Digest.string (Marshal.to_string o []))
+let header cfg =
+  Printf.sprintf "read-fleet chaos seed=%d replicas=%d read-mix=%.2f workers=%d failover=%b\n"
+    cfg.seed cfg.replicas cfg.read_mix cfg.workers cfg.failover
 
-let pp_outcome ppf o =
+let ok o =
+  o.violation = None && o.read_giveups = 0 && o.write_giveups = 0 && o.session_violations = 0
+
+let pp ppf o =
   let f fmt = Format.fprintf ppf fmt in
   f "commits: %d old-era, %d new-era@." o.commits_old o.commits_new;
   f "reads: %d ok, %d giveups; writes: %d giveups; session violations: %d@." o.reads_ok

@@ -24,7 +24,7 @@
       session tokens were never violated.
 
     Runs are deterministic: the same [cfg] replays byte-identically
-    (compare {!fingerprint}s). *)
+    ({!Scenario.replay}). *)
 
 type cfg = {
   seed : int;
@@ -71,15 +71,15 @@ type outcome = {
           order — an always-on scraper samples the run and evaluates the
           default rule catalog, so lag breaches / mark-down churn /
           abort spikes under the fault plan surface here and replay
-          byte-identically (they are part of the fingerprint) *)
+          byte-identically (they are part of the replayed outcome) *)
   final_rows : (int * int) list;  (** acting primary's state, sorted *)
 }
 
+val header : cfg -> string
 val run : cfg -> outcome
 
-val fingerprint : outcome -> string
-(** Digest of the whole outcome — equal fingerprints mean byte-identical
-    replay. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
+val pp : Format.formatter -> outcome -> unit
 (** Human-readable report: routing counters, oracle verdict, chaos log. *)
+
+val ok : outcome -> bool
+(** No violation, no client-visible giveup, no session violation. *)

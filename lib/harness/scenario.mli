@@ -1,0 +1,36 @@
+(** One skeleton for the seeded robustness scenarios: the plain chaos plan
+    ({!Chaos}), the kill-point torture sweep ({!Ssi_fault.Torture.Sweep}),
+    the read fleet ({!Readfleet}) and sharded 2PC ({!Sharded}).  Each is a
+    deterministic function from a configuration to a plain-data outcome plus
+    a verdict; {!replay} checks the determinism the same way for all four. *)
+
+module type S = sig
+  type cfg
+
+  type outcome
+  (** Plain data (no closures, no engines): replay compares its bytes. *)
+
+  val header : cfg -> string
+  (** Printed before the run: the scenario and its knobs. *)
+
+  val run : cfg -> outcome
+  val pp : Format.formatter -> outcome -> unit
+
+  val ok : outcome -> bool
+  (** The scenario's verdict: oracle clean, invariants held. *)
+end
+
+type 'o verdict = {
+  outcome : 'o;  (** the first run's *)
+  ok : bool;  (** [S.ok outcome] *)
+  identical : bool;  (** the second run's outcome was byte-identical *)
+  exit_code : int;  (** 0 iff [ok && identical] *)
+}
+
+val replay : (module S with type cfg = 'c and type outcome = 'o) -> 'c -> 'o verdict
+(** Run the scenario twice from the same configuration. *)
+
+val main : (module S with type cfg = 'c and type outcome = 'o) -> 'c -> int
+(** {!replay} reported on stdout: the header, the outcome and a
+    [replay: byte-identical] (or [DIVERGED]) line.  Returns the exit
+    code. *)

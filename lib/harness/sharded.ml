@@ -263,9 +263,13 @@ let run cfg =
     final_rows;
   }
 
-let fingerprint o = Digest.to_hex (Digest.string (Marshal.to_string o []))
+let header cfg =
+  Printf.sprintf "sharded chaos seed=%d shards=%d workers=%d partitions=%d net-chaos=%d\n"
+    cfg.seed cfg.shards cfg.workers cfg.partitions cfg.net_chaos
 
-let pp_outcome ppf o =
+let ok o = o.violation = None
+
+let pp ppf o =
   Format.fprintf ppf "commits %d  client aborts %d@." o.commits o.client_aborts;
   Format.fprintf ppf
     "fastpath %d  readonly %d  2pc %d  cross aborts %d  participant aborts %d@."

@@ -22,7 +22,7 @@
       resolved according to the coordinator's decision log.
 
     Runs are deterministic: the same [cfg] replays byte-identically
-    (compare {!fingerprint}s). *)
+    ({!Scenario.replay}). *)
 
 type cfg = {
   seed : int;
@@ -61,15 +61,15 @@ type outcome = {
   final_rows : (int * int) list;  (** key -> last writer, sorted *)
 }
 
+val header : cfg -> string
 val run : cfg -> outcome
 
-val fingerprint : outcome -> string
-(** Digest of the whole outcome — equal fingerprints mean byte-identical
-    replay. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
+val pp : Format.formatter -> outcome -> unit
 (** Human-readable report: coordinator counters, oracle verdict, chaos
     log. *)
+
+val ok : outcome -> bool
+(** The spliced oracle found no violation. *)
 
 (** {1 Bench preset} *)
 

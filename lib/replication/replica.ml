@@ -1,6 +1,7 @@
 open Ssi_storage
 open Ssi_util
 module E = Ssi_engine.Engine
+module Wal = Ssi_wal.Wal
 module Obs = Ssi_obs.Obs
 
 module Key_table = Hashtbl.Make (struct
@@ -72,13 +73,10 @@ let apply_record t (record : E.commit_record) =
   List.iter
     (fun op ->
       match op with
-      | E.Wal_insert { table; key; row } ->
+      | Wal.Insert { table; key; row } | Wal.Update { table; key; row } ->
           let v = versions_of (table_store t table) key in
           v := (cseq, Some row) :: !v
-      | E.Wal_update { table; key; row } ->
-          let v = versions_of (table_store t table) key in
-          v := (cseq, Some row) :: !v
-      | E.Wal_delete { table; key } ->
+      | Wal.Delete { table; key } ->
           let v = versions_of (table_store t table) key in
           v := (cseq, None) :: !v)
     record.E.wal_ops;

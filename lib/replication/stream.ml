@@ -1,5 +1,6 @@
 open Ssi_storage
 module E = Ssi_engine.Engine
+module Wal = Ssi_wal.Wal
 module Net = Ssi_net.Net
 module Obs = Ssi_obs.Obs
 module Sim = Ssi_sim.Sim
@@ -79,7 +80,7 @@ let base_record engine =
           let schema = E.table_schema engine ~table in
           let ki = Schema.key_index schema in
           List.iter
-            (fun row -> ops := E.Wal_insert { table; key = row.(ki); row } :: !ops)
+            (fun row -> ops := Wal.Insert { table; key = row.(ki); row } :: !ops)
             (E.seq_scan txn ~table ()))
         (List.sort compare (E.table_names engine)));
   {

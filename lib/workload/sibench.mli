@@ -18,4 +18,3 @@ val query_min : rows:int -> chunk:int -> Ssi_engine.Engine.txn -> int * int
 (** The query transaction body, exposed for tests: returns
     [(key, min value)]. *)
 
-val update_one : Ssi_util.Rng.t -> rows:int -> Ssi_engine.Engine.txn -> unit

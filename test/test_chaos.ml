@@ -386,6 +386,39 @@ let sanity_case =
         true
         (List.mem "rate_spike" kinds && List.mem "slo_breach" kinds))
 
+(* The CLI's plain chaos scenario ([pg_ssi chaos]): run twice through
+   [Scenario.replay], its whole outcome — fault log, results, replica and
+   streaming state, telemetry — must be byte-identical. *)
+let scenario_case name cfg =
+  Alcotest.test_case name `Quick (fun () ->
+      let module C = Ssi_harness.Chaos in
+      let v = Ssi_harness.Scenario.replay (module C) cfg in
+      Alcotest.(check bool) "byte-identical replay" true v.identical;
+      Alcotest.(check int) "exit code" 0 v.exit_code;
+      Alcotest.(check bool) "fault plan ran" true (v.outcome.C.log <> []);
+      Alcotest.(check bool) "committed" true (v.outcome.C.result.Ssi_workload.Driver.committed > 0))
+
+let scenario_cases =
+  let d = Ssi_harness.Chaos.default_cfg in
+  [
+    scenario_case "direct replica, failover, alerts"
+      { d with seed = 3; duration = 0.2; failover = true; alerts = true };
+    scenario_case "streamed replicas, partitions, quorum"
+      {
+        d with
+        seed = 11;
+        duration = 0.2;
+        replicas = 2;
+        quorum = Some 1;
+        partitions = 1;
+        net_chaos = 1;
+        failover = true;
+      };
+  ]
+
 let () =
   Alcotest.run "chaos"
-    [ ("seeded fault plans", List.map plan_case plans @ [ sanity_case ]) ]
+    [
+      ("seeded fault plans", List.map plan_case plans @ [ sanity_case ]);
+      ("scenario replay", scenario_cases);
+    ]

@@ -13,6 +13,7 @@ module Net = Ssi_net.Net
 module Obs = Ssi_obs.Obs
 module Sim = Ssi_sim.Sim
 module Readfleet = Ssi_harness.Readfleet
+module Scenario = Ssi_harness.Scenario
 
 let vi i = Value.Int i
 let table = "kv"
@@ -299,11 +300,10 @@ let test_harness_acceptance () =
 
 let test_harness_determinism () =
   let cfg = { Readfleet.default_cfg with Readfleet.seed = 5 } in
-  let a = Readfleet.run cfg in
-  let b = Readfleet.run cfg in
-  Alcotest.(check (list string)) "chaos log replays" a.Readfleet.chaos_log b.Readfleet.chaos_log;
-  Alcotest.(check string) "byte-identical replay" (Readfleet.fingerprint a)
-    (Readfleet.fingerprint b)
+  let v = Scenario.replay (module Readfleet) cfg in
+  Alcotest.(check bool) "chaos log ran" true (v.outcome.Readfleet.chaos_log <> []);
+  Alcotest.(check bool) "byte-identical replay" true v.identical;
+  Alcotest.(check int) "exit code" 0 v.exit_code
 
 let test_harness_seed_matrix () =
   (* A small in-test sweep; CI runs the wide one via `pg_ssi chaos`. *)

@@ -6,6 +6,7 @@
 module E = Ssi_engine.Engine
 module Shard = Ssi_shard.Shard
 module Sharded = Ssi_harness.Sharded
+module Scenario = Ssi_harness.Scenario
 module Oracle = Test_oracle.Oracle
 module Sim = Ssi_sim.Sim
 module Value = Ssi_storage.Value
@@ -263,10 +264,10 @@ let test_harness_acceptance () =
 
 let test_harness_deterministic_replay () =
   let cfg = { Sharded.default_cfg with Sharded.seed = 11; shards = 3 } in
-  let a = Sharded.run cfg and b = Sharded.run cfg in
-  check_clean a "seed 11";
-  Alcotest.(check string) "byte-identical replay" (Sharded.fingerprint a)
-    (Sharded.fingerprint b)
+  let v = Scenario.replay (module Sharded) cfg in
+  check_clean v.outcome "seed 11";
+  Alcotest.(check bool) "byte-identical replay" true v.identical;
+  Alcotest.(check int) "exit code" 0 v.exit_code
 
 let test_harness_seed_matrix () =
   List.iter

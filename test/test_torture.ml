@@ -93,6 +93,25 @@ let test_deterministic () =
   let run () = List.map strip (T.sweep ~max_kills:4 ~kill_every:8 ~seed:17 ~with_damage:true ()) in
   Alcotest.(check bool) "same seed, same torture" true (run () = run ())
 
+(* The CLI's sweep ([pg_ssi chaos --kill-points]) as a scenario: its whole
+   outcome, every run's history included, replays byte-identically. *)
+let test_scenario_replay () =
+  let v =
+    Ssi_harness.Scenario.replay
+      (module T.Sweep)
+      {
+        T.Sweep.seed = 13;
+        certifier = Ssi_core.Certifier.SSI;
+        kill_points = 6;
+        kill_every = 5;
+        torn_writes = true;
+        wal_out = None;
+      }
+  in
+  Alcotest.(check bool) "byte-identical replay" true v.identical;
+  Alcotest.(check int) "exit code" 0 v.exit_code;
+  List.iter check_outcome v.outcome.T.Sweep.runs
+
 let () =
   Alcotest.run "torture"
     [
@@ -103,5 +122,6 @@ let () =
           Alcotest.test_case "damaged tail truncated" `Quick test_damaged_tail_truncated;
           Alcotest.test_case "in-doubt resolutions" `Quick test_in_doubt_resolutions;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
+          Alcotest.test_case "scenario replay" `Quick test_scenario_replay;
         ] );
     ]
