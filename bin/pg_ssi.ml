@@ -200,15 +200,9 @@ let run_trace r filter limit =
     | None -> evs
     | Some prefix -> List.filter (fun (e : Obs.event) -> String.starts_with ~prefix e.Obs.name) evs
   in
-  let evs =
-    match limit with
-    | None -> evs
-    | Some n ->
-        (* Keep the most recent [n]: the tail of the emission order. *)
-        let skip = List.length evs - n in
-        if skip <= 0 then evs else List.filteri (fun i _ -> i >= skip) evs
-  in
-  List.iter (fun e -> print_endline (Obs.event_to_json e)) evs;
+  (* Keep the most recent [limit]: the tail of the emission order. *)
+  let skip = match limit with Some n -> List.length evs - n | None -> 0 in
+  List.iteri (fun i e -> if i >= skip then print_endline (Obs.event_to_json e)) evs;
   0
 
 let run_explain r trace_capacity =
@@ -421,7 +415,7 @@ let explain_cmd =
     Term.(
       const run_explain $ run_term
       $ opt Arg.int 65536 ~docv:"N" [ "trace-capacity" ]
-          "Size of the trace ring and span table; must exceed the run's event volume or \
+          "Size of the event log and span table; must exceed the run's event volume or \
            evidence is overwritten (the report then says so)")
 
 let chaos_cmd =
@@ -449,7 +443,7 @@ let chaos_cmd =
          to $(docv)"
     and+ trace_capacity =
       opt Arg.(some int) None ~docv:"N" [ "trace-capacity" ]
-        "Size of the trace ring and span table (default 4096 each); exports and explanations \
+        "Size of the event log and span table (default 4096 each); exports and explanations \
          need this above the run's event volume"
     and+ alerts =
       flag [ "alerts" ]

@@ -272,12 +272,6 @@ let grant t owner state target =
     let e = entry_of t target in
     e.holders <- owner :: e.holders;
     count_acquired t target;
-    (* Span-attached only (~ring:false): SIREAD acquisitions are far too
-       frequent to let them wash everything else out of the trace ring,
-       but per-transaction they are exactly what an abort post-mortem
-       wants to see. *)
-    Obs.span_event_owner t.obs ~ring:false owner "predlock.lock"
-      ~fields:(fun () -> [ ("target", Obs.S (target_to_string target)) ]);
     true
   end
   else false

@@ -369,8 +369,8 @@ let oldserxid_size t = Hashtbl.length t.oldserxid
 let fail t node reason =
   Obs.incr t.metrics.m_failures;
   count_victim t reason;
-  Obs.span_event_owner t.obs node.xid "ssi.fail"
-    ~fields:(fun () -> [ ("xid", Obs.I node.xid); ("reason", Obs.S reason) ]);
+  Obs.trace t.obs ?span:(Obs.owner_span t.obs node.xid) "ssi.fail"
+    ~fields:[ ("xid", Obs.I node.xid); ("reason", Obs.S reason) ];
   raise (Serialization_failure { xid = node.xid; reason })
 
 let check_doomed node =
@@ -431,8 +431,8 @@ let resolve_xid_by_cseq t c =
    Attached to the victim's span when one is registered. *)
 let record_dangerous t ~victim ~reason ~rule ~t1:(t1_xid, t1_cseq, t1_ro)
     ~t2:(t2_xid, t2_cseq) ~t3:(t3_xid, t3_cseq) =
-  Obs.span_event_owner t.obs victim "ssi.dangerous"
-    ~fields:(fun () ->
+  Obs.trace t.obs ?span:(Obs.owner_span t.obs victim) "ssi.dangerous"
+    ~fields:
       [
         ("victim", Obs.I victim);
         ("reason", Obs.S reason);
@@ -444,7 +444,7 @@ let record_dangerous t ~victim ~reason ~rule ~t1:(t1_xid, t1_cseq, t1_ro)
         ("t2_cseq", Obs.I t2_cseq);
         ("t3", Obs.I t3_xid);
         ("t3_cseq", Obs.I t3_cseq);
-      ])
+      ]
 
 let node_cseq_or_neg n = if n.status = Committed then n.commit_cseq else -1
 let t1_fields n = (n.xid, node_cseq_or_neg n, ro_in_theory n)
@@ -489,8 +489,8 @@ let doom ?(reason = "doomed by first committer") t victim =
     victim.doomed <- true;
     Obs.incr t.metrics.m_dooms;
     count_victim t reason;
-    Obs.span_event_owner t.obs victim.xid "ssi.doom"
-      ~fields:(fun () -> [ ("xid", Obs.I victim.xid); ("reason", Obs.S reason) ])
+    Obs.trace t.obs ?span:(Obs.owner_span t.obs victim.xid) "ssi.doom"
+      ~fields:[ ("xid", Obs.I victim.xid); ("reason", Obs.S reason) ]
   end
 
 let abortable n = (n.status = Active) && not n.doomed
@@ -591,14 +591,14 @@ let flag_conflict t ~actor ~reader ~writer =
     (* The conflict-edge event names both pivot candidates: either endpoint
        of a new rw-antidependency may turn out to be the T2 of a dangerous
        structure. *)
-    Obs.span_event_owner t.obs actor.xid "ssi.rw_edge"
-      ~fields:(fun () ->
+    Obs.trace t.obs ?span:(Obs.owner_span t.obs actor.xid) "ssi.rw_edge"
+      ~fields:
         [
           ("reader", Obs.I reader.xid);
           ("writer", Obs.I writer.xid);
           ("reader_cseq", Obs.I (node_cseq_or_neg reader));
           ("writer_cseq", Obs.I (node_cseq_or_neg writer));
-        ]);
+        ];
     if is_committed writer then note_out_target_committed reader writer.commit_cseq;
     (* writer as pivot: reader --rw--> writer --rw--> T3. *)
     check_pivot_in t ~actor ~r:reader ~t2:writer;
@@ -726,15 +726,15 @@ let conflict_out t node ~writer =
         | None -> () (* writer was not serializable *)
         | Some { old_commit; old_earliest_out } ->
             Obs.incr t.metrics.m_conflicts;
-            Obs.span_event_owner t.obs node.xid "ssi.rw_edge"
-              ~fields:(fun () ->
+            Obs.trace t.obs ?span:(Obs.owner_span t.obs node.xid) "ssi.rw_edge"
+              ~fields:
                 [
                   ("reader", Obs.I node.xid);
                   ("writer", Obs.I writer);
                   ("reader_cseq", Obs.I (node_cseq_or_neg node));
                   ("writer_cseq", Obs.I old_commit);
                   ("summarized", Obs.B true);
-                ]);
+                ];
             note_out_target_committed node old_commit;
             (* Summarized writer as pivot: node --rw--> W --rw--> T3 with
                T3 at W's recorded earliest out-conflict (§6.2). *)
@@ -787,15 +787,15 @@ let conflict_in_readers t node readers =
   match old_committed with
   | Some c when c >= node.snap_cseq ->
       Obs.incr t.metrics.m_conflicts;
-      Obs.span_event_owner t.obs node.xid "ssi.rw_edge"
-        ~fields:(fun () ->
+      Obs.trace t.obs ?span:(Obs.owner_span t.obs node.xid) "ssi.rw_edge"
+        ~fields:
           [
             ("reader", Obs.I (resolve_xid_by_cseq t c));
             ("writer", Obs.I node.xid);
             ("reader_cseq", Obs.I c);
             ("writer_cseq", Obs.I (node_cseq_or_neg node));
             ("summarized", Obs.B true);
-          ]);
+          ];
       if c > node.summarized_in_max then node.summarized_in_max <- c;
       (* Summarized committed reader --rw--> node --rw--> T3? *)
       let eo = effective_earliest_out node in

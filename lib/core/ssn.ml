@@ -190,21 +190,21 @@ let count_victim t reason =
    [peer] is the transaction whose stamp closed the window (-1 when the
    window was already closed, e.g. a conservative restored stamp). *)
 let record_exclusion t ~victim ~reason ~pstamp ~sstamp ~peer =
-  Obs.span_event_owner t.obs victim (t.prefix ^ ".exclusion")
-    ~fields:(fun () ->
+  Obs.trace t.obs ?span:(Obs.owner_span t.obs victim) (t.prefix ^ ".exclusion")
+    ~fields:
       [
         ("victim", Obs.I victim);
         ("reason", Obs.S reason);
         ("pstamp", Obs.I pstamp);
         ("sstamp", Obs.I (if sstamp = inf then -1 else sstamp));
         ("peer", Obs.I peer);
-      ])
+      ]
 
 let fail t node reason =
   Obs.incr t.metrics.m_failures;
   count_victim t reason;
-  Obs.span_event_owner t.obs node.xid (t.prefix ^ ".fail")
-    ~fields:(fun () -> [ ("xid", Obs.I node.xid); ("reason", Obs.S reason) ]);
+  Obs.trace t.obs ?span:(Obs.owner_span t.obs node.xid) (t.prefix ^ ".fail")
+    ~fields:[ ("xid", Obs.I node.xid); ("reason", Obs.S reason) ];
   raise (Serialization_failure { xid = node.xid; reason })
 
 let doom t victim ~reason =
@@ -212,8 +212,8 @@ let doom t victim ~reason =
     victim.doomed <- true;
     Obs.incr t.metrics.m_dooms;
     count_victim t reason;
-    Obs.span_event_owner t.obs victim.xid (t.prefix ^ ".doom")
-      ~fields:(fun () -> [ ("xid", Obs.I victim.xid); ("reason", Obs.S reason) ])
+    Obs.trace t.obs ?span:(Obs.owner_span t.obs victim.xid) (t.prefix ^ ".doom")
+      ~fields:[ ("xid", Obs.I victim.xid); ("reason", Obs.S reason) ]
   end
 
 let check_doomed node =
@@ -273,14 +273,14 @@ let add_edge t ~actor ~reader ~writer =
     reader.out_writers <- writer :: reader.out_writers;
     writer.in_readers <- reader :: writer.in_readers;
     Obs.incr t.metrics.m_conflicts;
-    Obs.span_event_owner t.obs actor.xid (t.prefix ^ ".rw_edge")
-      ~fields:(fun () ->
+    Obs.trace t.obs ?span:(Obs.owner_span t.obs actor.xid) (t.prefix ^ ".rw_edge")
+      ~fields:
         [
           ("reader", Obs.I reader.xid);
           ("writer", Obs.I writer.xid);
           ("reader_sstamp", Obs.I (if reader.sstamp = inf then -1 else reader.sstamp));
           ("writer_pstamp", Obs.I writer.pstamp);
-        ]);
+        ];
     (* An edge with a committed endpoint folds into the live endpoint's
        stamp immediately; a fully in-flight edge is resolved when either
        endpoint commits. *)
@@ -364,13 +364,13 @@ let conflict_out t node ~writer =
         | None -> () (* writer was not serializable *)
         | Some { old_commit = _; old_pi } ->
             Obs.incr t.metrics.m_conflicts;
-            Obs.span_event_owner t.obs node.xid (t.prefix ^ ".rw_edge")
-              ~fields:(fun () ->
+            Obs.trace t.obs ?span:(Obs.owner_span t.obs node.xid) (t.prefix ^ ".rw_edge")
+              ~fields:
                 [
                   ("reader", Obs.I node.xid);
                   ("writer", Obs.I writer);
                   ("summarized", Obs.B true);
-                ]);
+                ];
             absorb_pi t ~actor:node ~peer:writer node old_pi ~reason:reason_succ)
 
 let forget_own_tuple_lock t node ~rel ~key ~in_subtransaction =

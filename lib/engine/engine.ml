@@ -156,7 +156,7 @@ and txn = {
   mutable savepoints : (string * int * int) list;
       (** name, undo length, wal length — newest first *)
   mutable subdepth : int;
-  span : Obs.span option;
+  span : Obs.span;
       (** the span engine operations hang their child spans on — supplied
           by the client (retry loop) or opened at begin when absent *)
   span_owned : bool;  (** the engine opened [span] and must finish it *)
@@ -417,15 +417,10 @@ let make_txn db ~iso ~ro ~xid ~snapshot ~sxact ~span =
      so standalone [with_txn] users still get a complete tree. *)
   let span, span_owned =
     match span with
-    | Some s -> (Some s, false)
+    | Some s -> (s, false)
     | None ->
-        ( Some
-            (Obs.Span.start db.obs "txn"
-               ~attrs:
-                 [
-                   ("xid", Obs.I xid);
-                   ("iso", Obs.S (isolation_to_string iso));
-                 ]),
+        ( Obs.Span.start db.obs "txn"
+            ~attrs:[ ("xid", Obs.I xid); ("iso", Obs.S (isolation_to_string iso)) ],
           true )
   in
   let txn =
@@ -451,13 +446,11 @@ let make_txn db ~iso ~ro ~xid ~snapshot ~sxact ~span =
       commit_wq = Waitq.create ();
     }
   in
-  (match span with
-  | Some s ->
-      Obs.Span.add s "xid" (Obs.I xid);
-      (* Layers that know the transaction only by xid (SSI manager,
-         predicate locks, lock manager) attach their events here. *)
-      Obs.set_owner_span db.obs xid s
-  | None -> ());
+  Obs.Span.add span "xid" (Obs.I xid);
+  (* Layers that know the transaction only by xid find it here: the
+     certifier emits its conflict events under it, the lock manager
+     parents its wait spans on it. *)
+  Obs.set_owner_span db.obs xid span;
   Hashtbl.add db.active xid txn;
   Obs.set_gauge db.metrics.g_active (float_of_int (Hashtbl.length db.active));
   txn
@@ -1191,19 +1184,12 @@ let timed db h f =
    lock waits and I/O stalls show up as gaps inside the right interval. *)
 let op_timed txn h name f =
   let db = txn.db in
-  let sp =
-    match txn.span with
-    | Some parent -> Some (Obs.Span.start db.obs ~parent name)
-    | None -> None
-  in
+  let sp = Obs.Span.start db.obs ~parent:txn.span name in
   let t0 = db.sched.now () in
   let close ok =
     Obs.observe h (db.sched.now () -. t0);
-    match sp with
-    | Some s ->
-        if not ok then Obs.Span.add s "error" (Obs.B true);
-        Obs.Span.finish db.obs s
-    | None -> ()
+    if not ok then Obs.Span.add sp "error" (Obs.B true);
+    Obs.Span.finish db.obs sp
   in
   match f () with
   | r ->
@@ -1242,12 +1228,10 @@ let finish_txn txn =
   Lockmgr.release_all txn.db.locks ~owner:txn.txn_xid;
   (* Drop the xid->span rendezvous (only if it is still ours: engines
      sharing a registry can reuse xids) and close an engine-opened span. *)
-  (match (txn.span, Obs.owner_span txn.db.obs txn.txn_xid) with
-  | Some s, Some s' when s == s' -> Obs.clear_owner_span txn.db.obs txn.txn_xid
+  (match Obs.owner_span txn.db.obs txn.txn_xid with
+  | Some s when s == txn.span -> Obs.clear_owner_span txn.db.obs txn.txn_xid
   | _ -> ());
-  (match txn.span with
-  | Some s when txn.span_owned -> Obs.Span.finish txn.db.obs s
-  | _ -> ());
+  if txn.span_owned then Obs.Span.finish txn.db.obs txn.span;
   Waitq.wake_all txn.commit_wq
 
 let serializable_rw_active db =
@@ -1265,7 +1249,7 @@ let emit_wal db txn cseq ~span =
           wal_cseq = cseq;
           wal_ops = List.rev txn.wal;
           wal_safe_point = not (serializable_rw_active db);
-          wal_span = span;
+          wal_span = Some span;
         }
       in
       List.iter (fun hook -> hook record) hooks;
@@ -1325,7 +1309,7 @@ let abort txn =
     (match txn.prepared_gid with
     | Some gid -> Hashtbl.remove db.prepared_by_gid gid
     | None -> ());
-    (match txn.span with Some s -> Obs.Span.add s "outcome" (Obs.S "aborted") | None -> ());
+    Obs.Span.add txn.span "outcome" (Obs.S "aborted");
     finish_txn txn;
     Obs.incr db.metrics.m_aborts;
     Obs.trace db.obs "txn.abort" ~fields:[ ("xid", Obs.I txn.txn_xid) ]
@@ -1336,18 +1320,12 @@ let commit txn =
   (* The commit span covers precommit through quorum wait; its context is
      stamped into the WAL record so replica apply spans parent to it. *)
   let cspan =
-    match txn.span with
-    | Some parent ->
-        Some (Obs.Span.start db.obs ~parent "txn.commit" ~attrs:[ ("xid", Obs.I txn.txn_xid) ])
-    | None -> None
+    Obs.Span.start db.obs ~parent:txn.span "txn.commit" ~attrs:[ ("xid", Obs.I txn.txn_xid) ]
   in
   let close_span ?cseq ~ok () =
-    match cspan with
-    | None -> ()
-    | Some s ->
-        (match cseq with Some c -> Obs.Span.add s "cseq" (Obs.I c) | None -> ());
-        if not ok then Obs.Span.add s "error" (Obs.B true);
-        Obs.Span.finish db.obs s
+    (match cseq with Some c -> Obs.Span.add cspan "cseq" (Obs.I c) | None -> ());
+    if not ok then Obs.Span.add cspan "error" (Obs.B true);
+    Obs.Span.finish db.obs cspan
   in
   (* A transaction doomed by another's conflict resolution fails here — and
      must be rolled back before the failure is surfaced, or its write locks
@@ -1369,12 +1347,12 @@ let commit txn =
   (match txn.sxact with
   | Sx ((module C), c, node) -> C.committed c node ~commit_cseq:cseq
   | No_sx -> ());
-  (match txn.span with Some s -> Obs.Span.add s "outcome" (Obs.S "committed") | None -> ());
+  Obs.Span.add txn.span "outcome" (Obs.S "committed");
   finish_txn txn;
   Obs.incr db.metrics.m_commits;
   Obs.trace db.obs "txn.commit" ~fields:[ ("xid", Obs.I txn.txn_xid); ("cseq", Obs.I cseq) ];
   let wal_lsn = wal_append_commit db txn cseq ~gid:None in
-  let record = emit_wal db txn cseq ~span:(Option.map Obs.Span.ctx cspan) in
+  let record = emit_wal db txn cseq ~span:(Obs.Span.ctx cspan) in
   charge_io db db.cfg.costs.io_commit;
   (* Group commit: the record is staged; the acknowledgment waits for the
      flush that makes it durable. *)
@@ -1425,32 +1403,25 @@ let commit_prepared db ~gid =
   let txn = prepared_txn db gid in
   Hashtbl.remove db.prepared_by_gid gid;
   let cspan =
-    match txn.span with
-    | Some parent ->
-        Some
-          (Obs.Span.start db.obs ~parent "txn.commit"
-             ~attrs:[ ("xid", Obs.I txn.txn_xid); ("gid", Obs.S gid) ])
-    | None -> None
+    Obs.Span.start db.obs ~parent:txn.span "txn.commit"
+      ~attrs:[ ("xid", Obs.I txn.txn_xid); ("gid", Obs.S gid) ]
   in
   let cseq = Clog.commit db.clog txn.txn_xid in
   (match txn.sxact with
   | Sx ((module C), c, node) -> C.committed c node ~commit_cseq:cseq
   | No_sx -> ());
-  (match txn.span with Some s -> Obs.Span.add s "outcome" (Obs.S "committed") | None -> ());
+  Obs.Span.add txn.span "outcome" (Obs.S "committed");
   finish_txn txn;
   Obs.incr db.metrics.m_commits;
   Obs.trace db.obs "txn.commit"
     ~fields:[ ("xid", Obs.I txn.txn_xid); ("cseq", Obs.I cseq); ("gid", Obs.S gid) ];
   let wal_lsn = wal_append_commit db txn cseq ~gid:(Some gid) in
-  let record = emit_wal db txn cseq ~span:(Option.map Obs.Span.ctx cspan) in
+  let record = emit_wal db txn cseq ~span:(Obs.Span.ctx cspan) in
   charge_io db db.cfg.costs.io_commit;
   (match wal_lsn with Some (w, lsn) -> wal_wait db w lsn | None -> ());
   (match (db.commit_wait, record) with Some wait, Some r -> wait r | _ -> ());
-  match cspan with
-  | Some s ->
-      Obs.Span.add s "cseq" (Obs.I cseq);
-      Obs.Span.finish db.obs s
-  | None -> ()
+  Obs.Span.add cspan "cseq" (Obs.I cseq);
+  Obs.Span.finish db.obs cspan
 
 let rollback_prepared db ~gid =
   let txn = prepared_txn db gid in
@@ -1536,20 +1507,9 @@ let simulate_connection_loss db =
       txn.wal <- [];
       txn.wal_len <- 0;
       Clog.abort db.clog txn.txn_xid;
-      txn.finished <- true;
       txn.crashed <- true;
-      Hashtbl.remove db.active txn.txn_xid;
-      Obs.set_gauge db.metrics.g_active (float_of_int (Hashtbl.length db.active));
-      Lockmgr.release_all db.locks ~owner:txn.txn_xid;
-      (match (txn.span, Obs.owner_span db.obs txn.txn_xid) with
-      | Some s, Some s' when s == s' -> Obs.clear_owner_span db.obs txn.txn_xid
-      | _ -> ());
-      (match txn.span with
-      | Some s ->
-          Obs.Span.add s "outcome" (Obs.S "crashed");
-          if txn.span_owned then Obs.Span.finish db.obs s
-      | None -> ());
-      Waitq.wake_all txn.commit_wq)
+      Obs.Span.add txn.span "outcome" (Obs.S "crashed");
+      finish_txn txn)
     in_flight;
   let (Certifier.Cert ((module C), c)) = db.cert in
   C.recover c;

@@ -34,21 +34,6 @@ type exclusion = {
   x_peer : int;
 }
 
-(* Every retained event, from the trace ring and from the per-span
-   attachment lists, deduplicated by seq (most events live in both). *)
-let all_events obs =
-  let seen = Hashtbl.create 256 in
-  let acc = ref [] in
-  let add (ev : Obs.event) =
-    if not (Hashtbl.mem seen ev.Obs.seq) then begin
-      Hashtbl.add seen ev.Obs.seq ();
-      acc := ev :: !acc
-    end
-  in
-  List.iter add (Obs.events obs);
-  List.iter (fun sp -> List.iter add (Obs.Span.events sp)) (Obs.Spans.all obs);
-  List.sort (fun (a : Obs.event) b -> compare a.Obs.seq b.Obs.seq) !acc
-
 let int_field ?(default = -1) (ev : Obs.event) key =
   match List.assoc_opt key ev.Obs.fields with Some (Obs.I n) -> n | _ -> default
 
@@ -110,9 +95,9 @@ let exclusion_of_event (ev : Obs.event) =
         x_peer = int_field ev "peer";
       }
 
-let structures obs = List.filter_map structure_of_event (all_events obs)
-let edges obs = List.filter_map edge_of_event (all_events obs)
-let exclusions obs = List.filter_map exclusion_of_event (all_events obs)
+let structures obs = List.filter_map structure_of_event (Obs.events obs)
+let edges obs = List.filter_map edge_of_event (Obs.events obs)
+let exclusions obs = List.filter_map exclusion_of_event (Obs.events obs)
 
 (* Transactions the certifier actually killed: dooms of a concurrent
    victim and serialization failures raised at the actor, as recorded by
@@ -125,7 +110,7 @@ let doomed obs =
         ->
           Some (int_field ev "xid", str_field ev "reason")
       | _ -> None)
-    (all_events obs)
+    (Obs.events obs)
 
 let victims obs =
   List.sort_uniq compare

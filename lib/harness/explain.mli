@@ -5,10 +5,9 @@
     [T1 --rw--> T2 --rw--> T3] triple, the rule that fired, and the
     victim-selection reason — at the moment it dooms or fails a
     transaction, plus [ssi.rw_edge] events for every flagged
-    rw-antidependency.  This module walks the retained observability
-    state (the trace ring and span-attached events, deduplicated) and
-    turns those records into per-victim explanations, the consumer side
-    of [pg_ssi explain]. *)
+    rw-antidependency.  This module filters the registry's event log
+    ({!Obs.events}) and turns those records into per-victim
+    explanations, the consumer side of [pg_ssi explain]. *)
 
 module Obs = Ssi_obs.Obs
 

@@ -36,22 +36,14 @@ type span = {
   mutable sp_end : float;  (* nan while open *)
   mutable sp_open : bool;
   mutable sp_attrs : (string * field) list;  (* newest first *)
-  mutable sp_events : event list;  (* newest first, bounded *)
-  mutable sp_nevents : int;
 }
-
-(* Events attached to one span are bounded separately from the ring so a
-   hot span (a seq scan taking thousands of locks) cannot grow without
-   bound; overflow is counted in [obs.spans.events_dropped]. *)
-let span_event_cap = 64
 
 type t = {
   metrics : (string, metric) Hashtbl.t;
   mutable clock : unit -> float;
   mutable last_ts : float;  (* last successful clock reading *)
-  ring : event option array;
+  log : event array;  (* slot [seq mod capacity]; see [trace] *)
   mutable next_seq : int;
-  mutable trace_on : bool;
   spans : span option array;  (* finished spans, bounded *)
   mutable span_seq : int;  (* finished-span insertion index *)
   mutable next_trace : int;
@@ -60,7 +52,6 @@ type t = {
   owner_spans : (int, span) Hashtbl.t;  (* txn xid -> owning span *)
   trace_dropped : counter;
   span_dropped : counter;
-  span_events_dropped : counter;
 }
 
 let create ?(trace_capacity = 4096) ?(span_capacity = 4096) () =
@@ -78,9 +69,8 @@ let create ?(trace_capacity = 4096) ?(span_capacity = 4096) () =
     metrics;
     clock = (fun () -> 0.);
     last_ts = 0.;
-    ring = Array.make trace_capacity None;
+    log = Array.make trace_capacity { seq = -1; ts = 0.; name = ""; fields = [] };
     next_seq = 0;
-    trace_on = true;
     spans = Array.make span_capacity None;
     span_seq = 0;
     next_trace = 0;
@@ -89,7 +79,6 @@ let create ?(trace_capacity = 4096) ?(span_capacity = 4096) () =
     owner_spans = Hashtbl.create 64;
     trace_dropped = eager "obs.trace.dropped";
     span_dropped = eager "obs.spans.dropped";
-    span_events_dropped = eager "obs.spans.events_dropped";
   }
 
 let set_clock t f = t.clock <- f
@@ -273,28 +262,25 @@ let render t =
 (* Trace events                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let set_tracing t on = t.trace_on <- on
-let tracing t = t.trace_on
+(* Every event is appended to the log exactly once, so [seq] is also the
+   append index: the log always holds the newest [capacity] events, with
+   dense seqs, and each overwrite is one dropped event. *)
+let trace t ?span ?(fields = []) name =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let fields =
+    match span with
+    | None -> fields
+    | Some sp -> ("span", I sp.sp_id) :: ("trace", I sp.sp_trace) :: fields
+  in
+  let cap = Array.length t.log in
+  if seq >= cap then incr t.trace_dropped;
+  t.log.(seq mod cap) <- { seq; ts = now t; name; fields }
 
-let ring_put t ev =
-  let slot = ev.seq mod Array.length t.ring in
-  (match t.ring.(slot) with Some _ -> incr t.trace_dropped | None -> ());
-  t.ring.(slot) <- Some ev
-
-let trace t ?(fields = []) name =
-  if t.trace_on then begin
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    ring_put t { seq; ts = now t; name; fields }
-  end
-
-(* Span events share the global [next_seq] ordering but may skip the ring
-   (e.g. per-lock events that would flood it), so the ring can hold any
-   subset of the sequence — reconstruct by sorting, not by position. *)
 let events t =
-  Array.to_list t.ring
-  |> List.filter_map Fun.id
-  |> List.sort (fun a b -> Stdlib.compare a.seq b.seq)
+  let cap = Array.length t.log in
+  let first = Stdlib.max 0 (t.next_seq - cap) in
+  List.init (t.next_seq - first) (fun i -> t.log.((first + i) mod cap))
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -333,10 +319,6 @@ let event_to_json e =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-let events_to_jsonl t =
-  events t |> List.map event_to_json |> String.concat "\n"
-  |> fun s -> if s = "" then s else s ^ "\n"
-
 (* ------------------------------------------------------------------ *)
 (* Spans                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -364,8 +346,6 @@ module Span = struct
         sp_end = nan;
         sp_open = true;
         sp_attrs = List.rev attrs;
-        sp_events = [];
-        sp_nevents = 0;
       }
     in
     Hashtbl.replace t.open_spans sp_id sp;
@@ -384,26 +364,6 @@ module Span = struct
 
   let add sp k v = sp.sp_attrs <- (k, v) :: List.remove_assoc k sp.sp_attrs
 
-  (* An event consumes its seq whether or not anything keeps it, but its
-     fields are built only for the span or the ring that will hold them. *)
-  let event_lazy t ~ring ~fields sp name =
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    let to_ring = ring && t.trace_on and kept = sp.sp_nevents < span_event_cap in
-    if not kept then incr t.span_events_dropped;
-    if to_ring || kept then begin
-      let fields = ("span", I sp.sp_id) :: ("trace", I sp.sp_trace) :: fields () in
-      let ev = { seq; ts = now t; name; fields } in
-      if to_ring then ring_put t ev;
-      if kept then begin
-        sp.sp_events <- ev :: sp.sp_events;
-        sp.sp_nevents <- sp.sp_nevents + 1
-      end
-    end
-
-  let event t ?(ring = true) ?(fields = []) sp name =
-    event_lazy t ~ring ~fields:(fun () -> fields) sp name
-
   let ctx sp = { trace_id = sp.sp_trace; span_id = sp.sp_id }
   let name sp = sp.sp_name
   let trace_id sp = sp.sp_trace
@@ -413,17 +373,11 @@ module Span = struct
   let end_ts sp = sp.sp_end
   let is_open sp = sp.sp_open
   let attrs sp = List.rev sp.sp_attrs
-  let events sp = List.rev sp.sp_events
 end
 
 let set_owner_span t xid sp = Hashtbl.replace t.owner_spans xid sp
 let clear_owner_span t xid = Hashtbl.remove t.owner_spans xid
 let owner_span t xid = Hashtbl.find_opt t.owner_spans xid
-
-let span_event_owner t ?(ring = true) ?(fields = fun () -> []) xid name =
-  match owner_span t xid with
-  | Some sp -> Span.event_lazy t ~ring ~fields sp name
-  | None -> if ring && t.trace_on then trace t ~fields:(fields ()) name
 
 module Spans = struct
   let finished t =
@@ -442,10 +396,16 @@ module Spans = struct
 
   (* Chrome trace-event format (loadable in Perfetto / chrome://tracing):
      one complete ("X") event per span on a per-trace track (tid =
-     trace_id), one instant ("i") per attached event.  Timestamps are
+     trace_id), one instant ("i") per retained event emitted under it
+     ([trace] puts its span field first).  Timestamps are
      microseconds of virtual time.  [args] carries the span identity so
      external validators can check that every parent_id resolves. *)
   let to_chrome_json t =
+    let by_span = Hashtbl.create 256 in
+    List.iter
+      (fun ev ->
+        match ev.fields with ("span", I id) :: _ -> Hashtbl.add by_span id ev | _ -> ())
+      (List.rev (events t));
     let buf = Buffer.create 4096 in
     let now = now t in
     Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -486,7 +446,7 @@ module Spans = struct
                sp.sp_trace ev.seq);
           List.iter emit_attr ev.fields;
           Buffer.add_string buf "}}")
-        (Span.events sp)
+        (Hashtbl.find_all by_span sp.sp_id)
     in
     List.iter emit_span (all t);
     Buffer.add_string buf "\n]}\n";

@@ -3,11 +3,14 @@
     One process-wide-capable (but deliberately instantiable) registry of
     named metrics — counters, gauges and bounded log-bucketed histograms
     ({!Ssi_util.Bhist}: O(buckets) memory, mergeable, quantile error
-    ≤ {!hist_accuracy}) — plus a
-    bounded ring buffer of structured trace events stamped with the
-    virtual clock, plus a bounded table of causal {e spans}
-    (Dapper-style: [(trace_id, span_id, parent_id)] with typed
-    attributes).  Every layer of the system (predicate locks, SSI
+    ≤ {!hist_accuracy}) — plus one bounded log of structured trace
+    events stamped with the virtual clock, plus a bounded table of causal
+    {e spans} (Dapper-style: [(trace_id, span_id, parent_id)] with typed
+    attributes).  An event emitted under a span carries that span's
+    identity in its fields; spans themselves hold no events, so the log
+    is the only event store and everything that reads events ([pg_ssi
+    trace], the abort explainer, the Chrome export's instants) is a view
+    of it.  Every layer of the system (predicate locks, SSI
     manager, heavyweight lock manager, engine, replication, workload
     driver) reports through one of these registries instead of keeping a
     private stats record, so tools can snapshot, diff and render the
@@ -23,17 +26,15 @@
     [predlock.locks.tuple], [engine.latency.read], [lockmgr.waits],
     [replica.apply_lag], [driver.txn_latency].
 
-    Truncation is never silent: [obs.trace.dropped] counts trace-ring
-    overwrites, [obs.spans.dropped] counts finished-span-table
-    overwrites, and [obs.spans.events_dropped] counts events discarded
-    because one span already carries its maximum number of attached
-    events.  All three counters exist from {!create} so they always
+    Truncation is never silent: [obs.trace.dropped] counts event-log
+    overwrites and [obs.spans.dropped] counts finished-span-table
+    overwrites.  Both counters exist from {!create} so they always
     appear in {!render}. *)
 
 type t
 
 val create : ?trace_capacity:int -> ?span_capacity:int -> unit -> t
-(** Fresh registry.  [trace_capacity] bounds the trace ring (default
+(** Fresh registry.  [trace_capacity] bounds the event log (default
     4096 events); [span_capacity] bounds the finished-span table
     (default 4096 spans); older entries are overwritten, with the
     overwrites counted (see the drop counters above). *)
@@ -147,32 +148,29 @@ val render : t -> string
 
 (** {1 Trace events}
 
-    Structured events in a bounded ring, stamped with the registry
-    clock.  Tracing is on by default; the ring keeps the most recent
-    [trace_capacity] events and counts overwrites in
+    Structured events in one bounded log, stamped with the registry
+    clock.  Every event is appended exactly once; the log keeps the most
+    recent [trace_capacity] and counts overwrites in
     [obs.trace.dropped]. *)
 
 type field = I of int | F of float | S of string | B of bool
 
 type event = {
-  seq : int;  (** monotonically increasing emission index *)
+  seq : int;  (** emission index: dense, so retained seqs never gap *)
   ts : float;  (** registry clock at emission (virtual seconds) *)
   name : string;  (** dotted event name, e.g. [txn.commit] *)
   fields : (string * field) list;
 }
 
-val set_tracing : t -> bool -> unit
-(** Toggle the trace ring.  Spans are recorded regardless — only ring
-    emission is gated. *)
+type span
 
-val tracing : t -> bool
-
-val trace : t -> ?fields:(string * field) list -> string -> unit
-(** Emit one event (no-op while tracing is off). *)
+val trace : t -> ?span:span -> ?fields:(string * field) list -> string -> unit
+(** Emit one event.  Under [span], the fields start with [span]/[trace]
+    identifying it (see {!owner_span} for layers that know only an
+    xid). *)
 
 val events : t -> event list
-(** Retained events in emission order.  Because span events may bypass
-    the ring, retained [seq]s can have gaps. *)
+(** Retained events in emission order, with contiguous [seq]s. *)
 
 val event_to_json : event -> string
 (** One JSON object, fields flattened alongside [seq]/[ts]/[event]. *)
@@ -184,9 +182,6 @@ val json_float : float -> string
 (** Shortest-round-trip float literal; non-finite values render as
     [null]. *)
 
-val events_to_jsonl : t -> string
-(** All retained events as JSON Lines, one object per line. *)
-
 (** {1 Spans}
 
     A span is a named interval of virtual time with a causal identity:
@@ -194,11 +189,8 @@ val events_to_jsonl : t -> string
     optionally a [parent_id] — either a live parent span in the same
     process or a {!span_ctx} propagated from another node (e.g. inside a
     WAL commit record), which is how trace trees cross the simulated
-    network.  Spans are recorded independently of {!set_tracing};
-    finished spans land in a bounded table whose overwrites are counted
-    in [obs.spans.dropped]. *)
-
-type span
+    network.  Finished spans land in a bounded table whose overwrites are
+    counted in [obs.spans.dropped]. *)
 
 type span_ctx = { trace_id : int; span_id : int }
 (** The wire form of a span's identity, embeddable in protocol
@@ -224,12 +216,6 @@ module Span : sig
   val add : span -> string -> field -> unit
   (** Set an attribute (replacing any previous value for the key). *)
 
-  val event : t -> ?ring:bool -> ?fields:(string * field) list -> span -> string -> unit
-  (** Attach an event to the span (bounded per span, overflow counted in
-      [obs.spans.events_dropped]) and, unless [~ring:false] or tracing
-      is off, also emit it to the trace ring.  The event always carries
-      [span]/[trace] fields identifying its owner. *)
-
   val ctx : span -> span_ctx
   val name : span -> string
   val trace_id : span -> int
@@ -242,29 +228,19 @@ module Span : sig
 
   val is_open : span -> bool
   val attrs : span -> (string * field) list
-  val events : span -> event list
-  (** Attached events, oldest first. *)
 end
 
 (** {2 Owner rendezvous}
 
-    Layers below the engine (SSI manager, predicate locks, lock manager)
-    know transactions only by xid; the engine registers each live
-    transaction's span here so those layers can attach conflict and lock
-    events to the right span without new plumbing through every call. *)
+    Layers below the engine (the certifiers, the lock manager) know
+    transactions only by xid; the engine registers each live
+    transaction's span here so those layers can emit conflict events
+    under it ([trace ?span:(owner_span obs xid)]) and parent lock-wait
+    spans on it without new plumbing through every call. *)
 
 val set_owner_span : t -> int -> span -> unit
 val clear_owner_span : t -> int -> unit
 val owner_span : t -> int -> span option
-
-val span_event_owner :
-  t -> ?ring:bool -> ?fields:(unit -> (string * field) list) -> int -> string -> unit
-(** Attach an event to xid's registered span, falling back to a plain
-    ring {!trace} when no span is registered for the xid (unless
-    [~ring:false], in which case an ownerless event is dropped — it was
-    asked to stay out of the ring).  [fields] is called only when
-    something keeps the event: an ownerless event that is dropped, or one
-    past the span's event cap that the ring does not take, builds none. *)
 
 (** {2 Consuming spans} *)
 
@@ -281,11 +257,11 @@ module Spans : sig
   (** Finished spans lost to table overwrites so far. *)
 
   val to_chrome_json : t -> string
-  (** Export every retained span (and attached events) in the Chrome
-      trace-event JSON format, loadable in Perfetto or chrome://tracing:
-      spans become complete (["ph":"X"]) events with microsecond
-      timestamps on one track per trace ([tid] = [trace_id]); attached
-      events become instants.  [args] carries
+  (** Export every retained span in the Chrome trace-event JSON format,
+      loadable in Perfetto or chrome://tracing: spans become complete
+      (["ph":"X"]) events with microsecond timestamps on one track per
+      trace ([tid] = [trace_id]); each retained event emitted under an
+      exported span becomes an instant on that span's track.  [args] carries
       [trace_id]/[span_id]/[parent_id] so external tools can rebuild the
       tree; open spans are exported with [incomplete:true] and a
       duration running to "now". *)

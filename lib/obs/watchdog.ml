@@ -87,7 +87,7 @@ let fire t rule w value =
         ]
       "watchdog.alert"
   in
-  Obs.Span.event obs sp "watchdog.fired";
+  Obs.trace obs ~span:sp "watchdog.fired";
   Obs.Span.finish obs sp;
   Obs.incr t.alerts_total;
   t.fired <-

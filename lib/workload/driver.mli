@@ -56,7 +56,7 @@ type bench = {
           simulation — the place to attach a replica, install a fault
           injector, and [Sim.spawn] a {!Ssi_fault.Fault.execute} process *)
   trace_capacity : int option;
-      (** when set, size both the trace ring and the finished-span table of
+      (** when set, size both the event log and the finished-span table of
           the engine's registry to this many entries (default registry
           sizes otherwise).  Trace exports and the abort explainer need
           capacities well above the workload's event volume, or parents

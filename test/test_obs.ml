@@ -1,6 +1,6 @@
 (* The observability core: metric registry semantics (counters, gauges,
-   histograms, kind safety), window snapshots/deltas, the bounded trace
-   ring and its JSONL rendering, nearest-rank percentiles, and the
+   histograms, kind safety), window snapshots/deltas, the bounded event
+   log and its JSONL rendering, nearest-rank percentiles, and the
    end-to-end summarization counter — shrinking the committed-sxact
    budget mid-run must drive [ssi.summarized] up without costing
    serializability. *)
@@ -68,16 +68,9 @@ let test_dump_sorted () =
   Obs.set_gauge (Obs.gauge obs "a.gauge") 1.0;
   Obs.observe (Obs.histogram obs "c.hist") 0.5;
   let names = List.map fst (Obs.dump obs) in
-  (* The three drop counters exist from birth alongside user metrics. *)
+  (* The two drop counters exist from birth alongside user metrics. *)
   Alcotest.(check (list string)) "name-sorted"
-    [
-      "a.gauge";
-      "b.count";
-      "c.hist";
-      "obs.spans.dropped";
-      "obs.spans.events_dropped";
-      "obs.trace.dropped";
-    ]
+    [ "a.gauge"; "b.count"; "c.hist"; "obs.spans.dropped"; "obs.trace.dropped" ]
     names;
   (* The rendered table mentions every metric. *)
   let table = Obs.render obs in
@@ -115,16 +108,16 @@ let test_snap_deltas () =
     (Bhist.count (Obs.delta_hist obs base "never.h"))
 
 (* Histogram sketches accumulate bucket counts independently of the
-   trace ring, so window deltas must stay exact (in count and sum) even
-   when the ring wraps many times inside the window.  This is the
+   event log, so window deltas must stay exact (in count and sum) even
+   when the log wraps many times inside the window.  This is the
    contract that lets [pg_ssi workload] report per-window latency
-   percentiles without caring about ring capacity. *)
+   percentiles without caring about log capacity. *)
 let test_delta_hist_across_ring_wrap () =
   let obs = Obs.create ~trace_capacity:8 () in
   let h = Obs.histogram obs "lat" in
   Obs.observe h 0.5;
   let base = Obs.snap obs in
-  (* 100 trace events through an 8-slot ring: 92 overwrites. *)
+  (* 100 trace events through an 8-slot log: 92 overwrites. *)
   for i = 1 to 100 do
     Obs.trace obs ~fields:[ ("i", Obs.I i) ] "tick";
     if i mod 10 = 0 then Obs.observe h (float_of_int i)
@@ -144,7 +137,7 @@ let test_delta_hist_across_ring_wrap () =
   Alcotest.(check int) "nested window count" 1 (Bhist.count nested);
   Alcotest.(check (float 1e-9)) "nested window sum" 7.0 (Bhist.total nested)
 
-(* ---- Trace ring ----------------------------------------------------------- *)
+(* ---- Event log ------------------------------------------------------------ *)
 
 let test_trace_ring_bounds () =
   let obs = Obs.create ~trace_capacity:4 () in
@@ -158,23 +151,43 @@ let test_trace_ring_bounds () =
   let is = List.map (fun e -> List.assoc "i" e.Obs.fields) evs in
   Alcotest.(check bool) "payload survives" true (is = [ Obs.I 7; I 8; I 9; I 10 ])
 
-let test_trace_clock_and_toggle () =
+let test_trace_clock () =
   let obs = Obs.create () in
   let now = ref 1.5 in
   Obs.set_clock obs (fun () -> !now);
   Obs.trace obs "a";
   now := 2.5;
-  Obs.set_tracing obs false;
-  Obs.trace obs "dropped";
-  Obs.set_tracing obs true;
   Obs.trace obs "b";
   match Obs.events obs with
   | [ a; b ] ->
       Alcotest.(check string) "first" "a" a.Obs.name;
       Alcotest.(check (float 0.)) "stamped" 1.5 a.Obs.ts;
-      Alcotest.(check string) "second (toggle dropped one)" "b" b.Obs.name;
+      Alcotest.(check string) "second" "b" b.Obs.name;
       Alcotest.(check (float 0.)) "restamped" 2.5 b.Obs.ts
   | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs)
+
+(* Events under a span and events with none share one log: a full log
+   keeps exactly the newest [capacity] of them, oldest first, with
+   contiguous seqs, and each overwrite is counted once. *)
+let test_one_log_across_spans () =
+  let obs = Obs.create ~trace_capacity:4 () in
+  let sp = Obs.Span.start obs "txn" in
+  List.iteri
+    (fun i under_span ->
+      let fields = [ ("i", Obs.I i) ] in
+      if under_span then Obs.trace obs ~span:sp ~fields "e" else Obs.trace obs ~fields "e")
+    [ false; true; false; true; true; false ];
+  let evs = Obs.events obs in
+  Alcotest.(check (list int)) "newest four, contiguous, oldest first" [ 2; 3; 4; 5 ]
+    (List.map (fun e -> e.Obs.seq) evs);
+  Alcotest.(check bool) "payloads in order" true
+    (List.map (fun e -> List.assoc "i" e.Obs.fields) evs = [ Obs.I 2; I 3; I 4; I 5 ]);
+  Alcotest.(check (list bool)) "span events carry their span first"
+    [ false; true; true; false ]
+    (List.map
+       (fun e -> List.nth_opt e.Obs.fields 0 = Some ("span", Obs.I (Obs.Span.id sp)))
+       evs);
+  Alcotest.(check int) "two overwrites" 2 (Obs.get_counter obs "obs.trace.dropped")
 
 let test_trace_jsonl () =
   let obs = Obs.create () in
@@ -182,8 +195,7 @@ let test_trace_jsonl () =
     ~fields:[ ("xid", Obs.I 7); ("why", Obs.S "pivot \"x\""); ("ro", Obs.B true) ]
     "ssi.fail";
   Obs.trace obs ~fields:[ ("lag", Obs.F 0.25) ] "replica.lag";
-  let jsonl = Obs.events_to_jsonl obs in
-  let lines = String.split_on_char '\n' (String.trim jsonl) in
+  let lines = List.map Obs.event_to_json (Obs.events obs) in
   Alcotest.(check int) "one object per event" 2 (List.length lines);
   let l1 = List.nth lines 0 in
   List.iter
@@ -237,10 +249,10 @@ let test_percentile_nearest () =
 
 let test_drop_counters () =
   let obs = Obs.create ~trace_capacity:4 ~span_capacity:2 () in
-  (* All three drop counters exist (and render) from birth. *)
+  (* Both drop counters exist (and render) from birth. *)
   List.iter
     (fun n -> Alcotest.(check int) (n ^ " starts at 0") 0 (Obs.get_counter obs n))
-    [ "obs.trace.dropped"; "obs.spans.dropped"; "obs.spans.events_dropped" ];
+    [ "obs.trace.dropped"; "obs.spans.dropped" ];
   (* Span-table overwrites: 5 finished spans through 2 slots. *)
   for i = 1 to 5 do
     let sp = Obs.Span.start obs (Printf.sprintf "s%d" i) in
@@ -250,20 +262,11 @@ let test_drop_counters () =
   Alcotest.(check int) "counter agrees" 3 (Obs.get_counter obs "obs.spans.dropped");
   Alcotest.(check (list string)) "newest spans survive" [ "s4"; "s5" ]
     (List.map Obs.Span.name (Obs.Spans.finished obs));
-  (* Per-span event bound: the 65th+ attachments are dropped and counted. *)
-  let sp = Obs.Span.start obs "busy" in
-  for i = 1 to 70 do
-    Obs.Span.event obs ~ring:false ~fields:[ ("i", Obs.I i) ] sp "e"
-  done;
-  Alcotest.(check int) "span keeps its cap" 64 (List.length (Obs.Span.events sp));
-  Alcotest.(check int) "event drops counted" 6
-    (Obs.get_counter obs "obs.spans.events_dropped");
-  Obs.Span.finish obs sp;
-  (* And the rendered table names all three, so truncation is visible. *)
+  (* And the rendered table names both, so truncation is visible. *)
   let table = Obs.render obs in
   List.iter
     (fun n -> Alcotest.(check bool) (n ^ " rendered") true (contains ~needle:n table))
-    [ "obs.trace.dropped"; "obs.spans.dropped"; "obs.spans.events_dropped" ]
+    [ "obs.trace.dropped"; "obs.spans.dropped" ]
 
 let test_never_set_gauge_skipped () =
   let obs = Obs.create () in
@@ -666,7 +669,8 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "ring bounds" `Quick test_trace_ring_bounds;
-          Alcotest.test_case "clock and toggle" `Quick test_trace_clock_and_toggle;
+          Alcotest.test_case "clock stamping" `Quick test_trace_clock;
+          Alcotest.test_case "one log across spans" `Quick test_one_log_across_spans;
           Alcotest.test_case "jsonl" `Quick test_trace_jsonl;
         ] );
       ( "percentiles",

@@ -214,48 +214,6 @@ let test_deterministic_replay () =
   Alcotest.(check int) "commit count replays" a.committed b.committed;
   Alcotest.(check int) "failure count replays" a.failures b.failures
 
-(* One transaction takes 100 SIREAD tuple locks (one per page, so nothing
-   promotes): its span keeps the first [span_event_cap] = 64 lock events
-   and counts the other 36 as dropped.  The kept events' seqs and target
-   strings are pinned, keys of every kind included. *)
-let test_predlock_event_cap () =
-  let obs = Obs.create () in
-  let pl = Ssi_core.Predlock.create ~obs () in
-  let sp = Obs.Span.start obs "txn" in
-  Obs.set_owner_span obs 7 sp;
-  Obs.trace obs "before";
-  let dropped () = Obs.get_counter obs "obs.spans.events_dropped" in
-  let dropped0 = dropped () in
-  let key i =
-    match i mod 3 with
-    | 0 -> Value.Int (-i * 1_000_003)
-    | 1 -> Value.Str (Printf.sprintf "k\"%d\\\n\xff" i)
-    | _ -> Value.Float (float i *. 1e19)
-  in
-  for i = 1 to 100 do
-    Ssi_core.Predlock.lock_tuple pl ~owner:7 ~rel:"t" ~key:(key i) ~page:i
-  done;
-  let kept =
-    List.map
-      (fun (e : Obs.event) ->
-        match List.assoc_opt "target" e.fields with
-        | Some (Obs.S s) -> Printf.sprintf "%d %s" e.seq s
-        | _ -> Alcotest.fail "predlock.lock without a target")
-      (Obs.Span.events sp)
-  in
-  Alcotest.(check int) "span keeps its cap" 64 (List.length kept);
-  Alcotest.(check int) "the rest are counted" 36 (dropped () - dropped0);
-  Alcotest.(check (list string))
-    "first three and last kept"
-    [
-      "1 tuple:t/\"k\\\"1\\\\\\n\\255\""; "2 tuple:t/2e+19"; "3 tuple:t/-3000009";
-      "64 tuple:t/\"k\\\"64\\\\\\n\\255\"";
-    ]
-    (List.map (List.nth kept) [ 0; 1; 2; 63 ]);
-  Alcotest.(check string)
-    "every kept seq and target" "2f830784c128950592b1d760f579a15c"
-    (Digest.to_hex (Digest.string (String.concat "\n" kept)))
-
 let () =
   Alcotest.run "spans"
     [
@@ -265,5 +223,4 @@ let () =
           Alcotest.test_case "cross-node span tree" `Quick test_cross_node_spans;
           Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
         ] );
-      ("event cap", [ Alcotest.test_case "predlock events past the cap" `Quick test_predlock_event_cap ]);
     ]
