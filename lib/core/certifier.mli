@@ -1,11 +1,12 @@
 (** The pluggable serializability certifier.
 
     Every point where the engine consults its certifier — registration,
-    SIREAD acquisition, rw-antidependency evidence, write-time checks, the
-    pre-commit test, the 2PC and recovery lifecycle, safe-snapshot queries
-    and introspection — is one function of the module type {!S}, written
-    once in {!Certifier_intf} and re-exported here together with the types
-    every certifier shares.  Two modules implement it directly:
+    rw-antidependency evidence from visibility and from the SIREAD locks a
+    write touches, the pre-commit test, the 2PC and recovery lifecycle,
+    safe-snapshot queries and introspection — is one function of the
+    module type {!S}, written once in {!Certifier_intf} and re-exported
+    here together with the types every certifier shares.  Two modules
+    implement it directly:
 
     - {!Ssi} for [SSI] — the paper's dangerous-structure detection, with
       safe snapshots and [BEGIN DEFERRABLE] support;

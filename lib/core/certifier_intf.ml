@@ -1,6 +1,6 @@
 (** The serializability-certifier signature and the vocabulary every
-    certifier shares: the failure exception, the configuration and the
-    introspection record.
+    certifier shares: the failure exception, the configuration, the
+    introspection record and victim accounting.
 
     The module depends on no certifier, so the paper's SSI manager
     ({!Ssi}) and the SSN/ESSN watermark certifiers ({!Ssn}) both
@@ -54,15 +54,83 @@ type node_info = {
   info_conservative_out : bool;
 }
 
+(** Victim accounting, written once for every certifier: the
+    [<prefix>.failures] and [<prefix>.dooms] counters, one
+    [<prefix>.victims.<slug>] counter per abort reason (the slug is the
+    reason lowercased with every non-alphanumeric turned into [_]), so
+    reports can break serialization failures down the way Figure 6 of the
+    paper breaks down abort causes, and the [<prefix>.fail] /
+    [<prefix>.doom] trace events, attached to the victim's span. *)
+module Victims = struct
+  open Ssi_obs
+
+  type t = {
+    obs : Obs.t;
+    prefix : string;
+    failures : Obs.counter;
+    dooms : Obs.counter;
+    per_reason : (string, Obs.counter) Hashtbl.t;
+        (** memoized [<prefix>.victims.<slug>] handles, keyed by raw reason:
+            the slug is built once per distinct reason *)
+  }
+
+  let create obs prefix =
+    {
+      obs;
+      prefix;
+      failures = Obs.counter obs (prefix ^ ".failures");
+      dooms = Obs.counter obs (prefix ^ ".dooms");
+      per_reason = Hashtbl.create 8;
+    }
+
+  let count v reason =
+    let c =
+      match Hashtbl.find_opt v.per_reason reason with
+      | Some c -> c
+      | None ->
+          let slug =
+            String.map
+              (function ('a' .. 'z' | '0' .. '9') as c -> c | _ -> '_')
+              (String.lowercase_ascii reason)
+          in
+          let c = Obs.counter v.obs (v.prefix ^ ".victims." ^ slug) in
+          Hashtbl.add v.per_reason reason c;
+          c
+    in
+    Obs.incr c
+
+  let event v name ~xid reason =
+    Obs.trace v.obs ?span:(Obs.owner_span v.obs xid) (v.prefix ^ name)
+      ~fields:[ ("xid", Obs.I xid); ("reason", Obs.S reason) ]
+
+  (** The acting transaction [xid] must abort: count it, record the
+      [<prefix>.fail] event and raise {!Serialization_failure}. *)
+  let fail v ~xid reason =
+    Obs.incr v.failures;
+    count v reason;
+    event v ".fail" ~xid reason;
+    raise (Serialization_failure { xid; reason })
+
+  (** The bystander [xid] was just doomed: count it and record the
+      [<prefix>.doom] event. *)
+  let doomed v ~xid reason =
+    Obs.incr v.dooms;
+    count v reason;
+    event v ".doom" ~xid reason
+end
+
 (** One certifier instance [t] manages every serializable transaction of a
     database; [node] is one transaction's state (PostgreSQL's
-    [SERIALIZABLEXACT] under SSI).  The engine calls in at four kinds of
-    points: registration and the end-of-life lifecycle; reads, which take
-    SIREAD locks and report MVCC evidence of rw-antidependencies; writes,
-    which look up SIREAD locks; and DDL/recovery maintenance.  A hook that
-    resolves a conflict against the calling transaction raises
-    {!Serialization_failure}; a bystander is {e doomed} instead and fails
-    at its next operation or commit. *)
+    [SERIALIZABLEXACT] under SSI).  The certifier judges evidence; it
+    does not collect it.  The engine takes and maintains SIREAD locks in
+    the {!Predlock} table {!S.locks} returns, and calls the certifier at
+    three kinds of points: registration and the end-of-life lifecycle;
+    dependency evidence — MVCC visibility at read time ({!S.conflict_out},
+    {!S.read_from}) and the SIREAD owners of what a write touches
+    ({!S.conflict_in}); and recovery.  A hook that resolves a conflict
+    against the calling transaction raises {!Serialization_failure}; a
+    bystander is {e doomed} instead and fails at its next operation or
+    commit. *)
 module type S = sig
   type t
   type node
@@ -72,7 +140,9 @@ module type S = sig
       deferrable transactions when [false]. *)
 
   val locks : t -> Predlock.t
-  (** The SIREAD predicate-lock manager this instance owns. *)
+  (** The SIREAD predicate-lock table this instance creates (from
+      [config.predlock]) and releases and summarizes as transactions
+      finish; the engine acquires locks in it for every tracked read. *)
 
   val max_committed_sxacts : t -> int
 
@@ -117,20 +187,7 @@ module type S = sig
   val aborted : t -> node -> unit
   (** Remove the transaction and its conflict edges; release its locks. *)
 
-  (** {1 Read-side hooks} *)
-
-  val read_tuple : t -> node -> rel:string -> key:Value.t -> page:int -> unit
-
-  val read_tuples_page : t -> node -> rel:string -> page:int -> keys:Value.t list -> unit
-  (** Batched {!read_tuple} for a page's worth of keys from one scan;
-      behaviorally identical to calling {!read_tuple} on each key in
-      order. *)
-
-  val read_relation : t -> node -> rel:string -> unit
-  val read_index_gap : t -> node -> index:string -> page:int -> unit
-  val read_index_key : t -> node -> index:string -> key:Value.t -> unit
-  val read_index_inf : t -> node -> index:string -> unit
-  val read_index_rel : t -> node -> index:string -> unit
+  (** {1 Evidence of rw-antidependencies} *)
 
   val conflict_out : t -> node -> writer:Heap.xid -> unit
   (** The reader observed MVCC evidence of a write it did not see
@@ -144,26 +201,11 @@ module type S = sig
       certifiers fold the committed creator's stamp into the reader's
       pstamp. *)
 
-  val forget_own_tuple_lock :
-    t -> node -> rel:string -> key:Value.t -> in_subtransaction:bool -> unit
-  (** The transaction wrote a tuple it had read: its own write lock now
-      protects it, so the SIREAD lock can be dropped — unless running
-      inside a subtransaction whose rollback would release the write lock
-      (§7.3). *)
-
-  (** {1 Write-side hooks} *)
-
-  val write_check : t -> node -> rel:string -> key:Value.t -> page:int -> unit
-  (** Record that the transaction modified data, then find SIREAD locks
-      covering the tuple being written and record reader --rw--> writer
-      conflicts (may raise or doom). *)
-
-  val index_insert_check : t -> node -> index:string -> page:int -> unit
-
-  val index_insert_check_nextkey :
-    t -> node -> index:string -> key:Value.t -> succ:Value.t option -> unit
-  (** Next-key-locking variant (§5.2.1 future work): the insert conflicts
-      with readers of [key], of its successor, or of the top gap. *)
+  val conflict_in : t -> node -> Predlock.readers -> unit
+  (** The transaction is writing (a heap tuple or an index entry) what
+      [readers] hold SIREAD locks on — PostgreSQL's
+      [CheckForSerializableConflictIn].  Record that it modified data,
+      then record reader --rw--> writer conflicts (may raise or doom). *)
 
   (** {1 Read-only safety (§4.2, §4.3)} *)
 
@@ -176,11 +218,7 @@ module type S = sig
   val safety_waitq : node -> Ssi_util.Waitq.t
   (** Woken once safety is determined (used by deferrable transactions). *)
 
-  (** {1 Structural notifications and recovery} *)
-
-  val on_ddl_rewrite : t -> rel:string -> unit
-  val on_index_drop : t -> index:string -> heap_rel:string -> unit
-  val on_index_page_split : t -> index:string -> old_page:int -> new_page:int -> unit
+  (** {1 Recovery} *)
 
   val recover : t -> unit
   (** Simulate crash recovery: every non-prepared transaction disappears;

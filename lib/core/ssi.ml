@@ -235,8 +235,6 @@ let iter_watching n f =
    paths. *)
 type metrics = {
   m_conflicts : Obs.counter;
-  m_dooms : Obs.counter;
-  m_failures : Obs.counter;
   m_summarized : Obs.counter;
   m_safe_snapshots : Obs.counter;
   m_cleanups : Obs.counter;
@@ -264,10 +262,9 @@ type t = {
       (** commit cseq -> xid for every identity the manager still knows:
           retained committed nodes and summarized (oldserxid) entries —
           the index behind {!resolve_xid_by_cseq} *)
-  victim_counters : (string, Obs.counter) Hashtbl.t;
-      (** memoized [ssi.victims.<slug>] handles, keyed by raw reason *)
   obs : Obs.t;
   metrics : metrics;
+  victims : Victims.t;
 }
 
 let create ?(config = default_config) ?(obs = Obs.create ()) clog =
@@ -282,17 +279,15 @@ let create ?(config = default_config) ?(obs = Obs.create ()) clog =
     oldserxid = Hashtbl.create 64;
     oldserxid_order = Queue.create ();
     by_cseq = Hashtbl.create 64;
-    victim_counters = Hashtbl.create 8;
     obs;
     metrics =
       {
         m_conflicts = Obs.counter obs "ssi.conflicts";
-        m_dooms = Obs.counter obs "ssi.dooms";
-        m_failures = Obs.counter obs "ssi.failures";
         m_summarized = Obs.counter obs "ssi.summarized";
         m_safe_snapshots = Obs.counter obs "ssi.safe_snapshots";
         m_cleanups = Obs.counter obs "ssi.cleanups";
       };
+    victims = Victims.create obs "ssi";
   }
 
 let supports_deferrable = true
@@ -330,27 +325,6 @@ let iter_active t f =
   in
   go t.active_first
 
-(* [ssi.victims.<slug>] — one counter per abort reason, so reports can
-   break down serialization failures the way Figure 6 of the paper breaks
-   down abort causes.  The slugging and registry resolution run once per
-   distinct reason; every subsequent doom is one hashtable probe. *)
-let reason_slug reason =
-  String.map
-    (fun c ->
-      match c with 'a' .. 'z' | '0' .. '9' -> c | _ -> '_')
-    (String.lowercase_ascii reason)
-
-let count_victim t reason =
-  let c =
-    match Hashtbl.find_opt t.victim_counters reason with
-    | Some c -> c
-    | None ->
-        let c = Obs.counter t.obs ("ssi.victims." ^ reason_slug reason) in
-        Hashtbl.add t.victim_counters reason c;
-        c
-  in
-  Obs.incr c
-
 let max_committed_sxacts t = t.config.max_committed_sxacts
 
 let set_max_committed_sxacts t n =
@@ -366,12 +340,7 @@ let active_count t = t.active_n
 let committed_retained t = Queue.length t.committed
 let oldserxid_size t = Hashtbl.length t.oldserxid
 
-let fail t node reason =
-  Obs.incr t.metrics.m_failures;
-  count_victim t reason;
-  Obs.trace t.obs ?span:(Obs.owner_span t.obs node.xid) "ssi.fail"
-    ~fields:[ ("xid", Obs.I node.xid); ("reason", Obs.S reason) ];
-  raise (Serialization_failure { xid = node.xid; reason })
+let fail t node reason = Victims.fail t.victims ~xid:node.xid reason
 
 let check_doomed node =
   if node.doomed then
@@ -390,39 +359,15 @@ let effective_earliest_out n = if n.conservative_out then 0 else n.cached_earlie
 
 (* ---- Structure records for the abort explainer --------------------------- *)
 
-(* A commit cseq's transaction id, when the manager still knows it: an
-   active/committed node, or a summarized (oldserxid) entry.  Commit cseqs
-   are unique, so the [by_cseq] index answers in O(1); the early-exit
-   full scans remain only as a defensive fallback for identities that
-   predate the index (e.g. state rebuilt by recovery paths). *)
+(* A commit cseq's transaction id, when the manager still knows it: a
+   retained committed node or a summarized (oldserxid) entry; [-1]
+   otherwise.  Commit cseqs are unique, and [by_cseq] holds exactly those
+   identities: a node gets its entry when it joins [committed], keeps it
+   through summarization, and the entry leaves only together with the node
+   or its oldserxid entry (cleanup, purge, recovery). *)
 let resolve_xid_by_cseq t c =
   if c <= 0 || c = invalid_cseq then -1
-  else
-    match Hashtbl.find_opt t.by_cseq c with
-    | Some xid -> xid
-    | None ->
-        let found = ref (-1) in
-        (try
-           Hashtbl.iter
-             (fun xid n ->
-               if n.status = Committed && n.commit_cseq = c then begin
-                 found := xid;
-                 raise Exit
-               end)
-             t.by_xid
-         with Exit -> ());
-        if !found < 0 then begin
-          try
-            Hashtbl.iter
-              (fun xid e ->
-                if e.old_commit = c then begin
-                  found := xid;
-                  raise Exit
-                end)
-              t.oldserxid
-          with Exit -> ()
-        end;
-        !found
+  else Option.value ~default:(-1) (Hashtbl.find_opt t.by_cseq c)
 
 (* Every doom/fail decision leaves one [ssi.dangerous] event carrying the
    whole structure T1 --rw--> T2 --rw--> T3 (xids and commit cseqs, [-1]
@@ -487,10 +432,7 @@ let dangerous t ~t1 ~t2 ~t3_cseq =
 let doom ?(reason = "doomed by first committer") t victim =
   if not victim.doomed then begin
     victim.doomed <- true;
-    Obs.incr t.metrics.m_dooms;
-    count_victim t reason;
-    Obs.trace t.obs ?span:(Obs.owner_span t.obs victim.xid) "ssi.doom"
-      ~fields:[ ("xid", Obs.I victim.xid); ("reason", Obs.S reason) ]
+    Victims.doomed t.victims ~xid:victim.xid reason
   end
 
 let abortable n = (n.status = Active) && not n.doomed
@@ -694,31 +636,10 @@ let register t ~xid ~snap_cseq ~read_only ~deferrable =
   active_push t node;
   node
 
-(* ---- Reads ---------------------------------------------------------------- *)
-
-let read_tuple t node ~rel ~key ~page =
-  if not node.safe then Predlock.lock_tuple t.locks ~owner:node.xid ~rel ~key ~page
-
-let read_tuples_page t node ~rel ~page ~keys =
-  if not node.safe then Predlock.lock_tuples_page t.locks ~owner:node.xid ~rel ~page ~keys
-
-let read_relation t node ~rel =
-  if not node.safe then Predlock.lock_relation t.locks ~owner:node.xid ~rel
-
-let read_index_gap t node ~index ~page =
-  if not node.safe then Predlock.lock_index_page t.locks ~owner:node.xid ~index ~page
-
-let read_index_key t node ~index ~key =
-  if not node.safe then Predlock.lock_index_key t.locks ~owner:node.xid ~index ~key
-
-let read_index_inf t node ~index =
-  if not node.safe then Predlock.lock_index_inf t.locks ~owner:node.xid ~index
-
-let read_index_rel t node ~index =
-  if not node.safe then Predlock.lock_index_rel t.locks ~owner:node.xid ~index
+(* ---- Evidence -------------------------------------------------------------- *)
 
 let conflict_out t node ~writer =
-  if (not node.safe) && writer <> node.xid then
+  if writer <> node.xid then
     match Hashtbl.find_opt t.by_xid writer with
     | Some w -> flag_conflict t ~actor:node ~reader:node ~writer:w
     | None -> (
@@ -764,14 +685,10 @@ let conflict_out t node ~writer =
    SIREAD locks plus MVCC visibility find all of those. *)
 let read_from _t _node ~creator:_ = ()
 
-let forget_own_tuple_lock t node ~rel ~key ~in_subtransaction =
-  (* §7.3: inside a subtransaction the write lock would vanish on rollback
-     to a savepoint, so the SIREAD lock must be kept. *)
-  if not in_subtransaction then Predlock.unlock_tuple t.locks ~owner:node.xid ~rel ~key
-
-(* ---- Writes ---------------------------------------------------------------- *)
-
-let conflict_in_readers t node readers =
+(* The write side (§5.3): [readers] hold SIREAD locks on what [node] is
+   writing, so each concurrent one gains an edge reader --rw--> node. *)
+let conflict_in t node readers =
+  note_write node;
   let { Predlock.xids; old_committed } = readers in
   List.iter
     (fun rxid ->
@@ -807,17 +724,6 @@ let conflict_in_readers t node readers =
           ~rule:(if eo = 0 then "pivot" else "commit-ordering")
           ~reason:"pivot with summarized reader"
   | Some _ | None -> ()
-
-let write_check t node ~rel ~key ~page =
-  note_write node;
-  conflict_in_readers t node (Predlock.readers_for_write t.locks ~rel ~key ~page)
-
-let index_insert_check t node ~index ~page =
-  conflict_in_readers t node (Predlock.readers_for_index_insert t.locks ~index ~page)
-
-let index_insert_check_nextkey t node ~index ~key ~succ =
-  conflict_in_readers t node
-    (Predlock.readers_for_index_insert_nextkey t.locks ~index ~key ~succ)
 
 (* ---- Cleanup and summarization (§6) ---------------------------------------- *)
 
@@ -1071,13 +977,7 @@ let dump_graph t =
    (active and prepared) and the retained committed queue. *)
 let info t xid = Option.map node_info (Hashtbl.find_opt t.by_xid xid)
 
-(* ---- DDL / recovery ----------------------------------------------------------- *)
-
-let on_ddl_rewrite t ~rel = Predlock.promote_relation t.locks ~rel
-let on_index_drop t ~index ~heap_rel = Predlock.drop_index_to_relation t.locks ~index ~heap_rel
-
-let on_index_page_split t ~index ~old_page ~new_page =
-  Predlock.on_index_page_split t.locks ~index ~old_page ~new_page
+(* ---- Recovery ---------------------------------------------------------------- *)
 
 let recover t =
   (* Non-prepared active transactions disappear. *)

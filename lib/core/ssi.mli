@@ -35,7 +35,7 @@ val is_doomed : node -> bool
 
 val note_write : node -> unit
 (** Record that the transaction modified data (clears read-only-in-practice
-    status); {!write_check} does this itself. *)
+    status); {!conflict_in} does this itself. *)
 
 val is_unsafe : node -> bool
 (** The read-only snapshot was found unsafe (§4.2): full tracking stays

@@ -31,12 +31,13 @@
      commit stamp comes from the Clog, so no SSN node needs to be
      retained for them.  Version creators wrote by definition, so
      e = c even under ESSN.
-   - r:w edges are found exactly like SSI finds them: SIREAD locks looked
-     up at write time ({!write_check}), and MVCC visibility evidence at
-     read time ({!conflict_out}).  Edges with a committed endpoint fold
-     into the stamps immediately; edges between two live transactions are
-     kept on intrusive-in-spirit (plain list) edge sets and resolved when
-     either endpoint commits.
+   - r:w edges are found exactly like SSI finds them: the SIREAD owners
+     of what a write touches, which the engine looks up in the lock table
+     ({!conflict_in}), and MVCC visibility evidence at read time
+     ({!conflict_out}).  Edges with a committed endpoint fold into the
+     stamps immediately; edges between two live transactions are kept on
+     intrusive-in-spirit (plain list) edge sets and resolved when either
+     endpoint commits.
 
    Prepared transactions (2PC) can no longer abort and commit without a
    check, so the commit-time propagation must never close a prepared
@@ -77,8 +78,6 @@ type node = {
 
 type metrics = {
   m_conflicts : Obs.counter;
-  m_dooms : Obs.counter;
-  m_failures : Obs.counter;
   m_summarized : Obs.counter;
   m_cleanups : Obs.counter;
 }
@@ -99,9 +98,9 @@ type t = {
   oldserxid : (Heap.xid, old_entry) Hashtbl.t;
   oldserxid_order : (Heap.xid * cseq) Queue.t;
   mutable active_n : int;
-  victim_counters : (string, Obs.counter) Hashtbl.t;
   obs : Obs.t;
   metrics : metrics;
+  victims : Victims.t;
 }
 
 let create ?(config = default_config) ?(obs = Obs.create ()) ~extended clog =
@@ -117,16 +116,14 @@ let create ?(config = default_config) ?(obs = Obs.create ()) ~extended clog =
     oldserxid = Hashtbl.create 64;
     oldserxid_order = Queue.create ();
     active_n = 0;
-    victim_counters = Hashtbl.create 8;
     obs;
     metrics =
       {
         m_conflicts = Obs.counter obs (prefix ^ ".conflicts");
-        m_dooms = Obs.counter obs (prefix ^ ".dooms");
-        m_failures = Obs.counter obs (prefix ^ ".failures");
         m_summarized = Obs.counter obs (prefix ^ ".summarized");
         m_cleanups = Obs.counter obs (prefix ^ ".cleanups");
       };
+    victims = Victims.create obs prefix;
   }
 
 let supports_deferrable = false
@@ -166,23 +163,7 @@ let e_estimate t n =
   if t.extended && t.config.read_only_opt && n.declared_read_only then n.snap_cseq
   else inf
 
-(* ---- Victim accounting (same shape as the SSI manager's) ---------------- *)
-
-let reason_slug reason =
-  String.map
-    (fun c -> match c with 'a' .. 'z' | '0' .. '9' -> c | _ -> '_')
-    (String.lowercase_ascii reason)
-
-let count_victim t reason =
-  let c =
-    match Hashtbl.find_opt t.victim_counters reason with
-    | Some c -> c
-    | None ->
-        let c = Obs.counter t.obs (t.prefix ^ ".victims." ^ reason_slug reason) in
-        Hashtbl.add t.victim_counters reason c;
-        c
-  in
-  Obs.incr c
+(* ---- Victim accounting ----------------------------------------------------- *)
 
 (* Every doom/fail decision leaves one [<prefix>.exclusion] event carrying
    the victim's closed window — the raw material [pg_ssi explain] renders
@@ -200,20 +181,12 @@ let record_exclusion t ~victim ~reason ~pstamp ~sstamp ~peer =
         ("peer", Obs.I peer);
       ]
 
-let fail t node reason =
-  Obs.incr t.metrics.m_failures;
-  count_victim t reason;
-  Obs.trace t.obs ?span:(Obs.owner_span t.obs node.xid) (t.prefix ^ ".fail")
-    ~fields:[ ("xid", Obs.I node.xid); ("reason", Obs.S reason) ];
-  raise (Serialization_failure { xid = node.xid; reason })
+let fail t node reason = Victims.fail t.victims ~xid:node.xid reason
 
 let doom t victim ~reason =
   if not victim.doomed then begin
     victim.doomed <- true;
-    Obs.incr t.metrics.m_dooms;
-    count_victim t reason;
-    Obs.trace t.obs ?span:(Obs.owner_span t.obs victim.xid) (t.prefix ^ ".doom")
-      ~fields:[ ("xid", Obs.I victim.xid); ("reason", Obs.S reason) ]
+    Victims.doomed t.victims ~xid:victim.xid reason
   end
 
 let check_doomed node =
@@ -221,8 +194,6 @@ let check_doomed node =
     raise
       (Serialization_failure
          { xid = node.xid; reason = "transaction doomed by a concurrent conflict" })
-
-let note_write node = node.wrote <- true
 
 (* ---- Stamp mutation with the eager window check --------------------------- *)
 
@@ -323,24 +294,7 @@ let register t ~xid ~snap_cseq ~read_only ~deferrable =
   t.active_n <- t.active_n + 1;
   node
 
-(* ---- Reads ------------------------------------------------------------------ *)
-
-let read_tuple t node ~rel ~key ~page =
-  Predlock.lock_tuple t.locks ~owner:node.xid ~rel ~key ~page
-
-let read_tuples_page t node ~rel ~page ~keys =
-  Predlock.lock_tuples_page t.locks ~owner:node.xid ~rel ~page ~keys
-
-let read_relation t node ~rel = Predlock.lock_relation t.locks ~owner:node.xid ~rel
-
-let read_index_gap t node ~index ~page =
-  Predlock.lock_index_page t.locks ~owner:node.xid ~index ~page
-
-let read_index_key t node ~index ~key =
-  Predlock.lock_index_key t.locks ~owner:node.xid ~index ~key
-
-let read_index_inf t node ~index = Predlock.lock_index_inf t.locks ~owner:node.xid ~index
-let read_index_rel t node ~index = Predlock.lock_index_rel t.locks ~owner:node.xid ~index
+(* ---- Evidence ---------------------------------------------------------------- *)
 
 (* w:r / w:w predecessor: the transaction read (or is about to overwrite) a
    version created by [creator].  Version creators wrote, so their
@@ -373,17 +327,13 @@ let conflict_out t node ~writer =
                 ];
             absorb_pi t ~actor:node ~peer:writer node old_pi ~reason:reason_succ)
 
-let forget_own_tuple_lock t node ~rel ~key ~in_subtransaction =
-  if not in_subtransaction then Predlock.unlock_tuple t.locks ~owner:node.xid ~rel ~key
-
-(* ---- Writes ----------------------------------------------------------------- *)
-
 (* r:w in-edges at write time: SIREAD owners of what [node] is writing.
    Unlike SSI, a reader that committed before the writer's snapshot still
    matters — its effective stamp feeds the writer's pstamp (the predicate
    lock horizon below the minimum active snapshot is the only sound
    cutoff; see DESIGN.md). *)
-let conflict_in_readers t node readers =
+let conflict_in t node readers =
+  node.wrote <- true;
   let { Predlock.xids; old_committed } = readers in
   List.iter
     (fun rxid ->
@@ -399,17 +349,6 @@ let conflict_in_readers t node readers =
       Obs.incr t.metrics.m_conflicts;
       absorb_eta t ~actor:node ~peer:(-1) node e ~reason:reason_pred
   | None -> ()
-
-let write_check t node ~rel ~key ~page =
-  note_write node;
-  conflict_in_readers t node (Predlock.readers_for_write t.locks ~rel ~key ~page)
-
-let index_insert_check t node ~index ~page =
-  conflict_in_readers t node (Predlock.readers_for_index_insert t.locks ~index ~page)
-
-let index_insert_check_nextkey t node ~index ~key ~succ =
-  conflict_in_readers t node
-    (Predlock.readers_for_index_insert_nextkey t.locks ~index ~key ~succ)
 
 (* ---- Cleanup and summarization ---------------------------------------------- *)
 
@@ -599,15 +538,7 @@ let aborted t node =
   Hashtbl.remove t.by_xid node.xid;
   cleanup t
 
-(* ---- DDL / recovery ---------------------------------------------------------- *)
-
-let on_ddl_rewrite t ~rel = Predlock.promote_relation t.locks ~rel
-
-let on_index_drop t ~index ~heap_rel =
-  Predlock.drop_index_to_relation t.locks ~index ~heap_rel
-
-let on_index_page_split t ~index ~old_page ~new_page =
-  Predlock.on_index_page_split t.locks ~index ~old_page ~new_page
+(* ---- Recovery ------------------------------------------------------------------ *)
 
 let recover t =
   (* Non-prepared active transactions disappear; committed bookkeeping is

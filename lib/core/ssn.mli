@@ -12,7 +12,10 @@
     at every stamp mutation: bystanders are doomed, the acting transaction
     raises [Serialization_failure].
 
-    Where the signature leaves room, SSN differs from SSI as follows:
+    The evidence is SSI's: the engine's SIREAD locks, looked up at write
+    time and handed to [conflict_in], and MVCC visibility at read time
+    ([conflict_out]).  Where the signature leaves room, SSN differs from
+    SSI as follows:
     - [read_from] feeds a committed creator's stamp (read from the Clog)
       into pstamp: w:r and w:w predecessors count here;
     - there are no safe snapshots: [is_safe] is always [false],

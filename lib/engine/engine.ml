@@ -321,9 +321,8 @@ let table_indexes t ~table =
   :: List.map (fun i -> (i.idx_name, col i)) tbl.secondary
 
 let hook_split db index =
-  let (Certifier.Cert ((module C), c)) = db.cert in
   Btree.set_on_split index.tree (fun ~old_page ~new_page ->
-      C.on_index_page_split c ~index:index.idx_name ~old_page ~new_page)
+      Predlock.on_index_page_split db.predlocks ~index:index.idx_name ~old_page ~new_page)
 
 let create_table db ~name ~cols ~key =
   if Hashtbl.mem db.tables name then invalid_arg ("Engine.create_table: duplicate " ^ name);
@@ -391,15 +390,13 @@ let drop_index db ~name =
       Hashtbl.remove db.idx_by_name name;
       (* §5.2.1: index-gap locks are replaced with a relation-level lock on
          the heap. *)
-      let (Certifier.Cert ((module C), c)) = db.cert in
-      C.on_index_drop c ~index:name ~heap_rel:index.table_name
+      Predlock.drop_index_to_relation db.predlocks ~index:name ~heap_rel:index.table_name
 
 let recluster db ~table =
   let tbl = table_of db table in
   Heap.rewrite tbl.heap;
   (* Physical locations changed: promote page/tuple SIREAD locks (§5.2.1). *)
-  let (Certifier.Cert ((module C), c)) = db.cert in
-  C.on_ddl_rewrite c ~rel:table
+  Predlock.promote_relation db.predlocks ~rel:table
 
 (* ---- Transaction lifecycle ------------------------------------------------- *)
 
@@ -509,9 +506,10 @@ let begin_txn ?isolation ?read_only ?deferrable ?span db =
   Obs.incr db.metrics.m_begins;
   begin_txn ?isolation ?read_only ?deferrable ?span db
 
-(* The SSI hooks are live only while the transaction is tracked: plain
-   snapshot-isolation transactions and safe-snapshot read-only transactions
-   have no (active) sxact. *)
+(* SIREAD locks and the certifier's evidence hooks are live only while the
+   transaction is tracked: plain snapshot-isolation transactions and
+   safe-snapshot read-only transactions have no (active) sxact.  This is
+   the one safe-snapshot guard; no certifier hook repeats it. *)
 let tracking txn =
   match txn.sxact with
   | Sx ((module C), _, node) when not (C.is_safe node) -> txn.sxact
@@ -693,24 +691,22 @@ let conflict_out_many sx xs =
    examined leaf page; next-key mode locks the distinct keys returned plus
    the successor of the probe's upper bound, which covers every gap the
    scan observed (§5.2.1 "next-key locking" future work). *)
-let ssi_lock_index_gaps sx idx ~hi ~keys ~pages =
-  match sx with
-  | No_sx -> ()
-  | Sx ((module C), c, node) ->
-      if idx.next_key then begin
-        let seen = Hashtbl.create 8 in
-        List.iter
-          (fun k ->
-            if not (Hashtbl.mem seen k) then begin
-              Hashtbl.add seen k ();
-              C.read_index_key c node ~index:idx.idx_name ~key:k
-            end)
-          keys;
-        match Btree.next_key_after idx.tree hi with
-        | Some succ -> C.read_index_key c node ~index:idx.idx_name ~key:succ
-        | None -> C.read_index_inf c node ~index:idx.idx_name
-      end
-      else List.iter (fun p -> C.read_index_gap c node ~index:idx.idx_name ~page:p) pages
+let ssi_lock_index_gaps txn idx ~hi ~keys ~pages =
+  let locks = txn.db.predlocks and owner = txn.txn_xid and index = idx.idx_name in
+  if idx.next_key then begin
+    let seen = Hashtbl.create 8 in
+    List.iter
+      (fun k ->
+        if not (Hashtbl.mem seen k) then begin
+          Hashtbl.add seen k ();
+          Predlock.lock_index_key locks ~owner ~index ~key:k
+        end)
+      keys;
+    match Btree.next_key_after idx.tree hi with
+    | Some succ -> Predlock.lock_index_key locks ~owner ~index ~key:succ
+    | None -> Predlock.lock_index_inf locks ~owner ~index
+  end
+  else List.iter (fun page -> Predlock.lock_index_page locks ~owner ~index ~page) pages
 
 (* Under 2PL an index probe is only valid once shared locks on the visited
    leaf pages are held: acquiring a lock can block, and by the time it is
@@ -753,7 +749,7 @@ let fetch txn tbl key ~for_write =
     let pages = ref [] in
     let hits = Btree.lookup tbl.pk_index.tree key ~pages in
     let keys = if hits = [] then [] else [ key ] in
-    ssi_lock_index_gaps (tracking txn) tbl.pk_index ~hi:key ~keys ~pages:!pages
+    if is_tracked txn then ssi_lock_index_gaps txn tbl.pk_index ~hi:key ~keys ~pages:!pages
   end;
   match Heap.head tbl.heap key with
   | None -> None
@@ -767,7 +763,8 @@ let fetch txn tbl key ~for_write =
           | Sx ((module C), c, node) ->
               (match deleter with Some w -> C.conflict_out c node ~writer:w | None -> ());
               C.read_from c node ~creator:v.xmin;
-              C.read_tuple c node ~rel ~key ~page:(Heap.page_of_tid v.tid)
+              Predlock.lock_tuple db.predlocks ~owner:txn.txn_xid ~rel ~key
+                ~page:(Heap.page_of_tid v.tid)
           | No_sx -> ());
           Some v)
 
@@ -821,12 +818,10 @@ let index_scan txn ~table ~index ~lo ~hi =
         else begin
           let pages = ref [] in
           let entries = Btree.range idx.tree ~lo ~hi ~pages in
-          (match tracking txn with
-          | Sx ((module C), c, node) as sx ->
-              if idx.pred_locks then
-                ssi_lock_index_gaps sx idx ~hi ~keys:(List.map fst entries) ~pages:!pages
-              else C.read_index_rel c node ~index
-          | No_sx -> ());
+          if is_tracked txn then
+            if idx.pred_locks then
+              ssi_lock_index_gaps txn idx ~hi ~keys:(List.map fst entries) ~pages:!pages
+            else Predlock.lock_index_rel db.predlocks ~owner:txn.txn_xid ~index;
           (entries, !pages)
         end
       in
@@ -848,19 +843,20 @@ let index_scan txn ~table ~index ~lo ~hi =
             Hashtbl.add batch_pages page (ref [ pk ]);
             batch_order := page :: !batch_order
       in
-      let flush_batch = function
-        | Sx ((module C), c, node) ->
-            List.iter
-              (fun page ->
-                match Hashtbl.find_opt batch_pages page with
-                | Some keys -> C.read_tuples_page c node ~rel ~page ~keys:(List.rev !keys)
-                | None -> ())
-              (List.rev !batch_order)
-        | No_sx -> ()
+      let flush_batch () =
+        if is_tracked txn then
+          List.iter
+            (fun page ->
+              match Hashtbl.find_opt batch_pages page with
+              | Some keys ->
+                  Predlock.lock_tuples_page db.predlocks ~owner:txn.txn_xid ~rel ~page
+                    ~keys:(List.rev !keys)
+              | None -> ())
+            (List.rev !batch_order)
       in
       let rows =
         Fun.protect
-          ~finally:(fun () -> flush_batch (tracking txn))
+          ~finally:flush_batch
           (fun () ->
             List.filter_map
               (fun (ikey, pk) ->
@@ -917,9 +913,7 @@ let seq_scan txn ~table ?(filter = fun _ -> true) () =
         Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Relation rel) Lockmgr.S;
         refresh_stmt_snapshot txn
       end;
-      (match tracking txn with
-      | Sx ((module C), c, node) -> C.read_relation c node ~rel
-      | No_sx -> ());
+      if is_tracked txn then Predlock.lock_relation db.predlocks ~owner:txn.txn_xid ~rel;
       let tuples = ref 0 in
       let rows = ref [] in
       Heap.iter_heads tbl.heap (fun head ->
@@ -970,10 +964,11 @@ let index_insert txn idx ~ikey ~pk =
         ~succ:(Btree.next_key_after idx.tree ikey);
     (match tracking txn with
     | Sx ((module C), c, node) ->
-        if idx.next_key then
-          C.index_insert_check_nextkey c node ~index:idx.idx_name ~key:ikey
-            ~succ:(Btree.next_key_after idx.tree ikey)
-        else C.index_insert_check c node ~index:idx.idx_name ~page
+        C.conflict_in c node
+          (if idx.next_key then
+             Predlock.readers_for_index_insert_nextkey db.predlocks ~index:idx.idx_name
+               ~key:ikey ~succ:(Btree.next_key_after idx.tree ikey)
+           else Predlock.readers_for_index_insert db.predlocks ~index:idx.idx_name ~page)
     | No_sx -> ());
     if is_2pl txn then
       Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Index_page (idx.idx_name, page))
@@ -1023,10 +1018,12 @@ let insert txn ~table row =
       txn.undo_len <- txn.undo_len + 1;
       (match tracking txn with
       | Sx ((module C), c, node) ->
-          C.write_check c node ~rel:table ~key ~page:(Heap.page_of_tid tuple.tid);
+          let page = Heap.page_of_tid tuple.tid in
+          C.conflict_in c node (Predlock.readers_for_write db.predlocks ~rel:table ~key ~page);
           (match old_page with
-          | Some p when p <> Heap.page_of_tid tuple.tid ->
-              C.write_check c node ~rel:table ~key ~page:p
+          | Some p when p <> page ->
+              C.conflict_in c node
+                (Predlock.readers_for_write db.predlocks ~rel:table ~key ~page:p)
           | Some _ | None -> ())
       | No_sx -> ());
       List.iter
@@ -1102,8 +1099,13 @@ let rec locate_for_write txn tbl key =
   | Some v ->
       (match tracking txn with
       | Sx ((module C), c, node) ->
-          C.write_check c node ~rel ~key ~page:(Heap.page_of_tid v.Heap.tid);
-          C.forget_own_tuple_lock c node ~rel ~key ~in_subtransaction:(txn.subdepth > 0)
+          let page = Heap.page_of_tid v.Heap.tid in
+          C.conflict_in c node (Predlock.readers_for_write db.predlocks ~rel ~key ~page);
+          (* The transaction's own write lock now protects the tuple, so its
+             SIREAD lock can go — except inside a subtransaction, whose
+             rollback to a savepoint would release the write lock (§7.3). *)
+          if txn.subdepth = 0 then
+            Predlock.unlock_tuple db.predlocks ~owner:txn.txn_xid ~rel ~key
       | No_sx -> ())
   | None -> ());
   result

@@ -5,6 +5,7 @@
 open Ssi_storage
 module E = Ssi_engine.Engine
 module Sim = Ssi_sim.Sim
+module Predlock = Ssi_core.Predlock
 
 let vi i = Value.Int i
 
@@ -61,6 +62,29 @@ let test_ro_abort_resolves_watcher () =
   let ro = E.begin_txn ~read_only:true db in
   E.abort rw;
   Alcotest.(check bool) "safe after concurrent aborts" true (E.snapshot_is_safe ro);
+  E.commit ro
+
+let test_safe_snapshot_takes_no_siread_locks () =
+  (* The engine's tracking check is the only thing keeping a safe
+     snapshot's reads out of the SIREAD lock table. *)
+  let db = fresh () in
+  let locks () = Predlock.total_lock_count (E.predicate_locks db) in
+  let safe = E.begin_txn ~read_only:true db in
+  Alcotest.(check bool) "safe" true (E.snapshot_is_safe safe);
+  let before = locks () in
+  ignore (E.read safe ~table:"kv" ~key:(vi 1));
+  ignore (E.index_scan safe ~table:"kv" ~index:"kv_pkey" ~lo:(vi 2) ~hi:(vi 5));
+  ignore (E.seq_scan safe ~table:"kv" ());
+  Alcotest.(check int) "safe reads take no SIREAD locks" before (locks ());
+  E.commit safe;
+  (* The same read on a read-only snapshot that is not yet safe is tracked. *)
+  let rw = E.begin_txn db in
+  let ro = E.begin_txn ~read_only:true db in
+  Alcotest.(check bool) "not yet safe" false (E.snapshot_is_safe ro);
+  let before = locks () in
+  ignore (E.read ro ~table:"kv" ~key:(vi 1));
+  Alcotest.(check bool) "tracked read takes SIREAD locks" true (locks () > before);
+  E.commit rw;
   E.commit ro
 
 (* ---- The Figure 2 anomaly with a read-only T1, engine level (§4.1) ------------ *)
@@ -163,6 +187,8 @@ let () =
           Alcotest.test_case "snapshot-ordering rule" `Quick
             test_ro_snapshot_ordering_avoids_false_positive;
           Alcotest.test_case "safe RO never aborted" `Quick test_safe_ro_cannot_be_aborted;
+          Alcotest.test_case "safe reads take no SIREAD locks" `Quick
+            test_safe_snapshot_takes_no_siread_locks;
         ] );
       ( "deferrable",
         [

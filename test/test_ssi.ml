@@ -35,11 +35,22 @@ let abort env node =
   Clog.abort env.clog (Ssi.xid_of node);
   Ssi.aborted env.mgr node
 
+(* The engine's side of the lock table, on tuple [key] of relation "t"
+   (page 0): a tracked read takes a SIREAD lock; a write hands the lock's
+   holders to the certifier. *)
+let read_tuple env node key =
+  Predlock.lock_tuple (Ssi.locks env.mgr) ~owner:(Ssi.xid_of node) ~rel:"t" ~key:(vi key)
+    ~page:0
+
+let write_tuple env node key =
+  Ssi.conflict_in env.mgr node
+    (Predlock.readers_for_write (Ssi.locks env.mgr) ~rel:"t" ~key:(vi key) ~page:0)
+
 (* Make [reader] --rw--> [writer] through the lock-table path: the reader
    reads a tuple, the writer writes it. *)
 let read_then_write env (_, reader) (_, writer) key =
-  Ssi.read_tuple env.mgr reader ~rel:"t" ~key:(vi key) ~page:0;
-  Ssi.write_check env.mgr writer ~rel:"t" ~key:(vi key) ~page:0
+  read_tuple env reader key;
+  write_tuple env writer key
 
 let expect_failure name f =
   match f () with
@@ -77,9 +88,9 @@ let test_pivot_aborted_preferentially () =
   (* The structure completes when t2 writes what t1 read; t2 is the acting
      transaction AND the preferred victim, so the failure is raised in it
      immediately. *)
-  Ssi.read_tuple env.mgr (snd t1) ~rel:"t" ~key:(vi 2) ~page:0;
+  read_tuple env (snd t1) 2;
   expect_failure "pivot is the victim" (fun () ->
-      Ssi.write_check env.mgr (snd t2) ~rel:"t" ~key:(vi 2) ~page:0);
+      write_tuple env (snd t2) 2);
   Alcotest.(check bool) "t1 not doomed" false (Ssi.is_doomed (snd t1));
   abort env (snd t2);
   commit env (snd t1)
@@ -137,7 +148,7 @@ let test_mvcc_conflict_out_path () =
   let t1 = begin_txn env in
   (* t1 reads data whose newer version t2 wrote — wait, for the pivot test
      we need t1 --rw--> t2: t1 read around t2's write. *)
-  Ssi.write_check env.mgr (snd t2) ~rel:"t" ~key:(vi 5) ~page:0;
+  write_tuple env (snd t2) 5;
   Ssi.conflict_out env.mgr (snd t1) ~writer:(fst t2);
   Alcotest.(check bool) "pivot t2 doomed" true (Ssi.is_doomed (snd t2));
   commit env (snd t1)
@@ -173,9 +184,9 @@ let test_theorem3_disabled () =
   let t2 = begin_txn env and t3 = begin_txn env in
   read_then_write env t2 t3 1;
   commit env (snd t3);
-  Ssi.read_tuple env.mgr (snd t1) ~rel:"t" ~key:(vi 2) ~page:0;
+  read_tuple env (snd t1) 2;
   expect_failure "pivot fails without the optimization" (fun () ->
-      Ssi.write_check env.mgr (snd t2) ~rel:"t" ~key:(vi 2) ~page:0)
+      write_tuple env (snd t2) 2)
 
 let test_theorem3_t3_before_snapshot_aborts () =
   (* If T3 committed before the read-only T1's snapshot, the structure is
@@ -185,9 +196,9 @@ let test_theorem3_t3_before_snapshot_aborts () =
   read_then_write env t2 t3 1;
   commit env (snd t3);
   let t1 = begin_txn ~ro:true env in
-  Ssi.read_tuple env.mgr (snd t1) ~rel:"t" ~key:(vi 2) ~page:0;
+  read_tuple env (snd t1) 2;
   expect_failure "truly dangerous: resolved against the pivot" (fun () ->
-      Ssi.write_check env.mgr (snd t2) ~rel:"t" ~key:(vi 2) ~page:0)
+      write_tuple env (snd t2) 2)
 
 let test_safe_snapshot_immediate () =
   (* No concurrent read/write transaction: immediately safe (§4.2). *)
@@ -203,7 +214,7 @@ let test_safe_snapshot_after_concurrents () =
   let ro = begin_txn ~ro:true env in
   Alcotest.(check bool) "not yet determined" false (Ssi.safety_determined (snd ro));
   (* The RO transaction tracks reads meanwhile. *)
-  Ssi.read_tuple env.mgr (snd ro) ~rel:"t" ~key:(vi 1) ~page:0;
+  read_tuple env (snd ro) 1;
   Alcotest.(check bool) "tracking" true (Predlock.holds (Ssi.locks env.mgr)
     ~owner:(fst ro) (Predlock.Tuple ("t", vi 1)));
   commit env (snd rw);
@@ -218,8 +229,8 @@ let test_unsafe_snapshot () =
   let env = make_env () in
   let t3 = begin_txn env in
   let t2 = begin_txn env in
-  Ssi.read_tuple env.mgr (snd t2) ~rel:"t" ~key:(vi 1) ~page:0;
-  Ssi.write_check env.mgr (snd t3) ~rel:"t" ~key:(vi 1) ~page:0;
+  read_tuple env (snd t2) 1;
+  write_tuple env (snd t3) 1;
   Ssi.note_write (snd t3);
   commit env (snd t3);
   (* t2 now has a conflict out to committed t3. *)
@@ -240,16 +251,16 @@ let test_ro_commit_without_writes_counts_as_ro () =
   read_then_write env t2 t3 1;
   commit env (snd t3);
   (* t1 is still active and could write: the structure is dangerous. *)
-  Ssi.read_tuple env.mgr (snd t1) ~rel:"t" ~key:(vi 2) ~page:0;
+  read_tuple env (snd t1) 2;
   expect_failure "dangerous while t1 might write" (fun () ->
-      Ssi.write_check env.mgr (snd t2) ~rel:"t" ~key:(vi 2) ~page:0)
+      write_tuple env (snd t2) 2)
 
 (* ---- Memory management (§6) ----------------------------------------------------- *)
 
 let test_cleanup_on_no_concurrent () =
   let env = make_env () in
   let t1 = begin_txn env in
-  Ssi.read_tuple env.mgr (snd t1) ~rel:"t" ~key:(vi 1) ~page:0;
+  read_tuple env (snd t1) 1;
   commit env (snd t1);
   (* No active transactions: everything can be dropped. *)
   Alcotest.(check int) "no retained committed" 0 (Ssi.committed_retained env.mgr);
@@ -259,7 +270,7 @@ let test_committed_retained_while_concurrent () =
   let env = make_env () in
   let holdopen = begin_txn env in
   let t1 = begin_txn env in
-  Ssi.read_tuple env.mgr (snd t1) ~rel:"t" ~key:(vi 1) ~page:0;
+  read_tuple env (snd t1) 1;
   commit env (snd t1);
   Alcotest.(check int) "retained while concurrent active" 1 (Ssi.committed_retained env.mgr);
   commit env (snd holdopen);
@@ -270,7 +281,7 @@ let test_summarization_bounds_memory () =
   let holdopen = begin_txn env in
   for i = 1 to 10 do
     let t = begin_txn env in
-    Ssi.read_tuple env.mgr (snd t) ~rel:"t" ~key:(vi i) ~page:0;
+    read_tuple env (snd t) i;
     Ssi.note_write (snd t);
     commit env (snd t)
   done;
@@ -287,9 +298,9 @@ let test_summarized_conflict_in_detected () =
   let holdopen = begin_txn env in
   (* t2 reads key 1 and gains an out-edge to t3, which commits first. *)
   let t2 = begin_txn env and t3 = begin_txn env in
-  Ssi.read_tuple env.mgr (snd t2) ~rel:"t" ~key:(vi 1) ~page:0;
-  Ssi.read_tuple env.mgr (snd t2) ~rel:"t" ~key:(vi 2) ~page:0;
-  Ssi.write_check env.mgr (snd t3) ~rel:"t" ~key:(vi 2) ~page:0;
+  read_tuple env (snd t2) 1;
+  read_tuple env (snd t2) 2;
+  write_tuple env (snd t3) 2;
   commit env (snd t3);
   Ssi.note_write (snd t2);
   commit env (snd t2) (* summarized immediately: max_committed_sxacts = 0 *);
@@ -303,7 +314,7 @@ let test_summarized_conflict_in_detected () =
       (* w gains an out-conflict to t2 via oldserxid (reading around t2's
          write), then writes what t2 read. *)
       Ssi.conflict_out env.mgr (snd w) ~writer:(fst t2);
-      Ssi.write_check env.mgr (snd w) ~rel:"t" ~key:(vi 1) ~page:0;
+      write_tuple env (snd w) 1;
       Ssi.precommit env.mgr (snd w));
   abort env (snd w);
   commit env (snd holdopen)
@@ -313,7 +324,7 @@ let test_oldserxid_cleanup () =
   let holdopen = begin_txn env in
   for i = 1 to 5 do
     let t = begin_txn env in
-    Ssi.read_tuple env.mgr (snd t) ~rel:"t" ~key:(vi i) ~page:0;
+    read_tuple env (snd t) i;
     Ssi.note_write (snd t);
     commit env (snd t)
   done;
@@ -355,7 +366,7 @@ let test_prepare_runs_precommit () =
 let test_recover_conservative () =
   let env = make_env () in
   let tp = begin_txn env in
-  Ssi.read_tuple env.mgr (snd tp) ~rel:"t" ~key:(vi 1) ~page:0;
+  read_tuple env (snd tp) 1;
   Ssi.note_write (snd tp);
   Ssi.prepare env.mgr (snd tp);
   let t_active = begin_txn env in
@@ -370,7 +381,7 @@ let test_recover_conservative () =
      conservative "assume conflicts in and out" flags then fail the writer
      at commit (it would be the first committer of an assumed dangerous
      structure with an unabortable pivot). *)
-  Ssi.write_check env.mgr (snd w) ~rel:"t" ~key:(vi 1) ~page:0;
+  write_tuple env (snd w) 1;
   expect_failure "conservative conflict at commit" (fun () ->
       Ssi.precommit env.mgr (snd w))
 
