@@ -136,8 +136,7 @@ type t = {
   mutable commit_gate : (unit -> unit) option;
   mutable commit_wait : (commit_record -> unit) option;
   mutable fault_injector : (op:string -> unit) option;
-  mutable tracer : (string -> unit) option;
-  mutable wal_log : Wal.t option;  (** the durable log, when attached *)
+  mutable wal_device : Wal.t option;  (** the durable log, when attached *)
 }
 
 and txn = {
@@ -150,11 +149,9 @@ and txn = {
   mutable finished : bool;
   mutable prepared_gid : string option;
   mutable undo : undo_entry list;  (** stack, newest first *)
-  mutable undo_len : int;  (** [List.length undo], maintained incrementally *)
   mutable wal : Wal.op list;  (** reversed *)
-  mutable wal_len : int;  (** [List.length wal], maintained incrementally *)
-  mutable savepoints : (string * int * int) list;
-      (** name, undo length, wal length — newest first *)
+  mutable savepoints : (string * undo_entry list * Wal.op list) list;
+      (** name, [undo] and [wal] when it was set — newest first *)
   mutable subdepth : int;
   span : Obs.span;
       (** the span engine operations hang their child spans on — supplied
@@ -215,28 +212,18 @@ let create ?(scheduler = Waitq.direct) ?(config = default_config) ?obs () =
     commit_gate = None;
     commit_wait = None;
     fault_injector = None;
-    tracer = None;
-    wal_log = None;
+    wal_device = None;
   }
 
 let set_on_commit t f = t.on_commit <- t.on_commit @ [ f ]
 
 let attach_wal t w =
-  t.wal_log <- Some w;
+  t.wal_device <- Some w;
   Wal.set_obs w t.obs
 
-let wal_log t = t.wal_log
 let set_commit_gate t f = t.commit_gate <- f
 let set_commit_wait t f = t.commit_wait <- f
 let set_fault_injector t f = t.fault_injector <- f
-
-let set_tracer t f =
-  t.tracer <- f;
-  Lockmgr.set_tracer t.locks f
-
-(* [trace db (fun m -> m fmt args)]: the message, and so every argument,
-   is formatted only while a tracer is installed. *)
-let trace db msg = match db.tracer with None -> () | Some f -> msg (Printf.ksprintf f)
 
 (* A fault point: where an installed injector may kill the current
    operation with a retryable error.  Never placed after a commit point, so
@@ -249,7 +236,6 @@ let fault_point db ~op =
       with Transient_fault _ as e ->
         Obs.incr db.metrics.m_faults;
         Obs.trace db.obs "fault" ~fields:[ ("op", Obs.S op) ];
-        trace db (fun m -> m "fault injected at %s" op);
         raise e)
 
 let obs t = t.obs
@@ -289,20 +275,18 @@ let finish_op db ~tuples ~locks ~pages =
    against whatever recovers. *)
 let wal_lost () = raise (Transient_fault { op = "wal"; reason = "durable log lost in crash" })
 
-(* DDL is rare: log it and fsync immediately rather than group-commit. *)
-let wal_ddl db record =
-  match db.wal_log with
+(* Append [record] to the durable log, when one is attached, and return
+   once it is durable: [`Flush] fsyncs it now (DDL, epochs and checkpoints
+   are rare), [`Wait] blocks until the group-commit flush that covers it
+   (a no-op when appends flush synchronously). *)
+let log db record ~sync =
+  match db.wal_device with
   | None -> ()
   | Some w -> (
       try
-        ignore (Wal.append w record);
-        Wal.flush w
+        let lsn = Wal.append w record in
+        match sync with `Flush -> Wal.flush w | `Wait -> Wal.wait_durable w db.sched lsn
       with Wal.Lost -> wal_lost ())
-
-(* Block until the record at [lsn] is on the durable device (group-commit
-   flush batching under the simulator; a no-op when appends flush
-   synchronously). *)
-let wal_wait db w lsn = try Wal.wait_durable w db.sched lsn with Wal.Lost -> wal_lost ()
 
 (* ---- Schema --------------------------------------------------------------- *)
 
@@ -343,7 +327,7 @@ let create_table db ~name ~cols ~key =
   hook_split db pk_index;
   Hashtbl.add db.tables name tbl;
   Hashtbl.add db.idx_by_name pk_name pk_index;
-  wal_ddl db (Wal.Schema { d_name = name; d_cols = cols; d_key = key })
+  log db (Wal.Schema { d_name = name; d_cols = cols; d_key = key }) ~sync:`Flush
 
 let create_index db ~table ~name ~column ?(predicate_locks = true) ?next_key_gaps () =
   let tbl = table_of db table in
@@ -367,7 +351,7 @@ let create_index db ~table ~name ~column ?(predicate_locks = true) ?next_key_gap
         (Heap.versions head));
   tbl.secondary <- index :: tbl.secondary;
   Hashtbl.add db.idx_by_name name index;
-  wal_ddl db
+  log db ~sync:`Flush
     (Wal.Index
        {
          table;
@@ -401,7 +385,6 @@ let recluster db ~table =
 (* ---- Transaction lifecycle ------------------------------------------------- *)
 
 let xid txn = txn.txn_xid
-let isolation_of txn = txn.iso
 let engine_of txn = txn.db
 let is_finished txn = txn.finished
 let snapshot_cseq txn = txn.snapshot.Snapshot.horizon
@@ -431,9 +414,7 @@ let make_txn db ~iso ~ro ~xid ~snapshot ~sxact ~span =
       finished = false;
       prepared_gid = None;
       undo = [];
-      undo_len = 0;
       wal = [];
-      wal_len = 0;
       savepoints = [];
       subdepth = 0;
       span;
@@ -524,28 +505,25 @@ let ensure_running txn =
   if txn.prepared_gid <> None then invalid_arg "Engine: transaction is prepared";
   match txn.sxact with Sx ((module C), _, node) -> C.check_doomed node | No_sx -> ()
 
-let start_op txn =
-  ensure_running txn;
-  (* Per-statement snapshots: READ COMMITTED semantics, and the way the
-     2PL baseline sees the latest committed data once its locks are held. *)
-  match txn.iso with
-  | Read_committed | Serializable_2pl ->
-      txn.snapshot <- Snapshot.take txn.db.clog ~owner:txn.txn_xid
-  | Repeatable_read | Serializable -> ()
-
-let ensure_writable txn = if txn.ro then raise Read_only_transaction
-
-let is_2pl txn = txn.iso = Serializable_2pl
-
-(* Per-statement-snapshot modes must re-take their snapshot after any
-   blocking lock acquisition: the snapshot must reflect the commits the
-   granted lock now protects against, or a 2PL reader would see stale data
-   (and TPC-C order-id allocation would hand out duplicates). *)
+(* Per-statement snapshots: READ COMMITTED semantics, and the way the 2PL
+   baseline sees the latest committed data once its locks are held.  Taken
+   at each statement's start and re-taken after any blocking lock
+   acquisition: the snapshot must reflect the commits the granted lock now
+   protects against, or a 2PL reader would see stale data (and TPC-C
+   order-id allocation would hand out duplicates). *)
 let refresh_stmt_snapshot txn =
   match txn.iso with
   | Read_committed | Serializable_2pl ->
       txn.snapshot <- Snapshot.take txn.db.clog ~owner:txn.txn_xid
   | Repeatable_read | Serializable -> ()
+
+let start_op txn =
+  ensure_running txn;
+  refresh_stmt_snapshot txn
+
+let ensure_writable txn = if txn.ro then raise Read_only_transaction
+
+let is_2pl txn = txn.iso = Serializable_2pl
 
 (* ---- Undo ------------------------------------------------------------------- *)
 
@@ -565,25 +543,28 @@ let apply_undo_entry db = function
           ~succ:(Btree.next_key_after idx.tree ikey)
   | U_set_xmax tuple -> Heap.set_xmax tuple Heap.invalid_xid
 
-let rollback_to_length txn ~undo_len ~wal_len =
-  while txn.undo_len > undo_len do
-    match txn.undo with
-    | [] -> txn.undo_len <- 0 (* unreachable: lengths are kept in sync *)
-    | e :: rest ->
-        apply_undo_entry txn.db e;
-        txn.undo <- rest;
-        txn.undo_len <- txn.undo_len - 1
-  done;
-  while txn.wal_len > wal_len do
-    txn.wal <- List.tl txn.wal;
-    txn.wal_len <- txn.wal_len - 1
-  done
+(* Pop and apply undo entries until [txn.undo] is [saved] again: a
+   savepoint's list head is a suffix of every later [txn.undo], so this is
+   linear in the entries undone. *)
+let rec undo_to txn saved =
+  match txn.undo with
+  | e :: rest when txn.undo != saved ->
+      apply_undo_entry txn.db e;
+      txn.undo <- rest;
+      undo_to txn saved
+  | _ -> ()
+
+(* Roll back every write of [txn] and mark it aborted in the clog. *)
+let discard txn =
+  undo_to txn [];
+  txn.wal <- [];
+  Clog.abort txn.db.clog txn.txn_xid
 
 (* ---- Savepoints (§7.3) -------------------------------------------------------- *)
 
 let savepoint txn name =
   ensure_running txn;
-  txn.savepoints <- (name, txn.undo_len, txn.wal_len) :: txn.savepoints;
+  txn.savepoints <- (name, txn.undo, txn.wal) :: txn.savepoints;
   txn.subdepth <- txn.subdepth + 1
 
 let find_savepoint txn name =
@@ -598,12 +579,13 @@ let rollback_to_savepoint txn name =
   ensure_running txn;
   match find_savepoint txn name with
   | None -> invalid_arg ("Engine: no such savepoint " ^ name)
-  | Some (newer, ((_, undo_len, wal_len) as sp), older) ->
+  | Some (newer, ((_, undo, wal) as sp), older) ->
       (* Nested savepoints established after [name] are destroyed; [name]
          itself survives (SQL semantics). *)
       txn.subdepth <- txn.subdepth - List.length newer;
       txn.savepoints <- sp :: older;
-      rollback_to_length txn ~undo_len ~wal_len
+      undo_to txn undo;
+      txn.wal <- wal
 
 let release_savepoint txn name =
   ensure_running txn;
@@ -679,14 +661,30 @@ let rec live_head txn tbl key =
 
 (* ---- Shared read path ----------------------------------------------------------- *)
 
-let conflict_out_many sx xs =
-  match sx with
-  | Sx ((module C), c, node) -> List.iter (fun w -> C.conflict_out c node ~writer:w) xs
-  | No_sx -> ()
+(* §5.3: the version of [head]'s row that [txn]'s snapshot sees, after
+   reporting every concurrent writer of a skipped newer version as an
+   rw-conflict out of [txn]. *)
+let visible txn head =
+  match Visibility.latest_visible txn.db.clog txn.snapshot head with
+  | v, [] -> v
+  | v, writers ->
+      (match tracking txn with
+      | Sx ((module C), c, node) -> List.iter (fun w -> C.conflict_out c node ~writer:w) writers
+      | No_sx -> ());
+      v
 
-(* Probe the primary-key index for gap protection, then walk the version
-   chain.  Returns the visible version, recording SSI conflicts and
-   acquiring SIREAD / 2PL locks along the way. *)
+(* Record that [txn] read version [v]: an rw-conflict out to its
+   concurrent [deleter], and [v]'s creator for the certifiers that track
+   it.  Returns whether [txn] is tracked, i.e. whether the caller must take
+   a SIREAD lock on what it read. *)
+let note_read txn ((v : Heap.tuple), deleter) =
+  match tracking txn with
+  | Sx ((module C), c, node) ->
+      (match deleter with Some w -> C.conflict_out c node ~writer:w | None -> ());
+      C.read_from c node ~creator:v.xmin;
+      true
+  | No_sx -> false
+
 (* Acquire the SIREAD gap locks for an index probe.  Page mode locks every
    examined leaf page; next-key mode locks the distinct keys returned plus
    the successor of the probe's upper bound, which covers every gap the
@@ -733,6 +731,9 @@ let rec lock_index_probe txn idx ~probe =
     lock_index_probe txn idx ~probe
   end
 
+(* Probe the primary-key index for gap protection, then walk the version
+   chain.  Returns the visible version, recording SSI conflicts and
+   acquiring SIREAD / 2PL locks along the way. *)
 let fetch txn tbl key ~for_write =
   let db = txn.db in
   let rel = Heap.rel_name tbl.heap in
@@ -754,18 +755,12 @@ let fetch txn tbl key ~for_write =
   match Heap.head tbl.heap key with
   | None -> None
   | Some head -> (
-      let visible, conflicts = Visibility.latest_visible db.clog txn.snapshot head in
-      conflict_out_many (tracking txn) conflicts;
-      match visible with
+      match visible txn head with
       | None -> None
-      | Some (v, deleter) ->
-          (match tracking txn with
-          | Sx ((module C), c, node) ->
-              (match deleter with Some w -> C.conflict_out c node ~writer:w | None -> ());
-              C.read_from c node ~creator:v.xmin;
-              Predlock.lock_tuple db.predlocks ~owner:txn.txn_xid ~rel ~key
-                ~page:(Heap.page_of_tid v.tid)
-          | No_sx -> ());
+      | Some ((v, _) as read) ->
+          if note_read txn read then
+            Predlock.lock_tuple db.predlocks ~owner:txn.txn_xid ~rel ~key
+              ~page:(Heap.page_of_tid v.tid);
           Some v)
 
 (* ---- Reads ------------------------------------------------------------------------ *)
@@ -779,7 +774,6 @@ let map_lock_errors txn f =
 let read txn ~table ~key =
   start_op txn;
   fault_point txn.db ~op:"read";
-  trace txn.db (fun m -> m "x%d read %s/%s" txn.txn_xid table (Value.to_string key));
   let tbl = table_of txn.db table in
   let result =
     map_lock_errors txn (fun () ->
@@ -798,8 +792,6 @@ let index_of db name =
 let index_scan txn ~table ~index ~lo ~hi =
   start_op txn;
   fault_point txn.db ~op:"index_scan";
-  trace txn.db (fun m ->
-      m "x%d scan %s[%s..%s]" txn.txn_xid index (Value.to_string lo) (Value.to_string hi));
   let db = txn.db in
   let tbl = table_of db table in
   let idx = index_of db index in
@@ -872,27 +864,13 @@ let index_scan txn ~table ~index ~lo ~hi =
                 | None -> None
                 | Some head -> (
                     incr tuples;
-                    let visible, conflicts =
-                      Visibility.latest_visible db.clog txn.snapshot head
-                    in
-                    conflict_out_many (tracking txn) conflicts;
-                    match visible with
-                    | None -> None
-                    | Some (v, deleter) ->
-                        (* Entries of old versions may no longer describe the
-                           visible version: filter on the current value. *)
-                        if Value.equal v.row.(idx.col) ikey then begin
-                          (match tracking txn with
-                          | Sx ((module C), c, node) ->
-                              (match deleter with
-                              | Some w -> C.conflict_out c node ~writer:w
-                              | None -> ());
-                              C.read_from c node ~creator:v.xmin;
-                              batch_read pk (Heap.page_of_tid v.tid)
-                          | No_sx -> ());
-                          Some (Array.copy v.row)
-                        end
-                        else None))
+                    match visible txn head with
+                    (* Entries of old versions may no longer describe the
+                       visible version: filter on the current value. *)
+                    | Some ((v, _) as read) when Value.equal v.row.(idx.col) ikey ->
+                        if note_read txn read then batch_read pk (Heap.page_of_tid v.tid);
+                        Some (Array.copy v.row)
+                    | Some _ | None -> None))
               entries)
       in
       finish_op db ~tuples:!tuples
@@ -904,7 +882,6 @@ let index_scan txn ~table ~index ~lo ~hi =
 let seq_scan txn ~table ?(filter = fun _ -> true) () =
   start_op txn;
   fault_point txn.db ~op:"seq_scan";
-  trace txn.db (fun m -> m "x%d seqscan %s" txn.txn_xid table);
   let db = txn.db in
   let tbl = table_of db table in
   let rel = Heap.rel_name tbl.heap in
@@ -918,16 +895,11 @@ let seq_scan txn ~table ?(filter = fun _ -> true) () =
       let rows = ref [] in
       Heap.iter_heads tbl.heap (fun head ->
           incr tuples;
-          let visible, conflicts = Visibility.latest_visible db.clog txn.snapshot head in
-          conflict_out_many (tracking txn) conflicts;
-          match visible with
+          match visible txn head with
           | None -> ()
-          | Some (v, deleter) ->
-              (match tracking txn with
-              | Sx ((module C), c, node) ->
-                  (match deleter with Some w -> C.conflict_out c node ~writer:w | None -> ());
-                  C.read_from c node ~creator:v.xmin
-              | No_sx -> ());
+          | Some ((v, _) as read) ->
+              (* The relation SIREAD lock above covers every row. *)
+              ignore (note_read txn read);
               if filter v.row then rows := Array.copy v.row :: !rows);
       (* Read tracking is per tuple (visibility conflict-out checks), while
          the 2PL baseline locks the whole relation once. *)
@@ -952,7 +924,6 @@ let index_insert txn idx ~ikey ~pk =
      check may raise, and the rollback must remove the physical entry. *)
   if added then begin
     txn.undo <- U_index_entry (idx, ikey, pk) :: txn.undo;
-    txn.undo_len <- txn.undo_len + 1;
     (* The new entry split the gap below its successor: the gap's locks
        must be inherited onto the new key first, or a later insert below
        [ikey] would consult only the new key and miss the original gap
@@ -984,7 +955,6 @@ let insert txn ~table row =
   let tbl = table_of db table in
   let schema = Heap.schema tbl.heap in
   let key = Schema.key_of_row schema row in
-  trace db (fun m -> m "x%d insert %s/%s" txn.txn_xid table (Value.to_string key));
   ensure_writable txn;
   Schema.check_row schema row;
   map_lock_errors txn (fun () ->
@@ -1015,7 +985,6 @@ let insert txn ~table row =
       in
       let tuple = Heap.insert_version tbl.heap ~key ~row:(Array.copy row) ~xmin:txn.txn_xid in
       txn.undo <- U_new_version (tbl, key) :: txn.undo;
-      txn.undo_len <- txn.undo_len + 1;
       (match tracking txn with
       | Sx ((module C), c, node) ->
           let page = Heap.page_of_tid tuple.tid in
@@ -1030,7 +999,6 @@ let insert txn ~table row =
         (fun idx -> index_insert txn idx ~ikey:(Array.copy row).(idx.col) ~pk:key)
         (all_indexes tbl);
       txn.wal <- Wal.Insert { table; key; row = Array.copy row } :: txn.wal;
-      txn.wal_len <- txn.wal_len + 1;
       finish_op db ~tuples:1
         ~locks:(if is_tracked txn || is_2pl txn then 2 + List.length tbl.secondary else 0)
         ~pages:(2 + List.length tbl.secondary))
@@ -1039,81 +1007,55 @@ let insert txn ~table row =
    version, enforce first-updater-wins, and run the SSI conflict-in check.
    Returns the version to supersede, or [None] when the row is absent. *)
 let rec locate_for_write txn tbl key =
-  let db = txn.db in
-  let rel = Heap.rel_name tbl.heap in
-  match fetch txn tbl key ~for_write:true with
-  | None -> None
-  | Some v ->
-      (* Wait for in-progress creators/deleters of newer state. *)
-      let retry_after_wait x =
-        wait_for_xid txn x;
-        (match txn.iso with
-        | Read_committed | Serializable_2pl ->
-            txn.snapshot <- Snapshot.take db.clog ~owner:txn.txn_xid
-        | Repeatable_read | Serializable -> ());
-        locate_for_write txn tbl key
-      in
-      let newest = live_head txn tbl key in
-      (match newest with
-      | None -> None (* everything above was aborted and v was too *)
-      | Some n ->
-          if n != v then begin
-            (* A newer committed version exists that our snapshot cannot
-               see: first-updater-wins. *)
-            match txn.iso with
-            | Read_committed ->
-                txn.snapshot <- Snapshot.take db.clog ~owner:txn.txn_xid;
+  let result =
+    match fetch txn tbl key ~for_write:true with
+    | None -> None
+    | Some v -> (
+        (* Wait for in-progress creators/deleters of newer state. *)
+        match live_head txn tbl key with
+        | None -> None (* everything above was aborted and v was too *)
+        | Some n when n != v -> newer_committed txn tbl key
+        | Some _ when v.xmax = Heap.invalid_xid || v.xmax = txn.txn_xid -> Some v
+        | Some _ -> (
+            match Clog.status txn.db.clog v.xmax with
+            | Clog.In_progress ->
+                wait_for_xid txn v.xmax;
+                refresh_stmt_snapshot txn;
                 locate_for_write txn tbl key
-            | Repeatable_read | Serializable | Serializable_2pl ->
-                Obs.incr db.metrics.m_write_conflicts;
-                raise
-                  (Serialization_failure
-                     {
-                       xid = txn.txn_xid;
-                       reason = "could not serialize access due to concurrent update";
-                     })
-          end
-          else if v.xmax <> Heap.invalid_xid && v.xmax <> txn.txn_xid then begin
-            match Clog.status db.clog v.xmax with
-            | Clog.In_progress -> retry_after_wait v.xmax
-            | Clog.Committed _ -> (
-                match txn.iso with
-                | Read_committed ->
-                    txn.snapshot <- Snapshot.take db.clog ~owner:txn.txn_xid;
-                    locate_for_write txn tbl key
-                | Repeatable_read | Serializable | Serializable_2pl ->
-                    Obs.incr db.metrics.m_write_conflicts;
-                    raise
-                      (Serialization_failure
-                         {
-                           xid = txn.txn_xid;
-                           reason = "could not serialize access due to concurrent update";
-                         }))
+            | Clog.Committed _ -> newer_committed txn tbl key
             | Clog.Aborted ->
                 Heap.set_xmax v Heap.invalid_xid;
-                Some v
-          end
-          else Some v)
-  |> fun result ->
-  (match result with
-  | Some v ->
-      (match tracking txn with
-      | Sx ((module C), c, node) ->
-          let page = Heap.page_of_tid v.Heap.tid in
-          C.conflict_in c node (Predlock.readers_for_write db.predlocks ~rel ~key ~page);
-          (* The transaction's own write lock now protects the tuple, so its
-             SIREAD lock can go — except inside a subtransaction, whose
-             rollback to a savepoint would release the write lock (§7.3). *)
-          if txn.subdepth = 0 then
-            Predlock.unlock_tuple db.predlocks ~owner:txn.txn_xid ~rel ~key
-      | No_sx -> ())
-  | None -> ());
+                Some v))
+  in
+  (match (result, tracking txn) with
+  | Some v, Sx ((module C), c, node) ->
+      let db = txn.db and rel = Heap.rel_name tbl.heap in
+      C.conflict_in c node
+        (Predlock.readers_for_write db.predlocks ~rel ~key ~page:(Heap.page_of_tid v.Heap.tid));
+      (* The transaction's own write lock now protects the tuple, so its
+         SIREAD lock can go — except inside a subtransaction, whose
+         rollback to a savepoint would release the write lock (§7.3). *)
+      if txn.subdepth = 0 then Predlock.unlock_tuple db.predlocks ~owner:txn.txn_xid ~rel ~key
+  | _, (Sx _ | No_sx) -> ());
   result
+
+(* A version newer than the one [txn]'s snapshot sees was committed:
+   first-updater-wins.  READ COMMITTED retries against a fresh snapshot;
+   every other level fails. *)
+and newer_committed txn tbl key =
+  match txn.iso with
+  | Read_committed ->
+      refresh_stmt_snapshot txn;
+      locate_for_write txn tbl key
+  | Repeatable_read | Serializable | Serializable_2pl ->
+      Obs.incr txn.db.metrics.m_write_conflicts;
+      raise
+        (Serialization_failure
+           { xid = txn.txn_xid; reason = "could not serialize access due to concurrent update" })
 
 let update txn ~table ~key ~f =
   start_op txn;
   fault_point txn.db ~op:"update";
-  trace txn.db (fun m -> m "x%d update %s/%s" txn.txn_xid table (Value.to_string key));
   ensure_writable txn;
   let db = txn.db in
   let tbl = table_of db table in
@@ -1130,14 +1072,11 @@ let update txn ~table ~key ~f =
             invalid_arg "Engine.update: primary key must not change";
           Heap.set_xmax v txn.txn_xid;
           txn.undo <- U_set_xmax v :: txn.undo;
-          txn.undo_len <- txn.undo_len + 1;
           let tuple = Heap.insert_version tbl.heap ~key ~row:row' ~xmin:txn.txn_xid in
           txn.undo <- U_new_version (tbl, key) :: txn.undo;
-          txn.undo_len <- txn.undo_len + 1;
           List.iter (fun idx -> index_insert txn idx ~ikey:row'.(idx.col) ~pk:key) (all_indexes tbl);
           ignore tuple;
           txn.wal <- Wal.Update { table; key; row = Array.copy row' } :: txn.wal;
-          txn.wal_len <- txn.wal_len + 1;
           finish_op db ~tuples:2
             ~locks:(if is_tracked txn || is_2pl txn then 3 + List.length tbl.secondary else 0)
             ~pages:(2 + List.length tbl.secondary);
@@ -1146,7 +1085,6 @@ let update txn ~table ~key ~f =
 let delete txn ~table ~key =
   start_op txn;
   fault_point txn.db ~op:"delete";
-  trace txn.db (fun m -> m "x%d delete %s/%s" txn.txn_xid table (Value.to_string key));
   ensure_writable txn;
   let db = txn.db in
   let tbl = table_of db table in
@@ -1158,9 +1096,7 @@ let delete txn ~table ~key =
       | Some v ->
           Heap.set_xmax v txn.txn_xid;
           txn.undo <- U_set_xmax v :: txn.undo;
-          txn.undo_len <- txn.undo_len + 1;
           txn.wal <- Wal.Delete { table; key } :: txn.wal;
-          txn.wal_len <- txn.wal_len + 1;
           finish_op db ~tuples:1
             ~locks:(if is_tracked txn || is_2pl txn then 2 else 0)
             ~pages:1;
@@ -1241,43 +1177,6 @@ let serializable_rw_active db =
     (fun _ t acc -> acc || (t.iso = Serializable && (not t.ro) && not t.finished))
     db.active false
 
-let emit_wal db txn cseq ~span =
-  match db.on_commit with
-  | [] -> None
-  | hooks ->
-      let record =
-        {
-          wal_xid = txn.txn_xid;
-          wal_cseq = cseq;
-          wal_ops = List.rev txn.wal;
-          wal_safe_point = not (serializable_rw_active db);
-          wal_span = Some span;
-        }
-      in
-      List.iter (fun hook -> hook record) hooks;
-      Some record
-
-(* Stage the durable commit record.  Called with no suspension point
-   between [Clog.commit] and here, so the log's append order IS cseq
-   order — the foundation of the recovery prefix invariant.  Every commit
-   is logged, including read-only/empty ones: replicas and recovery both
-   rely on a dense cseq sequence. *)
-let wal_append_commit db txn cseq ~gid =
-  match db.wal_log with
-  | None -> None
-  | Some w -> (
-      let record =
-        Wal.Commit
-          {
-            c_xid = txn.txn_xid;
-            c_cseq = cseq;
-            c_gid = gid;
-            c_ops = List.rev txn.wal;
-            c_safe = not (serializable_rw_active db);
-          }
-      in
-      try Some (w, Wal.append w record) with Wal.Lost -> wal_lost ())
-
 (* The SIREAD locks held by [xid], straight from the predicate-lock table —
    what PostgreSQL persists in the 2PC state file (§5.7). *)
 let siread_targets db xid =
@@ -1300,13 +1199,7 @@ let prepared_image_of db txn gid =
 let abort txn =
   if not txn.finished then begin
     let db = txn.db in
-    trace db (fun m -> m "x%d abort" txn.txn_xid);
-    List.iter (apply_undo_entry db) txn.undo;
-    txn.undo <- [];
-    txn.undo_len <- 0;
-    txn.wal <- [];
-    txn.wal_len <- 0;
-    Clog.abort db.clog txn.txn_xid;
+    discard txn;
     (match txn.sxact with Sx ((module C), c, node) -> C.aborted c node | No_sx -> ());
     (match txn.prepared_gid with
     | Some gid -> Hashtbl.remove db.prepared_by_gid gid
@@ -1317,17 +1210,80 @@ let abort txn =
     Obs.trace db.obs "txn.abort" ~fields:[ ("xid", Obs.I txn.txn_xid) ]
   end
 
+(* Hand the commit at [cseq] to the durable log and the commit hooks, then
+   hold the acknowledgment until it is durable and replicated.  Called with
+   no suspension point since [Clog.commit], so the log's append order IS
+   cseq order — the foundation of the recovery prefix invariant.  Every
+   commit is logged, including read-only/empty ones: replicas and recovery
+   both rely on a dense cseq sequence. *)
+let publish_commit db txn cseq ~cspan ~gid =
+  let staged, record =
+    match (db.wal_device, db.on_commit) with
+    | None, [] -> (None, None)
+    | device, hooks ->
+        let ops = List.rev txn.wal and safe = not (serializable_rw_active db) in
+        let staged =
+          match device with
+          | None -> None
+          | Some w -> (
+              let c =
+                Wal.Commit
+                  { c_xid = txn.txn_xid; c_cseq = cseq; c_gid = gid; c_ops = ops; c_safe = safe }
+              in
+              try Some (w, Wal.append w c) with Wal.Lost -> wal_lost ())
+        in
+        let record =
+          match hooks with
+          | [] -> None
+          | hooks ->
+              let r =
+                {
+                  wal_xid = txn.txn_xid;
+                  wal_cseq = cseq;
+                  wal_ops = ops;
+                  wal_safe_point = safe;
+                  wal_span = Some (Obs.Span.ctx cspan);
+                }
+              in
+              List.iter (fun hook -> hook r) hooks;
+              Some r
+        in
+        (staged, record)
+  in
+  charge_io db db.cfg.costs.io_commit;
+  (* Group commit: the record is staged; the acknowledgment waits for the
+     flush that makes it durable. *)
+  (match staged with
+  | Some (w, lsn) -> ( try Wal.wait_durable w db.sched lsn with Wal.Lost -> wal_lost ())
+  | None -> ());
+  (* Quorum-synchronous replication: the commit is locally durable and
+     visible; the acknowledgment to the client may still be held until
+     enough replicas confirm (or the hold deadline passes). *)
+  match (db.commit_wait, record) with Some wait, Some r -> wait r | _ -> ()
+
+(* Everything from the commit point on, shared by COMMIT and COMMIT
+   PREPARED.  The [txn.commit] event names the [gid] only for 2PC. *)
+let commit_point db txn ~cspan ~gid =
+  let cseq = Clog.commit db.clog txn.txn_xid in
+  (match txn.sxact with
+  | Sx ((module C), c, node) -> C.committed c node ~commit_cseq:cseq
+  | No_sx -> ());
+  Obs.Span.add txn.span "outcome" (Obs.S "committed");
+  finish_txn txn;
+  Obs.incr db.metrics.m_commits;
+  let fields = [ ("xid", Obs.I txn.txn_xid); ("cseq", Obs.I cseq) ] in
+  Obs.trace db.obs "txn.commit"
+    ~fields:(match gid with None -> fields | Some g -> fields @ [ ("gid", Obs.S g) ]);
+  publish_commit db txn cseq ~cspan ~gid;
+  Obs.Span.add cspan "cseq" (Obs.I cseq);
+  Obs.Span.finish db.obs cspan
+
 let commit txn =
   let db = txn.db in
   (* The commit span covers precommit through quorum wait; its context is
      stamped into the WAL record so replica apply spans parent to it. *)
   let cspan =
     Obs.Span.start db.obs ~parent:txn.span "txn.commit" ~attrs:[ ("xid", Obs.I txn.txn_xid) ]
-  in
-  let close_span ?cseq ~ok () =
-    (match cseq with Some c -> Obs.Span.add cspan "cseq" (Obs.I c) | None -> ());
-    if not ok then Obs.Span.add cspan "error" (Obs.B true);
-    Obs.Span.finish db.obs cspan
   in
   (* A transaction doomed by another's conflict resolution fails here — and
      must be rolled back before the failure is surfaced, or its write locks
@@ -1341,31 +1297,11 @@ let commit txn =
      (match db.commit_gate with Some gate -> gate () | None -> ());
      match txn.sxact with Sx ((module C), c, node) -> C.precommit c node | No_sx -> ()
    with (Serialization_failure _ | Transient_fault _) as e ->
-     close_span ~ok:false ();
+     Obs.Span.add cspan "error" (Obs.B true);
+     Obs.Span.finish db.obs cspan;
      abort txn;
      raise e);
-  let cseq = Clog.commit db.clog txn.txn_xid in
-  trace db (fun m -> m "x%d commit cseq=%d" txn.txn_xid cseq);
-  (match txn.sxact with
-  | Sx ((module C), c, node) -> C.committed c node ~commit_cseq:cseq
-  | No_sx -> ());
-  Obs.Span.add txn.span "outcome" (Obs.S "committed");
-  finish_txn txn;
-  Obs.incr db.metrics.m_commits;
-  Obs.trace db.obs "txn.commit" ~fields:[ ("xid", Obs.I txn.txn_xid); ("cseq", Obs.I cseq) ];
-  let wal_lsn = wal_append_commit db txn cseq ~gid:None in
-  let record = emit_wal db txn cseq ~span:(Obs.Span.ctx cspan) in
-  charge_io db db.cfg.costs.io_commit;
-  (* Group commit: the record is staged; the acknowledgment waits for the
-     flush that makes it durable. *)
-  (match wal_lsn with Some (w, lsn) -> wal_wait db w lsn | None -> ());
-  (* Quorum-synchronous replication: the commit is locally durable and
-     visible; the acknowledgment to the client may still be held until
-     enough replicas confirm (or the hold deadline passes). *)
-  (match (db.commit_wait, record) with
-  | Some wait, Some r -> wait r
-  | _ -> ());
-  close_span ~cseq ~ok:true ()
+  commit_point db txn ~cspan ~gid:None
 
 (* Commit latency includes the pre-commit SSI check, the commit-record
    I/O charge, and any WAL-hook work. *)
@@ -1387,14 +1323,7 @@ let prepare txn ~gid =
   Hashtbl.add db.prepared_by_gid gid txn;
   (* The 2PC state record — redo ops, snapshot and SIREAD locks — must be
      durable before PREPARE is acknowledged to the coordinator (§5.7). *)
-  match db.wal_log with
-  | None -> ()
-  | Some w ->
-      let lsn =
-        try Wal.append w (Wal.Prepare (prepared_image_of db txn gid))
-        with Wal.Lost -> wal_lost ()
-      in
-      wal_wait db w lsn
+  if db.wal_device <> None then log db (Wal.Prepare (prepared_image_of db txn gid)) ~sync:`Wait
 
 let prepared_txn db gid =
   match Hashtbl.find_opt db.prepared_by_gid gid with
@@ -1408,22 +1337,7 @@ let commit_prepared db ~gid =
     Obs.Span.start db.obs ~parent:txn.span "txn.commit"
       ~attrs:[ ("xid", Obs.I txn.txn_xid); ("gid", Obs.S gid) ]
   in
-  let cseq = Clog.commit db.clog txn.txn_xid in
-  (match txn.sxact with
-  | Sx ((module C), c, node) -> C.committed c node ~commit_cseq:cseq
-  | No_sx -> ());
-  Obs.Span.add txn.span "outcome" (Obs.S "committed");
-  finish_txn txn;
-  Obs.incr db.metrics.m_commits;
-  Obs.trace db.obs "txn.commit"
-    ~fields:[ ("xid", Obs.I txn.txn_xid); ("cseq", Obs.I cseq); ("gid", Obs.S gid) ];
-  let wal_lsn = wal_append_commit db txn cseq ~gid:(Some gid) in
-  let record = emit_wal db txn cseq ~span:(Obs.Span.ctx cspan) in
-  charge_io db db.cfg.costs.io_commit;
-  (match wal_lsn with Some (w, lsn) -> wal_wait db w lsn | None -> ());
-  (match (db.commit_wait, record) with Some wait, Some r -> wait r | _ -> ());
-  Obs.Span.add cspan "cseq" (Obs.I cseq);
-  Obs.Span.finish db.obs cspan
+  commit_point db txn ~cspan ~gid:(Some gid)
 
 let rollback_prepared db ~gid =
   let txn = prepared_txn db gid in
@@ -1433,13 +1347,7 @@ let rollback_prepared db ~gid =
   abort txn;
   (* Make the abort decision durable so recovery does not resurrect the
      prepared transaction. *)
-  match db.wal_log with
-  | None -> ()
-  | Some w ->
-      let lsn =
-        try Wal.append w (Wal.Abort { a_xid = xid; a_gid = gid }) with Wal.Lost -> wal_lost ()
-      in
-      wal_wait db w lsn
+  log db (Wal.Abort { a_xid = xid; a_gid = gid }) ~sync:`Wait
 
 (* Sorted by gid for the same reason as [table_names]: recovery output and
    coordinator recovery scans iterate this list and must not depend on
@@ -1503,12 +1411,7 @@ let simulate_connection_loss db =
   in
   List.iter
     (fun txn ->
-      List.iter (apply_undo_entry db) txn.undo;
-      txn.undo <- [];
-      txn.undo_len <- 0;
-      txn.wal <- [];
-      txn.wal_len <- 0;
-      Clog.abort db.clog txn.txn_xid;
+      discard txn;
       txn.crashed <- true;
       Obs.Span.add txn.span "outcome" (Obs.S "crashed");
       finish_txn txn)
@@ -1520,14 +1423,7 @@ let simulate_connection_loss db =
 
 (* ---- Durability: epochs, checkpoints, cold-start recovery ------------------------- *)
 
-let note_epoch db epoch =
-  match db.wal_log with
-  | None -> ()
-  | Some w -> (
-      try
-        ignore (Wal.append w (Wal.Epoch epoch));
-        Wal.flush w
-      with Wal.Lost -> wal_lost ())
+let note_epoch db epoch = log db (Wal.Epoch epoch) ~sync:`Flush
 
 (* An atomic, consistent checkpoint: the image is captured with no
    suspension point, so its position in the log corresponds exactly to its
@@ -1535,9 +1431,9 @@ let note_epoch db epoch =
    replay needs only the records after it.  The image holds each table's
    rows visible at the horizon plus the prepared-transaction state. *)
 let checkpoint db =
-  match db.wal_log with
+  match db.wal_device with
   | None -> ()
-  | Some w ->
+  | Some _ ->
       let horizon = Clog.next_cseq db.clog in
       let snap = { Snapshot.owner = 0; horizon } in
       (* Both folds below run over hash tables; sort the images (tables by
@@ -1581,12 +1477,9 @@ let checkpoint db =
         Hashtbl.fold (fun gid txn acc -> prepared_image_of db txn gid :: acc) db.prepared_by_gid []
         |> List.sort (fun a b -> compare a.Wal.p_gid b.Wal.p_gid)
       in
-      (try
-         ignore
-           (Wal.append w
-              (Wal.Checkpoint { k_cseq = horizon - 1; k_tables = tables; k_prepared = prepared }));
-         Wal.flush w
-       with Wal.Lost -> wal_lost ());
+      log db
+        (Wal.Checkpoint { k_cseq = horizon - 1; k_tables = tables; k_prepared = prepared })
+        ~sync:`Flush;
       charge_io db db.cfg.costs.io_commit
 
 (* ---- Cold-start recovery (redo replay) -------------------------------------------- *)
@@ -1690,9 +1583,7 @@ let reinstate_prepared db (img : Wal.prepared_image) =
   in
   txn.prepared_gid <- Some img.Wal.p_gid;
   txn.undo <- !undo;
-  txn.undo_len <- List.length !undo;
   txn.wal <- List.rev img.Wal.p_ops;
-  txn.wal_len <- List.length img.Wal.p_ops;
   Hashtbl.add db.prepared_by_gid img.Wal.p_gid txn
 
 (* Install a checkpoint image: every row becomes a single base version
@@ -1790,8 +1681,7 @@ let recover ?scheduler ?config ?obs w =
       end)
     records;
   Wal.reopen w;
-  db.wal_log <- Some w;
-  Wal.set_obs w db.obs;
+  attach_wal db w;
   let n_prepared = Hashtbl.length db.prepared_by_gid in
   Obs.incr ~by:!replayed c_replayed;
   Obs.incr ~by:truncated c_truncated;
@@ -1935,23 +1825,6 @@ let retry ?isolation ?read_only ?deferrable ?max_attempts db f =
   retry_with ?isolation ?read_only ?deferrable ~policy db f
 
 (* ---- Maintenance ------------------------------------------------------------------------------ *)
-
-let dump_active db =
-  Hashtbl.fold
-    (fun x txn acc ->
-      let state =
-        Printf.sprintf
-          "xid=%d iso=%s ro=%b finished=%b prepared=%b waiting_for=%s undo=%d commit_wq=%d"
-          x
-          (isolation_to_string txn.iso)
-          txn.ro txn.finished
-          (txn.prepared_gid <> None)
-          (match txn.write_waiting_for with None -> "-" | Some w -> string_of_int w)
-          txn.undo_len
-          (Waitq.id txn.commit_wq)
-      in
-      state :: acc)
-    db.active []
 
 let vacuum db =
   let horizon =

@@ -185,7 +185,6 @@ val abort : txn -> unit
 (** Roll back.  Idempotent on already-finished transactions. *)
 
 val xid : txn -> Heap.xid
-val isolation_of : txn -> isolation
 val is_finished : txn -> bool
 
 val snapshot_cseq : txn -> int
@@ -208,8 +207,9 @@ val snapshot_is_safe : txn -> bool
 
 val savepoint : txn -> string -> unit
 val rollback_to_savepoint : txn -> string -> unit
-(** Undoes data changes since the savepoint.  SIREAD locks acquired in the
-    subtransaction are retained, as the paper requires. *)
+(** Undoes data changes since the savepoint and drops their redo ops from
+    the commit record, in time linear in the changes undone.  SIREAD locks
+    acquired in the subtransaction are retained, as the paper requires. *)
 
 val release_savepoint : txn -> string -> unit
 
@@ -277,8 +277,6 @@ val attach_wal : t -> Ssi_wal.Wal.t -> unit
 (** Attach the durable log.  From now on commits block until their record
     is flushed; the log's [wal.*] metrics move into this engine's
     registry. *)
-
-val wal_log : t -> Ssi_wal.Wal.t option
 
 val checkpoint : t -> unit
 (** Write a checkpoint record — a consistent image of every table at the
@@ -406,9 +404,11 @@ val obs : t -> Ssi_obs.Obs.t
     per-operation virtual-time latency histograms
     [engine.latency.read|index_scan|seq_scan|insert|update|delete|commit].
     The same registry carries the [ssi.*], [predlock.*] and [lockmgr.*]
-    metrics of the layers below, and trace events ([txn.commit],
-    [txn.abort], [txn.serialization_failure], [txn.giveup], [fault],
-    [crash], [ssi.*]).  Windowed readings come from [Obs.snap] plus the
+    metrics of the layers below, and trace events ([txn.commit] with
+    [xid], [cseq] and, for COMMIT PREPARED, [gid]; [txn.abort],
+    [txn.serialization_failure], [txn.giveup], [fault], [crash],
+    [ssi.*]).  This event log is the engine's only debug channel.
+    Windowed readings come from [Obs.snap] plus the
     [Obs.delta_*] accessors, which replaced the old mutable stats
     records. *)
 
@@ -431,12 +431,3 @@ val table_schema : t -> table:string -> Schema.t
 val table_indexes : t -> table:string -> (string * string) list
 (** [(index name, indexed column)] for every index on the table, the
     primary-key index first. *)
-
-val set_tracer : t -> (string -> unit) option -> unit
-(** Install (or clear) a debug tracer receiving one line per operation
-    (and, through the lock manager, per heavyweight lock request).
-    Messages are formatted only while a tracer is installed: with [None]
-    no operation builds a trace string. *)
-
-val dump_active : t -> string list
-(** One debug line per in-flight transaction (for tests and debugging). *)

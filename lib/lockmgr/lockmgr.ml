@@ -77,7 +77,6 @@ type t = {
   sched : Waitq.scheduler;
   obs : Obs.t;
   mutable waiting : int;
-  mutable tracer : (string -> unit) option;
   m_waits : Obs.counter;
   m_deadlocks : Obs.counter;
 }
@@ -89,16 +88,9 @@ let create ?(obs = Obs.create ()) sched =
     sched;
     obs;
     waiting = 0;
-    tracer = None;
     m_waits = Obs.counter obs "lockmgr.waits";
     m_deadlocks = Obs.counter obs "lockmgr.deadlocks";
   }
-
-let set_tracer t f = t.tracer <- f
-
-(* [trace t (fun m -> m fmt args)]: the message, and so every argument,
-   is formatted only while a tracer is installed. *)
-let trace t msg = match t.tracer with None -> () | Some f -> msg (Printf.ksprintf f)
 
 let get_lock t target =
   match Target_table.find_opt t.table target with
@@ -225,7 +217,6 @@ let remove_request lock req =
 
 let acquire t ~owner target mode =
   let lock = get_lock t target in
-  trace t (fun m -> m "lock x%d %s %s" owner (target_to_string target) (mode_to_string mode));
   if holds t ~owner target mode then ()
   else if
     (not (conflicts_with_holders lock ~owner ~mode)) && Queue.is_empty lock.waiters
@@ -239,7 +230,6 @@ let acquire t ~owner target mode =
     t.waiting <- t.waiting + 1;
     (* Maybe the queue was non-empty only with compatible requests. *)
     grant_waiters t lock;
-    trace t (fun m -> m "lock x%d WAIT" owner);
     if not req.granted then begin
       Obs.incr t.m_waits;
       (* The wait interval is a child span of the owning transaction's span

@@ -50,12 +50,9 @@ val create : ?obs:Ssi_obs.Obs.t -> Ssi_util.Waitq.scheduler -> t
 (** [obs] is the metrics registry this lock manager reports into
     ([lockmgr.waits] counts requests that had to block, and
     [lockmgr.deadlocks] counts cycles detected); a private registry is
-    created when omitted. *)
-
-val set_tracer : t -> (string -> unit) option -> unit
-(** Install a debug tracer receiving one line per acquisition/wait.
-    Messages are formatted only while a tracer is installed: with [None]
-    an acquisition builds no string. *)
+    created when omitted.  A request that blocks opens a [lockmgr.wait]
+    span under its owner's transaction span: the registry is the lock
+    manager's only debug channel. *)
 
 val acquire : t -> owner:Heap.xid -> target -> mode -> unit
 (** Grant the lock, suspending while incompatible locks are held by other

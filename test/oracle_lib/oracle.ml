@@ -73,8 +73,10 @@ let sim_costs =
   { E.zero_costs with E.cpu_per_op = 80e-6; cpu_per_tuple = 4e-6; io_commit = 40e-6 }
 
 (* One transaction body: random point reads, small scans, and writes whose
-   stamped value identifies this transaction.  Returns the read/write log. *)
-let txn_body rng cfg t =
+   stamped value identifies this transaction.  Returns the read/write log.
+   [after_op] runs after each engine operation, even one that raised. *)
+let txn_body ~after_op rng cfg t =
+  let op f = Fun.protect ~finally:after_op f in
   let reads = ref [] and writes = ref [] in
   let me = E.xid t in
   for _ = 1 to cfg.ops_per_txn do
@@ -84,15 +86,16 @@ let txn_body rng cfg t =
       (* Delete + reinsert a tombstone stamped with this txn: readers can
          always tell which "version" of the key they observed, keeping the
          serialization-graph construction exact. *)
-      if E.delete t ~table ~key:(Value.Int k) then begin
-        (try E.insert t ~table [| Value.Int k; Value.Int me |]
+      if op (fun () -> E.delete t ~table ~key:(Value.Int k)) then begin
+        (try op (fun () -> E.insert t ~table [| Value.Int k; Value.Int me |])
          with E.Duplicate_key _ -> ());
         writes := k :: !writes
       end
     end
     else if p < cfg.delete_bias +. cfg.write_bias then begin
       let updated =
-        E.update t ~table ~key:(Value.Int k) ~f:(fun row -> [| row.(0); Value.Int me |])
+        op (fun () ->
+            E.update t ~table ~key:(Value.Int k) ~f:(fun row -> [| row.(0); Value.Int me |]))
       in
       let wrote =
         updated
@@ -100,7 +103,7 @@ let txn_body rng cfg t =
         (* The key may exist in the latest committed state even though our
            snapshot does not see it; such inserts fail and write nothing. *)
         try
-          E.insert t ~table [| Value.Int k; Value.Int me |];
+          op (fun () -> E.insert t ~table [| Value.Int k; Value.Int me |]);
           true
         with E.Duplicate_key _ -> false
       in
@@ -109,7 +112,8 @@ let txn_body rng cfg t =
     else if p < cfg.delete_bias +. cfg.write_bias +. cfg.scan_bias then begin
       let hi = min (cfg.keys - 1) (k + 3) in
       let rows =
-        E.index_scan t ~table ~index:(table ^ "_pkey") ~lo:(Value.Int k) ~hi:(Value.Int hi)
+        op (fun () ->
+            E.index_scan t ~table ~index:(table ^ "_pkey") ~lo:(Value.Int k) ~hi:(Value.Int hi))
       in
       let seen = Hashtbl.create 8 in
       List.iter
@@ -122,7 +126,7 @@ let txn_body rng cfg t =
     end
     else begin
       let version =
-        match E.read t ~table ~key:(Value.Int k) with
+        match op (fun () -> E.read t ~table ~key:(Value.Int k)) with
         | Some row -> Value.as_int row.(1)
         | None -> 0
       in
@@ -131,7 +135,9 @@ let txn_body rng cfg t =
   done;
   (List.rev !reads, List.rev !writes)
 
-let run_history ?tracer ?on_create ~isolation cfg =
+(* [after_op] runs after every operation the oracle issues, commits and
+   aborts included, whether or not the operation raised. *)
+let run_history ?(after_op = ignore) ~isolation cfg =
   let log = ref [] in
   let order = ref 0 in
   let config =
@@ -148,10 +154,7 @@ let run_history ?tracer ?on_create ~isolation cfg =
     }
   in
   let db = E.create ~scheduler:Sim.scheduler ~config () in
-  Option.iter (fun f -> f db) on_create;
-  (match tracer with
-  | Some f -> E.set_tracer db (Some (fun line -> f (Printf.sprintf "%.6f %s" (Sim.now ()) line)))
-  | None -> ());
+  let after_op () = after_op db in
   ignore
     (Sim.run (fun () ->
          E.create_table db ~name:table ~cols:[ "k"; "writer" ] ~key:"k";
@@ -166,9 +169,10 @@ let run_history ?tracer ?on_create ~isolation cfg =
                for _ = 1 to cfg.txns_per_worker do
                  (try
                     let xid = ref 0 and body = ref ([], []) in
-                    E.with_txn ~isolation db (fun t ->
-                        xid := E.xid t;
-                        body := txn_body rng cfg t);
+                    Fun.protect ~finally:after_op (fun () ->
+                        E.with_txn ~isolation db (fun t ->
+                            xid := E.xid t;
+                            body := txn_body ~after_op rng cfg t));
                     incr order;
                     let reads, writes = !body in
                     log := { xid = !xid; reads; writes; order = !order } :: !log

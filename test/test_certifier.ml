@@ -206,9 +206,9 @@ let test_info_matches_graph kind name () =
   Array.iter
     (fun (cname, cfg) ->
       let tracked = ref 0 in
-      let on_create db = E.set_tracer db (Some (fun _ -> tracked := !tracked + check_info db)) in
+      let after_op db = tracked := !tracked + check_info db in
       ignore
-        (Oracle.run_history ~on_create ~isolation:E.Serializable
+        (Oracle.run_history ~after_op ~isolation:E.Serializable
            { cfg with Oracle.seed = 8; certifier = kind });
       Alcotest.(check bool) (Printf.sprintf "%s/%s: graph nonempty" name cname) true (!tracked > 0))
     oracle_cfgs

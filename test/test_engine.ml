@@ -361,59 +361,6 @@ let test_finished_txn_rejected () =
     (Invalid_argument "Engine: transaction already finished") (fun () -> ignore (get t 1));
   E.abort t (* idempotent *)
 
-(* A fixed S2PL history whose second transaction blocks on the first's
-   tuple lock: every engine and lock-manager line is pinned verbatim, so
-   the tracer's text cannot drift. *)
-let tracer_lines () =
-  let lines = ref [] in
-  let s2pl = E.Serializable_2pl in
-  ignore
-    (Sim.run (fun () ->
-         let db = E.create ~scheduler:Sim.scheduler () in
-         E.create_table db ~name:"kv" ~cols:[ "k"; "v" ] ~key:"k";
-         E.set_tracer db (Some (fun l -> lines := l :: !lines));
-         let pk, _ = List.hd (E.table_indexes db ~table:"kv") in
-         Sim.spawn (fun () ->
-             E.with_txn ~isolation:s2pl db (fun t ->
-                 put t 1 "one";
-                 put t 2 "two";
-                 Sim.delay 1.0));
-         Sim.spawn (fun () ->
-             Sim.delay 0.5;
-             E.with_txn ~isolation:s2pl db (fun t ->
-                 ignore (get t 1);
-                 ignore (E.read t ~table:"kv" ~key:(vs "q\"\\\n\xe9"));
-                 ignore (E.read t ~table:"kv" ~key:(Value.Float 2.5));
-                 ignore (E.index_scan t ~table:"kv" ~index:pk ~lo:(vi 0) ~hi:(vi 9));
-                 ignore (E.update t ~table:"kv" ~key:(vi 2) ~f:(fun r -> [| r.(0); vs "deux" |]));
-                 ignore (E.delete t ~table:"kv" ~key:(vi 1))));
-         Sim.spawn (fun () ->
-             Sim.delay 2.0;
-             let t = E.begin_txn ~isolation:s2pl db in
-             put t 3 "three";
-             E.abort t;
-             E.set_tracer db None;
-             E.with_txn db (fun t -> put t 4 "untraced"))));
-  List.rev !lines
-
-let test_tracer () =
-  Alcotest.(check (list string))
-    "tracer lines"
-    [
-      "x1 insert kv/1"; "lock x1 rel:kv IX"; "lock x1 tuple:kv/1 X";
-      "lock x1 idxpage:kv_pkey/0 X"; "x1 insert kv/2"; "lock x1 rel:kv IX";
-      "lock x1 tuple:kv/2 X"; "lock x1 idxpage:kv_pkey/0 X"; "x2 read kv/1";
-      "lock x2 rel:kv IS"; "lock x2 idxpage:kv_pkey/0 S"; "lock x2 WAIT"; "x1 commit cseq=1";
-      "lock x2 tuple:kv/1 S"; "x2 read kv/\"q\\\"\\\\\\n\\233\""; "lock x2 rel:kv IS";
-      "lock x2 tuple:kv/\"q\\\"\\\\\\n\\233\" S"; "x2 read kv/2.5"; "lock x2 rel:kv IS";
-      "lock x2 tuple:kv/2.5 S"; "x2 scan kv_pkey[0..9]"; "lock x2 rel:kv IS";
-      "lock x2 tuple:kv/1 S"; "lock x2 tuple:kv/2 S"; "x2 update kv/2"; "lock x2 rel:kv IX";
-      "lock x2 tuple:kv/2 X"; "x2 delete kv/1"; "lock x2 rel:kv IX"; "lock x2 tuple:kv/1 X";
-      "x2 commit cseq=2"; "x3 insert kv/3"; "lock x3 rel:kv IX"; "lock x3 tuple:kv/3 X";
-      "lock x3 idxpage:kv_pkey/0 X"; "x3 abort";
-    ]
-    (tracer_lines ())
-
 let () =
   Alcotest.run "engine"
     [
@@ -455,6 +402,5 @@ let () =
           Alcotest.test_case "retry gives up" `Quick test_retry_gives_up;
           Alcotest.test_case "read-only enforced" `Quick test_read_only_rejects_writes;
           Alcotest.test_case "finished rejected" `Quick test_finished_txn_rejected;
-          Alcotest.test_case "tracer" `Quick test_tracer;
         ] );
     ]

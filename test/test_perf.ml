@@ -245,11 +245,12 @@ let test_tpcc_replay () =
 (* ---- Deep savepoint rollback stays linear ---------------------------------- *)
 
 (* 50 savepoints of 1,000 inserts each, rolled back one level at a time
-   from the deepest: 50,000 undo entries total.  The pre-fix
-   rollback_to_length recomputed the undo-list length on every popped
-   entry, ~1.25e9 list steps for this shape — minutes of CPU.  The
-   incremental length counters make it ~5e4 steps.  The generous budget
-   only fails on a complexity regression, not on a slow machine. *)
+   from the deepest: 50,000 undo entries total.  A rollback that walked
+   the whole undo list per popped entry (say, to recompute its length)
+   would take ~1.25e9 list steps for this shape — minutes of CPU.  Popping
+   until the savepoint's saved list head is reached takes ~5e4 steps.  The
+   generous budget only fails on a complexity regression, not on a slow
+   machine. *)
 let test_deep_savepoint_rollback_linear () =
   let levels = 50 and per_level = 1_000 in
   let db = E.create () in

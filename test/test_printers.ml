@@ -1,4 +1,4 @@
-(* The direct string printers used on per-operation paths (trace lines,
+(* The direct string printers used on per-operation paths (event and
    span fields, the 2PC SIREAD digest) against the [Format] printers they
    replaced, kept here verbatim as references: every constructor, with
    the float, int and string edge cases [%g], [%d] and [%S] treat

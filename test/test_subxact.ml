@@ -4,6 +4,7 @@
 
 open Ssi_storage
 module E = Ssi_engine.Engine
+module Wal = Ssi_wal.Wal
 
 let vi i = Value.Int i
 
@@ -39,6 +40,46 @@ let test_rollback_restores_data () =
   E.with_txn db (fun t ->
       Alcotest.(check int) "committed state" 1 (value t 1);
       Alcotest.(check int) "no phantom 9" (-1) (value t 9))
+
+let op_to_string = function
+  | Wal.Insert { table; key; row } | Wal.Update { table; key; row } ->
+      Printf.sprintf "%s/%s=[%s]" table (Value.to_string key)
+        (String.concat "," (Array.to_list (Array.map Value.to_string row)))
+  | Wal.Delete { table; key } -> Printf.sprintf "delete %s/%s" table (Value.to_string key)
+
+let ops =
+  Alcotest.(list (testable (fun ppf o -> Format.pp_print_string ppf (op_to_string o)) ( = )))
+
+(* Rolling back to a savepoint also drops the redo ops written after it:
+   the commit hook and the logged [Commit] carry only the surviving writes,
+   in execution order. *)
+let test_rollback_drops_redo_ops () =
+  let db = E.create () in
+  E.create_table db ~name:"kv" ~cols:[ "k"; "v" ] ~key:"k";
+  let w = Wal.create () in
+  E.attach_wal db w;
+  let hooked = ref [] in
+  E.set_on_commit db (fun r -> hooked := r.E.wal_ops :: !hooked);
+  E.with_txn db (fun t ->
+      E.insert t ~table:"kv" [| vi 1; vi 0 |];
+      E.savepoint t "a";
+      E.insert t ~table:"kv" [| vi 2; vi 0 |];
+      E.savepoint t "b";
+      bump t 1;
+      E.rollback_to_savepoint t "a";
+      E.insert t ~table:"kv" [| vi 3; vi 0 |]);
+  let insert k = Wal.Insert { table = "kv"; key = vi k; row = [| vi k; vi 0 |] } in
+  let want = [ insert 1; insert 3 ] in
+  (match !hooked with
+  | [ hook_ops ] -> Alcotest.check ops "commit hook ops" want hook_ops
+  | l -> Alcotest.failf "%d commit hook calls, expected 1" (List.length l));
+  match
+    List.filter_map
+      (function Wal.Commit { c_ops; _ } -> Some c_ops | _ -> None)
+      (fst (Wal.read_all w))
+  with
+  | [ logged ] -> Alcotest.check ops "logged Commit ops" want logged
+  | l -> Alcotest.failf "%d logged commits, expected 1" (List.length l)
 
 let test_savepoint_survives_rollback () =
   (* SQL semantics: ROLLBACK TO leaves the savepoint defined. *)
@@ -156,6 +197,7 @@ let () =
           Alcotest.test_case "savepoint survives rollback" `Quick
             test_savepoint_survives_rollback;
           Alcotest.test_case "nested" `Quick test_nested_savepoints;
+          Alcotest.test_case "rollback drops redo ops" `Quick test_rollback_drops_redo_ops;
           Alcotest.test_case "release" `Quick test_release_savepoint;
           Alcotest.test_case "unknown name" `Quick test_unknown_savepoint;
         ] );

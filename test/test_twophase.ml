@@ -5,6 +5,8 @@
 
 open Ssi_storage
 module E = Ssi_engine.Engine
+module Obs = Ssi_obs.Obs
+module Wal = Ssi_wal.Wal
 
 let vi i = Value.Int i
 
@@ -37,6 +39,62 @@ let test_prepare_commit () =
   E.commit_prepared db ~gid:"g1";
   Alcotest.(check int) "visible after commit" 1 (value db 1);
   Alcotest.(check (list string)) "gone" [] (E.prepared_gids db)
+
+(* COMMIT PREPARED publishes its commit exactly as COMMIT does: to the
+   commit hooks, to the durable log (naming the gid), as a [txn.commit]
+   event and on the [txn.commit] span. *)
+let test_commit_prepared_publishes () =
+  let db = fresh () in
+  let w = Wal.create () in
+  E.attach_wal db w;
+  let hooked = ref [] in
+  E.set_on_commit db (fun r -> hooked := r :: !hooked);
+  let t = E.begin_txn db in
+  let xid = E.xid t in
+  bump t 1;
+  E.prepare t ~gid:"g1";
+  E.commit_prepared db ~gid:"g1";
+  let ops = [ Wal.Update { table = "kv"; key = vi 1; row = [| vi 1; vi 1 |] } ] in
+  let cseq =
+    match !hooked with
+    | [ r ] ->
+        Alcotest.(check int) "hook xid" xid r.E.wal_xid;
+        Alcotest.(check bool) "hook ops" true (r.E.wal_ops = ops);
+        r.E.wal_cseq
+    | l -> Alcotest.failf "%d commit hook calls, expected 1" (List.length l)
+  in
+  (match
+     List.filter_map
+       (function
+         | Wal.Commit { c_xid; c_cseq; c_gid; c_ops; _ } when c_xid = xid ->
+             Some (c_cseq, c_gid, c_ops)
+         | _ -> None)
+       (fst (Wal.read_all w))
+   with
+  | [ (c_cseq, c_gid, c_ops) ] ->
+      Alcotest.(check int) "logged cseq" cseq c_cseq;
+      Alcotest.(check (option string)) "logged gid" (Some "g1") c_gid;
+      Alcotest.(check bool) "logged ops" true (c_ops = ops)
+  | l -> Alcotest.failf "%d logged commits of x%d, expected 1" (List.length l) xid);
+  let commit_events =
+    List.filter
+      (fun (e : Obs.event) -> e.name = "txn.commit" && List.mem ("xid", Obs.I xid) e.fields)
+      (Obs.events (E.obs db))
+  in
+  (match commit_events with
+  | [ e ] ->
+      Alcotest.(check bool) "event fields: xid, cseq, gid" true
+        (e.fields = [ ("xid", Obs.I xid); ("cseq", Obs.I cseq); ("gid", Obs.S "g1") ])
+  | l -> Alcotest.failf "%d txn.commit events for x%d, expected 1" (List.length l) xid);
+  match
+    List.filter
+      (fun s -> Obs.Span.name s = "txn.commit" && List.mem ("gid", Obs.S "g1") (Obs.Span.attrs s))
+      (Obs.Spans.finished (E.obs db))
+  with
+  | [ s ] ->
+      Alcotest.(check bool) "span carries cseq" true
+        (List.assoc_opt "cseq" (Obs.Span.attrs s) = Some (Obs.I cseq))
+  | l -> Alcotest.failf "%d txn.commit spans for g1, expected 1" (List.length l)
 
 let test_prepare_rollback () =
   let db = fresh () in
@@ -253,6 +311,7 @@ let () =
       ( "protocol",
         [
           Alcotest.test_case "prepare then commit" `Quick test_prepare_commit;
+          Alcotest.test_case "commit prepared publishes" `Quick test_commit_prepared_publishes;
           Alcotest.test_case "prepare then rollback" `Quick test_prepare_rollback;
           Alcotest.test_case "no ops after prepare" `Quick test_no_ops_after_prepare;
           Alcotest.test_case "duplicate gid" `Quick test_duplicate_gid_rejected;
