@@ -1,6 +1,7 @@
 (** The serializability-certifier signature and the vocabulary every
     certifier shares: the failure exception, the configuration, the
-    introspection record and victim accounting.
+    introspection record, victim accounting and the retention of committed
+    transactions.
 
     The module depends on no certifier, so the paper's SSI manager
     ({!Ssi}) and the SSN/ESSN watermark certifiers ({!Ssn}) both
@@ -36,6 +37,15 @@ let default_config =
     read_only_opt = true;
     predlock = Predlock.default_config;
   }
+
+(** A certifier node's lifecycle. *)
+type status = Active | Prepared | Committed | Aborted
+
+let status_name = function
+  | Active -> "active"
+  | Prepared -> "prepared"
+  | Committed -> "committed"
+  | Aborted -> "aborted"
 
 type node_info = {
   info_xid : Heap.xid;
@@ -117,6 +127,142 @@ module Victims = struct
     Obs.incr v.dooms;
     count v reason;
     event v ".doom" ~xid reason
+end
+
+(** Retention of committed transactions, written once for every
+    certifier.  A committed node keeps its SIREAD locks and edges while it
+    can still take part in a conflict and is drained as soon as it cannot
+    (§6.1).  Past [max_committed_sxacts] retained nodes the oldest is
+    summarized (§6.2): its locks pass to the {!Predlock} dummy owner
+    stamped with its lock stamp, and its commit cseq and out stamp go into
+    [oldserxid], where [conflict_out] still finds it.
+
+    {!cleanup} takes two horizons.  It drains a node, in commit order,
+    once its commit cseq is below [~nodes] and its lock stamp is below
+    [~locks]; it purges dummy-owner records below [~locks] and [oldserxid]
+    entries below [~nodes].  SSI passes the minimum active snapshot for
+    both; SSN and ESSN need a lower [~locks] (DESIGN.md §11).  What only
+    one certifier does stays in its hooks, which receive the certifier
+    instance ['c]. *)
+module Retention = struct
+  open Ssi_obs
+
+  type old_entry = {
+    old_commit : cseq;
+    old_out : cseq;  (** SSI's earliest out-conflict commit cseq, SSN's π *)
+  }
+
+  type ('c, 'n) hooks = {
+    xid : 'n -> Heap.xid;
+    commit_cseq : 'n -> cseq;
+    lock_stamp : 'c -> 'n -> cseq;  (** c under SSI, e under SSN/ESSN *)
+    out_stamp : 'n -> cseq;  (** kept in [oldserxid] *)
+    drained : 'c -> 'n -> unit;  (** after its locks were released *)
+    summarized : 'c -> 'n -> unit;  (** after its locks and entry were summarized *)
+    purged : 'c -> cseq -> unit;  (** an [oldserxid] entry left, by commit cseq *)
+    before_summarize : 'c -> unit;  (** runs between the drain and summarization *)
+  }
+
+  type ('c, 'n) t = {
+    hooks : ('c, 'n) hooks;
+    locks : Predlock.t;
+    obs : Obs.t;
+    summarize_event : string;
+    m_summarized : Obs.counter;
+    m_cleanups : Obs.counter;
+    mutable max_committed : int;
+    committed : 'n Queue.t;  (** retained committed nodes, commit order *)
+    oldserxid : (Heap.xid, old_entry) Hashtbl.t;
+    oldserxid_order : (Heap.xid * cseq) Queue.t;
+        (** insertion order, so commit order: the purge pops a prefix *)
+  }
+
+  let create ~obs ~prefix ~locks ~max_committed hooks =
+    {
+      hooks;
+      locks;
+      obs;
+      summarize_event = prefix ^ ".summarize";
+      m_summarized = Obs.counter obs (prefix ^ ".summarized");
+      m_cleanups = Obs.counter obs (prefix ^ ".cleanups");
+      max_committed;
+      committed = Queue.create ();
+      oldserxid = Hashtbl.create 64;
+      oldserxid_order = Queue.create ();
+    }
+
+  let max_committed r = r.max_committed
+  let set_max_committed r n = r.max_committed <- max 0 n
+  let retained r = Queue.length r.committed
+  let oldserxid_size r = Hashtbl.length r.oldserxid
+  let retain r n = Queue.add n r.committed
+  let iter r f = Queue.iter f r.committed
+  let to_list r = List.of_seq (Queue.to_seq r.committed)
+  let find_old r xid = Hashtbl.find_opt r.oldserxid xid
+
+  (** The least out stamp of the retained nodes and [oldserxid] entries
+      committed at or after [since]. *)
+  let min_out r ~since =
+    let acc = ref Ssi_mvcc.Mvcc.invalid_cseq in
+    let see c o = if c >= since && o < !acc then acc := o in
+    Queue.iter (fun n -> see (r.hooks.commit_cseq n) (r.hooks.out_stamp n)) r.committed;
+    Hashtbl.iter (fun _ e -> see e.old_commit e.old_out) r.oldserxid;
+    !acc
+
+  let summarize r c n =
+    let h = r.hooks in
+    let xid = h.xid n and commit = h.commit_cseq n in
+    Obs.incr r.m_summarized;
+    Obs.trace r.obs r.summarize_event ~fields:[ ("xid", Obs.I xid); ("cseq", Obs.I commit) ];
+    Predlock.summarize_owner r.locks xid ~cseq:(h.lock_stamp c n);
+    Hashtbl.replace r.oldserxid xid { old_commit = commit; old_out = h.out_stamp n };
+    Queue.add (xid, commit) r.oldserxid_order;
+    h.summarized c n
+
+  let cleanup r c ~nodes ~locks =
+    let h = r.hooks in
+    Obs.incr r.m_cleanups;
+    let rec drain () =
+      match Queue.peek_opt r.committed with
+      | Some n when h.commit_cseq n < nodes && h.lock_stamp c n < locks ->
+          ignore (Queue.pop r.committed);
+          Predlock.release_owner r.locks (h.xid n);
+          h.drained c n;
+          drain ()
+      | Some _ | None -> ()
+    in
+    drain ();
+    h.before_summarize c;
+    while Queue.length r.committed > r.max_committed do
+      summarize r c (Queue.pop r.committed)
+    done;
+    Predlock.cleanup_old_committed r.locks ~before:locks;
+    let rec purge () =
+      match Queue.peek_opt r.oldserxid_order with
+      | Some (xid, commit) when commit < nodes ->
+          ignore (Queue.pop r.oldserxid_order);
+          (match Hashtbl.find_opt r.oldserxid xid with
+          | Some e when e.old_commit = commit ->
+              Hashtbl.remove r.oldserxid xid;
+              h.purged c commit
+          | Some _ | None -> ());
+          purge ()
+      | Some _ | None -> ()
+    in
+    purge ()
+
+  (** Crash recovery: release and forget every retained node and drop
+      every dummy-owner record.  [oldserxid] entries wait for the next
+      purge: a snapshot taken after the crash sees every summarized
+      transaction's writes, so none is reachable. *)
+  let reset r c =
+    Queue.iter
+      (fun n ->
+        Predlock.release_owner r.locks (r.hooks.xid n);
+        r.hooks.drained c n)
+      r.committed;
+    Queue.clear r.committed;
+    Predlock.cleanup_old_committed r.locks ~before:Ssi_mvcc.Mvcc.invalid_cseq
 end
 
 (** One certifier instance [t] manages every serializable transaction of a

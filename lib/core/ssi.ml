@@ -6,8 +6,6 @@ open Certifier_intf
 
 let invalid_cseq = Mvcc.invalid_cseq
 
-type status = Active | Prepared | Committed | Aborted
-
 (* Conflict edges and read-only watch pairs are intrusive doubly-linked
    records (PostgreSQL's RWConflictData on SHM queues, §5): one record per
    rw-antidependency, threaded through both endpoints, so insertion and
@@ -110,26 +108,16 @@ let unlink_edge e =
   end
 
 (* Iteration captures the successor before visiting, so the visitor may
-   unlink the current edge (but not an arbitrary later one). *)
-let iter_out n f =
-  let rec go = function
-    | None -> ()
-    | Some e ->
-        let next = e.out_next in
-        f e;
-        go next
-  in
-  go n.out_first
+   unlink the current record (but not an arbitrary later one). *)
+let rec iter_links next f = function
+  | None -> ()
+  | Some x ->
+      let n = next x in
+      f x;
+      iter_links next f n
 
-let iter_in n f =
-  let rec go = function
-    | None -> ()
-    | Some e ->
-        let next = e.in_next in
-        f e;
-        go next
-  in
-  go n.in_first
+let iter_out n f = iter_links (fun e -> e.out_next) f n.out_first
+let iter_in n f = iter_links (fun e -> e.in_next) f n.in_first
 
 let exists_in n p =
   let rec go = function None -> false | Some e -> p e.e_reader || go e.in_next in
@@ -146,18 +134,14 @@ let find_in_opt n p =
    ordering).  Only materialized on cold paths (prepared-pivot resolution,
    introspection). *)
 let in_readers n =
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some e -> go (e.e_reader :: acc) e.in_next
-  in
-  go [] n.in_first
+  let acc = ref [] in
+  iter_in n (fun e -> acc := e.e_reader :: !acc);
+  List.rev !acc
 
 let out_writers n =
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some e -> go (e.e_writer :: acc) e.out_next
-  in
-  go [] n.out_first
+  let acc = ref [] in
+  iter_out n (fun e -> acc := e.e_writer :: !acc);
+  List.rev !acc
 
 (* Membership probe for [flag_conflict]: walk whichever endpoint list is
    shorter (PostgreSQL's RWConflictExists does the same). *)
@@ -211,84 +195,30 @@ let unlink_watch w =
     (match w.wi_next with Some n -> n.wi_prev <- w.wi_prev | None -> ())
   end
 
-let iter_watchers n f =
-  let rec go = function
-    | None -> ()
-    | Some w ->
-        let next = w.wi_next in
-        f w;
-        go next
-  in
-  go n.watchers_first
-
-let iter_watching n f =
-  let rec go = function
-    | None -> ()
-    | Some w ->
-        let next = w.wo_next in
-        f w;
-        go next
-  in
-  go n.watching_first
-
-(* Registry handles for the per-event counters, hoisted out of the hot
-   paths. *)
-type metrics = {
-  m_conflicts : Obs.counter;
-  m_summarized : Obs.counter;
-  m_safe_snapshots : Obs.counter;
-  m_cleanups : Obs.counter;
-}
-
-(* Summarized committed transactions: commit cseq plus the earliest commit
-   cseq among their out-conflict targets ([invalid_cseq] when none).  This
-   stands in for PostgreSQL's disk-backed oldserxid SLRU. *)
-type old_entry = { old_commit : cseq; old_earliest_out : cseq }
+let iter_watchers n f = iter_links (fun w -> w.wi_next) f n.watchers_first
+let iter_watching n f = iter_links (fun w -> w.wo_next) f n.watching_first
 
 type t = {
   clog : Mvcc.Clog.t;
   locks : Predlock.t;
-  mutable config : config;
+  config : config;
   by_xid : (Heap.xid, node) Hashtbl.t;
   mutable active_first : node option;  (** Active and Prepared, newest first *)
   mutable active_n : int;
-  committed : node Queue.t;  (** retained committed nodes, commit order *)
-  oldserxid : (Heap.xid, old_entry) Hashtbl.t;
-  oldserxid_order : (Heap.xid * cseq) Queue.t;
-      (** oldserxid insertion order; [old_commit] is monotone (entries are
-          summarized in commit order), so cleanup pops from the front
-          instead of scanning the whole table *)
+  ret : (t, node) Retention.t;
+      (** retained committed nodes, and the [oldserxid] entries of
+          summarized ones: commit cseq plus the earliest commit cseq among
+          their out-conflict targets ([invalid_cseq] when none).  This
+          stands in for PostgreSQL's disk-backed oldserxid SLRU. *)
   by_cseq : (cseq, Heap.xid) Hashtbl.t;
       (** commit cseq -> xid for every identity the manager still knows:
           retained committed nodes and summarized (oldserxid) entries —
           the index behind {!resolve_xid_by_cseq} *)
   obs : Obs.t;
-  metrics : metrics;
+  conflicts : Obs.counter;
+  safe_snapshots : Obs.counter;
   victims : Victims.t;
 }
-
-let create ?(config = default_config) ?(obs = Obs.create ()) clog =
-  {
-    clog;
-    locks = Predlock.create ~config:config.predlock ~obs ();
-    config;
-    by_xid = Hashtbl.create 64;
-    active_first = None;
-    active_n = 0;
-    committed = Queue.create ();
-    oldserxid = Hashtbl.create 64;
-    oldserxid_order = Queue.create ();
-    by_cseq = Hashtbl.create 64;
-    obs;
-    metrics =
-      {
-        m_conflicts = Obs.counter obs "ssi.conflicts";
-        m_summarized = Obs.counter obs "ssi.summarized";
-        m_safe_snapshots = Obs.counter obs "ssi.safe_snapshots";
-        m_cleanups = Obs.counter obs "ssi.cleanups";
-      };
-    victims = Victims.create obs "ssi";
-  }
 
 let supports_deferrable = true
 let locks t = t.locks
@@ -325,10 +255,8 @@ let iter_active t f =
   in
   go t.active_first
 
-let max_committed_sxacts t = t.config.max_committed_sxacts
-
-let set_max_committed_sxacts t n =
-  t.config <- { t.config with max_committed_sxacts = max 0 n }
+let max_committed_sxacts t = Retention.max_committed t.ret
+let set_max_committed_sxacts t n = Retention.set_max_committed t.ret n
 
 let xid_of n = n.xid
 let is_doomed n = n.doomed
@@ -337,8 +265,8 @@ let safety_determined n = n.safety_known
 let is_unsafe n = n.unsafe
 let safety_waitq n = n.safety_wq
 let active_count t = t.active_n
-let committed_retained t = Queue.length t.committed
-let oldserxid_size t = Hashtbl.length t.oldserxid
+let committed_retained t = Retention.retained t.ret
+let oldserxid_size t = Retention.oldserxid_size t.ret
 
 let fail t node reason = Victims.fail t.victims ~xid:node.xid reason
 
@@ -529,7 +457,7 @@ let flag_conflict t ~actor ~reader ~writer =
     && not (edge_exists ~reader ~writer)
   then begin
     add_edge ~reader ~writer;
-    Obs.incr t.metrics.m_conflicts;
+    Obs.incr t.conflicts;
     (* The conflict-edge event names both pivot candidates: either endpoint
        of a new rw-antidependency may turn out to be the T2 of a dangerous
        structure. *)
@@ -565,7 +493,7 @@ let finalize_safety t r =
     r.safety_known <- true;
     if not r.unsafe then begin
       r.safe <- true;
-      Obs.incr t.metrics.m_safe_snapshots;
+      Obs.incr t.safe_snapshots;
       Obs.trace t.obs "ssi.safe_snapshot" ~fields:[ ("xid", Obs.I r.xid) ];
       drop_tracking t r
     end;
@@ -643,10 +571,10 @@ let conflict_out t node ~writer =
     match Hashtbl.find_opt t.by_xid writer with
     | Some w -> flag_conflict t ~actor:node ~reader:node ~writer:w
     | None -> (
-        match Hashtbl.find_opt t.oldserxid writer with
+        match Retention.find_old t.ret writer with
         | None -> () (* writer was not serializable *)
-        | Some { old_commit; old_earliest_out } ->
-            Obs.incr t.metrics.m_conflicts;
+        | Some { Retention.old_commit; old_out = old_earliest_out } ->
+            Obs.incr t.conflicts;
             Obs.trace t.obs ?span:(Obs.owner_span t.obs node.xid) "ssi.rw_edge"
               ~fields:
                 [
@@ -703,7 +631,7 @@ let conflict_in t node readers =
     xids;
   match old_committed with
   | Some c when c >= node.snap_cseq ->
-      Obs.incr t.metrics.m_conflicts;
+      Obs.incr t.conflicts;
       Obs.trace t.obs ?span:(Obs.owner_span t.obs node.xid) "ssi.rw_edge"
         ~fields:
           [
@@ -739,46 +667,10 @@ let unlink_node n =
   iter_out n unlink_edge;
   iter_in n unlink_edge
 
-let summarize_oldest t =
-  match Queue.take_opt t.committed with
-  | None -> ()
-  | Some c ->
-      Obs.incr t.metrics.m_summarized;
-      Obs.trace t.obs "ssi.summarize"
-        ~fields:[ ("xid", Obs.I c.xid); ("cseq", Obs.I c.commit_cseq) ];
-      Predlock.summarize_owner t.locks c.xid ~cseq:c.commit_cseq;
-      Hashtbl.replace t.oldserxid c.xid
-        { old_commit = c.commit_cseq; old_earliest_out = effective_earliest_out c };
-      Queue.add (c.xid, c.commit_cseq) t.oldserxid_order;
-      (* The [by_cseq] identity survives the move into oldserxid unchanged. *)
-      (* Writers that summarized committed readers had read from keep a
-         conservative record of the conflict (§6.2, first case). *)
-      iter_out c (fun e ->
-          let w = e.e_writer in
-          if c.commit_cseq > w.summarized_in_max then w.summarized_in_max <- c.commit_cseq);
-      unlink_node c;
-      Hashtbl.remove t.by_xid c.xid
-
-let cleanup t =
-  Obs.incr t.metrics.m_cleanups;
-  let horizon = min_active_snap t in
-  (* Aggressive cleanup (§6.1): a committed transaction's state is dead once
-     no active transaction is concurrent with it. *)
-  let rec drain () =
-    match Queue.peek_opt t.committed with
-    | Some c when c.commit_cseq < horizon ->
-        ignore (Queue.pop t.committed);
-        Predlock.release_owner t.locks c.xid;
-        unlink_node c;
-        Hashtbl.remove t.by_xid c.xid;
-        Hashtbl.remove t.by_cseq c.commit_cseq;
-        drain ()
-    | Some _ | None -> ()
-  in
-  drain ();
-  (* Read-only-only optimization (§6.1): when every active transaction is
-     read-only, committed transactions' SIREAD locks and in-conflict lists
-     can go — no future write can create a conflict with them. *)
+(* Read-only-only optimization (§6.1): when every active transaction is
+   read-only, committed transactions' SIREAD locks and in-conflict lists
+   can go — no future write can create a conflict with them. *)
+let release_if_read_only_only t =
   let only_read_only =
     let all = ref (t.active_first <> None) in
     iter_active t (fun n ->
@@ -788,32 +680,59 @@ let cleanup t =
     !all
   in
   if only_read_only || t.active_first = None then
-    Queue.iter
-      (fun c ->
+    Retention.iter t.ret (fun c ->
         Predlock.release_owner t.locks c.xid;
         iter_in c unlink_edge)
-      t.committed;
-  (* Summarization (§6.2): bound the number of retained committed nodes. *)
-  while Queue.length t.committed > t.config.max_committed_sxacts do
-    summarize_oldest t
-  done;
-  Predlock.cleanup_old_committed t.locks ~before:horizon;
-  (* oldserxid entries are retired in insertion order ([old_commit] is
-     monotone), so this pops exactly the stale prefix — no full-table
-     scan. *)
-  let rec purge () =
-    match Queue.peek_opt t.oldserxid_order with
-    | Some (xid, c) when c < horizon ->
-        ignore (Queue.pop t.oldserxid_order);
-        (match Hashtbl.find_opt t.oldserxid xid with
-        | Some e when e.old_commit = c ->
-            Hashtbl.remove t.oldserxid xid;
-            Hashtbl.remove t.by_cseq c
-        | Some _ | None -> ());
-        purge ()
-    | Some _ | None -> ()
-  in
-  purge ()
+
+let retention_hooks =
+  {
+    Retention.xid = (fun c -> c.xid);
+    commit_cseq = (fun c -> c.commit_cseq);
+    lock_stamp = (fun _ c -> c.commit_cseq);
+    out_stamp = effective_earliest_out;
+    drained =
+      (fun t c ->
+        unlink_node c;
+        Hashtbl.remove t.by_xid c.xid;
+        Hashtbl.remove t.by_cseq c.commit_cseq);
+    (* The [by_cseq] identity survives the move into oldserxid unchanged.
+       Writers that summarized committed readers had read from keep a
+       conservative record of the conflict (§6.2, first case). *)
+    summarized =
+      (fun t c ->
+        iter_out c (fun e ->
+            let w = e.e_writer in
+            if c.commit_cseq > w.summarized_in_max then w.summarized_in_max <- c.commit_cseq);
+        unlink_node c;
+        Hashtbl.remove t.by_xid c.xid);
+    purged = (fun t c -> Hashtbl.remove t.by_cseq c);
+    before_summarize = release_if_read_only_only;
+  }
+
+let create ?(config = default_config) ?(obs = Obs.create ()) clog =
+  let locks = Predlock.create ~config:config.predlock ~obs () in
+  {
+    clog;
+    locks;
+    config;
+    by_xid = Hashtbl.create 64;
+    active_first = None;
+    active_n = 0;
+    ret =
+      Retention.create ~obs ~prefix:"ssi" ~locks
+        ~max_committed:config.max_committed_sxacts retention_hooks;
+    by_cseq = Hashtbl.create 64;
+    obs;
+    conflicts = Obs.counter obs "ssi.conflicts";
+    safe_snapshots = Obs.counter obs "ssi.safe_snapshots";
+    victims = Victims.create obs "ssi";
+  }
+
+(* Aggressive cleanup (§6.1): a committed transaction's state is dead once
+   no active transaction is concurrent with it. *)
+let cleanup t =
+  let horizon = min_active_snap t in
+  Retention.cleanup t.ret t ~nodes:horizon ~locks:horizon
 
 (* ---- Commit / abort --------------------------------------------------------- *)
 
@@ -930,7 +849,7 @@ let committed t node ~commit_cseq =
     cleanup t
   end
   else begin
-    Queue.add node t.committed;
+    Retention.retain t.ret node;
     Hashtbl.replace t.by_cseq commit_cseq node.xid;
     cleanup t
   end
@@ -950,12 +869,7 @@ let aborted t node =
 let node_info n =
   {
     info_xid = n.xid;
-    info_status =
-      (match n.status with
-      | Active -> "active"
-      | Prepared -> "prepared"
-      | Committed -> "committed"
-      | Aborted -> "aborted");
+    info_status = status_name n.status;
     info_doomed = n.doomed;
     info_read_only = n.declared_read_only;
     info_safe = n.safe;
@@ -970,8 +884,7 @@ let dump_graph t =
   let active = ref [] in
   iter_active t (fun n -> active := n :: !active);
   let active = List.rev !active in
-  let committed = List.of_seq (Queue.to_seq t.committed) in
-  List.map node_info (active @ committed)
+  List.map node_info (active @ Retention.to_list t.ret)
 
 (* [by_xid] holds exactly the nodes [dump_graph] lists: the active list
    (active and prepared) and the retained committed queue. *)
@@ -988,14 +901,7 @@ let recover t =
         Hashtbl.remove t.by_xid n.xid;
         active_remove t n
       end);
-  Queue.iter
-    (fun c ->
-      Predlock.release_owner t.locks c.xid;
-      Hashtbl.remove t.by_xid c.xid;
-      Hashtbl.remove t.by_cseq c.commit_cseq)
-    t.committed;
-  Queue.clear t.committed;
-  Predlock.cleanup_old_committed t.locks ~before:invalid_cseq;
+  Retention.reset t.ret t;
   (* Prepared transactions survive with their SIREAD locks, but the
      dependency graph is gone: assume conflicts both in and out (§7.1). *)
   iter_active t (fun p ->

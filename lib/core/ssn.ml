@@ -1,29 +1,11 @@
-(* The Serial Safety Net (Wang, Johnson, Fekete): certify serializability
-   with per-transaction low/high watermarks instead of dangerous-structure
-   search.  Every transaction T carries
-
-   - [pstamp] (eta): the highest effective commit stamp among T's committed
-     direct predecessors — transactions whose writes T read or overwrote
-     (w:r, w:w) and committed readers of data T overwrote (r:w in-edges);
-   - [sstamp] (pi): the lowest watermark among T's committed
-     rw-antidependency successors (transactions that overwrote data T read
-     and committed before T), [invalid_cseq] (+inf) while there are none.
-
-   The exclusion-window test: committing T is unsafe iff
-   [sstamp <= pstamp] — some successor's serial position has fallen at or
-   below a predecessor's, so no serial order can place T between them.
-   Stamps only tighten (pstamp grows, sstamp shrinks), so the test is
-   monotone and can be run eagerly at every stamp mutation: a transaction
-   whose window closes is doomed on the spot rather than at commit, which
-   aborts exactly the same set of transactions but wastes less work — the
-   same eager style the SSI manager uses.
-
-   The extended variant (ESSN, Kitazawa et al.) refines the effective
-   commit stamp: a transaction that is read-only in the theorems' sense
-   (declared, or committed without writing) is serializable at its
-   snapshot, so its successors inherit e(T) = snap_cseq(T) instead of
-   c(T), keeping writers' pstamps lower and pruning SSN false positives.
-   SSN is the special case e = c.
+(* The Serial Safety Net and ESSN.  ssn.mli defines the stamps and the
+   exclusion-window test.  pstamp only grows and sstamp only shrinks, so
+   the test is monotone and runs at every stamp mutation: a transaction
+   whose window closes is doomed on the spot, which aborts the same set
+   as a commit-time check but wastes less work.  ESSN's effective stamp
+   e(T) is snap_cseq(T) for a transaction that is read-only in the
+   theorems' sense (declared, or committed without writing) and c(T)
+   otherwise; SSN is the special case e = c.
 
    Stamp bookkeeping per edge class:
    - w:r and w:w predecessors are reported by the engine via {!read_from}
@@ -36,8 +18,13 @@
      ({!conflict_in}), and MVCC visibility evidence at read time
      ({!conflict_out}).  Edges with a committed endpoint fold into the
      stamps immediately; edges between two live transactions are kept on
-     intrusive-in-spirit (plain list) edge sets and resolved when either
-     endpoint commits.
+     plain lists and resolved when either endpoint commits.
+
+   Retention is SSI's ({!Certifier_intf.Retention}) with a second horizon.
+   A committed X stays reachable by {!conflict_out} while c(X) is at or
+   above the minimum active snapshot, but its SIREAD locks matter for as
+   long as some reachable π can still fall to or below e(X), which can be
+   much longer; {!cleanup} derives both horizons.
 
    Prepared transactions (2PC) can no longer abort and commit without a
    check, so the commit-time propagation must never close a prepared
@@ -60,8 +47,6 @@ open Certifier_intf
 
 let inf = Mvcc.invalid_cseq
 
-type status = Active | Prepared | Committed | Aborted
-
 type node = {
   xid : Heap.xid;
   snap_cseq : cseq;
@@ -76,62 +61,27 @@ type node = {
   mutable out_writers : node list;  (** writers w with me --rw--> w *)
 }
 
-type metrics = {
-  m_conflicts : Obs.counter;
-  m_summarized : Obs.counter;
-  m_cleanups : Obs.counter;
-}
-
-(* Summarized committed transactions (the oldserxid analog, §6.2 of the
-   SSI paper): commit stamp plus finalized pi, enough to serve late
-   {!conflict_out} lookups after the node itself is dropped. *)
-type old_entry = { old_commit : cseq; old_pi : cseq }
-
 type t = {
   clog : Mvcc.Clog.t;
   locks : Predlock.t;
-  mutable config : config;
+  config : config;
   extended : bool;  (** ESSN stamp refinement on? *)
   prefix : string;  (** metric/event namespace: ["ssn"] or ["essn"] *)
   by_xid : (Heap.xid, node) Hashtbl.t;
-  committed : node Queue.t;  (** retained committed nodes, commit order *)
-  oldserxid : (Heap.xid, old_entry) Hashtbl.t;
-  oldserxid_order : (Heap.xid * cseq) Queue.t;
+  ret : (t, node) Retention.t;
+      (** retained committed nodes, and the [oldserxid] entries of
+          summarized ones: commit stamp plus finalized π, enough to serve
+          late {!conflict_out} lookups after the node itself is dropped *)
   mutable active_n : int;
   obs : Obs.t;
-  metrics : metrics;
+  conflicts : Obs.counter;
   victims : Victims.t;
 }
 
-let create ?(config = default_config) ?(obs = Obs.create ()) ~extended clog =
-  let prefix = if extended then "essn" else "ssn" in
-  {
-    clog;
-    locks = Predlock.create ~config:config.predlock ~obs ();
-    config;
-    extended;
-    prefix;
-    by_xid = Hashtbl.create 64;
-    committed = Queue.create ();
-    oldserxid = Hashtbl.create 64;
-    oldserxid_order = Queue.create ();
-    active_n = 0;
-    obs;
-    metrics =
-      {
-        m_conflicts = Obs.counter obs (prefix ^ ".conflicts");
-        m_summarized = Obs.counter obs (prefix ^ ".summarized");
-        m_cleanups = Obs.counter obs (prefix ^ ".cleanups");
-      };
-    victims = Victims.create obs prefix;
-  }
-
 let supports_deferrable = false
 let locks t = t.locks
-let max_committed_sxacts t = t.config.max_committed_sxacts
-
-let set_max_committed_sxacts t n =
-  t.config <- { t.config with max_committed_sxacts = max 0 n }
+let max_committed_sxacts t = Retention.max_committed t.ret
+let set_max_committed_sxacts t n = Retention.set_max_committed t.ret n
 
 (* No safe-snapshot machinery: no snapshot is ever safe (tracking never
    stops early), and safety is trivially determined so nothing ever waits
@@ -141,8 +91,8 @@ let safety_determined _ = true
 let never_safe_waitq = Ssi_util.Waitq.create ()
 let safety_waitq _ = never_safe_waitq
 let active_count t = t.active_n
-let committed_retained t = Queue.length t.committed
-let oldserxid_size t = Hashtbl.length t.oldserxid
+let committed_retained t = Retention.retained t.ret
+let oldserxid_size t = Retention.oldserxid_size t.ret
 
 (* "Read-only" in the theorems' sense: declared as such, or known to have
    committed without writing. *)
@@ -243,7 +193,7 @@ let add_edge t ~actor ~reader ~writer =
   then begin
     reader.out_writers <- writer :: reader.out_writers;
     writer.in_readers <- reader :: writer.in_readers;
-    Obs.incr t.metrics.m_conflicts;
+    Obs.incr t.conflicts;
     Obs.trace t.obs ?span:(Obs.owner_span t.obs actor.xid) (t.prefix ^ ".rw_edge")
       ~fields:
         [
@@ -270,6 +220,67 @@ let detach n =
     n.out_writers;
   n.in_readers <- [];
   n.out_writers <- []
+
+(* ---- Retention ------------------------------------------------------------- *)
+
+(* Drained and summarized nodes leave the graph the same way. *)
+let forget t n =
+  detach n;
+  Hashtbl.remove t.by_xid n.xid
+
+let retention_hooks =
+  {
+    Retention.xid = (fun n -> n.xid);
+    commit_cseq = (fun n -> n.commit_cseq);
+    lock_stamp = e_of;  (* ESSN: a read-only reader's snapshot position *)
+    out_stamp = (fun n -> n.sstamp);
+    drained = forget;
+    summarized = forget;
+    purged = (fun _ _ -> ());
+    before_summarize = ignore;
+  }
+
+let create ?(config = default_config) ?(obs = Obs.create ()) ~extended clog =
+  let prefix = if extended then "essn" else "ssn" in
+  let locks = Predlock.create ~config:config.predlock ~obs () in
+  {
+    clog;
+    locks;
+    config;
+    extended;
+    prefix;
+    by_xid = Hashtbl.create 64;
+    ret =
+      Retention.create ~obs ~prefix ~locks ~max_committed:config.max_committed_sxacts
+        retention_hooks;
+    active_n = 0;
+    obs;
+    conflicts = Obs.counter obs (prefix ^ ".conflicts");
+    victims = Victims.create obs prefix;
+  }
+
+(* The two horizons of {!Retention.cleanup}.  [~nodes] is the minimum
+   active snapshot: every later reader sees the writes of an X committed
+   below it, so {!conflict_out} cannot reach X's π.  [~locks] is H_π, the
+   minimum of every live node's sstamp and of the π of every retained or
+   summarized X with c(X) >= [~nodes].  A new π is a fresh commit stamp or
+   is inherited from one of those, so none falls below H_π; and a
+   committed reader R closes a window only if some π <= e(R).  So once
+   e(R) < H_π, R's locks and dummy-owner records are dead.  A restored or
+   conservatively marked prepared transaction has sstamp 0 and holds every
+   lock until it resolves. *)
+let cleanup t =
+  let snap = ref inf and pi = ref inf in
+  Hashtbl.iter
+    (fun _ n ->
+      match n.status with
+      | Active | Prepared ->
+          if n.snap_cseq < !snap then snap := n.snap_cseq;
+          if n.sstamp < !pi then pi := n.sstamp
+      | Committed | Aborted -> ())
+    t.by_xid;
+  let nodes = !snap in
+  Retention.cleanup t.ret t ~nodes ~locks:(min !pi (Retention.min_out t.ret ~since:nodes))
 
 (* ---- Registration ---------------------------------------------------------- *)
 
@@ -314,10 +325,10 @@ let conflict_out t node ~writer =
     match Hashtbl.find_opt t.by_xid writer with
     | Some w -> add_edge t ~actor:node ~reader:node ~writer:w
     | None -> (
-        match Hashtbl.find_opt t.oldserxid writer with
+        match Retention.find_old t.ret writer with
         | None -> () (* writer was not serializable *)
-        | Some { old_commit = _; old_pi } ->
-            Obs.incr t.metrics.m_conflicts;
+        | Some { Retention.old_out = old_pi; _ } ->
+            Obs.incr t.conflicts;
             Obs.trace t.obs ?span:(Obs.owner_span t.obs node.xid) (t.prefix ^ ".rw_edge")
               ~fields:
                 [
@@ -329,9 +340,8 @@ let conflict_out t node ~writer =
 
 (* r:w in-edges at write time: SIREAD owners of what [node] is writing.
    Unlike SSI, a reader that committed before the writer's snapshot still
-   matters — its effective stamp feeds the writer's pstamp (the predicate
-   lock horizon below the minimum active snapshot is the only sound
-   cutoff; see DESIGN.md). *)
+   matters: its effective stamp feeds the writer's pstamp.  Its locks last
+   until e(reader) falls below the lock horizon H_π of {!cleanup}. *)
 let conflict_in t node readers =
   node.wrote <- true;
   let { Predlock.xids; old_committed } = readers in
@@ -346,72 +356,9 @@ let conflict_in t node readers =
   | Some e ->
       (* Summarized committed readers: the predicate lock records the max
          effective stamp among them (ESSN records e, not c). *)
-      Obs.incr t.metrics.m_conflicts;
+      Obs.incr t.conflicts;
       absorb_eta t ~actor:node ~peer:(-1) node e ~reason:reason_pred
   | None -> ()
-
-(* ---- Cleanup and summarization ---------------------------------------------- *)
-
-let min_active_snap t =
-  let acc = ref inf in
-  Hashtbl.iter
-    (fun _ n ->
-      match n.status with
-      | Active | Prepared -> if n.snap_cseq < !acc then acc := n.snap_cseq
-      | Committed | Aborted -> ())
-    t.by_xid;
-  !acc
-
-let summarize_oldest t =
-  match Queue.take_opt t.committed with
-  | None -> ()
-  | Some c ->
-      Obs.incr t.metrics.m_summarized;
-      Obs.trace t.obs
-        (t.prefix ^ ".summarize")
-        ~fields:[ ("xid", Obs.I c.xid); ("cseq", Obs.I c.commit_cseq) ];
-      (* The predicate-lock record carries the reader's *effective* stamp:
-         under ESSN a summarized read-only reader keeps contributing its
-         snapshot position, not its commit stamp. *)
-      Predlock.summarize_owner t.locks c.xid ~cseq:(e_of t c);
-      Hashtbl.replace t.oldserxid c.xid
-        { old_commit = c.commit_cseq; old_pi = c.sstamp };
-      Queue.add (c.xid, c.commit_cseq) t.oldserxid_order;
-      detach c;
-      Hashtbl.remove t.by_xid c.xid
-
-let cleanup t =
-  Obs.incr t.metrics.m_cleanups;
-  let horizon = min_active_snap t in
-  (* A committed transaction concurrent with no active transaction can
-     never again be reached by a new edge (every future snapshot is past
-     its commit), so its locks, edges and stamps are dead state. *)
-  let rec drain () =
-    match Queue.peek_opt t.committed with
-    | Some c when c.commit_cseq < horizon ->
-        ignore (Queue.pop t.committed);
-        Predlock.release_owner t.locks c.xid;
-        detach c;
-        Hashtbl.remove t.by_xid c.xid;
-        drain ()
-    | Some _ | None -> ()
-  in
-  drain ();
-  while Queue.length t.committed > t.config.max_committed_sxacts do
-    summarize_oldest t
-  done;
-  Predlock.cleanup_old_committed t.locks ~before:horizon;
-  let rec purge () =
-    match Queue.peek_opt t.oldserxid_order with
-    | Some (xid, c) when c < horizon ->
-        ignore (Queue.pop t.oldserxid_order);
-        (match Hashtbl.find_opt t.oldserxid xid with
-        | Some e when e.old_commit = c -> Hashtbl.remove t.oldserxid xid
-        | Some _ | None -> ());
-        purge ()
-    | Some _ | None -> ()
-  in
-  purge ()
 
 (* ---- Commit / abort ---------------------------------------------------------- *)
 
@@ -527,7 +474,7 @@ let committed t node ~commit_cseq =
       | Committed | Aborted -> ())
     node.out_writers;
   t.active_n <- t.active_n - 1;
-  Queue.add node t.committed;
+  Retention.retain t.ret node;
   cleanup t
 
 let aborted t node =
@@ -552,15 +499,10 @@ let recover t =
           Predlock.release_owner t.locks n.xid;
           stale := xid :: !stale;
           t.active_n <- t.active_n - 1
-      | Committed -> stale := xid :: !stale
-      | Prepared | Aborted -> ())
+      | Prepared | Committed | Aborted -> ())
     t.by_xid;
   List.iter (Hashtbl.remove t.by_xid) !stale;
-  Queue.iter (fun c -> Predlock.release_owner t.locks c.xid) t.committed;
-  Queue.clear t.committed;
-  Predlock.cleanup_old_committed t.locks ~before:inf;
-  Hashtbl.reset t.oldserxid;
-  Queue.clear t.oldserxid_order;
+  Retention.reset t.ret t;
   (* Prepared survivors keep their SIREAD locks but lose their stamps:
      conservative closed window, as in restore_prepared. *)
   Hashtbl.iter
@@ -576,12 +518,7 @@ let recover t =
 let node_info n =
   {
     info_xid = n.xid;
-    info_status =
-      (match n.status with
-      | Active -> "active"
-      | Prepared -> "prepared"
-      | Committed -> "committed"
-      | Aborted -> "aborted");
+    info_status = status_name n.status;
     info_doomed = n.doomed;
     info_read_only = n.declared_read_only;
     info_safe = false;
@@ -605,11 +542,10 @@ let dump_graph t =
       | Committed | Aborted -> ())
     t.by_xid;
   let live = List.sort (fun a b -> compare a.xid b.xid) !live in
-  let committed = List.of_seq (Queue.to_seq t.committed) in
-  List.map node_info (live @ committed)
+  List.map node_info (live @ Retention.to_list t.ret)
 
-(* [by_xid] also holds the committed nodes, exactly those of the
-   [committed] queue; aborted nodes never stay in it. *)
+(* [by_xid] also holds the committed nodes, exactly those [t.ret]
+   retains; aborted nodes never stay in it. *)
 let info t xid =
   match Hashtbl.find_opt t.by_xid xid with
   | Some ({ status = Active | Prepared | Committed; _ } as n) -> Some (node_info n)

@@ -69,6 +69,26 @@ let contended_cfg =
 let summarizing_cfg = { contended_cfg with max_committed_sxacts = 1 }
 let nextkey_cfg = { contended_cfg with next_key_gaps = true }
 
+(* The four configurations every serializable mode is held to, by name. *)
+let cfgs =
+  [
+    ("default", default_cfg);
+    ("contended", contended_cfg);
+    ("summarizing", summarizing_cfg);
+    ("nextkey", nextkey_cfg);
+  ]
+
+(* Every mode whose histories must be acyclic: the three certifiers, and
+   strict 2PL as the baseline (which runs no certifier). *)
+let serializable_modes =
+  Ssi_core.Certifier.
+    [
+      ("SSI", E.Serializable, SSI);
+      ("SSN", E.Serializable, SSN);
+      ("ESSN", E.Serializable, ESSN);
+      ("S2PL", E.Serializable_2pl, SSI);
+    ]
+
 let sim_costs =
   { E.zero_costs with E.cpu_per_op = 80e-6; cpu_per_tuple = 4e-6; io_commit = 40e-6 }
 

@@ -1,11 +1,9 @@
 (* The certifier module type admits three serializability certifiers: the
    paper's SSI, and the SSN / ESSN watermark certifiers (pstamp/sstamp
-   exclusion windows).  SSI's behavior through the interface is pinned by
-   the byte-identical replay property in test_perf; this suite holds the
-   other two instances to the same machinery:
+   exclusion windows).  The DSG oracle holds all three to acyclic,
+   byte-identically replayed histories in test_serializability; this
+   suite holds the other two instances to the rest of SSI's machinery:
 
-   - seeded oracle histories replay byte-identically and their committed
-     multiversion serialization graphs stay acyclic (the DSG oracle);
    - kill-point recovery torture keeps every durability invariant and the
      combined pre/post-crash history serializable;
    - the Figure 1 write skew is prevented;
@@ -24,36 +22,6 @@ module Certifier = Ssi_core.Certifier
 module T = Ssi_fault.Torture
 
 let certifiers = [ (Certifier.SSN, "SSN"); (Certifier.ESSN, "ESSN") ]
-
-(* ---- Oracle histories: byte-identical replay, acyclic DSG ------------------ *)
-
-let oracle_cfgs =
-  [|
-    ("default", Oracle.default_cfg);
-    ("contended", Oracle.contended_cfg);
-    ("summarizing", Oracle.summarizing_cfg);
-    ("nextkey", Oracle.nextkey_cfg);
-  |]
-
-let prop_replay_and_dsg kind name =
-  QCheck.Test.make
-    ~name:(name ^ " histories replay byte-identically and stay serializable")
-    ~count:16
-    QCheck.(
-      make
-        ~print:(fun (seed, ci) ->
-          Printf.sprintf "seed=%d cfg=%s" seed (fst oracle_cfgs.(ci)))
-        Gen.(pair (int_range 1 10_000) (int_range 0 (Array.length oracle_cfgs - 1))))
-    (fun (seed, ci) ->
-      let _, cfg = oracle_cfgs.(ci) in
-      let cfg = { cfg with Oracle.seed; certifier = kind } in
-      let h1 = Oracle.run_history ~isolation:E.Serializable cfg in
-      let h2 = Oracle.run_history ~isolation:E.Serializable cfg in
-      if h1.Oracle.committed <> h2.Oracle.committed then
-        QCheck.Test.fail_report "same seed produced different committed histories";
-      match Oracle.check_serializable h1 with
-      | Ok () -> true
-      | Error cycle -> QCheck.Test.fail_report (Oracle.pp_cycle h1 cycle))
 
 (* ---- Kill-point recovery torture ------------------------------------------- *)
 
@@ -173,7 +141,7 @@ let pinned =
 let test_pinned_histories () =
   List.iter
     (fun (kind, cname, want) ->
-      let cfg = List.assoc cname (Array.to_list oracle_cfgs) in
+      let cfg = List.assoc cname Oracle.cfgs in
       let runs =
         List.map
           (fun seed ->
@@ -203,7 +171,7 @@ let check_info db =
   List.length graph
 
 let test_info_matches_graph kind name () =
-  Array.iter
+  List.iter
     (fun (cname, cfg) ->
       let tracked = ref 0 in
       let after_op db = tracked := !tracked + check_info db in
@@ -211,15 +179,11 @@ let test_info_matches_graph kind name () =
         (Oracle.run_history ~after_op ~isolation:E.Serializable
            { cfg with Oracle.seed = 8; certifier = kind });
       Alcotest.(check bool) (Printf.sprintf "%s/%s: graph nonempty" name cname) true (!tracked > 0))
-    oracle_cfgs
-
-let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
+    Oracle.cfgs
 
 let () =
   Alcotest.run "certifier"
     [
-      qsuite "oracle"
-        (List.map (fun (k, n) -> prop_replay_and_dsg k n) certifiers);
       ( "torture",
         List.map
           (fun (k, n) ->

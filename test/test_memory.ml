@@ -165,6 +165,41 @@ let test_oldserxid_bounded () =
   E.with_txn db (fun t -> ignore (E.read t ~table:"kv" ~key:(vi 1)));
   Alcotest.(check int) "oldserxid drained once idle" 0 (oldserxid_size db)
 
+(* ---- Bounded retention under SSN and ESSN --------------------------------- *)
+
+(* SSN keeps a committed reader's locks past SSI's horizon, for as long as
+   some reachable π can still fall to its stamp.  A long contended history
+   must still keep retained nodes within the budget and the lock table
+   small, and leave nothing behind once idle. *)
+let test_ssn_retention_bounded kind budget () =
+  let peak_nodes = ref 0 and peak_entries = ref 0 and last = ref None in
+  let after_op db =
+    last := Some db;
+    peak_nodes := max !peak_nodes (committed_retained db);
+    peak_entries := max !peak_entries (List.length (Predlock.dump (E.predicate_locks db)))
+  in
+  ignore
+    (Test_oracle.Oracle.run_history ~after_op ~isolation:E.Serializable
+       {
+         Test_oracle.Oracle.contended_cfg with
+         txns_per_worker = 3000;
+         seed = 5;
+         certifier = kind;
+         max_committed_sxacts = budget;
+       });
+  let db = Option.get !last in
+  let name = Certifier.kind_to_string kind in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: peak retained %d within budget %d" name !peak_nodes budget)
+    true (!peak_nodes <= budget);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: peak lock-table entries %d stay small" name !peak_entries)
+    true (!peak_entries <= 32);
+  Alcotest.(check int) (name ^ ": idle lock table empty") 0
+    (List.length (Predlock.dump (E.predicate_locks db)));
+  Alcotest.(check int) (name ^ ": idle retains nothing") 0 (committed_retained db);
+  Alcotest.(check int) (name ^ ": idle oldserxid empty") 0 (oldserxid_size db)
+
 (* ---- Bounded histograms (telemetry memory, §6 in spirit) ------------------ *)
 
 module Obs = Ssi_obs.Obs
@@ -232,6 +267,18 @@ let () =
             test_write_skew_prevented_under_summarization;
           Alcotest.test_case "oldserxid lifecycle" `Quick test_oldserxid_bounded;
         ] );
+      ( "SSN retention",
+        List.concat_map
+          (fun kind ->
+            List.map
+              (fun budget ->
+                Alcotest.test_case
+                  (Printf.sprintf "%s bounded at budget %d"
+                     (Certifier.kind_to_string kind) budget)
+                  `Quick
+                  (test_ssn_retention_bounded kind budget))
+              [ 1; 64 ])
+          [ Certifier.SSN; Certifier.ESSN ] );
       ( "granularity promotion (§5.2.1)",
         [
           Alcotest.test_case "bounds lock count" `Quick test_lock_promotion_bounds_memory;

@@ -12,8 +12,6 @@
    - a QCheck property driving a batched and a sequential lock manager
      through identical random scripts (promotions, summarization, cleanup
      included) and demanding identical lock tables at every probe;
-   - a QCheck property replaying random oracle histories under SSI twice
-     and demanding identical committed histories plus an acyclic DSG;
    - workload-driver replays (sibench, TPC-C) whose full result records —
      commits, victims by reason, latency percentiles — must be identical
      across runs on the virtual clock;
@@ -24,7 +22,6 @@ open Ssi_storage
 open Ssi_workload
 module E = Ssi_engine.Engine
 module P = Ssi_core.Predlock
-open Test_oracle
 
 let vi i = Value.Int i
 
@@ -166,41 +163,6 @@ let prop_batch_equals_sequential =
       if not !ok then QCheck.Test.fail_report "readers_for_write diverged at a probe";
       true)
 
-(* ---- Oracle histories: byte-identical replay, acyclic DSG ------------------ *)
-
-let oracle_cfgs =
-  [|
-    ("default", Oracle.default_cfg);
-    ("contended", Oracle.contended_cfg);
-    ("summarizing", Oracle.summarizing_cfg);
-    ("nextkey", Oracle.nextkey_cfg);
-  |]
-
-(* Under SSI — reached through the packed certifier module rather than
-   called by name — every random history must (a) replay identically
-   from its seed: the packing, the intrusive edge lists and the caches
-   may not perturb victim selection or wake order —
-   and (b) pass the multiversion serialization-graph check.  ≥30 seeded
-   workloads certify the interface port was behavior-preserving. *)
-let prop_ssi_replay_and_dsg =
-  QCheck.Test.make ~name:"SSI histories replay byte-identically and stay serializable"
-    ~count:32
-    QCheck.(
-      make
-        ~print:(fun (seed, ci) ->
-          Printf.sprintf "seed=%d cfg=%s" seed (fst oracle_cfgs.(ci)))
-        Gen.(pair (int_range 1 10_000) (int_range 0 (Array.length oracle_cfgs - 1))))
-    (fun (seed, ci) ->
-      let _, cfg = oracle_cfgs.(ci) in
-      let cfg = { cfg with Oracle.seed } in
-      let h1 = Oracle.run_history ~isolation:E.Serializable cfg in
-      let h2 = Oracle.run_history ~isolation:E.Serializable cfg in
-      if h1.Oracle.committed <> h2.Oracle.committed then
-        QCheck.Test.fail_report "same seed produced different committed histories";
-      match Oracle.check_serializable h1 with
-      | Ok () -> true
-      | Error cycle -> QCheck.Test.fail_report (Oracle.pp_cycle h1 cycle))
-
 (* ---- Workload-driver replay: full result records --------------------------- *)
 
 let replay_bench mode =
@@ -290,7 +252,7 @@ let () =
   Alcotest.run "perf"
     [
       qsuite "parity"
-        [ prop_batch_equals_sequential; prop_ssi_replay_and_dsg ];
+        [ prop_batch_equals_sequential ];
       ( "replay",
         [
           Alcotest.test_case "sibench driver replay" `Quick test_sibench_replay;
