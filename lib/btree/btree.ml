@@ -165,45 +165,76 @@ let rec find_leaf node e =
    other value, so [(k, Null)] lower-bounds all real entries with key [k]. *)
 let floor_entry k = { ik = k; pk = Value.Null }
 
-let range t ~lo ~hi ~pages =
-  let start = find_leaf t.root (floor_entry lo) in
-  let results = ref [] in
-  let visit l = pages := l.lid :: !pages in
-  let rec walk l i =
-    if i >= Array.length l.entries then
-      match l.next with
-      | None -> ()
-      | Some next ->
-          visit next;
-          walk next 0
-    else
-      let e = l.entries.(i) in
-      if Value.compare e.ik hi > 0 then ()
-      else begin
-        if Value.compare e.ik lo >= 0 then results := (e.ik, e.pk) :: !results;
-        walk l (i + 1)
-      end
+(* The one leaf-chain cursor: [visit l i] handles leaf [l] from entry [i]
+   on and says whether to go on to the next leaf, which is announced to
+   [page] before it is visited. *)
+let rec scan l i ~page ~visit =
+  if visit l i then
+    match l.next with
+    | None -> ()
+    | Some next ->
+        page next.lid;
+        scan next 0 ~page ~visit
+
+(* Position of the first entry >= [e]: its leaf and index there. *)
+let seek t e =
+  let l = find_leaf t.root e in
+  (l, lower_bound l.entries e)
+
+(* Start a range walk at [lo]: announce the first leaf and scan from it. *)
+let walk_from t ~lo ~page ~visit =
+  let start, i = seek t (floor_entry lo) in
+  page start.lid;
+  scan start i ~page ~visit
+
+let walk t ~lo ~hi ~page ~entry =
+  let rec visit l i =
+    i >= Array.length l.entries
+    ||
+    let e = l.entries.(i) in
+    Value.compare e.ik hi <= 0
+    && begin
+         if Value.compare e.ik lo >= 0 then entry e.ik e.pk;
+         visit l (i + 1)
+       end
   in
-  visit start;
-  walk start (lower_bound start.entries (floor_entry lo));
+  walk_from t ~lo ~page ~visit
+
+(* The walk moves past a leaf exactly when every entry it has left there
+   is <= [hi]; entries are sorted, so the last one decides. *)
+let walk_pages t ~lo ~hi ~page =
+  walk_from t ~lo ~page ~visit:(fun l i ->
+      let n = Array.length l.entries in
+      i >= n || Value.compare l.entries.(n - 1).ik hi <= 0)
+
+let range t ~lo ~hi ~pages =
+  let results = ref [] in
+  walk t ~lo ~hi
+    ~page:(fun p -> pages := p :: !pages)
+    ~entry:(fun k pk -> results := (k, pk) :: !results);
   List.rev !results
 
 let lookup t key ~pages =
-  List.map snd (range t ~lo:key ~hi:key ~pages)
+  let pks = ref [] in
+  walk t ~lo:key ~hi:key
+    ~page:(fun p -> pages := p :: !pages)
+    ~entry:(fun _ pk -> pks := pk :: !pks);
+  List.rev !pks
 
 let next_key_after t key =
-  (* Position after every entry with index key [key] (Str "" is not above
-     every pk, so use a max-sentinel entry on the pk side via comparing
-     only the ik when walking). *)
-  let start = find_leaf t.root { ik = key; pk = Value.Null } in
-  let rec walk l i =
-    if i >= Array.length l.entries then
-      match l.next with None -> None | Some next -> walk next 0
-    else
-      let e = l.entries.(i) in
-      if Value.compare e.ik key > 0 then Some e.ik else walk l (i + 1)
+  let succ = ref None in
+  let rec visit l i =
+    i >= Array.length l.entries
+    ||
+    let e = l.entries.(i) in
+    if Value.compare e.ik key > 0 then begin
+      succ := Some e.ik;
+      false
+    end
+    else visit l (i + 1)
   in
-  walk start (lower_bound start.entries { ik = key; pk = Value.Null })
+  walk_from t ~lo:key ~page:ignore ~visit;
+  !succ
 
 let rec iter_node node f =
   match node with

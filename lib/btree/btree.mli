@@ -38,15 +38,29 @@ val insert : t -> key:Value.t -> pk:Value.t -> int * bool
 val delete : t -> key:Value.t -> pk:Value.t -> bool
 (** Remove an entry; returns whether it was present. *)
 
+val walk :
+  t -> lo:Value.t -> hi:Value.t -> page:(int -> unit) -> entry:(Value.t -> Value.t -> unit) -> unit
+(** The one range walk.  Calls [page id] for each leaf page examined,
+    leftmost first, and [entry key pk] for each entry with
+    [lo <= key <= hi], in ascending order; each page is announced before
+    its entries.  The page holding the first entry beyond the range is also
+    examined (and therefore announced): it covers the gap just past [hi].
+    The walk allocates nothing per entry; {!range} and {!lookup} are
+    list-building wrappers over it. *)
+
+val walk_pages : t -> lo:Value.t -> hi:Value.t -> page:(int -> unit) -> unit
+(** The pages {!walk} announces, in the same order, without visiting
+    entries: each leaf costs one comparison.  What a page-granularity gap
+    lock needs. *)
+
 val lookup : t -> Value.t -> pages:int list ref -> Value.t list
-(** Primary keys indexed under exactly [key], appending examined leaf-page
-    ids to [pages]. *)
+(** Primary keys indexed under exactly [key]: {!range} over [[key, key]],
+    keeping the primary keys. *)
 
 val range : t -> lo:Value.t -> hi:Value.t -> pages:int list ref -> (Value.t * Value.t) list
 (** Entries with [lo <= key <= hi] in ascending order, as
-    [(key, pk)] pairs, appending examined leaf-page ids to [pages].  The
-    page holding the first entry beyond the range is also examined (and
-    therefore reported): it covers the gap just past [hi]. *)
+    [(key, pk)] pairs, prepending each leaf-page id {!walk} announces to
+    [pages] (so [pages] ends up rightmost first). *)
 
 val next_key_after : t -> Value.t -> Value.t option
 (** The smallest index key strictly greater than [key], if any — the

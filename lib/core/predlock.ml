@@ -33,30 +33,79 @@ type config = {
 let default_config =
   { max_tuple_locks_per_page = 4; max_page_locks_per_relation = 16; max_page_locks_per_index = 16 }
 
-module Target_table = Hashtbl.Make (struct
-  type t = target
+(* Targets as the lock table keys them: relation and index names interned
+   to ints (see [intern]), so hashing and comparing a tag touches no
+   string, and neither allocates.  The string-named [target] above is the
+   external view ([dump], [holds], 2PC state). *)
+module Tag = struct
+  type t =
+    | Relation of int
+    | Page of int * int
+    | Tuple of int * Value.t
+    | Index_page of int * int
+    | Index_key of int * Value.t
+    | Index_inf of int
+    | Index_rel of int
+
+  (* A multiply-xorshift finaliser: every input bit reaches the low bits
+     the table indexes by, in plain OCaml arithmetic (no C call, no
+     allocation). *)
+  let mix h =
+    let h = (h lxor (h lsr 31)) * 0x1d6e8feb86659fd9 in
+    let h = (h lxor (h lsr 29)) * 0x1d6e8feb86659fd9 in
+    (h lxor (h lsr 32)) land max_int
+
+  (* Consistent with [Value.equal]: an [Int] and the [Float] it equals
+     hash alike, through the integer when the float is integral, and all
+     NaNs, which [Value.equal] identifies, hash alike. *)
+  let hash_num f =
+    if Float.abs f < 0x1p62 && Float.of_int (Float.to_int f) = f then mix (Float.to_int f)
+    else if Float.is_nan f then 0
+    else mix (Int64.to_int (Int64.bits_of_float f))
+
+  let hash_key : Value.t -> int = function
+    | Null -> 0
+    | Bool b -> if b then 1 else 2
+    (* Within +-2^53 an int converts to float exactly, so [hash_num] would
+       return [mix i] anyway. *)
+    | Int i ->
+        if i >= -0x20000000000000 && i <= 0x20000000000000 then mix i
+        else hash_num (float_of_int i)
+    | Float f -> hash_num f
+    | Str s -> Hashtbl.hash s
+
+  (* Kind in the low three bits, object id above it. *)
+  let combine id kind x = mix ((((id lsl 3) lor kind) * 0x9e3779b97f4a7c1) + x)
+
+  let hash = function
+    | Relation r -> combine r 0 0
+    | Page (r, p) -> combine r 1 p
+    | Tuple (r, k) -> combine r 2 (hash_key k)
+    | Index_page (i, p) -> combine i 3 p
+    | Index_rel i -> combine i 4 0
+    | Index_key (i, k) -> combine i 5 (hash_key k)
+    | Index_inf i -> combine i 6 0
 
   let equal a b =
     match (a, b) with
-    | Relation x, Relation y -> String.equal x y
-    | Page (r, p), Page (r', p') -> String.equal r r' && p = p'
-    | Tuple (r, k), Tuple (r', k') -> String.equal r r' && Value.equal k k'
-    | Index_page (i, p), Index_page (i', p') -> String.equal i i' && p = p'
-    | Index_key (i, k), Index_key (i', k') -> String.equal i i' && Value.equal k k'
-    | Index_inf x, Index_inf y -> String.equal x y
-    | Index_rel x, Index_rel y -> String.equal x y
+    | Relation x, Relation y | Index_inf x, Index_inf y | Index_rel x, Index_rel y -> x = y
+    | Page (r, p), Page (r', p') | Index_page (r, p), Index_page (r', p') -> r = r' && p = p'
+    | Tuple (r, k), Tuple (r', k') | Index_key (r, k), Index_key (r', k') ->
+        r = r' && Value.equal k k'
     | (Relation _ | Page _ | Tuple _ | Index_page _ | Index_key _ | Index_inf _ | Index_rel _), _
       ->
         false
+end
 
-  let hash = function
-    | Relation r -> Hashtbl.hash (0, r)
-    | Page (r, p) -> Hashtbl.hash (1, r, p)
-    | Tuple (r, k) -> Hashtbl.hash (2, r, Value.hash k)
-    | Index_page (i, p) -> Hashtbl.hash (3, i, p)
-    | Index_key (i, k) -> Hashtbl.hash (5, i, Value.hash k)
-    | Index_inf i -> Hashtbl.hash (6, i)
-    | Index_rel i -> Hashtbl.hash (4, i)
+module Tag_table = Hashtbl.Make (Tag)
+
+(* Keyed by interned ids, which are small and dense: they index buckets
+   as they are. *)
+module Int_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash id = id
 end)
 
 type entry = {
@@ -64,24 +113,27 @@ type entry = {
   mutable old_committed : cseq option;  (** dummy owner's latest recorded cseq *)
 }
 
-(* Per-owner bookkeeping enabling promotion and O(locks) release. *)
+(* Per-owner bookkeeping enabling promotion and O(locks) release.  Every
+   key is a tag or an interned relation/index id. *)
 type owner_state = {
-  held : unit Target_table.t;
-  (* Tuple locks per (relation, heap page): the tuple targets held there. *)
-  tuples_by_page : (string * int, target list ref) Hashtbl.t;
+  held : unit Tag_table.t;
+  (* Tuple locks per heap page, keyed by the page's tag: the tuple tags
+     held there. *)
+  tuples_by_page : Tag.t list ref Tag_table.t;
   (* Heap-page locks per relation. *)
-  pages_by_rel : (string, int list ref) Hashtbl.t;
+  pages_by_rel : int list ref Int_table.t;
   (* Index-page locks per index. *)
-  pages_by_index : (string, int list ref) Hashtbl.t;
+  pages_by_index : int list ref Int_table.t;
   (* Coverage cache: which relations/indexes this owner already covers at
      the coarsest granularity, plus the last heap page whose page lock the
-     owner holds.  A scan that already holds coarse coverage skips the
-     per-tuple [held] probes entirely; kept in sync by [grant]/[forget],
-     and an owner never loses coverage except through [forget] (promotions
-     only coarsen), so a hit can never be stale. *)
-  covered_rels : (string, unit) Hashtbl.t;
-  covered_idx : (string, unit) Hashtbl.t;
-  mutable page_memo : (string * int) option;
+     owner holds ([memo_rel] = -1: none).  A scan that already holds coarse
+     coverage skips the per-tuple [held] probes entirely; kept in sync by
+     [grant]/[forget], and an owner never loses coverage except through
+     [forget] (promotions only coarsen), so a hit can never be stale. *)
+  covered_rels : unit Int_table.t;
+  covered_idx : unit Int_table.t;
+  mutable memo_rel : int;
+  mutable memo_page : int;
 }
 
 (* Registry handles, hoisted so the hot acquisition paths touch no
@@ -97,14 +149,14 @@ type metrics = {
   m_promotions : Obs.counter;
 }
 
-(* Min-heap of (cseq, target) for every dummy-owner mark ever recorded:
+(* Min-heap of (cseq, tag) for every dummy-owner mark ever recorded:
    {!cleanup_old_committed} pops the stale prefix instead of scanning the
    whole lock table on every commit's cleanup pass.  Items are lazily
    revalidated against the entry's current mark (per-target marks strictly
    increase — commit cseqs are unique — so an exact match identifies the
    live record). *)
 module Oldc_heap = struct
-  type h = { mutable a : (cseq * target) array; mutable n : int }
+  type h = { mutable a : (cseq * Tag.t) array; mutable n : int }
 
   let create () = { a = [||]; n = 0 }
 
@@ -153,8 +205,17 @@ module Oldc_heap = struct
 end
 
 type t = {
-  table : entry Target_table.t;
+  table : entry Tag_table.t;
   owners : (xid, owner_state) Hashtbl.t;
+  (* Interned relation and index names: [ids] maps a name to its id,
+     [names.(id)] maps back.  A name is never un-interned; there is one per
+     relation or index name ever passed in. *)
+  ids : (string, int) Hashtbl.t;
+  mutable names : string array;
+  (* The last name interned and its id: callers pass the same physical
+     string for a whole scan, so [==] answers most lookups. *)
+  mutable last_name : string;
+  mutable last_id : int;
   config : config;
   oldc : Oldc_heap.h;
   obs : Obs.t;
@@ -175,15 +236,61 @@ let create ?(config = default_config) ?(obs = Obs.create ()) () =
     }
   in
   {
-    table = Target_table.create 1024;
+    table = Tag_table.create 1024;
     owners = Hashtbl.create 64;
+    ids = Hashtbl.create 16;
+    names = [||];
+    last_name = "";
+    last_id = -1;
     config;
     oldc = Oldc_heap.create ();
     obs;
     metrics;
   }
 
-let count_acquired t = function
+let intern t name =
+  if t.last_id >= 0 && name == t.last_name then t.last_id
+  else begin
+    let id =
+      match Hashtbl.find t.ids name with
+      | id -> id
+      | exception Not_found ->
+          let id = Hashtbl.length t.ids in
+          if id = Array.length t.names then begin
+            let names = Array.make (max 8 (2 * id)) name in
+            Array.blit t.names 0 names 0 id;
+            t.names <- names
+          end;
+          t.names.(id) <- name;
+          Hashtbl.add t.ids name id;
+          id
+    in
+    t.last_name <- name;
+    t.last_id <- id;
+    id
+  end
+
+let tag_of t : target -> Tag.t = function
+  | Relation r -> Relation (intern t r)
+  | Page (r, p) -> Page (intern t r, p)
+  | Tuple (r, k) -> Tuple (intern t r, k)
+  | Index_page (i, p) -> Index_page (intern t i, p)
+  | Index_key (i, k) -> Index_key (intern t i, k)
+  | Index_inf i -> Index_inf (intern t i)
+  | Index_rel i -> Index_rel (intern t i)
+
+let target_of t : Tag.t -> target =
+  let n id = t.names.(id) in
+  function
+  | Relation r -> Relation (n r)
+  | Page (r, p) -> Page (n r, p)
+  | Tuple (r, k) -> Tuple (n r, k)
+  | Index_page (i, p) -> Index_page (n i, p)
+  | Index_key (i, k) -> Index_key (n i, k)
+  | Index_inf i -> Index_inf (n i)
+  | Index_rel i -> Index_rel (n i)
+
+let count_acquired t : Tag.t -> unit = function
   | Relation _ -> Obs.incr t.metrics.m_relation
   | Page _ -> Obs.incr t.metrics.m_page
   | Tuple _ -> Obs.incr t.metrics.m_tuple
@@ -192,27 +299,28 @@ let count_acquired t = function
   | Index_inf _ -> Obs.incr t.metrics.m_index_inf
   | Index_rel _ -> Obs.incr t.metrics.m_index_rel
 
-let entry_of t target =
-  match Target_table.find_opt t.table target with
+let entry_of t tag =
+  match Tag_table.find_opt t.table tag with
   | Some e -> e
   | None ->
       let e = { holders = []; old_committed = None } in
-      Target_table.add t.table target e;
+      Tag_table.add t.table tag e;
       e
 
 let owner_state t owner =
-  match Hashtbl.find_opt t.owners owner with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.owners owner with
+  | s -> s
+  | exception Not_found ->
       let s =
         {
-          held = Target_table.create 16;
-          tuples_by_page = Hashtbl.create 8;
-          pages_by_rel = Hashtbl.create 4;
-          pages_by_index = Hashtbl.create 4;
-          covered_rels = Hashtbl.create 4;
-          covered_idx = Hashtbl.create 4;
-          page_memo = None;
+          held = Tag_table.create 16;
+          tuples_by_page = Tag_table.create 8;
+          pages_by_rel = Int_table.create 4;
+          pages_by_index = Int_table.create 4;
+          covered_rels = Int_table.create 4;
+          covered_idx = Int_table.create 4;
+          memo_rel = -1;
+          memo_page = 0;
         }
       in
       Hashtbl.add t.owners owner s;
@@ -221,256 +329,249 @@ let owner_state t owner =
 let holds t ~owner target =
   match Hashtbl.find_opt t.owners owner with
   | None -> false
-  | Some s -> Target_table.mem s.held target
+  | Some s -> Tag_table.mem s.held (tag_of t target)
 
-let maybe_drop_entry t target e =
-  if e.holders = [] && e.old_committed = None then Target_table.remove t.table target
+let maybe_drop_entry t tag e =
+  if e.holders = [] && e.old_committed = None then Tag_table.remove t.table tag
 
-(* Record [cseq] as the dummy owner's mark on [target] if newer than the
+(* Record [cseq] as the dummy owner's mark on [tag] if newer than the
    current one, and index it in the cleanup heap.  Marks only ever grow
    (commit cseqs are unique), so pushing exactly on change keeps the heap's
    exact-match revalidation sound. *)
-let set_old_committed t target (e : entry) cseq =
+let set_old_committed t tag (e : entry) cseq =
   match e.old_committed with
   | Some c when c >= cseq -> ()
   | Some _ | None ->
       e.old_committed <- Some cseq;
-      Oldc_heap.push t.oldc (cseq, target)
+      Oldc_heap.push t.oldc (cseq, tag)
 
-(* Remove [target] from both the shared table and the owner's bookkeeping
-   (except the per-page/per-rel counters, which callers maintain). *)
-let cache_granted state = function
-  | Relation r -> Hashtbl.replace state.covered_rels r ()
-  | Index_rel i -> Hashtbl.replace state.covered_idx i ()
-  | Page (r, p) -> state.page_memo <- Some (r, p)
+let cache_granted state : Tag.t -> unit = function
+  | Relation r -> Int_table.replace state.covered_rels r ()
+  | Index_rel i -> Int_table.replace state.covered_idx i ()
+  | Page (r, p) ->
+      state.memo_rel <- r;
+      state.memo_page <- p
   | Tuple _ | Index_page _ | Index_key _ | Index_inf _ -> ()
 
-let cache_forgotten state = function
-  | Relation r -> Hashtbl.remove state.covered_rels r
-  | Index_rel i -> Hashtbl.remove state.covered_idx i
-  | Page (r, p) -> (
-      match state.page_memo with
-      | Some (r', p') when p = p' && String.equal r r' -> state.page_memo <- None
-      | Some _ | None -> ())
+let cache_forgotten state : Tag.t -> unit = function
+  | Relation r -> Int_table.remove state.covered_rels r
+  | Index_rel i -> Int_table.remove state.covered_idx i
+  | Page (r, p) -> if state.memo_rel = r && state.memo_page = p then state.memo_rel <- -1
   | Tuple _ | Index_page _ | Index_key _ | Index_inf _ -> ()
 
-let forget t owner state target =
-  if Target_table.mem state.held target then begin
-    Target_table.remove state.held target;
-    cache_forgotten state target;
-    match Target_table.find_opt t.table target with
-    | None -> ()
-    | Some e ->
+(* Remove [tag] from both the shared table and the owner's bookkeeping
+   (except the per-page/per-rel lists, which callers maintain). *)
+let forget t owner state tag =
+  if Tag_table.mem state.held tag then begin
+    Tag_table.remove state.held tag;
+    cache_forgotten state tag;
+    match Tag_table.find t.table tag with
+    | exception Not_found -> ()
+    | e ->
         e.holders <- List.filter (fun o -> o <> owner) e.holders;
-        maybe_drop_entry t target e
+        maybe_drop_entry t tag e
   end
 
-let grant t owner state target =
-  if not (Target_table.mem state.held target) then begin
-    Target_table.replace state.held target ();
-    cache_granted state target;
-    let e = entry_of t target in
+let grant t owner state tag =
+  if not (Tag_table.mem state.held tag) then begin
+    Tag_table.add state.held tag ();
+    cache_granted state tag;
+    let e = entry_of t tag in
     e.holders <- owner :: e.holders;
-    count_acquired t target;
+    count_acquired t tag;
     true
   end
   else false
 
+(* The page list stored under relation or index [id], created empty when
+   absent. *)
+let pages_of tbl id =
+  match Int_table.find_opt tbl id with
+  | Some l -> l
+  | None ->
+      let l = ref [] in
+      Int_table.add tbl id l;
+      l
+
 let lock_relation t ~owner ~rel =
   let state = owner_state t owner in
-  ignore (grant t owner state (Relation rel))
+  ignore (grant t owner state (Relation (intern t rel)))
 
 let lock_index_rel t ~owner ~index =
   let state = owner_state t owner in
-  ignore (grant t owner state (Index_rel index))
+  ignore (grant t owner state (Index_rel (intern t index)))
 
-(* Promote all of the owner's page and tuple locks on [rel] to a single
-   relation lock. *)
-let promote_owner_relation t owner state rel =
+(* Promote all of the owner's page and tuple locks on relation [r] to a
+   single relation lock. *)
+let promote_owner_relation t owner state r =
   Obs.incr t.metrics.m_promotions;
-  (match Hashtbl.find_opt state.pages_by_rel rel with
+  (match Int_table.find_opt state.pages_by_rel r with
   | None -> ()
   | Some pages ->
-      List.iter (fun p -> forget t owner state (Page (rel, p))) !pages;
-      Hashtbl.remove state.pages_by_rel rel);
+      List.iter (fun p -> forget t owner state (Page (r, p))) !pages;
+      Int_table.remove state.pages_by_rel r);
   let to_drop = ref [] in
-  Hashtbl.iter
-    (fun (r, _page) _targets -> if r = rel then to_drop := (r, _page) :: !to_drop)
+  Tag_table.iter
+    (fun (page : Tag.t) _targets ->
+      match page with
+      | Page (r', _) when r' = r -> to_drop := page :: !to_drop
+      | _ -> ())
     state.tuples_by_page;
   List.iter
-    (fun key ->
-      (match Hashtbl.find_opt state.tuples_by_page key with
+    (fun page ->
+      (match Tag_table.find_opt state.tuples_by_page page with
       | None -> ()
       | Some targets -> List.iter (forget t owner state) !targets);
-      Hashtbl.remove state.tuples_by_page key)
+      Tag_table.remove state.tuples_by_page page)
     !to_drop;
-  ignore (grant t owner state (Relation rel))
+  ignore (grant t owner state (Relation r))
+
+let lock_page_id t owner state r page =
+  if Int_table.mem state.covered_rels r then ()
+  else
+    let page_tag = Tag.Page (r, page) in
+    if grant t owner state page_tag then begin
+      (* Page lock subsumes the owner's tuple locks on that page. *)
+      (match Tag_table.find_opt state.tuples_by_page page_tag with
+      | None -> ()
+      | Some targets ->
+          List.iter (forget t owner state) !targets;
+          Tag_table.remove state.tuples_by_page page_tag);
+      let pages = pages_of state.pages_by_rel r in
+      pages := page :: !pages;
+      if List.length !pages > t.config.max_page_locks_per_relation then
+        promote_owner_relation t owner state r
+    end
 
 let lock_page t ~owner ~rel ~page =
-  let state = owner_state t owner in
-  if Hashtbl.mem state.covered_rels rel then ()
-  else if grant t owner state (Page (rel, page)) then begin
-    (* Page lock subsumes the owner's tuple locks on that page. *)
-    (match Hashtbl.find_opt state.tuples_by_page (rel, page) with
-    | None -> ()
-    | Some targets ->
-        List.iter (forget t owner state) !targets;
-        Hashtbl.remove state.tuples_by_page (rel, page));
-    let pages =
-      match Hashtbl.find_opt state.pages_by_rel rel with
-      | Some l -> l
-      | None ->
-          let l = ref [] in
-          Hashtbl.add state.pages_by_rel rel l;
-          l
-    in
-    pages := page :: !pages;
-    if List.length !pages > t.config.max_page_locks_per_relation then
-      promote_owner_relation t owner state rel
-  end
+  lock_page_id t owner (owner_state t owner) (intern t rel) page
 
-(* Coarse coverage of a heap tuple: relation-level (cache), page-level via
-   the single-page memo, or page-level via a [held] probe (which refreshes
-   the memo, so a scan's next tuple on the same page hits the memo). *)
-let tuple_covered state ~rel ~page =
-  Hashtbl.mem state.covered_rels rel
-  ||
-  match state.page_memo with
-  | Some (r, p) when p = page && String.equal r rel -> true
-  | Some _ | None ->
-      if Target_table.mem state.held (Page (rel, page)) then begin
-        state.page_memo <- Some (rel, page);
-        true
-      end
-      else false
+(* Coverage from the caches alone: relation-level, or the page memo. *)
+let cached_cover state r page =
+  Int_table.mem state.covered_rels r || (state.memo_rel = r && state.memo_page = page)
 
-let lock_tuple_slow t owner state ~rel ~key ~page =
-  let target = Tuple (rel, key) in
+(* Coarse coverage of a heap tuple: the caches, or page-level via a [held]
+   probe (which refreshes the memo, so a scan's next tuple on the same page
+   hits the memo). *)
+let tuple_covered state r page =
+  cached_cover state r page
+  || Tag_table.mem state.held (Page (r, page))
+     && begin
+          state.memo_rel <- r;
+          state.memo_page <- page;
+          true
+        end
+
+let lock_tuple_slow t owner state r key page =
+  let target = Tag.Tuple (r, key) in
   if grant t owner state target then begin
+    let page_tag = Tag.Page (r, page) in
     let tuples =
-      match Hashtbl.find_opt state.tuples_by_page (rel, page) with
+      match Tag_table.find_opt state.tuples_by_page page_tag with
       | Some l -> l
       | None ->
           let l = ref [] in
-          Hashtbl.add state.tuples_by_page (rel, page) l;
+          Tag_table.add state.tuples_by_page page_tag l;
           l
     in
     tuples := target :: !tuples;
     if List.length !tuples > t.config.max_tuple_locks_per_page then begin
       Obs.incr t.metrics.m_promotions;
-      lock_page t ~owner ~rel ~page
+      lock_page_id t owner state r page
     end
   end
 
 let lock_tuple t ~owner ~rel ~key ~page =
-  let state = owner_state t owner in
-  if tuple_covered state ~rel ~page then ()
-  else lock_tuple_slow t owner state ~rel ~key ~page
+  let state = owner_state t owner and r = intern t rel in
+  if not (tuple_covered state r page) then lock_tuple_slow t owner state r key page
 
 let lock_tuples_page t ~owner ~rel ~page ~keys =
-  let state = owner_state t owner in
-  if not (tuple_covered state ~rel ~page) then
+  let state = owner_state t owner and r = intern t rel in
+  if not (tuple_covered state r page) then
     List.iter
       (fun key ->
         (* Re-check before each key: acquiring one may promote the owner to
            page or relation coverage, after which the remaining keys are
            no-ops — exactly as sequential [lock_tuple] calls behave.  The
            re-check hits the cache/memo, never the [held] table. *)
-        let covered =
-          Hashtbl.mem state.covered_rels rel
-          ||
-          match state.page_memo with
-          | Some (r, p) -> p = page && String.equal r rel
-          | None -> false
-        in
-        if not covered then lock_tuple_slow t owner state ~rel ~key ~page)
+        if not (cached_cover state r page) then lock_tuple_slow t owner state r key page)
       keys
 
-(* Promote all of the owner's index-page locks on [index] to a whole-index
-   lock. *)
-let promote_owner_index t owner state index =
+(* Drop every fine-grained lock the owner holds on index [i] and take a
+   whole-index lock instead. *)
+let promote_owner_index t owner state i =
   Obs.incr t.metrics.m_promotions;
-  (match Hashtbl.find_opt state.pages_by_index index with
+  (match Int_table.find_opt state.pages_by_index i with
   | None -> ()
   | Some pages ->
-      List.iter (fun p -> forget t owner state (Index_page (index, p))) !pages;
-      Hashtbl.remove state.pages_by_index index);
-  ignore (grant t owner state (Index_rel index))
+      List.iter (fun p -> forget t owner state (Index_page (i, p))) !pages;
+      Int_table.remove state.pages_by_index i);
+  ignore (grant t owner state (Index_rel i))
 
 (* Next-key gap locks share the per-index promotion budget with page
    locks: too many fine index locks promote to a whole-index lock. *)
-let note_index_fine t owner state index target =
-  ignore target;
-  let fine =
-    match Hashtbl.find_opt state.pages_by_index index with
-    | Some l -> l
-    | None ->
-        let l = ref [] in
-        Hashtbl.add state.pages_by_index index l;
-        l
-  in
+let note_index_fine t owner state i =
+  let fine = pages_of state.pages_by_index i in
   fine := -1 :: !fine;
   if List.length !fine > t.config.max_page_locks_per_index then begin
     (* Drop all fine-grained locks on this index (we do not track their
        identities individually here; scan the owner's held set). *)
     Obs.incr t.metrics.m_promotions;
     let stale = ref [] in
-    Target_table.iter
-      (fun tg () ->
+    Tag_table.iter
+      (fun (tg : Tag.t) () ->
         match tg with
-        | Index_page (i, _) | Index_key (i, _) -> if i = index then stale := tg :: !stale
-        | Index_inf i -> if i = index then stale := tg :: !stale
+        | Index_page (i', _) | Index_key (i', _) | Index_inf i' ->
+            if i' = i then stale := tg :: !stale
         | Relation _ | Page _ | Tuple _ | Index_rel _ -> ())
       state.held;
     List.iter (forget t owner state) !stale;
-    Hashtbl.remove state.pages_by_index index;
-    ignore (grant t owner state (Index_rel index))
+    Int_table.remove state.pages_by_index i;
+    ignore (grant t owner state (Index_rel i))
   end
 
-let lock_index_key t ~owner ~index ~key =
+let lock_index_key_id t owner i key =
   let state = owner_state t owner in
-  if Hashtbl.mem state.covered_idx index then ()
-  else if grant t owner state (Index_key (index, key)) then
-    note_index_fine t owner state index (Index_key (index, key))
+  if Int_table.mem state.covered_idx i then ()
+  else if grant t owner state (Index_key (i, key)) then note_index_fine t owner state i
 
-let lock_index_inf t ~owner ~index =
-  let state = owner_state t owner in
-  if Hashtbl.mem state.covered_idx index then ()
-  else ignore (grant t owner state (Index_inf index))
+let lock_index_key t ~owner ~index ~key = lock_index_key_id t owner (intern t index) key
 
-let lock_index_page t ~owner ~index ~page =
+let lock_index_inf_id t owner i =
   let state = owner_state t owner in
-  if Hashtbl.mem state.covered_idx index then ()
-  else if grant t owner state (Index_page (index, page)) then begin
-    let pages =
-      match Hashtbl.find_opt state.pages_by_index index with
-      | Some l -> l
-      | None ->
-          let l = ref [] in
-          Hashtbl.add state.pages_by_index index l;
-          l
-    in
+  if Int_table.mem state.covered_idx i then () else ignore (grant t owner state (Index_inf i))
+
+let lock_index_inf t ~owner ~index = lock_index_inf_id t owner (intern t index)
+
+let lock_index_page_id t owner i page =
+  let state = owner_state t owner in
+  if Int_table.mem state.covered_idx i then ()
+  else if grant t owner state (Index_page (i, page)) then begin
+    let pages = pages_of state.pages_by_index i in
     pages := page :: !pages;
     if List.length !pages > t.config.max_page_locks_per_index then
-      promote_owner_index t owner state index
+      promote_owner_index t owner state i
   end
+
+let lock_index_page t ~owner ~index ~page = lock_index_page_id t owner (intern t index) page
 
 let unlock_tuple t ~owner ~rel ~key =
   match Hashtbl.find_opt t.owners owner with
   | None -> ()
   | Some state ->
-      let target = Tuple (rel, key) in
-      if Target_table.mem state.held target then begin
+      let r = intern t rel in
+      let target = Tag.Tuple (r, key) in
+      if Tag_table.mem state.held target then begin
         forget t owner state target;
         (* Also forget it in the per-page lists (linear, lists are short by
            construction: promotion caps them). *)
-        Hashtbl.iter
+        Tag_table.iter
           (fun _ targets ->
             targets :=
               List.filter
-                (fun tg ->
+                (fun (tg : Tag.t) ->
                   match tg with
-                  | Tuple (r, k) -> not (r = rel && Value.equal k key)
+                  | Tuple (r', k) -> not (r' = r && Value.equal k key)
                   | Relation _ | Page _ | Index_page _ | Index_key _ | Index_inf _
                   | Index_rel _ ->
                       true)
@@ -480,12 +581,12 @@ let unlock_tuple t ~owner ~rel ~key =
 
 type readers = { xids : xid list; old_committed : cseq option }
 
-let collect t targets =
+let collect t tags =
   (* Coarsest to finest, per §5.2.1. *)
   let xids = ref [] and old_c = ref None in
   List.iter
-    (fun target ->
-      match Target_table.find_opt t.table target with
+    (fun tag ->
+      match Tag_table.find_opt t.table tag with
       | None -> ()
       | Some e ->
           List.iter (fun o -> if not (List.mem o !xids) then xids := o :: !xids) e.holders;
@@ -493,32 +594,36 @@ let collect t targets =
           | Some c, Some c' -> if c > c' then old_c := Some c
           | Some c, None -> old_c := Some c
           | None, _ -> ()))
-    targets;
+    tags;
   { xids = List.rev !xids; old_committed = !old_c }
 
 let readers_for_write t ~rel ~key ~page =
-  collect t [ Relation rel; Page (rel, page); Tuple (rel, key) ]
+  let r = intern t rel in
+  collect t [ Relation r; Page (r, page); Tuple (r, key) ]
 
 let readers_for_index_insert t ~index ~page =
-  collect t [ Index_rel index; Index_page (index, page) ]
+  let i = intern t index in
+  collect t [ Index_rel i; Index_page (i, page) ]
+
+let gap_tag i : Value.t option -> Tag.t = function
+  | Some s -> Index_key (i, s)
+  | None -> Index_inf i
 
 let readers_for_index_insert_nextkey t ~index ~key ~succ =
-  let gap =
-    match succ with Some s -> Index_key (index, s) | None -> Index_inf index
-  in
-  collect t [ Index_rel index; Index_key (index, key); gap ]
+  let i = intern t index in
+  collect t [ Index_rel i; Index_key (i, key); gap_tag i succ ]
 
 let release_owner t owner =
   match Hashtbl.find_opt t.owners owner with
   | None -> ()
   | Some state ->
-      Target_table.iter
-        (fun target () ->
-          match Target_table.find_opt t.table target with
-          | None -> ()
-          | Some e ->
+      Tag_table.iter
+        (fun tag () ->
+          match Tag_table.find t.table tag with
+          | exception Not_found -> ()
+          | e ->
               e.holders <- List.filter (fun o -> o <> owner) e.holders;
-              maybe_drop_entry t target e)
+              maybe_drop_entry t tag e)
         state.held;
       Hashtbl.remove t.owners owner
 
@@ -526,13 +631,13 @@ let summarize_owner t owner ~cseq =
   match Hashtbl.find_opt t.owners owner with
   | None -> ()
   | Some state ->
-      Target_table.iter
-        (fun target () ->
-          match Target_table.find_opt t.table target with
-          | None -> ()
-          | Some e ->
+      Tag_table.iter
+        (fun tag () ->
+          match Tag_table.find t.table tag with
+          | exception Not_found -> ()
+          | e ->
               e.holders <- List.filter (fun o -> o <> owner) e.holders;
-              set_old_committed t target e cseq)
+              set_old_committed t tag e cseq)
         state.held;
       Hashtbl.remove t.owners owner
 
@@ -545,7 +650,7 @@ let cleanup_old_committed t ~before =
     match Oldc_heap.peek t.oldc with
     | Some (c, target) when c < before ->
         Oldc_heap.pop t.oldc;
-        (match Target_table.find_opt t.table target with
+        (match Tag_table.find_opt t.table target with
         | Some e when e.old_committed = Some c ->
             e.old_committed <- None;
             maybe_drop_entry t target e
@@ -554,18 +659,16 @@ let cleanup_old_committed t ~before =
   done
 
 let on_index_page_split t ~index ~old_page ~new_page =
-  match Target_table.find_opt t.table (Index_page (index, old_page)) with
+  let i = intern t index in
+  match Tag_table.find_opt t.table (Index_page (i, old_page)) with
   | None -> ()
-  | Some e ->
+  | Some e -> (
       let holders = e.holders and old_c = e.old_committed in
-      List.iter
-        (fun owner ->
-          let state = owner_state t owner in
-          lock_index_page t ~owner ~index ~page:new_page;
-          ignore state)
-        holders;
-      (match old_c with
-      | Some c -> set_old_committed t (Index_page (index, new_page)) (entry_of t (Index_page (index, new_page))) c
+      List.iter (fun owner -> lock_index_page_id t owner i new_page) holders;
+      match old_c with
+      | Some c ->
+          let dst = Tag.Index_page (i, new_page) in
+          set_old_committed t dst (entry_of t dst) c
       | None -> ())
 
 (* Gap-lock inheritance for next-key locking.  A reader's lock on an index
@@ -576,55 +679,55 @@ let on_index_page_split t ~index ~old_page ~new_page =
    holders and the committed-reader mark, so coverage only widens: the
    worst case is a spurious rw conflict, never a hidden one.  This mirrors
    {!on_index_page_split}, which does the same for page-granularity gaps. *)
-let inherit_gap_locks t ~src ~dst =
-  match Target_table.find_opt t.table src with
+let inherit_gap_locks t ~src ~(dst : Tag.t) =
+  match Tag_table.find_opt t.table src with
   | None -> ()
   | Some e ->
       let holders = e.holders and old_c = e.old_committed in
       List.iter
         (fun owner ->
           match dst with
-          | Index_key (index, key) -> lock_index_key t ~owner ~index ~key
-          | Index_inf index -> lock_index_inf t ~owner ~index
+          | Index_key (i, key) -> lock_index_key_id t owner i key
+          | Index_inf i -> lock_index_inf_id t owner i
           | Relation _ | Page _ | Tuple _ | Index_page _ | Index_rel _ -> ())
         holders;
       (match old_c with
       | Some c -> set_old_committed t dst (entry_of t dst) c
       | None -> ())
 
-let gap_target index = function
-  | Some s -> Index_key (index, s)
-  | None -> Index_inf index
-
 let on_index_key_insert t ~index ~key ~succ =
-  inherit_gap_locks t ~src:(gap_target index succ) ~dst:(Index_key (index, key))
+  let i = intern t index in
+  inherit_gap_locks t ~src:(gap_tag i succ) ~dst:(Index_key (i, key))
 
 let on_index_key_remove t ~index ~key ~succ =
-  inherit_gap_locks t ~src:(Index_key (index, key)) ~dst:(gap_target index succ)
+  let i = intern t index in
+  inherit_gap_locks t ~src:(Index_key (i, key)) ~dst:(gap_tag i succ)
 
 let promote_relation t ~rel =
+  let r = intern t rel in
   (* Every owner's page/tuple locks on [rel] become a relation lock; the
      dummy owner's become a dummy relation-level lock. *)
   let owners_to_promote = ref [] in
   Hashtbl.iter
     (fun owner state ->
       let has_fine =
-        Hashtbl.mem state.pages_by_rel rel
-        || Hashtbl.fold
-             (fun (r, _) targets acc -> acc || (r = rel && !targets <> []))
+        Int_table.mem state.pages_by_rel r
+        || Tag_table.fold
+             (fun (page : Tag.t) targets acc ->
+               acc || match page with Page (r', _) -> r' = r && !targets <> [] | _ -> false)
              state.tuples_by_page false
       in
       if has_fine then owners_to_promote := (owner, state) :: !owners_to_promote)
     t.owners;
-  List.iter (fun (owner, state) -> promote_owner_relation t owner state rel) !owners_to_promote;
+  List.iter (fun (owner, state) -> promote_owner_relation t owner state r) !owners_to_promote;
   (* Dummy-owner fine-grained locks on rel. *)
   let dummy_cseq = ref None in
   let stale = ref [] in
-  Target_table.iter
-    (fun target (e : entry) ->
+  Tag_table.iter
+    (fun (tag : Tag.t) (e : entry) ->
       let matches =
-        match target with
-        | Page (r, _) | Tuple (r, _) -> r = rel
+        match tag with
+        | Page (r', _) | Tuple (r', _) -> r' = r
         | Relation _ | Index_page _ | Index_key _ | Index_inf _ | Index_rel _ -> false
       in
       if matches then
@@ -632,27 +735,28 @@ let promote_relation t ~rel =
         | Some c ->
             (dummy_cseq :=
                match !dummy_cseq with Some c' -> Some (max c c') | None -> Some c);
-            stale := (target, e) :: !stale
+            stale := (tag, e) :: !stale
         | None -> ())
     t.table;
   List.iter
-    (fun (target, (e : entry)) ->
+    (fun (tag, (e : entry)) ->
       e.old_committed <- None;
-      maybe_drop_entry t target e)
+      maybe_drop_entry t tag e)
     !stale;
   match !dummy_cseq with
   | None -> ()
-  | Some c -> set_old_committed t (Relation rel) (entry_of t (Relation rel)) c
+  | Some c -> set_old_committed t (Relation r) (entry_of t (Relation r)) c
 
 let drop_index_to_relation t ~index ~heap_rel =
+  let i = intern t index and heap_r = intern t heap_rel in
   let affected_owners = ref [] in
   let dummy_cseq = ref None in
   let stale = ref [] in
-  Target_table.iter
-    (fun target (e : entry) ->
+  Tag_table.iter
+    (fun (tag : Tag.t) (e : entry) ->
       let matches =
-        match target with
-        | Index_page (i, _) | Index_key (i, _) | Index_inf i | Index_rel i -> i = index
+        match tag with
+        | Index_page (i', _) | Index_key (i', _) | Index_inf i' | Index_rel i' -> i' = i
         | Relation _ | Page _ | Tuple _ -> false
       in
       if matches then begin
@@ -663,42 +767,52 @@ let drop_index_to_relation t ~index ~heap_rel =
         | Some c ->
             dummy_cseq := (match !dummy_cseq with Some c' -> Some (max c c') | None -> Some c)
         | None -> ());
-        stale := target :: !stale
+        stale := tag :: !stale
       end)
     t.table;
+  (* Owners in xid order, so the relation lock's holder list does not
+     depend on how the table hashes. *)
   List.iter
     (fun owner ->
       match Hashtbl.find_opt t.owners owner with
       | None -> ()
       | Some state ->
           List.iter (forget t owner state) !stale;
-          Hashtbl.remove state.pages_by_index index;
-          ignore (grant t owner state (Relation heap_rel)))
-    !affected_owners;
+          Int_table.remove state.pages_by_index i;
+          ignore (grant t owner state (Relation heap_r)))
+    (List.sort Int.compare !affected_owners);
   List.iter
-    (fun target ->
-      match Target_table.find_opt t.table target with
+    (fun tag ->
+      match Tag_table.find_opt t.table tag with
       | None -> ()
       | Some e ->
           e.old_committed <- None;
-          maybe_drop_entry t target e)
+          maybe_drop_entry t tag e)
     !stale;
   match !dummy_cseq with
   | None -> ()
-  | Some c -> set_old_committed t (Relation heap_rel) (entry_of t (Relation heap_rel)) c
+  | Some c -> set_old_committed t (Relation heap_r) (entry_of t (Relation heap_r)) c
 
 let dump t =
-  Target_table.fold
-    (fun target (e : entry) acc -> (target, e.holders, e.old_committed) :: acc)
+  Tag_table.fold
+    (fun tag (e : entry) acc -> (target_of t tag, e.holders, e.old_committed) :: acc)
     t.table []
+  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+
+let held_by t owner =
+  match Hashtbl.find_opt t.owners owner with
+  | None -> []
+  | Some state ->
+      Tag_table.fold (fun tag () acc -> target_of t tag :: acc) state.held []
+      |> List.sort compare
 
 let owner_lock_count t owner =
   match Hashtbl.find_opt t.owners owner with
   | None -> 0
-  | Some state -> Target_table.length state.held
+  | Some state -> Tag_table.length state.held
 
 let total_lock_count t =
-  Target_table.fold
+  Tag_table.fold
     (fun _ (e : entry) acc ->
       acc + List.length e.holders + (match e.old_committed with Some _ -> 1 | None -> 0))
     t.table 0

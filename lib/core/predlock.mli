@@ -15,7 +15,13 @@
 
     The lock manager also implements the DDL interactions of §5.2.1
     ({!promote_relation} for table rewrites, {!drop_index_to_relation} for
-    index removal) and lock transfer on index-page splits. *)
+    index removal) and lock transfer on index-page splits.
+
+    Internally every target is keyed on a tag in which the relation or
+    index name is interned to an int, like PostgreSQL's fixed-size
+    [PREDICATELOCKTARGETTAG]: hashing and comparing a tag allocate nothing,
+    and keys that are [Value.equal] ([Int 3], [Float 3.0]) are one target.
+    {!target} is the string-named external view. *)
 
 open Ssi_storage
 
@@ -157,7 +163,13 @@ val drop_index_to_relation : t -> index:string -> heap_rel:string -> unit
 
 val dump : t -> (target * xid list * cseq option) list
 (** Every lock-table entry: target, live holders, and the dummy owner's
-    recorded cseq if present — the pg_locks view of the SIREAD table. *)
+    recorded cseq if present — the pg_locks view of the SIREAD table.
+    Sorted by target under [compare], so the order does not depend on how
+    the table hashes. *)
+
+val held_by : t -> xid -> target list
+(** The targets [owner] holds, sorted under [compare]: what a prepared
+    transaction persists in its 2PC state record (§7.1). *)
 
 val owner_lock_count : t -> xid -> int
 val total_lock_count : t -> int

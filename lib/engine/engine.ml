@@ -661,50 +661,54 @@ let rec live_head txn tbl key =
 
 (* ---- Shared read path ----------------------------------------------------------- *)
 
-(* §5.3: the version of [head]'s row that [txn]'s snapshot sees, after
-   reporting every concurrent writer of a skipped newer version as an
-   rw-conflict out of [txn]. *)
-let visible txn head =
-  match Visibility.latest_visible txn.db.clog txn.snapshot head with
-  | v, [] -> v
-  | v, writers ->
-      (match tracking txn with
-      | Sx ((module C), c, node) -> List.iter (fun w -> C.conflict_out c node ~writer:w) writers
-      | No_sx -> ());
-      v
+(* §5.3: report [w], the concurrent writer of a newer version [txn]'s
+   snapshot skipped, as an rw-conflict out of [txn].  A read builds
+   [skipped_by txn] once and passes it to every [visible] call. *)
+let skipped_by txn w =
+  match tracking txn with
+  | Sx ((module C), c, node) -> C.conflict_out c node ~writer:w
+  | No_sx -> ()
+
+(* The version of a row that [txn]'s snapshot sees, from the chain head as
+   [Heap.head] returns it; [skipped] hears every writer skipped on the
+   way. *)
+let visible txn ~skipped head = Visibility.find_visible txn.db.clog txn.snapshot ~skipped head
 
 (* Record that [txn] read version [v]: an rw-conflict out to its
-   concurrent [deleter], and [v]'s creator for the certifiers that track
+   concurrent deleter, and [v]'s creator for the certifiers that track
    it.  Returns whether [txn] is tracked, i.e. whether the caller must take
    a SIREAD lock on what it read. *)
-let note_read txn ((v : Heap.tuple), deleter) =
+let note_read txn (v : Heap.tuple) =
   match tracking txn with
   | Sx ((module C), c, node) ->
-      (match deleter with Some w -> C.conflict_out c node ~writer:w | None -> ());
+      let deleter = Visibility.deleter txn.db.clog txn.snapshot v in
+      if deleter <> Heap.invalid_xid then C.conflict_out c node ~writer:deleter;
       C.read_from c node ~creator:v.xmin;
       true
   | No_sx -> false
 
-(* Acquire the SIREAD gap locks for an index probe.  Page mode locks every
-   examined leaf page; next-key mode locks the distinct keys returned plus
-   the successor of the probe's upper bound, which covers every gap the
-   scan observed (§5.2.1 "next-key locking" future work). *)
-let ssi_lock_index_gaps txn idx ~hi ~keys ~pages =
+(* Acquire the SIREAD gap locks for an index probe of [[lo, hi]], walking
+   its leaves before any row is visited.  Page mode locks every examined
+   leaf page; next-key mode locks the distinct keys found (for a point
+   probe, the [probe] key itself) plus the successor of [hi], which covers
+   every gap the scan observed (§5.2.1 "next-key locking" future work). *)
+let ssi_lock_index_gaps ?probe txn idx ~lo ~hi =
   let locks = txn.db.predlocks and owner = txn.txn_xid and index = idx.idx_name in
   if idx.next_key then begin
-    let seen = Hashtbl.create 8 in
-    List.iter
-      (fun k ->
-        if not (Hashtbl.mem seen k) then begin
-          Hashtbl.add seen k ();
-          Predlock.lock_index_key locks ~owner ~index ~key:k
-        end)
-      keys;
+    let last = ref None in
+    Btree.walk idx.tree ~lo ~hi ~page:ignore ~entry:(fun k _ ->
+        match !last with
+        | Some l when Value.equal l k -> ()
+        | Some _ | None ->
+            last := Some k;
+            Predlock.lock_index_key locks ~owner ~index ~key:(Option.value probe ~default:k));
     match Btree.next_key_after idx.tree hi with
     | Some succ -> Predlock.lock_index_key locks ~owner ~index ~key:succ
     | None -> Predlock.lock_index_inf locks ~owner ~index
   end
-  else List.iter (fun page -> Predlock.lock_index_page locks ~owner ~index ~page) pages
+  else
+    Btree.walk_pages idx.tree ~lo ~hi ~page:(fun page ->
+        Predlock.lock_index_page locks ~owner ~index ~page)
 
 (* Under 2PL an index probe is only valid once shared locks on the visited
    leaf pages are held: acquiring a lock can block, and by the time it is
@@ -746,22 +750,14 @@ let fetch txn tbl key ~for_write =
       (if for_write then Lockmgr.X else Lockmgr.S);
     refresh_stmt_snapshot txn
   end
-  else begin
-    let pages = ref [] in
-    let hits = Btree.lookup tbl.pk_index.tree key ~pages in
-    let keys = if hits = [] then [] else [ key ] in
-    if is_tracked txn then ssi_lock_index_gaps txn tbl.pk_index ~hi:key ~keys ~pages:!pages
-  end;
-  match Heap.head tbl.heap key with
+  else if is_tracked txn then ssi_lock_index_gaps txn tbl.pk_index ~lo:key ~hi:key ~probe:key;
+  match visible txn ~skipped:(skipped_by txn) (Heap.head tbl.heap key) with
   | None -> None
-  | Some head -> (
-      match visible txn head with
-      | None -> None
-      | Some ((v, _) as read) ->
-          if note_read txn read then
-            Predlock.lock_tuple db.predlocks ~owner:txn.txn_xid ~rel ~key
-              ~page:(Heap.page_of_tid v.tid);
-          Some v)
+  | Some v ->
+      if note_read txn v then
+        Predlock.lock_tuple db.predlocks ~owner:txn.txn_xid ~rel ~key
+          ~page:(Heap.page_of_tid v.tid);
+      Some v
 
 (* ---- Reads ------------------------------------------------------------------------ *)
 
@@ -798,34 +794,14 @@ let index_scan txn ~table ~index ~lo ~hi =
   if idx.table_name <> table then invalid_arg "Engine.index_scan: index is on another table";
   let rel = Heap.rel_name tbl.heap in
   map_lock_errors txn (fun () ->
-      let entries, scan_pages =
-        if is_2pl txn then begin
-          Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Relation rel) Lockmgr.IS;
-          let entries, pages =
-            lock_index_probe txn idx ~probe:(fun ~pages -> Btree.range idx.tree ~lo ~hi ~pages)
-          in
-          refresh_stmt_snapshot txn;
-          (entries, pages)
-        end
-        else begin
-          let pages = ref [] in
-          let entries = Btree.range idx.tree ~lo ~hi ~pages in
-          if is_tracked txn then
-            if idx.pred_locks then
-              ssi_lock_index_gaps txn idx ~hi ~keys:(List.map fst entries) ~pages:!pages
-            else Predlock.lock_index_rel db.predlocks ~owner:txn.txn_xid ~index;
-          (entries, !pages)
-        end
-      in
-      let tuples = ref 0 in
+      let tuples = ref 0 and npages = ref 0 and rows = ref [] in
       (* SSI tuple SIREAD locks are batched per heap page: one coverage
          check per scanned page instead of one hash probe per tuple.  Keys
-         accumulate in scan order and flush after the row loop — also on
+         accumulate in scan order and flush after the row walk — also on
          the failure path, so a mid-scan serialization failure leaves
          exactly the locks the per-tuple path would have taken.  No other
-         transaction can run between accumulation and flush (the SSI scan
-         loop has no suspension points), so conflict detection is
-         unchanged. *)
+         transaction can run between accumulation and flush (the SSI walk
+         has no suspension points), so conflict detection is unchanged. *)
       let batch_pages = Hashtbl.create 8 in
       let batch_order = ref [] in
       let batch_read pk page =
@@ -839,45 +815,53 @@ let index_scan txn ~table ~index ~lo ~hi =
         if is_tracked txn then
           List.iter
             (fun page ->
-              match Hashtbl.find_opt batch_pages page with
-              | Some keys ->
-                  Predlock.lock_tuples_page db.predlocks ~owner:txn.txn_xid ~rel ~page
-                    ~keys:(List.rev !keys)
-              | None -> ())
+              Predlock.lock_tuples_page db.predlocks ~owner:txn.txn_xid ~rel ~page
+                ~keys:(List.rev !(Hashtbl.find batch_pages page)))
             (List.rev !batch_order)
       in
-      let rows =
-        Fun.protect
-          ~finally:flush_batch
-          (fun () ->
-            List.filter_map
-              (fun (ikey, pk) ->
-                (* Under 2PL the tuple lock must precede the visibility check:
-                   acquiring it can block, and the row must then be read as of
-                   the post-wait state. *)
-                if is_2pl txn then begin
-                  Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Tuple (rel, pk))
-                    Lockmgr.S;
-                  refresh_stmt_snapshot txn
-                end;
-                match Heap.head tbl.heap pk with
-                | None -> None
-                | Some head -> (
-                    incr tuples;
-                    match visible txn head with
-                    (* Entries of old versions may no longer describe the
-                       visible version: filter on the current value. *)
-                    | Some ((v, _) as read) when Value.equal v.row.(idx.col) ikey ->
-                        if note_read txn read then batch_read pk (Heap.page_of_tid v.tid);
-                        Some (Array.copy v.row)
-                    | Some _ | None -> None))
-              entries)
+      let skipped = skipped_by txn in
+      let visit ikey pk =
+        (* Under 2PL the tuple lock must precede the visibility check:
+           acquiring it can block, and the row must then be read as of the
+           post-wait state. *)
+        if is_2pl txn then begin
+          Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Tuple (rel, pk)) Lockmgr.S;
+          refresh_stmt_snapshot txn
+        end;
+        match Heap.head tbl.heap pk with
+        | None -> ()
+        | head -> (
+            incr tuples;
+            match visible txn ~skipped head with
+            (* Entries of old versions may no longer describe the visible
+               version: filter on the current value. *)
+            | Some v when Value.equal v.row.(idx.col) ikey ->
+                if note_read txn v then batch_read pk (Heap.page_of_tid v.tid);
+                rows := Array.copy v.row :: !rows
+            | Some _ | None -> ())
       in
+      if is_2pl txn then begin
+        Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Relation rel) Lockmgr.IS;
+        (* Acquiring page locks can block, so 2PL materialises the entries
+           its rescan validated instead of walking the live tree. *)
+        let entries, pages =
+          lock_index_probe txn idx ~probe:(fun ~pages -> Btree.range idx.tree ~lo ~hi ~pages)
+        in
+        refresh_stmt_snapshot txn;
+        npages := List.length pages;
+        List.iter (fun (ikey, pk) -> visit ikey pk) entries
+      end
+      else begin
+        if is_tracked txn then
+          if idx.pred_locks then ssi_lock_index_gaps txn idx ~lo ~hi
+          else Predlock.lock_index_rel db.predlocks ~owner:txn.txn_xid ~index;
+        Fun.protect ~finally:flush_batch (fun () ->
+            Btree.walk idx.tree ~lo ~hi ~page:(fun _ -> incr npages) ~entry:visit)
+      end;
       finish_op db ~tuples:!tuples
-        ~locks:
-          (if is_tracked txn || is_2pl txn then !tuples + List.length scan_pages else 0)
-        ~pages:(List.length scan_pages + !tuples);
-      rows)
+        ~locks:(if is_tracked txn || is_2pl txn then !tuples + !npages else 0)
+        ~pages:(!npages + !tuples);
+      List.rev !rows)
 
 let seq_scan txn ~table ?(filter = fun _ -> true) () =
   start_op txn;
@@ -893,13 +877,14 @@ let seq_scan txn ~table ?(filter = fun _ -> true) () =
       if is_tracked txn then Predlock.lock_relation db.predlocks ~owner:txn.txn_xid ~rel;
       let tuples = ref 0 in
       let rows = ref [] in
+      let skipped = skipped_by txn in
       Heap.iter_heads tbl.heap (fun head ->
           incr tuples;
-          match visible txn head with
+          match visible txn ~skipped (Some head) with
           | None -> ()
-          | Some ((v, _) as read) ->
+          | Some v ->
               (* The relation SIREAD lock above covers every row. *)
-              ignore (note_read txn read);
+              ignore (note_read txn v);
               if filter v.row then rows := Array.copy v.row :: !rows);
       (* Read tracking is per tuple (visibility conflict-out checks), while
          the 2PL baseline locks the whole relation once. *)
@@ -1177,23 +1162,15 @@ let serializable_rw_active db =
     (fun _ t acc -> acc || (t.iso = Serializable && (not t.ro) && not t.finished))
     db.active false
 
-(* The SIREAD locks held by [xid], straight from the predicate-lock table —
-   what PostgreSQL persists in the 2PC state file (§5.7). *)
-let siread_targets db xid =
-  (* Sorted: [Predlock.dump] iterates a hash table, and these targets are
-     persisted verbatim in 2PC state records and checkpoint images. *)
-  List.sort compare
-    (List.filter_map
-       (fun (target, holders, _) -> if List.mem xid holders then Some target else None)
-       (Predlock.dump db.predlocks))
-
 let prepared_image_of db txn gid =
   {
     Wal.p_xid = txn.txn_xid;
     p_gid = gid;
     p_snap_cseq = txn.snapshot.Snapshot.horizon;
     p_ops = List.rev txn.wal;
-    p_sireads = siread_targets db txn.txn_xid;
+    (* The SIREAD locks straight from the predicate-lock table — what
+       PostgreSQL persists in the 2PC state file (§5.7). *)
+    p_sireads = Predlock.held_by db.predlocks txn.txn_xid;
   }
 
 let abort txn =
@@ -1379,14 +1356,14 @@ let prepared_summary db ~gid =
   let txn = prepared_txn db gid in
   let cs = Certifier.conflict_summary db.cert ~xid:txn.txn_xid in
   let digest =
-    (* [siread_targets] is sorted, so the digest is canonical for a given
+    (* [Predlock.held_by] is sorted, so the digest is canonical for a given
        SIREAD footprint and comparable across shards and runs. *)
     Digest.to_hex
       (Digest.string
          (String.concat "|"
             (List.map
                Predlock.target_to_string
-               (siread_targets db txn.txn_xid))))
+               (Predlock.held_by db.predlocks txn.txn_xid))))
   in
   {
     ps_gid = gid;
@@ -1448,9 +1425,9 @@ let checkpoint db =
             let ki = Schema.key_index schema in
             let rows =
               Heap.fold_heads tbl.heap ~init:[] ~f:(fun acc head ->
-                  match Visibility.latest_visible db.clog snap head with
-                  | Some (v, _), _ -> Array.copy v.Heap.row :: acc
-                  | None, _ -> acc)
+                  match Visibility.find_visible db.clog snap ~skipped:ignore (Some head) with
+                  | Some v -> Array.copy v.Heap.row :: acc
+                  | None -> acc)
               |> List.sort (fun a b -> compare a.(ki) b.(ki))
             in
             let indexes =

@@ -22,10 +22,12 @@ module Clog = struct
     Hashtbl.replace t.statuses xid In_progress;
     xid
 
+  (* [find], not [find_opt]: visibility checks call this once per version
+     examined, and the option would be their only allocation. *)
   let status t xid =
-    match Hashtbl.find_opt t.statuses xid with
-    | Some s -> s
-    | None -> invalid_arg (Printf.sprintf "Clog.status: unknown xid %d" xid)
+    match Hashtbl.find t.statuses xid with
+    | s -> s
+    | exception Not_found -> invalid_arg (Printf.sprintf "Clog.status: unknown xid %d" xid)
 
   let commit t xid =
     (match status t xid with
@@ -80,42 +82,57 @@ module Visibility = struct
   (* A write by [w] that the reader "reads around" creates a reader→w
      rw-antidependency, but only when [w] actually is (or may yet be) part
      of the committed history: in progress, or committed after the
-     snapshot.  Aborted writers and the reader itself never conflict. *)
+     snapshot.  Aborted writers and the reader itself never conflict.
+     Returns [Heap.invalid_xid] for "no conflict", so the walk below
+     allocates nothing. *)
   let conflict_writer clog snap w =
-    if w = Heap.invalid_xid || w = snap.Snapshot.owner then None
+    if w = Heap.invalid_xid || w = snap.Snapshot.owner then Heap.invalid_xid
     else
       match Clog.status clog w with
-      | Aborted -> None
-      | In_progress -> Some w
-      | Committed c -> if c >= snap.Snapshot.horizon then Some w else None
+      | Aborted -> Heap.invalid_xid
+      | In_progress -> w
+      | Committed c -> if c >= snap.Snapshot.horizon then w else Heap.invalid_xid
+
+  let writer_opt w = if w = Heap.invalid_xid then None else Some w
+
+  (* Deleted before the snapshot (by a transaction it sees, or by the
+     reader itself): cleanly gone.  Otherwise the deleter is in progress,
+     committed after the snapshot or aborted, and the version is still
+     visible. *)
+  let deleted_before clog snap (tuple : Heap.tuple) =
+    tuple.xmax <> Heap.invalid_xid
+    && (tuple.xmax = snap.Snapshot.owner || Snapshot.sees_xid clog snap tuple.xmax)
 
   let check clog snap (tuple : Heap.tuple) =
     if Snapshot.sees_xid clog snap tuple.xmin then
-      if tuple.xmax = Heap.invalid_xid then Visible None
-      else if tuple.xmax = snap.Snapshot.owner then Invisible None (* deleted by self *)
-      else if Snapshot.sees_xid clog snap tuple.xmax then Invisible None
-        (* deleter committed before the snapshot: cleanly gone *)
-      else
-        (* Deleter in progress, committed after the snapshot, or aborted:
-           the version is still visible here. *)
-        Visible (conflict_writer clog snap tuple.xmax)
-    else Invisible (conflict_writer clog snap tuple.xmin)
+      if deleted_before clog snap tuple then Invisible None
+      else Visible (writer_opt (conflict_writer clog snap tuple.xmax))
+    else Invisible (writer_opt (conflict_writer clog snap tuple.xmin))
+
+  let deleter clog snap (tuple : Heap.tuple) = conflict_writer clog snap tuple.xmax
+
+  (* An invisible version with no conflicting creator is either aborted
+     (skip it) or was deleted before the snapshot — in which case no older
+     version can be visible either, but walking on is still correct because
+     visibility of older versions is checked independently.  The cell
+     returned is one the chain already holds, so the walk allocates
+     nothing. *)
+  let rec find_visible clog snap ~skipped = function
+    | None -> None
+    | Some (tuple : Heap.tuple) as cell ->
+        if Snapshot.sees_xid clog snap tuple.xmin then
+          if deleted_before clog snap tuple then find_visible clog snap ~skipped tuple.prev
+          else cell
+        else begin
+          let w = conflict_writer clog snap tuple.xmin in
+          if w <> Heap.invalid_xid then skipped w;
+          find_visible clog snap ~skipped tuple.prev
+        end
 
   let latest_visible clog snap head =
-    let rec walk v conflicts =
-      match v with
-      | None -> (None, List.rev conflicts)
-      | Some tuple -> (
-          match check clog snap tuple with
-          | Visible deleter -> (Some (tuple, deleter), List.rev conflicts)
-          | Invisible (Some w) -> walk tuple.Heap.prev (w :: conflicts)
-          | Invisible None -> (
-              (* An invisible version with no conflicting creator is either
-                 aborted (skip it) or was deleted before the snapshot — in
-                 which case no older version can be visible either, but
-                 walking on is still correct because visibility of older
-                 versions is checked independently. *)
-              walk tuple.Heap.prev conflicts))
-    in
-    walk (Some head) []
+    let conflicts = ref [] in
+    let skipped w = conflicts := w :: !conflicts in
+    match find_visible clog snap ~skipped (Some head) with
+    | None -> (None, List.rev !conflicts)
+    | Some v -> (Some (v, writer_opt (deleter clog snap v)), List.rev !conflicts)
 end

@@ -79,10 +79,29 @@ module Visibility : sig
 
   val check : Clog.t -> Snapshot.t -> Ssi_storage.Heap.tuple -> verdict
 
+  val find_visible :
+    Clog.t ->
+    Snapshot.t ->
+    skipped:(xid -> unit) ->
+    Ssi_storage.Heap.tuple option ->
+    Ssi_storage.Heap.tuple option
+  (** Walk a version chain from its head (as {!Ssi_storage.Heap.head}
+      returns it) and return the newest visible version, calling [skipped w]
+      for each conflicting writer [w] of an invisible newer version passed on
+      the way, in chain order.  The walk allocates nothing: the result is
+      the chain's own option cell.  The one walk behind {!latest_visible}
+      and the engine's read path. *)
+
+  val deleter : Clog.t -> Snapshot.t -> Ssi_storage.Heap.tuple -> xid
+  (** For a version {!find_visible} returned: its deleter when that is a
+      rw-antidependency out of the reader (in progress or committed after
+      the snapshot), else [Heap.invalid_xid]. *)
+
   val latest_visible :
     Clog.t -> Snapshot.t -> Ssi_storage.Heap.tuple -> (Ssi_storage.Heap.tuple * xid option) option * xid list
   (** Walk a version chain from its head and return the newest visible
       version together with its deletion conflict, plus the list of
       conflict xids gathered from invisible newer versions passed on the
-      way.  [None, conflicts] when no version is visible. *)
+      way.  [None, conflicts] when no version is visible.  A wrapper over
+      {!find_visible} and {!deleter}. *)
 end

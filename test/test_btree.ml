@@ -54,12 +54,29 @@ let prop_model ~order =
               was = deleted
           | Range (lo, hi) ->
               let pages = ref [] in
-              let got =
-                List.map
-                  (fun (k, pk) -> (Value.as_int k, Value.as_int pk))
-                  (Btree.range t ~lo:(vi lo) ~hi:(vi hi) ~pages)
+              let entries = Btree.range t ~lo:(vi lo) ~hi:(vi hi) ~pages in
+              let got = List.map (fun (k, pk) -> (Value.as_int k, Value.as_int pk)) entries in
+              (* The walkers announce the same leaf pages, leftmost first,
+                 and [walk] the same entries, each after its page. *)
+              let walked_pages = ref [] and walked = ref [] in
+              Btree.walk t ~lo:(vi lo) ~hi:(vi hi)
+                ~page:(fun p -> walked_pages := p :: !walked_pages)
+                ~entry:(fun k pk -> walked := (k, pk, List.hd !walked_pages) :: !walked);
+              (* An entry's page is one a point lookup of its key examines. *)
+              let on_leaf (k, _, page) =
+                let lp = ref [] in
+                ignore (Btree.lookup t k ~pages:lp);
+                List.mem page !lp
               in
-              got = Model.range !model lo hi && !pages <> [])
+              let page_walk = ref [] in
+              Btree.walk_pages t ~lo:(vi lo) ~hi:(vi hi) ~page:(fun p ->
+                  page_walk := p :: !page_walk);
+              got = Model.range !model lo hi
+              && !pages <> []
+              && !walked_pages = !pages
+              && !page_walk = !pages
+              && List.rev_map (fun (k, pk, _) -> (k, pk)) !walked = entries
+              && List.for_all on_leaf !walked)
         ops
       && Btree.cardinal t = List.length !model)
 

@@ -143,6 +143,26 @@ let test_aborted_deleter_ignored () =
   Alcotest.(check bool) "aborted deleter: visible, no conflict" true
     (Visibility.check c snap t = Visibility.Visible None)
 
+(* [find_visible] and [deleter] must report what [latest_visible] reports:
+   the same version, the same deleter, and the skipped writers in the same
+   (chain) order. *)
+let check_walk_parity c snap head =
+  let skipped = ref [] in
+  let found =
+    Visibility.find_visible c snap ~skipped:(fun w -> skipped := w :: !skipped) (Some head)
+  in
+  let skipped = List.rev !skipped in
+  match (Visibility.latest_visible c snap head, found) with
+  | (Some (t, deleter), conflicts), Some t' ->
+      Alcotest.(check bool) "walk: same version" true (t == t');
+      let d = Visibility.deleter c snap t' in
+      Alcotest.(check (option int)) "walk: same deleter" deleter
+        (if d = Heap.invalid_xid then None else Some d);
+      Alcotest.(check (list int)) "walk: same skipped writers" conflicts skipped
+  | (None, conflicts), None ->
+      Alcotest.(check (list int)) "walk: same skipped writers" conflicts skipped
+  | (Some _, _), None | (None, _), Some _ -> Alcotest.fail "walk disagrees on visibility"
+
 let test_latest_visible_walk () =
   let c, heap, before, _, snap = fixture () in
   (* Chain: v1 (visible) <- v2 (concurrent writer w). *)
@@ -151,11 +171,28 @@ let test_latest_visible_walk () =
   Heap.set_xmax v1 w;
   let v2 = Heap.insert_version heap ~key:(Value.Int 1) ~row:(row 1) ~xmin:w in
   ignore (Clog.commit c w);
-  match Visibility.latest_visible c snap v2 with
+  check_walk_parity c snap v2;
+  (match Visibility.latest_visible c snap v2 with
   | Some (t, deleter), conflicts ->
       Alcotest.(check bool) "found the old version" true (t == v1);
       Alcotest.(check bool) "deleter conflict" true (deleter = Some w);
       Alcotest.(check (list int)) "creator conflict collected on the way" [ w ] conflicts
+  | None, _ -> Alcotest.fail "no visible version");
+  (* Two more versions on top: v3 by an aborted writer (skipped without a
+     conflict), v4 by an in-progress one.  The walk reports v4's writer
+     before v2's. *)
+  let a = Clog.new_xid c in
+  Heap.set_xmax v2 a;
+  let v3 = Heap.insert_version heap ~key:(Value.Int 1) ~row:(row 1) ~xmin:a in
+  Clog.abort c a;
+  let w2 = Clog.new_xid c in
+  Heap.set_xmax v3 w2;
+  let v4 = Heap.insert_version heap ~key:(Value.Int 1) ~row:(row 1) ~xmin:w2 in
+  check_walk_parity c snap v4;
+  match Visibility.latest_visible c snap v4 with
+  | Some (t, _), conflicts ->
+      Alcotest.(check bool) "still the old version" true (t == v1);
+      Alcotest.(check (list int)) "writers in chain order" [ w2; w ] conflicts
   | None, _ -> Alcotest.fail "no visible version"
 
 let test_latest_visible_none () =
@@ -163,6 +200,7 @@ let test_latest_visible_none () =
   let w = Clog.new_xid c in
   let v = Heap.insert_version heap ~key:(Value.Int 1) ~row:(row 1) ~xmin:w in
   ignore (Clog.commit c w);
+  check_walk_parity c snap v;
   match Visibility.latest_visible c snap v with
   | None, conflicts -> Alcotest.(check (list int)) "conflict out" [ w ] conflicts
   | Some _, _ -> Alcotest.fail "should be invisible"

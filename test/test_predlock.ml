@@ -177,6 +177,22 @@ let test_counts () =
   Alcotest.(check int) "two holdings on one target" 2 (total_lock_count t);
   Alcotest.(check int) "owner count" 1 (owner_lock_count t 1)
 
+(* Int 3 and Float 3.0 are equal values, so they name the same SIREAD
+   target: every lookup must hash and compare them alike. *)
+let test_numerically_equal_keys () =
+  let t = create () in
+  lock_tuple t ~owner:1 ~rel:"t" ~key:(vi 3) ~page:0;
+  lock_index_key t ~owner:2 ~index:"i" ~key:(vi 3);
+  let f3 = Value.Float 3.0 in
+  Alcotest.(check bool) "holds tuple by float" true (holds t ~owner:1 (Tuple ("t", f3)));
+  Alcotest.(check bool) "holds gap by float" true (holds t ~owner:2 (Index_key ("i", f3)));
+  Alcotest.(check (list int)) "tuple writer finds reader" [ 1 ]
+    (readers_for_write t ~rel:"t" ~key:f3 ~page:0).xids;
+  Alcotest.(check (list int)) "gap insert finds reader" [ 2 ]
+    (readers_for_index_insert_nextkey t ~index:"i" ~key:f3 ~succ:None).xids;
+  Alcotest.(check (list int)) "fractional key is another target" []
+    (readers_for_write t ~rel:"t" ~key:(Value.Float 3.5) ~page:1).xids
+
 let () =
   Alcotest.run "predlock"
     [
@@ -189,6 +205,7 @@ let () =
           Alcotest.test_case "unlock tuple" `Quick test_unlock_tuple;
           Alcotest.test_case "release owner" `Quick test_release_owner;
           Alcotest.test_case "counts" `Quick test_counts;
+          Alcotest.test_case "numerically equal keys" `Quick test_numerically_equal_keys;
         ] );
       ( "promotion",
         [

@@ -266,8 +266,22 @@ let test_show_locks_and_conflicts () =
   seed s1;
   ignore (exec s1 "BEGIN");
   ignore (rows_of s1 "SELECT * FROM t WHERE k = 1");
+  ignore (exec s2 "BEGIN");
+  ignore (rows_of s2 "SELECT * FROM t WHERE k = 3");
+  ignore (rows_of s2 "SELECT * FROM t WHERE k = 2");
   let lock_rows = rows_of s1 "SHOW LOCKS" in
   Alcotest.(check bool) "lock table non-empty" true (List.length lock_rows > 0);
+  (* Rows come in target order, whatever order the lock table hashes
+     them in. *)
+  let sorted =
+    Ssi_core.Predlock.dump (E.predicate_locks db)
+    |> List.map (fun (target, _, _) -> target)
+    |> List.sort compare
+    |> List.map Ssi_core.Predlock.target_to_string
+  in
+  Alcotest.(check (list string)) "rows sorted by target" sorted
+    (List.map (fun row -> Value.as_string row.(0)) lock_rows);
+  ignore (exec s2 "COMMIT");
   (* s2 writes what s1 read: the conflict appears in SHOW CONFLICTS. *)
   ignore (exec s2 "UPDATE t SET v = 0 WHERE k = 1");
   let conflict_rows = rows_of s1 "SHOW CONFLICTS" in
