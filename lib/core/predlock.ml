@@ -47,43 +47,16 @@ module Tag = struct
     | Index_inf of int
     | Index_rel of int
 
-  (* A multiply-xorshift finaliser: every input bit reaches the low bits
-     the table indexes by, in plain OCaml arithmetic (no C call, no
-     allocation). *)
-  let mix h =
-    let h = (h lxor (h lsr 31)) * 0x1d6e8feb86659fd9 in
-    let h = (h lxor (h lsr 29)) * 0x1d6e8feb86659fd9 in
-    (h lxor (h lsr 32)) land max_int
-
-  (* Consistent with [Value.equal]: an [Int] and the [Float] it equals
-     hash alike, through the integer when the float is integral, and all
-     NaNs, which [Value.equal] identifies, hash alike. *)
-  let hash_num f =
-    if Float.abs f < 0x1p62 && Float.of_int (Float.to_int f) = f then mix (Float.to_int f)
-    else if Float.is_nan f then 0
-    else mix (Int64.to_int (Int64.bits_of_float f))
-
-  let hash_key : Value.t -> int = function
-    | Null -> 0
-    | Bool b -> if b then 1 else 2
-    (* Within +-2^53 an int converts to float exactly, so [hash_num] would
-       return [mix i] anyway. *)
-    | Int i ->
-        if i >= -0x20000000000000 && i <= 0x20000000000000 then mix i
-        else hash_num (float_of_int i)
-    | Float f -> hash_num f
-    | Str s -> Hashtbl.hash s
-
   (* Kind in the low three bits, object id above it. *)
-  let combine id kind x = mix ((((id lsl 3) lor kind) * 0x9e3779b97f4a7c1) + x)
+  let combine id kind x = Value.mix ((((id lsl 3) lor kind) * 0x9e3779b97f4a7c1) + x)
 
   let hash = function
     | Relation r -> combine r 0 0
     | Page (r, p) -> combine r 1 p
-    | Tuple (r, k) -> combine r 2 (hash_key k)
+    | Tuple (r, k) -> combine r 2 (Value.hash_key k)
     | Index_page (i, p) -> combine i 3 p
     | Index_rel i -> combine i 4 0
-    | Index_key (i, k) -> combine i 5 (hash_key k)
+    | Index_key (i, k) -> combine i 5 (Value.hash_key k)
     | Index_inf i -> combine i 6 0
 
   let equal a b =

@@ -718,22 +718,14 @@ let rec lock_index_probe txn idx ~probe =
   let db = txn.db in
   let pages = ref [] in
   let result = probe ~pages in
-  let unheld =
-    List.filter
-      (fun p ->
-        not (Lockmgr.holds db.locks ~owner:txn.txn_xid (Lockmgr.Index_page (idx.idx_name, p))
-               Lockmgr.S))
-      !pages
+  let lock_unheld fresh p =
+    let target = Lockmgr.Index_page (idx.idx_name, p) in
+    let held = Lockmgr.holds db.locks ~owner:txn.txn_xid target Lockmgr.S in
+    if not held then Lockmgr.acquire db.locks ~owner:txn.txn_xid target Lockmgr.S;
+    fresh || not held
   in
-  if unheld = [] then (result, !pages)
-  else begin
-    List.iter
-      (fun p ->
-        Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Index_page (idx.idx_name, p))
-          Lockmgr.S)
-      unheld;
-    lock_index_probe txn idx ~probe
-  end
+  if List.fold_left lock_unheld false !pages then lock_index_probe txn idx ~probe
+  else (result, !pages)
 
 (* Probe the primary-key index for gap protection, then walk the version
    chain.  Returns the visible version, recording SSI conflicts and

@@ -44,15 +44,24 @@ exception Deadlock of { victim : Heap.xid; cycle : Heap.xid list }
 type request = {
   req_owner : Heap.xid;
   req_mode : mode;
+  req_lock : lock;
   mutable granted : bool;
   signal : Waitq.t;
 }
 
-type lock = {
+and lock = {
+  target : target;
   mutable holders : (Heap.xid * mode) list;  (** one entry per (owner, mode) *)
-  waiters : request Queue.t;
+  mutable waiters : request list;  (** ungranted requests, oldest first *)
 }
 
+(* What an owner holds and waits for.  [locks] has one entry per
+   acquisition that was not already covered, newest first: release visits
+   a lock where the owner last strengthened it. *)
+type owner = { mutable locks : lock list; mutable pending : request list }
+
+(* Hashing a target allocates nothing: the name's string hash and the key's
+   {!Value.hash_key} go through {!Value.mix}. *)
 module Target_table = Hashtbl.Make (struct
   type t = target
 
@@ -64,16 +73,19 @@ module Target_table = Hashtbl.Make (struct
     | Index_page (i, p), Index_page (i', p') -> String.equal i i' && p = p'
     | (Relation _ | Page _ | Tuple _ | Index_page _), _ -> false
 
+  let combine name kind x =
+    Value.mix ((((Hashtbl.hash name lsl 2) lor kind) * 0x9e3779b97f4a7c1) + x)
+
   let hash = function
-    | Relation r -> Hashtbl.hash (0, r)
-    | Page (r, p) -> Hashtbl.hash (1, r, p)
-    | Tuple (r, k) -> Hashtbl.hash (2, r, Value.hash k)
-    | Index_page (i, p) -> Hashtbl.hash (3, i, p)
+    | Relation r -> combine r 0 0
+    | Page (r, p) -> combine r 1 p
+    | Tuple (r, k) -> combine r 2 (Value.hash_key k)
+    | Index_page (i, p) -> combine i 3 p
 end)
 
 type t = {
   table : lock Target_table.t;
-  owned : (Heap.xid, target list ref) Hashtbl.t;
+  owners : (Heap.xid, owner) Hashtbl.t;
   sched : Waitq.scheduler;
   obs : Obs.t;
   mutable waiting : int;
@@ -84,7 +96,7 @@ type t = {
 let create ?(obs = Obs.create ()) sched =
   {
     table = Target_table.create 512;
-    owned = Hashtbl.create 64;
+    owners = Hashtbl.create 64;
     sched;
     obs;
     waiting = 0;
@@ -93,28 +105,44 @@ let create ?(obs = Obs.create ()) sched =
   }
 
 let get_lock t target =
-  match Target_table.find_opt t.table target with
-  | Some l -> l
-  | None ->
-      let l = { holders = []; waiters = Queue.create () } in
+  match Target_table.find t.table target with
+  | l -> l
+  | exception Not_found ->
+      let l = { target; holders = []; waiters = [] } in
       Target_table.add t.table target l;
       l
 
-let note_owned t owner target =
-  match Hashtbl.find_opt t.owned owner with
-  | Some l -> l := target :: !l
-  | None -> Hashtbl.add t.owned owner (ref [ target ])
+let owner_state t owner =
+  match Hashtbl.find t.owners owner with
+  | st -> st
+  | exception Not_found ->
+      let st = { locks = []; pending = [] } in
+      Hashtbl.add t.owners owner st;
+      st
 
-let conflicts_with_holders lock ~owner ~mode =
-  List.exists (fun (o, m) -> o <> owner && not (compatible m mode)) lock.holders
+let note_owned t owner lock =
+  let st = owner_state t owner in
+  st.locks <- lock :: st.locks
+
+(* Walks over a holder list, written out so that they build no closure. *)
+let rec conflicts ~owner ~mode = function
+  | [] -> false
+  | (o, m) :: rest -> (o <> owner && not (compatible m mode)) || conflicts ~owner ~mode rest
+
+let rec covered ~owner ~mode = function
+  | [] -> false
+  | (o, m) :: rest -> (o = owner && covers m mode) || covered ~owner ~mode rest
+
+let rec has_owner o = function [] -> false | (o', _) :: rest -> o = o' || has_owner o rest
+let rec only_owner o = function [] -> true | (o', _) :: rest -> o = o' && only_owner o rest
 
 let holds t ~owner target mode =
-  match Target_table.find_opt t.table target with
-  | None -> false
-  | Some lock -> List.exists (fun (o, m) -> o = owner && covers m mode) lock.holders
+  match Target_table.find t.table target with
+  | lock -> covered ~owner ~mode lock.holders
+  | exception Not_found -> false
 
 let held_by t target =
-  match Target_table.find_opt t.table target with None -> [] | Some l -> l.holders
+  match Target_table.find t.table target with l -> l.holders | exception Not_found -> []
 
 let lock_count t =
   Target_table.fold (fun _ l acc -> acc + List.length l.holders) t.table 0
@@ -126,182 +154,154 @@ let waiting_count t = t.waiting
 (* An owner X waits for owner Y when X has a pending request on some target
    where Y either holds an incompatible mode or is queued ahead of X with an
    incompatible request (FIFO grant order makes the latter a real wait). *)
-
-let blockers_of lock req =
-  let from_holders =
-    List.filter_map
-      (fun (o, m) ->
-        if o <> req.req_owner && not (compatible m req.req_mode) then Some o else None)
-      lock.holders
+let blockers_of req f =
+  let owner = req.req_owner and mode = req.req_mode in
+  List.iter (fun (o, m) -> if o <> owner && not (compatible m mode) then f o) req.req_lock.holders;
+  let rec ahead = function
+    | r :: rest when r != req ->
+        if r.req_owner <> owner && not (compatible r.req_mode mode) then f r.req_owner;
+        ahead rest
+    | _ -> ()
   in
-  let ahead = ref [] in
-  (try
-     Queue.iter
-       (fun r ->
-         if r == req then raise Exit
-         else if
-           (not r.granted)
-           && r.req_owner <> req.req_owner
-           && not (compatible r.req_mode req.req_mode)
-         then ahead := r.req_owner :: !ahead)
-       lock.waiters
-   with Exit -> ());
-  from_holders @ !ahead
+  ahead req.req_lock.waiters
 
-(* Map each waiting owner to the owners it waits for, by scanning all lock
-   queues.  Deadlock check is rare (only on block), so recomputing is fine. *)
-let waits_for_edges t =
-  let edges = Hashtbl.create 16 in
-  Target_table.iter
-    (fun _ lock ->
-      Queue.iter
-        (fun req ->
-          if not req.granted then
-            Hashtbl.replace edges req.req_owner
-              (blockers_of lock req
-              @ (match Hashtbl.find_opt edges req.req_owner with
-                | Some l -> l
-                | None -> [])))
-        lock.waiters)
-    t.table;
-  edges
+exception Cycle of Heap.xid list
 
+(* Search the waits-for graph from [start], one owner's pending requests
+   at a time.  A cycle through [start] exists exactly when [start] is
+   reachable from itself; the cycle returned ends with [start]. *)
 let find_cycle t start =
-  let edges = waits_for_edges t in
-  let rec dfs path visited node =
-    if node = start && path <> [] then Some (List.rev path)
-    else if List.mem node visited then None
-    else
-      match Hashtbl.find_opt edges node with
-      | None -> None
-      | Some succs ->
-          List.fold_left
-            (fun acc succ ->
-              match acc with
-              | Some _ -> acc
-              | None -> dfs (succ :: path) (node :: visited) succ)
-            None succs
+  let visited = ref [ start ] in
+  let rec visit path owner =
+    match Hashtbl.find t.owners owner with
+    | exception Not_found -> ()
+    | st ->
+        List.iter
+          (fun req ->
+            if not req.granted then
+              blockers_of req (fun b ->
+                  if b = start then raise (Cycle (List.rev (b :: path)))
+                  else if not (List.mem b !visited) then begin
+                    visited := b :: !visited;
+                    visit (b :: path) b
+                  end))
+          st.pending
   in
-  dfs [] [] start
+  match visit [] start with () -> None | exception Cycle cycle -> Some cycle
 
 (* ---- Grant / wait ------------------------------------------------------ *)
 
-let add_holder lock owner mode =
-  if not (List.exists (fun (o, m) -> o = owner && m = mode) lock.holders) then
-    lock.holders <- (owner, mode) :: lock.holders
+(* FIFO: grant from the front while requests are compatible with the current
+   holders; stop at the first that is not, to avoid starving it. *)
+let rec grant_waiters t lock =
+  match lock.waiters with
+  | req :: rest when not (conflicts ~owner:req.req_owner ~mode:req.req_mode lock.holders) ->
+      let entry = (req.req_owner, req.req_mode) in
+      lock.waiters <- rest;
+      if not (List.mem entry lock.holders) then lock.holders <- entry :: lock.holders;
+      req.granted <- true;
+      t.waiting <- t.waiting - 1;
+      Waitq.wake_all req.signal;
+      grant_waiters t lock
+  | _ -> ()
 
-let grant_waiters t lock =
-  (* FIFO: grant from the front while requests are compatible with the
-     current holders; stop at the first that is not, to avoid starving it. *)
-  let rec loop () =
-    match Queue.peek_opt lock.waiters with
-    | None -> ()
-    | Some req ->
-        if conflicts_with_holders lock ~owner:req.req_owner ~mode:req.req_mode then ()
-        else begin
-          ignore (Queue.pop lock.waiters);
-          add_holder lock req.req_owner req.req_mode;
-          req.granted <- true;
-          t.waiting <- t.waiting - 1;
-          Waitq.wake_all req.signal;
-          loop ()
-        end
-  in
-  loop ()
+(* Withdraw an ungranted request from its queue and its owner. *)
+let withdraw t st req =
+  st.pending <- List.filter (fun r -> r != req) st.pending;
+  if not req.granted then begin
+    req.req_lock.waiters <- List.filter (fun r -> r != req) req.req_lock.waiters;
+    t.waiting <- t.waiting - 1;
+    grant_waiters t req.req_lock
+  end
 
-let remove_request lock req =
-  let keep = Queue.create () in
-  Queue.iter (fun r -> if r != req then Queue.add r keep) lock.waiters;
-  Queue.clear lock.waiters;
-  Queue.transfer keep lock.waiters
+let grant_now t ~owner lock mode =
+  (not (conflicts ~owner ~mode lock.holders))
+  && (match lock.waiters with [] -> true | _ :: _ -> false)
+  && begin
+       (* Not covered, so (owner, mode) is not among the holders yet. *)
+       lock.holders <- (owner, mode) :: lock.holders;
+       note_owned t owner lock;
+       true
+     end
+
+let wait t ~owner lock mode =
+  let signal = Waitq.create () in
+  let req = { req_owner = owner; req_mode = mode; req_lock = lock; granted = false; signal } in
+  lock.waiters <- lock.waiters @ [ req ];
+  t.waiting <- t.waiting + 1;
+  (* Maybe the queue was non-empty only with compatible requests. *)
+  grant_waiters t lock;
+  if not req.granted then begin
+    Obs.incr t.m_waits;
+    (* The wait interval is a child span of the owning transaction's span
+       (owner rendezvous by xid), so blocking shows up in trace trees. *)
+    let wsp =
+      match Obs.owner_span t.obs owner with
+      | Some parent ->
+          Some
+            (Obs.Span.start t.obs ~parent
+               ~attrs:
+                 [
+                   ("target", Obs.S (target_to_string lock.target));
+                   ("mode", Obs.S (mode_to_string mode));
+                 ]
+               "lockmgr.wait")
+      | None -> None
+    in
+    let close ?fate () =
+      match wsp with
+      | Some s ->
+          (match fate with Some f -> Obs.Span.add s f (Obs.B true) | None -> ());
+          Obs.Span.finish t.obs s
+      | None -> ()
+    in
+    let st = owner_state t owner in
+    st.pending <- req :: st.pending;
+    (match find_cycle t owner with
+    | Some cycle ->
+        withdraw t st req;
+        Obs.incr t.m_deadlocks;
+        close ~fate:"deadlock" ();
+        raise (Deadlock { victim = owner; cycle })
+    | None -> ());
+    (try t.sched.suspend req.signal
+     with e ->
+       withdraw t st req;
+       close ~fate:"interrupted" ();
+       raise e);
+    assert req.granted;
+    st.pending <- List.filter (fun r -> r != req) st.pending;
+    close ()
+  end;
+  note_owned t owner lock
 
 let acquire t ~owner target mode =
   let lock = get_lock t target in
-  if holds t ~owner target mode then ()
-  else if
-    (not (conflicts_with_holders lock ~owner ~mode)) && Queue.is_empty lock.waiters
-  then begin
-    add_holder lock owner mode;
-    note_owned t owner target
-  end
-  else begin
-    let req = { req_owner = owner; req_mode = mode; granted = false; signal = Waitq.create () } in
-    Queue.add req lock.waiters;
-    t.waiting <- t.waiting + 1;
-    (* Maybe the queue was non-empty only with compatible requests. *)
-    grant_waiters t lock;
-    if not req.granted then begin
-      Obs.incr t.m_waits;
-      (* The wait interval is a child span of the owning transaction's span
-         (owner rendezvous by xid), so blocking shows up in trace trees. *)
-      let wsp =
-        match Obs.owner_span t.obs owner with
-        | Some parent ->
-            Some
-              (Obs.Span.start t.obs ~parent
-                 ~attrs:
-                   [
-                     ("target", Obs.S (target_to_string target));
-                     ("mode", Obs.S (mode_to_string mode));
-                   ]
-                 "lockmgr.wait")
-        | None -> None
-      in
-      let close ?fate () =
-        match wsp with
-        | Some s ->
-            (match fate with Some f -> Obs.Span.add s f (Obs.B true) | None -> ());
-            Obs.Span.finish t.obs s
-        | None -> ()
-      in
-      (match find_cycle t owner with
-      | Some cycle ->
-          remove_request lock req;
-          t.waiting <- t.waiting - 1;
-          grant_waiters t lock;
-          Obs.incr t.m_deadlocks;
-          close ~fate:"deadlock" ();
-          raise (Deadlock { victim = owner; cycle })
-      | None -> ());
-      (try t.sched.suspend req.signal
-       with e ->
-         if not req.granted then begin
-           remove_request lock req;
-           t.waiting <- t.waiting - 1;
-           grant_waiters t lock
-         end;
-         close ~fate:"interrupted" ();
-         raise e);
-      assert req.granted;
-      close ()
-    end;
-    note_owned t owner target
-  end
+  if not (covered ~owner ~mode lock.holders || grant_now t ~owner lock mode) then
+    wait t ~owner lock mode
 
 let try_acquire t ~owner target mode =
   let lock = get_lock t target in
-  if holds t ~owner target mode then true
-  else if
-    (not (conflicts_with_holders lock ~owner ~mode)) && Queue.is_empty lock.waiters
-  then begin
-    add_holder lock owner mode;
-    note_owned t owner target;
-    true
-  end
-  else false
+  covered ~owner ~mode lock.holders || grant_now t ~owner lock mode
 
+(* Copy a holder list only when the owner shares the lock. *)
+let release t owner lock =
+  if has_owner owner lock.holders then begin
+    lock.holders <-
+      (if only_owner owner lock.holders then []
+       else List.filter (fun (o, _) -> o <> owner) lock.holders);
+    grant_waiters t lock;
+    match lock with
+    | { holders = []; waiters = []; _ } -> Target_table.remove t.table lock.target
+    | _ -> ()
+  end
+
+(* Most commits take no heavyweight lock: [find_opt] misses without raising. *)
 let release_all t ~owner =
-  match Hashtbl.find_opt t.owned owner with
+  match Hashtbl.find_opt t.owners owner with
   | None -> ()
-  | Some targets ->
-      Hashtbl.remove t.owned owner;
-      List.iter
-        (fun target ->
-          match Target_table.find_opt t.table target with
-          | None -> ()
-          | Some lock ->
-              lock.holders <- List.filter (fun (o, _) -> o <> owner) lock.holders;
-              grant_waiters t lock;
-              if lock.holders = [] && Queue.is_empty lock.waiters then
-                Target_table.remove t.table target)
-        !targets
+  | Some st ->
+      let locks = st.locks in
+      st.locks <- [];
+      (match st.pending with [] -> Hashtbl.remove t.owners owner | _ :: _ -> ());
+      List.iter (release t owner) locks

@@ -42,7 +42,7 @@ val covers : mode -> mode -> bool
     redundant (e.g. [X] covers everything, [SIX] covers [S]). *)
 
 exception Deadlock of { victim : Heap.xid; cycle : Heap.xid list }
-(** Raised in the requester whose wait would close a waits-for cycle. *)
+(** Raised in the requester whose wait would close a waits-for [cycle] (which ends with it). *)
 
 type t
 
@@ -73,7 +73,7 @@ val held_by : t -> target -> (Heap.xid * mode) list
 (** Current holders (for tests and introspection). *)
 
 val lock_count : t -> int
-(** Total number of (owner, target) holdings. *)
+(** Total number of (owner, mode) holder entries, summed over targets. *)
 
 val waiting_count : t -> int
 (** Number of suspended requests (for tests). *)

@@ -29,6 +29,33 @@ let hash = function
   | Float f -> Hashtbl.hash f
   | Str s -> Hashtbl.hash s
 
+(* A multiply-xorshift finaliser: every input bit reaches the low bits a
+   hash table indexes by, in plain OCaml arithmetic (no C call, no
+   allocation). *)
+let mix h =
+  let h = (h lxor (h lsr 31)) * 0x1d6e8feb86659fd9 in
+  let h = (h lxor (h lsr 29)) * 0x1d6e8feb86659fd9 in
+  (h lxor (h lsr 32)) land max_int
+
+(* Consistent with [equal]: an [Int] and the [Float] it equals hash alike,
+   through the integer when the float is integral, and all NaNs, which
+   [equal] identifies, hash alike. *)
+let hash_num f =
+  if Float.abs f < 0x1p62 && Float.of_int (Float.to_int f) = f then mix (Float.to_int f)
+  else if Float.is_nan f then 0
+  else mix (Int64.to_int (Int64.bits_of_float f))
+
+let hash_key = function
+  | Null -> 0
+  | Bool b -> if b then 1 else 2
+  (* Within +-2^53 an int converts to float exactly, so [hash_num] would
+     return [mix i] anyway. *)
+  | Int i ->
+      if i >= -0x20000000000000 && i <= 0x20000000000000 then mix i
+      else hash_num (float_of_int i)
+  | Float f -> hash_num f
+  | Str s -> Hashtbl.hash s
+
 (* The primitive behind Printf's [%g], which expands it to ["%.6g"]. *)
 external format_float : string -> float -> string = "caml_format_float"
 

@@ -14,6 +14,13 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val hash : t -> int
+(** Heap iteration order depends on this hash; lock tables use {!hash_key}. *)
+
+val mix : int -> int
+(** An allocation-free integer finaliser for combining hashes. *)
+
+val hash_key : t -> int
+(** Agrees with {!equal}, as {!hash} does, but allocates nothing. *)
 
 val to_string : t -> string
 (** [NULL], [true]/[false], the integer, the float as [%g], or the string

@@ -70,7 +70,8 @@ let test_release_all () =
 
 (* An uncontended acquire formats nothing and builds no debug closure: one
    intention lock, one tuple lock and their release stay within a tight
-   allocation budget (169 words per cycle with OCaml 5.1, no flambda). *)
+   allocation budget (52 words per cycle with OCaml 5.1, no flambda,
+   5 of them the tuple target the test builds). *)
 let test_untraced_allocation () =
   let lm = create Ssi_util.Waitq.direct in
   let cycle k =
@@ -85,7 +86,114 @@ let test_untraced_allocation () =
     cycle k
   done;
   let words = (Gc.minor_words () -. before) /. float rounds in
-  if words > 176. then Alcotest.failf "%.1f words per acquire/acquire/release (budget 176)" words
+  if words > 57. then Alcotest.failf "%.1f words per acquire/acquire/release (budget 57)" words
+
+(* Minor words [f] allocates per call, over enough calls that the
+   measurement's own boxing rounds away. *)
+let words_per_call f =
+  let rounds = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    f ()
+  done;
+  Float.round ((Gc.minor_words () -. before) /. float rounds)
+
+(* The table lookup, the coverage check and a miss allocate nothing: no
+   hashing tuple, no option and no closure. *)
+let test_lookup_allocation () =
+  let lm = create Ssi_util.Waitq.direct in
+  let held = tup 3 and absent = Tuple ("t", Value.Float 4.5) in
+  acquire lm ~owner:1 held X;
+  Alcotest.(check (float 0.)) "re-acquire a held target" 0.
+    (words_per_call (fun () -> acquire lm ~owner:1 held S));
+  Alcotest.(check (float 0.)) "holds miss" 0.
+    (words_per_call (fun () -> ignore (holds lm ~owner:1 absent S)))
+
+(* ---- Model ------------------------------------------------------------------- *)
+
+(* Random acquire / try_acquire / release_all under the direct scheduler,
+   against a list of (owner, mode) holders per target.  [Int 3] and
+   [Float 3.0] are one target, as [Value.equal] says. *)
+let targets =
+  [|
+    rel; tup 3; Tuple ("t", Value.Float 3.0); tup 4; Page ("t", 3); Index_page ("t", 3);
+  |]
+
+let canonical i = if i = 2 then 1 else i
+let modes = [ IS; IX; S; SIX; X ]
+
+type op = Acquire of int * int * mode | Try of int * int * mode | Release of int
+
+let print_op =
+  let show o i m = Printf.sprintf "%d %s %s" o (target_to_string targets.(i)) (mode_to_string m) in
+  function
+  | Acquire (o, i, m) -> "acquire " ^ show o i m
+  | Try (o, i, m) -> "try " ^ show o i m
+  | Release o -> Printf.sprintf "release %d" o
+
+let op_gen =
+  QCheck.Gen.(
+    let owner = int_range 1 3 and target = int_bound (Array.length targets - 1) in
+    let mode = oneofl modes in
+    frequency
+      [
+        (4, map3 (fun o i m -> Acquire (o, i, m)) owner target mode);
+        (2, map3 (fun o i m -> Try (o, i, m)) owner target mode);
+        (1, map (fun o -> Release o) owner);
+      ])
+
+let prop_model =
+  QCheck.Test.make ~name:"lockmgr matches a holder-list model" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_op) QCheck.Gen.(list_size (int_range 0 60) op_gen))
+    (fun ops ->
+      let lm = create Ssi_util.Waitq.direct in
+      let model = Array.make (Array.length targets) [] in
+      let covered hs o m = List.exists (fun (o', m') -> o' = o && covers m' m) hs in
+      let grantable o i m =
+        let hs = model.(canonical i) in
+        covered hs o m || not (List.exists (fun (o', m') -> o' <> o && not (compatible m' m)) hs)
+      in
+      let grant o i m =
+        let hs = model.(canonical i) in
+        if not (covered hs o m) then model.(canonical i) <- (o, m) :: hs
+      in
+      let agrees () =
+        List.for_all
+          (fun i ->
+            let t = targets.(i) and hs = model.(canonical i) in
+            List.sort compare (held_by lm t) = List.sort compare hs
+            && List.for_all
+                 (fun o -> List.for_all (fun m -> holds lm ~owner:o t m = covered hs o m) modes)
+                 [ 1; 2; 3 ])
+          (List.init (Array.length targets) Fun.id)
+        && lock_count lm = Array.fold_left (fun n hs -> n + List.length hs) 0 model
+        && waiting_count lm = 0
+      in
+      List.for_all
+        (fun op ->
+          let outcome_ok =
+            match op with
+            | Acquire (o, i, m) -> (
+                let expect = grantable o i m in
+                match acquire lm ~owner:o targets.(i) m with
+                | () ->
+                    grant o i m;
+                    expect
+                | exception Ssi_util.Waitq.Would_block -> not expect)
+            | Try (o, i, m) ->
+                let expect = grantable o i m in
+                let got = try_acquire lm ~owner:o targets.(i) m in
+                if got then grant o i m;
+                got = expect
+            | Release o ->
+                release_all lm ~owner:o;
+                Array.iteri
+                  (fun i hs -> model.(i) <- List.filter (fun (o', _) -> o' <> o) hs)
+                  model;
+                true
+          in
+          outcome_ok && agrees ())
+        ops)
 
 (* ---- Blocking under the simulator ----------------------------------------------- *)
 
@@ -150,6 +258,81 @@ let test_deadlock_detected () =
              release_all lm ~owner:2)));
   Alcotest.(check (option int)) "requester is the victim" (Some 2) !deadlocked
 
+(* Owners 1, 2 and 3 each hold one tuple and then ask for the next one's:
+   the third request closes the cycle, so its owner is the victim and the
+   reported cycle names all three. *)
+let test_three_owner_cycle () =
+  let deadlocks = ref [] and finished = ref [] in
+  ignore
+    (Sim.run (fun () ->
+         let lm = create Sim.scheduler in
+         for i = 1 to 3 do
+           Sim.spawn (fun () ->
+               acquire lm ~owner:i (tup i) X;
+               Sim.delay (0.1 *. float i);
+               (try acquire lm ~owner:i (tup ((i mod 3) + 1)) X
+                with Deadlock { victim; cycle } ->
+                  deadlocks := (victim, List.sort compare cycle) :: !deadlocks);
+               Sim.delay 0.1;
+               release_all lm ~owner:i;
+               finished := i :: !finished)
+         done));
+  Alcotest.(check (list (pair int (list int)))) "one deadlock, owner 3 the victim"
+    [ (3, [ 1; 2; 3 ]) ] !deadlocks;
+  Alcotest.(check (list int)) "everyone finishes" [ 1; 2; 3 ] (List.sort compare !finished)
+
+(* A chain 3 -> 2 -> 1 with no edge back is a wait, not a deadlock: the
+   locks are handed down the chain as each owner releases. *)
+let test_wait_chain () =
+  let order = ref [] in
+  ignore
+    (Sim.run (fun () ->
+         let lm = create Sim.scheduler in
+         let run i ~holds ~wants =
+           Sim.spawn (fun () ->
+               Option.iter (fun k -> acquire lm ~owner:i (tup k) X) holds;
+               Sim.delay 0.1;
+               Option.iter (fun k -> acquire lm ~owner:i (tup k) X) wants;
+               Sim.delay 0.1;
+               release_all lm ~owner:i;
+               order := i :: !order)
+         in
+         run 1 ~holds:(Some 1) ~wants:None;
+         run 2 ~holds:(Some 2) ~wants:(Some 1);
+         run 3 ~holds:None ~wants:(Some 2)));
+  Alcotest.(check (list int)) "released down the chain" [ 1; 2; 3 ] (List.rev !order)
+
+(* Owner 3's S request on tuple 1 is compatible with the holder (owner 1's
+   S) but queued behind owner 2's X, so 3 waits for 2, a waiter rather than
+   a holder.  Owner 1 then asks for tuple 2, which 3 holds: the cycle
+   1 -> 3 -> 2 -> 1 closes only through that queued-ahead edge. *)
+let test_cycle_through_queued_waiter () =
+  let deadlocks = ref [] and finished = ref [] in
+  ignore
+    (Sim.run (fun () ->
+         let lm = create Sim.scheduler in
+         let step i f =
+           Sim.spawn (fun () ->
+               (try f () with Deadlock { victim; cycle } ->
+                  deadlocks := (victim, List.sort compare cycle) :: !deadlocks);
+               release_all lm ~owner:i;
+               finished := i :: !finished)
+         in
+         step 1 (fun () ->
+             acquire lm ~owner:1 (tup 1) S;
+             Sim.delay 0.3;
+             acquire lm ~owner:1 (tup 2) S);
+         step 2 (fun () ->
+             Sim.delay 0.1;
+             acquire lm ~owner:2 (tup 1) X);
+         step 3 (fun () ->
+             acquire lm ~owner:3 (tup 2) X;
+             Sim.delay 0.2;
+             acquire lm ~owner:3 (tup 1) S)));
+  Alcotest.(check (list (pair int (list int)))) "owner 1 is the victim"
+    [ (1, [ 1; 2; 3 ]) ] !deadlocks;
+  Alcotest.(check (list int)) "everyone finishes" [ 1; 2; 3 ] (List.sort compare !finished)
+
 let test_upgrade_deadlock () =
   (* Two owners hold S and both request X: a classic upgrade deadlock. *)
   let failures = ref 0 in
@@ -206,13 +389,19 @@ let () =
           Alcotest.test_case "try_acquire" `Quick test_try_acquire;
           Alcotest.test_case "release_all" `Quick test_release_all;
           Alcotest.test_case "untraced allocation" `Quick test_untraced_allocation;
+          Alcotest.test_case "lookup allocation" `Quick test_lookup_allocation;
         ] );
+      ("model", [ QCheck_alcotest.to_alcotest prop_model ]);
       ( "blocking",
         [
           Alcotest.test_case "waits for release" `Quick test_blocking_grant;
           Alcotest.test_case "fifo fairness" `Quick test_fifo_no_starvation;
           Alcotest.test_case "deadlock detection" `Quick test_deadlock_detected;
           Alcotest.test_case "upgrade deadlock" `Quick test_upgrade_deadlock;
+          Alcotest.test_case "three-owner cycle" `Quick test_three_owner_cycle;
+          Alcotest.test_case "wait chain" `Quick test_wait_chain;
+          Alcotest.test_case "cycle through a queued waiter" `Quick
+            test_cycle_through_queued_waiter;
           Alcotest.test_case "waiting count" `Quick test_waiting_count;
           Alcotest.test_case "held_by" `Quick test_held_by;
         ] );
