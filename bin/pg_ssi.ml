@@ -43,8 +43,8 @@ let run_demo () =
     let t2 = E.begin_txn ~isolation db in
     go_off t1 "alice";
     go_off t2 "bob";
-    let c1 = (try E.commit t1; true with E.Serialization_failure _ -> false) in
-    let c2 = (try E.commit t2; true with E.Serialization_failure _ -> false) in
+    let c1 = (try E.commit t1; true with E.Error (E.Serialization_failure _) -> false) in
+    let c2 = (try E.commit t2; true with E.Error (E.Serialization_failure _) -> false) in
     let left = E.with_txn db (fun t -> oncall t) in
     (c1, c2, left)
   in
@@ -254,7 +254,7 @@ let run_chaos (c : Chaos.cfg) certifier kill_points kill_every torn_writes wal_o
 (* ---- recover ---------------------------------------------------------------- *)
 
 let run_recover file =
-  let wal = try Ssi_wal.Wal.load file with Sys_error m -> prerr_endline m; exit 1 in
+  let wal = match Ssi_wal.Wal.load file with Ok w -> w | Error m -> prerr_endline m; exit 1 in
   let db, r = E.recover wal in
   Format.printf "recovered from %s@." file;
   Format.printf "  checkpoint cseq    %s@."

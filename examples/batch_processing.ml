@@ -72,7 +72,7 @@ let run ~isolation ~deferrable_reports =
                         incr rid;
                         E.insert t ~table:"receipts"
                           [| vi !rid; vi x; vi (1 + Rng.int rng 100) |])
-                  with E.Serialization_failure _ -> ());
+                  with E.Error (E.Serialization_failure _) -> ());
                  Sim.delay 0.002
                done)
          done;
@@ -84,7 +84,7 @@ let run ~isolation ~deferrable_reports =
                       ignore
                         (E.update t ~table:"control" ~key:(vi 0) ~f:(fun row ->
                              [| row.(0); vi (Value.as_int row.(1) + 1) |])))
-                with E.Serialization_failure _ -> ());
+                with E.Error (E.Serialization_failure _) -> ());
                Sim.delay 0.01
              done;
              stop := true);
@@ -102,7 +102,7 @@ let run ~isolation ~deferrable_reports =
                       match Hashtbl.find_opt reported (x - 1) with
                       | None -> Hashtbl.add reported (x - 1) total
                       | Some seen -> if seen <> total then incr broken)
-                  with E.Serialization_failure _ -> ());
+                  with E.Error (E.Serialization_failure _) -> ());
                Sim.delay 0.004
              done)));
   (!reports, !broken)

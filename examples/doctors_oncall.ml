@@ -61,7 +61,7 @@ let run isolation =
                       E.retry ~isolation db (fun t ->
                           go_off_call t who;
                           ignore (Rng.bool rng))
-                    with E.Serialization_failure _ -> ());
+                    with E.Error (E.Serialization_failure _) -> ());
                    Sim.delay 0.001;
                    E.retry ~isolation db (fun t -> set_oncall t who true);
                    Sim.delay 0.001

@@ -81,12 +81,12 @@ let () =
   (try
      E.commit t1;
      Format.printf "t1 committed@."
-   with E.Serialization_failure { reason; _ } ->
+   with E.Error (E.Serialization_failure { reason; _ }) ->
      Format.printf "t1 aborted: %s@." reason);
   (try
      E.commit t2;
      Format.printf "t2 committed@."
-   with E.Serialization_failure { reason; _ } ->
+   with E.Error (E.Serialization_failure { reason; _ }) ->
      Format.printf "t2 aborted: %s@." reason);
 
   (* ---- Savepoints ---- *)

@@ -71,7 +71,7 @@ let () =
                         incr rid;
                         E.insert t ~table:"receipts"
                           [| vi ((i * 100000) + !rid); vi x; vi (1 + Rng.int rng 50) |])
-                  with E.Serialization_failure _ -> ());
+                  with E.Error (E.Serialization_failure _) -> ());
                  Sim.delay 0.002
                done)
          done;
@@ -82,22 +82,26 @@ let () =
                       ignore
                         (E.update t ~table:"control" ~key:(vi 0) ~f:(fun row ->
                              [| row.(0); vi (Value.as_int row.(1) + 1) |])))
-                with E.Serialization_failure _ -> ());
+                with E.Error (E.Serialization_failure _) -> ());
                Sim.delay 0.012
              done;
              stop := true);
          (* Replica REPORT reader, in both modes. *)
          let report mode seen anomalies reports =
-           let rt = R.begin_read r mode in
-           match R.read rt ~table:"control" ~key:(vi 0) with
-           | None -> ()
-           | Some row ->
-               let x = Value.as_int row.(1) - 1 in
-               let total = replica_batch_total rt x in
-               incr reports;
-               (match Hashtbl.find_opt seen x with
-               | None -> Hashtbl.add seen x total
-               | Some t0 -> if t0 <> total then incr anomalies)
+           (* Until the first safe snapshot arrives, a [`Latest_safe] read
+              fails retryably; the reader just tries again later. *)
+           match R.begin_read r mode with
+           | exception E.Error (E.Transient_fault _) -> ()
+           | rt -> (
+               match R.read rt ~table:"control" ~key:(vi 0) with
+               | None -> ()
+               | Some row ->
+                   let x = Value.as_int row.(1) - 1 in
+                   let total = replica_batch_total rt x in
+                   incr reports;
+                   (match Hashtbl.find_opt seen x with
+                   | None -> Hashtbl.add seen x total
+                   | Some t0 -> if t0 <> total then incr anomalies))
          in
          Sim.spawn (fun () ->
              while not !stop do

@@ -12,9 +12,10 @@ open Ssi_storage
 
 type cseq = Ssi_mvcc.Mvcc.cseq
 
-exception Serialization_failure of { xid : Heap.xid; reason : string }
-(** The acting transaction must abort: a dangerous structure (SSI) or a
-    closed exclusion window (SSN/ESSN) was resolved against it. *)
+(** The acting transaction [xid] must abort: a dangerous structure (SSI)
+    or a closed exclusion window (SSN/ESSN) was resolved against it. *)
+let serialization_failure ~xid reason =
+  raise Ssi_util.Db_error.(Error (Serialization_failure { xid; reason }))
 
 type kind = SSI | SSN | ESSN
 
@@ -114,12 +115,12 @@ module Victims = struct
       ~fields:[ ("xid", Obs.I xid); ("reason", Obs.S reason) ]
 
   (** The acting transaction [xid] must abort: count it, record the
-      [<prefix>.fail] event and raise {!Serialization_failure}. *)
+      [<prefix>.fail] event and raise {!serialization_failure}. *)
   let fail v ~xid reason =
     Obs.incr v.failures;
     count v reason;
     event v ".fail" ~xid reason;
-    raise (Serialization_failure { xid; reason })
+    serialization_failure ~xid reason
 
   (** The bystander [xid] was just doomed: count it and record the
       [<prefix>.doom] event. *)
@@ -274,7 +275,7 @@ end
     dependency evidence — MVCC visibility at read time ({!S.conflict_out},
     {!S.read_from}) and the SIREAD owners of what a write touches
     ({!S.conflict_in}); and recovery.  A hook that resolves a conflict
-    against the calling transaction raises {!Serialization_failure}; a
+    against the calling transaction raises {!serialization_failure}; a
     bystander is {e doomed} instead and fails at its next operation or
     commit. *)
 module type S = sig
@@ -304,7 +305,7 @@ module type S = sig
   (** Call immediately after taking the transaction's snapshot. *)
 
   val check_doomed : node -> unit
-  (** Raise {!Serialization_failure} if the node was doomed by a conflict
+  (** Raise {!serialization_failure} if the node was doomed by a conflict
       resolved in another transaction's favour. *)
 
   val prepare : t -> node -> unit

@@ -272,9 +272,7 @@ let fail t node reason = Victims.fail t.victims ~xid:node.xid reason
 
 let check_doomed node =
   if node.doomed then
-    raise
-      (Serialization_failure
-         { xid = node.xid; reason = "transaction doomed by a concurrent conflict" })
+    serialization_failure ~xid:node.xid "transaction doomed by a concurrent conflict"
 
 (* "Read-only" in the theorems' sense: declared as such, or known to have
    committed without writing (§4.1). *)

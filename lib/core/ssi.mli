@@ -7,9 +7,9 @@
     (T3 committed first) and the read-only snapshot-ordering test
     (Theorem 3), a victim is chosen by the safe-retry rules of §5.4: the
     pivot T2 if it is still abortable, otherwise T1, never a committed or
-    prepared transaction.  If the victim is the calling transaction,
-    [Serialization_failure] is raised; otherwise the victim is {e doomed}
-    and will fail at its next operation or commit.
+    prepared transaction.  If the victim is the calling transaction, it
+    fails with [Db_error.Error (Serialization_failure _)]; otherwise the
+    victim is {e doomed} and will fail at its next operation or commit.
 
     SSI is the only certifier with safe snapshots (§4.2) and therefore
     [BEGIN DEFERRABLE] (§4.3).  It ignores [read_from]: everything it needs

@@ -141,9 +141,7 @@ let doom t victim ~reason =
 
 let check_doomed node =
   if node.doomed then
-    raise
-      (Serialization_failure
-         { xid = node.xid; reason = "transaction doomed by a concurrent conflict" })
+    serialization_failure ~xid:node.xid "transaction doomed by a concurrent conflict"
 
 (* ---- Stamp mutation with the eager window check --------------------------- *)
 

@@ -10,7 +10,7 @@
     window} closes ([sstamp <= pstamp]) cannot be placed in any serial
     order and must abort.  Stamps only tighten, so the test runs eagerly
     at every stamp mutation: bystanders are doomed, the acting transaction
-    raises [Serialization_failure].
+    raises [Db_error.Error (Serialization_failure _)].
 
     The evidence is SSI's: the engine's SIREAD locks, looked up at write
     time and handed to [conflict_in], and MVCC visibility at read time

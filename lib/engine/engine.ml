@@ -21,10 +21,9 @@ let isolation_to_string = function
 
 let pp_isolation ppf iso = Format.pp_print_string ppf (isolation_to_string iso)
 
-exception Serialization_failure = Certifier.Serialization_failure
-exception Duplicate_key of { table : string; key : Value.t }
-exception Read_only_transaction
-exception Transient_fault of { op : string; reason : string }
+include Db_error
+
+let fail e = raise (Error e)
 
 type costs = {
   cpu_per_op : float;
@@ -233,7 +232,7 @@ let fault_point db ~op =
   | None -> ()
   | Some inject -> (
       try inject ~op
-      with Transient_fault _ as e ->
+      with Error (Transient_fault _) as e ->
         Obs.incr db.metrics.m_faults;
         Obs.trace db.obs "fault" ~fields:[ ("op", Obs.S op) ];
         raise e)
@@ -270,11 +269,6 @@ let finish_op db ~tuples ~locks ~pages =
 
 (* ---- Durable log plumbing ------------------------------------------------- *)
 
-(* The device died mid-operation: the in-memory commit can never become
-   durable, so the client must treat the attempt as failed and retry
-   against whatever recovers. *)
-let wal_lost () = raise (Transient_fault { op = "wal"; reason = "durable log lost in crash" })
-
 (* Append [record] to the durable log, when one is attached, and return
    once it is durable: [`Flush] fsyncs it now (DDL, epochs and checkpoints
    are rare), [`Wait] blocks until the group-commit flush that covers it
@@ -283,17 +277,15 @@ let log db record ~sync =
   match db.wal_device with
   | None -> ()
   | Some w -> (
-      try
-        let lsn = Wal.append w record in
-        match sync with `Flush -> Wal.flush w | `Wait -> Wal.wait_durable w db.sched lsn
-      with Wal.Lost -> wal_lost ())
+      let lsn = Wal.append w record in
+      match sync with `Flush -> Wal.flush w | `Wait -> Wal.wait_durable w db.sched lsn)
 
 (* ---- Schema --------------------------------------------------------------- *)
 
 let table_of db name =
   match Hashtbl.find_opt db.tables name with
   | Some tbl -> tbl
-  | None -> invalid_arg ("Engine: unknown table " ^ name)
+  | None -> fail (Undefined_object ("Engine: unknown table " ^ name))
 
 let table_schema t ~table = Heap.schema (table_of t table).heap
 
@@ -309,7 +301,7 @@ let hook_split db index =
       Predlock.on_index_page_split db.predlocks ~index:index.idx_name ~old_page ~new_page)
 
 let create_table db ~name ~cols ~key =
-  if Hashtbl.mem db.tables name then invalid_arg ("Engine.create_table: duplicate " ^ name);
+  if Hashtbl.mem db.tables name then fail (Duplicate_object ("Engine.create_table: duplicate " ^ name));
   let schema = Schema.make ~name ~cols ~key in
   let heap = Heap.create ~tuples_per_page:db.cfg.tuples_per_page schema in
   let pk_name = name ^ "_pkey" in
@@ -331,8 +323,12 @@ let create_table db ~name ~cols ~key =
 
 let create_index db ~table ~name ~column ?(predicate_locks = true) ?next_key_gaps () =
   let tbl = table_of db table in
-  if Hashtbl.mem db.idx_by_name name then invalid_arg ("Engine.create_index: duplicate " ^ name);
-  let col = Schema.column_index (Heap.schema tbl.heap) column in
+  if Hashtbl.mem db.idx_by_name name then
+    fail (Duplicate_object ("Engine.create_index: duplicate " ^ name));
+  let col =
+    try Schema.column_index (Heap.schema tbl.heap) column
+    with Not_found -> fail (Undefined_object ("unknown column " ^ column))
+  in
   let index =
     {
       idx_name = name;
@@ -366,10 +362,11 @@ let create_index db ~table ~name ~column ?(predicate_locks = true) ?next_key_gap
 
 let drop_index db ~name =
   match Hashtbl.find_opt db.idx_by_name name with
-  | None -> invalid_arg ("Engine.drop_index: unknown index " ^ name)
+  | None -> fail (Undefined_object ("Engine.drop_index: unknown index " ^ name))
   | Some index ->
       let tbl = table_of db index.table_name in
-      if index == tbl.pk_index then invalid_arg "Engine.drop_index: cannot drop primary key";
+      if index == tbl.pk_index then
+        fail (Invalid_request "Engine.drop_index: cannot drop primary key");
       tbl.secondary <- List.filter (fun i -> i != index) tbl.secondary;
       Hashtbl.remove db.idx_by_name name;
       (* §5.2.1: index-gap locks are replaced with a relation-level lock on
@@ -386,7 +383,7 @@ let recluster db ~table =
 
 let xid txn = txn.txn_xid
 let engine_of txn = txn.db
-let is_finished txn = txn.finished
+let is_finished txn = txn.finished && not txn.crashed
 let snapshot_cseq txn = txn.snapshot.Snapshot.horizon
 
 let snapshot_is_safe txn =
@@ -442,28 +439,32 @@ let rec begin_deferrable ?span db =
   let node =
     C.register c ~xid ~snap_cseq:snapshot.Snapshot.horizon ~read_only:true ~deferrable:true
   in
-  while not (C.safety_determined node) do
-    db.sched.suspend (C.safety_waitq node)
-  done;
+  let give_up () = C.aborted c node; Clog.abort db.clog xid in
+  (* A wait the direct scheduler refuses must not leave the node behind. *)
+  (try
+     while not (C.safety_determined node) do
+       db.sched.suspend (C.safety_waitq node)
+     done
+   with e -> give_up (); raise e);
   if C.is_safe node then
     make_txn db ~iso:Serializable ~ro:true ~xid ~snapshot ~sxact:(Sx (m, c, node)) ~span
   else begin
-    C.aborted c node;
-    Clog.abort db.clog xid;
+    give_up ();
     begin_deferrable ?span db
   end
 
 let begin_txn ?(isolation = Serializable) ?(read_only = false) ?(deferrable = false) ?span db =
   if deferrable then begin
     if not (read_only && isolation = Serializable) then
-      invalid_arg "Engine.begin_txn: DEFERRABLE requires READ ONLY SERIALIZABLE";
+      fail (Invalid_request "Engine.begin_txn: DEFERRABLE requires READ ONLY SERIALIZABLE");
     if not db.cfg.certifier.read_only_opt then
-      invalid_arg "Engine.begin_txn: DEFERRABLE requires the read-only optimizations";
+      fail (Invalid_request "Engine.begin_txn: DEFERRABLE requires the read-only optimizations");
     let (Certifier.Cert ((module C), _)) = db.cert in
     if not C.supports_deferrable then
-      invalid_arg
-        (Printf.sprintf "Engine.begin_txn: DEFERRABLE requires the SSI certifier (running %s)"
-           (Certifier.kind_to_string (certifier_kind db)));
+      fail
+        (Invalid_request
+           (Printf.sprintf "Engine.begin_txn: DEFERRABLE requires the SSI certifier (running %s)"
+              (Certifier.kind_to_string (certifier_kind db))));
     begin_deferrable ?span db
   end
   else begin
@@ -500,7 +501,7 @@ let is_tracked txn = match tracking txn with Sx _ -> true | No_sx -> false
 
 let ensure_running txn =
   if txn.crashed then
-    raise (Transient_fault { op = "txn"; reason = "connection lost: server crashed" });
+    fail (Transient_fault { op = "txn"; reason = "connection lost: server crashed" });
   if txn.finished then invalid_arg "Engine: transaction already finished";
   if txn.prepared_gid <> None then invalid_arg "Engine: transaction is prepared";
   match txn.sxact with Sx ((module C), _, node) -> C.check_doomed node | No_sx -> ()
@@ -521,7 +522,7 @@ let start_op txn =
   ensure_running txn;
   refresh_stmt_snapshot txn
 
-let ensure_writable txn = if txn.ro then raise Read_only_transaction
+let ensure_writable txn = if txn.ro then fail Read_only_transaction
 
 let is_2pl txn = txn.iso = Serializable_2pl
 
@@ -578,7 +579,7 @@ let find_savepoint txn name =
 let rollback_to_savepoint txn name =
   ensure_running txn;
   match find_savepoint txn name with
-  | None -> invalid_arg ("Engine: no such savepoint " ^ name)
+  | None -> fail (Undefined_object ("Engine: no such savepoint " ^ name))
   | Some (newer, ((_, undo, wal) as sp), older) ->
       (* Nested savepoints established after [name] are destroyed; [name]
          itself survives (SQL semantics). *)
@@ -590,7 +591,7 @@ let rollback_to_savepoint txn name =
 let release_savepoint txn name =
   ensure_running txn;
   match find_savepoint txn name with
-  | None -> invalid_arg ("Engine: no such savepoint " ^ name)
+  | None -> fail (Undefined_object ("Engine: no such savepoint " ^ name))
   | Some (newer, _, older) ->
       txn.subdepth <- txn.subdepth - (List.length newer + 1);
       txn.savepoints <- older
@@ -620,7 +621,7 @@ let wait_for_xid txn other =
       in
       if cycles_back holder 0 then begin
         Obs.incr txn.db.metrics.m_deadlocks;
-        raise (Serialization_failure { xid = txn.txn_xid; reason = "deadlock detected" })
+        fail (Serialization_failure { xid = txn.txn_xid; reason = "deadlock detected" })
       end;
       txn.write_waiting_for <- Some other;
       (try txn.db.sched.suspend holder.commit_wq
@@ -757,7 +758,7 @@ let map_lock_errors txn f =
   try f ()
   with Lockmgr.Deadlock { victim; _ } ->
     Obs.incr txn.db.metrics.m_deadlocks;
-    raise (Serialization_failure { xid = victim; reason = "deadlock detected" })
+    fail (Serialization_failure { xid = victim; reason = "deadlock detected" })
 
 let read txn ~table ~key =
   start_op txn;
@@ -775,7 +776,7 @@ let read txn ~table ~key =
 let index_of db name =
   match Hashtbl.find_opt db.idx_by_name name with
   | Some i -> i
-  | None -> invalid_arg ("Engine: unknown index " ^ name)
+  | None -> fail (Undefined_object ("Engine: unknown index " ^ name))
 
 let index_scan txn ~table ~index ~lo ~hi =
   start_op txn;
@@ -931,9 +932,9 @@ let insert txn ~table row =
   let db = txn.db in
   let tbl = table_of db table in
   let schema = Heap.schema tbl.heap in
+  Schema.check_row schema row;
   let key = Schema.key_of_row schema row in
   ensure_writable txn;
-  Schema.check_row schema row;
   map_lock_errors txn (fun () ->
       if is_2pl txn then begin
         Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Relation table) Lockmgr.IX;
@@ -947,7 +948,7 @@ let insert txn ~table row =
             v.xmax <> Heap.invalid_xid
             && (v.xmax = txn.txn_xid || Clog.is_committed db.clog v.xmax)
           in
-          if not deleted then raise (Duplicate_key { table; key });
+          if not deleted then fail (Unique_violation { table; key = Value.to_string key });
           (* Re-inserting over a committed-dead head is a w:w dependency on
              the dead version's creator and deleter. *)
           (match tracking txn with
@@ -1026,7 +1027,7 @@ and newer_committed txn tbl key =
       locate_for_write txn tbl key
   | Repeatable_read | Serializable | Serializable_2pl ->
       Obs.incr txn.db.metrics.m_write_conflicts;
-      raise
+      fail
         (Serialization_failure
            { xid = txn.txn_xid; reason = "could not serialize access due to concurrent update" })
 
@@ -1046,7 +1047,7 @@ let update txn ~table ~key ~f =
           let row' = f (Array.copy v.row) in
           Schema.check_row schema row';
           if not (Value.equal (Schema.key_of_row schema row') key) then
-            invalid_arg "Engine.update: primary key must not change";
+            fail (Invalid_request "Engine.update: primary key must not change");
           Heap.set_xmax v txn.txn_xid;
           txn.undo <- U_set_xmax v :: txn.undo;
           let tuple = Heap.insert_version tbl.heap ~key ~row:row' ~xmin:txn.txn_xid in
@@ -1199,7 +1200,7 @@ let publish_commit db txn cseq ~cspan ~gid =
                 Wal.Commit
                   { c_xid = txn.txn_xid; c_cseq = cseq; c_gid = gid; c_ops = ops; c_safe = safe }
               in
-              try Some (w, Wal.append w c) with Wal.Lost -> wal_lost ())
+              Some (w, Wal.append w c))
         in
         let record =
           match hooks with
@@ -1223,7 +1224,7 @@ let publish_commit db txn cseq ~cspan ~gid =
   (* Group commit: the record is staged; the acknowledgment waits for the
      flush that makes it durable. *)
   (match staged with
-  | Some (w, lsn) -> ( try Wal.wait_durable w db.sched lsn with Wal.Lost -> wal_lost ())
+  | Some (w, lsn) -> Wal.wait_durable w db.sched lsn
   | None -> ());
   (* Quorum-synchronous replication: the commit is locally durable and
      visible; the acknowledgment to the client may still be held until
@@ -1265,7 +1266,7 @@ let commit txn =
         failure rather than a write the cluster will never accept. *)
      (match db.commit_gate with Some gate -> gate () | None -> ());
      match txn.sxact with Sx ((module C), c, node) -> C.precommit c node | No_sx -> ()
-   with (Serialization_failure _ | Transient_fault _) as e ->
+   with Error _ as e ->
      Obs.Span.add cspan "error" (Obs.B true);
      Obs.Span.finish db.obs cspan;
      abort txn;
@@ -1280,12 +1281,13 @@ let commit txn = timed txn.db txn.db.metrics.h_commit (fun () -> commit txn)
 
 let prepare txn ~gid =
   let db = txn.db in
-  if Hashtbl.mem db.prepared_by_gid gid then invalid_arg ("Engine.prepare: duplicate gid " ^ gid);
   (try
      ensure_running txn;
+     if Hashtbl.mem db.prepared_by_gid gid then
+       fail (Duplicate_object ("Engine.prepare: duplicate gid " ^ gid));
      fault_point db ~op:"prepare";
      match txn.sxact with Sx ((module C), c, node) -> C.prepare c node | No_sx -> ()
-   with (Serialization_failure _ | Transient_fault _) as e ->
+   with Error _ as e ->
      abort txn;
      raise e);
   txn.prepared_gid <- Some gid;
@@ -1297,7 +1299,7 @@ let prepare txn ~gid =
 let prepared_txn db gid =
   match Hashtbl.find_opt db.prepared_by_gid gid with
   | Some txn -> txn
-  | None -> invalid_arg ("Engine: no prepared transaction " ^ gid)
+  | None -> fail (Undefined_object ("Engine: no prepared transaction " ^ gid))
 
 let commit_prepared db ~gid =
   let txn = prepared_txn db gid in
@@ -1684,7 +1686,7 @@ let with_txn ?isolation ?read_only ?deferrable ?span db f =
          rolled this transaction back (e.g. it was suspended on a charge
          when the crash hit); that must not look like a successful commit. *)
       if txn.crashed then
-        raise (Transient_fault { op = "commit"; reason = "connection lost: server crashed" });
+        fail (Transient_fault { op = "commit"; reason = "connection lost: server crashed" });
       if not txn.finished then commit txn;
       result
   | exception e ->
@@ -1698,7 +1700,7 @@ type retry_policy = {
   backoff_max : float;
   jitter : float;
   deadline : float option;
-  retryable : exn -> bool;
+  retry_if : error -> bool;
 }
 
 let default_retry_policy =
@@ -1709,8 +1711,7 @@ let default_retry_policy =
     backoff_max = 0.1;
     jitter = 0.5;
     deadline = None;
-    retryable =
-      (function Serialization_failure _ | Transient_fault _ -> true | _ -> false);
+    retry_if = (fun _ -> true);
   }
 
 let retry_with ?isolation ?read_only ?deferrable ?(policy = default_retry_policy) ?rng ?span db
@@ -1751,18 +1752,14 @@ let retry_with ?isolation ?read_only ?deferrable ?(policy = default_retry_policy
     | result ->
         close_attempt "committed";
         result
-    | exception e when policy.retryable e ->
-        close_attempt
-          (match e with
-          | Serialization_failure _ -> "serialization_failure"
-          | Transient_fault _ -> "fault"
-          | _ -> "error");
-        (match e with
+    | exception (Error err as e) when retryable err && policy.retry_if err ->
+        (match err with
         | Serialization_failure { xid; reason } ->
+            close_attempt "serialization_failure";
             Obs.incr db.metrics.m_serialization_failures;
             Obs.trace db.obs "txn.serialization_failure"
               ~fields:[ ("xid", Obs.I xid); ("reason", Obs.S reason) ]
-        | _ -> ());
+        | _ -> close_attempt "fault");
         let out_of_time =
           match policy.deadline with
           | Some d -> db.sched.now () -. started >= d
@@ -1814,3 +1811,7 @@ let vacuum db =
               | Clog.In_progress -> true
               | Clog.Aborted -> true)))
     db.tables
+
+(* Last, so that no code above sees these names shadow [error]'s cases. *)
+exception Serialization_failure = Error
+exception Transient_fault = Error

@@ -16,7 +16,7 @@
     Transactions are cooperative: in simulation the engine suspends callers
     that must wait (write-lock waits, S2PL lock waits, deferrable
     admission) through the scheduler passed to {!create}; in direct
-    (non-simulated) use those situations raise [Waitq.Would_block].
+    (non-simulated) use those situations fail with {!Lock_not_available}.
     SSI itself never blocks.
 
     Every table implicitly maintains a primary-key B+-tree index
@@ -34,22 +34,14 @@ val isolation_to_string : isolation -> string
 val pp_isolation : Format.formatter -> isolation -> unit
 (** Prints {!isolation_to_string}. *)
 
-exception Serialization_failure of { xid : Heap.xid; reason : string }
-(** The retryable error: SSI dangerous structures, snapshot-isolation
-    write conflicts ("could not serialize access due to concurrent
-    update"), and S2PL deadlocks all surface as this. *)
-
-exception Duplicate_key of { table : string; key : Value.t }
-exception Read_only_transaction
-(** Raised when a [~read_only:true] transaction attempts a write. *)
-
-exception Transient_fault of { op : string; reason : string }
-(** A retryable infrastructure fault: raised by an installed fault
-    injector ({!set_fault_injector}) at an operation's fault point, and by
-    any operation on a transaction whose connection died in a crash
-    ({!simulate_connection_loss}).  The failed transaction is rolled back (or already
-    vanished in the crash); a client may immediately retry from scratch,
-    which is what {!retry_with} does. *)
+include module type of struct
+  include Ssi_util.Db_error
+end
+(** Every failure a client can cause or must handle is [Error e]
+    ({!Ssi_util.Db_error}); {!retryable} says whether to retry the whole
+    transaction at once, as {!retry_with} does.  The [Invalid_argument]s
+    left are programmer errors: an operation on a finished or prepared
+    transaction, or an index scanned through another table. *)
 
 (** Virtual-time costs, charged through the scheduler so that benchmarks
     can model CPU-bound and disk-bound configurations.  All zero by
@@ -108,7 +100,7 @@ type txn
 val create :
   ?scheduler:Ssi_util.Waitq.scheduler -> ?config:config -> ?obs:Ssi_obs.Obs.t -> unit -> t
 (** With no scheduler, the engine runs in direct mode: operations that
-    would block raise [Waitq.Would_block].  [obs] is the observability
+    would block fail with {!Lock_not_available}.  [obs] is the observability
     registry shared by every layer of this engine (SSI manager, predicate
     and heavyweight lock managers, and the engine itself); a private one
     is created when omitted.  The registry's clock is pointed at the
@@ -178,14 +170,17 @@ val begin_txn :
     its own, so every transaction belongs to some trace. *)
 
 val commit : txn -> unit
-(** May raise {!Serialization_failure} (the transaction is then rolled
-    back automatically). *)
+(** On any [Error], such as a {!Serialization_failure} at the pre-commit
+    check, the transaction is rolled back before the error is raised. *)
 
 val abort : txn -> unit
 (** Roll back.  Idempotent on already-finished transactions. *)
 
 val xid : txn -> Heap.xid
 val is_finished : txn -> bool
+(** Any further operation but {!abort} is a programmer error.  A
+    transaction that vanished in {!simulate_connection_loss} is not
+    finished: its next operation fails with {!Transient_fault}. *)
 
 val snapshot_cseq : txn -> int
 (** Commit-sequence horizon of the transaction's snapshot: every commit
@@ -217,7 +212,8 @@ val release_savepoint : txn -> string -> unit
 
 val prepare : txn -> gid:string -> unit
 (** Runs the pre-commit serialization check; afterwards the transaction
-    can no longer be aborted by conflict resolution. *)
+    can no longer be aborted by conflict resolution.  A failed PREPARE,
+    such as a duplicate [gid], rolls the transaction back. *)
 
 val commit_prepared : t -> gid:string -> unit
 val rollback_prepared : t -> gid:string -> unit
@@ -245,7 +241,7 @@ type prepared_summary = {
     dangerous structures can be detected without shared memory (§5.7). *)
 
 val prepared_summary : t -> gid:string -> prepared_summary
-(** Raises [Invalid_argument] if [gid] is not prepared here. *)
+(** Fails with {!Undefined_object} if [gid] is not prepared here. *)
 
 val mark_prepared_conservative : t -> gid:string -> unit
 (** Close the prepared transaction's local conflict window with the §7.1
@@ -315,7 +311,7 @@ val recover :
 (** {1 Data access} *)
 
 val insert : txn -> table:string -> Value.t array -> unit
-(** Raises {!Duplicate_key} when the primary key already exists. *)
+(** Fails with {!Unique_violation} when the primary key already exists. *)
 
 val read : txn -> table:string -> key:Value.t -> Value.t array option
 (** Point read by primary key. *)
@@ -347,7 +343,7 @@ val with_txn :
 
 (** Client-side resilience policy for {!retry_with}: how many times to
     retry, how long to back off between attempts (charged as virtual time
-    through the scheduler), and which errors count as retryable. *)
+    through the scheduler), and which {!retryable} errors to retry. *)
 type retry_policy = {
   max_attempts : int;  (** total attempts, including the first; >= 1 *)
   backoff_base : float;
@@ -362,13 +358,12 @@ type retry_policy = {
   deadline : float option;
       (** per-transaction time budget: once this much virtual time has
           passed since the first attempt, the next failure is fatal *)
-  retryable : exn -> bool;  (** classification: retry or re-raise *)
+  retry_if : error -> bool;  (** narrows {!retryable}: retry when both hold *)
 }
 
 val default_retry_policy : retry_policy
-(** 100 attempts, no backoff, no deadline; retries
-    {!Serialization_failure} and {!Transient_fault}, everything else is
-    fatal. *)
+(** 100 attempts, no backoff, no deadline; retries every {!retryable}
+    error. *)
 
 val retry_with :
   ?isolation:isolation -> ?read_only:bool -> ?deferrable:bool ->
@@ -426,8 +421,13 @@ val active_transactions : t -> int
 val table_names : t -> string list
 
 val table_schema : t -> table:string -> Schema.t
-(** Raises [Invalid_argument] for unknown tables. *)
+(** Fails with {!Undefined_object} for unknown tables. *)
 
 val table_indexes : t -> table:string -> (string * string) list
 (** [(index name, indexed column)] for every index on the table, the
     primary-key index first. *)
+
+exception Serialization_failure of error
+exception Transient_fault of error
+(** Aliases of {!Error}, each matching every [Error _], kept while
+    [perfbench/workloads.ml] catches sharded aborts by these names. *)

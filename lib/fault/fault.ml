@@ -26,7 +26,7 @@ let hook inj ~op =
      windows, not on traffic outside them. *)
   if inj.rate > 0. && Rng.chance inj.rng inj.rate then begin
     inj.count <- inj.count + 1;
-    raise (E.Transient_fault { op; reason = "injected I/O fault" })
+    raise (E.Error (E.Transient_fault { op; reason = "injected I/O fault" }))
   end
 
 (* ---- Plans --------------------------------------------------------------- *)

@@ -139,7 +139,7 @@ let run_one ?wal_out ?(certifier = Ssi_core.Certifier.SSI) ~seed ~kill_point ~wi
            (Some
               (fun ~op ->
                 if !crashed then
-                  raise (E.Transient_fault { op; reason = "server down" });
+                  raise (E.Error (E.Transient_fault { op; reason = "server down" }));
                 incr fault_count;
                 if !fault_count = kill_point then begin
                   crashed := true;
@@ -158,7 +158,7 @@ let run_one ?wal_out ?(certifier = Ssi_core.Certifier.SSI) ~seed ~kill_point ~wi
                   in
                   damage_desc := Option.map describe_damage damage;
                   Wal.crash ?damage wal;
-                  raise (E.Transient_fault { op; reason = "server crashed at kill point" })
+                  raise (E.Error (E.Transient_fault { op; reason = "server crashed at kill point" }))
                 end));
          (* 2PC sentinels: prepared mid-workload, committed a while later —
             a kill between the two leaves an in-doubt transaction for
@@ -175,9 +175,10 @@ let run_one ?wal_out ?(certifier = Ssi_core.Certifier.SSI) ~seed ~kill_point ~wi
                  E.prepare t ~gid;
                  Sim.at ~after:1.5e-3 (fun () ->
                      if (not !crashed) && List.mem gid (E.prepared_gids db) then
-                       try E.commit_prepared db ~gid with E.Transient_fault _ -> ())
+                       try E.commit_prepared db ~gid with E.Error (E.Transient_fault _) -> ())
                with
-               | E.Transient_fault _ | E.Serialization_failure _ | E.Duplicate_key _ -> ())
+               | E.Error (E.Transient_fault _ | E.Serialization_failure _ | E.Unique_violation _) ->
+                   ())
          done;
          for w = 1 to workers do
            let rng = Rng.make (Hashtbl.hash (seed, "torture-worker", w)) in
@@ -196,9 +197,7 @@ let run_one ?wal_out ?(certifier = Ssi_core.Certifier.SSI) ~seed ~kill_point ~wi
                     | Some cseq ->
                         acked := { l_xid = xid; l_cseq = cseq; l_reads = reads; l_writes = writes } :: !acked
                     | None -> ()
-                  with
-                 | E.Serialization_failure _ | E.Transient_fault _ -> ()
-                 | Ssi_util.Waitq.Would_block -> ());
+                  with E.Error e when E.retryable e -> ());
                  Sim.delay (Rng.float rng 3e-4)
                done)
          done));
@@ -301,9 +300,7 @@ let run_one ?wal_out ?(certifier = Ssi_core.Certifier.SSI) ~seed ~kill_point ~wi
                           { l_xid = xid; l_cseq = cseq; l_reads = reads; l_writes = writes }
                           :: !post_history
                     | None -> ()
-                  with
-                 | E.Serialization_failure _ | E.Transient_fault _ -> ()
-                 | Ssi_util.Waitq.Would_block -> ());
+                  with E.Error e when E.retryable e -> ());
                  Sim.delay (Rng.float rng 3e-4)
                done;
                incr done_workers;

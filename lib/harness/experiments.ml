@@ -158,7 +158,7 @@ let deferrable ?(samples = 60) ?(warehouses = 10) ?(workers = 36) ?(cores = 8) ?
                  try
                    E.retry ~isolation:E.Serializable ~read_only:spec.Driver.read_only db
                      (fun txn -> spec.Driver.body rng txn)
-                 with E.Serialization_failure _ -> ()
+                 with E.Error (E.Serialization_failure _) -> ()
                done)
          done;
          (* One deferrable transaction per simulated second (§8.4 used a

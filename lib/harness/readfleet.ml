@@ -246,7 +246,7 @@ let run cfg =
                        in
                        if off = 0 then old_rreads := r :: !old_rreads
                        else new_rreads := r :: !new_rreads
-                 with E.Serialization_failure _ | E.Transient_fault _ -> incr read_giveups
+                 with E.Error e when E.retryable e -> incr read_giveups
                in
                let do_write () =
                  try
@@ -266,7 +266,7 @@ let run cfg =
                              try
                                E.insert t ~table [| vi k; vi me |];
                                true
-                             with E.Duplicate_key _ -> false
+                             with E.Error (E.Unique_violation _) -> false
                            in
                            if wrote then ws := k :: !ws
                          done;
@@ -292,7 +292,7 @@ let run cfg =
                           else new_log := entry :: !new_log);
                    tok := Router.session_token session;
                    tok_off := off
-                 with E.Serialization_failure _ | E.Transient_fault _ -> incr write_giveups
+                 with E.Error e when E.retryable e -> incr write_giveups
                in
                for _ = 1 to cfg.txns_per_worker do
                  if Rng.chance rng cfg.read_mix then do_read () else do_write ();

@@ -171,7 +171,7 @@ let run cfg =
                        }
                        :: shard_log.(s)
                  done
-               with E.Serialization_failure _ | E.Transient_fault _ ->
+               with E.Error e when E.retryable e ->
                  Shard.abort g;
                  incr client_aborts)
             done;
@@ -327,11 +327,11 @@ let bench ?(keys = 256) ?(workers = 16) ?(duration = 1.0) ?(ops_per_txn = 4)
                 incr committed;
                 latencies := (Sim.now () -. started) :: !latencies
               with
-              | E.Serialization_failure _ ->
+              | E.Error (E.Serialization_failure _) ->
                   Shard.abort g;
                   incr failures;
                   incr ser_aborts
-              | E.Transient_fault _ ->
+              | E.Error (E.Transient_fault _) ->
                   Shard.abort g;
                   incr failures;
                   incr faults

@@ -58,7 +58,7 @@ val acquire : t -> owner:Heap.xid -> target -> mode -> unit
 (** Grant the lock, suspending while incompatible locks are held by other
     owners.  Re-acquiring a covered mode is a no-op.  May raise
     {!Deadlock} (the request is withdrawn first) or
-    [Waitq.Would_block] under the direct scheduler. *)
+    [Db_error.Error Lock_not_available] under the direct scheduler. *)
 
 val try_acquire : t -> owner:Heap.xid -> target -> mode -> bool
 (** Like {!acquire} but returns [false] instead of waiting. *)

@@ -171,12 +171,12 @@ let begin_read t mode =
          an empty database — silently serving it looks like data loss to
          the client.  Fail retryably so a router can fall back. *)
       raise
-        (E.Transient_fault
+        (E.Error (E.Transient_fault
            {
              op = "begin_read";
              reason =
                Printf.sprintf "replica %s has no safe snapshot yet" t.rep_name;
-           })
+           }))
   | _ -> ());
   begin_read_internal t mode
 
@@ -188,13 +188,13 @@ let snapshot_cseq r = r.horizon
 let ensure_live r ~op =
   if r.gen <> r.replica.generation then
     raise
-      (E.Transient_fault
+      (E.Error (E.Transient_fault
          {
            op;
            reason =
              Printf.sprintf "replica %s snapshot invalidated by promote/reset"
                r.replica.rep_name;
-         })
+         }))
 
 let visible_row r versions =
   let rec find = function
@@ -242,11 +242,11 @@ let wait_snapshot ?deadline t ~after =
   if t.last_safe > after then t.last_safe
   else
     raise
-      (E.Transient_fault
+      (E.Error (E.Transient_fault
          {
            op = "wait_snapshot";
            reason = Printf.sprintf "no safe snapshot after cseq %d within the deadline" after;
-         })
+         }))
 
 type promotion = { engine : E.t; promote_cseq : int; discarded_commits : int }
 

@@ -282,7 +282,7 @@ let replica_attempt t m ~consistency ~required ~route_span f =
            the fallback ladder (next replica, then primary) takes over. *)
         (match Replica.wait_snapshot ~deadline rep ~after:(need - 1) with
         | (_ : int) -> Obs.observe t.h_session_wait (Sim.now () -. before)
-        | exception (E.Transient_fault _ as e) ->
+        | exception (E.Error (E.Transient_fault _) as e) ->
             Obs.observe t.h_session_wait (Sim.now () -. before);
             Obs.incr t.c_session_deadline_misses;
             Obs.trace t.r_obs "fleet.session_deadline_miss"
@@ -295,13 +295,13 @@ let replica_attempt t m ~consistency ~required ~route_span f =
             raise e)
     | Some _ | None ->
         raise
-          (E.Transient_fault
+          (E.Error (E.Transient_fault
              {
                op = "fleet.route";
                reason =
                  Printf.sprintf "replica %s safe frontier %d behind session target %d"
                    (Replica.name rep) (Replica.last_safe_cseq rep) need;
-             })
+             }))
   end;
   let rtxn = Replica.begin_read rep (snapshot_mode consistency) in
   let horizon = Replica.snapshot_cseq rtxn in
@@ -323,17 +323,19 @@ let replica_attempt t m ~consistency ~required ~route_span f =
       Obs.Span.finish t.r_obs sp;
       raise e
 
+(* Whether to fall back to the next backend, or re-enter on a new primary. *)
+let retryable t e = E.retryable e && t.policy.retry.E.retry_if e
+
+(* The policy, narrowed to stop the engine's retry loop once primary [p]
+   is switched out from under it: the caller re-routes against the new
+   one instead of burning the remaining attempts on a fenced engine. *)
+let stop_on_switch t p =
+  { t.policy.retry with E.retry_if = (fun e -> t.policy.retry.E.retry_if e && t.r_primary == p) }
+
 let primary_attempt t ~consistency ~route_span f =
   Obs.Span.add route_span "backend" (Obs.S "primary");
   let p = t.r_primary in
-  (* As in {!write}: stop retrying a primary that was switched out from
-     under the loop; the caller re-routes against the new one. *)
-  let policy =
-    {
-      t.policy.retry with
-      E.retryable = (fun e -> t.policy.retry.E.retryable e && t.r_primary == p);
-    }
-  in
+  let policy = stop_on_switch t p in
   let deferrable = match consistency with `Deferrable -> Sim.running () | _ -> false in
   E.retry_with ~isolation:E.Serializable ~read_only:true ~deferrable ~policy ~rng:t.rng
     ~span:route_span p (fun txn ->
@@ -367,7 +369,7 @@ let read_only ?session ?(consistency = `Latest_safe) ?span t f =
             mark_success t m;
             Obs.incr t.c_route_replica;
             v
-        | exception e when t.policy.retry.E.retryable e ->
+        | exception E.Error e when retryable t e ->
             mark_down t m;
             Obs.incr t.c_fallbacks;
             route ~required (m :: tried))
@@ -380,7 +382,7 @@ let read_only ?session ?(consistency = `Latest_safe) ?span t f =
     | v ->
         Obs.Span.finish t.r_obs sp;
         v
-    | exception e when t.policy.retry.E.retryable e && t.r_primary != p0 ->
+    | exception E.Error e when retryable t e && t.r_primary != p0 ->
         Obs.incr t.c_primary_switches;
         run ()
     | exception e ->
@@ -399,15 +401,7 @@ let write_info ?session ?(isolation = E.Serializable) ?rng ?span t f =
   let rec go () =
     sync_session t session;
     let p = t.r_primary in
-    (* Stop the engine-level retry loop as soon as the primary changes
-       under it: the outer loop re-enters against the new one instead of
-       burning the remaining attempts on a fenced engine. *)
-    let policy =
-      {
-        t.policy.retry with
-        E.retryable = (fun e -> t.policy.retry.E.retryable e && t.r_primary == p);
-      }
-    in
+    let policy = stop_on_switch t p in
     let last_xid = ref (-1) in
     match
       E.retry_with ~isolation ~policy ~rng ?span p (fun txn ->
@@ -427,7 +421,7 @@ let write_info ?session ?(isolation = E.Serializable) ?rng ?span t f =
         | None -> ()
         | Some s -> if cseq > s.s_cseq then s.s_cseq <- cseq);
         (v, { wi_backend = p; wi_xid = !last_xid; wi_cseq = cseq })
-    | exception e when t.policy.retry.E.retryable e && t.r_primary != p ->
+    | exception E.Error e when retryable t e && t.r_primary != p ->
         Obs.incr t.c_primary_switches;
         go ()
   in

@@ -66,9 +66,9 @@ type policy = {
           [`Deferrable] target before the attempt fails over; [None]
           fails over immediately instead of waiting *)
   retry : Ssi_engine.Engine.retry_policy;
-      (** drives primary-side retries (reads and writes) and classifies
-          which replica failures are retryable (fall back) versus fatal
-          (propagate) *)
+      (** drives primary-side retries (reads and writes); its [retry_if]
+          also narrows which {!Ssi_engine.Engine.retryable} replica
+          failures fall back rather than propagate *)
 }
 
 val default_policy : policy
@@ -142,9 +142,9 @@ val read_only :
   t -> (ro -> 'a) -> 'a
 (** Route one read-only transaction.  [f] may run more than once (on a
     different backend each time) when an attempt fails retryably, so it
-    must be pure apart from reading through the {!ro}.  Raises only what
-    the policy's [retryable] calls fatal, or the last error after the
-    primary itself gives up. *)
+    must be pure apart from reading through the {!ro}.  Raises only an
+    error the policy does not retry, or the last error after the primary
+    itself gives up. *)
 
 val write :
   ?session:session -> ?isolation:Ssi_engine.Engine.isolation -> ?rng:Ssi_util.Rng.t ->

@@ -222,12 +222,12 @@ let make_primary net ~node ~epoch ?quorum engine =
        (fun () ->
          if p.p_deposed then
            raise
-             (E.Transient_fault
+             (E.Error (E.Transient_fault
                 {
                   op = "commit";
                   reason =
                     Printf.sprintf "primary %s fenced: deposed from epoch %d" node epoch;
-                })));
+                }))));
   (match quorum with
   | None -> ()
   | Some q -> E.set_commit_wait engine (Some (quorum_wait p q)));

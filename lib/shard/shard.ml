@@ -163,6 +163,8 @@ let shard_handler t s ~src:_ msg =
       | None -> (
           match List.assoc_opt s (Option.value ~default:[] (Hashtbl.find_opt t.branches_of gid)) with
           | None -> ()  (* late retransmit after cleanup: decision already final *)
+          | Some txn when E.is_finished txn ->
+              () (* a retransmit after a failed prepare rolled it back and nacked *)
           | Some txn -> (
               try
                 E.prepare txn ~gid;
@@ -174,16 +176,10 @@ let shard_handler t s ~src:_ msg =
                 Hashtbl.replace t.acked_summaries (gid, s) summary;
                 reply (Prepare_ack { gid; summary })
               with
-              | E.Serialization_failure { reason; _ } ->
+              | E.Error (E.Serialization_failure { reason; _ }) ->
                   reply (Prepare_nack { gid; shard = s; reason; fault = false })
-              | E.Transient_fault { reason; _ } ->
-                  reply (Prepare_nack { gid; shard = s; reason; fault = true })
-              | Invalid_argument _ ->
-                  (* The branch was finished underneath a blocked prepare:
-                     the coordinator timed out this phase, decided abort and
-                     reaped the handle locally.  The decision is already
-                     final, so there is nobody to answer. *)
-                  ())))
+              | E.Error (E.Transient_fault { reason; _ }) ->
+                  reply (Prepare_nack { gid; shard = s; reason; fault = true }))))
   | Commit_req { gid } ->
       let xid, snap =
         match Hashtbl.find_opt t.acked_summaries (gid, s) with
@@ -340,8 +336,8 @@ let branch g s =
 let check_wounded g =
   if g.g_wounded then
     raise
-      (E.Serialization_failure
-         { xid = g.g_xid; reason = "wounded: cross-shard lock wait exceeded deadline" })
+      (E.Error (E.Serialization_failure
+         { xid = g.g_xid; reason = "wounded: cross-shard lock wait exceeded deadline" }))
 
 (* Run one data-plane op on shard [s] under a wound timer (see [wound_ttl]
    above).  The branch executing the op is spared so the blocked coroutine
@@ -572,8 +568,8 @@ let two_phase g parts =
   match result with
   | Ok cts -> cts
   | Error (reason, fault) ->
-      if fault then raise (E.Transient_fault { op = "shard.commit"; reason })
-      else raise (E.Serialization_failure { xid = g.g_xid; reason })
+      if fault then raise (E.Error (E.Transient_fault { op = "shard.commit"; reason }))
+      else raise (E.Error (E.Serialization_failure { xid = g.g_xid; reason }))
 
 let commit g =
   if g.g_finished then invalid_arg "Shard.commit: transaction already finished";

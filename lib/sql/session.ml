@@ -186,50 +186,14 @@ let fetch_rows t txn ~table where =
 
 (* ---- Transaction control ------------------------------------------------------------ *)
 
-let serialization_message reason = Printf.sprintf "could not serialize access: %s" reason
-
-let fail_txn t msg =
-  (match t.current with Some st -> st.failed <- true | None -> ());
-  raise (Sql_error msg)
+let aborted () = error "current transaction is aborted, commands ignored until ROLLBACK"
 
 (* Run [f txn] in the session's transaction, or in a fresh autocommit
-   transaction.  Serialization failures mark the open transaction failed
-   (PostgreSQL leaves it in the aborted state until ROLLBACK). *)
+   transaction. *)
 let with_session_txn t f =
   match t.current with
-  | Some st ->
-      if st.failed then
-        raise (Sql_error "current transaction is aborted, commands ignored until ROLLBACK");
-      (try f st.txn with
-      | E.Serialization_failure { reason; _ } ->
-          E.abort st.txn;
-          fail_txn t (serialization_message reason)
-      | E.Duplicate_key { table; key } ->
-          E.abort st.txn;
-          fail_txn t
-            (Printf.sprintf "duplicate key value %s in table %s" (Value.to_string key) table)
-      | E.Read_only_transaction ->
-          E.abort st.txn;
-          fail_txn t "cannot execute a write in a read-only transaction")
-  | None -> (
-      let txn = E.begin_txn t.engine in
-      try
-        let result = f txn in
-        E.commit txn;
-        result
-      with
-      | E.Serialization_failure { reason; _ } ->
-          E.abort txn;
-          raise (Sql_error (serialization_message reason))
-      | E.Duplicate_key { table; key } ->
-          E.abort txn;
-          raise
-            (Sql_error
-               (Printf.sprintf "duplicate key value %s in table %s" (Value.to_string key)
-                  table))
-      | e ->
-          E.abort txn;
-          raise e)
+  | Some st -> if st.failed then aborted () else f st.txn
+  | None -> E.with_txn t.engine f
 
 (* ---- Statement execution --------------------------------------------------------------- *)
 
@@ -239,18 +203,15 @@ let exec t stmt =
   match stmt with
   | Create_table { name; cols; key } ->
       if in_transaction t then error "CREATE TABLE cannot run inside a transaction block";
-      (try E.create_table t.engine ~name ~cols ~key
-       with Invalid_argument m -> error "%s" m);
+      E.create_table t.engine ~name ~cols ~key;
       Message "CREATE TABLE"
   | Create_index { name; table; column } ->
       if in_transaction t then error "CREATE INDEX cannot run inside a transaction block";
-      (try E.create_index t.engine ~table ~name ~column () with
-      | Invalid_argument m -> error "%s" m
-      | Not_found -> error "unknown column %s" column);
+      E.create_index t.engine ~table ~name ~column ();
       Message "CREATE INDEX"
   | Drop_index name ->
       if in_transaction t then error "DROP INDEX cannot run inside a transaction block";
-      (try E.drop_index t.engine ~name with Invalid_argument m -> error "%s" m);
+      E.drop_index t.engine ~name;
       Message "DROP INDEX"
   | Insert { table; rows } ->
       with_session_txn t (fun txn ->
@@ -258,14 +219,14 @@ let exec t stmt =
             List.fold_left
               (fun n exprs ->
                 let row = Array.of_list (List.map (eval const_env) exprs) in
-                (try E.insert txn ~table row with Invalid_argument m -> error "%s" m);
+                E.insert txn ~table row;
                 n + 1)
               0 rows
           in
           Affected n)
   | Select { proj; table; where; order_by; limit } ->
       with_session_txn t (fun txn ->
-          let schema = try E.table_schema t.engine ~table with Invalid_argument m -> error "%s" m in
+          let schema = E.table_schema t.engine ~table in
           let rows = fetch_rows t txn ~table where in
           let rows =
             match order_by with
@@ -354,19 +315,17 @@ let exec t stmt =
               (fun n row ->
                 let key = row.(key_i) in
                 let updated =
-                  try
-                    E.update txn ~table ~key ~f:(fun current ->
-                        let out = Array.copy current in
-                        List.iter
-                          (fun (col, e) ->
-                            let i =
-                              try Schema.column_index schema col
-                              with Not_found -> error "unknown column %s" col
-                            in
-                            out.(i) <- eval (row_env schema current) e)
-                          sets;
-                        out)
-                  with Invalid_argument m -> error "%s" m
+                  E.update txn ~table ~key ~f:(fun current ->
+                      let out = Array.copy current in
+                      List.iter
+                        (fun (col, e) ->
+                          let i =
+                            try Schema.column_index schema col
+                            with Not_found -> error "unknown column %s" col
+                          in
+                          out.(i) <- eval (row_env schema current) e)
+                        sets;
+                      out)
                 in
                 if updated then n + 1 else n)
               0 targets
@@ -391,10 +350,7 @@ let exec t stmt =
         | Some Ast.Repeatable_read -> E.Repeatable_read
         | Some Ast.Read_committed -> E.Read_committed
       in
-      let txn =
-        try E.begin_txn ~isolation ~read_only ~deferrable t.engine
-        with Invalid_argument m -> error "%s" m
-      in
+      let txn = E.begin_txn ~isolation ~read_only ~deferrable t.engine in
       t.current <- Some { txn; failed = false };
       Message "BEGIN"
   | Commit -> (
@@ -406,12 +362,10 @@ let exec t stmt =
             E.abort st.txn;
             Message "ROLLBACK (transaction had failed)"
           end
-          else (
-            try
-              E.commit st.txn;
-              Message "COMMIT"
-            with E.Serialization_failure { reason; _ } ->
-              raise (Sql_error (serialization_message reason))))
+          else begin
+            E.commit st.txn;
+            Message "COMMIT"
+          end)
   | Rollback -> (
       match t.current with
       | None -> error "no transaction in progress"
@@ -426,41 +380,32 @@ let exec t stmt =
   | Rollback_to name -> (
       match t.current with
       | None -> error "no transaction in progress"
-      | Some st -> (
-          (* ROLLBACK TO also recovers a failed transaction state, as in
-             PostgreSQL. *)
-          try
-            E.rollback_to_savepoint st.txn name;
-            st.failed <- false;
-            Message "ROLLBACK TO SAVEPOINT"
-          with Invalid_argument m -> error "%s" m))
+      | Some st ->
+          (* An error rolled the whole transaction back, so no savepoint
+             can recover it. *)
+          if st.failed then aborted ();
+          E.rollback_to_savepoint st.txn name;
+          Message "ROLLBACK TO SAVEPOINT")
   | Release name ->
       with_session_txn t (fun txn ->
-          (try E.release_savepoint txn name with Invalid_argument m -> error "%s" m);
+          E.release_savepoint txn name;
           Message "RELEASE SAVEPOINT")
   | Prepare_transaction gid -> (
       match t.current with
       | None -> error "no transaction in progress"
       | Some st ->
           if st.failed then error "current transaction is aborted";
+          (* A failed PREPARE rolls the transaction back (in the engine),
+             so the session leaves the transaction block either way. *)
           t.current <- None;
-          (try
-             E.prepare st.txn ~gid;
-             Message "PREPARE TRANSACTION"
-           with
-          | E.Serialization_failure { reason; _ } ->
-              raise (Sql_error (serialization_message reason))
-          | Invalid_argument m -> error "%s" m))
-  | Commit_prepared gid -> (
-      try
-        E.commit_prepared t.engine ~gid;
-        Message "COMMIT PREPARED"
-      with Invalid_argument m -> error "%s" m)
-  | Rollback_prepared gid -> (
-      try
-        E.rollback_prepared t.engine ~gid;
-        Message "ROLLBACK PREPARED"
-      with Invalid_argument m -> error "%s" m)
+          E.prepare st.txn ~gid;
+          Message "PREPARE TRANSACTION")
+  | Commit_prepared gid ->
+      E.commit_prepared t.engine ~gid;
+      Message "COMMIT PREPARED"
+  | Rollback_prepared gid ->
+      E.rollback_prepared t.engine ~gid;
+      Message "ROLLBACK PREPARED"
   | Vacuum ->
       E.vacuum t.engine;
       Message "VACUUM"
@@ -499,6 +444,20 @@ let exec t stmt =
           rows =
             List.map (fun n -> [| Value.Str n |]) (List.sort compare (E.table_names t.engine));
         }
+
+(* The one handler for engine errors: like PostgreSQL, an error inside a
+   transaction block aborts the transaction, which then rejects every
+   statement until ROLLBACK.  (An autocommit statement's transaction was
+   already rolled back by [E.with_txn].) *)
+let exec t stmt =
+  try exec t stmt
+  with E.Error e ->
+    (match t.current with
+    | Some st ->
+        E.abort st.txn;
+        st.failed <- true
+    | None -> ());
+    raise (Sql_error (E.message e))
 
 let exec_sql t input = List.map (exec t) (Parser.parse_script input)
 

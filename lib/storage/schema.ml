@@ -1,3 +1,5 @@
+open Ssi_util.Db_error
+
 type t = { name : string; columns : string array; key_index : int }
 
 let make ~name ~cols ~key =
@@ -5,13 +7,14 @@ let make ~name ~cols ~key =
   let seen = Hashtbl.create (Array.length columns) in
   Array.iter
     (fun c ->
-      if Hashtbl.mem seen c then invalid_arg ("Schema.make: duplicate column " ^ c);
+      if Hashtbl.mem seen c then
+        raise (Error (Duplicate_object ("Schema.make: duplicate column " ^ c)));
       Hashtbl.add seen c ())
     columns;
   let key_index =
     let found = ref (-1) in
     Array.iteri (fun i c -> if c = key then found := i) columns;
-    if !found < 0 then invalid_arg ("Schema.make: unknown key column " ^ key);
+    if !found < 0 then raise (Error (Undefined_object ("Schema.make: unknown key column " ^ key)));
     !found
   in
   { name; columns; key_index }
@@ -31,9 +34,8 @@ let key_of_row t row = row.(t.key_index)
 
 let check_row t row =
   if Array.length row <> arity t then
-    invalid_arg
-      (Printf.sprintf "Schema.check_row: table %s expects %d columns, got %d" t.name
-         (arity t) (Array.length row))
+    Printf.ksprintf (fun m -> raise (Error (Invalid_request m)))
+      "Schema.check_row: table %s expects %d columns, got %d" t.name (arity t) (Array.length row)
 
 let pp ppf t =
   Format.fprintf ppf "%s(%s)" t.name (String.concat ", " (Array.to_list t.columns))

@@ -5,7 +5,8 @@ type t
 
 val make : name:string -> cols:string list -> key:string -> t
 (** [make ~name ~cols ~key] builds a schema.  [key] must be one of [cols].
-    Raises [Invalid_argument] on duplicate or unknown column names. *)
+    Raises [Db_error.Error] ([Duplicate_object] or [Undefined_object]) on
+    duplicate or unknown column names. *)
 
 val name : t -> string
 val columns : t -> string array
@@ -19,6 +20,7 @@ val key_of_row : t -> Value.t array -> Value.t
 (** Extract the primary-key value of a row. *)
 
 val check_row : t -> Value.t array -> unit
-(** Raises [Invalid_argument] when the row arity does not match. *)
+(** Raises [Db_error.Error (Invalid_request _)] when the row arity does not
+    match. *)
 
 val pp : Format.formatter -> t -> unit

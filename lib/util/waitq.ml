@@ -1,7 +1,5 @@
 type t = { wq_id : int; q : (unit -> unit) Queue.t }
 
-exception Would_block
-
 let next_id = ref 0
 
 let create () =
@@ -34,4 +32,5 @@ type scheduler = {
 }
 
 let direct =
-  { suspend = (fun _ -> raise Would_block); charge = (fun _ -> ()); now = (fun () -> 0.) }
+  let suspend _ = raise Db_error.(Error Lock_not_available) in
+  { suspend; charge = (fun _ -> ()); now = (fun () -> 0.) }

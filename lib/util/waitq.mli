@@ -6,14 +6,11 @@
     resume thunks; a {!scheduler} record supplies the suspend/charge
     operations.  [Ssi_sim] provides the real cooperative implementation;
     {!direct} is a degenerate one for single-threaded use, whose [suspend]
-    raises {!Would_block} because nobody could ever wake the caller. *)
+    raises [Db_error.Error Lock_not_available] because nobody could ever
+    wake the caller. *)
 
 type t
 (** A FIFO queue of suspended computations. *)
-
-exception Would_block
-(** Raised by the {!direct} scheduler when an operation would need to
-    suspend. *)
 
 val create : unit -> t
 
@@ -36,7 +33,7 @@ val wake_one : t -> bool
 type scheduler = {
   suspend : t -> unit;
       (** Suspend the calling computation until a wake on the queue.  May
-          raise {!Would_block}. *)
+          raise [Db_error.Error Lock_not_available]. *)
   charge : float -> unit;
       (** Account [s] seconds of work to the calling computation (virtual
           time under simulation; a no-op in direct mode). *)

@@ -213,7 +213,8 @@ let encode_record r =
 
 type rd = { buf : Bytes.t; mutable pos : int; limit : int }
 
-let need rd n = if rd.pos + n > rd.limit then raise Corrupt
+(* Written so that no length read from the log can overflow the test. *)
+let need rd n = if n > rd.limit - rd.pos then raise Corrupt
 
 let r_int rd =
   need rd 8;
@@ -347,7 +348,11 @@ let decode_record payload =
 
 (* ---- The device -------------------------------------------------------------- *)
 
-exception Lost
+(* The device died: the record can never become durable, so the caller
+   must not acknowledge it; its client retries against whatever recovers. *)
+let lost () =
+  raise
+    Ssi_util.Db_error.(Error (Transient_fault { op = "wal"; reason = "durable log lost in crash" }))
 
 type t = {
   mutable durable : Buffer.t;  (** bytes physically on the device *)
@@ -421,7 +426,7 @@ let frame payload =
   b
 
 let append t r =
-  if t.dead then raise Lost;
+  if t.dead then lost ();
   Buffer.add_buffer t.pending (frame (encode_record r));
   t.pending_count <- t.pending_count + 1;
   Obs.incr t.c_appends;
@@ -440,7 +445,7 @@ let wait_durable t (sched : Waitq.scheduler) lsn =
   while (not t.dead) && t.synced < lsn do
     sched.Waitq.suspend t.flush_wq
   done;
-  if t.synced < lsn then raise Lost
+  if t.synced < lsn then lost ()
 
 type damage = Torn_write of int | Short_write of int | Bit_flip of int
 
@@ -526,16 +531,13 @@ let save t path =
       Buffer.output_buffer oc t.durable)
 
 let load ?obs ?flush_interval path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      if len < String.length file_magic then invalid_arg "Wal.load: not a WAL file";
-      let magic = really_input_string ic (String.length file_magic) in
-      if magic <> file_magic then invalid_arg "Wal.load: not a WAL file";
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error m -> Error m
+  | image when not (String.starts_with ~prefix:file_magic image) ->
+      Error (path ^ ": not a WAL file")
+  | image ->
       let t = create ?obs ?flush_interval () in
-      let body = really_input_string ic (len - String.length file_magic) in
-      Buffer.add_string t.durable body;
+      let n = String.length file_magic in
+      Buffer.add_substring t.durable image n (String.length image - n);
       t.synced <- Buffer.length t.durable;
-      t)
+      Ok t

@@ -82,11 +82,6 @@ type record =
 
 type t
 
-exception Lost
-(** The device crashed: raised by {!append} on a dead device and by
-    {!wait_durable} when the awaited record was in the flush the crash
-    destroyed.  The caller must not acknowledge the commit. *)
-
 val create : ?obs:Ssi_obs.Obs.t -> ?flush_interval:float -> unit -> t
 (** [flush_interval] (default [0.]) is the group-commit batching window in
     virtual seconds; [0.] — or running outside a simulation — makes every
@@ -101,14 +96,16 @@ val flush_interval : t -> float
 
 val append : t -> record -> int
 (** Frame, checksum and stage a record; returns the lsn (end byte offset)
-    to pass to {!wait_durable}.  Raises {!Lost} if the device is dead. *)
+    to pass to {!wait_durable}.  On a dead device it fails with the
+    retryable [Db_error.Transient_fault] "durable log lost in crash", the
+    device's one error: the caller must not acknowledge the record. *)
 
 val flush : t -> unit
 (** Force the pending buffer to the durable region now (fsync). *)
 
 val wait_durable : t -> Ssi_util.Waitq.scheduler -> int -> unit
-(** Block until the durable region covers [lsn].  Raises {!Lost} if the
-    device dies first. *)
+(** Block until the durable region covers [lsn].  Fails as {!append} does
+    if the device dies first. *)
 
 (** Damage applied to the flush in flight at the crash.  Offsets/counts
     are interpreted against the pending buffer; the caller draws them from
@@ -120,8 +117,8 @@ type damage =
 
 val crash : ?damage:damage -> t -> unit
 (** Kill the device: pending bytes are lost (modulo [damage], which writes
-    a mangled prefix of them), waiters are woken to raise {!Lost}, and
-    further appends raise {!Lost} — the node is down until {!reopen}. *)
+    a mangled prefix of them), waiters are woken to fail, and further
+    appends fail — the node is down until {!reopen}. *)
 
 val is_dead : t -> bool
 
@@ -148,7 +145,7 @@ val save : t -> string -> unit
 (** Write the durable region to a file (pending bytes are not durable and
     are not written). *)
 
-val load : ?obs:Ssi_obs.Obs.t -> ?flush_interval:float -> string -> t
-(** Open a device over a saved log file.  Raises [Sys_error] /
-    [Invalid_argument] on unreadable files; a corrupt tail is fine — it is
+val load : ?obs:Ssi_obs.Obs.t -> ?flush_interval:float -> string -> (t, string) result
+(** Open a device over a saved log file.  [Error] names a file that cannot
+    be read or is not a WAL image; a corrupt tail is fine — it is
     {!read_all}'s truncation, not a load failure. *)

@@ -282,8 +282,7 @@ let run ~setup ~specs bench =
                   let finished = Sim.now () in
                   Obs.observe lat (finished -. started);
                   if finished >= measure_from && finished < t_end then incr committed
-              | exception (E.Serialization_failure _ | E.Transient_fault _) ->
-                  close "gave_up"
+              | exception E.Error e when E.retryable e -> close "gave_up"
             done)
       done;
       Sim.spawn (fun () ->

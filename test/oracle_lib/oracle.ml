@@ -108,7 +108,7 @@ let txn_body ~after_op rng cfg t =
          serialization-graph construction exact. *)
       if op (fun () -> E.delete t ~table ~key:(Value.Int k)) then begin
         (try op (fun () -> E.insert t ~table [| Value.Int k; Value.Int me |])
-         with E.Duplicate_key _ -> ());
+         with E.Error (E.Unique_violation _) -> ());
         writes := k :: !writes
       end
     end
@@ -125,7 +125,7 @@ let txn_body ~after_op rng cfg t =
         try
           op (fun () -> E.insert t ~table [| Value.Int k; Value.Int me |]);
           true
-        with E.Duplicate_key _ -> false
+        with E.Error (E.Unique_violation _) -> false
       in
       if wrote then writes := k :: !writes
     end
@@ -196,9 +196,7 @@ let run_history ?(after_op = ignore) ~isolation cfg =
                     incr order;
                     let reads, writes = !body in
                     log := { xid = !xid; reads; writes; order = !order } :: !log
-                  with
-                 | E.Serialization_failure _ -> ()
-                 | Ssi_util.Waitq.Would_block -> ());
+                  with E.Error (E.Serialization_failure _) -> ());
                  Sim.delay (Rng.float rng 0.0005)
                done)
          done));

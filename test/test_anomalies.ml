@@ -38,8 +38,8 @@ let run_write_skew isolation =
   let t2 = E.begin_txn ~isolation db in
   take_off_call t1 "alice";
   take_off_call t2 "bob";
-  let outcome1 = (try E.commit t1; `Committed with E.Serialization_failure _ -> `Failed) in
-  let outcome2 = (try E.commit t2; `Committed with E.Serialization_failure _ -> `Failed) in
+  let outcome1 = (try E.commit t1; `Committed with E.Error (E.Serialization_failure _) -> `Failed) in
+  let outcome2 = (try E.commit t2; `Committed with E.Error (E.Serialization_failure _) -> `Failed) in
   let remaining = E.with_txn db (fun t -> oncall_count t) in
   (outcome1, outcome2, remaining)
 
@@ -67,7 +67,7 @@ let test_write_skew_retry_succeeds () =
     try
       E.commit t;
       true
-    with E.Serialization_failure _ ->
+    with E.Error (E.Serialization_failure _) ->
       E.retry db (fun t -> take_off_call t name);
       true
   in
@@ -132,7 +132,7 @@ let run_batch_anomaly isolation =
             List.fold_left (fun acc row -> acc + Value.as_int row.(2)) 0 rows)
       in
       if total_after <> total_before then `Anomaly else `Serializable
-    with E.Serialization_failure _ -> `Prevented
+    with E.Error (E.Serialization_failure _) -> `Prevented
   in
   outcome
 

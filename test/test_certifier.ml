@@ -83,8 +83,8 @@ let test_write_skew kind name () =
   let t2 = E.begin_txn db in
   take_off_call t1 "alice";
   take_off_call t2 "bob";
-  let o1 = (try E.commit t1; `Committed with E.Serialization_failure _ -> `Failed) in
-  let o2 = (try E.commit t2; `Committed with E.Serialization_failure _ -> `Failed) in
+  let o1 = (try E.commit t1; `Committed with E.Error (E.Serialization_failure _) -> `Failed) in
+  let o2 = (try E.commit t2; `Committed with E.Error (E.Serialization_failure _) -> `Failed) in
   Alcotest.(check bool) (name ^ ": exactly one transaction fails") true
     ((o1 = `Committed) <> (o2 = `Committed));
   Alcotest.(check int)
@@ -97,7 +97,7 @@ let test_write_skew kind name () =
 let test_deferrable_rejected kind name () =
   let db = db_with kind in
   match E.begin_txn ~read_only:true ~deferrable:true db with
-  | exception Invalid_argument _ -> ()
+  | exception E.Error (E.Invalid_request _) -> ()
   | _ -> Alcotest.failf "%s: DEFERRABLE accepted without safe-snapshot support" name
 
 let test_kind_reported kind name () =

@@ -219,9 +219,7 @@ let run_plan cfg =
                     in
                     let order = Hashtbl.find cseq_of xid in
                     history := { Oracle.xid; reads; writes; order } :: !history
-                  with
-                 | E.Serialization_failure _ | E.Transient_fault _ -> ()
-                 | Ssi_util.Waitq.Would_block -> ());
+                  with E.Error e when E.retryable e -> ());
                  Sim.delay (Rng.float rng 0.0005)
                done;
                incr done_workers;

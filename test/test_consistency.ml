@@ -64,7 +64,7 @@ let prop_sequential_model isolation =
                         try
                           E.insert t ~table:"m" [| vi k; vi v |];
                           Hashtbl.replace staged k v
-                        with E.Duplicate_key _ -> assert (Hashtbl.mem staged k))
+                        with E.Error (E.Unique_violation _) -> assert (Hashtbl.mem staged k))
                     | MUp (k, v) ->
                         let updated =
                           E.update t ~table:"m" ~key:(vi k) ~f:(fun row -> [| row.(0); vi v |])
@@ -135,8 +135,8 @@ let test_replica_equivalence () =
                         else if p < 0.75 then ignore (E.delete t ~table:"kv" ~key:(vi k))
                         else
                           try E.insert t ~table:"kv" [| vi k; vi (Rng.int rng 1000) |]
-                          with E.Duplicate_key _ -> ())
-                  with E.Serialization_failure _ | Ssi_util.Waitq.Would_block -> ());
+                          with E.Error (E.Unique_violation _) -> ())
+                  with E.Error (E.Serialization_failure _) -> ());
                  Sim.delay 0.001
                done);
            Sim.spawn (fun () ->

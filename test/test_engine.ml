@@ -48,7 +48,7 @@ let test_duplicate_key () =
   E.with_txn db (fun t -> put t 1 "one");
   E.with_txn db (fun t ->
       Alcotest.check_raises "duplicate"
-        (E.Duplicate_key { table = "kv"; key = vi 1 })
+        (E.Error (E.Unique_violation { table = "kv"; key = "1" }))
         (fun () -> put t 1 "again"));
   (* Deleted keys can be reinserted. *)
   E.with_txn db (fun t -> ignore (E.delete t ~table:"kv" ~key:(vi 1)));
@@ -104,7 +104,7 @@ let test_first_updater_wins () =
   (try
      ignore (E.update t2 ~table:"kv" ~key:(vi 1) ~f:(fun row -> [| row.(0); vs "t2" |]));
      Alcotest.fail "expected serialization failure"
-   with E.Serialization_failure { reason; _ } ->
+   with E.Error (E.Serialization_failure { reason; _ }) ->
      Alcotest.(check string) "reason" "could not serialize access due to concurrent update"
        reason);
   E.abort t2
@@ -123,13 +123,13 @@ let test_read_committed_update_retries () =
   E.with_txn db (fun t -> Alcotest.(check (option string)) "final" (Some "t2") (get t 1))
 
 let test_write_write_block_direct_mode () =
-  (* Without a scheduler, a write-lock wait raises Would_block. *)
+  (* Without a scheduler, a write-lock wait fails with Lock_not_available. *)
   let db = fresh () in
   E.with_txn db (fun t -> put t 1 "base");
   let t1 = E.begin_txn db in
   let t2 = E.begin_txn db in
   ignore (E.update t1 ~table:"kv" ~key:(vi 1) ~f:(fun row -> [| row.(0); vs "t1" |]));
-  Alcotest.check_raises "would block" Ssi_util.Waitq.Would_block (fun () ->
+  Alcotest.check_raises "would block" (E.Error E.Lock_not_available) (fun () ->
       ignore (E.update t2 ~table:"kv" ~key:(vi 1) ~f:(fun row -> [| row.(0); vs "t2" |])));
   E.abort t2;
   E.commit t1
@@ -154,7 +154,7 @@ let test_write_waiter_resumes () =
              (try
                 ignore
                   (E.update t2 ~table:"kv" ~key:(vi 1) ~f:(fun row -> [| row.(0); vs "b" |]))
-              with E.Serialization_failure _ -> failure := true);
+              with E.Error (E.Serialization_failure _) -> failure := true);
              E.abort t2;
              Alcotest.(check bool) "waited until t1 committed" true (Sim.now () >= 1.0))));
   Alcotest.(check bool) "concurrent update detected after wait" true !failure
@@ -254,7 +254,7 @@ let test_recluster_promotes_locks () =
   (try
      E.commit t2;
      Alcotest.fail "expected the promoted lock to create the conflict"
-   with E.Serialization_failure _ -> ());
+   with E.Error (E.Serialization_failure _) -> ());
   E.commit t1
 
 let test_drop_index_transfers_to_relation () =
@@ -281,7 +281,7 @@ let test_drop_index_transfers_to_relation () =
   (try
      E.commit w;
      Alcotest.fail "expected relation-fallback conflict after index drop"
-   with E.Serialization_failure _ -> ());
+   with E.Error (E.Serialization_failure _) -> ());
   E.commit reader
 
 let test_non_predlock_index_falls_back () =
@@ -305,7 +305,7 @@ let test_non_predlock_index_falls_back () =
   (try
      E.commit writer;
      Alcotest.fail "expected whole-index lock conflict"
-   with E.Serialization_failure _ -> ());
+   with E.Error (E.Serialization_failure _) -> ());
   E.commit reader
 
 (* ---- Maintenance --------------------------------------------------------------------- *)
@@ -342,14 +342,14 @@ let test_retry_gives_up () =
   (try
      E.retry ~max_attempts:3 db (fun _ ->
          incr attempts;
-         raise (E.Serialization_failure { xid = 0; reason = "synthetic" }))
-   with E.Serialization_failure _ -> ());
+         raise (E.Error (E.Serialization_failure { xid = 0; reason = "synthetic" })))
+   with E.Error (E.Serialization_failure _) -> ());
   Alcotest.(check int) "three attempts" 3 !attempts
 
 let test_read_only_rejects_writes () =
   let db = fresh () in
   let t = E.begin_txn ~read_only:true db in
-  Alcotest.check_raises "read-only" E.Read_only_transaction (fun () -> put t 1 "x");
+  Alcotest.check_raises "read-only" (E.Error E.Read_only_transaction) (fun () -> put t 1 "x");
   E.abort t
 
 let test_finished_txn_rejected () =

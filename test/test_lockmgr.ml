@@ -6,6 +6,7 @@ module Lockmgr = Ssi_lockmgr.Lockmgr
 module Sim = Ssi_sim.Sim
 open Lockmgr
 
+let lock_not_available = Ssi_util.Db_error.(Error Lock_not_available)
 let rel = Relation "t"
 let tup k = Tuple ("t", Value.Int k)
 
@@ -50,7 +51,7 @@ let test_grant_and_reacquire () =
 let test_direct_conflict_raises () =
   let lm = create Ssi_util.Waitq.direct in
   acquire lm ~owner:1 (tup 1) X;
-  Alcotest.check_raises "would block" Ssi_util.Waitq.Would_block (fun () ->
+  Alcotest.check_raises "would block" lock_not_available (fun () ->
       acquire lm ~owner:2 (tup 1) S)
 
 let test_try_acquire () =
@@ -179,7 +180,7 @@ let prop_model =
                 | () ->
                     grant o i m;
                     expect
-                | exception Ssi_util.Waitq.Would_block -> not expect)
+                | exception Ssi_util.Db_error.Error Lock_not_available -> not expect)
             | Try (o, i, m) ->
                 let expect = grantable o i m in
                 let got = try_acquire lm ~owner:o targets.(i) m in

@@ -95,8 +95,8 @@ let test_write_skew_prevented_under_summarization () =
   Alcotest.(check int) "both see 20 zeros" 20 (min c1 c2);
   bump t1 1;
   bump t2 2;
-  let ok1 = (try E.commit t1; true with E.Serialization_failure _ -> false) in
-  let ok2 = (try E.commit t2; true with E.Serialization_failure _ -> false) in
+  let ok1 = (try E.commit t1; true with E.Error (E.Serialization_failure _) -> false) in
+  let ok2 = (try E.commit t2; true with E.Error (E.Serialization_failure _) -> false) in
   Alcotest.(check bool) "one of the two write-skew txns fails" true (ok1 <> ok2)
 
 let test_lock_promotion_bounds_memory () =
@@ -146,7 +146,7 @@ let test_promoted_locks_still_detect_conflicts () =
   bump t3 16;
   E.commit t3;
   (* Dangerous structure t1 -> t2 -> t3 (t3 first committer). *)
-  let ok2 = (try E.commit t2; true with E.Serialization_failure _ -> false) in
+  let ok2 = (try E.commit t2; true with E.Error (E.Serialization_failure _) -> false) in
   Alcotest.(check bool) "promoted lock produced the conflict" false ok2;
   E.commit t1
 

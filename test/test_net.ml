@@ -236,7 +236,7 @@ let test_fencing_after_failover () =
          (try
             E.with_txn db (fun t -> E.insert t ~table:"kv" [| vi 1000; vi 0 |]);
             Alcotest.fail "fenced primary accepted a commit"
-          with E.Transient_fault _ -> ());
+          with E.Error (E.Transient_fault _) -> ());
          catch_up np [ s2 ];
          Alcotest.(check bool) "r2 converged to the new primary" true
            (replica_rows c2 = primary_rows (Stream.engine np));

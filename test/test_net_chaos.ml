@@ -70,7 +70,7 @@ let txn_body rng off t =
         try
           E.insert t ~table [| vi k; vi me |];
           true
-        with E.Duplicate_key _ -> false
+        with E.Error (E.Unique_violation _) -> false
       in
       if wrote then writes := k :: !writes
     end
@@ -173,8 +173,8 @@ let run_scenario seed =
                     if off = 0 then old_log := entry :: !old_log
                     else new_log := entry :: !new_log
                   with
-                 | E.Serialization_failure _ -> ()
-                 | E.Transient_fault { reason; _ } ->
+                 | E.Error (E.Serialization_failure _) -> ()
+                 | E.Error (E.Transient_fault { reason; _ }) ->
                      if String.length reason >= 7 && String.sub reason 0 7 = "primary" then
                        incr fenced_refusals);
                  Sim.delay (Rng.float rng 0.003)

@@ -31,7 +31,7 @@ let writer_commit_fails db ~reader_action ~writer_action =
   let t3 = E.begin_txn db in
   bump t3 50;
   E.commit t3;
-  let failed = (try E.commit w; false with E.Serialization_failure _ -> true) in
+  let failed = (try E.commit w; false with E.Error (E.Serialization_failure _) -> true) in
   E.abort reader;
   failed
 
@@ -129,7 +129,7 @@ let test_gap_split_shadowed_successor () =
   let t3 = E.begin_txn db in
   bump t3 50;
   E.commit t3;
-  let failed = (try E.commit w; false with E.Serialization_failure _ -> true) in
+  let failed = (try E.commit w; false with E.Error (E.Serialization_failure _) -> true) in
   E.abort reader;
   E.abort interferer;
   Alcotest.(check bool) "phantom behind shadowing successor detected" true failed
@@ -152,7 +152,7 @@ let test_gap_merge_on_rollback () =
   let t3 = E.begin_txn db in
   bump t3 50;
   E.commit t3;
-  let failed = (try E.commit w; false with E.Serialization_failure _ -> true) in
+  let failed = (try E.commit w; false with E.Error (E.Serialization_failure _) -> true) in
   E.abort reader;
   Alcotest.(check bool) "phantom after gap merge detected" true failed
 

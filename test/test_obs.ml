@@ -342,7 +342,7 @@ let test_shrink_mid_run () =
                     history :=
                       { Oracle.xid; reads; writes; order = Hashtbl.find cseq_of xid }
                       :: !history
-                  with E.Serialization_failure _ -> ());
+                  with E.Error (E.Serialization_failure _) -> ());
                  Sim.delay (Rng.float rng 3e-4)
                done)
          done;

@@ -28,7 +28,7 @@ let write db k v =
       if not (E.update t ~table ~key:(vi k) ~f:(fun row -> [| row.(0); vi v |])) then
         E.insert t ~table [| vi k; vi v |])
 
-let is_transient = function E.Transient_fault _ -> true | _ -> false
+let is_transient = function E.Error (E.Transient_fault _) -> true | _ -> false
 
 (* ---- Satellite regressions ------------------------------------------------ *)
 
@@ -37,8 +37,8 @@ let test_latest_safe_empty () =
      not silently serve the empty horizon-0 snapshot. *)
   let core = R.create ~name:"fresh" () in
   Alcotest.check_raises "no safe snapshot yet"
-    (E.Transient_fault
-       { op = "begin_read"; reason = "replica fresh has no safe snapshot yet" })
+    (E.Error
+       (E.Transient_fault { op = "begin_read"; reason = "replica fresh has no safe snapshot yet" }))
     (fun () -> ignore (R.begin_read core `Latest_safe))
 
 let test_rtxn_invalidated_by_reset () =

@@ -107,7 +107,7 @@ let test_ro_snapshot_ordering_avoids_false_positive () =
 let test_deferrable_requires_ro_serializable () =
   let db = fresh () in
   Alcotest.check_raises "needs READ ONLY"
-    (Invalid_argument "Engine.begin_txn: DEFERRABLE requires READ ONLY SERIALIZABLE")
+    (E.Error (E.Invalid_request "Engine.begin_txn: DEFERRABLE requires READ ONLY SERIALIZABLE"))
     (fun () -> ignore (E.begin_txn ~deferrable:true db))
 
 let test_deferrable_waits_for_concurrents () =

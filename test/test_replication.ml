@@ -267,7 +267,7 @@ let test_wait_snapshot_deadline () =
              E.with_txn db (fun t -> E.insert t ~table:"kv" [| vi 1; vi 1 |]));
          Sim.spawn (fun () ->
              try ignore (R.wait_snapshot ~deadline:1.0 replica ~after:0)
-             with E.Transient_fault { op; _ } ->
+             with E.Error (E.Transient_fault { op; _ }) ->
                raised := true;
                Alcotest.(check string) "fault names the operation" "wait_snapshot" op;
                Alcotest.(check bool) "deadline elapsed first" true (Sim.now () >= 1.0));

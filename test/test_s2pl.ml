@@ -92,7 +92,7 @@ let test_deadlock_becomes_serialization_failure () =
                   bump t j;
                   E.commit t;
                   incr commits
-                with E.Serialization_failure _ ->
+                with E.Error (E.Serialization_failure _) ->
                   E.abort t;
                   incr failures))
          in

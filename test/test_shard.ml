@@ -134,7 +134,7 @@ let test_cross_shard_pivot_aborted () =
       ignore (Shard.commit r);
       (match Shard.commit p with
       | (_ : int) -> Alcotest.fail "cross-shard pivot must not commit"
-      | exception E.Serialization_failure _ -> ());
+      | exception E.Error (E.Serialization_failure _) -> ());
       Alcotest.(check int) "cross-shard abort counted" 1 (stat sys "shard.cross_aborts");
       Alcotest.(check int) "decision was abort" 1 (stat sys "shard.aborts");
       (match Shard.decided sys ~gid:(Printf.sprintf "g%d" (Shard.gxid p)) with

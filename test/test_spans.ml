@@ -116,7 +116,7 @@ let run_scenario seed =
                  (try
                     E.with_txn ~isolation:E.Serializable db (fun t -> txn_body rng t);
                     incr committed
-                  with E.Serialization_failure _ -> incr failures);
+                  with E.Error (E.Serialization_failure _) -> incr failures);
                  Sim.delay (Rng.float rng 0.002)
                done)
          done;

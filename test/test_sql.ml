@@ -260,6 +260,26 @@ let test_two_phase_commit_via_sql () =
   ignore (exec s2 "COMMIT PREPARED 'gid1'");
   Alcotest.(check (list int)) "visible after" [ 1000 ] (ints_of s2 "SELECT v FROM t WHERE k = 4")
 
+let test_failed_prepare_rolls_back () =
+  (* A PREPARE that fails (here on a duplicate gid) rolls its transaction
+     back, as in PostgreSQL: it must not keep the row it inserted locked. *)
+  let s = session () in
+  seed s;
+  ignore (exec s "BEGIN");
+  ignore (exec s "UPDATE t SET v = 0 WHERE k = 1");
+  ignore (exec s "PREPARE TRANSACTION 'g'");
+  ignore (exec s "BEGIN");
+  ignore (exec s "INSERT INTO t VALUES (9, 90)");
+  (match exec s "PREPARE TRANSACTION 'g'" with
+  | exception Sql.Sql_error m ->
+      Alcotest.(check string) "message" "Engine.prepare: duplicate gid g" m
+  | _ -> Alcotest.fail "a duplicate gid must be refused");
+  Alcotest.(check bool) "out of the transaction block" false (Sql.in_transaction s);
+  ignore (exec s "INSERT INTO t VALUES (9, 91)");
+  Alcotest.(check (list int)) "the retried insert committed" [ 91 ]
+    (ints_of s "SELECT v FROM t WHERE k = 9");
+  ignore (exec s "ROLLBACK PREPARED 'g'")
+
 let test_show_locks_and_conflicts () =
   let db = E.create () in
   let s1 = Sql.create db and s2 = Sql.create db in
@@ -332,6 +352,7 @@ let () =
           Alcotest.test_case "failed transaction state" `Quick test_failed_transaction_state;
           Alcotest.test_case "savepoints" `Quick test_savepoints_via_sql;
           Alcotest.test_case "two-phase commit" `Quick test_two_phase_commit_via_sql;
+          Alcotest.test_case "failed prepare rolls back" `Quick test_failed_prepare_rolls_back;
           Alcotest.test_case "read only + render" `Quick test_read_only_and_render;
           Alcotest.test_case "show locks/conflicts" `Quick test_show_locks_and_conflicts;
         ] );

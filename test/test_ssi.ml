@@ -55,7 +55,7 @@ let read_then_write env (_, reader) (_, writer) key =
 let expect_failure name f =
   match f () with
   | () -> Alcotest.failf "%s: expected Serialization_failure" name
-  | exception Certifier.Serialization_failure _ -> ()
+  | exception Ssi_util.Db_error.(Error (Serialization_failure _)) -> ()
 
 (* ---- Basic dangerous structures --------------------------------------------- *)
 

@@ -59,14 +59,16 @@ let test_schema_basics () =
        (Schema.key_of_row s [| Value.Null; Value.Int 7; Value.Null |]))
 
 let test_schema_errors () =
+  let open Ssi_util.Db_error in
   Alcotest.check_raises "duplicate column"
-    (Invalid_argument "Schema.make: duplicate column a") (fun () ->
+    (Error (Duplicate_object "Schema.make: duplicate column a")) (fun () ->
       ignore (Schema.make ~name:"t" ~cols:[ "a"; "a" ] ~key:"a"));
-  Alcotest.check_raises "unknown key" (Invalid_argument "Schema.make: unknown key column z")
+  Alcotest.check_raises "unknown key"
+    (Error (Undefined_object "Schema.make: unknown key column z"))
     (fun () -> ignore (Schema.make ~name:"t" ~cols:[ "a" ] ~key:"z"));
   let s = Schema.make ~name:"t" ~cols:[ "a" ] ~key:"a" in
   Alcotest.check_raises "arity mismatch"
-    (Invalid_argument "Schema.check_row: table t expects 1 columns, got 2") (fun () ->
+    (Error (Invalid_request "Schema.check_row: table t expects 1 columns, got 2")) (fun () ->
       Schema.check_row s [| Value.Null; Value.Null |])
 
 (* ---- Heap ------------------------------------------------------------------ *)

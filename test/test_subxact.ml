@@ -102,7 +102,8 @@ let test_nested_savepoints () =
       E.rollback_to_savepoint t "outer" (* destroys "inner" *);
       Alcotest.(check int) "inner write undone" 0 (value t 2);
       Alcotest.(check int) "outer write undone" 0 (value t 1);
-      Alcotest.check_raises "inner destroyed" (Invalid_argument "Engine: no such savepoint inner")
+      Alcotest.check_raises "inner destroyed"
+        (E.Error (E.Undefined_object "Engine: no such savepoint inner"))
         (fun () -> E.rollback_to_savepoint t "inner"))
 
 let test_release_savepoint () =
@@ -112,7 +113,8 @@ let test_release_savepoint () =
       bump t 1;
       E.release_savepoint t "sp";
       Alcotest.(check int) "write kept" 1 (value t 1);
-      Alcotest.check_raises "released" (Invalid_argument "Engine: no such savepoint sp")
+      Alcotest.check_raises "released"
+        (E.Error (E.Undefined_object "Engine: no such savepoint sp"))
         (fun () -> E.rollback_to_savepoint t "sp"));
   E.with_txn db (fun t -> Alcotest.(check int) "committed" 1 (value t 1))
 
@@ -136,7 +138,7 @@ let test_siread_survives_subxact_rollback () =
   (try
      E.commit w;
      Alcotest.fail "SIREAD from rolled-back subtransaction was lost"
-   with E.Serialization_failure _ -> ());
+   with E.Error (E.Serialization_failure _) -> ());
   E.commit t1
 
 let test_own_write_lock_opt_disabled_in_subxact () =
@@ -160,7 +162,7 @@ let test_own_write_lock_opt_disabled_in_subxact () =
   (try
      E.commit w;
      Alcotest.fail "SIREAD lock dropped inside subtransaction"
-   with E.Serialization_failure _ -> ());
+   with E.Error (E.Serialization_failure _) -> ());
   E.commit t1
 
 let test_own_write_lock_opt_enabled_at_top_level () =
@@ -185,7 +187,8 @@ let test_own_write_lock_opt_enabled_at_top_level () =
 let test_unknown_savepoint () =
   let db = fresh () in
   E.with_txn db (fun t ->
-      Alcotest.check_raises "unknown" (Invalid_argument "Engine: no such savepoint nope")
+      Alcotest.check_raises "unknown"
+        (E.Error (E.Undefined_object "Engine: no such savepoint nope"))
         (fun () -> E.rollback_to_savepoint t "nope"))
 
 let () =

@@ -127,7 +127,7 @@ let test_prepare_runs_serialization_check () =
   (try
      E.prepare t2 ~gid:"g1";
      Alcotest.fail "expected prepare to fail"
-   with E.Serialization_failure _ -> ());
+   with E.Error (E.Serialization_failure _) -> ());
   Alcotest.(check bool) "rolled back by the failed prepare" true (E.is_finished t2);
   E.commit t1
 
@@ -147,7 +147,7 @@ let test_prepared_pivot_aborts_active_instead () =
      ignore (E.read ta ~table:"kv" ~key:(vi 2)) (* ta reads around tp's write *);
      E.commit ta;
      Alcotest.fail "expected the active transaction to fail"
-   with E.Serialization_failure _ -> E.abort ta);
+   with E.Error (E.Serialization_failure _) -> E.abort ta);
   (* ...and safe retry is lost: an immediate retry hits the same conflict
      while tp is still prepared. *)
   let ta2 = E.begin_txn db in
@@ -155,7 +155,7 @@ let test_prepared_pivot_aborts_active_instead () =
      ignore (E.read ta2 ~table:"kv" ~key:(vi 2));
      E.commit ta2;
      Alcotest.fail "retry should fail too while the pivot is prepared"
-   with E.Serialization_failure _ -> E.abort ta2);
+   with E.Error (E.Serialization_failure _) -> E.abort ta2);
   (* Once the prepared transaction commits, the retry succeeds. *)
   E.commit_prepared db ~gid:"g1";
   E.with_txn db (fun t -> ignore (E.read t ~table:"kv" ~key:(vi 2)))
@@ -191,7 +191,7 @@ let test_simulate_connection_lossy_conservative_flags () =
   (try
      E.commit w;
      Alcotest.fail "expected conservative failure"
-   with E.Serialization_failure _ -> ());
+   with E.Error (E.Serialization_failure _) -> ());
   (* Unrelated transactions are not affected. *)
   E.with_txn db (fun t -> bump t 4);
   E.rollback_prepared db ~gid:"g1"
@@ -241,7 +241,7 @@ let test_recovered_prepared_never_victim () =
      ignore (E.read ta ~table:"kv" ~key:(vi 2));
      E.commit ta;
      Alcotest.fail "expected the active transaction to be the victim"
-   with E.Serialization_failure _ -> E.abort ta);
+   with E.Error (E.Serialization_failure _) -> E.abort ta);
   Alcotest.(check (list string)) "prepared transaction untouched" [ "g1" ]
     (E.prepared_gids db);
   E.commit_prepared db ~gid:"g1";
@@ -253,7 +253,7 @@ let test_write_lock_held_through_prepare () =
   bump tp 1;
   E.prepare tp ~gid:"g1";
   let w = E.begin_txn db in
-  Alcotest.check_raises "tuple still write-locked" Ssi_util.Waitq.Would_block (fun () ->
+  Alcotest.check_raises "tuple still write-locked" (E.Error E.Lock_not_available) (fun () ->
       bump w 1);
   E.abort w;
   E.commit_prepared db ~gid:"g1"
@@ -265,7 +265,8 @@ let test_duplicate_gid_rejected () =
   E.prepare t1 ~gid:"g";
   let t2 = E.begin_txn db in
   bump t2 2;
-  Alcotest.check_raises "duplicate gid" (Invalid_argument "Engine.prepare: duplicate gid g")
+  Alcotest.check_raises "duplicate gid"
+    (E.Error (E.Duplicate_object "Engine.prepare: duplicate gid g"))
     (fun () -> E.prepare t2 ~gid:"g");
   E.abort t2;
   E.rollback_prepared db ~gid:"g"

@@ -199,7 +199,7 @@ let test_waitq_reentrant_wake () =
   Alcotest.(check int) "woken exactly once" 1 !count
 
 let test_direct_scheduler () =
-  Alcotest.check_raises "direct suspend raises" Waitq.Would_block (fun () ->
+  Alcotest.check_raises "direct suspend raises" Db_error.(Error Lock_not_available) (fun () ->
       Waitq.direct.Waitq.suspend (Waitq.create ()));
   Waitq.direct.Waitq.charge 1.0;
   Alcotest.(check (float 0.)) "direct now" 0. (Waitq.direct.Waitq.now ())

@@ -86,10 +86,126 @@ let test_save_load () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Wal.save w path;
-      let w2 = Wal.load path in
-      Alcotest.(check bool) "records survive save/load" true (fst (Wal.read_all w2) = sample_records))
+      let records, _ = Wal.read_all (Result.get_ok (Wal.load path)) in
+      Alcotest.(check bool) "records survive save/load" true (records = sample_records))
+
+let test_load_rejects_non_wal () =
+  let path = Filename.temp_file "ssi_wal" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc "SSI");
+      Alcotest.(check bool) "too short" true (Result.is_error (Wal.load path));
+      Out_channel.with_open_bin path (fun oc -> output_string oc "not a write-ahead log");
+      Alcotest.(check bool) "wrong magic" true (Result.is_error (Wal.load path)))
+
+(* ---- Decoding arbitrary frames -------------------------------------------- *)
+
+(* The log's CRC-32 (IEEE, reflected), so a test can frame any payload the
+   way [Wal.append] frames a record: length, CRC, payload. *)
+let crc32 s =
+  let c = ref 0xffffffff in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xffffffff
+
+let le64 n =
+  let b = Buffer.create 8 in
+  Buffer.add_int64_le b (Int64.of_int n);
+  Buffer.contents b
+
+let frame payload = le64 (String.length payload) ^ le64 (crc32 payload) ^ payload
+
+(* A device whose durable region is exactly [bytes], through a saved image. *)
+let device_of bytes =
+  let path = Filename.temp_file "ssi_wal" ".wal" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc ("SSIWAL01" ^ bytes));
+      Result.get_ok (Wal.load path))
+
+(* The frame [Wal.append] writes for each sample record. *)
+let sample_frames =
+  List.map
+    (fun r ->
+      let w = Wal.create () in
+      ignore (Wal.append w r);
+      let path = Filename.temp_file "ssi_wal" ".wal" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Wal.save w path;
+          let image = In_channel.with_open_bin path In_channel.input_all in
+          String.sub image 8 (String.length image - 8)))
+    sample_records
+
+(* A CRC-valid Schema record whose table name claims [max_int] bytes: the
+   decoder's bounds check must not overflow into reading it. *)
+let test_huge_string_length () =
+  let payload = "\001" ^ le64 max_int ^ "x" in
+  let first = List.hd sample_frames in
+  let records, truncated = Wal.read_all (device_of (first ^ frame payload)) in
+  Alcotest.(check bool) "valid prefix kept" true (records = [ List.hd sample_records ]);
+  Alcotest.(check int) "crafted frame truncated" (16 + String.length payload) truncated
+
+type frame_spec = Real of int | Junk of string
+
+(* Junk payloads lean towards a record tag followed by an extreme length,
+   the shape that reaches the decoder's bounds checks. *)
+let junk_gen =
+  QCheck.Gen.(
+    let extreme = oneofl [ 0; 1; 7; 255; 1 lsl 31; max_int; min_int; -1 ] in
+    frequency
+      [
+        (1, string_size ~gen:char (int_range 0 40));
+        ( 3,
+          map3
+            (fun tag n tail -> String.make 1 (Char.chr tag) ^ le64 n ^ tail)
+            (int_range 0 8) extreme (string_size ~gen:char (int_range 0 24)) );
+      ])
+
+let frames_arb =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 0 8)
+        (frequency
+           [
+             (2, map (fun i -> Real i) (int_bound (List.length sample_records - 1)));
+             (3, map (fun s -> Junk s) junk_gen);
+           ]))
+  in
+  let print = function
+    | Real i -> Printf.sprintf "Real %d" i
+    | Junk s -> Printf.sprintf "Junk %S" s
+  in
+  QCheck.make ~print:QCheck.Print.(list print) gen
+
+let prop_frames_decode_to_prefix =
+  QCheck.Test.make ~name:"framed payloads decode to a valid prefix, never raise" ~count:300
+    frames_arb (fun specs ->
+      let bytes =
+        List.map (function Real i -> List.nth sample_frames i | Junk s -> frame s) specs
+      in
+      let records, truncated = Wal.read_all (device_of (String.concat "" bytes)) in
+      let k = List.length records in
+      let rest = List.filteri (fun i _ -> i >= k) bytes in
+      k <= List.length specs
+      && truncated = List.fold_left (fun n b -> n + String.length b) 0 rest
+      && List.for_all2
+           (fun spec r -> match spec with Real i -> r = List.nth sample_records i | Junk _ -> true)
+           (List.filteri (fun i _ -> i < k) specs)
+           records)
 
 (* ---- Crash and damage ---------------------------------------------------- *)
+
+let wal_lost =
+  E.Error (E.Transient_fault { op = "wal"; reason = "durable log lost in crash" })
 
 (* Direct mode flushes on every append, so stage records with a sim running
    and a huge flush interval to keep them pending. *)
@@ -106,7 +222,7 @@ let test_crash_loses_pending () =
       Wal.crash w;
       Alcotest.(check bool) "dead" true (Wal.is_dead w);
       Alcotest.(check (pair (list reject) int)) "empty log" ([], 0) (Wal.read_all w);
-      Alcotest.check_raises "append on dead device" Wal.Lost (fun () ->
+      Alcotest.check_raises "append on dead device" wal_lost (fun () ->
           ignore (Wal.append w (Wal.Epoch 1))))
 
 let test_torn_write_truncates () =
@@ -209,7 +325,7 @@ let test_unflushed_commit_not_acked () =
          Sim.spawn (fun () ->
              match Wal.wait_durable w Sim.scheduler lsn with
              | () -> incr acked
-             | exception Wal.Lost -> incr lost);
+             | exception e when e = wal_lost -> incr lost);
          Sim.at ~after:1e-4 (fun () -> Wal.crash ~damage:(Wal.Bit_flip 9) w)));
   Alcotest.(check (pair int int)) "woken with Lost" (0, 1) (!acked, !lost)
 
@@ -319,7 +435,7 @@ let test_recover_mid_2pc () =
         let out = ref [] in
         ignore
           (Sim.run (fun () ->
-               let w = Wal.load path in
+               let w = Result.get_ok (Wal.load path) in
                let db, report = E.recover ~scheduler:Sim.scheduler ~config w in
                Alcotest.(check int) "one prepared restored" 1 report.E.rr_prepared;
                Alcotest.(check (list string)) "in doubt" [ "doubt" ] (E.prepared_gids db);
@@ -416,6 +532,9 @@ let () =
         [
           Alcotest.test_case "record roundtrip" `Quick test_roundtrip;
           Alcotest.test_case "save/load" `Quick test_save_load;
+          Alcotest.test_case "load rejects a non-WAL file" `Quick test_load_rejects_non_wal;
+          Alcotest.test_case "string length near max_int" `Quick test_huge_string_length;
+          QCheck_alcotest.to_alcotest prop_frames_decode_to_prefix;
         ] );
       ( "crash",
         [
