@@ -295,28 +295,35 @@ let run_sql script_file =
         | Ssi_sql.Parser.Parse_error m -> Printf.printf "syntax error: %s\n%!" m
         | Ssi_sql.Lexer.Lex_error m -> Printf.printf "syntax error: %s\n%!" m)
   in
-  (match script_file with
-  | Some path ->
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let contents = really_input_string ic n in
-      close_in ic;
-      exec_line contents
-  | None ->
-      print_endline "pg_ssi SQL shell (SERIALIZABLE by default). End statements with ';'.";
-      let buf = Buffer.create 256 in
-      (try
-         while true do
-           print_string (if Buffer.length buf = 0 then "pg_ssi=# " else "pg_ssi-# ");
-           let line = read_line () in
-           Buffer.add_string buf line;
-           Buffer.add_char buf '\n';
-           if String.contains line ';' then begin
-             exec_line (Buffer.contents buf);
-             Buffer.clear buf
-           end
-         done
-       with End_of_file -> ()));
+  (* A script file and stdin run through one loop: lines accumulate until
+     one holds a ';', and the accumulated text runs as one statement batch,
+     so a failing statement ends only its own batch.  Text left without a
+     ';' at the end of input runs too. *)
+  let buf = Buffer.create 256 in
+  let ic, prompt =
+    match script_file with
+    | Some path -> (open_in path, ignore)
+    | None ->
+        print_endline "pg_ssi SQL shell (SERIALIZABLE by default). End statements with ';'.";
+        ( stdin,
+          fun () ->
+            print_string (if Buffer.length buf = 0 then "pg_ssi=# " else "pg_ssi-# ");
+            flush stdout )
+  in
+  (try
+     while true do
+       prompt ();
+       let line = input_line ic in
+       Buffer.add_string buf line;
+       Buffer.add_char buf '\n';
+       if String.contains line ';' then begin
+         exec_line (Buffer.contents buf);
+         Buffer.clear buf
+       end
+     done
+   with End_of_file -> ());
+  exec_line (Buffer.contents buf);
+  if script_file <> None then close_in ic;
   0
 
 (* ---- cmdliner wiring --------------------------------------------------------- *)

@@ -180,6 +180,12 @@ end
 type t = {
   table : entry Tag_table.t;
   owners : (xid, owner_state) Hashtbl.t;
+  (* Released owner states, emptied, for [owner_state] to hand out again:
+     [pool.(0) .. pool.(npool - 1)].  States are made only when the pool is
+     empty, so it never holds more than the most owners ever live at
+     once. *)
+  mutable pool : owner_state array;
+  mutable npool : int;
   (* Interned relation and index names: [ids] maps a name to its id,
      [names.(id)] maps back.  A name is never un-interned; there is one per
      relation or index name ever passed in. *)
@@ -211,6 +217,8 @@ let create ?(config = default_config) ?(obs = Obs.create ()) () =
   {
     table = Tag_table.create 1024;
     owners = Hashtbl.create 64;
+    pool = [||];
+    npool = 0;
     ids = Hashtbl.create 16;
     names = [||];
     last_name = "";
@@ -285,19 +293,46 @@ let owner_state t owner =
   | s -> s
   | exception Not_found ->
       let s =
-        {
-          held = Tag_table.create 16;
-          tuples_by_page = Tag_table.create 8;
-          pages_by_rel = Int_table.create 4;
-          pages_by_index = Int_table.create 4;
-          covered_rels = Int_table.create 4;
-          covered_idx = Int_table.create 4;
-          memo_rel = -1;
-          memo_page = 0;
-        }
+        if t.npool > 0 then begin
+          t.npool <- t.npool - 1;
+          t.pool.(t.npool)
+        end
+        else
+          {
+            held = Tag_table.create 16;
+            tuples_by_page = Tag_table.create 8;
+            pages_by_rel = Int_table.create 4;
+            pages_by_index = Int_table.create 4;
+            covered_rels = Int_table.create 4;
+            covered_idx = Int_table.create 4;
+            memo_rel = -1;
+            memo_page = 0;
+          }
       in
       Hashtbl.add t.owners owner s;
       s
+
+(* Detach [owner]'s state and return it to the pool, emptied.  [reset],
+   not [clear]: a table that grew gets back its initial bucket array, so a
+   reused state costs no more than a fresh one, and it hashes and iterates
+   exactly as a fresh one would. *)
+let retire_owner t owner state =
+  Hashtbl.remove t.owners owner;
+  Tag_table.reset state.held;
+  Tag_table.reset state.tuples_by_page;
+  Int_table.reset state.pages_by_rel;
+  Int_table.reset state.pages_by_index;
+  Int_table.reset state.covered_rels;
+  Int_table.reset state.covered_idx;
+  state.memo_rel <- -1;
+  state.memo_page <- 0;
+  if t.npool = Array.length t.pool then begin
+    let pool = Array.make (max 8 (2 * t.npool)) state in
+    Array.blit t.pool 0 pool 0 t.npool;
+    t.pool <- pool
+  end;
+  t.pool.(t.npool) <- state;
+  t.npool <- t.npool + 1
 
 let holds t ~owner target =
   match Hashtbl.find_opt t.owners owner with
@@ -458,17 +493,20 @@ let lock_tuple t ~owner ~rel ~key ~page =
   let state = owner_state t owner and r = intern t rel in
   if not (tuple_covered state r page) then lock_tuple_slow t owner state r key page
 
-let lock_tuples_page t ~owner ~rel ~page ~keys =
+let lock_tuples_slice t ~owner ~rel ~page keys ~pos ~len =
   let state = owner_state t owner and r = intern t rel in
   if not (tuple_covered state r page) then
-    List.iter
-      (fun key ->
-        (* Re-check before each key: acquiring one may promote the owner to
-           page or relation coverage, after which the remaining keys are
-           no-ops — exactly as sequential [lock_tuple] calls behave.  The
-           re-check hits the cache/memo, never the [held] table. *)
-        if not (cached_cover state r page) then lock_tuple_slow t owner state r key page)
-      keys
+    for i = pos to pos + len - 1 do
+      (* Re-check before each key: acquiring one may promote the owner to
+         page or relation coverage, after which the remaining keys are
+         no-ops — exactly as sequential [lock_tuple] calls behave.  The
+         re-check hits the cache/memo, never the [held] table. *)
+      if not (cached_cover state r page) then lock_tuple_slow t owner state r keys.(i) page
+    done
+
+let lock_tuples_page t ~owner ~rel ~page ~keys =
+  let keys = Array.of_list keys in
+  lock_tuples_slice t ~owner ~rel ~page keys ~pos:0 ~len:(Array.length keys)
 
 (* Drop every fine-grained lock the owner holds on index [i] and take a
    whole-index lock instead. *)
@@ -598,7 +636,7 @@ let release_owner t owner =
               e.holders <- List.filter (fun o -> o <> owner) e.holders;
               maybe_drop_entry t tag e)
         state.held;
-      Hashtbl.remove t.owners owner
+      retire_owner t owner state
 
 let summarize_owner t owner ~cseq =
   match Hashtbl.find_opt t.owners owner with
@@ -612,7 +650,7 @@ let summarize_owner t owner ~cseq =
               e.holders <- List.filter (fun o -> o <> owner) e.holders;
               set_old_committed t tag e cseq)
         state.held;
-      Hashtbl.remove t.owners owner
+      retire_owner t owner state
 
 let cleanup_old_committed t ~before =
   (* Pop the heap's stale prefix; each item is revalidated against the

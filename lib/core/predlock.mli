@@ -77,13 +77,19 @@ val create : ?config:config -> ?obs:Ssi_obs.Obs.t -> unit -> t
 
 val lock_tuple : t -> owner:xid -> rel:string -> key:Value.t -> page:int -> unit
 
+val lock_tuples_slice :
+  t -> owner:xid -> rel:string -> page:int -> Value.t array -> pos:int -> len:int -> unit
+(** Acquire tuple locks for a page's worth of keys from one scan, the
+    slice [keys.(pos) .. keys.(pos + len - 1)]: behaviorally identical to
+    calling {!lock_tuple} on each key in order, but the owner's
+    coarse-coverage check runs once for the whole batch — an owner already
+    holding a relation- or page-level lock pays nothing per tuple.  Reads
+    the slice only during the call and allocates nothing beyond the locks
+    it takes. *)
+
 val lock_tuples_page :
   t -> owner:xid -> rel:string -> page:int -> keys:Value.t list -> unit
-(** Acquire tuple locks for a page's worth of keys from one scan:
-    behaviorally identical to calling {!lock_tuple} on each key in order,
-    but the owner's coarse-coverage check runs once for the whole batch —
-    an owner already holding a relation- or page-level lock pays nothing
-    per tuple. *)
+(** {!lock_tuples_slice} over a list of keys. *)
 
 val lock_page : t -> owner:xid -> rel:string -> page:int -> unit
 val lock_relation : t -> owner:xid -> rel:string -> unit
@@ -121,11 +127,14 @@ val readers_for_index_insert_nextkey :
 (** {1 Lifecycle} *)
 
 val release_owner : t -> xid -> unit
-(** Drop every lock of [owner] (abort, safe-snapshot detach, or cleanup). *)
+(** Drop every lock of [owner] (abort, safe-snapshot detach, or cleanup).
+    The owner's bookkeeping tables are emptied and kept for the next owner
+    to take its first lock, so a transaction allocates none of its own. *)
 
 val summarize_owner : t -> xid -> cseq:cseq -> unit
 (** Transfer [owner]'s locks to the dummy owner, recording [cseq] (the
-    owner's commit sequence number) on each. *)
+    owner's commit sequence number) on each.  The owner's bookkeeping is
+    recycled as by {!release_owner}. *)
 
 val cleanup_old_committed : t -> before:cseq -> unit
 (** Drop dummy-owner locks whose recorded cseq precedes [before]. *)

@@ -136,6 +136,7 @@ type t = {
   mutable commit_wait : (commit_record -> unit) option;
   mutable fault_injector : (op:string -> unit) option;
   mutable wal_device : Wal.t option;  (** the durable log, when attached *)
+  scan : Scan_buffer.t;  (** reused by every index scan that cannot suspend *)
 }
 
 and txn = {
@@ -184,6 +185,7 @@ let create ?(scheduler = Waitq.direct) ?(config = default_config) ?obs () =
     idx_by_name = Hashtbl.create 16;
     active = Hashtbl.create 64;
     prepared_by_gid = Hashtbl.create 8;
+    scan = Scan_buffer.create ();
     sched = scheduler;
     cfg = config;
     obs;
@@ -499,11 +501,19 @@ let tracking txn =
 
 let is_tracked txn = match tracking txn with Sx _ -> true | No_sx -> false
 
+(* Misuse of a handle: operating on a finished or prepared transaction.  A
+   crashed one is finished too, but fails with [ensure_running]'s retryable
+   error instead. *)
+let ensure_usable txn =
+  if not txn.crashed then begin
+    if txn.finished then invalid_arg "Engine: transaction already finished";
+    if txn.prepared_gid <> None then invalid_arg "Engine: transaction is prepared"
+  end
+
 let ensure_running txn =
   if txn.crashed then
     fail (Transient_fault { op = "txn"; reason = "connection lost: server crashed" });
-  if txn.finished then invalid_arg "Engine: transaction already finished";
-  if txn.prepared_gid <> None then invalid_arg "Engine: transaction is prepared";
+  ensure_usable txn;
   match txn.sxact with Sx ((module C), _, node) -> C.check_doomed node | No_sx -> ()
 
 (* Per-statement snapshots: READ COMMITTED semantics, and the way the 2PL
@@ -639,8 +649,8 @@ let in_progress db x = match Clog.status db.clog x with Clog.In_progress -> true
    in-progress writers (creator or deleter) awaited first. *)
 let rec live_head txn tbl key =
   match Heap.head tbl.heap key with
-  | None -> None
-  | Some head ->
+  | head when Heap.is_absent head -> None
+  | head ->
       let rec newest (v : Heap.tuple) =
         match Clog.status txn.db.clog v.xmin with
         | Clog.Aborted -> ( match v.prev with None -> None | Some older -> newest older)
@@ -671,8 +681,8 @@ let skipped_by txn w =
   | No_sx -> ()
 
 (* The version of a row that [txn]'s snapshot sees, from the chain head as
-   [Heap.head] returns it; [skipped] hears every writer skipped on the
-   way. *)
+   [Heap.head] returns it, or [Heap.absent]; [skipped] hears every writer
+   skipped on the way. *)
 let visible txn ~skipped head = Visibility.find_visible txn.db.clog txn.snapshot ~skipped head
 
 (* Record that [txn] read version [v]: an rw-conflict out to its
@@ -745,8 +755,8 @@ let fetch txn tbl key ~for_write =
   end
   else if is_tracked txn then ssi_lock_index_gaps txn tbl.pk_index ~lo:key ~hi:key ~probe:key;
   match visible txn ~skipped:(skipped_by txn) (Heap.head tbl.heap key) with
-  | None -> None
-  | Some v ->
+  | v when Heap.is_absent v -> None
+  | v ->
       if note_read txn v then
         Predlock.lock_tuple db.predlocks ~owner:txn.txn_xid ~rel ~key
           ~page:(Heap.page_of_tid v.tid);
@@ -778,6 +788,92 @@ let index_of db name =
   | Some i -> i
   | None -> fail (Undefined_object ("Engine: unknown index " ^ name))
 
+(* The version of [pk] that index entry [ikey] of [idx] leads [txn] to,
+   from the chain head [head]: [Heap.absent] when no version is visible,
+   or when the visible one no longer carries [ikey] (the entries of old
+   versions stay in the index). *)
+let index_visible txn idx ~skipped ikey head =
+  let v = visible txn ~skipped head in
+  if Heap.is_absent v || Value.equal v.row.(idx.col) ikey then v else Heap.absent
+
+(* Under 2PL every lock acquisition can suspend, so the scan materialises
+   the entries its rescan validated instead of walking the live tree, and
+   collects its rows in a list of its own rather than the engine's shared
+   buffer. *)
+let index_scan_2pl txn tbl idx ~lo ~hi =
+  let db = txn.db and rel = Heap.rel_name tbl.heap in
+  Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Relation rel) Lockmgr.IS;
+  let entries, pages =
+    lock_index_probe txn idx ~probe:(fun ~pages -> Btree.range idx.tree ~lo ~hi ~pages)
+  in
+  refresh_stmt_snapshot txn;
+  let tuples = ref 0 and skipped = skipped_by txn in
+  let rows =
+    List.fold_left
+      (fun rows (ikey, pk) ->
+        (* The tuple lock precedes the visibility check: acquiring it can
+           block, and the row must then be read as of the post-wait
+           state. *)
+        Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Tuple (rel, pk)) Lockmgr.S;
+        refresh_stmt_snapshot txn;
+        let head = Heap.head tbl.heap pk in
+        if Heap.is_absent head then rows
+        else begin
+          incr tuples;
+          let v = index_visible txn idx ~skipped ikey head in
+          if Heap.is_absent v then rows else Array.copy v.row :: rows
+        end)
+      [] entries
+  in
+  let npages = List.length pages in
+  finish_op db ~tuples:!tuples ~locks:(!tuples + npages) ~pages:(npages + !tuples);
+  List.rev rows
+
+(* At every other isolation level the scan walks the live tree without a
+   suspension point, so it can use the engine's one [Scan_buffer]: the tuples it read collect
+   there and take their SIREAD locks a heap page at a time after the walk
+   (one coverage check per page instead of one hash probe per tuple), and
+   its rows collect there until the walk is over.  The reads are flushed
+   on the failure path too, so a mid-scan serialization failure leaves
+   exactly the locks the per-tuple path would have taken.  No other
+   transaction can run between a read and its flush, so conflict
+   detection is unchanged.  Both are emptied before [finish_op], which
+   can suspend. *)
+let index_scan_mvcc txn tbl idx ~lo ~hi =
+  let db = txn.db and rel = Heap.rel_name tbl.heap in
+  let buf = db.scan and skipped = skipped_by txn in
+  let tuples = ref 0 and npages = ref 0 in
+  let visit ikey pk =
+    let head = Heap.head tbl.heap pk in
+    if not (Heap.is_absent head) then begin
+      incr tuples;
+      let v = index_visible txn idx ~skipped ikey head in
+      if not (Heap.is_absent v) then begin
+        if note_read txn v then Scan_buffer.add_read buf ~key:pk ~page:(Heap.page_of_tid v.tid);
+        Scan_buffer.add_row buf (Array.copy v.row)
+      end
+    end
+  in
+  let lock ~page keys ~pos ~len =
+    if is_tracked txn then
+      Predlock.lock_tuples_slice db.predlocks ~owner:txn.txn_xid ~rel ~page keys ~pos ~len
+  in
+  if is_tracked txn then
+    if idx.pred_locks then ssi_lock_index_gaps txn idx ~lo ~hi
+    else Predlock.lock_index_rel db.predlocks ~owner:txn.txn_xid ~index:idx.idx_name;
+  (match Btree.walk idx.tree ~lo ~hi ~page:(fun _ -> incr npages) ~entry:visit with
+  | () -> ()
+  | exception e ->
+      Scan_buffer.drop_rows buf;
+      Scan_buffer.flush_reads buf lock;
+      raise e);
+  let rows = Scan_buffer.take_rows buf in
+  Scan_buffer.flush_reads buf lock;
+  finish_op db ~tuples:!tuples
+    ~locks:(if is_tracked txn then !tuples + !npages else 0)
+    ~pages:(!npages + !tuples);
+  rows
+
 let index_scan txn ~table ~index ~lo ~hi =
   start_op txn;
   fault_point txn.db ~op:"index_scan";
@@ -785,76 +881,9 @@ let index_scan txn ~table ~index ~lo ~hi =
   let tbl = table_of db table in
   let idx = index_of db index in
   if idx.table_name <> table then invalid_arg "Engine.index_scan: index is on another table";
-  let rel = Heap.rel_name tbl.heap in
   map_lock_errors txn (fun () ->
-      let tuples = ref 0 and npages = ref 0 and rows = ref [] in
-      (* SSI tuple SIREAD locks are batched per heap page: one coverage
-         check per scanned page instead of one hash probe per tuple.  Keys
-         accumulate in scan order and flush after the row walk — also on
-         the failure path, so a mid-scan serialization failure leaves
-         exactly the locks the per-tuple path would have taken.  No other
-         transaction can run between accumulation and flush (the SSI walk
-         has no suspension points), so conflict detection is unchanged. *)
-      let batch_pages = Hashtbl.create 8 in
-      let batch_order = ref [] in
-      let batch_read pk page =
-        match Hashtbl.find_opt batch_pages page with
-        | Some keys -> keys := pk :: !keys
-        | None ->
-            Hashtbl.add batch_pages page (ref [ pk ]);
-            batch_order := page :: !batch_order
-      in
-      let flush_batch () =
-        if is_tracked txn then
-          List.iter
-            (fun page ->
-              Predlock.lock_tuples_page db.predlocks ~owner:txn.txn_xid ~rel ~page
-                ~keys:(List.rev !(Hashtbl.find batch_pages page)))
-            (List.rev !batch_order)
-      in
-      let skipped = skipped_by txn in
-      let visit ikey pk =
-        (* Under 2PL the tuple lock must precede the visibility check:
-           acquiring it can block, and the row must then be read as of the
-           post-wait state. *)
-        if is_2pl txn then begin
-          Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Tuple (rel, pk)) Lockmgr.S;
-          refresh_stmt_snapshot txn
-        end;
-        match Heap.head tbl.heap pk with
-        | None -> ()
-        | head -> (
-            incr tuples;
-            match visible txn ~skipped head with
-            (* Entries of old versions may no longer describe the visible
-               version: filter on the current value. *)
-            | Some v when Value.equal v.row.(idx.col) ikey ->
-                if note_read txn v then batch_read pk (Heap.page_of_tid v.tid);
-                rows := Array.copy v.row :: !rows
-            | Some _ | None -> ())
-      in
-      if is_2pl txn then begin
-        Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Relation rel) Lockmgr.IS;
-        (* Acquiring page locks can block, so 2PL materialises the entries
-           its rescan validated instead of walking the live tree. *)
-        let entries, pages =
-          lock_index_probe txn idx ~probe:(fun ~pages -> Btree.range idx.tree ~lo ~hi ~pages)
-        in
-        refresh_stmt_snapshot txn;
-        npages := List.length pages;
-        List.iter (fun (ikey, pk) -> visit ikey pk) entries
-      end
-      else begin
-        if is_tracked txn then
-          if idx.pred_locks then ssi_lock_index_gaps txn idx ~lo ~hi
-          else Predlock.lock_index_rel db.predlocks ~owner:txn.txn_xid ~index;
-        Fun.protect ~finally:flush_batch (fun () ->
-            Btree.walk idx.tree ~lo ~hi ~page:(fun _ -> incr npages) ~entry:visit)
-      end;
-      finish_op db ~tuples:!tuples
-        ~locks:(if is_tracked txn || is_2pl txn then !tuples + !npages else 0)
-        ~pages:(!npages + !tuples);
-      List.rev !rows)
+      if is_2pl txn then index_scan_2pl txn tbl idx ~lo ~hi
+      else index_scan_mvcc txn tbl idx ~lo ~hi)
 
 let seq_scan txn ~table ?(filter = fun _ -> true) () =
   start_op txn;
@@ -873,12 +902,12 @@ let seq_scan txn ~table ?(filter = fun _ -> true) () =
       let skipped = skipped_by txn in
       Heap.iter_heads tbl.heap (fun head ->
           incr tuples;
-          match visible txn ~skipped (Some head) with
-          | None -> ()
-          | Some v ->
-              (* The relation SIREAD lock above covers every row. *)
-              ignore (note_read txn v);
-              if filter v.row then rows := Array.copy v.row :: !rows);
+          let v = visible txn ~skipped head in
+          if not (Heap.is_absent v) then begin
+            (* The relation SIREAD lock above covers every row. *)
+            ignore (note_read txn v);
+            if filter v.row then rows := Array.copy v.row :: !rows
+          end);
       (* Read tracking is per tuple (visibility conflict-out checks), while
          the 2PL baseline locks the whole relation once. *)
       finish_op db ~tuples:!tuples
@@ -958,8 +987,8 @@ let insert txn ~table row =
           | No_sx -> ()));
       let old_page =
         match Heap.head tbl.heap key with
-        | Some h -> Some (Heap.page_of_tid h.Heap.tid)
-        | None -> None
+        | h when Heap.is_absent h -> None
+        | h -> Some (Heap.page_of_tid h.Heap.tid)
       in
       let tuple = Heap.insert_version tbl.heap ~key ~row:(Array.copy row) ~xmin:txn.txn_xid in
       txn.undo <- U_new_version (tbl, key) :: txn.undo;
@@ -1250,6 +1279,9 @@ let commit_point db txn ~cspan ~gid =
 
 let commit txn =
   let db = txn.db in
+  (* Misuse raises before the commit span opens, which would otherwise
+     never be finished. *)
+  ensure_usable txn;
   (* The commit span covers precommit through quorum wait; its context is
      stamped into the WAL record so replica apply spans parent to it. *)
   let cspan =
@@ -1419,9 +1451,8 @@ let checkpoint db =
             let ki = Schema.key_index schema in
             let rows =
               Heap.fold_heads tbl.heap ~init:[] ~f:(fun acc head ->
-                  match Visibility.find_visible db.clog snap ~skipped:ignore (Some head) with
-                  | Some v -> Array.copy v.Heap.row :: acc
-                  | None -> acc)
+                  let v = Visibility.find_visible db.clog snap ~skipped:ignore head in
+                  if Heap.is_absent v then acc else Array.copy v.Heap.row :: acc)
               |> List.sort (fun a b -> compare a.(ki) b.(ki))
             in
             let indexes =
@@ -1470,11 +1501,11 @@ type recovery_report = {
 let replay_op db ~xid ~track op =
   let push e = match track with Some r -> r := e :: !r | None -> () in
   let supersede tbl key =
-    match Heap.head tbl.heap key with
-    | Some h when h.Heap.xmax = Heap.invalid_xid ->
-        Heap.set_xmax h xid;
-        push (U_set_xmax h)
-    | Some _ | None -> ()
+    let h = Heap.head tbl.heap key in
+    if (not (Heap.is_absent h)) && h.Heap.xmax = Heap.invalid_xid then begin
+      Heap.set_xmax h xid;
+      push (U_set_xmax h)
+    end
   in
   let apply_write tbl key row =
     supersede tbl key;
@@ -1536,8 +1567,8 @@ let reinstate_prepared db (img : Wal.prepared_image) =
             match Hashtbl.find_opt db.tables rel with
             | Some tbl -> (
                 match Heap.head tbl.heap key with
-                | Some h -> Heap.page_of_tid h.Heap.tid
-                | None -> 0)
+                | h when Heap.is_absent h -> 0
+                | h -> Heap.page_of_tid h.Heap.tid)
             | None -> 0
           in
           Predlock.lock_tuple locks ~owner:xid ~rel ~key ~page

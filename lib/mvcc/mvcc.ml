@@ -114,25 +114,29 @@ module Visibility = struct
   (* An invisible version with no conflicting creator is either aborted
      (skip it) or was deleted before the snapshot — in which case no older
      version can be visible either, but walking on is still correct because
-     visibility of older versions is checked independently.  The cell
-     returned is one the chain already holds, so the walk allocates
-     nothing. *)
-  let rec find_visible clog snap ~skipped = function
-    | None -> None
-    | Some (tuple : Heap.tuple) as cell ->
-        if Snapshot.sees_xid clog snap tuple.xmin then
-          if deleted_before clog snap tuple then find_visible clog snap ~skipped tuple.prev
-          else cell
-        else begin
-          let w = conflict_writer clog snap tuple.xmin in
-          if w <> Heap.invalid_xid then skipped w;
-          find_visible clog snap ~skipped tuple.prev
-        end
+     visibility of older versions is checked independently.  The result is
+     a version the chain already holds, or [Heap.absent], so the walk
+     allocates nothing. *)
+  let rec find_visible clog snap ~skipped (tuple : Heap.tuple) =
+    if Heap.is_absent tuple then tuple
+    else if Snapshot.sees_xid clog snap tuple.xmin then
+      if deleted_before clog snap tuple then older clog snap ~skipped tuple
+      else tuple
+    else begin
+      let w = conflict_writer clog snap tuple.xmin in
+      if w <> Heap.invalid_xid then skipped w;
+      older clog snap ~skipped tuple
+    end
+
+  and older clog snap ~skipped (tuple : Heap.tuple) =
+    match tuple.prev with
+    | None -> Heap.absent
+    | Some v -> find_visible clog snap ~skipped v
 
   let latest_visible clog snap head =
     let conflicts = ref [] in
     let skipped w = conflicts := w :: !conflicts in
-    match find_visible clog snap ~skipped (Some head) with
-    | None -> (None, List.rev !conflicts)
-    | Some v -> (Some (v, writer_opt (deleter clog snap v)), List.rev !conflicts)
+    let v = find_visible clog snap ~skipped head in
+    if Heap.is_absent v then (None, List.rev !conflicts)
+    else (Some (v, writer_opt (deleter clog snap v)), List.rev !conflicts)
 end

@@ -83,14 +83,15 @@ module Visibility : sig
     Clog.t ->
     Snapshot.t ->
     skipped:(xid -> unit) ->
-    Ssi_storage.Heap.tuple option ->
-    Ssi_storage.Heap.tuple option
+    Ssi_storage.Heap.tuple ->
+    Ssi_storage.Heap.tuple
   (** Walk a version chain from its head (as {!Ssi_storage.Heap.head}
-      returns it) and return the newest visible version, calling [skipped w]
-      for each conflicting writer [w] of an invisible newer version passed on
-      the way, in chain order.  The walk allocates nothing: the result is
-      the chain's own option cell.  The one walk behind {!latest_visible}
-      and the engine's read path. *)
+      returns it, {!Ssi_storage.Heap.absent} included) and return the
+      newest visible version, or [Heap.absent] when none is, calling
+      [skipped w] for each conflicting writer [w] of an invisible newer
+      version passed on the way, in chain order.  The walk allocates
+      nothing.  The one walk behind {!latest_visible} and the engine's read
+      path. *)
 
   val deleter : Clog.t -> Snapshot.t -> Ssi_storage.Heap.tuple -> xid
   (** For a version {!find_visible} returned: its deleter when that is a

@@ -52,7 +52,22 @@ let insert_version t ~key ~row ~xmin =
 
 let set_xmax tuple xid = tuple.xmax <- xid
 
-let head t key = Key_table.find_opt t.heads key
+(* Shared by every heap and never installed in one, so [==] identifies it. *)
+let absent =
+  {
+    tid = { page = -1; slot = -1 };
+    key = Value.Null;
+    row = [||];
+    xmin = invalid_xid;
+    xmax = invalid_xid;
+    prev = None;
+  }
+
+let is_absent tuple = tuple == absent
+
+(* [find], not [find_opt]: reads look up a head per row, and the option
+   would be their only allocation. *)
+let head t key = match Key_table.find t.heads key with v -> v | exception Not_found -> absent
 
 let unlink_head t key =
   match Key_table.find_opt t.heads key with

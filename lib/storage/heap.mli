@@ -53,8 +53,16 @@ val set_xmax : tuple -> xid -> unit
 (** Record the deleter/updater of a version ([0] clears it, e.g. on
     rollback). *)
 
-val head : t -> Value.t -> tuple option
-(** Newest version of a row, committed or not. *)
+val absent : tuple
+(** The sentinel version: no heap ever holds it.  {!head} returns it for a
+    key with no versions, so a lookup allocates no option. *)
+
+val is_absent : tuple -> bool
+(** Whether a version is {!absent} (physical equality). *)
+
+val head : t -> Value.t -> tuple
+(** Newest version of a row, committed or not; {!absent} when the key has
+    no versions. *)
 
 val unlink_head : t -> Value.t -> unit
 (** Roll back an insertion: remove the newest version of [key], restoring

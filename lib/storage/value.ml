@@ -20,13 +20,46 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* [Hashtbl.hash f] without boxing [f]: the runtime's [caml_hash] on one
+   double is MurmurHash3's 32-bit mixing of its low word, then its high
+   word (NaNs and -0. normalised first), then the final avalanche, kept to
+   30 bits.  Written in [Int32], whose arithmetic wraps as the C code's
+   does, and inlined into [hash], so every intermediate stays unboxed and
+   nothing is allocated. *)
+let[@inline] rotl32 x n = Int32.logor (Int32.shift_left x n) (Int32.shift_right_logical x (32 - n))
+
+let[@inline] murmur_mix h d =
+  let d = rotl32 (Int32.mul d 0xcc9e2d51l) 15 in
+  let h = rotl32 (Int32.logxor h (Int32.mul d 0x1b873593l)) 13 in
+  Int32.add (Int32.mul h 5l) 0xe6546b64l
+
+let[@inline] xorshift h n = Int32.logxor h (Int32.shift_right_logical h n)
+
+let[@inline] hash_float f =
+  let bits = Int64.bits_of_float f in
+  let lo = Int64.to_int32 bits and hi = Int64.to_int32 (Int64.shift_right_logical bits 32) in
+  let nan =
+    Int32.equal (Int32.logand hi 0x7FF00000l) 0x7FF00000l
+    && not (Int32.equal (Int32.logor lo (Int32.logand hi 0xFFFFFl)) 0l)
+  in
+  let lo = if nan then 1l else lo in
+  let hi =
+    if nan then 0x7FF00000l
+    else if Int32.equal hi 0x80000000l && Int32.equal lo 0l then 0l
+    else hi
+  in
+  let h = murmur_mix (murmur_mix 0l lo) hi in
+  let h = Int32.mul (xorshift h 16) 0x85ebca6bl in
+  let h = Int32.mul (xorshift h 13) 0xc2b2ae35l in
+  Int32.to_int (xorshift h 16) land 0x3FFFFFFF
+
 let hash = function
   | Null -> 17
   | Bool b -> if b then 31 else 37
   (* Int and Float hash through the same float representation so that the
      hash is compatible with [equal], which compares them numerically. *)
-  | Int i -> Hashtbl.hash (float_of_int i)
-  | Float f -> Hashtbl.hash f
+  | Int i -> hash_float (float_of_int i)
+  | Float f -> hash_float f
   | Str s -> Hashtbl.hash s
 
 (* A multiply-xorshift finaliser: every input bit reaches the low bits a

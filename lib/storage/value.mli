@@ -14,7 +14,9 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val hash : t -> int
-(** Heap iteration order depends on this hash; lock tables use {!hash_key}. *)
+(** Heap iteration order depends on this hash; lock tables use {!hash_key}.
+    A number hashes as [Hashtbl.hash] hashes it as a float, computed
+    without boxing it: only a string allocates. *)
 
 val mix : int -> int
 (** An allocation-free integer finaliser for combining hashes. *)

@@ -361,6 +361,29 @@ let test_finished_txn_rejected () =
     (Invalid_argument "Engine: transaction already finished") (fun () -> ignore (get t 1));
   E.abort t (* idempotent *)
 
+(* Committing a handle that cannot commit — already committed, or
+   prepared — is misuse: it raises, and leaves no span open behind it. *)
+let test_commit_misuse_leaves_no_span () =
+  let db = fresh () in
+  let obs = E.obs db in
+  let open_spans () = List.length (Ssi_obs.Obs.Spans.open_spans obs) in
+  let t = E.begin_txn db in
+  put t 1 "a";
+  E.commit t;
+  Alcotest.(check int) "no span open after commit" 0 (open_spans ());
+  Alcotest.check_raises "second commit"
+    (Invalid_argument "Engine: transaction already finished") (fun () -> E.commit t);
+  Alcotest.(check int) "no span open after a second commit" 0 (open_spans ());
+  let p = E.begin_txn db in
+  put p 2 "b";
+  E.prepare p ~gid:"g";
+  let prepared = open_spans () in
+  Alcotest.check_raises "commit of a prepared handle"
+    (Invalid_argument "Engine: transaction is prepared") (fun () -> E.commit p);
+  Alcotest.(check int) "commit of a prepared handle opens no span" prepared (open_spans ());
+  E.commit_prepared db ~gid:"g";
+  Alcotest.(check int) "no span open once it commits" 0 (open_spans ())
+
 let () =
   Alcotest.run "engine"
     [
@@ -402,5 +425,7 @@ let () =
           Alcotest.test_case "retry gives up" `Quick test_retry_gives_up;
           Alcotest.test_case "read-only enforced" `Quick test_read_only_rejects_writes;
           Alcotest.test_case "finished rejected" `Quick test_finished_txn_rejected;
+          Alcotest.test_case "commit misuse leaves no span" `Quick
+            test_commit_misuse_leaves_no_span;
         ] );
     ]

@@ -149,8 +149,9 @@ let test_aborted_deleter_ignored () =
 let check_walk_parity c snap head =
   let skipped = ref [] in
   let found =
-    Visibility.find_visible c snap ~skipped:(fun w -> skipped := w :: !skipped) (Some head)
+    Visibility.find_visible c snap ~skipped:(fun w -> skipped := w :: !skipped) head
   in
+  let found = if Heap.is_absent found then None else Some found in
   let skipped = List.rev !skipped in
   match (Visibility.latest_visible c snap head, found) with
   | (Some (t, deleter), conflicts), Some t' ->

@@ -163,6 +163,38 @@ let prop_batch_equals_sequential =
       if not !ok then QCheck.Test.fail_report "readers_for_write diverged at a probe";
       true)
 
+(* ---- Scan buffer grouping ---------------------------------------------------- *)
+
+module Scan_buffer = Ssi_engine.Scan_buffer
+
+(* The order batched SIREAD acquisition must keep: pages in the order they
+   were first read, each page's keys in the order they were read. *)
+let grouped_naively reads =
+  let order =
+    List.fold_left (fun acc (_, p) -> if List.mem p acc then acc else acc @ [ p ]) [] reads
+  in
+  List.map (fun p -> (p, List.filter_map (fun (k, q) -> if q = p then Some k else None) reads)) order
+
+let flushed buf reads =
+  List.iter (fun (k, page) -> Scan_buffer.add_read buf ~key:(vi k) ~page) reads;
+  let out = ref [] in
+  Scan_buffer.flush_reads buf (fun ~page keys ~pos ~len ->
+      out := (page, List.init len (fun i -> Value.as_int keys.(pos + i))) :: !out);
+  List.rev !out
+
+(* Pages from a narrow and a sparse range, so scans revisit pages out of
+   order and grow the buffer's page table past its initial size.  One
+   buffer serves every scan of a script, as the engine's does. *)
+let prop_scan_buffer_grouping =
+  QCheck.Test.make ~name:"Scan_buffer.flush_reads groups by first-read page" ~count:300
+    QCheck.(
+      list_of_size Gen.(int_range 1 4)
+        (list_of_size Gen.(int_range 0 120)
+           (pair small_nat (oneof [ int_range 0 5; map (fun p -> p * 1009) (int_range 0 60) ]))))
+    (fun scans ->
+      let buf = Scan_buffer.create () in
+      List.for_all (fun reads -> flushed buf reads = grouped_naively reads) scans)
+
 (* ---- Workload-driver replay: full result records --------------------------- *)
 
 let replay_bench mode =
@@ -246,13 +278,51 @@ let test_deep_savepoint_rollback_linear () =
        (levels * per_level))
     true (!elapsed < 5.0)
 
+(* ---- A tracked index scan allocates only its result --------------------------- *)
+
+(* A serializable (SIREAD-tracked) index scan allocates the rows it
+   returns — each row's copy and the list cell that carries it — plus a
+   constant per call: the operation's span, the walk's closures and the
+   index-page lock tags.  Its per-row bookkeeping (the version lookup,
+   the visibility walk, the page-batched SIREAD acquisition and the result
+   buffer) reuses the engine's buffers.  The scan is measured warm: the
+   same 50-row range again in the same transaction, whose locks are held,
+   so lock-table growth is not counted.  [slack] is the per-call constant
+   (about 130 words) with headroom short of 50 words, so one word more per
+   row exceeds it. *)
+let test_tracked_scan_allocation () =
+  let nrows = 50 and width = 2 and slack = 170. in
+  let db = E.create () in
+  E.create_table db ~name:"t" ~cols:[ "k"; "v" ] ~key:"k";
+  E.with_txn ~isolation:E.Read_committed db (fun t ->
+      for k = 0 to 999 do
+        E.insert t ~table:"t" [| vi k; vi (-k) |]
+      done);
+  let txn = E.begin_txn db in
+  let scan () = E.index_scan txn ~table:"t" ~index:"t_pkey" ~lo:(vi 100) ~hi:(vi (100 + nrows - 1)) in
+  Alcotest.(check int) "rows" nrows (List.length (scan ()));
+  Alcotest.(check bool) "SIREAD-tracked" true
+    (P.owner_lock_count (E.predicate_locks db) (E.xid txn) > 0);
+  let rounds = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    ignore (Sys.opaque_identity (scan ()))
+  done;
+  let words = (Gc.minor_words () -. before) /. float rounds in
+  E.commit txn;
+  (* A row copy is a header and [width] fields; a list cell is three
+     words. *)
+  let result = float (nrows * (1 + width + 3)) in
+  if words > result +. slack then
+    Alcotest.failf "%.1f words per %d-row tracked scan (budget %.0f + %.0f)" words nrows result slack
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
   Alcotest.run "perf"
     [
       qsuite "parity"
-        [ prop_batch_equals_sequential ];
+        [ prop_batch_equals_sequential; prop_scan_buffer_grouping ];
       ( "replay",
         [
           Alcotest.test_case "sibench driver replay" `Quick test_sibench_replay;
@@ -262,5 +332,7 @@ let () =
         [
           Alcotest.test_case "deep savepoint rollback linear" `Quick
             test_deep_savepoint_rollback_linear;
+          Alcotest.test_case "tracked index scan allocates its result" `Quick
+            test_tracked_scan_allocation;
         ] );
     ]

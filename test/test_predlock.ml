@@ -113,6 +113,35 @@ let test_summarize_owner () =
   let r = readers_for_write t ~rel:"r" ~key:(vi 1) ~page:0 in
   Alcotest.(check (option int)) "latest cseq" (Some 50) r.old_committed
 
+(* A released or summarized owner's bookkeeping is recycled for the next
+   owner: it must come back empty.  Owner 1 ends covering relation [r]
+   (the coverage cache) and holding page [r/0] (the page memo), so a
+   state that kept either would let owner 2's tuple read on that page
+   skip its lock. *)
+let check_recycled_state_empty ~finish () =
+  let t = create () in
+  lock_page t ~owner:1 ~rel:"r" ~page:0;
+  lock_relation t ~owner:1 ~rel:"r";
+  Alcotest.(check bool) "owner 1 covers r" true (holds t ~owner:1 (Relation "r"));
+  finish t 1;
+  lock_tuple t ~owner:2 ~rel:"r" ~key:(vi 7) ~page:0;
+  Alcotest.(check bool) "owner 2 holds the tuple lock" true (holds t ~owner:2 (Tuple ("r", vi 7)));
+  Alcotest.(check bool) "owner 2 holds no relation lock" false (holds t ~owner:2 (Relation "r"));
+  Alcotest.(check bool) "owner 2 holds no page lock" false (holds t ~owner:2 (Page ("r", 0)));
+  Alcotest.(check int) "owner 2 holds one lock" 1 (owner_lock_count t 2);
+  Alcotest.(check (list (pair string (list int))))
+    "owner 2's entries"
+    [ ("tuple:r/7", [ 2 ]) ]
+    (List.filter_map
+       (fun (target, holders, _) ->
+         if List.mem 2 holders then Some (target_to_string target, holders) else None)
+       (dump t))
+
+let test_released_state_recycled_empty () = check_recycled_state_empty ~finish:release_owner ()
+
+let test_summarized_state_recycled_empty () =
+  check_recycled_state_empty ~finish:(fun t owner -> summarize_owner t owner ~cseq:5) ()
+
 let test_cleanup_old_committed () =
   let t = create () in
   lock_tuple t ~owner:1 ~rel:"r" ~key:(vi 1) ~page:0;
@@ -204,6 +233,8 @@ let () =
           Alcotest.test_case "multiple owners, coarse first" `Quick test_multiple_owners;
           Alcotest.test_case "unlock tuple" `Quick test_unlock_tuple;
           Alcotest.test_case "release owner" `Quick test_release_owner;
+          Alcotest.test_case "released state recycled empty" `Quick
+            test_released_state_recycled_empty;
           Alcotest.test_case "counts" `Quick test_counts;
           Alcotest.test_case "numerically equal keys" `Quick test_numerically_equal_keys;
         ] );
@@ -218,6 +249,8 @@ let () =
         [
           Alcotest.test_case "summarize owner" `Quick test_summarize_owner;
           Alcotest.test_case "cleanup" `Quick test_cleanup_old_committed;
+          Alcotest.test_case "summarized state recycled empty" `Quick
+            test_summarized_state_recycled_empty;
         ] );
       ( "structure",
         [

@@ -144,6 +144,40 @@ let test_scan_rescans_after_page_wait () =
                      (E.index_scan r ~table:"kv" ~index:"kv_pkey" ~lo:(vi 0) ~hi:(vi 100))))));
   Alcotest.(check int) "scan includes the inserted row" 11 !count
 
+let test_interleaved_scans_isolated () =
+  (* A 2PL scan suspends mid-walk on a tuple lock, so two scans can be in
+     flight at once.  The writer holds keys 2 and 7; one scan stops at 2
+     with rows 0 and 1 collected, the other at 7 with 5 and 6.  Each must
+     still return exactly its own range, with the writer's values. *)
+  let low = ref [] and high = ref [] in
+  ignore
+    (Sim.run (fun () ->
+         let db = E.create ~scheduler:Sim.scheduler () in
+         setup db;
+         let scan out ~lo ~hi () =
+           E.with_txn ~isolation:iso db (fun r ->
+               out :=
+                 List.map
+                   (fun row -> (Value.as_int row.(0), Value.as_int row.(1)))
+                   (E.index_scan r ~table:"kv" ~index:"kv_pkey" ~lo:(vi lo) ~hi:(vi hi)))
+         in
+         Sim.spawn (fun () ->
+             let w = E.begin_txn ~isolation:iso db in
+             bump w 2;
+             bump w 7;
+             Sim.delay 1.0;
+             E.commit w);
+         Sim.spawn (fun () ->
+             Sim.delay 0.1;
+             scan low ~lo:0 ~hi:4 ());
+         Sim.spawn (fun () ->
+             Sim.delay 0.2;
+             scan high ~lo:5 ~hi:9 ())));
+  Alcotest.(check (list (pair int int)))
+    "low scan: its own rows" [ (0, 0); (1, 0); (2, 1); (3, 0); (4, 0) ] !low;
+  Alcotest.(check (list (pair int int)))
+    "high scan: its own rows" [ (5, 0); (6, 0); (7, 1); (8, 0); (9, 0) ] !high
+
 let test_no_siread_tracking () =
   (* The baseline uses the heavyweight lock manager, not SSI state. *)
   let db = E.create () in
@@ -169,6 +203,7 @@ let () =
         [
           Alcotest.test_case "point read after wait" `Quick test_reads_latest_after_lock_wait;
           Alcotest.test_case "scan after page wait" `Quick test_scan_rescans_after_page_wait;
+          Alcotest.test_case "interleaved scans isolated" `Quick test_interleaved_scans_isolated;
         ] );
       ("bookkeeping", [ Alcotest.test_case "no SSI state" `Quick test_no_siread_tracking ]);
     ]

@@ -29,6 +29,26 @@ let prop_equal_hash =
     QCheck.(pair value_arb value_arb)
     (fun (a, b) -> (not (Value.equal a b)) || Value.hash a = Value.hash b)
 
+(* Heap iteration order depends on [hash]: a number must hash exactly as
+   [Hashtbl.hash] hashes it as a float, edge cases included. *)
+let prop_hash_matches_runtime =
+  QCheck.Test.make ~name:"hash of a number is Hashtbl.hash of its float" ~count:2000
+    QCheck.(oneof [ map (fun i -> Value.Int i) int; map (fun f -> Value.Float f) float ])
+    (fun v ->
+      let f = match v with Value.Int i -> float_of_int i | Value.Float f -> f | _ -> nan in
+      Value.hash v = Hashtbl.hash f)
+
+let test_hash_edge_floats () =
+  List.iter
+    (fun f ->
+      Alcotest.(check int) (Printf.sprintf "%h" f) (Hashtbl.hash f) (Value.hash (Value.Float f)))
+    [ 0.; -0.; nan; -.nan; Float.of_string "nan"; infinity; neg_infinity; Float.max_float;
+      Float.min_float; 0x1p-1074; 1.; -1.; 0x1p62; -0x1p62; 1e300 ];
+  List.iter
+    (fun i -> Alcotest.(check int) (string_of_int i) (Hashtbl.hash (float_of_int i))
+        (Value.hash (Value.Int i)))
+    [ 0; 1; -1; max_int; min_int; 1 lsl 53; (1 lsl 53) + 1; 123456789 ]
+
 let test_numeric_cross_type () =
   Alcotest.(check bool) "Int = Float" true (Value.equal (Value.Int 3) (Value.Float 3.));
   Alcotest.(check int) "hash compatible" (Value.hash (Value.Int 3))
@@ -81,11 +101,9 @@ let test_heap_version_chain () =
   let v1 = Heap.insert_version h ~key:(Value.Int 1) ~row:(row 1 10) ~xmin:5 in
   Heap.set_xmax v1 6;
   let v2 = Heap.insert_version h ~key:(Value.Int 1) ~row:(row 1 20) ~xmin:6 in
-  (match Heap.head h (Value.Int 1) with
-  | Some head ->
-      Alcotest.(check bool) "head is newest" true (head == v2);
-      Alcotest.(check int) "chain length" 2 (List.length (List.of_seq (Heap.versions head)))
-  | None -> Alcotest.fail "missing head");
+  let head = Heap.head h (Value.Int 1) in
+  Alcotest.(check bool) "head is newest" true (head == v2);
+  Alcotest.(check int) "chain length" 2 (List.length (List.of_seq (Heap.versions head)));
   Alcotest.(check int) "cardinal" 1 (Heap.cardinal h)
 
 let test_heap_unlink () =
@@ -93,11 +111,9 @@ let test_heap_unlink () =
   let v1 = Heap.insert_version h ~key:(Value.Int 1) ~row:(row 1 10) ~xmin:5 in
   ignore (Heap.insert_version h ~key:(Value.Int 1) ~row:(row 1 20) ~xmin:6);
   Heap.unlink_head h (Value.Int 1);
-  (match Heap.head h (Value.Int 1) with
-  | Some head -> Alcotest.(check bool) "old version restored" true (head == v1)
-  | None -> Alcotest.fail "chain vanished");
+  Alcotest.(check bool) "old version restored" true (Heap.head h (Value.Int 1) == v1);
   Heap.unlink_head h (Value.Int 1);
-  Alcotest.(check bool) "empty" true (Heap.head h (Value.Int 1) = None);
+  Alcotest.(check bool) "empty" true (Heap.is_absent (Heap.head h (Value.Int 1)));
   Alcotest.check_raises "unlink empty" (Invalid_argument "Heap.unlink_head: no versions for key")
     (fun () -> Heap.unlink_head h (Value.Int 1))
 
@@ -124,7 +140,7 @@ let test_heap_rewrite () =
   Heap.rewrite h;
   Alcotest.(check int) "generation bumped" (gen0 + 1) (Heap.generation h);
   Alcotest.(check bool) "relocated (or at least reassigned)" true
-    (Heap.head h (Value.Int 0) <> None);
+    (not (Heap.is_absent (Heap.head h (Value.Int 0))));
   ignore old_tid;
   (* All tids must be unique after the rewrite. *)
   let tids = ref [] in
@@ -141,10 +157,9 @@ let test_heap_prune () =
   ignore (Heap.insert_version h ~key:(Value.Int 1) ~row:(row 1 30) ~xmin:4);
   (* Keep only the newest two versions. *)
   Heap.prune h ~live:(fun v -> v.Heap.xmin >= 3);
-  match Heap.head h (Value.Int 1) with
-  | None -> Alcotest.fail "chain vanished"
-  | Some head ->
-      Alcotest.(check int) "pruned chain" 2 (List.length (List.of_seq (Heap.versions head)))
+  let head = Heap.head h (Value.Int 1) in
+  Alcotest.(check bool) "chain kept" false (Heap.is_absent head);
+  Alcotest.(check int) "pruned chain" 2 (List.length (List.of_seq (Heap.versions head)))
 
 let test_heap_fold_iter () =
   let h = Heap.create schema in
@@ -163,10 +178,12 @@ let () =
       ( "value",
         [
           Alcotest.test_case "numeric cross-type" `Quick test_numeric_cross_type;
+          Alcotest.test_case "hash of edge-case floats" `Quick test_hash_edge_floats;
           Alcotest.test_case "rank order" `Quick test_value_rank_order;
           Alcotest.test_case "accessors" `Quick test_accessors;
         ] );
-      qsuite "value-props" [ prop_compare_total_order; prop_equal_hash ];
+      qsuite "value-props"
+        [ prop_compare_total_order; prop_equal_hash; prop_hash_matches_runtime ];
       ( "schema",
         [
           Alcotest.test_case "basics" `Quick test_schema_basics;
