@@ -1011,29 +1011,47 @@ let insert txn ~table row =
         ~pages:(2 + List.length tbl.secondary))
 
 (* Shared write-side logic of update and delete: locate the visible
-   version, enforce first-updater-wins, and run the SSI conflict-in check.
-   Returns the version to supersede, or [None] when the row is absent. *)
-let rec locate_for_write txn tbl key =
-  let result =
-    match fetch txn tbl key ~for_write:true with
-    | None -> None
-    | Some v -> (
-        (* Wait for in-progress creators/deleters of newer state. *)
-        match live_head txn tbl key with
-        | None -> None (* everything above was aborted and v was too *)
-        | Some n when n != v -> newer_committed txn tbl key
-        | Some _ when v.xmax = Heap.invalid_xid || v.xmax = txn.txn_xid -> Some v
-        | Some _ -> (
-            match Clog.status txn.db.clog v.xmax with
-            | Clog.In_progress ->
-                wait_for_xid txn v.xmax;
-                refresh_stmt_snapshot txn;
-                locate_for_write txn tbl key
-            | Clog.Committed _ -> newer_committed txn tbl key
-            | Clog.Aborted ->
-                Heap.set_xmax v Heap.invalid_xid;
-                Some v))
-  in
+   version and enforce first-updater-wins, waiting out in-progress writers
+   of newer state.  Returns the version to supersede, or [None] when the
+   row is absent. *)
+let rec locate_version txn tbl key =
+  match fetch txn tbl key ~for_write:true with
+  | None -> None
+  | Some v -> (
+      (* Wait for in-progress creators/deleters of newer state. *)
+      match live_head txn tbl key with
+      | None -> None (* everything above was aborted and v was too *)
+      | Some n when n != v -> newer_committed txn tbl key
+      | Some _ when v.xmax = Heap.invalid_xid || v.xmax = txn.txn_xid -> Some v
+      | Some _ -> (
+          match Clog.status txn.db.clog v.xmax with
+          | Clog.In_progress ->
+              wait_for_xid txn v.xmax;
+              refresh_stmt_snapshot txn;
+              locate_version txn tbl key
+          | Clog.Committed _ -> newer_committed txn tbl key
+          | Clog.Aborted ->
+              Heap.set_xmax v Heap.invalid_xid;
+              Some v))
+
+(* A version newer than the one [txn]'s snapshot sees was committed:
+   first-updater-wins.  READ COMMITTED retries against a fresh snapshot;
+   every other level fails. *)
+and newer_committed txn tbl key =
+  match txn.iso with
+  | Read_committed ->
+      refresh_stmt_snapshot txn;
+      locate_version txn tbl key
+  | Repeatable_read | Serializable | Serializable_2pl ->
+      Obs.incr txn.db.metrics.m_write_conflicts;
+      fail
+        (Serialization_failure
+           { xid = txn.txn_xid; reason = "could not serialize access due to concurrent update" })
+
+(* [locate_version], then the SSI conflict-in check against the readers
+   of the version found — once per write, however many waits it took. *)
+let locate_for_write txn tbl key =
+  let result = locate_version txn tbl key in
   (match (result, tracking txn) with
   | Some v, Sx ((module C), c, node) ->
       let db = txn.db and rel = Heap.rel_name tbl.heap in
@@ -1045,20 +1063,6 @@ let rec locate_for_write txn tbl key =
       if txn.subdepth = 0 then Predlock.unlock_tuple db.predlocks ~owner:txn.txn_xid ~rel ~key
   | _, (Sx _ | No_sx) -> ());
   result
-
-(* A version newer than the one [txn]'s snapshot sees was committed:
-   first-updater-wins.  READ COMMITTED retries against a fresh snapshot;
-   every other level fails. *)
-and newer_committed txn tbl key =
-  match txn.iso with
-  | Read_committed ->
-      refresh_stmt_snapshot txn;
-      locate_for_write txn tbl key
-  | Repeatable_read | Serializable | Serializable_2pl ->
-      Obs.incr txn.db.metrics.m_write_conflicts;
-      fail
-        (Serialization_failure
-           { xid = txn.txn_xid; reason = "could not serialize access due to concurrent update" })
 
 let update txn ~table ~key ~f =
   start_op txn;
