@@ -518,8 +518,8 @@ let chaos_cmd =
         $ opt Arg.int 0 ~docv:"N" [ "shards" ]
             "Sharded chaos: hash-partition one table across $(docv) engines behind the 2PC \
              coordinator, drive multi-shard transactions under partitions, message chaos \
-             and participant crashes (one of each unless overridden), and check the combined \
-             multi-shard history with the spliced-DSG oracle (0 = off)"))
+             and participant crashes (one of each unless overridden), and check the shards' \
+             recorded histories, joined on global gids, as one DSG (0 = off)"))
 
 let () =
   exit

@@ -137,6 +137,20 @@ type t = {
   mutable fault_injector : (op:string -> unit) option;
   mutable wal_device : Wal.t option;  (** the durable log, when attached *)
   scan : Scan_buffer.t;  (** reused by every index scan that cannot suspend *)
+  mutable recorder : recorder option;
+}
+
+(* An attached history recorder ({!set_recorder}).  The reads and first
+   writes of each running transaction are kept here, keyed by xid, rather
+   than in [txn]: a detached engine allocates nothing for them. *)
+and recorder = { emit : Recorded.txn -> unit; pending : (Heap.xid, pending) Hashtbl.t }
+
+and pending = {
+  mutable p_reads : Recorded.read list;  (** newest first *)
+  mutable p_old : (string * Value.t * (string * Value.t) list) list;
+      (** (table, key, index keys of the version replaced), one per row
+          at its first write *)
+  mutable p_tag : string option;
 }
 
 and txn = {
@@ -214,6 +228,7 @@ let create ?(scheduler = Waitq.direct) ?(config = default_config) ?obs () =
     commit_wait = None;
     fault_injector = None;
     wal_device = None;
+    recorder = None;
   }
 
 let set_on_commit t f = t.on_commit <- t.on_commit @ [ f ]
@@ -225,6 +240,33 @@ let attach_wal t w =
 let set_commit_gate t f = t.commit_gate <- f
 let set_commit_wait t f = t.commit_wait <- f
 let set_fault_injector t f = t.fault_injector <- f
+
+let set_recorder t emit =
+  t.recorder <- Option.map (fun emit -> { emit; pending = Hashtbl.create 64 }) emit
+
+let recording t = t.recorder <> None
+
+let pending_of r xid =
+  match Hashtbl.find_opt r.pending xid with
+  | Some p -> p
+  | None ->
+      let p = { p_reads = []; p_old = []; p_tag = None } in
+      Hashtbl.add r.pending xid p;
+      p
+
+let record_read r txn read =
+  let p = pending_of r txn.txn_xid in
+  p.p_reads <- read :: p.p_reads
+
+(* The rows of [rel] the transaction has written so far: a scan returns
+   its own version of them.  From the redo ops, which a rollback to a
+   savepoint trims. *)
+let own_rows txn rel =
+  List.filter_map
+    (function
+      | Wal.Insert { table; key; _ } | Wal.Update { table; key; _ } | Wal.Delete { table; key } ->
+          if table = rel then Some key else None)
+    txn.wal
 
 (* A fault point: where an installed injector may kill the current
    operation with a retryable error.  Never placed after a commit point, so
@@ -384,6 +426,9 @@ let recluster db ~table =
 (* ---- Transaction lifecycle ------------------------------------------------- *)
 
 let xid txn = txn.txn_xid
+
+let tag txn name =
+  match txn.db.recorder with None -> () | Some r -> (pending_of r txn.txn_xid).p_tag <- Some name
 let engine_of txn = txn.db
 let is_finished txn = txn.finished && not txn.crashed
 let snapshot_cseq txn = txn.snapshot.Snapshot.horizon
@@ -565,10 +610,12 @@ let rec undo_to txn saved =
       undo_to txn saved
   | _ -> ()
 
-(* Roll back every write of [txn] and mark it aborted in the clog. *)
+(* Roll back every write of [txn] and mark it aborted in the clog.  An
+   aborted attempt leaves nothing in the recorded history. *)
 let discard txn =
   undo_to txn [];
   txn.wal <- [];
+  (match txn.db.recorder with None -> () | Some r -> Hashtbl.remove r.pending txn.txn_xid);
   Clog.abort txn.db.clog txn.txn_xid
 
 (* ---- Savepoints (§7.3) -------------------------------------------------------- *)
@@ -774,12 +821,19 @@ let read txn ~table ~key =
   start_op txn;
   fault_point txn.db ~op:"read";
   let tbl = table_of txn.db table in
-  let result =
-    map_lock_errors txn (fun () ->
-        match fetch txn tbl key ~for_write:false with
-        | None -> None
-        | Some v -> Some (Array.copy v.row))
-  in
+  let found = map_lock_errors txn (fun () -> fetch txn tbl key ~for_write:false) in
+  (match txn.db.recorder with
+  | None -> ()
+  | Some r ->
+      record_read r txn
+        (Recorded.Point
+           {
+             rel = table;
+             key;
+             version = Option.map (fun (v : Heap.tuple) -> v.xmin) found;
+             horizon = txn.snapshot.Snapshot.horizon;
+           }));
+  let result = match found with None -> None | Some v -> Some (Array.copy v.row) in
   finish_op txn.db ~tuples:1 ~locks:(if is_tracked txn || is_2pl txn then 2 else 0) ~pages:2;
   result
 
@@ -881,9 +935,25 @@ let index_scan txn ~table ~index ~lo ~hi =
   let tbl = table_of db table in
   let idx = index_of db index in
   if idx.table_name <> table then invalid_arg "Engine.index_scan: index is on another table";
-  map_lock_errors txn (fun () ->
-      if is_2pl txn then index_scan_2pl txn tbl idx ~lo ~hi
-      else index_scan_mvcc txn tbl idx ~lo ~hi)
+  let rows =
+    map_lock_errors txn (fun () ->
+        if is_2pl txn then index_scan_2pl txn tbl idx ~lo ~hi
+        else index_scan_mvcc txn tbl idx ~lo ~hi)
+  in
+  (* The horizon after the scan: a 2PL scan re-takes its statement
+     snapshot per tuple lock, and its last one saw every row it returned. *)
+  (match db.recorder with
+  | None -> ()
+  | Some r ->
+      record_read r txn
+        (Recorded.Scan
+           {
+             rel = table;
+             range = Some (index, lo, hi);
+             horizon = txn.snapshot.Snapshot.horizon;
+             own = own_rows txn table;
+           }));
+  rows
 
 let seq_scan txn ~table ?(filter = fun _ -> true) () =
   start_op txn;
@@ -908,6 +978,12 @@ let seq_scan txn ~table ?(filter = fun _ -> true) () =
             ignore (note_read txn v);
             if filter v.row then rows := Array.copy v.row :: !rows
           end);
+      (match db.recorder with
+      | None -> ()
+      | Some r ->
+          record_read r txn
+            (Recorded.Scan
+               { rel; range = None; horizon = txn.snapshot.Snapshot.horizon; own = own_rows txn rel }));
       (* Read tracking is per tuple (visibility conflict-out checks), while
          the 2PL baseline locks the whole relation once. *)
       finish_op db ~tuples:!tuples
@@ -954,6 +1030,7 @@ let index_insert txn idx ~ikey ~pk =
   end
 
 let all_indexes tbl = tbl.pk_index :: tbl.secondary
+let index_keys tbl row = List.map (fun idx -> (idx.idx_name, row.(idx.col))) (all_indexes tbl)
 
 let insert txn ~table row =
   start_op txn;
@@ -1052,6 +1129,12 @@ and newer_committed txn tbl key =
    of the version found — once per write, however many waits it took. *)
 let locate_for_write txn tbl key =
   let result = locate_version txn tbl key in
+  (match (result, txn.db.recorder) with
+  | Some v, Some r ->
+      let p = pending_of r txn.txn_xid and rel = Heap.rel_name tbl.heap in
+      if not (List.exists (fun (t, k, _) -> t = rel && Value.equal k key) p.p_old) then
+        p.p_old <- (rel, key, index_keys tbl v.Heap.row) :: p.p_old
+  | _, (Some _ | None) -> ());
   (match (result, tracking txn) with
   | Some v, Sx ((module C), c, node) ->
       let db = txn.db and rel = Heap.rel_name tbl.heap in
@@ -1264,10 +1347,43 @@ let publish_commit db txn cseq ~cspan ~gid =
      enough replicas confirm (or the hold deadline passes). *)
   match (db.commit_wait, record) with Some wait, Some r -> wait r | _ -> ()
 
+(* Hand the recorder the committed transaction: its reads as issued, and
+   one write per row it left changed, from its redo ops (which a rollback
+   to a savepoint has already trimmed). *)
+let record_commit r db txn ~cseq ~gid =
+  let p = Hashtbl.find_opt r.pending txn.txn_xid in
+  Hashtbl.remove r.pending txn.txn_xid;
+  let olds = match p with Some p -> p.p_old | None -> [] in
+  let write acc op =
+    let table, key, row =
+      match op with
+      | Wal.Insert { table; key; row } | Wal.Update { table; key; row } -> (table, key, Some row)
+      | Wal.Delete { table; key } -> (table, key, None)
+    in
+    let same (t, k) = t = table && Value.equal k key in
+    let old_keys =
+      match List.find_opt (fun (t, k, _) -> same (t, k)) olds with
+      | Some (_, _, keys) -> keys
+      | None -> []
+    in
+    let new_keys = match row with Some row -> index_keys (table_of db table) row | None -> [] in
+    { Recorded.rel = table; key; old_keys; new_keys }
+    :: List.filter (fun (w : Recorded.write) -> not (same (w.rel, w.key))) acc
+  in
+  r.emit
+    {
+      Recorded.xid = txn.txn_xid;
+      gid = (match (gid, p) with Some _, _ -> gid | None, Some p -> p.p_tag | None, None -> None);
+      cseq;
+      reads = (match p with Some p -> List.rev p.p_reads | None -> []);
+      writes = List.rev (List.fold_left write [] (List.rev txn.wal));
+    }
+
 (* Everything from the commit point on, shared by COMMIT and COMMIT
    PREPARED.  The [txn.commit] event names the [gid] only for 2PC. *)
 let commit_point db txn ~cspan ~gid =
   let cseq = Clog.commit db.clog txn.txn_xid in
+  (match db.recorder with Some r -> record_commit r db txn ~cseq ~gid | None -> ());
   (match txn.sxact with
   | Sx ((module C), c, node) -> C.committed c node ~commit_cseq:cseq
   | No_sx -> ());

@@ -111,6 +111,25 @@ val set_on_commit : t -> (commit_record -> unit) -> unit
     commit; replication registers one, observers (chaos harness, tests) may
     register more. *)
 
+val set_recorder : t -> (Recorded.txn -> unit) option -> unit
+(** Attach (or detach) a history recorder.  From now on every transaction
+    that commits is handed to it as one {!Recorded.txn}, at its commit
+    point: its point reads (with the creator xid of the version returned,
+    or absent), its index and sequential scans as predicate reads, and
+    one write per row it changed, with the old and new index keys.  COMMIT
+    PREPARED entries carry their gid.  Aborted and crashed attempts leave
+    nothing.  [Ssi_check.Dsg] checks the entries.  Detached (the default),
+    the recorder costs each operation one branch and allocates nothing. *)
+
+val recording : t -> bool
+(** A recorder is attached. *)
+
+val tag : txn -> string -> unit
+(** Name the transaction's recorded entry: it carries [gid = Some name]
+    unless it commits through 2PC under a gid of its own.  A sharded
+    coordinator tags every branch of a global transaction alike, so the
+    shards' histories join on it.  No-op without a recorder. *)
+
 val set_commit_gate : t -> (unit -> unit) option -> unit
 (** Install (or clear) a pre-commit gate, run at the commit point of every
     transaction (after the fault point, before the serialization check).

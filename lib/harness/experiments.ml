@@ -24,82 +24,87 @@ let sweep ~modes ~points ~bench_of ~setup_of ~specs_of ~label_of =
 
 (* ---- Figure 4: SIBENCH ----------------------------------------------------- *)
 
-let fig4 ?(sizes = [ 10; 30; 100; 300; 1000; 3000 ]) ?(duration = 3.0) ?(workers = 4)
-    ?(cores = 4) () =
+let fig4 ?(tap = Fun.id) ?(sizes = [ 10; 30; 100; 300; 1000; 3000 ]) ?(duration = 3.0)
+    ?(workers = 4) ?(cores = 4) () =
   sweep
     ~modes:[ Driver.SI; Driver.SSI; Driver.SSI_no_ro_opt; Driver.S2PL ]
     ~points:(List.map float_of_int sizes)
     ~bench_of:(fun mode _x ->
-      {
-        Driver.default_bench with
-        Driver.mode;
-        workers;
-        cpu_cores = cores;
-        duration;
-        warmup = duration /. 5.;
-        costs = Driver.in_memory_costs;
-      })
+      tap
+        {
+          Driver.default_bench with
+          Driver.mode;
+          workers;
+          cpu_cores = cores;
+          duration;
+          warmup = duration /. 5.;
+          costs = Driver.in_memory_costs;
+        })
     ~setup_of:(fun x -> Sibench.setup ~rows:(int_of_float x))
     ~specs_of:(fun x -> Sibench.specs ~rows:(int_of_float x) ())
     ~label_of:(fun x -> string_of_int (int_of_float x))
 
 (* ---- Figure 5: DBT-2++ ------------------------------------------------------- *)
 
-let fig5a ?(fractions = [ 0.; 0.2; 0.4; 0.6; 0.8; 1.0 ]) ?(warehouses = 25)
+let fig5a ?(tap = Fun.id) ?(fractions = [ 0.; 0.2; 0.4; 0.6; 0.8; 1.0 ]) ?(warehouses = 25)
     ?(duration = 3.0) ?(workers = 4) ?(cores = 4) () =
   sweep
     ~modes:[ Driver.SI; Driver.SSI; Driver.SSI_no_ro_opt; Driver.S2PL ]
     ~points:fractions
     ~bench_of:(fun mode _ ->
-      {
-        Driver.default_bench with
-        Driver.mode;
-        workers;
-        cpu_cores = cores;
-        duration;
-        warmup = duration /. 5.;
-        costs = Driver.in_memory_costs;
-      })
+      tap
+        {
+          Driver.default_bench with
+          Driver.mode;
+          workers;
+          cpu_cores = cores;
+          duration;
+          warmup = duration /. 5.;
+          costs = Driver.in_memory_costs;
+        })
     ~setup_of:(fun _ -> Tpcc.setup ~warehouses)
     ~specs_of:(fun f -> Tpcc.specs ~warehouses ~ro_fraction:f)
     ~label_of:(fun f -> Printf.sprintf "%.0f%%" (100. *. f))
 
-let fig5b ?(fractions = [ 0.; 0.2; 0.4; 0.6; 0.8; 1.0 ]) ?(warehouses = 60)
+let fig5b ?(tap = Fun.id) ?(fractions = [ 0.; 0.2; 0.4; 0.6; 0.8; 1.0 ]) ?(warehouses = 60)
     ?(duration = 20.0) ?(workers = 36) ?(cores = 16) ?(disks = 4) () =
   sweep
     ~modes:[ Driver.SI; Driver.SSI; Driver.S2PL ]
     ~points:fractions
     ~bench_of:(fun mode _ ->
-      {
-        Driver.default_bench with
-        Driver.mode;
-        workers;
-        cpu_cores = cores;
-        disks;
-        duration;
-        warmup = duration /. 5.;
-        costs = Driver.disk_bound_costs;
-      })
+      tap
+        {
+          Driver.default_bench with
+          Driver.mode;
+          workers;
+          cpu_cores = cores;
+          disks;
+          duration;
+          warmup = duration /. 5.;
+          costs = Driver.disk_bound_costs;
+        })
     ~setup_of:(fun _ -> Tpcc.setup ~warehouses)
     ~specs_of:(fun f -> Tpcc.specs ~warehouses ~ro_fraction:f)
     ~label_of:(fun f -> Printf.sprintf "%.0f%%" (100. *. f))
 
 (* ---- Figure 6: RUBiS ----------------------------------------------------------- *)
 
-let fig6 ?(users = 400) ?(items = 450) ?(duration = 4.0) ?(workers = 16) ?(cores = 8) () =
+let fig6 ?(tap = Fun.id) ?(users = 400) ?(items = 450) ?(duration = 4.0) ?(workers = 16)
+    ?(cores = 8) () =
   sweep
     ~modes:[ Driver.SI; Driver.SSI; Driver.S2PL ]
     ~points:[ 0. ]
     ~bench_of:(fun mode _ ->
-      {
-        Driver.default_bench with
-        Driver.mode;
-        workers;
-        cpu_cores = cores;
-        duration;
-        warmup = duration /. 5.;
-        costs = Driver.in_memory_costs;
-      })
+      tap
+        {
+          Driver.default_bench with
+          Driver.mode;
+          workers;
+          cpu_cores = cores;
+          duration;
+          warmup = duration /. 5.;
+          costs = Driver.in_memory_costs;
+        })
     ~setup_of:(fun _ -> Rubis.setup ~users ~items)
     ~specs_of:(fun _ -> Rubis.specs ~users ~items)
     ~label_of:(fun _ -> "bidding mix")
@@ -458,25 +463,30 @@ let render_deferrable r =
 
 type figure = { name : string; title : string; table : quick:bool -> string }
 
-let figures =
+let quick_sweeps =
   let fractions = [ 0.; 0.5; 1.0 ] in
+  [
+    ("fig4", fun ~tap -> fig4 ~tap ~sizes:[ 10; 100; 1000 ] ~duration:1.0 ());
+    ("fig5a", fun ~tap -> fig5a ~tap ~fractions ~warehouses:4 ~duration:1.0 ());
+    ("fig5b", fun ~tap -> fig5b ~tap ~fractions ~warehouses:8 ~duration:5.0 ~workers:12 ());
+    ("fig6", fun ~tap -> fig6 ~tap ~users:100 ~items:120 ~duration:1.0 ());
+  ]
+
+let figures =
   let normalized x_header ms = render_normalized ~title:"" ~x_header ms in
   let figure name title table = { name; title; table } in
+  let sweep name ~quick full =
+    if quick then List.assoc name quick_sweeps ~tap:Fun.id else full ()
+  in
   [
     figure "fig4" "Figure 4: SIBENCH transaction throughput (normalized to SI)" (fun ~quick ->
-        normalized "table size (rows)"
-          (if quick then fig4 ~sizes:[ 10; 100; 1000 ] ~duration:1.0 () else fig4 ()));
+        normalized "table size (rows)" (sweep "fig4" ~quick (fun () -> fig4 ())));
     figure "fig5a" "Figure 5a: DBT-2++ throughput, in-memory configuration (normalized to SI)"
-      (fun ~quick ->
-        normalized "read-only fraction"
-          (if quick then fig5a ~fractions ~warehouses:4 ~duration:1.0 () else fig5a ()));
+      (fun ~quick -> normalized "read-only fraction" (sweep "fig5a" ~quick (fun () -> fig5a ())));
     figure "fig5b" "Figure 5b: DBT-2++ throughput, disk-bound configuration (normalized to SI)"
-      (fun ~quick ->
-        normalized "read-only fraction"
-          (if quick then fig5b ~fractions ~warehouses:8 ~duration:5.0 ~workers:12 ()
-           else fig5b ()));
+      (fun ~quick -> normalized "read-only fraction" (sweep "fig5b" ~quick (fun () -> fig5b ())));
     figure "fig6" "Figure 6: RUBiS web application benchmark" (fun ~quick ->
-        render_fig6 (if quick then fig6 ~users:100 ~items:120 ~duration:1.0 () else fig6 ()));
+        render_fig6 (sweep "fig6" ~quick (fun () -> fig6 ())));
     figure "defer" "Deferrable transactions (§8.4): time to obtain a safe snapshot" (fun ~quick ->
         render_deferrable (if quick then deferrable ~samples:15 () else deferrable ()));
   ]

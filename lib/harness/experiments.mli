@@ -18,21 +18,25 @@ type measurement = {
 (** {1 Figure 4: SIBENCH} *)
 
 val fig4 :
-  ?sizes:int list -> ?duration:float -> ?workers:int -> ?cores:int -> unit -> measurement list
+  ?tap:(Driver.bench -> Driver.bench) -> ?sizes:int list -> ?duration:float -> ?workers:int ->
+  ?cores:int -> unit -> measurement list
 (** SIBENCH throughput vs. table size for SI / SSI / SSI-without-read-only
-    optimizations / S2PL, in-memory cost model. *)
+    optimizations / S2PL, in-memory cost model.  Every figure passes each
+    run's bench through [tap] (default: unchanged), so a caller can
+    change the certifier or attach a history recorder through
+    [Driver.chaos]. *)
 
 (** {1 Figure 5: DBT-2++} *)
 
 val fig5a :
-  ?fractions:float list -> ?warehouses:int -> ?duration:float -> ?workers:int ->
-  ?cores:int -> unit -> measurement list
+  ?tap:(Driver.bench -> Driver.bench) -> ?fractions:float list -> ?warehouses:int ->
+  ?duration:float -> ?workers:int -> ?cores:int -> unit -> measurement list
 (** In-memory configuration: throughput vs. fraction of read-only
     transactions (paper: 25 warehouses, 4 clients, tmpfs). *)
 
 val fig5b :
-  ?fractions:float list -> ?warehouses:int -> ?duration:float -> ?workers:int ->
-  ?cores:int -> ?disks:int -> unit -> measurement list
+  ?tap:(Driver.bench -> Driver.bench) -> ?fractions:float list -> ?warehouses:int ->
+  ?duration:float -> ?workers:int -> ?cores:int -> ?disks:int -> unit -> measurement list
 (** Disk-bound configuration (paper: 150 warehouses, 36 clients, RAID
     array).  The SSI-without-read-only-optimization series is omitted, as
     in the paper's Figure 5b. *)
@@ -40,8 +44,8 @@ val fig5b :
 (** {1 Figure 6: RUBiS} *)
 
 val fig6 :
-  ?users:int -> ?items:int -> ?duration:float -> ?workers:int -> ?cores:int -> unit ->
-  measurement list
+  ?tap:(Driver.bench -> Driver.bench) -> ?users:int -> ?items:int -> ?duration:float ->
+  ?workers:int -> ?cores:int -> unit -> measurement list
 (** RUBiS bidding mix: absolute throughput and serialization-failure rate
     for SI, SSI and S2PL. *)
 
@@ -119,6 +123,11 @@ type figure = {
       (** Run the experiment and render its table: at the full paper-shaped
           sizes, or at the reduced [quick] preset. *)
 }
+
+val quick_sweeps : (string * (tap:(Driver.bench -> Driver.bench) -> measurement list)) list
+(** The [quick] presets of the four figure sweeps ([fig4], [fig5a],
+    [fig5b], [fig6]), with their bench tap open: {!figures} runs them with
+    [Fun.id], and [test/check_presets.exe] with a history recorder. *)
 
 val figures : figure list
 (** The paper's figures and the §8.4 latency table, in paper order: the

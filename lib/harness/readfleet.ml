@@ -1,9 +1,8 @@
 (* Read-fleet chaos scenarios: a streaming primary, N replica cores fed
    over an adversarial network, a read router in front of all of them,
    and a seeded fault plan underneath.  See readfleet.mli for the checked
-   invariants; the era bookkeeping (offsets, per-engine cseq tables,
-   lineage cut at the promotion point) follows the net-chaos acceptance
-   test so one oracle history can span a fenced failover. *)
+   invariants.  Each primary records its history, and the replicas record
+   their reads into the history of the primary they follow. *)
 
 open Ssi_storage
 module E = Ssi_engine.Engine
@@ -17,7 +16,7 @@ module Watchdog = Ssi_obs.Watchdog
 module Sim = Ssi_sim.Sim
 module F = Ssi_fault.Fault
 module Rng = Ssi_util.Rng
-module Oracle = Test_oracle.Oracle
+module Dsg = Ssi_check.Dsg
 
 type cfg = {
   seed : int;
@@ -73,10 +72,6 @@ let vi i = Value.Int i
 let table = "kv"
 let keys = 16
 
-(* New-era ids live in a disjoint space so one history can span the
-   failover (same convention as the net-chaos test). *)
-let era_offset = 1_000_000
-
 let sorted_rows scan =
   List.sort compare (List.map (fun r -> (Value.as_int r.(0), Value.as_int r.(1))) scan)
 
@@ -88,16 +83,15 @@ let run cfg =
   let db = E.create ~scheduler:Sim.scheduler ~config:{ E.default_config with E.costs } () in
   let net = Net.create ~obs:(E.obs db) ~seed:cfg.seed () in
   let failover = cfg.failover && cfg.replicas > 0 in
-  (* Era bookkeeping: engine identity -> id offset, plus a per-engine
-     xid -> cseq table (the harness's own unguarded commit hooks — the
-     router's frontier tracking is not a substitute, it stops recording
-     for a switched-out primary). *)
-  let engine_offs = ref [ (db, 0) ] in
-  let old_cseq = Hashtbl.create 512 in
-  let new_cseq = Hashtbl.create 512 in
-  let cur_off = ref 0 in
-  let old_log = ref [] and new_log = ref [] in
-  let old_rreads = ref [] and new_rreads = ref [] in
+  (* The recorded histories of the original primary and, after a
+     failover, of the promoted one (newest first); the replicas' reads go
+     to the history of the primary they follow.  [era] tells the session
+     check which primary a read's horizon counts in. *)
+  let old_hist = ref [] and new_hist = ref [] in
+  let following = ref old_hist in
+  let follow entry = !following := entry :: !(!following) in
+  let era = ref 0 in
+  let era_of e = if e == db then 0 else 1 in
   let initial_new = ref [] in
   let failed_over = ref None in
   let promoted_core = ref None in
@@ -140,7 +134,7 @@ let run cfg =
              for k = 0 to (keys / 2) - 1 do
                E.insert t ~table [| vi k; vi (E.xid t) |]
              done);
-         E.set_on_commit db (fun r -> Hashtbl.replace old_cseq r.E.wal_xid r.E.wal_cseq);
+         E.set_recorder db (Some (fun entry -> old_hist := entry :: !old_hist));
          let p = Stream.make_primary net ~node:"p" ~epoch:1 db in
          let subs =
            List.init cfg.replicas (fun i ->
@@ -149,6 +143,7 @@ let run cfg =
                Stream.subscribe net ~node:name ~primary_node:"p" ~epoch:1 core)
          in
          let cores = List.map Stream.core subs in
+         List.iter (fun c -> R.set_recorder c (Some follow)) cores;
          let router = Router.create ~policy:router_policy ~seed:cfg.seed ~primary:db () in
          List.iter (Router.add_replica router) cores;
          (* Always-on telemetry: scrape the shared registry every 4ms of
@@ -175,11 +170,10 @@ let run cfg =
                promoted_core := Some (Stream.core s1);
                let np = fo.Stream.new_primary in
                let ne = Stream.engine np in
-               engine_offs := (ne, era_offset) :: !engine_offs;
-               E.set_on_commit ne (fun r ->
-                   Hashtbl.replace new_cseq r.E.wal_xid r.E.wal_cseq);
-               (* Stamps visible in the promoted snapshot: the "initial"
-                  values of the new era, before any new-era write. *)
+               E.set_recorder ne (Some (fun entry -> new_hist := entry :: !new_hist));
+               following := new_hist;
+               (* Stamps visible in the promoted snapshot: the state the
+                  new era starts from, before any new-era write. *)
                initial_new :=
                  sorted_rows (E.with_txn ne (fun t -> E.seq_scan t ~table ()));
                Router.remove_replica router (Stream.core s1);
@@ -190,7 +184,7 @@ let run cfg =
                      Stream.resubscribe s ~primary_node:(Stream.sub_node s1)
                        ~epoch:(Stream.epoch np))
                  subs;
-               cur_off := era_offset
+               era := 1
            | _ -> ()
          in
          Sim.spawn (fun () ->
@@ -206,7 +200,7 @@ let run cfg =
                (* Shadow of the session's read-your-writes token, with
                   the era it was minted in: lets the harness assert the
                   guarantee without chasing the router's era resets. *)
-               let tok = ref 0 and tok_off = ref 0 in
+               let tok = ref 0 and tok_era = ref 0 in
                let do_read () =
                  let consistency =
                    let p = Rng.float rng 1.0 in
@@ -221,77 +215,31 @@ let run cfg =
                  let res = ref None in
                  try
                    Router.read_only ~session ~consistency router (fun ro ->
-                       let off =
-                         match Router.ro_engine ro with
-                         | Some e -> ( try List.assq e !engine_offs with Not_found -> 0)
-                         | None -> !cur_off
-                       in
-                       let rds =
-                         List.map
-                           (fun k ->
-                             ( k,
-                               match Router.read ro ~table ~key:(vi k) with
-                               | Some row -> Value.as_int row.(1)
-                               | None -> 0 ))
-                           !ks
-                       in
-                       res := Some (off, Router.backend ro, Router.ro_cseq ro, rds));
+                       List.iter (fun k -> ignore (Router.read ro ~table ~key:(vi k))) !ks;
+                       let e = match Router.ro_engine ro with Some e -> era_of e | None -> !era in
+                       res := Some (e, Router.ro_cseq ro));
                    incr reads_ok;
                    match !res with
-                   | None -> ()
-                   | Some (off, backend, horizon, rds) ->
-                       if off = !tok_off && horizon < !tok then incr session_violations;
-                       let r =
-                         { Oracle.rr_backend = backend; rr_horizon = horizon; rr_reads = rds }
-                       in
-                       if off = 0 then old_rreads := r :: !old_rreads
-                       else new_rreads := r :: !new_rreads
+                   | Some (e, horizon) when e = !tok_era && horizon < !tok ->
+                       incr session_violations
+                   | Some _ | None -> ()
                  with E.Error e when E.retryable e -> incr read_giveups
                in
                let do_write () =
                  try
-                   let writes, wi =
+                   let (), wi =
                      Router.write_info ~session ~rng:backoff router (fun t ->
-                         let off =
-                           try List.assq (E.engine_of t) !engine_offs with Not_found -> 0
-                         in
-                         let me = off + E.xid t in
-                         let ws = ref [] in
+                         let me = E.xid t in
                          for _ = 1 to 2 do
                            let k = Rng.int rng keys in
-                           let wrote =
-                             E.update t ~table ~key:(vi k) ~f:(fun row ->
-                                 [| row.(0); vi me |])
-                             ||
-                             try
-                               E.insert t ~table [| vi k; vi me |];
-                               true
-                             with E.Error (E.Unique_violation _) -> false
-                           in
-                           if wrote then ws := k :: !ws
-                         done;
-                         List.sort_uniq compare !ws)
+                           if not (E.update t ~table ~key:(vi k) ~f:(fun row -> [| row.(0); vi me |]))
+                           then
+                             try E.insert t ~table [| vi k; vi me |]
+                             with E.Error (E.Unique_violation _) -> ()
+                         done)
                    in
-                   let off =
-                     try List.assq wi.Router.wi_backend !engine_offs with Not_found -> 0
-                   in
-                   (if writes <> [] then
-                      let tbl = if off = 0 then old_cseq else new_cseq in
-                      match Hashtbl.find_opt tbl wi.Router.wi_xid with
-                      | None -> ()
-                      | Some cseq ->
-                          let entry =
-                            {
-                              Oracle.xid = off + wi.Router.wi_xid;
-                              reads = [];
-                              writes;
-                              order = cseq;
-                            }
-                          in
-                          if off = 0 then old_log := entry :: !old_log
-                          else new_log := entry :: !new_log);
                    tok := Router.session_token session;
-                   tok_off := off
+                   tok_era := era_of wi.Router.wi_backend
                  with E.Error e when E.retryable e -> incr write_giveups
                in
                for _ = 1 to cfg.txns_per_worker do
@@ -345,68 +293,54 @@ let run cfg =
                          (Printf.sprintf "replica %s diverged from the acting primary"
                             (R.name core)))
                subs)));
-  (* ---- Oracle verdict ---------------------------------------------------- *)
-  let old_hist = { Oracle.committed = List.rev !old_log } in
-  let new_hist = { Oracle.committed = List.rev !new_log } in
-  let initial_old = List.init (keys / 2) (fun k -> (k, 1)) in
+  (* ---- Verdict ----------------------------------------------------------- *)
+  let old_hist = List.rev !old_hist and new_hist = List.rev !new_hist in
   let promote_cseq =
     match !failed_over with
     | Some fo -> Some fo.Stream.promotion.R.promote_cseq
     | None -> None
   in
-  let lineage_check () =
-    match promote_cseq with
-    | None -> Ok ()
-    | Some pc -> (
-        let old_prefix =
-          List.filter (fun (e : Oracle.committed) -> e.order <= pc) old_hist.committed
-        in
-        let new_shifted =
-          List.map
-            (fun (e : Oracle.committed) -> { e with Oracle.order = era_offset + e.order })
-            new_hist.committed
-        in
-        (* Old-era reads past the promotion point saw commits the
-           promotion discarded — they are checked against the full old
-           history above, not against the surviving lineage. *)
-        let readers =
-          List.filter (fun r -> r.Oracle.rr_horizon <= pc) (List.rev !old_rreads)
-          @ List.map
-              (fun r -> { r with Oracle.rr_horizon = era_offset + r.Oracle.rr_horizon })
-              (List.rev !new_rreads)
-        in
-        let pseudo =
-          List.mapi
-            (fun i (r : Oracle.replica_read) ->
-              { Oracle.xid = -(i + 1); reads = r.rr_reads; writes = []; order = r.rr_horizon })
-            readers
-        in
-        match
-          Oracle.find_cycle
-            (Oracle.edges_of { Oracle.committed = old_prefix @ new_shifted @ pseudo })
-        with
-        | None -> Ok ()
-        | Some cycle ->
-            Error
-              (Printf.sprintf "failover lineage DSG is cyclic: %s"
-                 (String.concat " -> " (List.map string_of_int cycle))))
+  (* Each era's history, replica reads included, must be acyclic and
+     every read exact for its snapshot.  No edge can lead from a new-era
+     transaction back to an old-era one, so with both eras acyclic the
+     surviving lineage is too, provided the new era starts from the old
+     era's state at the promotion point: the last stamp committed at or
+     before it, per key. *)
+  let era_violation name h =
+    match Dsg.check [ h ] with
+    | Error cycle -> Some (Printf.sprintf "%s DSG is cyclic\n%s" name (Dsg.pp_cycle cycle))
+    | Ok () -> Option.map (fun e -> name ^ ": " ^ e) (Dsg.stale_read [ h ])
+  in
+  let promotion_violation pc =
+    let state = Hashtbl.create keys in
+    for k = 0 to (keys / 2) - 1 do
+      Hashtbl.replace state k 1
+    done;
+    List.iter
+      (fun (t : Ssi_engine.Recorded.txn) ->
+        if t.cseq <= pc then
+          List.iter
+            (fun (w : Ssi_engine.Recorded.write) -> Hashtbl.replace state (Value.as_int w.key) t.xid)
+            t.writes)
+      old_hist;
+    let expected = List.sort compare (Hashtbl.fold (fun k x acc -> (k, x) :: acc) state []) in
+    if expected = !initial_new then None
+    else Some (Printf.sprintf "promoted state differs from the old era's state at cseq %d" pc)
   in
   let violation =
-    let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e in
-    let verdict =
-      Oracle.check_replica_reads ~initial:initial_old old_hist (List.rev !old_rreads)
-      >>= fun () ->
-      Oracle.check_replica_reads ~initial:!initial_new new_hist (List.rev !new_rreads)
-      >>= fun () ->
-      lineage_check () >>= fun () ->
-      match !convergence_error with Some e -> Error e | None -> Ok ()
-    in
-    match verdict with Ok () -> None | Error e -> Some e
+    List.find_map
+      (fun check -> check ())
+      [
+        (fun () -> era_violation "old-era" old_hist);
+        (fun () -> era_violation "new-era" new_hist);
+        (fun () -> Option.bind promote_cseq promotion_violation);
+        (fun () -> !convergence_error);
+      ]
   in
   let c name = Obs.get_counter (E.obs db) name in
   {
-    commits_old = List.length !old_log;
-    commits_new = List.length !new_log;
+    commits_old = List.length (List.filter (fun (t : Ssi_engine.Recorded.txn) -> t.writes <> []) old_hist);
+    commits_new = List.length (List.filter (fun (t : Ssi_engine.Recorded.txn) -> t.writes <> []) new_hist);
     reads_ok = !reads_ok;
     read_giveups = !read_giveups;
     write_giveups = !write_giveups;

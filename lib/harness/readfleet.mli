@@ -1,7 +1,7 @@
 (** Read-fleet chaos harness: seeded end-to-end scenarios for the
     {!Ssi_replication.Router} under network faults, replica lag and
     fenced failover — every routed read checked against the commit order
-    by the replica-read oracle.
+    in the primaries' recorded histories.
 
     One {!run} builds a streaming primary plus [replicas] cores fed over
     an adversarial {!Ssi_net.Net}, fronts them with a read router, and
@@ -11,12 +11,17 @@
     workload quiesces and the network heals, the harness drives replica
     catch-up and then checks:
 
-    - {e exactness + serializability} of every routed read (replica- and
-      primary-served) via {!Test_oracle.Oracle.check_replica_reads}, per
-      lineage era;
-    - {e cross-failover serializability}: the surviving lineage (old-era
-      prefix the promotion kept, then all new-era commits) plus all
-      checkable routed reads form an acyclic DSG;
+    - {e exactness + serializability} of every routed read, per era: each
+      primary records its history ({!Ssi_engine.Engine.set_recorder}) and
+      each replica records its reads into the history of the primary it
+      follows ({!Ssi_replication.Replica.set_recorder}); every read must
+      return the last version committed before its snapshot
+      ({!Ssi_check.Dsg.stale_read}) and each era's graph must be acyclic
+      ({!Ssi_check.Dsg.check});
+    - {e cross-failover serializability}: the promoted primary starts from
+      exactly the old era's state at the promotion point.  No dependency
+      leads from a new-era transaction back to an old-era one, so with
+      that and both eras acyclic, the surviving lineage is acyclic too;
     - {e convergence}: every still-subscribed replica ends byte-identical
       to the acting primary;
     - {e availability}: no client-visible failure for a retryable fault

@@ -1,7 +1,7 @@
 (* Sharded chaos harness: drive hash-partitioned engines behind the 2PC
    coordinator through seeded partitions, message chaos and participant
-   crashes, then check the combined multi-shard history with the spliced
-   DSG oracle.  See sharded.mli. *)
+   crashes, then check the shards' recorded histories, joined on the
+   global transactions' gids, as one DSG.  See sharded.mli. *)
 
 module E = Ssi_engine.Engine
 module Shard = Ssi_shard.Shard
@@ -12,7 +12,7 @@ module Rng = Ssi_util.Rng
 module Waitq = Ssi_util.Waitq
 module Obs = Ssi_obs.Obs
 module Value = Ssi_storage.Value
-module Oracle = Test_oracle.Oracle
+module Dsg = Ssi_check.Dsg
 module Driver = Ssi_workload.Driver
 
 type cfg = {
@@ -71,9 +71,9 @@ let run cfg =
   let log line = chaos_log := line :: !chaos_log in
   let violation = ref None in
   let note_violation v = if !violation = None then violation := Some v in
-  (* Per-shard branch logs: one [Oracle.committed] entry per shard a
-     transaction touched, spliced after the run. *)
-  let shard_log = Array.make cfg.shards ([] : Oracle.committed list) in
+  (* Each shard's recorded history, newest first.  Every branch of a
+     global transaction is tagged with its gid, so they join as one. *)
+  let recorded = Array.make cfg.shards [] in
   let final_rows = ref [] in
   let stats = ref [] in
   ignore
@@ -82,6 +82,9 @@ let run cfg =
       Shard.create_table sys ~name:table ~cols:[ "k"; "writer" ] ~key:"k";
       Shard.seed_rows sys ~table
         ~rows:(List.init cfg.keys (fun k -> [| Value.Int k; Value.Int 1 |]));
+      Array.iteri
+        (fun s e -> E.set_recorder e (Some (fun entry -> recorded.(s) <- entry :: recorded.(s))))
+        (Shard.engines sys);
       (* Network adversity from the shared fault planner, retargeted at
          the coordinator network via its type-erased control surface. *)
       let plan =
@@ -135,42 +138,16 @@ let run cfg =
               Sim.delay (Rng.float rng (horizon /. float_of_int cfg.txns_per_worker));
               let g = Shard.begin_txn sys in
               let gxid = Shard.gxid g in
-              (* Footprint per shard, for the spliced oracle entries. *)
-              let reads = Array.make cfg.shards []
-              and writes = Array.make cfg.shards [] in
               (try
                  for _ = 1 to cfg.ops_per_txn do
-                   let k = Rng.int rng cfg.keys in
-                   let key = Value.Int k in
-                   let s = Shard.shard_of_key sys key in
-                   if Rng.chance rng cfg.write_bias then begin
-                     let (_ : bool) =
-                       Shard.update g ~table ~key ~f:(fun row ->
-                           [| row.(0); Value.Int gxid |])
-                     in
-                     writes.(s) <- k :: writes.(s)
-                   end
-                   else
-                     let stamp =
-                       match Shard.read g ~table ~key with
-                       | Some row -> Value.as_int row.(1)
-                       | None -> 0
-                     in
-                     reads.(s) <- (k, stamp) :: reads.(s)
+                   let key = Value.Int (Rng.int rng cfg.keys) in
+                   if Rng.chance rng cfg.write_bias then
+                     ignore
+                       (Shard.update g ~table ~key ~f:(fun row -> [| row.(0); Value.Int gxid |]))
+                   else ignore (Shard.read g ~table ~key)
                  done;
-                 let cts = Shard.commit g in
-                 incr commits;
-                 for s = 0 to cfg.shards - 1 do
-                   if reads.(s) <> [] || writes.(s) <> [] then
-                     shard_log.(s) <-
-                       {
-                         Oracle.xid = gxid;
-                         reads = List.rev reads.(s);
-                         writes = List.rev writes.(s);
-                         order = cts;
-                       }
-                       :: shard_log.(s)
-                 done
+                 ignore (Shard.commit g);
+                 incr commits
                with E.Error e when E.retryable e ->
                  Shard.abort g;
                  incr client_aborts)
@@ -211,37 +188,16 @@ let run cfg =
       ignore (Shard.commit g);
       stats := Shard.stats sys));
   let final_rows = List.sort compare !final_rows in
-  (* Combined multi-shard DSG: splice the branch logs on the coordinator
-     commit timestamps and look for a cycle. *)
-  let histories =
-    Array.to_list
-      (Array.map (fun l -> { Oracle.committed = List.rev l }) shard_log)
-  in
-  let spliced = Oracle.splice_shards histories in
-  (match Oracle.check_serializable spliced with
+  (* One DSG over every shard's history, and exactness: every read —
+     the final read of each key included — returned the last version its
+     shard committed before the reader's snapshot. *)
+  let histories = Array.to_list (Array.map List.rev recorded) in
+  (match Dsg.check histories with
   | Ok () -> ()
   | Error cycle ->
       note_violation
-        (Printf.sprintf "combined multi-shard DSG is cyclic\n%s"
-           (Oracle.pp_cycle spliced cycle)));
-  (* Exactness: final stamps equal the last committed writer per key. *)
-  let expected = Hashtbl.create cfg.keys in
-  List.iter
-    (fun c ->
-      List.iter
-        (fun k ->
-          match Hashtbl.find_opt expected k with
-          | Some (_, o) when o >= c.Oracle.order -> ()
-          | _ -> Hashtbl.replace expected k (c.Oracle.xid, c.Oracle.order))
-        c.Oracle.writes)
-    spliced.Oracle.committed;
-  List.iter
-    (fun (k, got) ->
-      let want = match Hashtbl.find_opt expected k with Some (x, _) -> x | None -> 1 in
-      if got <> want then
-        note_violation
-          (Printf.sprintf "key %d: final writer %d, last committed writer %d" k got want))
-    final_rows;
+        (Printf.sprintf "combined multi-shard DSG is cyclic\n%s" (Dsg.pp_cycle cycle)));
+  Option.iter note_violation (Dsg.stale_read histories);
   let stat name = try List.assoc name !stats with Not_found -> 0 in
   {
     commits = !commits;

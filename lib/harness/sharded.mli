@@ -1,7 +1,7 @@
 (** Sharded chaos harness: seeded end-to-end scenarios for the
     {!Ssi_shard.Shard} coordinator under network partitions, message
-    chaos and participant crashes — the combined multi-shard history
-    checked by the spliced-DSG oracle.
+    chaos and participant crashes — the shards' recorded histories
+    checked as one DSG ({!Ssi_check.Dsg}).
 
     One {!run} hash-partitions a single table across [shards] engines,
     drives [workers] concurrent clients whose uniform-key transactions
@@ -12,12 +12,13 @@
     coordinator recovery scan ({!Ssi_shard.Shard.resolve_indoubt}), and
     checks:
 
-    - {e combined serializability}: the per-shard branch logs spliced on
-      the coordinator commit timestamps
-      ({!Test_oracle.Oracle.splice_shards}) form an acyclic DSG — the
+    - {e combined serializability}: every shard's engine records its
+      history, each branch tagged with its global transaction's gid, and
+      the histories joined on the gids form an acyclic DSG — the
       cross-shard dangerous-structure test no single certifier can run;
-    - {e exactness}: each key's final stamp is its last committed
-      writer's global xid;
+    - {e exactness}: every read, the final read of each key included,
+      returned the last version its shard committed before the reader's
+      snapshot;
     - {e decision durability}: every surviving prepared transaction was
       resolved according to the coordinator's decision log.
 
@@ -69,7 +70,7 @@ val pp : Format.formatter -> outcome -> unit
     log. *)
 
 val ok : outcome -> bool
-(** The spliced oracle found no violation. *)
+(** The DSG check found no violation. *)
 
 (** {1 Bench preset} *)
 

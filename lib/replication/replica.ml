@@ -12,8 +12,8 @@ module Key_table = Hashtbl.Make (struct
 end)
 
 (* Versioned rows: newest first, each tagged with the applying commit's
-   cseq.  [None] marks a deletion. *)
-type versions = (int * Value.t array option) list ref
+   cseq and the primary's xid that created it.  [None] marks a deletion. *)
+type versions = (int * int * Value.t array option) list ref
 
 type t = {
   rep_name : string;
@@ -26,6 +26,8 @@ type t = {
      replica must fail retryably, not read from a store whose history is
      being replaced underneath them. *)
   mutable generation : int;
+  mutable recorder : (Ssi_engine.Recorded.txn -> unit) option;
+  mutable reads_done : int;  (** read transactions recorded, for their names *)
   pending : E.commit_record Queue.t;
   safe_arrived : Waitq.t;
   (* Gauges under replica.<name>.*: how far behind the replica is (records
@@ -52,7 +54,7 @@ let versions_of store key =
       v
 
 let apply_record t (record : E.commit_record) =
-  let cseq = record.E.wal_cseq in
+  let cseq = record.E.wal_cseq and xid = record.E.wal_xid in
   (* The apply is a span parented under the origin commit's span context
      carried in the WAL record, so a trace tree crosses the network:
      txn.commit on the primary -> replica.apply here. *)
@@ -75,10 +77,10 @@ let apply_record t (record : E.commit_record) =
       match op with
       | Wal.Insert { table; key; row } | Wal.Update { table; key; row } ->
           let v = versions_of (table_store t table) key in
-          v := (cseq, Some row) :: !v
+          v := (cseq, xid, Some row) :: !v
       | Wal.Delete { table; key } ->
           let v = versions_of (table_store t table) key in
-          v := (cseq, None) :: !v)
+          v := (cseq, xid, None) :: !v)
     record.E.wal_ops;
   t.applied <- max t.applied cseq;
   Obs.set_gauge t.g_applied (float_of_int t.applied);
@@ -110,6 +112,8 @@ let create ?obs ?(name = "replica") () =
     last_safe = 0;
     lag = 0;
     generation = 0;
+    recorder = None;
+    reads_done = 0;
     pending = Queue.create ();
     safe_arrived = Waitq.create ();
     g_apply_lag = Obs.gauge obs (metric "apply_lag");
@@ -154,15 +158,22 @@ let set_apply_lag t n =
   t.lag <- max 0 n;
   drain t
 
-type rtxn = { replica : t; horizon : int; gen : int }
+let set_recorder t f = t.recorder <- f
+
+type rtxn = {
+  replica : t;
+  horizon : int;
+  gen : int;
+  mutable reads : Ssi_engine.Recorded.read list;  (** newest first, when recording *)
+}
 
 (* Internal, non-raising snapshot: promote uses it to build the new
    primary even when the replica has never seen a safe point (an empty
    history is then the correct promotion snapshot). *)
 let begin_read_internal t mode =
   match mode with
-  | `Latest_safe -> { replica = t; horizon = t.last_safe; gen = t.generation }
-  | `Latest_applied -> { replica = t; horizon = t.applied; gen = t.generation }
+  | `Latest_safe -> { replica = t; horizon = t.last_safe; gen = t.generation; reads = [] }
+  | `Latest_applied -> { replica = t; horizon = t.applied; gen = t.generation; reads = [] }
 
 let begin_read t mode =
   (match mode with
@@ -196,27 +207,59 @@ let ensure_live r ~op =
                r.replica.rep_name;
          }))
 
-let visible_row r versions =
+(* The version [r] sees: its creator's xid and its row ([None] for a
+   deletion), or [None] when every version is past the horizon. *)
+let visible r versions =
   let rec find = function
     | [] -> None
-    | (cseq, row) :: older -> if cseq <= r.horizon then row else find older
+    | (cseq, xid, row) :: older -> if cseq <= r.horizon then Some (xid, row) else find older
   in
   find !versions
 
+let visible_row r versions = match visible r versions with Some (_, row) -> row | None -> None
+
+(* The horizon is inclusive here and exclusive in a recorded history. *)
+let record r read =
+  match r.replica.recorder with None -> () | Some _ -> r.reads <- read (r.horizon + 1) :: r.reads
+
 let read r ~table ~key =
   ensure_live r ~op:"replica_read";
-  match Hashtbl.find_opt r.replica.tables table with
-  | None -> None
-  | Some store -> (
-      match Key_table.find_opt store key with
-      | None -> None
-      | Some versions -> (
-          match visible_row r versions with
-          | Some row -> Some (Array.copy row)
-          | None -> None))
+  let version =
+    match Hashtbl.find_opt r.replica.tables table with
+    | None -> None
+    | Some store -> (
+        match Key_table.find_opt store key with
+        | None -> None
+        | Some versions -> visible r versions)
+  in
+  record r (fun horizon ->
+      Ssi_engine.Recorded.Point
+        {
+          rel = table;
+          key;
+          version = (match version with Some (xid, Some _) -> Some xid | Some (_, None) | None -> None);
+          horizon;
+        });
+  match version with Some (_, Some row) -> Some (Array.copy row) | Some (_, None) | None -> None
+
+let finish_read r =
+  let t = r.replica in
+  match t.recorder with
+  | None -> ()
+  | Some emit ->
+      t.reads_done <- t.reads_done + 1;
+      emit
+        {
+          Ssi_engine.Recorded.xid = -t.reads_done;
+          gid = Some (Printf.sprintf "%s#%d" t.rep_name t.reads_done);
+          cseq = r.horizon + 1;
+          reads = List.rev r.reads;
+          writes = [];
+        }
 
 let scan r ~table ?(filter = fun _ -> true) () =
   ensure_live r ~op:"replica_scan";
+  record r (fun horizon -> Ssi_engine.Recorded.Scan { rel = table; range = None; horizon; own = [] });
   match Hashtbl.find_opt r.replica.tables table with
   | None -> []
   | Some store ->

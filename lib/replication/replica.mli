@@ -74,6 +74,13 @@ type rtxn
     rtxn opened before either raise a retryable [Engine.Transient_fault]
     instead of observing a store whose history diverged. *)
 
+val set_recorder : t -> (Ssi_engine.Recorded.txn -> unit) option -> unit
+(** Record this replica's read transactions ({!finish_read}) in the
+    primary's history: versions are named by the xid of the primary commit
+    that created them (versions of a base snapshot by xid [0], which no
+    recorded writer has), horizons are exclusive, and each entry's gid
+    ([<replica>#<n>]) keeps it apart from the primary's transactions. *)
+
 val begin_read : t -> [ `Latest_safe | `Latest_applied ] -> rtxn
 (** Open a snapshot.  [`Latest_safe] before any safe-snapshot point has
     arrived ([last_safe_cseq t = 0]) raises a retryable
@@ -90,6 +97,10 @@ val read : rtxn -> table:string -> key:Value.t -> Value.t array option
 val scan : rtxn -> table:string -> ?filter:(Value.t array -> bool) -> unit -> Value.t array list
 (** Raises [Engine.Transient_fault] if the snapshot was invalidated, as
     {!read}. *)
+
+val finish_read : rtxn -> unit
+(** The read transaction is over: hand its reads to the recorder as one
+    read-only entry.  No-op without a recorder. *)
 
 val wait_snapshot : ?deadline:float -> t -> after:int -> int
 (** In simulation: suspend until a safe snapshot with cseq > [after]

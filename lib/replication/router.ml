@@ -316,6 +316,7 @@ let replica_attempt t m ~consistency ~required ~route_span f =
   in
   match f { ro_name = Replica.name rep; ro_horizon = horizon; ro_kind = K_replica rtxn } with
   | v ->
+      Replica.finish_read rtxn;
       Obs.Span.finish t.r_obs sp;
       v
   | exception e ->

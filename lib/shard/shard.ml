@@ -325,11 +325,17 @@ let begin_txn t =
 let gxid g = g.g_xid
 let touched g = List.sort compare (List.map fst g.g_branches)
 
+let gid_of gxid = Printf.sprintf "g%d" gxid
+
 let branch g s =
   match List.assoc_opt s g.g_branches with
   | Some txn -> txn
   | None ->
-      let txn = E.begin_txn g.g.engines.(s) in
+      let e = g.g.engines.(s) in
+      let txn = E.begin_txn e in
+      (* Every branch, not only a 2PC one, names the global transaction in
+         its shard's recorded history, so the shards' histories join. *)
+      if E.recording e then E.tag txn (gid_of g.g_xid);
       g.g_branches <- (s, txn) :: g.g_branches;
       txn
 
@@ -442,7 +448,7 @@ let cross_pivot summaries =
 let two_phase g parts =
   let t = g.g in
   Obs.incr t.c_twopc;
-  let gid = Printf.sprintf "g%d" g.g_xid in
+  let gid = gid_of g.g_xid in
   let span =
     Obs.Span.start t.sobs "shard.twopc"
       ~attrs:
@@ -588,8 +594,7 @@ let commit g =
          of the same key are serialized by that key's (single) shard's
          write locks, so for any two conflicting writers the later one
          begins its commit after the earlier one's commit point — the
-         draw order is a linear extension of every per-key write order,
-         which is what the combined-DSG oracle splices on. *)
+         draw order is a linear extension of every per-key write order. *)
       let cts = fresh_cts t in
       (try E.commit txn
        with e ->

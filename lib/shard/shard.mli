@@ -39,9 +39,9 @@
       cross-shard T1 -> T2 -> T3 with [pg_ssi explain]).
 
     The coordinator's commit-decision sequence ("commit timestamp") is a
-    linear extension of every shard's per-key write order, so it is the
-    [order] the combined multi-shard DSG oracle splices shard histories
-    with.
+    linear extension of every shard's per-key write order.  Every branch
+    is tagged ({!Ssi_engine.Engine.tag}) with its global transaction's gid,
+    so the shards' recorded histories join into one DSG.
 
     Metrics (prefix [shard.]): [shard.fastpath], [shard.readonly],
     [shard.twopc], [shard.commits], [shard.aborts],

@@ -4,7 +4,8 @@
      dune exec test/debug_oracle.exe -- SEED [MODE [CONFIG]]
      dune exec test/debug_oracle.exe -- LO-HI [MODE [CONFIG|all]]
 
-   MODE is ssi, ssn, essn or 2pl (default 2pl); CONFIG is one of
+   MODE is ssi, ssn, essn, 2pl (default) or si, plain snapshot
+   isolation, whose histories are expected to be cyclic; CONFIG is one of
    Oracle.cfgs (default "default").  One seed streams the engine's event
    log to stderr as JSONL (one [Obs] event per line, in emission order)
    and prints the cycle found, if any.  A range runs quietly, prints one
@@ -17,7 +18,7 @@ module Obs = Ssi_obs.Obs
 
 let usage () =
   prerr_endline
-    "usage: debug_oracle (SEED | LO-HI) [ssi|ssn|essn|2pl] \
+    "usage: debug_oracle (SEED | LO-HI) [ssi|ssn|essn|2pl|si] \
      [default|contended|summarizing|nextkey|all]";
   exit 2
 
@@ -26,7 +27,8 @@ let arg i default = if Array.length Sys.argv > i then Sys.argv.(i) else default
 let label, isolation, certifier =
   let m = String.uppercase_ascii (arg 2 "2pl") in
   let m = if m = "2PL" then "S2PL" else m in
-  match List.find_opt (fun (l, _, _) -> l = m) Oracle.serializable_modes with
+  let modes = ("SI", E.Repeatable_read, Ssi_core.Certifier.SSI) :: Oracle.serializable_modes in
+  match List.find_opt (fun (l, _, _) -> l = m) modes with
   | Some mode -> mode
   | None -> usage ()
 
@@ -53,9 +55,9 @@ let replay seed =
       (Obs.events (E.obs db))
   in
   let h = run ~after_op name seed in
-  match Oracle.check_serializable h with
+  match Oracle.check h with
   | Ok () -> print_endline "serializable (no repro)"
-  | Error cycle -> print_string (Oracle.pp_cycle h cycle)
+  | Error cycle -> print_string (Ssi_check.Dsg.pp_cycle cycle)
 
 let sweep lo hi =
   let mode = String.lowercase_ascii label in
@@ -64,7 +66,7 @@ let sweep lo hi =
   List.iter
     (fun name ->
       for seed = lo to hi do
-        match Oracle.check_serializable (run name seed) with
+        match Oracle.check (run name seed) with
         | Ok () -> ()
         | Error _ ->
             incr failed;

@@ -25,23 +25,22 @@ let certifiers = [ (Certifier.SSN, "SSN"); (Certifier.ESSN, "ESSN") ]
 
 (* ---- Kill-point recovery torture ------------------------------------------- *)
 
+(* Torture runs span a crash and a cold restart, so the harness keeps its
+   own per-transaction logs of the acknowledged and recovered commits. *)
 let history_of (o : T.outcome) =
-  {
-    Oracle.committed =
-      List.map
-        (fun (l : T.txn_log) ->
-          { Oracle.xid = l.T.l_xid; reads = l.T.l_reads; writes = l.T.l_writes; order = l.T.l_cseq })
-        o.T.o_history;
-  }
+  Oracle.stamped
+    (List.map
+       (fun (l : T.txn_log) -> (l.T.l_xid, l.T.l_cseq, l.T.l_reads, l.T.l_writes))
+       o.T.o_history)
 
 let check_outcome name (o : T.outcome) =
   let tag = Printf.sprintf "%s seed=%d kill=%d: " name o.T.o_seed o.T.o_kill_point in
   Alcotest.(check bool) (tag ^ "durability invariants hold") true (T.invariants_ok o);
-  match Oracle.check_serializable (history_of o) with
+  match Oracle.check (history_of o) with
   | Ok () -> ()
   | Error cycle ->
       Alcotest.failf "%scombined history not serializable:\n%s" tag
-        (Oracle.pp_cycle (history_of o) cycle)
+        (Ssi_check.Dsg.pp_cycle cycle)
 
 let test_torture kind name () =
   let outcomes =
@@ -109,33 +108,36 @@ let test_kind_reported kind name () =
 
 (* ---- Pinned histories ------------------------------------------------------ *)
 
-let render_history (h : Oracle.history) =
+let render_history (h : Ssi_check.Dsg.history) =
   String.concat "\n"
     (List.map
-       (fun (c : Oracle.committed) ->
-         Printf.sprintf "%d@%d r=%s w=%s" c.Oracle.xid c.Oracle.order
-           (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%d:%d" k v) c.Oracle.reads))
-           (String.concat "," (List.map string_of_int c.Oracle.writes)))
-       h.Oracle.committed)
+       (fun (t : Ssi_engine.Recorded.txn) ->
+         Format.asprintf "%d@%d r=%a w=%a" t.xid t.cseq
+           (Format.pp_print_list ~pp_sep:Format.pp_print_space Ssi_engine.Recorded.pp_read)
+           t.reads
+           (Format.pp_print_list ~pp_sep:Format.pp_print_space Ssi_engine.Recorded.pp_write)
+           t.writes)
+       h)
 
 (* Seeds 8 and 14 are ones where ESSN commits a different history from
-   SSN under the contended cfgs. *)
+   SSN under the contended cfgs.  The digests are of the engine-recorded
+   histories as [render_history] prints them. *)
 let pinned_seeds = [ 1; 8; 14 ]
 
 let pinned =
   [
-    (Certifier.SSI, "default", "a9d6345c31c2b0a7d001bca05155feaf");
-    (Certifier.SSI, "contended", "a505547ae745f08c8f5c1f957fb61357");
-    (Certifier.SSI, "summarizing", "a505547ae745f08c8f5c1f957fb61357");
-    (Certifier.SSI, "nextkey", "d705914d8896060e1f0a163c968eb258");
-    (Certifier.SSN, "default", "4bbaae5558e43fc1c32cc6a737a3fc6c");
-    (Certifier.SSN, "contended", "b9eefc247c4eb796dae8b26819b71282");
-    (Certifier.SSN, "summarizing", "b9eefc247c4eb796dae8b26819b71282");
-    (Certifier.SSN, "nextkey", "147c0ad5e0e566c4b1e69154946ac9bd");
-    (Certifier.ESSN, "default", "4bbaae5558e43fc1c32cc6a737a3fc6c");
-    (Certifier.ESSN, "contended", "117cd21b1a604674929f9652bb4c5420");
-    (Certifier.ESSN, "summarizing", "117cd21b1a604674929f9652bb4c5420");
-    (Certifier.ESSN, "nextkey", "77e2e16b6f8347bfa4a8da9b98139929");
+    (Certifier.SSI, "default", "1fcfe0fc54727845a58c0c3bae5237c5");
+    (Certifier.SSI, "contended", "2e72dad9f92738595e5fa0732fd0ca44");
+    (Certifier.SSI, "summarizing", "2e72dad9f92738595e5fa0732fd0ca44");
+    (Certifier.SSI, "nextkey", "f857040ede48600279450b3bf683fefe");
+    (Certifier.SSN, "default", "28f605c99ea978bf65b43278fe0ea5bb");
+    (Certifier.SSN, "contended", "508c9063573e733d4fad05f9b6643d07");
+    (Certifier.SSN, "summarizing", "508c9063573e733d4fad05f9b6643d07");
+    (Certifier.SSN, "nextkey", "04e2d58ddac1dc007843d542c5b15af0");
+    (Certifier.ESSN, "default", "28f605c99ea978bf65b43278fe0ea5bb");
+    (Certifier.ESSN, "contended", "fd205f64c023f1dd978ecd24039474c0");
+    (Certifier.ESSN, "summarizing", "fd205f64c023f1dd978ecd24039474c0");
+    (Certifier.ESSN, "nextkey", "6a7f830f976a9bb78d73e3076fc55e2e");
   ]
 
 let test_pinned_histories () =

@@ -1,7 +1,8 @@
 (* Chaos tests: seeded fault plans (crashes, transient I/O faults, memory
    pressure, replica lag, failover) executed against a live workload on the
-   simulator's virtual clock, with every surviving committed history checked
-   for serializability by the DSG oracle.
+   simulator's virtual clock.  The engine records every surviving committed
+   transaction, and the recorded history is checked for serializability and
+   read exactness (Ssi_check.Dsg).
 
    Each plan also checks the durability invariants of §7.1:
    - acknowledged commits survive a crash (the final table state equals the
@@ -18,12 +19,12 @@
    committed history, and the final state must replay identically. *)
 
 open Ssi_storage
-open Test_oracle
 module E = Ssi_engine.Engine
 module Sim = Ssi_sim.Sim
 module F = Ssi_fault.Fault
 module R = Ssi_replication.Replica
 module Rng = Ssi_util.Rng
+module Dsg = Ssi_check.Dsg
 
 let table = "kv"
 let keys = 12
@@ -62,7 +63,7 @@ let base_cfg =
   }
 
 type outcome = {
-  history : Oracle.history;  (** committed txns, [order] = commit sequence *)
+  history : Dsg.history;  (** the recorded committed transactions, in commit order *)
   chaos_log : string list;
   final_rows : (int * int) list;  (** primary (key, writer), workload keys *)
   replica_rows : (int * int) list;  (** replica `Latest_applied after drain *)
@@ -87,32 +88,21 @@ let chaos_policy =
     jitter = 0.5;
   }
 
-(* One transaction: random stamped updates, point reads, and small index
-   scans over a fully-seeded table, logging exactly which version (writer
-   xid) each read observed — the raw material for the DSG. *)
+(* One transaction: random updates, point reads, and small index scans
+   over a fully-seeded table.  Each update stamps the row with the
+   writer's xid, so the final state can be compared with the history. *)
 let txn_body rng cfg t =
-  let reads = ref [] and writes = ref [] in
   let me = E.xid t in
   for _ = 1 to cfg.ops_per_txn do
     let k = Rng.int rng keys in
     let p = Rng.float rng 1.0 in
-    if p < 0.45 then begin
-      if E.update t ~table ~key:(vi k) ~f:(fun row -> [| row.(0); vi me |]) then
-        writes := k :: !writes
-    end
+    if p < 0.45 then ignore (E.update t ~table ~key:(vi k) ~f:(fun row -> [| row.(0); vi me |]))
     else if p < 0.70 then begin
       let hi = min (keys - 1) (k + 3) in
-      let rows = E.index_scan t ~table ~index:(table ^ "_pkey") ~lo:(vi k) ~hi:(vi hi) in
-      List.iter
-        (fun row -> reads := (Value.as_int row.(0), Value.as_int row.(1)) :: !reads)
-        rows
+      ignore (E.index_scan t ~table ~index:(table ^ "_pkey") ~lo:(vi k) ~hi:(vi hi))
     end
-    else
-      match E.read t ~table ~key:(vi k) with
-      | Some row -> reads := (k, Value.as_int row.(1)) :: !reads
-      | None -> ()
-  done;
-  (E.xid t, List.rev !reads, List.rev !writes)
+    else ignore (E.read t ~table ~key:(vi k))
+  done
 
 let rows_of_scan rows =
   List.sort compare
@@ -140,12 +130,6 @@ let run_plan cfg =
   let injector = F.injector ~seed:cfg.seed in
   let config = { E.default_config with E.costs = sim_costs } in
   let db = E.create ~scheduler:Sim.scheduler ~config () in
-  (* Synchronous commit hook: records each transaction's commit sequence at
-     the instant it becomes visible.  Workers may be suspended charging
-     commit I/O when a crash hits, so their own notion of "when I
-     committed" is too late to order the history — the cseq is the truth. *)
-  let cseq_of : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  E.set_on_commit db (fun record -> Hashtbl.replace cseq_of record.E.wal_xid record.E.wal_cseq);
   let replica = R.attach db in
   E.set_fault_injector db (Some (fun ~op -> F.hook injector ~op));
   (* Around each crash: park a freshly-prepared transaction on a sentinel
@@ -198,11 +182,12 @@ let run_plan cfg =
          Ssi_obs.Scrape.run scrape ~interval:(horizon /. 20.) ~until:(horizon *. 2.5);
          E.create_table db ~name:table ~cols:[ "k"; "writer" ] ~key:"k";
          E.with_txn db (fun t ->
-             (* The oracle treats xid 1 as the seed writer. *)
+             (* [expected_state] treats xid 1 as the seed writer. *)
              Alcotest.(check int) "setup is the first transaction" 1 (E.xid t);
              for k = 0 to keys - 1 do
                E.insert t ~table [| vi k; vi (E.xid t) |]
              done);
+         E.set_recorder db (Some (fun entry -> history := entry :: !history));
          Sim.spawn (fun () ->
              F.execute ~observer
                { F.engine = db; injector = Some injector; replica = Some replica; fleet = []; net = None; net_ops = None }
@@ -213,12 +198,8 @@ let run_plan cfg =
            Sim.spawn (fun () ->
                for _ = 1 to cfg.txns_per_worker do
                  (try
-                    let xid, reads, writes =
-                      E.retry_with ~policy:chaos_policy ~rng:backoff_rng db (fun t ->
-                          txn_body rng cfg t)
-                    in
-                    let order = Hashtbl.find cseq_of xid in
-                    history := { Oracle.xid; reads; writes; order } :: !history
+                    E.retry_with ~policy:chaos_policy ~rng:backoff_rng db (fun t ->
+                        txn_body rng cfg t)
                   with E.Error e when E.retryable e -> ());
                  Sim.delay (Rng.float rng 0.0005)
                done;
@@ -241,7 +222,7 @@ let run_plan cfg =
              retries := Ssi_obs.Obs.get_counter (E.obs db) "engine.retries";
              giveups := Ssi_obs.Obs.get_counter (E.obs db) "engine.giveups")));
   {
-    history = { Oracle.committed = List.rev !history };
+    history = List.rev !history;
     chaos_log = List.rev !chaos_log;
     final_rows = !final_rows;
     replica_rows = !replica_rows;
@@ -258,30 +239,31 @@ let run_plan cfg =
       | None -> []);
   }
 
-(* Replay the committed history (in commit-sequence order) up to [horizon]:
-   the expected (key, writer) state.  The seed transaction is xid 1. *)
-let expected_state ?(upto = max_int) history =
-  List.init keys (fun k ->
-      let writer =
-        List.fold_left
-          (fun (best_order, best_xid) (t : Oracle.committed) ->
-            if t.Oracle.order <= upto && t.Oracle.order > best_order
-               && List.mem k t.Oracle.writes
-            then (t.Oracle.order, t.Oracle.xid)
-            else (best_order, best_xid))
-          (0, 1) history.Oracle.committed
-        |> snd
-      in
-      (k, writer))
+(* Replay the committed history (in commit-sequence order) up to cseq
+   [upto]: the expected (key, writer) state.  The seed transaction is
+   xid 1. *)
+let expected_state ?(upto = max_int) (history : Dsg.history) =
+  let writer = Array.make keys 1 in
+  List.iter
+    (fun (t : Ssi_engine.Recorded.txn) ->
+      if t.cseq <= upto then
+        List.iter
+          (fun (w : Ssi_engine.Recorded.write) ->
+            let k = Value.as_int w.key in
+            if k < keys then writer.(k) <- t.xid)
+          t.writes)
+    history;
+  List.init keys (fun k -> (k, writer.(k)))
 
 let check_outcome name cfg o =
   (* Serializability: the DSG of the surviving committed history must be
-     acyclic no matter what faults were injected. *)
-  (match Oracle.check_serializable o.history with
+     acyclic no matter what faults were injected, and every read must have
+     returned the last version committed before its snapshot. *)
+  (match Dsg.check [ o.history ] with
   | Ok () -> ()
   | Error cycle ->
-      Alcotest.failf "%s: non-serializable history under faults\n%s" name
-        (Oracle.pp_cycle o.history cycle));
+      Alcotest.failf "%s: non-serializable history under faults\n%s" name (Dsg.pp_cycle cycle));
+  Option.iter (Alcotest.failf "%s: stale read under faults: %s" name) (Dsg.stale_read [ o.history ]);
   (* Durability: the final table equals the committed history's replay —
      acknowledged commits survived every crash, aborted and in-flight
      attempts left no trace. *)
@@ -304,13 +286,11 @@ let check_outcome name cfg o =
   (* Every planned crash exercised the §7.1 recovery contract. *)
   Alcotest.(check int) (name ^ ": crash recovery checks ran") cfg.crashes o.crash_checks;
   Alcotest.(check bool) (name ^ ": some transactions committed") true
-    (List.length o.history.Oracle.committed > 0)
+    (List.exists (fun (t : Ssi_engine.Recorded.txn) -> t.writes <> []) o.history)
 
 let comparable o =
   ( o.chaos_log,
-    List.map
-      (fun (t : Oracle.committed) -> (t.Oracle.xid, t.Oracle.order, t.Oracle.reads, t.Oracle.writes))
-      o.history.Oracle.committed,
+    o.history,
     o.final_rows,
     o.injected,
     o.alerts )

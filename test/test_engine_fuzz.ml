@@ -12,9 +12,9 @@
      leaves nothing behind, and the certifier tracks no transaction the
      model does not know;
 
-   and at the end the committed history passes the DSG oracle.  Reads,
-   writes and the setup follow {!Oracle.txn_body}, so every version a
-   transaction reads names its writer. *)
+   and at the end the history the engine recorded is acyclic and every
+   read in it returned the version its snapshot should see: the recorder
+   must follow savepoint rollbacks, failed statements and 2PC. *)
 
 open Ssi_storage
 module E = Ssi_engine.Engine
@@ -83,12 +83,7 @@ let cmds_arb =
 
 (* ---- The model --------------------------------------------------------------- *)
 
-type live = {
-  txn : E.txn;
-  mutable reads : (int * int) list;  (** newest first *)
-  mutable writes : int list;  (** newest first *)
-  mutable saves : (int * int list) list;  (** savepoint, [writes] when set; newest first *)
-}
+type live = { txn : E.txn }
 
 type slot =
   | Empty
@@ -98,9 +93,7 @@ type slot =
 type state = {
   db : E.t;
   slots : slot array;
-  prepared : (string, Oracle.committed) Hashtbl.t;  (** gid -> its log, order unset *)
-  mutable history : Oracle.committed list;
-  mutable order : int;
+  prepared : (string, int) Hashtbl.t;  (** gid -> xid *)
 }
 
 let documented_misuse =
@@ -115,59 +108,24 @@ let run f =
   | exception Invalid_argument m when List.mem m documented_misuse -> Misuse
   | exception e -> QCheck.Test.fail_reportf "escaped: %s" (Printexc.to_string e)
 
-let log_of l =
-  { Oracle.xid = E.xid l.txn; reads = List.rev l.reads; writes = List.rev l.writes; order = 0 }
-
-let commit_log st (c : Oracle.committed) =
-  st.order <- st.order + 1;
-  st.history <- { c with order = st.order } :: st.history
-
-let writer row = Value.as_int row.(1)
-
-(* Apply one data operation of a live handle, recording what it read and
-   wrote; any failure aborts the handle, as a client would. *)
+(* Apply one data operation of a live handle; any failure aborts the
+   handle, as a client would. *)
 let data_op st s l op =
   let t = l.txn and me = Value.Int (E.xid l.txn) in
-  let read k v = l.reads <- (k, v) :: l.reads and wrote k = l.writes <- k :: l.writes in
   let body () =
     match op with
-    | Read k ->
-        read k (match E.read t ~table ~key:(Value.Int k) with Some r -> writer r | None -> 0)
+    | Read k -> ignore (E.read t ~table ~key:(Value.Int k))
     | Scan k ->
         let hi = min (keys - 1) (k + 2) in
-        let rows =
-          E.index_scan t ~table ~index:(table ^ "_pkey") ~lo:(Value.Int k) ~hi:(Value.Int hi)
-        in
-        for key = k to hi do
-          read key
-            (match List.find_opt (fun r -> Value.as_int r.(0) = key) rows with
-            | Some r -> writer r
-            | None -> 0)
-        done
-    | Insert k ->
-        E.insert t ~table [| Value.Int k; me |];
-        wrote k
-    | Update k -> if E.update t ~table ~key:(Value.Int k) ~f:(fun r -> [| r.(0); me |]) then wrote k
+        ignore (E.index_scan t ~table ~index:(table ^ "_pkey") ~lo:(Value.Int k) ~hi:(Value.Int hi))
+    | Insert k -> E.insert t ~table [| Value.Int k; me |]
+    | Update k -> ignore (E.update t ~table ~key:(Value.Int k) ~f:(fun r -> [| r.(0); me |]))
     | Delete k ->
-        (* Delete and re-insert a tombstone stamped with this transaction,
-           as the oracle does, so readers can tell which version they saw. *)
-        if E.delete t ~table ~key:(Value.Int k) then begin
-          E.insert t ~table [| Value.Int k; me |];
-          wrote k
-        end
-    | Savepoint i ->
-        E.savepoint t (savepoint i);
-        l.saves <- (i, l.writes) :: l.saves
-    | Rollback_to i ->
-        E.rollback_to_savepoint t (savepoint i);
-        let rec unwind = function
-          | ((j, writes) :: _) as saves when i = j ->
-              l.writes <- writes;
-              saves
-          | _ :: rest -> unwind rest
-          | [] -> QCheck.Test.fail_report "rolled back to a savepoint the model never set"
-        in
-        l.saves <- unwind l.saves
+        (* Re-inserted at once, as in the oracle workload: a key left
+           deleted lets the certifier commit cycles (see oracle.ml). *)
+        if E.delete t ~table ~key:(Value.Int k) then E.insert t ~table [| Value.Int k; me |]
+    | Savepoint i -> E.savepoint t (savepoint i)
+    | Rollback_to i -> E.rollback_to_savepoint t (savepoint i)
     | Begin _ | Prepare _ | Finish_prepared _ | Commit | Abort -> assert false
   in
   match run body with
@@ -182,7 +140,7 @@ let step st (s, op) =
   | Begin _, Live _ -> ()
   | Begin { read_only; deferrable }, (Empty | Stale _) -> (
       match run (fun () -> E.begin_txn ~read_only ~deferrable st.db) with
-      | Done txn -> st.slots.(s) <- Live { txn; reads = []; writes = []; saves = [] }
+      | Done txn -> st.slots.(s) <- Live { txn }
       | Failed _ -> ()
       | Misuse -> QCheck.Test.fail_report "begin raised Invalid_argument")
   | Finish_prepared { gid = g; commit }, _ -> (
@@ -191,9 +149,7 @@ let step st (s, op) =
         if commit then E.commit_prepared st.db ~gid else E.rollback_prepared st.db ~gid
       in
       match (run finish, Hashtbl.find_opt st.prepared gid) with
-      | Done (), Some c ->
-          Hashtbl.remove st.prepared gid;
-          if commit then commit_log st c
+      | Done (), Some _ -> Hashtbl.remove st.prepared gid
       | Failed (E.Undefined_object _), None -> ()
       | _ -> QCheck.Test.fail_reportf "finishing %s disagrees with the model" gid)
   | Abort, Live { txn; _ } ->
@@ -202,15 +158,11 @@ let step st (s, op) =
   | Abort, Stale txn ->
       (* Aborting a prepared transaction through its handle rolls it back. *)
       E.abort txn;
-      Hashtbl.filter_map_inplace
-        (fun _ (c : Oracle.committed) -> if c.xid = E.xid txn then None else Some c)
-        st.prepared;
+      Hashtbl.filter_map_inplace (fun _ x -> if x = E.xid txn then None else Some x) st.prepared;
       st.slots.(s) <- Empty
   | Commit, Live l -> (
       match run (fun () -> E.commit l.txn) with
-      | Done () ->
-          commit_log st (log_of l);
-          st.slots.(s) <- Stale l.txn
+      | Done () -> st.slots.(s) <- Stale l.txn
       | Failed _ ->
           if not (E.is_finished l.txn) then QCheck.Test.fail_report "failed commit left it active";
           st.slots.(s) <- Stale l.txn
@@ -218,7 +170,7 @@ let step st (s, op) =
   | Prepare g, Live l -> (
       match run (fun () -> E.prepare l.txn ~gid:(gid g)) with
       | Done () ->
-          Hashtbl.replace st.prepared (gid g) (log_of l);
+          Hashtbl.replace st.prepared (gid g) (E.xid l.txn);
           st.slots.(s) <- Stale l.txn
       | Failed _ ->
           if not (E.is_finished l.txn) then QCheck.Test.fail_report "failed prepare left it active";
@@ -247,7 +199,7 @@ let check_nothing_leaked st =
       (fun acc -> function Live l -> E.xid l.txn :: acc | Empty | Stale _ -> acc)
       [] st.slots
   in
-  let prepared = Hashtbl.fold (fun _ (c : Oracle.committed) acc -> c.xid :: acc) st.prepared [] in
+  let prepared = Hashtbl.fold (fun _ x acc -> x :: acc) st.prepared [] in
   let known = live @ prepared in
   if E.active_transactions st.db <> List.length known then
     QCheck.Test.fail_reportf "engine has %d active transactions, the model %d"
@@ -264,30 +216,29 @@ let prop_contract =
     (fun cmds ->
       let db = E.create () in
       E.create_table db ~name:table ~cols:[ "k"; "writer" ] ~key:"k";
-      (* The setup transaction is xid 1, the oracle's seed writer. *)
       E.with_txn db (fun t ->
           for k = 0 to (keys / 2) - 1 do
             E.insert t ~table [| Value.Int k; Value.Int (E.xid t) |]
           done);
-      let st =
-        { db; slots = Array.make slots Empty; prepared = Hashtbl.create 4; history = []; order = 0 }
-      in
+      let history = ref [] in
+      E.set_recorder db (Some (fun entry -> history := entry :: !history));
+      let st = { db; slots = Array.make slots Empty; prepared = Hashtbl.create 4 } in
       List.iter
         (fun cmd ->
           step st cmd;
           check_nothing_leaked st)
         cmds;
       Array.iter (function Live l -> E.abort l.txn | Empty | Stale _ -> ()) st.slots;
-      List.iter
-        (fun gid ->
-          E.commit_prepared db ~gid;
-          commit_log st (Hashtbl.find st.prepared gid))
-        (E.prepared_gids db);
-      match Oracle.check_serializable { Oracle.committed = List.rev st.history } with
-      | Ok () -> true
+      List.iter (fun gid -> E.commit_prepared db ~gid) (E.prepared_gids db);
+      let history = List.rev !history in
+      (match Oracle.check history with
+      | Ok () -> ()
       | Error cycle ->
-          QCheck.Test.fail_reportf "committed history has a cycle: %s"
-            (String.concat " -> " (List.map string_of_int cycle)))
+          QCheck.Test.fail_reportf "committed history has a cycle:\n%s"
+            (Ssi_check.Dsg.pp_cycle cycle));
+      match Ssi_check.Dsg.stale_read [ history ] with
+      | None -> true
+      | Some e -> QCheck.Test.fail_reportf "recorded a stale read: %s" e)
 
 let () =
   Alcotest.run "engine_fuzz" [ ("contract", [ QCheck_alcotest.to_alcotest prop_contract ]) ]

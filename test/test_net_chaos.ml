@@ -38,8 +38,9 @@ let txns_per_worker = 60
 let era_offset = 1_000_000
 
 type scenario_result = {
-  lineage : Oracle.committed list;  (** old-era prefix ++ new-era commits *)
-  cycle : int list option;
+  lineage : (int * int * (int * int) list * int list) list;
+      (** old-era prefix ++ new-era commits: (xid, cseq, reads, writes) *)
+  cycle : string list option;
   final_rows : (int * int) list;  (** acting primary's state, sorted *)
   r2_rows : (int * int) list;
   promote_cseq : int;
@@ -167,9 +168,7 @@ let run_scenario seed =
                         body := txn_body rng off t);
                     let reads, writes = !body in
                     let cseq = Hashtbl.find (if off = 0 then old_cseq else new_cseq) !xid in
-                    let entry =
-                      { Oracle.xid = off + !xid; reads; writes; order = off + cseq }
-                    in
+                    let entry = (off + !xid, off + cseq, reads, writes) in
                     if off = 0 then old_log := entry :: !old_log
                     else new_log := entry :: !new_log
                   with
@@ -202,7 +201,7 @@ let run_scenario seed =
   (* The surviving lineage: commits the promoted replica had applied,
      followed by everything committed on the new primary. *)
   let lineage =
-    List.filter (fun (e : Oracle.committed) -> e.order <= promote_cseq) (List.rev !old_log)
+    List.filter (fun (_, cseq, _, _) -> cseq <= promote_cseq) (List.rev !old_log)
     @ List.rev !new_log
   in
   let final_rows =
@@ -211,7 +210,10 @@ let run_scenario seed =
   let r2 = match !s2_ref with Some s -> Stream.core s | None -> assert false in
   {
     lineage;
-    cycle = Oracle.find_cycle (Oracle.edges_of { Oracle.committed = lineage });
+    cycle =
+      (match Oracle.check (Oracle.stamped lineage) with
+      | Ok () -> None
+      | Error c -> Some (Ssi_check.Dsg.cycle_nodes c));
     final_rows;
     r2_rows = sorted_rows (R.scan (R.begin_read r2 `Latest_applied) ~table ());
     promote_cseq;
@@ -234,7 +236,7 @@ let test_acceptance () =
   | None -> ()
   | Some c ->
       Alcotest.failf "serialization cycle across the failover lineage: %s"
-        (String.concat " -> " (List.map string_of_int c)));
+        (String.concat " -> " c));
   Alcotest.(check bool) "old primary saw it was deposed" true r.old_deposed;
   Alcotest.(check bool) "fenced primary refused post-heal commits" true
     (r.fenced_refusals > 0);
@@ -244,9 +246,7 @@ let test_acceptance () =
     (fun (k, stamp) ->
       if stamp <> 0 && stamp <> 1 && stamp < era_offset then
         let in_prefix =
-          List.exists
-            (fun (e : Oracle.committed) -> e.Oracle.xid = stamp && e.order <= r.promote_cseq)
-            r.lineage
+          List.exists (fun (xid, cseq, _, _) -> xid = stamp && cseq <= r.promote_cseq) r.lineage
         in
         if not in_prefix then
           Alcotest.failf "key %d carries fenced-era stamp %d" k stamp)

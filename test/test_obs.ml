@@ -297,28 +297,19 @@ let keys = 10
 let vi i = Value.Int i
 
 let shrink_txn rng t =
-  let reads = ref [] and writes = ref [] in
   let me = E.xid t in
   for _ = 1 to 4 do
     let k = Rng.int rng keys in
-    if Rng.float rng 1.0 < 0.5 then begin
-      if E.update t ~table ~key:(vi k) ~f:(fun row -> [| row.(0); vi me |]) then
-        writes := k :: !writes
-    end
-    else
-      match E.read t ~table ~key:(vi k) with
-      | Some row -> reads := (k, Value.as_int row.(1)) :: !reads
-      | None -> ()
-  done;
-  (me, List.rev !reads, List.rev !writes)
+    if Rng.float rng 1.0 < 0.5 then
+      ignore (E.update t ~table ~key:(vi k) ~f:(fun row -> [| row.(0); vi me |]))
+    else ignore (E.read t ~table ~key:(vi k))
+  done
 
 let test_shrink_mid_run () =
   let costs =
     { E.zero_costs with E.cpu_per_op = 80e-6; cpu_per_tuple = 4e-6; io_commit = 40e-6 }
   in
   let db = E.create ~scheduler:Sim.scheduler ~config:{ E.default_config with E.costs } () in
-  let cseq_of : (int, int) Hashtbl.t = Hashtbl.create 128 in
-  E.set_on_commit db (fun r -> Hashtbl.replace cseq_of r.E.wal_xid r.E.wal_cseq);
   let history = ref [] in
   let at_shrink = ref None in
   let workers = 4 and txns_per_worker = 12 in
@@ -330,18 +321,13 @@ let test_shrink_mid_run () =
              for k = 0 to keys - 1 do
                E.insert t ~table [| vi k; vi (E.xid t) |]
              done);
+         E.set_recorder db (Some (fun entry -> history := entry :: !history));
          for w = 1 to workers do
            let rng = Rng.make (Hashtbl.hash ("shrink", w)) in
            let backoff_rng = Rng.make (Hashtbl.hash ("shrink-backoff", w)) in
            Sim.spawn (fun () ->
                for _ = 1 to txns_per_worker do
-                 (try
-                    let xid, reads, writes =
-                      E.retry_with ~rng:backoff_rng db (fun t -> shrink_txn rng t)
-                    in
-                    history :=
-                      { Oracle.xid; reads; writes; order = Hashtbl.find cseq_of xid }
-                      :: !history
+                 (try E.retry_with ~rng:backoff_rng db (fun t -> shrink_txn rng t)
                   with E.Error (E.Serialization_failure _) -> ());
                  Sim.delay (Rng.float rng 3e-4)
                done)
@@ -358,11 +344,10 @@ let test_shrink_mid_run () =
     (Printf.sprintf "summarized climbs after the shrink (%d)" after_shrink)
     true (after_shrink > 0);
   Alcotest.(check bool) "history nonempty" true (!history <> []);
-  let h = { Oracle.committed = List.rev !history } in
-  match Oracle.check_serializable h with
+  match Oracle.check (List.rev !history) with
   | Ok () -> ()
   | Error cycle ->
-      Alcotest.failf "non-serializable under summarization\n%s" (Oracle.pp_cycle h cycle)
+      Alcotest.failf "non-serializable under summarization\n%s" (Ssi_check.Dsg.pp_cycle cycle)
 
 (* ---- Bounded histograms (Bhist) ------------------------------------------- *)
 

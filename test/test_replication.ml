@@ -151,81 +151,66 @@ let test_replica_safe_snapshot_serializable () =
   Alcotest.(check int) "visible once the concurrent txn resolved" 2 batch_after;
   Alcotest.(check int) "no reported total ever changed" 0 changed
 
-(* The §7.2 claim restated through the DSG oracle: model a replica read as
-   a pseudo read-only transaction appended to the committed history.  Under
-   injected apply lag, a `Latest_applied read can land between two commits
-   whose order matters — the pseudo transaction closes a cycle in the
-   serialization graph.  A `Latest_safe read never can. *)
+(* The §7.2 claim restated through the DSG check: the replica records
+   its read transactions into the primary's history.  Under injected
+   apply lag, a `Latest_applied read can land between two commits whose
+   order matters — the read closes a cycle in the serialization graph.  A
+   `Latest_safe read never can. *)
 let oracle_lag_scenario () =
-  let open Test_oracle in
   let db = E.create () in
   E.create_table db ~name:"kv" ~cols:[ "k"; "writer" ] ~key:"k";
   let replica = R.attach db in
   E.with_txn db (fun t ->
-      (* The oracle treats xid 1 as the seed writer. *)
-      Alcotest.(check int) "setup is the first transaction" 1 (E.xid t);
       E.insert t ~table:"kv" [| vi 0; vi (E.xid t) |];
       E.insert t ~table:"kv" [| vi 1; vi (E.xid t) |]);
+  let history = ref [] in
+  let record entry = history := entry :: !history in
+  E.set_recorder db (Some record);
+  R.set_recorder replica (Some record);
   (* T2 reads key 0 and stays open; it will write key 1 and commit last. *)
   let t2 = E.begin_txn db in
-  let v0 =
-    match E.read t2 ~table:"kv" ~key:(vi 0) with
-    | Some row -> Value.as_int row.(1)
-    | None -> assert false
-  in
+  ignore (E.read t2 ~table:"kv" ~key:(vi 0));
   (* T3 overwrites key 0 and commits first — T2 --rw--> T3, and T3's
      commit is not a safe point because T2 is an active rw transaction. *)
-  let x3 = ref 0 in
   E.with_txn db (fun t ->
-      x3 := E.xid t;
       ignore (E.update t ~table:"kv" ~key:(vi 0) ~f:(fun r -> [| r.(0); vi (E.xid t) |])));
   (* The lag spike: T2's commit reaches the replica but is not applied. *)
   R.set_apply_lag replica 1;
   let x2 = E.xid t2 in
   ignore (E.update t2 ~table:"kv" ~key:(vi 1) ~f:(fun r -> [| r.(0); vi x2 |]));
   E.commit t2;
-  let committed =
-    [
-      { Oracle.xid = !x3; reads = []; writes = [ 0 ]; order = 1 };
-      { Oracle.xid = x2; reads = [ (0, v0) ]; writes = [ 1 ]; order = 2 };
-    ]
-  in
-  (replica, committed)
+  (replica, history)
 
-let replica_pseudo_txn replica mode ~order =
-  let open Test_oracle in
+(* A read-only replica transaction over both keys, recorded. *)
+let replica_read replica mode =
   let rt = R.begin_read replica mode in
-  let version k =
-    match R.read rt ~table:"kv" ~key:(vi k) with
-    | Some row -> Value.as_int row.(1)
-    | None -> 0
-  in
-  { Oracle.xid = 999; reads = [ (0, version 0); (1, version 1) ]; writes = []; order }
+  ignore (R.read rt ~table:"kv" ~key:(vi 0));
+  ignore (R.read rt ~table:"kv" ~key:(vi 1));
+  R.finish_read rt
 
 let test_oracle_cycle_at_latest_applied () =
-  let open Test_oracle in
-  let replica, committed = oracle_lag_scenario () in
+  let replica, history = oracle_lag_scenario () in
   (* The lagged read sees T3's write but not T2's: T2 -> T3 -> RT -> T2. *)
-  let history = { Oracle.committed = committed @ [ replica_pseudo_txn replica `Latest_applied ~order:3 ] } in
-  match Oracle.check_serializable history with
+  replica_read replica `Latest_applied;
+  match Test_oracle.Oracle.check (List.rev !history) with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "expected a DSG cycle reading `Latest_applied under lag"
 
 let test_oracle_acyclic_at_latest_safe () =
-  let open Test_oracle in
-  let replica, committed = oracle_lag_scenario () in
+  let replica, history = oracle_lag_scenario () in
+  let check what =
+    match Test_oracle.Oracle.check (List.rev !history) with
+    | Ok () -> ()
+    | Error cycle -> Alcotest.failf "%s not serializable\n%s" what (Ssi_check.Dsg.pp_cycle cycle)
+  in
   (* Before the lag drains: the safe snapshot still predates T3. *)
-  let h1 = { Oracle.committed = committed @ [ replica_pseudo_txn replica `Latest_safe ~order:3 ] } in
-  (match Oracle.check_serializable h1 with
-  | Ok () -> ()
-  | Error cycle -> Alcotest.failf "safe snapshot not serializable\n%s" (Oracle.pp_cycle h1 cycle));
+  replica_read replica `Latest_safe;
+  check "safe snapshot";
   (* After it drains: T2's commit was a safe point, so the snapshot now
      includes both writes — still acyclic. *)
   R.set_apply_lag replica 0;
-  let h2 = { Oracle.committed = committed @ [ replica_pseudo_txn replica `Latest_safe ~order:3 ] } in
-  match Oracle.check_serializable h2 with
-  | Ok () -> ()
-  | Error cycle -> Alcotest.failf "drained safe snapshot not serializable\n%s" (Oracle.pp_cycle h2 cycle)
+  replica_read replica `Latest_safe;
+  check "drained safe snapshot"
 
 let test_wait_snapshot () =
   (* The deferrable-style replica option: wait for the next safe point. *)

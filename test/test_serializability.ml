@@ -22,11 +22,11 @@ let run ~isolation ~certifier cfg seed =
   Oracle.run_history ~isolation { cfg with Oracle.seed; certifier }
 
 let check_serializable what history =
-  match Oracle.check_serializable history with
+  match Oracle.check history with
   | Ok () -> ()
   | Error cycle ->
       Alcotest.failf "%s produced a non-serializable history:\n%s" what
-        (Oracle.pp_cycle history cycle)
+        (Ssi_check.Dsg.pp_cycle cycle)
 
 (* What each configuration stresses, in the test name. *)
 let cfg_titles =
@@ -73,11 +73,11 @@ let prop_replay_and_dsg (label, isolation, certifier) =
       let cfg = snd cfg_array.(ci) in
       let h1 = run ~isolation ~certifier cfg seed in
       let h2 = run ~isolation ~certifier cfg seed in
-      if h1.Oracle.committed <> h2.Oracle.committed then
+      if h1 <> h2 then
         QCheck.Test.fail_report "same seed produced different committed histories";
-      match Oracle.check_serializable h1 with
+      match Oracle.check h1 with
       | Ok () -> true
-      | Error cycle -> QCheck.Test.fail_report (Oracle.pp_cycle h1 cycle))
+      | Error cycle -> QCheck.Test.fail_report (Ssi_check.Dsg.pp_cycle cycle))
 
 (* Histories SSN and ESSN once committed with a cycle, while their
    cleanup released a committed reader's SIREAD locks at SSI's horizon:
@@ -108,7 +108,7 @@ let test_shows_anomalies isolation () =
     List.fold_left
       (fun acc seed ->
         match
-          Oracle.check_serializable
+          Oracle.check
             (run ~isolation ~certifier:Ssi_core.Certifier.SSI Oracle.default_cfg seed)
         with
         | Ok () -> acc

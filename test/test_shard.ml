@@ -1,13 +1,12 @@
 (* Cross-shard SSI: the hash partitioner, fast path vs 2PC, the
    coordinator's cross-shard dangerous-structure abort, in-doubt
-   resolution, the spliced multi-shard DSG oracle, and byte-identical
-   replay of the sharded chaos harness. *)
+   resolution, the shards' recorded histories joined on gids as one DSG,
+   and byte-identical replay of the sharded chaos harness. *)
 
 module E = Ssi_engine.Engine
 module Shard = Ssi_shard.Shard
 module Sharded = Ssi_harness.Sharded
 module Scenario = Ssi_harness.Scenario
-module Oracle = Test_oracle.Oracle
 module Sim = Ssi_sim.Sim
 module Value = Ssi_storage.Value
 module Driver = Ssi_workload.Driver
@@ -194,58 +193,63 @@ let test_indoubt_presumed_abort () =
       write g k;
       ignore (Shard.commit g))
 
-(* ---- Spliced multi-shard DSG oracle ------------------------------------------ *)
+(* ---- Multi-shard DSG: histories joined on gids ------------------------------- *)
 
-let test_splice_detects_cross_shard_cycle () =
-  (* Cross-shard write skew: T2 reads x (shard 0) and writes y (shard 1);
-     T3 reads y (shard 1) and writes x (shard 0).  Each shard's local
-     history is a single harmless edge; the spliced history is the cycle
-     T2 -rw-> T3 -rw-> T2. *)
-  let shard0 =
-    {
-      Oracle.committed =
-        [
-          { Oracle.xid = 3; reads = []; writes = [ 10 ]; order = 2 };
-          { Oracle.xid = 2; reads = [ (10, 1) ]; writes = []; order = 3 };
-        ];
-    }
-  in
-  let shard1 =
-    {
-      Oracle.committed =
-        [
-          { Oracle.xid = 2; reads = []; writes = [ 20 ]; order = 3 };
-          { Oracle.xid = 3; reads = [ (20, 1) ]; writes = []; order = 2 };
-        ];
-    }
-  in
-  (match Oracle.check_serializable shard0 with
+module Rec = Ssi_engine.Recorded
+
+let entry ?gid ~xid ~cseq ?(reads = []) ?(writes = []) () =
+  let rel = "t" in
+  {
+    Rec.xid;
+    gid;
+    cseq;
+    reads =
+      List.map (fun k -> Rec.Point { rel; key = Value.Int k; version = Some 1; horizon = 0 }) reads;
+    writes =
+      List.map
+        (fun k ->
+          { Rec.rel; key = Value.Int k; old_keys = []; new_keys = [ ("t_pkey", Value.Int k) ] })
+        writes;
+  }
+
+(* Cross-shard write skew: g2 reads x (shard 0) and writes y (shard 1); g3
+   reads y (shard 1) and writes x (shard 0).  Each shard's history is one
+   harmless edge; joined on the gids they are the cycle g2 -rw-> g3 -rw->
+   g2.  The branches carry their shard's local xids. *)
+let cross_shard_histories () =
+  ( [ entry ~gid:"g3" ~xid:7 ~cseq:2 ~writes:[ 10 ] (); entry ~gid:"g2" ~xid:8 ~cseq:3 ~reads:[ 10 ] () ],
+    [ entry ~gid:"g3" ~xid:4 ~cseq:2 ~reads:[ 20 ] (); entry ~gid:"g2" ~xid:5 ~cseq:3 ~writes:[ 20 ] () ] )
+
+let test_join_detects_cross_shard_cycle () =
+  let shard0, shard1 = cross_shard_histories () in
+  (match Ssi_check.Dsg.check [ shard0 ] with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "shard 0 alone must look serializable");
-  (match Oracle.check_serializable shard1 with
+  (match Ssi_check.Dsg.check [ shard1 ] with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "shard 1 alone must look serializable");
-  let spliced = Oracle.splice_shards [ shard0; shard1 ] in
-  Alcotest.(check int) "branches merged" 2 (List.length spliced.Oracle.committed);
-  (match Oracle.check_serializable spliced with
-  | Ok () -> Alcotest.fail "spliced history must expose the cross-shard cycle"
+  match Ssi_check.Dsg.check [ shard0; shard1 ] with
+  | Ok () -> Alcotest.fail "the joined histories must expose the cross-shard cycle"
   | Error cycle ->
-      Alcotest.(check bool) "cycle over T2/T3" true
-        (List.mem 2 cycle && List.mem 3 cycle))
+      Alcotest.(check (list string)) "cycle over g2/g3" [ "g2"; "g3" ]
+        (List.sort compare (Ssi_check.Dsg.cycle_nodes cycle))
 
-let test_splice_merges_footprints () =
-  let shard0 =
-    { Oracle.committed = [ { Oracle.xid = 2; reads = [ (1, 1) ]; writes = [ 2 ]; order = 5 } ] }
-  in
-  let shard1 =
-    { Oracle.committed = [ { Oracle.xid = 2; reads = []; writes = [ 30 ]; order = 5 } ] }
-  in
-  match (Oracle.splice_shards [ shard0; shard1 ]).Oracle.committed with
-  | [ t ] ->
-      Alcotest.(check (list int)) "writes concatenated" [ 2; 30 ]
-        (List.sort compare t.Oracle.writes);
-      Alcotest.(check int) "order preserved" 5 t.Oracle.order
-  | l -> Alcotest.failf "expected one merged txn, got %d" (List.length l)
+let test_join_merges_branches () =
+  let shard0, shard1 = cross_shard_histories () in
+  match Ssi_check.Dsg.check [ shard0; shard1 ] with
+  | Ok () -> Alcotest.fail "expected the cross-shard cycle"
+  | Error cycle ->
+      (* One node per global transaction, and its report lists both
+         branches: both shards' footprints belong to it. *)
+      let text = Ssi_check.Dsg.pp_cycle cycle in
+      Alcotest.(check int) "two transactions" 2 (List.length (Ssi_check.Dsg.cycle_nodes cycle));
+      List.iter
+        (fun branch ->
+          Alcotest.(check bool) (branch ^ " listed") true
+            (List.exists
+               (String.starts_with ~prefix:branch)
+               (List.map String.trim (String.split_on_char '\n' text))))
+        [ "txn g3 (xid 7"; "txn g3 (xid 4"; "txn g2 (xid 8"; "txn g2 (xid 5" ]
 
 (* ---- Sharded chaos harness ---------------------------------------------------- *)
 
@@ -315,9 +319,9 @@ let () =
         ] );
       ( "oracle",
         [
-          Alcotest.test_case "splice exposes cross-shard cycle" `Quick
-            test_splice_detects_cross_shard_cycle;
-          Alcotest.test_case "splice merges footprints" `Quick test_splice_merges_footprints;
+          Alcotest.test_case "gid join exposes cross-shard cycle" `Quick
+            test_join_detects_cross_shard_cycle;
+          Alcotest.test_case "gid join merges branches" `Quick test_join_merges_branches;
         ] );
       ( "chaos-harness",
         [
