@@ -29,13 +29,6 @@ let txns_per_worker = 12
 let ops_per_txn = 4
 let sentinels = 3
 
-type txn_log = {
-  l_xid : int;
-  l_cseq : int;
-  l_reads : (int * int) list;
-  l_writes : int list;
-}
-
 type resolution = Committed | Rolled_back
 
 type outcome = {
@@ -53,7 +46,7 @@ type outcome = {
   o_state_ok : bool;
   o_replica_ok : bool;
   o_epoch : int;
-  o_history : txn_log list;
+  o_history : Ssi_engine.Recorded.txn list;
   o_final : (int * int) list;
 }
 
@@ -77,22 +70,16 @@ let pp_outcome o =
     o.o_prepared_ok o.o_state_ok o.o_replica_ok o.o_epoch
 
 (* One transaction of the torture workload: stamped updates and point
-   reads over the shared keys, logging which writer each read observed. *)
+   reads over the shared keys.  Returns its xid. *)
 let txn_body rng t =
-  let reads = ref [] and writes = ref [] in
   let me = E.xid t in
   for _ = 1 to ops_per_txn do
     let k = Rng.int rng keys in
-    if Rng.float rng 1.0 < 0.5 then begin
-      if E.update t ~table ~key:(vi k) ~f:(fun row -> [| row.(0); vi me |]) then
-        writes := k :: !writes
-    end
-    else
-      match E.read t ~table ~key:(vi k) with
-      | Some row -> reads := (k, Value.as_int row.(1)) :: !reads
-      | None -> ()
+    if Rng.float rng 1.0 < 0.5 then
+      ignore (E.update t ~table ~key:(vi k) ~f:(fun row -> [| row.(0); vi me |]))
+    else ignore (E.read t ~table ~key:(vi k))
   done;
-  (me, List.rev !reads, List.rev !writes)
+  me
 
 let scan_rows eng =
   List.sort compare
@@ -108,9 +95,8 @@ let run_one ?wal_out ?(certifier = Ssi_core.Certifier.SSI) ~seed ~kill_point ~wi
   let fault_count = ref 0 in
   let damage_desc = ref None in
   let acked = ref [] in
-  (* Every session's reads/writes by xid — consulted after recovery to give
-     unacknowledged-but-durable commits their history entries. *)
-  let logs_by_xid : (int, (int * int) list * int list) Hashtbl.t = Hashtbl.create 256 in
+  (* Each life's recorded history, newest first. *)
+  let first_life = ref [] and second_life = ref [] in
   let cseq_of : (int, int) Hashtbl.t = Hashtbl.create 256 in
   (* ---- First life: workload until the kill point destroys the device. *)
   ignore
@@ -119,15 +105,14 @@ let run_one ?wal_out ?(certifier = Ssi_core.Certifier.SSI) ~seed ~kill_point ~wi
          E.attach_wal db wal;
          E.set_on_commit db (fun r -> Hashtbl.replace cseq_of r.E.wal_xid r.E.wal_cseq);
          E.create_table db ~name:table ~cols:[ "k"; "writer" ] ~key:"k";
-         (* The seeding transaction is the engine's first (xid 1) — the
-            oracle's [setup_writer] convention: it stays out of the
-            reported history, and reads of its versions are treated as
-            reads of the seeded state. *)
+         (* The seeding transaction (xid 1) stays out of the recorded
+            history: its versions are the seeded state. *)
          E.with_txn db (fun t ->
              for k = 0 to keys - 1 do
                E.insert t ~table [| vi k; vi (E.xid t) |]
              done);
          E.checkpoint db;
+         E.set_recorder db (Some (fun entry -> first_life := entry :: !first_life));
          (* A (subscriber-less) streaming primary: adopts and persists epoch
             1, so the recovered node must resume at a higher epoch. *)
          let net_a : Stream.net = Net.create ~seed:(Hashtbl.hash (seed, "net-a")) () in
@@ -171,7 +156,6 @@ let run_one ?wal_out ?(certifier = Ssi_core.Certifier.SSI) ~seed ~kill_point ~wi
                  let gid = Printf.sprintf "tort-%d" n in
                  let t = E.begin_txn db in
                  E.insert t ~table [| vi (1000 + n); vi (E.xid t) |];
-                 Hashtbl.replace logs_by_xid (E.xid t) ([], [ 1000 + n ]);
                  E.prepare t ~gid;
                  Sim.at ~after:1.5e-3 (fun () ->
                      if (not !crashed) && List.mem gid (E.prepared_gids db) then
@@ -185,18 +169,10 @@ let run_one ?wal_out ?(certifier = Ssi_core.Certifier.SSI) ~seed ~kill_point ~wi
            Sim.spawn (fun () ->
                for _ = 1 to txns_per_worker do
                  (try
-                    let xid, reads, writes =
-                      E.with_txn db (fun t ->
-                          let ((xid, reads, writes) as r) = txn_body rng t in
-                          Hashtbl.replace logs_by_xid xid (reads, writes);
-                          r)
-                    in
+                    let xid = E.with_txn db (fun t -> txn_body rng t) in
                     (* [with_txn] returned: the commit was acknowledged, so
                        it must survive the crash. *)
-                    match Hashtbl.find_opt cseq_of xid with
-                    | Some cseq ->
-                        acked := { l_xid = xid; l_cseq = cseq; l_reads = reads; l_writes = writes } :: !acked
-                    | None -> ()
+                    Option.iter (fun cseq -> acked := cseq :: !acked) (Hashtbl.find_opt cseq_of xid)
                   with E.Error e when E.retryable e -> ());
                  Sim.delay (Rng.float rng 3e-4)
                done)
@@ -211,7 +187,6 @@ let run_one ?wal_out ?(certifier = Ssi_core.Certifier.SSI) ~seed ~kill_point ~wi
   let epoch_b = ref 0 in
   let final = ref [] in
   let recovered = ref [] in
-  let post_history = ref [] in
   ignore
     (Sim.run (fun () ->
          let db2, rr = E.recover ~scheduler:Sim.scheduler ~config wal in
@@ -258,8 +233,7 @@ let run_one ?wal_out ?(certifier = Ssi_core.Certifier.SSI) ~seed ~kill_point ~wi
          state_ok := scan_rows db2 = expected;
          (* Resume streaming at a fenced, higher epoch; a fresh subscriber
             takes the normal base-snapshot bootstrap path. *)
-         let cseq_of2 : (int, int) Hashtbl.t = Hashtbl.create 64 in
-         E.set_on_commit db2 (fun r -> Hashtbl.replace cseq_of2 r.E.wal_xid r.E.wal_cseq);
+         E.set_recorder db2 (Some (fun entry -> second_life := entry :: !second_life));
          let net : Stream.net = Net.create ~seed:(Hashtbl.hash (seed, "net-b")) () in
          let primary = Stream.make_primary net ~node:"p" ~epoch:(rr.rr_epoch + 1) db2 in
          epoch_b := Stream.epoch primary;
@@ -287,19 +261,7 @@ let run_one ?wal_out ?(certifier = Ssi_core.Certifier.SSI) ~seed ~kill_point ~wi
            let rng = Rng.make (Hashtbl.hash (seed, "torture-post", w)) in
            Sim.spawn (fun () ->
                for _ = 1 to txns_per_worker do
-                 (try
-                    let xid, reads, writes =
-                      E.with_txn db2 (fun t ->
-                          let ((xid, reads, writes) as r) = txn_body rng t in
-                          Hashtbl.replace logs_by_xid xid (reads, writes);
-                          r)
-                    in
-                    match Hashtbl.find_opt cseq_of2 xid with
-                    | Some cseq ->
-                        post_history :=
-                          { l_xid = xid; l_cseq = cseq; l_reads = reads; l_writes = writes }
-                          :: !post_history
-                    | None -> ()
+                 (try ignore (E.with_txn db2 (fun t -> txn_body rng t))
                   with E.Error e when E.retryable e -> ());
                  Sim.delay (Rng.float rng 3e-4)
                done;
@@ -309,26 +271,6 @@ let run_one ?wal_out ?(certifier = Ssi_core.Certifier.SSI) ~seed ~kill_point ~wi
          while !done_workers < post_workers do
            Sim.wait all_done
          done;
-         (* Resolved COMMIT PREPARED transactions join the history with the
-            reads/writes their first life logged. *)
-         let prep_xid_of_gid =
-           List.filter_map
-             (function Wal.Prepare p -> Some (p.Wal.p_gid, p.Wal.p_xid) | _ -> None)
-             records
-         in
-         List.iter
-           (fun (gid, res) ->
-             if res = Committed then
-               match List.assoc_opt gid prep_xid_of_gid with
-               | Some xid -> (
-                   match (Hashtbl.find_opt cseq_of2 xid, Hashtbl.find_opt logs_by_xid xid) with
-                   | Some cseq, Some (reads, writes) ->
-                       post_history :=
-                         { l_xid = xid; l_cseq = cseq; l_reads = reads; l_writes = writes }
-                         :: !post_history
-                   | _ -> ())
-               | None -> ())
-           !pending_resolved;
          final := scan_rows db2;
          (* Replica convergence: drain the stream, then both ends must be
             identical — including rows recovered from before the crash. *)
@@ -351,33 +293,22 @@ let run_one ?wal_out ?(certifier = Ssi_core.Certifier.SSI) ~seed ~kill_point ~wi
     List.for_all Fun.id (List.mapi (fun i c -> c = i + 1) recovered_cseqs)
     && recovered_cseqs <> []
   in
-  let acked = List.sort (fun a b -> compare a.l_cseq b.l_cseq) !acked in
-  let lost_acked =
-    List.filter_map
-      (fun l -> if List.mem l.l_cseq recovered_cseqs then None else Some l.l_cseq)
-      acked
-  in
-  (* The combined history: every recovered first-life commit that has a
-     session log (acknowledged or not — durable is durable), then the
-     second life's commits, in commit-sequence order. *)
-  let hist_a =
-    List.filter_map
-      (fun (cseq, xid, _) ->
-        match Hashtbl.find_opt logs_by_xid xid with
-        | Some (reads, writes) ->
-            Some { l_xid = xid; l_cseq = cseq; l_reads = reads; l_writes = writes }
-        | None -> None)
-      !recovered
-  in
+  let acked = List.sort compare !acked in
+  let lost_acked = List.filter (fun c -> not (List.mem c recovered_cseqs)) acked in
+  (* The combined history: every first-life commit recovery kept
+     (acknowledged or not — durable is durable), then the second life's. *)
   let history =
-    List.sort (fun a b -> compare a.l_cseq b.l_cseq) (hist_a @ !post_history)
+    List.filter
+      (fun (t : Ssi_engine.Recorded.txn) -> List.mem t.cseq recovered_cseqs)
+      (List.rev !first_life)
+    @ List.rev !second_life
   in
   {
     o_seed = seed;
     o_kill_point = kill_point;
     o_crashed = !crashed;
     o_damage = !damage_desc;
-    o_acked = List.map (fun l -> l.l_cseq) acked;
+    o_acked = acked;
     o_lost_acked = lost_acked;
     o_dense_prefix = dense;
     o_truncated = rr.E.rr_truncated;

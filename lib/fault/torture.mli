@@ -21,15 +21,11 @@
       ([o_state_ok]);
     - the streaming replica converges to the recovered primary
       ([o_replica_ok]);
-    and the combined pre/post-crash committed history ([o_history], in
-    commit-sequence order) for the caller's serializability oracle. *)
-
-type txn_log = {
-  l_xid : int;
-  l_cseq : int;  (** commit sequence number: the history order *)
-  l_reads : (int * int) list;  (** (key, writer xid observed) *)
-  l_writes : int list;  (** keys written *)
-}
+    and the combined pre/post-crash committed history ([o_history]) for
+    the caller's serializability check.  Both lives' engines record their
+    histories ({!Ssi_engine.Engine.set_recorder}); recovery replays with
+    the original xids and cseqs, so the first life's recovered commits and
+    the second life's commits form one history. *)
 
 type resolution = Committed | Rolled_back
 
@@ -49,7 +45,9 @@ type outcome = {
   o_state_ok : bool;  (** recovered table = replay of recovered commits *)
   o_replica_ok : bool;  (** streaming replica converged to the primary *)
   o_epoch : int;  (** epoch the recovered primary resumed at (> crashed) *)
-  o_history : txn_log list;  (** combined committed history, cseq order *)
+  o_history : Ssi_engine.Recorded.txn list;
+      (** the first life's commits that recovery kept, then the second
+          life's, in commit order *)
   o_final : (int * int) list;  (** final (key, writer) rows *)
 }
 

@@ -8,7 +8,6 @@
 
 open Ssi_storage
 module E = Ssi_engine.Engine
-module R = Ssi_engine.Recorded
 module Dsg = Ssi_check.Dsg
 module Sim = Ssi_sim.Sim
 module Rng = Ssi_util.Rng
@@ -151,30 +150,3 @@ let run_history ?(after_op = ignore) ~isolation cfg =
   List.rev !history
 
 let check history = Dsg.check [ history ]
-
-(* A history kept as per-transaction logs on one integer-keyed table, for
-   harnesses whose runs no single recorder sees whole (recovery from a
-   crashed log, a failover lineage): (xid, cseq, reads as (key, xid of the
-   version read, [0] when absent), keys written).  An absent read carries
-   horizon 0, so it anti-depends on the key's first writer. *)
-let stamped logs =
-  let rel = "stamped" in
-  List.map
-    (fun (xid, cseq, reads, writes) ->
-      {
-        R.xid;
-        gid = None;
-        cseq;
-        reads =
-          List.map
-            (fun (k, v) ->
-              R.Point
-                { rel; key = Value.Int k; version = (if v = 0 then None else Some v); horizon = 0 })
-            reads;
-        writes =
-          List.map
-            (fun k ->
-              { R.rel; key = Value.Int k; old_keys = []; new_keys = [ (rel, Value.Int k) ] })
-            (List.sort_uniq compare writes);
-      })
-    logs

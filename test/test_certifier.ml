@@ -25,13 +25,7 @@ let certifiers = [ (Certifier.SSN, "SSN"); (Certifier.ESSN, "ESSN") ]
 
 (* ---- Kill-point recovery torture ------------------------------------------- *)
 
-(* Torture runs span a crash and a cold restart, so the harness keeps its
-   own per-transaction logs of the acknowledged and recovered commits. *)
-let history_of (o : T.outcome) =
-  Oracle.stamped
-    (List.map
-       (fun (l : T.txn_log) -> (l.T.l_xid, l.T.l_cseq, l.T.l_reads, l.T.l_writes))
-       o.T.o_history)
+let history_of (o : T.outcome) = o.T.o_history
 
 let check_outcome name (o : T.outcome) =
   let tag = Printf.sprintf "%s seed=%d kill=%d: " name o.T.o_seed o.T.o_kill_point in

@@ -6,7 +6,10 @@
    Checked invariants:
    - the surviving lineage — the old primary's commit prefix the promoted
      replica had applied, followed by every commit on the new primary — has
-     an acyclic serialization graph (the DSG oracle);
+     an acyclic serialization graph: each primary records its history, each
+     history is acyclic (Ssi_check.Dsg), and the promoted primary starts
+     from the old one's state at the promotion point, so no dependency
+     leads from the new era back into the old;
    - the deposed primary is fenced on first contact after the heal, its
      post-heal commit attempts are refused, and none of its
      partition-era writes appear anywhere in the new era;
@@ -32,15 +35,14 @@ let keys = 16
 let workers = 4
 let txns_per_worker = 60
 
-(* New-era transactions are offset into a disjoint id space so one oracle
-   history can span the failover: stamps written before and after the
-   promotion never collide. *)
+(* New-era writers stamp rows with their xid offset into a disjoint space,
+   so the final state tells which era wrote each row. *)
 let era_offset = 1_000_000
 
 type scenario_result = {
-  lineage : (int * int * (int * int) list * int list) list;
-      (** old-era prefix ++ new-era commits: (xid, cseq, reads, writes) *)
-  cycle : string list option;
+  old_era : Ssi_check.Dsg.history;  (** the original primary's recorded history *)
+  new_era : Ssi_check.Dsg.history;  (** the promoted primary's *)
+  violation : string option;  (** a cycle in either era, or a wrong promoted state *)
   final_rows : (int * int) list;  (** acting primary's state, sorted *)
   r2_rows : (int * int) list;
   promote_cseq : int;
@@ -57,32 +59,17 @@ let sorted_rows scan =
   List.sort compare (List.map (fun r -> (Value.as_int r.(0), Value.as_int r.(1))) scan)
 
 (* A worker transaction: random point reads and writes, every write
-   stamped with the transaction's era-qualified id, as the oracle
-   requires. *)
+   stamped with the transaction's era-qualified id. *)
 let txn_body rng off t =
-  let reads = ref [] and writes = ref [] in
   let me = off + E.xid t in
   for _ = 1 to 4 do
     let k = Rng.int rng keys in
     if Rng.chance rng 0.5 then begin
-      let wrote =
-        E.update t ~table ~key:(vi k) ~f:(fun row -> [| row.(0); vi me |])
-        ||
-        try
-          E.insert t ~table [| vi k; vi me |];
-          true
-        with E.Error (E.Unique_violation _) -> false
-      in
-      if wrote then writes := k :: !writes
+      if not (E.update t ~table ~key:(vi k) ~f:(fun row -> [| row.(0); vi me |])) then
+        try E.insert t ~table [| vi k; vi me |] with E.Error (E.Unique_violation _) -> ()
     end
-    else begin
-      let version =
-        match E.read t ~table ~key:(vi k) with Some row -> Value.as_int row.(1) | None -> 0
-      in
-      reads := (k, version) :: !reads
-    end
-  done;
-  (List.rev !reads, List.rev !writes)
+    else ignore (E.read t ~table ~key:(vi k))
+  done
 
 let run_scenario seed =
   let costs =
@@ -91,12 +78,7 @@ let run_scenario seed =
   let config = { E.default_config with E.costs } in
   let db = E.create ~scheduler:Sim.scheduler ~config () in
   let net = Net.create ~obs:(E.obs db) ~seed () in
-  (* xid -> cseq per engine, so log entries can be ordered and the lineage
-     cut exactly at the promotion point. *)
-  let old_cseq = Hashtbl.create 512 in
-  let new_cseq = Hashtbl.create 512 in
-  let old_log = ref [] in
-  let new_log = ref [] in
+  let old_era = ref [] and new_era = ref [] and promoted_rows = ref [] in
   let current = ref None in (* set after failover: (engine, offset) *)
   let failed_over = ref None in
   let old_p = ref None in
@@ -118,12 +100,11 @@ let run_scenario seed =
     (Sim.run (fun () ->
          E.create_table db ~name:table ~cols:[ "k"; "writer" ] ~key:"k";
          E.with_txn db (fun t ->
-             (* The oracle treats xid 1 as the seed writer. *)
              assert (E.xid t = 1);
              for k = 0 to (keys / 2) - 1 do
                E.insert t ~table [| vi k; vi (E.xid t) |]
              done);
-         E.set_on_commit db (fun r -> Hashtbl.replace old_cseq r.E.wal_xid r.E.wal_cseq);
+         E.set_recorder db (Some (fun entry -> old_era := entry :: !old_era));
          let p = Stream.make_primary net ~node:"p" ~epoch:1 db in
          old_p := Some p;
          let c1 = R.create ~obs:(E.obs db) ~name:"r1" () in
@@ -137,8 +118,9 @@ let run_scenario seed =
                let fo = Stream.promote s1 ~schema_from:db `Latest_applied in
                failed_over := Some fo;
                let ne = fo.Stream.new_primary in
-               E.set_on_commit (Stream.engine ne) (fun r ->
-                   Hashtbl.replace new_cseq r.E.wal_xid r.E.wal_cseq);
+               promoted_rows :=
+                 sorted_rows (E.with_txn (Stream.engine ne) (fun t -> E.seq_scan t ~table ()));
+               E.set_recorder (Stream.engine ne) (Some (fun entry -> new_era := entry :: !new_era));
                Stream.resubscribe s2 ~primary_node:(Stream.sub_node s1)
                  ~epoch:(Stream.epoch ne);
                current := Some (Stream.engine ne, era_offset)
@@ -161,17 +143,7 @@ let run_scenario seed =
                    if pinned then (db, 0)
                    else match !current with Some c -> c | None -> (db, 0)
                  in
-                 (try
-                    let xid = ref 0 and body = ref ([], []) in
-                    E.with_txn ~isolation:E.Serializable eng (fun t ->
-                        xid := E.xid t;
-                        body := txn_body rng off t);
-                    let reads, writes = !body in
-                    let cseq = Hashtbl.find (if off = 0 then old_cseq else new_cseq) !xid in
-                    let entry = (off + !xid, off + cseq, reads, writes) in
-                    if off = 0 then old_log := entry :: !old_log
-                    else new_log := entry :: !new_log
-                  with
+                 (try E.with_txn ~isolation:E.Serializable eng (fun t -> txn_body rng off t) with
                  | E.Error (E.Serialization_failure _) -> ()
                  | E.Error (E.Transient_fault { reason; _ }) ->
                      if String.length reason >= 7 && String.sub reason 0 7 = "primary" then
@@ -198,30 +170,52 @@ let run_scenario seed =
   let fo = match !failed_over with Some fo -> fo | None -> Alcotest.fail "no failover ran" in
   let np = fo.Stream.new_primary in
   let promote_cseq = fo.Stream.promotion.R.promote_cseq in
-  (* The surviving lineage: commits the promoted replica had applied,
-     followed by everything committed on the new primary. *)
-  let lineage =
-    List.filter (fun (_, cseq, _, _) -> cseq <= promote_cseq) (List.rev !old_log)
-    @ List.rev !new_log
+  let old_era = List.rev !old_era and new_era = List.rev !new_era in
+  (* The old era's state at the promotion point, by writer stamp: what the
+     promoted primary must start from. *)
+  let state_at_promotion =
+    let stamp = Hashtbl.create keys in
+    for k = 0 to (keys / 2) - 1 do
+      Hashtbl.replace stamp k 1
+    done;
+    List.iter
+      (fun (t : Ssi_engine.Recorded.txn) ->
+        if t.cseq <= promote_cseq then
+          List.iter
+            (fun (w : Ssi_engine.Recorded.write) -> Hashtbl.replace stamp (Value.as_int w.key) t.xid)
+            t.writes)
+      old_era;
+    List.sort compare (Hashtbl.fold (fun k x acc -> (k, x) :: acc) stamp [])
+  in
+  let writer (t : Ssi_engine.Recorded.txn) = t.writes <> [] in
+  let cyclic name h =
+    match Oracle.check h with
+    | Ok () -> None
+    | Error c -> Some (Printf.sprintf "%s: %s" name (Ssi_check.Dsg.pp_cycle c))
   in
   let final_rows =
     sorted_rows (E.with_txn (Stream.engine np) (fun t -> E.seq_scan t ~table ()))
   in
   let r2 = match !s2_ref with Some s -> Stream.core s | None -> assert false in
   {
-    lineage;
-    cycle =
-      (match Oracle.check (Oracle.stamped lineage) with
-      | Ok () -> None
-      | Error c -> Some (Ssi_check.Dsg.cycle_nodes c));
+    old_era;
+    new_era;
+    violation =
+      List.find_map Fun.id
+        [
+          cyclic "old era" old_era;
+          cyclic "new era" new_era;
+          (if !promoted_rows = state_at_promotion then None
+           else Some "the promoted state is not the old era's state at the promotion point");
+        ];
     final_rows;
     r2_rows = sorted_rows (R.scan (R.begin_read r2 `Latest_applied) ~table ());
     promote_cseq;
     discarded = fo.Stream.promotion.R.discarded_commits;
     old_deposed = (match !old_p with Some p -> Stream.is_deposed p | None -> false);
     fenced_refusals = !fenced_refusals;
-    old_commits_total = List.length !old_log;
-    new_commits_total = List.length !new_log;
+    old_commits_total = List.length (List.filter writer old_era);
+    new_commits_total = List.length (List.filter writer new_era);
     chaos_log = List.rev !chaos_lines;
     partition_drops = List.assoc "net.partition_drops" (Net.stats net);
   }
@@ -232,11 +226,7 @@ let test_acceptance () =
   Alcotest.(check bool) "new era produced commits" true (r.new_commits_total > 0);
   Alcotest.(check bool) "partition actually cut traffic" true (r.partition_drops > 0);
   Alcotest.(check bool) "promotion found a prefix" true (r.promote_cseq > 0);
-  (match r.cycle with
-  | None -> ()
-  | Some c ->
-      Alcotest.failf "serialization cycle across the failover lineage: %s"
-        (String.concat " -> " c));
+  Option.iter (Alcotest.failf "the failover lineage is not serializable: %s") r.violation;
   Alcotest.(check bool) "old primary saw it was deposed" true r.old_deposed;
   Alcotest.(check bool) "fenced primary refused post-heal commits" true
     (r.fenced_refusals > 0);
@@ -246,7 +236,9 @@ let test_acceptance () =
     (fun (k, stamp) ->
       if stamp <> 0 && stamp <> 1 && stamp < era_offset then
         let in_prefix =
-          List.exists (fun (xid, cseq, _, _) -> xid = stamp && cseq <= r.promote_cseq) r.lineage
+          List.exists
+            (fun (t : Ssi_engine.Recorded.txn) -> t.xid = stamp && t.cseq <= r.promote_cseq)
+            r.old_era
         in
         if not in_prefix then
           Alcotest.failf "key %d carries fenced-era stamp %d" k stamp)
@@ -258,7 +250,7 @@ let test_deterministic_replay () =
   let a = run_scenario 777 in
   let b = run_scenario 777 in
   Alcotest.(check (list string)) "chaos log replays" a.chaos_log b.chaos_log;
-  Alcotest.(check bool) "lineage replays" true (a.lineage = b.lineage);
+  Alcotest.(check bool) "histories replay" true (a.old_era = b.old_era && a.new_era = b.new_era);
   Alcotest.(check bool) "final state replays" true
     (a.final_rows = b.final_rows && a.r2_rows = b.r2_rows);
   Alcotest.(check int) "fence refusals replay" a.fenced_refusals b.fenced_refusals
@@ -269,9 +261,7 @@ let test_seed_matrix () =
   List.iter
     (fun seed ->
       let r = run_scenario seed in
-      (match r.cycle with
-      | None -> ()
-      | Some _ -> Alcotest.failf "seed %d: lineage has a serialization cycle" seed);
+      Option.iter (Alcotest.failf "seed %d: %s" seed) r.violation;
       if r.r2_rows <> r.final_rows then Alcotest.failf "seed %d: replica diverged" seed)
     [ 2; 3; 5; 8 ]
 
