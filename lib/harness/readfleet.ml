@@ -227,19 +227,21 @@ let run cfg =
                in
                let do_write () =
                  try
-                   let (), wi =
-                     Router.write_info ~session ~rng:backoff router (fun t ->
-                         let me = E.xid t in
-                         for _ = 1 to 2 do
-                           let k = Rng.int rng keys in
-                           if not (E.update t ~table ~key:(vi k) ~f:(fun row -> [| row.(0); vi me |]))
-                           then
-                             try E.insert t ~table [| vi k; vi me |]
-                             with E.Error (E.Unique_violation _) -> ()
-                         done)
-                   in
+                   (* The engine of the attempt that committed: which era's
+                      cseqs the session token now counts in. *)
+                   let committed_on = ref db in
+                   Router.write ~session ~rng:backoff router (fun t ->
+                       committed_on := E.engine_of t;
+                       let me = E.xid t in
+                       for _ = 1 to 2 do
+                         let k = Rng.int rng keys in
+                         if not (E.update t ~table ~key:(vi k) ~f:(fun row -> [| row.(0); vi me |]))
+                         then
+                           try E.insert t ~table [| vi k; vi me |]
+                           with E.Error (E.Unique_violation _) -> ()
+                       done);
                    tok := Router.session_token session;
-                   tok_era := era_of wi.Router.wi_backend
+                   tok_era := era_of !committed_on
                  with E.Error e when E.retryable e -> incr write_giveups
                in
                for _ = 1 to cfg.txns_per_worker do

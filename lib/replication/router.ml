@@ -395,9 +395,7 @@ let read_only ?session ?(consistency = `Latest_safe) ?span t f =
 
 (* ---- Writes ----------------------------------------------------------------------------------- *)
 
-type write_info = { wi_backend : E.t; wi_xid : int; wi_cseq : int }
-
-let write_info ?session ?(isolation = E.Serializable) ?rng ?span t f =
+let write ?session ?(isolation = E.Serializable) ?rng ?span t f =
   let rng = match rng with Some r -> r | None -> t.rng in
   let rec go () =
     sync_session t session;
@@ -410,7 +408,8 @@ let write_info ?session ?(isolation = E.Serializable) ?rng ?span t f =
           last_xid := E.xid txn;
           v)
     with
-    | v ->
+    | v -> (
+
         let cseq =
           match Hashtbl.find_opt t.cseq_of_xid !last_xid with
           | Some c ->
@@ -418,15 +417,13 @@ let write_info ?session ?(isolation = E.Serializable) ?rng ?span t f =
               c
           | None -> t.primary_cseq
         in
-        (match session with
-        | None -> ()
-        | Some s -> if cseq > s.s_cseq then s.s_cseq <- cseq);
-        (v, { wi_backend = p; wi_xid = !last_xid; wi_cseq = cseq })
+        match session with
+        | None -> v
+        | Some s ->
+            if cseq > s.s_cseq then s.s_cseq <- cseq;
+            v)
     | exception E.Error e when retryable t e && t.r_primary != p ->
         Obs.incr t.c_primary_switches;
         go ()
   in
   go ()
-
-let write ?session ?isolation ?rng ?span t f =
-  fst (write_info ?session ?isolation ?rng ?span t f)

@@ -155,18 +155,3 @@ val write :
     commit's cseq.  If the primary is switched mid-retry (failover), the
     call re-enters against the new primary instead of burning its
     remaining attempts on the fenced one. *)
-
-type write_info = {
-  wi_backend : Ssi_engine.Engine.t;  (** the engine that committed it *)
-  wi_xid : int;  (** the committed attempt's transaction id *)
-  wi_cseq : int;
-      (** its commit cseq per the router's frontier tracking (best
-          effort: the frontier itself if the exact entry was evicted) *)
-}
-
-val write_info :
-  ?session:session -> ?isolation:Ssi_engine.Engine.isolation -> ?rng:Ssi_util.Rng.t ->
-  ?span:Ssi_obs.Obs.span -> t -> (Ssi_engine.Engine.txn -> 'a) -> 'a * write_info
-(** As {!write}, additionally reporting which engine committed the
-    transaction and under what id — the era attribution a chaos harness
-    needs when a failover can land between attempts. *)
