@@ -178,48 +178,10 @@ let in_range index lo hi keys =
     (fun (i, k) -> String.equal i index && Value.compare lo k <= 0 && Value.compare k hi <= 0)
     keys
 
-(* Every edge X -> Y has cseq(Y) >= low(X): a ww or wr successor commits
-   after X; an rw successor after X's snapshot, or, for a point read,
-   after the version read (which a stale read puts before the snapshot).
-   So nothing reachable from Y commits before [floor(Y)], the fixpoint of
-   c <- min { low(X) | cseq(X) >= c } from cseq(Y), and an edge X -> Y
-   with cseq(X) < floor(Y) lies on no cycle.  Dropping those keeps a scan
-   from gaining an edge to every later insert into its range.  For one
-   history only: the cseqs of several are not comparable. *)
-let floors (entries : R.txn array) =
-  let cseq_of = Hashtbl.create 1024 in
-  Array.iter (fun (t : R.txn) -> if t.writes <> [] then Hashtbl.replace cseq_of t.xid t.cseq) entries;
-  let low (t : R.txn) =
-    List.fold_left
-      (fun low -> function
-        | R.Point { version = Some x; horizon; _ } ->
-            let after = match Hashtbl.find_opt cseq_of x with Some c -> c + 1 | None -> 0 in
-            min low (min horizon after)
-        | R.Point { version = None; horizon; _ } | R.Scan { horizon; _ } -> min low horizon)
-      t.cseq t.reads
-  in
-  let top = Array.fold_left (fun m (t : R.txn) -> max m t.cseq) 0 entries in
-  let f = Array.init (top + 2) (fun c -> c) in
-  Array.iter (fun (t : R.txn) -> f.(t.cseq) <- min f.(t.cseq) (max 0 (low t))) entries;
-  for c = top downto 0 do
-    f.(c) <- min f.(c) f.(c + 1)
-  done;
-  (* f.(c) <= c, so the fixpoint of c below is already known. *)
-  for c = 0 to top + 1 do
-    if f.(c) < c then f.(c) <- f.(f.(c))
-  done;
-  Array.map (fun (t : R.txn) -> f.(t.cseq)) entries
-
-(* Call [f] on every edge of the graph of [histories] that can lie on a
-   cycle, as [f from kind to]. *)
+(* Call [f] on every edge of the graph of [histories], as
+   [f from kind to]. *)
 let iter_edges histories ids indexes f =
-  let f =
-    match histories with
-    | [| entries |] ->
-        let floor = floors entries in
-        fun a kind b -> if a <> b && entries.(a).R.cseq >= floor.(b) then f a kind b
-    | _ -> fun a kind b -> if a <> b then f a kind b
-  in
+  let f a kind b = if a <> b then f a kind b in
   Array.iteri
     (fun h (entries, ix) ->
       Row.iter
