@@ -426,12 +426,12 @@ let recluster db ~table =
 (* ---- Transaction lifecycle ------------------------------------------------- *)
 
 let xid txn = txn.txn_xid
-
-let tag txn name =
-  match txn.db.recorder with None -> () | Some r -> (pending_of r txn.txn_xid).p_tag <- Some name
 let engine_of txn = txn.db
 let is_finished txn = txn.finished && not txn.crashed
 let snapshot_cseq txn = txn.snapshot.Snapshot.horizon
+
+let tag txn name =
+  match txn.db.recorder with None -> () | Some r -> (pending_of r txn.txn_xid).p_tag <- Some name
 
 let snapshot_is_safe txn =
   match txn.sxact with Sx ((module C), _, node) -> C.is_safe node | No_sx -> false
@@ -1125,8 +1125,9 @@ and newer_committed txn tbl key =
         (Serialization_failure
            { xid = txn.txn_xid; reason = "could not serialize access due to concurrent update" })
 
-(* [locate_version], then the SSI conflict-in check against the readers
-   of the version found — once per write, however many waits it took. *)
+(* [locate_version], then, once per write however many waits it took:
+   the recorder notes the index keys of the version replaced, and the SSI
+   conflict-in check runs against its readers. *)
 let locate_for_write txn tbl key =
   let result = locate_version txn tbl key in
   (match (result, txn.db.recorder) with

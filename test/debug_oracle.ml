@@ -55,7 +55,7 @@ let replay seed =
       (Obs.events (E.obs db))
   in
   let h = run ~after_op name seed in
-  match Oracle.check h with
+  match Ssi_check.Dsg.check [ h ] with
   | Ok () -> print_endline "serializable (no repro)"
   | Error cycle -> print_string (Ssi_check.Dsg.pp_cycle cycle)
 
@@ -66,7 +66,7 @@ let sweep lo hi =
   List.iter
     (fun name ->
       for seed = lo to hi do
-        match Oracle.check (run name seed) with
+        match Ssi_check.Dsg.check [ run name seed ] with
         | Ok () -> ()
         | Error _ ->
             incr failed;

@@ -8,7 +8,6 @@
 
 open Ssi_storage
 module E = Ssi_engine.Engine
-module Dsg = Ssi_check.Dsg
 module Sim = Ssi_sim.Sim
 module Rng = Ssi_util.Rng
 
@@ -148,5 +147,3 @@ let run_history ?(after_op = ignore) ~isolation cfg =
                done)
          done));
   List.rev !history
-
-let check history = Dsg.check [ history ]

@@ -30,7 +30,7 @@ let history_of (o : T.outcome) = o.T.o_history
 let check_outcome name (o : T.outcome) =
   let tag = Printf.sprintf "%s seed=%d kill=%d: " name o.T.o_seed o.T.o_kill_point in
   Alcotest.(check bool) (tag ^ "durability invariants hold") true (T.invariants_ok o);
-  match Oracle.check (history_of o) with
+  match Ssi_check.Dsg.check [ history_of o ] with
   | Ok () -> ()
   | Error cycle ->
       Alcotest.failf "%scombined history not serializable:\n%s" tag

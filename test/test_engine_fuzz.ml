@@ -231,7 +231,7 @@ let prop_contract =
       Array.iter (function Live l -> E.abort l.txn | Empty | Stale _ -> ()) st.slots;
       List.iter (fun gid -> E.commit_prepared db ~gid) (E.prepared_gids db);
       let history = List.rev !history in
-      (match Oracle.check history with
+      (match Ssi_check.Dsg.check [ history ] with
       | Ok () -> ()
       | Error cycle ->
           QCheck.Test.fail_reportf "committed history has a cycle:\n%s"

@@ -27,7 +27,6 @@ module Obs = Ssi_obs.Obs
 module Sim = Ssi_sim.Sim
 module F = Ssi_fault.Fault
 module Rng = Ssi_util.Rng
-module Oracle = Test_oracle.Oracle
 
 let vi i = Value.Int i
 let table = "kv"
@@ -189,7 +188,7 @@ let run_scenario seed =
   in
   let writer (t : Ssi_engine.Recorded.txn) = t.writes <> [] in
   let cyclic name h =
-    match Oracle.check h with
+    match Ssi_check.Dsg.check [ h ] with
     | Ok () -> None
     | Error c -> Some (Printf.sprintf "%s: %s" name (Ssi_check.Dsg.pp_cycle c))
   in

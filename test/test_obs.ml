@@ -6,7 +6,6 @@
    serializability. *)
 
 open Ssi_storage
-open Test_oracle
 module Obs = Ssi_obs.Obs
 module Scrape = Ssi_obs.Scrape
 module Watchdog = Ssi_obs.Watchdog
@@ -344,7 +343,7 @@ let test_shrink_mid_run () =
     (Printf.sprintf "summarized climbs after the shrink (%d)" after_shrink)
     true (after_shrink > 0);
   Alcotest.(check bool) "history nonempty" true (!history <> []);
-  match Oracle.check (List.rev !history) with
+  match Ssi_check.Dsg.check [ List.rev !history ] with
   | Ok () -> ()
   | Error cycle ->
       Alcotest.failf "non-serializable under summarization\n%s" (Ssi_check.Dsg.pp_cycle cycle)

@@ -279,7 +279,7 @@ let test_spans_and_explain () =
   Alcotest.(check bool) "explain has a read-fleet section" true
     (contains ~needle:"read fleet:" report)
 
-(* ---- Oracle-checked chaos harness ----------------------------------------- *)
+(* ---- History-checked chaos harness ---------------------------------------- *)
 
 let check_clean (o : Readfleet.outcome) name =
   (match o.violation with

@@ -192,14 +192,14 @@ let test_oracle_cycle_at_latest_applied () =
   let replica, history = oracle_lag_scenario () in
   (* The lagged read sees T3's write but not T2's: T2 -> T3 -> RT -> T2. *)
   replica_read replica `Latest_applied;
-  match Test_oracle.Oracle.check (List.rev !history) with
+  match Ssi_check.Dsg.check [ List.rev !history ] with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "expected a DSG cycle reading `Latest_applied under lag"
 
 let test_oracle_acyclic_at_latest_safe () =
   let replica, history = oracle_lag_scenario () in
   let check what =
-    match Test_oracle.Oracle.check (List.rev !history) with
+    match Ssi_check.Dsg.check [ List.rev !history ] with
     | Ok () -> ()
     | Error cycle -> Alcotest.failf "%s not serializable\n%s" what (Ssi_check.Dsg.pp_cycle cycle)
   in

@@ -22,7 +22,7 @@ let run ~isolation ~certifier cfg seed =
   Oracle.run_history ~isolation { cfg with Oracle.seed; certifier }
 
 let check_serializable what history =
-  match Oracle.check history with
+  match Ssi_check.Dsg.check [ history ] with
   | Ok () -> ()
   | Error cycle ->
       Alcotest.failf "%s produced a non-serializable history:\n%s" what
@@ -75,7 +75,7 @@ let prop_replay_and_dsg (label, isolation, certifier) =
       let h2 = run ~isolation ~certifier cfg seed in
       if h1 <> h2 then
         QCheck.Test.fail_report "same seed produced different committed histories";
-      match Oracle.check h1 with
+      match Ssi_check.Dsg.check [ h1 ] with
       | Ok () -> true
       | Error cycle -> QCheck.Test.fail_report (Ssi_check.Dsg.pp_cycle cycle))
 
@@ -108,8 +108,8 @@ let test_shows_anomalies isolation () =
     List.fold_left
       (fun acc seed ->
         match
-          Oracle.check
-            (run ~isolation ~certifier:Ssi_core.Certifier.SSI Oracle.default_cfg seed)
+          Ssi_check.Dsg.check
+            [ run ~isolation ~certifier:Ssi_core.Certifier.SSI Oracle.default_cfg seed ]
         with
         | Ok () -> acc
         | Error _ -> acc + 1)

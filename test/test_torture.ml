@@ -14,7 +14,6 @@
      (checked by the DSG oracle);
    - everything replays identically from the same seed. *)
 
-open Test_oracle
 module T = Ssi_fault.Torture
 
 let history_of (o : T.outcome) = o.T.o_history
@@ -30,7 +29,7 @@ let check_outcome (o : T.outcome) =
     (o.T.o_epoch > 1);
   Alcotest.(check bool) (tag ^ "history recorded") true
     (List.exists (fun (t : Ssi_engine.Recorded.txn) -> t.writes <> []) o.T.o_history);
-  match Oracle.check (history_of o) with
+  match Ssi_check.Dsg.check [ history_of o ] with
   | Ok () -> ()
   | Error cycle ->
       Alcotest.failf "%scombined history not serializable:\n%s" tag
