@@ -132,6 +132,7 @@ type t = {
   obs : Obs.t;
   metrics : metrics;
   mutable on_commit : (commit_record -> unit) list;  (** registration order *)
+  mutable on_wait : waiter:Heap.xid -> holder:Heap.xid -> unit;
   mutable commit_gate : (unit -> unit) option;
   mutable commit_wait : (commit_record -> unit) option;
   mutable fault_injector : (op:string -> unit) option;
@@ -176,6 +177,7 @@ and txn = {
   mutable crashed : bool;
       (** the transaction vanished in {!simulate_connection_loss}: the
           session's next operation fails with a retryable [Transient_fault] *)
+  mutable wounded : bool;  (** {!wound}: the next step fails retryably *)
   commit_wq : Waitq.t;  (** woken when this transaction commits or aborts *)
 }
 
@@ -224,6 +226,7 @@ let create ?(scheduler = Waitq.direct) ?(config = default_config) ?obs () =
         g_active = Obs.gauge obs "engine.active_txns";
       };
     on_commit = [];
+    on_wait = (fun ~waiter:_ ~holder:_ -> ());
     commit_gate = None;
     commit_wait = None;
     fault_injector = None;
@@ -232,6 +235,7 @@ let create ?(scheduler = Waitq.direct) ?(config = default_config) ?obs () =
   }
 
 let set_on_commit t f = t.on_commit <- t.on_commit @ [ f ]
+let set_on_wait t f = t.on_wait <- f
 
 let attach_wal t w =
   t.wal_device <- Some w;
@@ -465,6 +469,7 @@ let make_txn db ~iso ~ro ~xid ~snapshot ~sxact ~span =
       span_owned;
       write_waiting_for = None;
       crashed = false;
+      wounded = false;
       commit_wq = Waitq.create ();
     }
   in
@@ -559,6 +564,8 @@ let ensure_running txn =
   if txn.crashed then
     fail (Transient_fault { op = "txn"; reason = "connection lost: server crashed" });
   ensure_usable txn;
+  if txn.wounded then
+    fail (Serialization_failure { xid = txn.txn_xid; reason = "wounded by an older transaction" });
   match txn.sxact with Sx ((module C), _, node) -> C.check_doomed node | No_sx -> ()
 
 (* Per-statement snapshots: READ COMMITTED semantics, and the way the 2PL
@@ -660,7 +667,8 @@ let release_savepoint txn name =
    transactions updating the same rows in opposite orders), so — like
    PostgreSQL, whose tuple-lock conflicts go through the heavyweight lock
    manager precisely for its deadlock detector (§5.1) — we check the
-   waits-for chain before suspending and fail the requester on a cycle. *)
+   waits-for chain before suspending and fail the requester on a cycle.
+   Then [on_wait] hears of the wait unless the holder is prepared. *)
 let wait_for_xid txn other =
   match Hashtbl.find_opt txn.db.active other with
   | None -> () (* already resolved *)
@@ -680,15 +688,21 @@ let wait_for_xid txn other =
         Obs.incr txn.db.metrics.m_deadlocks;
         fail (Serialization_failure { xid = txn.txn_xid; reason = "deadlock detected" })
       end;
-      txn.write_waiting_for <- Some other;
-      (try txn.db.sched.suspend holder.commit_wq
-       with e ->
-         txn.write_waiting_for <- None;
-         raise e);
-      txn.write_waiting_for <- None;
+      if holder.prepared_gid = None then txn.db.on_wait ~waiter:txn.txn_xid ~holder:other;
+      (* A holder the hook finished has already woken its [commit_wq]. *)
+      if not (holder.finished || txn.wounded) then
+        Fun.protect ~finally:(fun () -> txn.write_waiting_for <- None) (fun () ->
+            txn.write_waiting_for <- Some other;
+            txn.db.sched.suspend holder.commit_wq);
       refresh_stmt_snapshot txn;
       (* Re-check doom: the conflict that resolved may have chosen us. *)
       ensure_running txn
+
+(* Wake a tuple-write wait now: waiters re-check the row after any wake. *)
+let wound txn =
+  txn.wounded <- true;
+  Option.iter (fun h -> Waitq.wake_all h.commit_wq)
+    (Option.bind txn.write_waiting_for (Hashtbl.find_opt txn.db.active))
 
 let in_progress db x = match Clog.status db.clog x with Clog.In_progress -> true | _ -> false
 

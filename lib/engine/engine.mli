@@ -111,6 +111,11 @@ val set_on_commit : t -> (commit_record -> unit) -> unit
     commit; replication registers one, observers (chaos harness, tests) may
     register more. *)
 
+val set_on_wait : t -> (waiter:Heap.xid -> holder:Heap.xid -> unit) -> unit
+(** Install the hook run before [waiter] waits for the write lock of an
+    unprepared [holder], after the local deadlock check.  It may {!abort}
+    or {!wound} the holder: the waiter waits only for an unfinished one. *)
+
 val set_recorder : t -> (Recorded.txn -> unit) option -> unit
 (** Attach (or detach) a history recorder.  From now on every transaction
     that commits is handed to it as one {!Recorded.txn}, at its commit
@@ -194,6 +199,9 @@ val commit : txn -> unit
 
 val abort : txn -> unit
 (** Roll back.  Idempotent on already-finished transactions. *)
+
+val wound : txn -> unit
+(** Its next step fails retryably; a tuple-write wait it is in ends now. *)
 
 val xid : txn -> Heap.xid
 val is_finished : txn -> bool

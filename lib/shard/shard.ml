@@ -54,17 +54,8 @@ type t = {
   engines : E.t array;
   nodes : string array;  (* shard i's network node name, [node_name i] *)
   rto : float;
-  (* Cross-shard deadlock wound deadline: each engine detects waits-for
-     cycles among its own transactions, but a cycle threaded through two
-     engines (G1 holds on shard A and waits on shard B, G2 the reverse) is
-     invisible to both.  A data-plane op still in flight after [wound_ttl]
-     virtual seconds wounds its global transaction: every branch except the
-     one executing the op is aborted, releasing that gtxn's locks on the
-     other shards and waking whoever waits there.  Since every blocked
-     gtxn's timer fires, every cross-engine edge of a cycle loses its
-     holder and the cycle unwinds; purely local cycles never reach the
-     deadline (the engine's own detector fails them first). *)
-  wound_ttl : float;
+  (* Per shard, branch xid -> gtxn until the gtxn commits or aborts. *)
+  owners : (int, gtxn) Hashtbl.t array;
   mutable next_gxid : int;
   mutable next_cts : int;
   pending : (string, pending) Hashtbl.t;
@@ -93,6 +84,16 @@ type t = {
   c_indoubt_aborts : Obs.counter;
   c_wounds : Obs.counter;
   h_decision_wait : Obs.histogram;
+}
+
+and gtxn = {
+  g : t;
+  g_xid : int;
+  mutable g_branches : (int * E.txn) list;
+  mutable g_wrote : bool;
+  mutable g_finished : bool;
+  mutable g_wounded : bool;
+  mutable g_inflight : int option;  (* the shard of the op in flight *)
 }
 
 let node_name s = "s" ^ string_of_int s
@@ -232,8 +233,23 @@ let coord_handler t ~src:_ msg =
 
 (* ---- Construction ----------------------------------------------------------- *)
 
-let create ?obs:(sobs = Obs.create ()) ?(config = E.default_config) ?(rto = 1e-3)
-    ?(wound_ttl = 0.05) ~shards ~seed () =
+(* Wound-wait (Rosenkrantz, Stearns & Lewis, TODS 1978) on gxid age: an
+   older gtxn that runs into a younger one's write lock wounds it; a
+   younger one waits.  Waits that last run from younger to older, so no
+   waits-for cycle threads through engines that each see only their own. *)
+let wound_wait t s ~waiter ~holder =
+  match (Hashtbl.find_opt t.owners.(s) waiter, Hashtbl.find_opt t.owners.(s) holder) with
+  | Some w, Some h when w.g_xid < h.g_xid && not h.g_wounded ->
+      h.g_wounded <- true;
+      Obs.incr t.c_wounds;
+      Obs.trace t.sobs "shard.wound"
+        ~fields:[ ("gxid", Obs.I h.g_xid); ("by", Obs.I w.g_xid); ("shard", Obs.I s) ];
+      List.iter
+        (fun (s', b) -> if h.g_inflight = Some s' then E.wound b else E.abort b)
+        h.g_branches
+  | _ -> ()
+
+let create ?obs:(sobs = Obs.create ()) ?(config = E.default_config) ?(rto = 1e-3) ~shards ~seed () =
   if shards < 1 then invalid_arg "Shard.create: shards must be >= 1";
   let net = Net.create ~obs:sobs ~seed () in
   let engines =
@@ -247,7 +263,7 @@ let create ?obs:(sobs = Obs.create ()) ?(config = E.default_config) ?(rto = 1e-3
       engines;
       nodes = Array.init shards node_name;
       rto;
-      wound_ttl;
+      owners = Array.init shards (fun _ -> Hashtbl.create 64);
       next_gxid = 2;  (* 1 is every shard's seed writer *)
       next_cts = 0;
       pending = Hashtbl.create 64;
@@ -272,7 +288,8 @@ let create ?obs:(sobs = Obs.create ()) ?(config = E.default_config) ?(rto = 1e-3
   in
   Net.add_node net coord ~handler:(coord_handler t);
   for s = 0 to shards - 1 do
-    Net.add_node net t.nodes.(s) ~handler:(shard_handler t s)
+    Net.add_node net t.nodes.(s) ~handler:(shard_handler t s);
+    E.set_on_wait engines.(s) (wound_wait t s)
   done;
   t
 
@@ -295,19 +312,6 @@ let seed_rows t ~table ~rows =
 
 (* ---- Distributed transactions ----------------------------------------------- *)
 
-type gtxn = {
-  g : t;
-  g_xid : int;
-  mutable g_branches : (int * E.txn) list;
-  mutable g_wrote : bool;
-  mutable g_finished : bool;
-  mutable g_wounded : bool;
-  (* Monotone per-op sequence plus the shard of the op in flight: a wound
-     timer only fires for the exact op it was armed for. *)
-  mutable g_opseq : int;
-  mutable g_inflight : int option;
-}
-
 let begin_txn t =
   let gxid = t.next_gxid in
   t.next_gxid <- t.next_gxid + 1;
@@ -318,7 +322,6 @@ let begin_txn t =
     g_wrote = false;
     g_finished = false;
     g_wounded = false;
-    g_opseq = 0;
     g_inflight = None;
   }
 
@@ -336,44 +339,23 @@ let branch g s =
       (* Every branch, not only a 2PC one, names the global transaction in
          its shard's recorded history, so the shards' histories join. *)
       if E.recording e then E.tag txn (gid_of g.g_xid);
+      Hashtbl.replace g.g.owners.(s) (E.xid txn) g;
       g.g_branches <- (s, txn) :: g.g_branches;
       txn
 
 let check_wounded g =
   if g.g_wounded then
     raise
-      (E.Error (E.Serialization_failure
-         { xid = g.g_xid; reason = "wounded: cross-shard lock wait exceeded deadline" }))
+      (E.Error (E.Serialization_failure { xid = g.g_xid; reason = "wounded by an older transaction" }))
 
-(* Run one data-plane op on shard [s] under a wound timer (see [wound_ttl]
-   above).  The branch executing the op is spared so the blocked coroutine
-   resumes on a live transaction; the op's result is then discarded and the
-   gtxn fails with a retryable serialization failure. *)
+(* Run one data-plane op on shard [s]; a wound while it ran discards it. *)
 let guarded g s f =
   check_wounded g;
-  let t = g.g in
   let txn = branch g s in
-  g.g_opseq <- g.g_opseq + 1;
-  let seq = g.g_opseq in
   g.g_inflight <- Some s;
-  Sim.at ~after:t.wound_ttl (fun () ->
-      if g.g_opseq = seq && g.g_inflight = Some s && not g.g_finished then begin
-        g.g_wounded <- true;
-        Obs.incr t.c_wounds;
-        Obs.trace t.sobs "shard.wound"
-          ~fields:[ ("gxid", Obs.I g.g_xid); ("stuck_on", Obs.I s) ];
-        List.iter
-          (fun (s', b) -> if s' <> s then try E.abort b with _ -> ())
-          g.g_branches
-      end);
-  match f txn with
-  | r ->
-      g.g_inflight <- None;
-      check_wounded g;
-      r
-  | exception e ->
-      g.g_inflight <- None;
-      raise e
+  let r = Fun.protect ~finally:(fun () -> g.g_inflight <- None) (fun () -> f txn) in
+  check_wounded g;
+  r
 
 let read g ~table ~key =
   guarded g (shard_of_key g.g key) (fun txn -> E.read txn ~table ~key)
@@ -392,9 +374,13 @@ let delete g ~table ~key =
   if r then g.g_wrote <- true;
   r
 
+let finish g =
+  g.g_finished <- true;
+  List.iter (fun (s, txn) -> Hashtbl.remove g.g.owners.(s) (E.xid txn)) g.g_branches
+
 let abort g =
   if not g.g_finished then begin
-    g.g_finished <- true;
+    finish g;
     List.iter (fun (_, txn) -> E.abort txn) g.g_branches
   end
 
@@ -580,7 +566,7 @@ let two_phase g parts =
 let commit g =
   if g.g_finished then invalid_arg "Shard.commit: transaction already finished";
   check_wounded g;
-  g.g_finished <- true;
+  finish g;
   let t = g.g in
   match List.sort (fun (a, _) (b, _) -> compare a b) g.g_branches with
   | [] ->

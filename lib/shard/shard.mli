@@ -48,7 +48,7 @@
     [shard.cross_aborts], [shard.participant_aborts],
     [shard.conservative_fallbacks], [shard.window_edges],
     [shard.retransmits], [shard.indoubt_commits], [shard.indoubt_aborts],
-    [shard.wounds] (cross-shard deadlock wounds, see [wound_ttl]),
+    [shard.wounds] (wound-wait aborts, see {!create}),
     and the [shard.decision_wait] histogram; [shard.twopc] spans wrap
     each distributed commit with its [net.msg] hops as children. *)
 
@@ -58,25 +58,17 @@ module E = Ssi_engine.Engine
 type t
 
 val create :
-  ?obs:Ssi_obs.Obs.t ->
-  ?config:E.config ->
-  ?rto:float ->
-  ?wound_ttl:float ->
-  shards:int ->
-  seed:int ->
-  unit ->
-  t
+  ?obs:Ssi_obs.Obs.t -> ?config:E.config -> ?rto:float -> shards:int -> seed:int -> unit -> t
 (** Build the sharded system: [shards] engines (sharing [obs]), the
     coordinator, and the network connecting them.  [rto] is the
     coordinator's retransmission timeout in virtual seconds (default
-    [1e-3]).  [wound_ttl] (default [0.05]) bounds how long a data-plane
-    op may block before its global transaction is wounded: each engine
-    detects waits-for cycles among its own transactions, but a cycle
-    threaded through two engines is invisible to both, so an op blocked
-    past the deadline aborts every branch of its gtxn except the one
-    executing the op — releasing the locks the cycle runs through — and
-    fails with a retryable serialization failure.  All randomness
-    (network adversity) derives from [seed]. *)
+    [1e-3]).  All randomness (network adversity) derives from [seed].
+
+    Each engine breaks waits-for cycles among its own transactions; none
+    can run through several, by wound-wait on gxid age.  A gtxn about to
+    wait for a younger, uncommitting gtxn's write lock wounds it instead:
+    the younger one's op in flight fails with a retryable serialization
+    failure and its other branches abort at once. *)
 
 val shards : t -> int
 val engines : t -> E.t array

@@ -170,6 +170,129 @@ let test_same_shard_conflicts_stay_local () =
       Alcotest.(check bool) "committed" true (cts > 0);
       Alcotest.(check int) "no cross-shard abort" 0 (stat sys "shard.cross_aborts"))
 
+(* ---- Wound-wait --------------------------------------------------------------- *)
+
+(* Run [body g] in its own process and commit; the outcome and the virtual
+   time it came at land in [cell]. *)
+let session cell g body =
+  Sim.spawn (fun () ->
+      let outcome =
+        match
+          body g;
+          Shard.commit g
+        with
+        | (_ : int) -> "committed"
+        | exception E.Error e when E.retryable e ->
+            Shard.abort g;
+            E.message e
+      in
+      cell := Some (outcome, Sim.now ()))
+
+let wounded = "could not serialize access: wounded by an older transaction"
+
+let outcome name cell =
+  match !cell with Some (o, at) -> (o, at) | None -> Alcotest.failf "%s never finished" name
+
+let test_opposite_orders_older_wins () =
+  (* G1 (older) and G2 update x on shard 0 and y on shard 1 in opposite
+     orders: a cycle neither engine sees.  G2 waits for G1's x; then G1
+     wants G2's y and wounds G2, which is waiting, at once. *)
+  with_sys (fun sys ->
+      let x = List.hd (keys_on sys 0 1) and y = List.hd (keys_on sys 1 1) in
+      seed_keys sys [ x; y ];
+      let g1 = Shard.begin_txn sys and g2 = Shard.begin_txn sys in
+      let r1 = ref None and r2 = ref None in
+      session r1 g1 (fun g ->
+          write g x;
+          Sim.delay 1e-3;
+          write g y);
+      session r2 g2 (fun g ->
+          write g y;
+          Sim.delay 5e-4;
+          write g x);
+      Sim.delay 0.01;
+      let o1, at1 = outcome "G1" r1 and o2, at2 = outcome "G2" r2 in
+      Alcotest.(check string) "older commits" "committed" o1;
+      Alcotest.(check string) "the younger is wounded" wounded o2;
+      Alcotest.(check bool)
+        (Printf.sprintf "resolved in %.2f ms, not 50" (1e3 *. Float.max at1 at2))
+        true
+        (Float.max at1 at2 < 5e-3);
+      Alcotest.(check int) "one wound" 1 (stat sys "shard.wounds");
+      let g = Shard.begin_txn sys in
+      Alcotest.(check (pair int int)) "G1's writes stand" (Shard.gxid g1, Shard.gxid g1)
+        (stamp_of g x, stamp_of g y);
+      ignore (Shard.commit g))
+
+let test_three_gtxn_cycle () =
+  (* A < C < B by gxid.  A holds a on shard 1, C holds c and B holds b on
+     shard 0.  B waits for C on shard 0 and C for A on shard 1: both
+     younger-waits-for-older, so both wait.  Then A wants b: B is younger,
+     so A wounds it, and B's wait for C must end now, or B never fails,
+     A never gets b and C never gets a. *)
+  with_sys (fun sys ->
+      let b, c = match keys_on sys 0 2 with [ b; c ] -> (b, c) | _ -> assert false in
+      let a = List.hd (keys_on sys 1 1) in
+      seed_keys sys [ a; b; c ];
+      let ga = Shard.begin_txn sys in
+      let gc = Shard.begin_txn sys in
+      let gb = Shard.begin_txn sys in
+      let ra = ref None and rb = ref None and rc = ref None in
+      session ra ga (fun g ->
+          write g a;
+          Sim.delay 1.5e-3;
+          write g b);
+      session rc gc (fun g ->
+          write g c;
+          Sim.delay 1e-3;
+          write g a);
+      session rb gb (fun g ->
+          write g b;
+          Sim.delay 5e-4;
+          write g c);
+      Sim.delay 0.04;
+      let oa, at = outcome "A" ra and ob, _ = outcome "B" rb and oc, _ = outcome "C" rc in
+      Alcotest.(check string) "A commits" "committed" oa;
+      Alcotest.(check string) "B is wounded" wounded ob;
+      Alcotest.(check string) "C loses to A's committed a"
+        "could not serialize access: could not serialize access due to concurrent update" oc;
+      Alcotest.(check bool) (Printf.sprintf "A done at %.2f ms" (1e3 *. at)) true (at < 5e-3);
+      Alcotest.(check int) "one wound" 1 (stat sys "shard.wounds"))
+
+let test_prepared_holder_not_wounded () =
+  (* Y (younger) inserts z on shard 0 and prepares there, but cannot
+     reach shard 1, so its 2PC times out.  O (older) then inserts z too: a
+     prepared branch waits for nothing, so O waits instead of wounding,
+     and inserts z once Y's abort reaches shard 0. *)
+  with_sys (fun sys ->
+      let z = List.hd (keys_on sys 0 1) and y = List.hd (keys_on sys 1 1) in
+      seed_keys sys [ y ];
+      (Shard.net_ops sys).Ssi_net.Net.o_partition "coord" "s1";
+      let go = Shard.begin_txn sys and gy = Shard.begin_txn sys in
+      let insert g k = Shard.insert g ~table [| vi k; vi (Shard.gxid g) |] in
+      let ro = ref None and ry = ref None in
+      session ry gy (fun g ->
+          insert g z;
+          write g y);
+      session ro go (fun g ->
+          Sim.delay 5e-3;
+          Alcotest.(check (list string)) "Y prepared on shard 0"
+            [ Printf.sprintf "g%d" (Shard.gxid gy) ]
+            (E.prepared_gids (Shard.engines sys).(0));
+          insert g z);
+      Sim.delay 0.2;
+      let oo, at_o = outcome "O" ro and oy, at_y = outcome "Y" ry in
+      Alcotest.(check string) "O commits" "committed" oo;
+      Alcotest.(check string) "Y's 2PC times out"
+        "shard.commit: prepare timeout: participant unreachable" oy;
+      Alcotest.(check bool)
+        (Printf.sprintf "O (%.1f ms) waited for Y's abort (%.1f ms)" (1e3 *. at_o) (1e3 *. at_y))
+        true (at_o > 0.03);
+      Alcotest.(check int) "no wound" 0 (stat sys "shard.wounds");
+      let g = Shard.begin_txn sys in
+      Alcotest.(check int) "O's insert stands" (Shard.gxid go) (stamp_of g z);
+      ignore (Shard.commit g))
+
 (* ---- In-doubt resolution ----------------------------------------------------- *)
 
 let test_indoubt_presumed_abort () =
@@ -312,6 +435,14 @@ let () =
             test_cross_shard_pivot_aborted;
           Alcotest.test_case "same-shard conflicts stay local" `Quick
             test_same_shard_conflicts_stay_local;
+        ] );
+      ( "wound-wait",
+        [
+          Alcotest.test_case "opposite orders: the older commits" `Quick
+            test_opposite_orders_older_wins;
+          Alcotest.test_case "three-gtxn cycle through two shards" `Quick test_three_gtxn_cycle;
+          Alcotest.test_case "a prepared holder is never wounded" `Quick
+            test_prepared_holder_not_wounded;
         ] );
       ( "recovery",
         [
