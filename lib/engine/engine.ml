@@ -759,6 +759,23 @@ let note_read txn (v : Heap.tuple) =
       true
   | No_sx -> false
 
+(* A read that found the row absent saw its committed deletion, if one
+   hides the newest version its snapshot sees: a w:r dependency on the
+   deleter, as a read of a version depends on the version's creator. *)
+let note_absent txn head =
+  match tracking txn with
+  | Sx ((module C), c, node) ->
+      let sees x = Snapshot.sees_xid txn.db.clog txn.snapshot x in
+      let rec deleter (v : Heap.tuple) =
+        if Heap.is_absent v then ()
+        else if sees v.xmin then begin
+          if v.xmax <> Heap.invalid_xid && sees v.xmax then C.read_from c node ~creator:v.xmax
+        end
+        else Option.iter deleter v.prev
+      in
+      deleter head
+  | No_sx -> ()
+
 (* Acquire the SIREAD gap locks for an index probe of [[lo, hi]], walking
    its leaves before any row is visited.  Page mode locks every examined
    leaf page; next-key mode locks the distinct keys found (for a point
@@ -815,8 +832,11 @@ let fetch txn tbl key ~for_write =
     refresh_stmt_snapshot txn
   end
   else if is_tracked txn then ssi_lock_index_gaps txn tbl.pk_index ~lo:key ~hi:key ~probe:key;
-  match visible txn ~skipped:(skipped_by txn) (Heap.head tbl.heap key) with
-  | v when Heap.is_absent v -> None
+  let head = Heap.head tbl.heap key in
+  match visible txn ~skipped:(skipped_by txn) head with
+  | v when Heap.is_absent v ->
+      note_absent txn head;
+      None
   | v ->
       if note_read txn v then
         Predlock.lock_tuple db.predlocks ~owner:txn.txn_xid ~rel ~key
@@ -1011,14 +1031,17 @@ let row_count txn ~table = List.length (seq_scan txn ~table ())
 
 (* Add an index entry for a new tuple version, with the SSI conflict-in
    check against gap readers, and record undo if the entry is new. *)
-let index_insert txn idx ~ikey ~pk =
+let index_insert ?(new_row = false) txn idx ~ikey ~pk =
   let db = txn.db in
   let page, added = Btree.insert idx.tree ~key:ikey ~pk in
   (* An idempotent insert (the entry already existed, e.g. an update that
      left the indexed column unchanged) fills no gap: no phantom is
-     possible and no conflict check or page lock is needed.  For a real
-     insert the undo entry must be recorded BEFORE the conflict check: the
-     check may raise, and the rollback must remove the physical entry. *)
+     possible and no conflict check or page lock is needed.  A [new_row]
+     whose entry survives from a version another transaction deleted does
+     fill one: a reader saw the key absent through that entry's gap.  For
+     a real insert the undo entry must be recorded BEFORE the conflict
+     check: the check may raise, and the rollback must remove the physical
+     entry. *)
   if added then begin
     txn.undo <- U_index_entry (idx, ikey, pk) :: txn.undo;
     (* The new entry split the gap below its successor: the gap's locks
@@ -1029,19 +1052,20 @@ let index_insert txn idx ~ikey ~pk =
        splits gaps guarded for serializable readers too. *)
     if idx.next_key then
       Predlock.on_index_key_insert db.predlocks ~index:idx.idx_name ~key:ikey
-        ~succ:(Btree.next_key_after idx.tree ikey);
-    (match tracking txn with
-    | Sx ((module C), c, node) ->
-        C.conflict_in c node
-          (if idx.next_key then
-             Predlock.readers_for_index_insert_nextkey db.predlocks ~index:idx.idx_name
-               ~key:ikey ~succ:(Btree.next_key_after idx.tree ikey)
-           else Predlock.readers_for_index_insert db.predlocks ~index:idx.idx_name ~page)
-    | No_sx -> ());
-    if is_2pl txn then
-      Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Index_page (idx.idx_name, page))
-        Lockmgr.X
-  end
+        ~succ:(Btree.next_key_after idx.tree ikey)
+  end;
+  (if added || new_row then
+     match tracking txn with
+     | Sx ((module C), c, node) ->
+         C.conflict_in c node
+           (if idx.next_key then
+              Predlock.readers_for_index_insert_nextkey db.predlocks ~index:idx.idx_name
+                ~key:ikey ~succ:(Btree.next_key_after idx.tree ikey)
+            else Predlock.readers_for_index_insert db.predlocks ~index:idx.idx_name ~page)
+     | No_sx -> ());
+  if added && is_2pl txn then
+    Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Index_page (idx.idx_name, page))
+      Lockmgr.X
 
 let all_indexes tbl = tbl.pk_index :: tbl.secondary
 let index_keys tbl row = List.map (fun idx -> (idx.idx_name, row.(idx.col))) (all_indexes tbl)
@@ -1061,21 +1085,28 @@ let insert txn ~table row =
         Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Tuple (table, key)) Lockmgr.X;
         refresh_stmt_snapshot txn
       end;
-      (match live_head txn tbl key with
-      | None -> ()
-      | Some v ->
-          let deleted =
-            v.xmax <> Heap.invalid_xid
-            && (v.xmax = txn.txn_xid || Clog.is_committed db.clog v.xmax)
-          in
-          if not deleted then fail (Unique_violation { table; key = Value.to_string key });
-          (* Re-inserting over a committed-dead head is a w:w dependency on
-             the dead version's creator and deleter. *)
-          (match tracking txn with
-          | Sx ((module C), c, node) ->
-              C.read_from c node ~creator:v.xmin;
-              if v.xmax <> Heap.invalid_xid then C.read_from c node ~creator:v.xmax
-          | No_sx -> ()));
+      (* Over a head another transaction deleted, the new row may find the
+         index entries of the dead version: [new_row] still checks their
+         gaps.  Over its own delete the transaction only replaces its own
+         write, as an update does. *)
+      let new_row =
+        match live_head txn tbl key with
+        | None -> false
+        | Some v ->
+            let deleted =
+              v.xmax <> Heap.invalid_xid
+              && (v.xmax = txn.txn_xid || Clog.is_committed db.clog v.xmax)
+            in
+            if not deleted then fail (Unique_violation { table; key = Value.to_string key });
+            (* Re-inserting over a committed-dead head is a w:w dependency on
+               the dead version's creator and deleter. *)
+            (match tracking txn with
+            | Sx ((module C), c, node) ->
+                C.read_from c node ~creator:v.xmin;
+                if v.xmax <> Heap.invalid_xid then C.read_from c node ~creator:v.xmax
+            | No_sx -> ());
+            v.xmax <> txn.txn_xid
+      in
       let old_page =
         match Heap.head tbl.heap key with
         | h when Heap.is_absent h -> None
@@ -1094,7 +1125,7 @@ let insert txn ~table row =
           | Some _ | None -> ())
       | No_sx -> ());
       List.iter
-        (fun idx -> index_insert txn idx ~ikey:(Array.copy row).(idx.col) ~pk:key)
+        (fun idx -> index_insert ~new_row txn idx ~ikey:(Array.copy row).(idx.col) ~pk:key)
         (all_indexes tbl);
       txn.wal <- Wal.Insert { table; key; row = Array.copy row } :: txn.wal;
       finish_op db ~tuples:1

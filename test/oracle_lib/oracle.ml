@@ -74,23 +74,15 @@ let sim_costs =
   { E.zero_costs with E.cpu_per_op = 80e-6; cpu_per_tuple = 4e-6; io_commit = 40e-6 }
 
 (* One transaction body: random point reads, small scans, updates (an
-   insert when the key is not visible) and deletes.  A delete re-inserts
-   the key at once: once a key stays deleted, the certifiers commit cycles
-   (a re-insert over a dead head checks no index-gap reader, see
-   CHANGES.md), and this workload holds them to the histories they are
-   known to keep acyclic.  [after_op] runs after each engine operation,
-   even one that raised. *)
+   insert when the key is not visible) and deletes.  [after_op] runs
+   after each engine operation, even one that raised. *)
 let txn_body ~after_op rng cfg t =
   let op f = Fun.protect ~finally:after_op f in
   for _ = 1 to cfg.ops_per_txn do
     let k = Rng.int rng cfg.keys in
     let key = Value.Int k in
     let p = Rng.float rng 1.0 in
-    if p < cfg.delete_bias then begin
-      if op (fun () -> E.delete t ~table ~key) then
-        try op (fun () -> E.insert t ~table [| key; Value.Int 0 |])
-        with E.Error (E.Unique_violation _) -> ()
-    end
+    if p < cfg.delete_bias then ignore (op (fun () -> E.delete t ~table ~key))
     else if p < cfg.delete_bias +. cfg.write_bias then begin
       let bump row = [| row.(0); Value.Int (Value.as_int row.(1) + 1) |] in
       if not (op (fun () -> E.update t ~table ~key ~f:bump)) then

@@ -120,10 +120,7 @@ let data_op st s l op =
         ignore (E.index_scan t ~table ~index:(table ^ "_pkey") ~lo:(Value.Int k) ~hi:(Value.Int hi))
     | Insert k -> E.insert t ~table [| Value.Int k; me |]
     | Update k -> ignore (E.update t ~table ~key:(Value.Int k) ~f:(fun r -> [| r.(0); me |]))
-    | Delete k ->
-        (* Re-inserted at once, as in the oracle workload: a key left
-           deleted lets the certifier commit cycles (see oracle.ml). *)
-        if E.delete t ~table ~key:(Value.Int k) then E.insert t ~table [| Value.Int k; me |]
+    | Delete k -> ignore (E.delete t ~table ~key:(Value.Int k))
     | Savepoint i -> E.savepoint t (savepoint i)
     | Rollback_to i -> E.rollback_to_savepoint t (savepoint i)
     | Begin _ | Prepare _ | Finish_prepared _ | Commit | Abort -> assert false

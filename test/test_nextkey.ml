@@ -105,6 +105,33 @@ let test_gap_between_entries () =
   in
   Alcotest.(check bool) "interior gap protected" true failed
 
+let test_reinsert_over_dead_head () =
+  (* Key 20 is deleted and the delete committed: its index entry stays,
+     leading to a dead head.  A reader sees 20 absent through that entry's
+     gap; a writer re-inserts 20.  The entry already exists, so no gap is
+     split, but the re-insert is a new row the reader did not see, and
+     its gap readers must get the rw edge as for any insert. *)
+  List.iter
+    (fun (next_key, what, reader_action) ->
+      let db = fresh ~next_key () in
+      E.with_txn db (fun t -> ignore (E.delete t ~table:"kv" ~key:(vi 20)));
+      let failed =
+        writer_commit_fails db ~reader_action
+          ~writer_action:(fun w -> E.insert w ~table:"kv" [| vi 20; vi 0 |])
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "re-insert after %s detected (next_key=%b)" what next_key)
+        true failed)
+    (List.concat_map
+       (fun next_key ->
+         [
+           (next_key, "absent read", fun r -> ignore (E.read r ~table:"kv" ~key:(vi 20)));
+           ( next_key,
+             "scan",
+             fun r -> ignore (E.index_scan r ~table:"kv" ~index:"kv_pkey" ~lo:(vi 15) ~hi:(vi 25)) );
+         ])
+       [ false; true ])
+
 (* Gap-lock inheritance regressions (found by the DSG oracle, nextkey
    config, seed 804): the gap a reader locked can be split by another
    transaction's physical insert — whose entry then shadows the original
@@ -232,6 +259,7 @@ let () =
           Alcotest.test_case "absent point read" `Quick test_absent_point_read_protected;
           Alcotest.test_case "top gap" `Quick test_gap_above_highest;
           Alcotest.test_case "interior gap" `Quick test_gap_between_entries;
+          Alcotest.test_case "re-insert over a dead head" `Quick test_reinsert_over_dead_head;
           Alcotest.test_case "gap split by uncommitted insert" `Quick
             test_gap_split_shadowed_successor;
           Alcotest.test_case "gap merged by rollback" `Quick
