@@ -47,6 +47,7 @@ type outcome = {
   result : Driver.result;
   report : string list;
   exposition_valid : bool;
+  violation : string option;
 }
 
 let rows = 100
@@ -84,8 +85,13 @@ let run c =
   let failed_over = ref None in
   let acting p = match !failed_over with Some fo -> fo.Stream.new_primary | None -> p in
   let telemetry = ref None in
+  (* The primary's recorded history and, after a failover, the promoted
+     engine's (newest first). *)
+  let old_hist = ref [] and new_hist = ref [] in
+  let record_new e = E.set_recorder e (Some (fun entry -> new_hist := entry :: !new_hist)) in
   let chaos db =
     eng := Some db;
+    E.set_recorder db (Some (fun entry -> old_hist := entry :: !old_hist));
     E.set_fault_injector db (Some (fun ~op -> F.hook injector ~op));
     if c.alerts || c.scrape_out <> None || c.metrics_out <> None then begin
       let s = Scrape.create ~capacity:64 (E.obs db) in
@@ -110,7 +116,10 @@ let run c =
       direct := Some r;
       let observer phase (ev : F.event) =
         match (phase, ev.F.kind) with
-        | `After, F.Failover -> promoted := Some (Replica.promote r ~primary:db `Latest_safe)
+        | `After, F.Failover ->
+            let p = Replica.promote r ~primary:db `Latest_safe in
+            record_new p.Replica.engine;
+            promoted := Some p
         | _ -> ()
       in
       Sim.spawn (fun () -> F.execute ~observer { target with F.replica = Some r } (plan c) ~log)
@@ -131,6 +140,7 @@ let run c =
         match (phase, ev.F.kind, subs) with
         | `After, F.Failover, first :: rest ->
             let fo = Stream.promote first ~schema_from:db ?quorum `Latest_safe in
+            record_new (Stream.engine fo.Stream.new_primary);
             failed_over := Some fo;
             List.iter
               (fun s ->
@@ -253,9 +263,14 @@ let run c =
     result;
     report = List.rev !report;
     exposition_valid = !exposition_valid;
+    (* Each era is checked on its own, as the read fleet checks them. *)
+    violation =
+      (match Scenario.history_violation "primary" [ List.rev !old_hist ] with
+      | Some v -> Some v
+      | None -> Scenario.history_violation "promoted" [ List.rev !new_hist ]);
   }
 
-let ok o = o.exposition_valid
+let ok o = o.exposition_valid && o.violation = None
 
 let pp ppf o =
   let f fmt = Format.fprintf ppf fmt in
@@ -268,4 +283,7 @@ let pp ppf o =
   f "  injected faults    %d@." r.Driver.injected_faults;
   f "  retries            %d, giveups %d@." r.Driver.retries r.Driver.giveups;
   f "  attempts/commit    %.2f@." r.Driver.attempts_per_commit;
-  List.iter (f "%s@?") o.report
+  List.iter (f "%s@?") o.report;
+  match o.violation with
+  | None -> f "oracle: serializable (each era's DSG acyclic, every read exact)@."
+  | Some v -> f "oracle: VIOLATION: %s@." v

@@ -43,6 +43,10 @@ type outcome = {
           reachable: replica and streaming state, explanations, exports,
           alerts and the exposition check. *)
   exposition_valid : bool;  (** the OpenMetrics check passed, or did not run *)
+  violation : string option;
+      (** The primary's recorded history, and after a failover the
+          promoted engine's, each checked on its own ({!Ssi_check.Dsg}):
+          a cycle or an inexact read, or [None]. *)
 }
 
 (** {1 As a {!Scenario.S}} *)
@@ -55,4 +59,4 @@ val run : cfg -> outcome
 val pp : Format.formatter -> outcome -> unit
 
 val ok : outcome -> bool
-(** [exposition_valid]. *)
+(** [exposition_valid] and no [violation]. *)

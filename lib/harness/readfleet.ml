@@ -16,7 +16,6 @@ module Watchdog = Ssi_obs.Watchdog
 module Sim = Ssi_sim.Sim
 module F = Ssi_fault.Fault
 module Rng = Ssi_util.Rng
-module Dsg = Ssi_check.Dsg
 
 type cfg = {
   seed : int;
@@ -308,11 +307,6 @@ let run cfg =
      surviving lineage is too, provided the new era starts from the old
      era's state at the promotion point: the last stamp committed at or
      before it, per key. *)
-  let era_violation name h =
-    match Dsg.check [ h ] with
-    | Error cycle -> Some (Printf.sprintf "%s DSG is cyclic\n%s" name (Dsg.pp_cycle cycle))
-    | Ok () -> Option.map (fun e -> name ^ ": " ^ e) (Dsg.stale_read [ h ])
-  in
   let promotion_violation pc =
     let state = Hashtbl.create keys in
     for k = 0 to (keys / 2) - 1 do
@@ -333,8 +327,8 @@ let run cfg =
     List.find_map
       (fun check -> check ())
       [
-        (fun () -> era_violation "old-era" old_hist);
-        (fun () -> era_violation "new-era" new_hist);
+        (fun () -> Scenario.history_violation "old-era" [ old_hist ]);
+        (fun () -> Scenario.history_violation "new-era" [ new_hist ]);
         (fun () -> Option.bind promote_cseq promotion_violation);
         (fun () -> !convergence_error);
       ]

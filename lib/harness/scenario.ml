@@ -8,6 +8,13 @@ module type S = sig
   val ok : outcome -> bool
 end
 
+module Dsg = Ssi_check.Dsg
+
+let history_violation name histories =
+  match Dsg.check histories with
+  | Error cycle -> Some (Printf.sprintf "%s DSG is cyclic\n%s" name (Dsg.pp_cycle cycle))
+  | Ok () -> Option.map (fun e -> name ^ ": " ^ e) (Dsg.stale_read histories)
+
 (* Equal digests of the [Marshal] images: byte-identical outcomes. *)
 let fingerprint o = Digest.string (Marshal.to_string o [])
 

@@ -20,6 +20,12 @@ module type S = sig
   (** The scenario's verdict: oracle clean, invariants held. *)
 end
 
+val history_violation : string -> Ssi_check.Dsg.history list -> string option
+(** [history_violation name histories]: the recorded histories, checked
+    as one graph ({!Ssi_check.Dsg}), have a cycle or a read that was not
+    the last version committed before its snapshot; the description
+    starts with [name]. *)
+
 type 'o verdict = {
   outcome : 'o;  (** the first run's *)
   ok : bool;  (** [S.ok outcome] *)

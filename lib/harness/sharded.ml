@@ -12,7 +12,6 @@ module Rng = Ssi_util.Rng
 module Waitq = Ssi_util.Waitq
 module Obs = Ssi_obs.Obs
 module Value = Ssi_storage.Value
-module Dsg = Ssi_check.Dsg
 module Driver = Ssi_workload.Driver
 
 type cfg = {
@@ -192,12 +191,7 @@ let run cfg =
      the final read of each key included — returned the last version its
      shard committed before the reader's snapshot. *)
   let histories = Array.to_list (Array.map List.rev recorded) in
-  (match Dsg.check histories with
-  | Ok () -> ()
-  | Error cycle ->
-      note_violation
-        (Printf.sprintf "combined multi-shard DSG is cyclic\n%s" (Dsg.pp_cycle cycle)));
-  Option.iter note_violation (Dsg.stale_read histories);
+  Option.iter note_violation (Scenario.history_violation "combined multi-shard" histories);
   let stat name = try List.assoc name !stats with Not_found -> 0 in
   {
     commits = !commits;
@@ -249,6 +243,7 @@ let bench ?(keys = 256) ?(workers = 16) ?(duration = 1.0) ?(ops_per_txn = 4)
   let latencies = ref [] in
   let busy = ref 0. in
   let ssi_conflicts = ref 0 and ssi_summarized = ref 0 and ssi_safe = ref 0 in
+  let deadlocks = ref 0 in
   ignore
     (Sim.run (fun () ->
       let sys = Shard.create ~shards ~seed () in
@@ -302,7 +297,8 @@ let bench ?(keys = 256) ?(workers = 16) ?(duration = 1.0) ?(ops_per_txn = 4)
       let sobs = Shard.obs sys in
       ssi_conflicts := Obs.get_counter sobs "ssi.conflicts";
       ssi_summarized := Obs.get_counter sobs "ssi.summarized";
-      ssi_safe := Obs.get_counter sobs "ssi.safe_snapshots"));
+      ssi_safe := Obs.get_counter sobs "ssi.safe_snapshots";
+      deadlocks := Obs.get_counter sobs "engine.deadlocks"));
   let committed = !committed and failures = !failures in
   let lat = List.sort compare !latencies in
   let n = List.length lat in
@@ -319,7 +315,7 @@ let bench ?(keys = 256) ?(workers = 16) ?(duration = 1.0) ?(ops_per_txn = 4)
   {
     Driver.committed;
     failures;
-    deadlocks = 0;
+    deadlocks = !deadlocks;
     sim_seconds = duration;
     throughput = float_of_int committed /. duration;
     failure_rate =
@@ -332,7 +328,8 @@ let bench ?(keys = 256) ?(workers = 16) ?(duration = 1.0) ?(ops_per_txn = 4)
     retries = 0;
     giveups = 0;
     injected_faults = 0;
-    attempts_per_commit = (if committed = 0 then 0. else 1.);
+    attempts_per_commit =
+      (if committed = 0 then 0. else float_of_int (committed + failures) /. float_of_int committed);
     latency_mean = mean;
     latency_p50 = pct 0.50;
     latency_p95 = pct 0.95;

@@ -55,7 +55,7 @@ type outcome = {
   retransmits : int;
   indoubt_commits : int;  (** recovery-scan commits *)
   indoubt_aborts : int;  (** recovery-scan presumed aborts *)
-  wounds : int;  (** cross-shard deadlock wounds ([shard.wounds]) *)
+  wounds : int;  (** wound-wait aborts ([shard.wounds]) *)
   crashes : int;  (** crash events executed *)
   violation : string option;  (** first oracle violation, [None] when clean *)
   chaos_log : string list;  (** the replayable fault schedule *)
@@ -91,4 +91,6 @@ val bench :
     virtual seconds on its owning shard's CPU, so single-shard ceilings
     are real and throughput scales with the shard count until 2PC
     latency and cross-shard aborts eat the headroom — the [sharded]
-    bench preset plots exactly that curve. *)
+    bench preset plots exactly that curve.  Every failed attempt is a
+    new transaction, so [attempts_per_commit] is (commits + failures) /
+    commits; [deadlocks] counts the engines' local deadlock failures. *)
