@@ -121,6 +121,16 @@ let le64 n =
 
 let frame payload = le64 (String.length payload) ^ le64 (crc32 payload) ^ payload
 
+(* The durable region of [w], through a saved image. *)
+let durable_bytes w =
+  let path = Filename.temp_file "ssi_wal" ".wal" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Wal.save w path;
+      let image = In_channel.with_open_bin path In_channel.input_all in
+      String.sub image 8 (String.length image - 8))
+
 (* A device whose durable region is exactly [bytes], through a saved image. *)
 let device_of bytes =
   let path = Filename.temp_file "ssi_wal" ".wal" in
@@ -136,13 +146,7 @@ let sample_frames =
     (fun r ->
       let w = Wal.create () in
       ignore (Wal.append w r);
-      let path = Filename.temp_file "ssi_wal" ".wal" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          Wal.save w path;
-          let image = In_channel.with_open_bin path In_channel.input_all in
-          String.sub image 8 (String.length image - 8)))
+      durable_bytes w)
     sample_records
 
 (* A CRC-valid Schema record whose table name claims [max_int] bytes: the
@@ -201,6 +205,166 @@ let prop_frames_decode_to_prefix =
            (fun spec r -> match spec with Real i -> r = List.nth sample_records i | Junk _ -> true)
            (List.filteri (fun i _ -> i < k) specs)
            records)
+
+(* ---- The frame layout, pinned by a reference encoder ----------------------- *)
+
+(* The log's payload encoding written out independently of [Wal]: little-
+   endian 64-bit integers, one-byte tags, length-prefixed strings and
+   lists, each record framed by [frame]. *)
+module Ref = struct
+  let u8 n = String.make 1 (Char.chr n)
+  let int = le64
+  let bool b = u8 (if b then 1 else 0)
+  let str s = int (String.length s) ^ s
+  let list f xs = int (List.length xs) ^ String.concat "" (List.map f xs)
+
+  let value = function
+    | Value.Null -> u8 0
+    | Value.Bool b -> u8 1 ^ bool b
+    | Value.Int n -> u8 2 ^ int n
+    | Value.Float f ->
+        let b = Buffer.create 8 in
+        Buffer.add_int64_le b (Int64.bits_of_float f);
+        u8 3 ^ Buffer.contents b
+    | Value.Str s -> u8 4 ^ str s
+
+  let row r = int (Array.length r) ^ String.concat "" (List.map value (Array.to_list r))
+
+  let op = function
+    | Wal.Insert { table; key; row = r } -> u8 0 ^ str table ^ value key ^ row r
+    | Wal.Update { table; key; row = r } -> u8 1 ^ str table ^ value key ^ row r
+    | Wal.Delete { table; key } -> u8 2 ^ str table ^ value key
+
+  let target = function
+    | Predlock.Relation r -> u8 0 ^ str r
+    | Predlock.Page (r, p) -> u8 1 ^ str r ^ int p
+    | Predlock.Tuple (r, k) -> u8 2 ^ str r ^ value k
+    | Predlock.Index_page (i, p) -> u8 3 ^ str i ^ int p
+    | Predlock.Index_key (i, k) -> u8 4 ^ str i ^ value k
+    | Predlock.Index_inf i -> u8 5 ^ str i
+    | Predlock.Index_rel i -> u8 6 ^ str i
+
+  let prepared (p : Wal.prepared_image) =
+    int p.p_xid ^ str p.p_gid ^ int p.p_snap_cseq ^ list op p.p_ops ^ list target p.p_sireads
+
+  let table_image (s : Wal.table_image) =
+    str s.s_def.d_name ^ list str s.s_def.d_cols ^ str s.s_def.d_key
+    ^ list
+        (fun (i : Wal.index_def) ->
+          str i.i_name ^ str i.i_column ^ bool i.i_pred_locks ^ bool i.i_next_key)
+        s.s_indexes
+    ^ list row s.s_rows
+
+  let record = function
+    | Wal.Commit { c_xid; c_cseq; c_gid; c_ops; c_safe } ->
+        u8 3 ^ int c_xid ^ int c_cseq
+        ^ (match c_gid with None -> u8 0 | Some g -> u8 1 ^ str g)
+        ^ list op c_ops ^ bool c_safe
+    | Wal.Prepare p -> u8 4 ^ prepared p
+    | Wal.Checkpoint { k_cseq; k_tables; k_prepared } ->
+        u8 6 ^ int k_cseq ^ list table_image k_tables ^ list prepared k_prepared
+    | Wal.Schema _ | Wal.Index _ | Wal.Abort _ | Wal.Epoch _ ->
+        invalid_arg "Ref.record: not generated"
+end
+
+let records_arb =
+  let open QCheck.Gen in
+  let name = string_size ~gen:(char_range 'a' 'z') (int_range 0 6) in
+  let int = oneof [ small_signed_int; oneofl [ 0; -1; max_int; min_int; 1 lsl 40 ] ] in
+  let value =
+    frequency
+      [
+        (1, return Value.Null);
+        (1, map (fun b -> Value.Bool b) bool);
+        (4, map (fun n -> Value.Int n) int);
+        (1, map (fun f -> Value.Float f) (oneof [ float; oneofl [ nan; infinity; -0. ] ]));
+        (2, map (fun s -> Value.Str s) (string_size (int_range 0 12)));
+      ]
+  in
+  let row = array_size (int_range 0 5) value in
+  let op =
+    oneof
+      [
+        map3 (fun table key row -> Wal.Insert { table; key; row }) name value row;
+        map3 (fun table key row -> Wal.Update { table; key; row }) name value row;
+        map2 (fun table key -> Wal.Delete { table; key }) name value;
+      ]
+  in
+  let ops = list_size (int_range 0 12) op in
+  let target =
+    oneof
+      [
+        map (fun r -> Predlock.Relation r) name;
+        map2 (fun r p -> Predlock.Page (r, p)) name int;
+        map2 (fun r k -> Predlock.Tuple (r, k)) name value;
+        map2 (fun i p -> Predlock.Index_page (i, p)) name int;
+        map2 (fun i k -> Predlock.Index_key (i, k)) name value;
+        map (fun i -> Predlock.Index_inf i) name;
+        map (fun i -> Predlock.Index_rel i) name;
+      ]
+  in
+  let prepared =
+    map
+      (fun ((p_xid, p_gid, p_snap_cseq), (p_ops, p_sireads)) ->
+        { Wal.p_xid; p_gid; p_snap_cseq; p_ops; p_sireads })
+      (pair (triple int name int) (pair ops (list_size (int_range 0 6) target)))
+  in
+  let index_def =
+    map
+      (fun ((i_name, i_column), (i_pred_locks, i_next_key)) ->
+        { Wal.i_name; i_column; i_pred_locks; i_next_key })
+      (pair (pair name name) (pair bool bool))
+  in
+  let table_image =
+    map
+      (fun ((d_name, d_cols, d_key), (s_indexes, s_rows)) ->
+        { Wal.s_def = { Wal.d_name; d_cols; d_key }; s_indexes; s_rows })
+      (pair
+         (triple name (list_size (int_range 0 4) name) name)
+         (pair (list_size (int_range 0 3) index_def) (list_size (int_range 0 6) row)))
+  in
+  let record =
+    frequency
+      [
+        ( 4,
+          map
+            (fun ((c_xid, c_cseq, c_gid), (c_ops, c_safe)) ->
+              Wal.Commit { c_xid; c_cseq; c_gid; c_ops; c_safe })
+            (pair (triple int int (option name)) (pair ops bool)) );
+        (2, map (fun p -> Wal.Prepare p) prepared);
+        ( 1,
+          map3
+            (fun k_cseq k_tables k_prepared -> Wal.Checkpoint { k_cseq; k_tables; k_prepared })
+            int
+            (list_size (int_range 0 3) table_image)
+            (list_size (int_range 0 2) prepared) );
+      ]
+  in
+  QCheck.make
+    ~print:(fun rs ->
+      Printf.sprintf "%d records, reference frames %S" (List.length rs)
+        (String.concat "" (List.map (fun r -> frame (Ref.record r)) rs)))
+    (list_size (int_range 1 6) record)
+
+(* Whether appended one flush at a time or staged and flushed together,
+   the device's bytes are the reference frames, back to back, and they
+   decode to the records appended. *)
+let prop_append_writes_reference_frames =
+  QCheck.Test.make ~name:"append writes the reference encoder's frames" ~count:300 records_arb
+    (fun records ->
+      let want = String.concat "" (List.map (fun r -> frame (Ref.record r)) records) in
+      let direct = Wal.create () in
+      List.iter (fun r -> ignore (Wal.append direct r)) records;
+      let staged = Wal.create ~flush_interval:1e9 () in
+      ignore
+        (Sim.run (fun () ->
+             List.iter (fun r -> ignore (Wal.append staged r)) records;
+             Wal.flush staged));
+      let decoded, truncated = Wal.read_all direct in
+      durable_bytes direct = want
+      && durable_bytes staged = want
+      && truncated = 0
+      && compare decoded records = 0)
 
 (* ---- Crash and damage ---------------------------------------------------- *)
 
@@ -535,6 +699,7 @@ let () =
           Alcotest.test_case "load rejects a non-WAL file" `Quick test_load_rejects_non_wal;
           Alcotest.test_case "string length near max_int" `Quick test_huge_string_length;
           QCheck_alcotest.to_alcotest prop_frames_decode_to_prefix;
+          QCheck_alcotest.to_alcotest prop_append_writes_reference_frames;
         ] );
       ( "crash",
         [
