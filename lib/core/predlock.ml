@@ -87,9 +87,13 @@ type entry = {
 }
 
 (* Per-owner bookkeeping enabling promotion and O(locks) release.  Every
-   key is a tag or an interned relation/index id. *)
+   key is a tag or an interned relation/index id.  A tuple lock the owner
+   holds is in exactly one [tuples_by_page] list, the one of the page it
+   was granted on, until it is forgotten. *)
 type owner_state = {
-  held : unit Tag_table.t;
+  (* Every lock the owner holds.  A tuple lock maps to the heap page whose
+     [tuples_by_page] list holds it, any other lock to 0. *)
+  held : int Tag_table.t;
   (* Tuple locks per heap page, keyed by the page's tag: the tuple tags
      held there. *)
   tuples_by_page : Tag.t list ref Tag_table.t;
@@ -380,9 +384,11 @@ let forget t owner state tag =
         maybe_drop_entry t tag e
   end
 
-let grant t owner state tag =
+(* Grant [tag] to [owner] unless it already holds it; [page] is what
+   [held] records for it.  Returns whether the lock is new. *)
+let grant_at t owner state tag page =
   if not (Tag_table.mem state.held tag) then begin
-    Tag_table.add state.held tag ();
+    Tag_table.add state.held tag page;
     cache_granted state tag;
     let e = entry_of t tag in
     e.holders <- owner :: e.holders;
@@ -390,6 +396,8 @@ let grant t owner state tag =
     true
   end
   else false
+
+let grant t owner state tag = grant_at t owner state tag 0
 
 (* The page list stored under relation or index [id], created empty when
    absent. *)
@@ -472,7 +480,7 @@ let tuple_covered state r page =
 
 let lock_tuple_slow t owner state r key page =
   let target = Tag.Tuple (r, key) in
-  if grant t owner state target then begin
+  if grant_at t owner state target page then begin
     let page_tag = Tag.Page (r, page) in
     let tuples =
       match Tag_table.find_opt state.tuples_by_page page_tag with
@@ -530,7 +538,7 @@ let note_index_fine t owner state i =
     Obs.incr t.metrics.m_promotions;
     let stale = ref [] in
     Tag_table.iter
-      (fun (tg : Tag.t) () ->
+      (fun (tg : Tag.t) _ ->
         match tg with
         | Index_page (i', _) | Index_key (i', _) | Index_inf i' ->
             if i' = i then stale := tg :: !stale
@@ -566,55 +574,70 @@ let lock_index_page_id t owner i page =
 
 let lock_index_page t ~owner ~index ~page = lock_index_page_id t owner (intern t index) page
 
+(* [targets] without [target], which it holds once: only the prefix
+   before it is copied. *)
+let rec remove_tag (target : Tag.t) = function
+  | [] -> []
+  | tg :: rest -> if Tag.equal tg target then rest else tg :: remove_tag target rest
+
 let unlock_tuple t ~owner ~rel ~key =
-  match Hashtbl.find_opt t.owners owner with
-  | None -> ()
-  | Some state ->
+  match Hashtbl.find t.owners owner with
+  | exception Not_found -> ()
+  | state -> (
       let r = intern t rel in
       let target = Tag.Tuple (r, key) in
-      if Tag_table.mem state.held target then begin
-        forget t owner state target;
-        (* Also forget it in the per-page lists (linear, lists are short by
-           construction: promotion caps them). *)
-        Tag_table.iter
-          (fun _ targets ->
-            targets :=
-              List.filter
-                (fun (tg : Tag.t) ->
-                  match tg with
-                  | Tuple (r', k) -> not (r' = r && Value.equal k key)
-                  | Relation _ | Page _ | Index_page _ | Index_key _ | Index_inf _
-                  | Index_rel _ ->
-                      true)
-                !targets)
-          state.tuples_by_page
-      end
+      match Tag_table.find state.held target with
+      | exception Not_found -> ()
+      | page -> (
+          forget t owner state target;
+          (* Only the list of the page the lock was granted on holds it. *)
+          match Tag_table.find state.tuples_by_page (Page (r, page)) with
+          | exception Not_found -> ()
+          | targets -> targets := remove_tag target !targets))
 
 type readers = { xids : xid list; old_committed : cseq option }
 
-let collect t tags =
-  (* Coarsest to finest, per §5.2.1. *)
-  let xids = ref [] and old_c = ref None in
-  List.iter
-    (fun tag ->
-      match Tag_table.find_opt t.table tag with
-      | None -> ()
-      | Some e ->
-          List.iter (fun o -> if not (List.mem o !xids) then xids := o :: !xids) e.holders;
-          (match (e.old_committed, !old_c) with
-          | Some c, Some c' -> if c > c' then old_c := Some c
-          | Some c, None -> old_c := Some c
-          | None, _ -> ()))
-    tags;
-  { xids = List.rev !xids; old_committed = !old_c }
+let no_readers = { xids = []; old_committed = None }
+
+(* [holders] added to [xids] (newest first) unless already there. *)
+let rec add_holders xids = function
+  | [] -> xids
+  | o :: rest -> add_holders (if List.mem o xids then xids else o :: xids) rest
+
+let add_entry (e : entry option) xids =
+  match e with None -> xids | Some e -> add_holders xids e.holders
+
+(* The later of [mark] and the entry's committed-reader mark; the first
+   of equal marks is kept. *)
+let later_mark (e : entry option) mark =
+  match (e, mark) with
+  | Some { old_committed = Some c; _ }, Some c' when c <= c' -> mark
+  | Some { old_committed = Some _ as m; _ }, _ -> m
+  | (None | Some { old_committed = None; _ }), _ -> mark
+
+(* The readers behind the entries of up to three tags, coarsest to finest
+   (§5.2.1): holders in the order first seen, the latest mark.  With no
+   entry at all, the one shared empty value. *)
+let readers_of a b c =
+  match (a, b, c) with
+  | None, None, None -> no_readers
+  | _ ->
+      let xids = add_entry c (add_entry b (add_entry a [])) in
+      { xids = List.rev xids; old_committed = later_mark c (later_mark b (later_mark a None)) }
 
 let readers_for_write t ~rel ~key ~page =
   let r = intern t rel in
-  collect t [ Relation r; Page (r, page); Tuple (r, key) ]
+  readers_of
+    (Tag_table.find_opt t.table (Relation r))
+    (Tag_table.find_opt t.table (Page (r, page)))
+    (Tag_table.find_opt t.table (Tuple (r, key)))
 
 let readers_for_index_insert t ~index ~page =
   let i = intern t index in
-  collect t [ Index_rel i; Index_page (i, page) ]
+  readers_of
+    (Tag_table.find_opt t.table (Index_rel i))
+    (Tag_table.find_opt t.table (Index_page (i, page)))
+    None
 
 let gap_tag i : Value.t option -> Tag.t = function
   | Some s -> Index_key (i, s)
@@ -622,14 +645,17 @@ let gap_tag i : Value.t option -> Tag.t = function
 
 let readers_for_index_insert_nextkey t ~index ~key ~succ =
   let i = intern t index in
-  collect t [ Index_rel i; Index_key (i, key); gap_tag i succ ]
+  readers_of
+    (Tag_table.find_opt t.table (Index_rel i))
+    (Tag_table.find_opt t.table (Index_key (i, key)))
+    (Tag_table.find_opt t.table (gap_tag i succ))
 
 let release_owner t owner =
   match Hashtbl.find_opt t.owners owner with
   | None -> ()
   | Some state ->
       Tag_table.iter
-        (fun tag () ->
+        (fun tag _ ->
           match Tag_table.find t.table tag with
           | exception Not_found -> ()
           | e ->
@@ -643,7 +669,7 @@ let summarize_owner t owner ~cseq =
   | None -> ()
   | Some state ->
       Tag_table.iter
-        (fun tag () ->
+        (fun tag _ ->
           match Tag_table.find t.table tag with
           | exception Not_found -> ()
           | e ->
@@ -814,7 +840,7 @@ let held_by t owner =
   match Hashtbl.find_opt t.owners owner with
   | None -> []
   | Some state ->
-      Tag_table.fold (fun tag () acc -> target_of t tag :: acc) state.held []
+      Tag_table.fold (fun tag _ acc -> target_of t tag :: acc) state.held []
       |> List.sort compare
 
 let owner_lock_count t owner =

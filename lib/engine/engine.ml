@@ -1070,6 +1070,12 @@ let index_insert ?(new_row = false) txn idx ~ikey ~pk =
 let all_indexes tbl = tbl.pk_index :: tbl.secondary
 let index_keys tbl row = List.map (fun idx -> (idx.idx_name, row.(idx.col))) (all_indexes tbl)
 
+(* Stored rows are never mutated.  A heap version's row array is shared
+   with the transaction's redo op, the commit record handed to the log and
+   the commit hooks, and the replicas that apply it, so every way out
+   copies instead: [read], the scans and [update]'s [f] get copies, and
+   replay and recovery copy the logged row on insert.  [insert] copies the
+   caller's row once, [update] stores the row [f] returned. *)
 let insert txn ~table row =
   start_op txn;
   fault_point txn.db ~op:"insert";
@@ -1109,25 +1115,24 @@ let insert txn ~table row =
       in
       let old_page =
         match Heap.head tbl.heap key with
-        | h when Heap.is_absent h -> None
-        | h -> Some (Heap.page_of_tid h.Heap.tid)
+        | h when Heap.is_absent h -> -1
+        | h -> Heap.page_of_tid h.Heap.tid
       in
-      let tuple = Heap.insert_version tbl.heap ~key ~row:(Array.copy row) ~xmin:txn.txn_xid in
+      let row = Array.copy row in
+      let tuple = Heap.insert_version tbl.heap ~key ~row ~xmin:txn.txn_xid in
       txn.undo <- U_new_version (tbl, key) :: txn.undo;
       (match tracking txn with
       | Sx ((module C), c, node) ->
           let page = Heap.page_of_tid tuple.tid in
           C.conflict_in c node (Predlock.readers_for_write db.predlocks ~rel:table ~key ~page);
-          (match old_page with
-          | Some p when p <> page ->
-              C.conflict_in c node
-                (Predlock.readers_for_write db.predlocks ~rel:table ~key ~page:p)
-          | Some _ | None -> ())
+          if old_page >= 0 && old_page <> page then
+            C.conflict_in c node
+              (Predlock.readers_for_write db.predlocks ~rel:table ~key ~page:old_page)
       | No_sx -> ());
       List.iter
-        (fun idx -> index_insert ~new_row txn idx ~ikey:(Array.copy row).(idx.col) ~pk:key)
+        (fun idx -> index_insert ~new_row txn idx ~ikey:row.(idx.col) ~pk:key)
         (all_indexes tbl);
-      txn.wal <- Wal.Insert { table; key; row = Array.copy row } :: txn.wal;
+      txn.wal <- Wal.Insert { table; key; row } :: txn.wal;
       finish_op db ~tuples:1
         ~locks:(if is_tracked txn || is_2pl txn then 2 + List.length tbl.secondary else 0)
         ~pages:(2 + List.length tbl.secondary))
@@ -1216,7 +1221,7 @@ let update txn ~table ~key ~f =
           txn.undo <- U_new_version (tbl, key) :: txn.undo;
           List.iter (fun idx -> index_insert txn idx ~ikey:row'.(idx.col) ~pk:key) (all_indexes tbl);
           ignore tuple;
-          txn.wal <- Wal.Update { table; key; row = Array.copy row' } :: txn.wal;
+          txn.wal <- Wal.Update { table; key; row = row' } :: txn.wal;
           finish_op db ~tuples:2
             ~locks:(if is_tracked txn || is_2pl txn then 3 + List.length tbl.secondary else 0)
             ~pages:(2 + List.length tbl.secondary);
@@ -1349,45 +1354,39 @@ let abort txn =
    commit is logged, including read-only/empty ones: replicas and recovery
    both rely on a dense cseq sequence. *)
 let publish_commit db txn cseq ~cspan ~gid =
-  let staged, record =
-    match (db.wal_device, db.on_commit) with
-    | None, [] -> (None, None)
-    | device, hooks ->
-        let ops = List.rev txn.wal and safe = not (serializable_rw_active db) in
-        let staged =
-          match device with
-          | None -> None
-          | Some w -> (
-              let c =
-                Wal.Commit
-                  { c_xid = txn.txn_xid; c_cseq = cseq; c_gid = gid; c_ops = ops; c_safe = safe }
-              in
-              Some (w, Wal.append w c))
+  let device = db.wal_device and hooks = db.on_commit in
+  let safe =
+    match (device, hooks) with
+    | None, [] -> false
+    | Some _, _ | None, _ :: _ -> not (serializable_rw_active db)
+  in
+  (* The log encodes the ops from the transaction's newest-first list as
+     they are; only the hooks' record needs them in execution order. *)
+  let lsn =
+    match device with
+    | None -> 0
+    | Some w -> Wal.append_commit w ~xid:txn.txn_xid ~cseq ~gid ~rev_ops:txn.wal ~safe
+  in
+  let record =
+    match hooks with
+    | [] -> None
+    | hooks ->
+        let r =
+          {
+            wal_xid = txn.txn_xid;
+            wal_cseq = cseq;
+            wal_ops = List.rev txn.wal;
+            wal_safe_point = safe;
+            wal_span = Some (Obs.Span.ctx cspan);
+          }
         in
-        let record =
-          match hooks with
-          | [] -> None
-          | hooks ->
-              let r =
-                {
-                  wal_xid = txn.txn_xid;
-                  wal_cseq = cseq;
-                  wal_ops = ops;
-                  wal_safe_point = safe;
-                  wal_span = Some (Obs.Span.ctx cspan);
-                }
-              in
-              List.iter (fun hook -> hook r) hooks;
-              Some r
-        in
-        (staged, record)
+        List.iter (fun hook -> hook r) hooks;
+        Some r
   in
   charge_io db db.cfg.costs.io_commit;
   (* Group commit: the record is staged; the acknowledgment waits for the
      flush that makes it durable. *)
-  (match staged with
-  | Some (w, lsn) -> Wal.wait_durable w db.sched lsn
-  | None -> ());
+  (match device with Some w -> Wal.wait_durable w db.sched lsn | None -> ());
   (* Quorum-synchronous replication: the commit is locally durable and
      visible; the acknowledgment to the client may still be held until
      enough replicas confirm (or the hold deadline passes). *)

@@ -95,10 +95,18 @@ val set_flush_interval : t -> float -> unit
 val flush_interval : t -> float
 
 val append : t -> record -> int
-(** Frame, checksum and stage a record; returns the lsn (end byte offset)
+(** Frame, checksum and stage a record, encoding it straight into the
+    pending bytes; returns the lsn (end byte offset)
     to pass to {!wait_durable}.  On a dead device it fails with the
     retryable [Db_error.Transient_fault] "durable log lost in crash", the
     device's one error: the caller must not acknowledge the record. *)
+
+val append_commit :
+  t -> xid:int -> cseq:int -> gid:string option -> rev_ops:op list -> safe:bool -> int
+(** [append] of a {!Commit} record whose ops are [rev_ops] newest first:
+    the bytes are those of [append t (Commit { c_xid = xid; c_cseq = cseq;
+    c_gid = gid; c_ops = List.rev rev_ops; c_safe = safe })], written
+    without building the record or reversing the list. *)
 
 val flush : t -> unit
 (** Force the pending buffer to the durable region now (fsync). *)

@@ -16,7 +16,10 @@
      commits, victims by reason, latency percentiles — must be identical
      across runs on the virtual clock;
    - a budgeted deep-savepoint test that fails if rollback cost returns
-     to quadratic in the undo-log length. *)
+     to quadratic in the undo-log length;
+   - allocation budgets for the tracked index scan and the write path
+     (WAL append, the write-side SIREAD lookup, the own-lock release, a
+     tracked update), each a little above what the code allocates. *)
 
 open Ssi_storage
 open Ssi_workload
@@ -316,6 +319,124 @@ let test_tracked_scan_allocation () =
   if words > result +. slack then
     Alcotest.failf "%.1f words per %d-row tracked scan (budget %.0f + %.0f)" words nrows result slack
 
+(* ---- The write path allocates what it stores ---------------------------------- *)
+
+module Wal = Ssi_wal.Wal
+module Sim = Ssi_sim.Sim
+
+(* Words allocated by [f ()], less the float [Gc.minor_words] itself
+   boxes. *)
+let words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  let w1 = Gc.minor_words () in
+  let w2 = Gc.minor_words () in
+  w1 -. w0 -. (w2 -. w1)
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* The commit record of the WAL layer probe: ten 4-column stock
+   updates, 713 bytes framed. *)
+let commit_record =
+  Wal.Commit
+    {
+      c_xid = 7;
+      c_cseq = 7;
+      c_gid = None;
+      c_ops =
+        List.init 10 (fun k ->
+            Wal.Update { table = "stock"; key = vi k; row = [| vi k; vi 3; vi 1; vi 50 |] });
+      c_safe = true;
+    }
+
+(* Fail unless [words] is within [budget]. *)
+let within what ~budget words =
+  if words > budget then Alcotest.failf "%s: %.0f words (budget %.0f)" what words budget
+
+(* Staged under the simulator, with the pending bytes already grown by an
+   earlier batch, an append encodes straight into them: it allocates only
+   the boxed [wal.pending_records] gauge value, not the record.  Outside a
+   simulation every append also flushes, which copies the 713 framed
+   bytes once (a 91-word block and its list cell) and boxes the
+   group-size sample and the gauge. *)
+let test_wal_append_allocation () =
+  let n = 64 in
+  let staged = Wal.create ~flush_interval:1e9 () in
+  let words = ref [] in
+  ignore
+    (Sim.run (fun () ->
+         for _ = 1 to n do
+           ignore (Wal.append staged commit_record)
+         done;
+         Wal.flush staged;
+         words :=
+           List.init n (fun _ -> words_of (fun () -> ignore (Wal.append staged commit_record)))));
+  Alcotest.(check int) "frame bytes" (2 * n * 713) (Wal.durable_size staged);
+  within "staged append" ~budget:6. (median !words);
+  let direct = Wal.create () in
+  within "append and flush" ~budget:115.
+    (median (List.init n (fun _ -> words_of (fun () -> ignore (Wal.append direct commit_record)))))
+
+(* The write-side SIREAD lookup (paper §5.2) of a tuple nobody holds a
+   lock on allocates only the three lock tags it looks up. *)
+let test_readers_for_write_allocation () =
+  let pl = P.create () in
+  for owner = 1 to 8 do
+    P.lock_tuple pl ~owner ~rel:"t" ~key:(vi (1000 + owner)) ~page:(owner mod 4)
+  done;
+  within "readers_for_write" ~budget:12.
+    (median
+       (List.init 32 (fun k ->
+            words_of (fun () ->
+                ignore (Sys.opaque_identity (P.readers_for_write pl ~rel:"t" ~key:(vi k) ~page:7))))))
+
+(* Releasing a writer's own tuple SIREAD lock (§7.3) touches the list of
+   the one page that holds it: an owner with tuple locks on 20 pages pays
+   what an owner with locks on one page pays. *)
+let test_unlock_tuple_allocation () =
+  let unlock_words ~pages =
+    let pl = P.create () and owner = 1 in
+    for p = 0 to pages - 1 do
+      for k = 0 to 2 do
+        P.lock_tuple pl ~owner ~rel:"t" ~key:(vi ((100 * p) + k)) ~page:p
+      done
+    done;
+    median
+      (List.init 32 (fun i ->
+           let key = vi (10_000 + i) in
+           P.lock_tuple pl ~owner ~rel:"t" ~key ~page:0;
+           words_of (fun () -> P.unlock_tuple pl ~owner ~rel:"t" ~key)))
+  in
+  let one = unlock_words ~pages:1 and twenty = unlock_words ~pages:20 in
+  Alcotest.(check (float 0.)) "same words at 1 and 20 pages" one twenty;
+  within "unlock_tuple" ~budget:12. twenty
+
+(* One SIREAD-tracked update of a 4-column row, warm: the transaction has
+   already written other rows, so its lock and undo state exist.  The
+   new heap version and its redo op share the row [f] returned. *)
+let test_update_allocation () =
+  let db = E.create () in
+  E.create_table db ~name:"t" ~cols:[ "k"; "a"; "b"; "c" ] ~key:"k";
+  E.with_txn db (fun t ->
+      for k = 0 to 99 do
+        E.insert t ~table:"t" [| vi k; vi 0; vi 0; vi 0 |]
+      done);
+  let txn = E.begin_txn db in
+  let bump row = [| row.(0); vi 1; row.(2); row.(3) |] in
+  for k = 0 to 15 do
+    ignore (E.update txn ~table:"t" ~key:(vi k) ~f:bump)
+  done;
+  let words =
+    median
+      (List.init 32 (fun i ->
+           words_of (fun () -> ignore (E.update txn ~table:"t" ~key:(vi (16 + i)) ~f:bump))))
+  in
+  E.commit txn;
+  within "tracked update" ~budget:235. words
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -334,5 +455,14 @@ let () =
             test_deep_savepoint_rollback_linear;
           Alcotest.test_case "tracked index scan allocates its result" `Quick
             test_tracked_scan_allocation;
+        ] );
+      ( "write path",
+        [
+          Alcotest.test_case "warm WAL append encodes in place" `Quick test_wal_append_allocation;
+          Alcotest.test_case "readers_for_write with no holder" `Quick
+            test_readers_for_write_allocation;
+          Alcotest.test_case "unlock_tuple touches one page list" `Quick
+            test_unlock_tuple_allocation;
+          Alcotest.test_case "tracked update of a 4-column row" `Quick test_update_allocation;
         ] );
     ]

@@ -348,7 +348,8 @@ let records_arb =
 
 (* Whether appended one flush at a time or staged and flushed together,
    the device's bytes are the reference frames, back to back, and they
-   decode to the records appended. *)
+   decode to the records appended.  [append_commit] of a commit's ops,
+   newest first, writes the same frame as [append] of the record. *)
 let prop_append_writes_reference_frames =
   QCheck.Test.make ~name:"append writes the reference encoder's frames" ~count:300 records_arb
     (fun records ->
@@ -360,9 +361,19 @@ let prop_append_writes_reference_frames =
         (Sim.run (fun () ->
              List.iter (fun r -> ignore (Wal.append staged r)) records;
              Wal.flush staged));
+      let by_commit = Wal.create () in
+      List.iter
+        (function
+          | Wal.Commit { c_xid; c_cseq; c_gid; c_ops; c_safe } ->
+              ignore
+                (Wal.append_commit by_commit ~xid:c_xid ~cseq:c_cseq ~gid:c_gid
+                   ~rev_ops:(List.rev c_ops) ~safe:c_safe)
+          | r -> ignore (Wal.append by_commit r))
+        records;
       let decoded, truncated = Wal.read_all direct in
       durable_bytes direct = want
       && durable_bytes staged = want
+      && durable_bytes by_commit = want
       && truncated = 0
       && compare decoded records = 0)
 
