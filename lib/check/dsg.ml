@@ -192,8 +192,9 @@ let iter_edges histories ids indexes f =
         ix.rows;
       (* A predicate read at [horizon] saw, of each row it had not written
          itself, the last version committed before it, and missed every
-         later one: wr from the former when it matched, rw to the first
-         later writer that changed the match. *)
+         later one: wr from the former when it matched, or when it was a
+         deletion of a row that matched; rw to the first later writer that
+         changed the match. *)
       let predicate reader ws horizon ~matched ~changed =
         let j = first_at_or_after ws horizon in
         if j > 0 && matched ws.(j - 1).w then f ws.(j - 1).node Wr reader;
@@ -227,14 +228,16 @@ let iter_edges histories ids indexes f =
                     (fun key ->
                       if not (List.exists (Value.equal key) own) then
                         predicate reader (Row.find ix.rows (rel, key)) horizon
-                          ~matched:(fun w -> w.new_keys <> [])
+                          ~matched:(fun _ -> true)
                           ~changed:(fun _ -> true))
                     (Option.value ~default:[] (Hashtbl.find_opt ix.rel_rows rel))
               | R.Scan { rel; range = Some (index, lo, hi); horizon; own } ->
                   iter_rows_in_range ix index lo hi (fun key ->
                       if not (List.exists (Value.equal key) own) then
                         predicate reader (Row.find ix.rows (rel, key)) horizon
-                          ~matched:(fun w -> in_range index lo hi w.new_keys)
+                          ~matched:(fun w ->
+                            in_range index lo hi
+                              (if w.new_keys = [] then w.old_keys else w.new_keys))
                           ~changed:(fun w ->
                             in_range index lo hi w.old_keys || in_range index lo hi w.new_keys)))
             t.reads)

@@ -13,7 +13,8 @@
        snapshot did not see);}
     {- predicate reads (Adya's PL-3): a scan at snapshot horizon [h] reads
        each row's last version committed before [h] (wr when that version
-       matched the scan), and gets an rw edge to the first writer of each
+       matched the scan, or deleted a row whose old index key matched it:
+       the scan saw the delete), and gets an rw edge to the first writer of each
        row its snapshot did not see whose old or new index key falls in
        the scanned range — for a sequential scan, any writer of the
        relation.  Later writers of the row follow by ww.  Rows the reader

@@ -759,21 +759,46 @@ let note_read txn (v : Heap.tuple) =
       true
   | No_sx -> false
 
+let sees txn x = Snapshot.sees_xid txn.db.clog txn.snapshot x
+
+(* The version whose committed deletion hides a row from [txn]'s
+   snapshot, from the chain head [v]: the newest version whose creator
+   the snapshot sees, when it sees that version's deleter too; otherwise
+   [Heap.absent].  A plain walk, so a scan can ask it of every row without
+   allocating. *)
+let rec seen_deletion txn (v : Heap.tuple) =
+  if Heap.is_absent v then Heap.absent
+  else if sees txn v.xmin then
+    if v.xmax <> Heap.invalid_xid && sees txn v.xmax then v else Heap.absent
+  else match v.prev with None -> Heap.absent | Some older -> seen_deletion txn older
+
 (* A read that found the row absent saw its committed deletion, if one
    hides the newest version its snapshot sees: a w:r dependency on the
    deleter, as a read of a version depends on the version's creator. *)
 let note_absent txn head =
   match tracking txn with
   | Sx ((module C), c, node) ->
-      let sees x = Snapshot.sees_xid txn.db.clog txn.snapshot x in
-      let rec deleter (v : Heap.tuple) =
-        if Heap.is_absent v then ()
-        else if sees v.xmin then begin
-          if v.xmax <> Heap.invalid_xid && sees v.xmax then C.read_from c node ~creator:v.xmax
-        end
-        else Option.iter deleter v.prev
-      in
-      deleter head
+      let v = seen_deletion txn head in
+      if not (Heap.is_absent v) then C.read_from c node ~creator:v.xmax
+  | No_sx -> ()
+
+(* The version a deletion removed, from the version [v] it marked dead:
+   below any versions the deleter created itself, the one it first
+   superseded. *)
+let rec deleted_image (v : Heap.tuple) =
+  match v.prev with
+  | Some older when older.xmax = v.xmax -> deleted_image older
+  | Some _ | None -> v
+
+(* The same for an index scan that found no visible row behind entry
+   [ikey] of [idx]: it saw the deletion only if the version the deletion
+   removed carried [ikey], i.e. was in the scanned range. *)
+let note_absent_entry txn idx ikey head =
+  match tracking txn with
+  | Sx ((module C), c, node) ->
+      let v = seen_deletion txn head in
+      if (not (Heap.is_absent v)) && Value.equal (deleted_image v).row.(idx.col) ikey then
+        C.read_from c node ~creator:v.xmax
   | No_sx -> ()
 
 (* Acquire the SIREAD gap locks for an index probe of [[lo, hi]], walking
@@ -936,7 +961,8 @@ let index_scan_mvcc txn tbl idx ~lo ~hi =
     if not (Heap.is_absent head) then begin
       incr tuples;
       let v = index_visible txn idx ~skipped ikey head in
-      if not (Heap.is_absent v) then begin
+      if Heap.is_absent v then note_absent_entry txn idx ikey head
+      else begin
         if note_read txn v then Scan_buffer.add_read buf ~key:pk ~page:(Heap.page_of_tid v.tid);
         Scan_buffer.add_row buf (Array.copy v.row)
       end
@@ -1007,7 +1033,8 @@ let seq_scan txn ~table ?(filter = fun _ -> true) () =
       Heap.iter_heads tbl.heap (fun head ->
           incr tuples;
           let v = visible txn ~skipped head in
-          if not (Heap.is_absent v) then begin
+          if Heap.is_absent v then note_absent txn head
+          else begin
             (* The relation SIREAD lock above covers every row. *)
             ignore (note_read txn v);
             if filter v.row then rows := Array.copy v.row :: !rows

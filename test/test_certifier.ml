@@ -93,8 +93,11 @@ let test_write_skew kind name () =
    and reads key 2's old version (an r:w edge to R).  The cycle
    R -rw-> D -wr-> Q -rw-> R must not commit whole.  The DSG oracle found
    it under SSN and ESSN once its deletes stopped re-inserting their key:
-   an absent read reported no dependency on the deleter. *)
-let test_absent_read_after_delete kind name () =
+   an absent read reported no dependency on the deleter.  Q may see the
+   delete through a point read, an index scan of keys 0..1, or a
+   sequential scan; a scan that saw the row deleted reported no
+   dependency on the deleter either. *)
+let test_absent_read_after_delete ?(how = `Point) kind name () =
   let db = db_with kind in
   let vi i = Value.Int i in
   E.create_table db ~name:"kv" ~cols:[ "k"; "v" ] ~key:"k";
@@ -108,7 +111,13 @@ let test_absent_read_after_delete kind name () =
   ignore (E.delete d ~table:"kv" ~key:(vi 1));
   E.commit d;
   let q = E.begin_txn db in
-  Alcotest.(check bool) (name ^ ": Q sees the delete") true (E.read q ~table:"kv" ~key:(vi 1) = None);
+  let sees_delete =
+    match how with
+    | `Point -> E.read q ~table:"kv" ~key:(vi 1) = None
+    | `Index_scan -> E.index_scan q ~table:"kv" ~index:"kv_pkey" ~lo:(vi 0) ~hi:(vi 1) = []
+    | `Seq_scan -> E.seq_scan q ~table:"kv" () = [ [| vi 2; vi 0 |] ]
+  in
+  Alcotest.(check bool) (name ^ ": Q sees the delete") true sees_delete;
   ignore (E.read q ~table:"kv" ~key:(vi 2));
   let commits t = try E.commit t; true with E.Error (E.Serialization_failure _) -> false in
   let r_ok = commits r in
@@ -220,10 +229,18 @@ let () =
           (fun (k, n) ->
             Alcotest.test_case (n ^ " prevents write skew") `Quick (test_write_skew k n))
           ((Certifier.SSI, "SSI") :: certifiers)
-        @ List.map
+        @ List.concat_map
             (fun (k, n) ->
-              Alcotest.test_case (n ^ " orders an absent read after the delete") `Quick
-                (test_absent_read_after_delete k n))
+              [
+                Alcotest.test_case (n ^ " orders an absent read after the delete") `Quick
+                  (test_absent_read_after_delete k n);
+                Alcotest.test_case (n ^ " orders an index scan's deleted row after the delete")
+                  `Quick
+                  (test_absent_read_after_delete ~how:`Index_scan k n);
+                Alcotest.test_case (n ^ " orders a sequential scan's deleted row after the delete")
+                  `Quick
+                  (test_absent_read_after_delete ~how:`Seq_scan k n);
+              ])
             ((Certifier.SSI, "SSI") :: certifiers) );
       ( "interface",
         List.map

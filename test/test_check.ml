@@ -1,5 +1,6 @@
 (* The DSG checker (Ssi_check.Dsg) on hand-written recorded histories: the
-   point-read, predicate-read and gid-join edge rules, snapshot exactness,
+   point-read, predicate-read (including a scan that saw a delete) and
+   gid-join edge rules, snapshot exactness,
    and a 20,000-commit history with one planted cycle, which the checker
    must find in bounded time. *)
 
@@ -100,6 +101,29 @@ let test_secondary_index_moves () =
   in
   Alcotest.(check bool) "a write outside the range" false (cyclic outside)
 
+(* R reads row 1 and overwrites row 2; D deletes row 1 (whose v was 50)
+   and commits before Q starts; Q scans a range that held row 1, finding
+   it deleted, and reads row 2's old version.  Q saw D's delete (wr), so
+   R -rw-> D -wr-> Q -rw-> R is a cycle whenever the deleted row was in
+   Q's range. *)
+let test_scan_sees_delete () =
+  let delete ~old_v k = { (write ~old_v:(Some old_v) k) with Rec.new_keys = [] } in
+  let h q_scan =
+    [
+      txn ~xid:2 ~cseq:1 ~writes:[ write ~new_v:(Some 50) 1; write 2 ] ();
+      txn ~xid:4 ~cseq:2 ~writes:[ delete ~old_v:50 1 ] ();
+      txn ~xid:3 ~cseq:3 ~reads:[ read ~version:2 ~horizon:2 1 ] ~writes:[ write 2 ] ();
+      txn ~xid:5 ~cseq:4 ~reads:[ q_scan; read ~version:2 ~horizon:3 2 ] ();
+    ]
+  in
+  Alcotest.(check bool) "a key range over the deleted row" true (cyclic (h (scan ~horizon:3 0 1)));
+  Alcotest.(check bool) "an index range over its old key" true
+    (cyclic (h (scan ~index:by_v ~horizon:3 40 60)));
+  Alcotest.(check bool) "a sequential scan" true
+    (cyclic (h (Rec.Scan { rel; range = None; horizon = 3; own = [] })));
+  Alcotest.(check bool) "a range the row was never in" false
+    (cyclic (h (scan ~index:by_v ~horizon:3 0 9)))
+
 let test_stale_read () =
   let h ~version =
     [
@@ -158,6 +182,7 @@ let () =
           Alcotest.test_case "absent reads" `Quick test_absent_read;
           Alcotest.test_case "predicate reads" `Quick test_predicate_reads;
           Alcotest.test_case "secondary index moves" `Quick test_secondary_index_moves;
+          Alcotest.test_case "a scan sees a delete" `Quick test_scan_sees_delete;
           Alcotest.test_case "stale reads" `Quick test_stale_read;
           Alcotest.test_case "20,000 commits, one planted cycle" `Quick test_scale;
         ] );

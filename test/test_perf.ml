@@ -437,6 +437,34 @@ let test_update_allocation () =
   E.commit txn;
   within "tracked update" ~budget:235. words
 
+(* A scan that finds rows deleted by a committed transaction reports each
+   deletion to the certifier (a w:r dependency on the deleter), walking
+   the version chain and allocating nothing per row: 50 deleted rows cost
+   what the scan's per-call constant does. *)
+let test_scan_of_deleted_rows_allocation () =
+  let nrows = 50 and slack = 170. in
+  let db = E.create () in
+  E.create_table db ~name:"t" ~cols:[ "k"; "v" ] ~key:"k";
+  E.with_txn ~isolation:E.Read_committed db (fun t ->
+      for k = 0 to 999 do
+        E.insert t ~table:"t" [| vi k; vi (-k) |]
+      done);
+  E.with_txn db (fun t ->
+      for k = 100 to 100 + nrows - 1 do
+        ignore (E.delete t ~table:"t" ~key:(vi k))
+      done);
+  let txn = E.begin_txn db in
+  let scan () = E.index_scan txn ~table:"t" ~index:"t_pkey" ~lo:(vi 100) ~hi:(vi (100 + nrows - 1)) in
+  Alcotest.(check int) "every row deleted" 0 (List.length (scan ()));
+  let rounds = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    ignore (Sys.opaque_identity (scan ()))
+  done;
+  let words = (Gc.minor_words () -. before) /. float rounds in
+  E.commit txn;
+  within (Printf.sprintf "tracked scan of %d deleted rows" nrows) ~budget:slack words
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -455,6 +483,8 @@ let () =
             test_deep_savepoint_rollback_linear;
           Alcotest.test_case "tracked index scan allocates its result" `Quick
             test_tracked_scan_allocation;
+          Alcotest.test_case "tracked scan of deleted rows" `Quick
+            test_scan_of_deleted_rows_allocation;
         ] );
       ( "write path",
         [
