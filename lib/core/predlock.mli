@@ -100,15 +100,27 @@ val lock_index_rel : t -> owner:xid -> index:string -> unit
 
 val unlock_tuple : t -> owner:xid -> rel:string -> key:Value.t -> unit
 (** Drop one tuple lock if held: the "writer already holds the tuple write
-    lock" optimization of §7.3.  A no-op when the lock was promoted away. *)
+    lock" optimization of §7.3.  A no-op when the lock was promoted away.
+    A held tuple lock sits in exactly one of the owner's per-page tuple
+    lists, the one of the heap page it was granted on (the [page] given
+    to {!lock_tuple}), which the owner's lock set remembers; only that
+    list is edited, and only its prefix before the tuple is copied, so
+    the cost does not grow with the number of pages the owner holds
+    tuple locks on. *)
 
 (** {1 Conflict checking} *)
 
 type readers = {
-  xids : xid list;  (** live/committed owners holding a covering SIREAD lock *)
+  xids : xid list;
+      (** live/committed owners holding a covering SIREAD lock, in the
+          order first seen, coarsest lock first *)
   old_committed : cseq option;
       (** when the dummy owner holds one, the latest commit cseq recorded *)
 }
+(** The [readers_for_*] lookups probe each of their two or three lock
+    tags once, coarsest first, and build nothing else: with no lock on
+    any of them they return one shared empty value.  An owner holding
+    several of the tags appears once, where it was first seen. *)
 
 val readers_for_write : t -> rel:string -> key:Value.t -> page:int -> readers
 (** Who read the tuple being written — checked coarsest to finest:
