@@ -292,8 +292,10 @@ let test_deep_savepoint_rollback_linear () =
    same 50-row range again in the same transaction, whose locks are held,
    so lock-table growth is not counted.  [slack] is the per-call constant
    (about 130 words) with headroom short of 50 words, so one word more per
-   row exceeds it. *)
-let test_tracked_scan_allocation () =
+   row exceeds it.  With [deleted], a committed transaction deleted the
+   range first: the scan returns nothing and reports each deletion it saw
+   to the certifier through a chain walk that allocates nothing. *)
+let test_tracked_scan_allocation ~deleted () =
   let nrows = 50 and width = 2 and slack = 170. in
   let db = E.create () in
   E.create_table db ~name:"t" ~cols:[ "k"; "v" ] ~key:"k";
@@ -301,9 +303,15 @@ let test_tracked_scan_allocation () =
       for k = 0 to 999 do
         E.insert t ~table:"t" [| vi k; vi (-k) |]
       done);
+  if deleted then
+    E.with_txn db (fun t ->
+        for k = 100 to 100 + nrows - 1 do
+          ignore (E.delete t ~table:"t" ~key:(vi k))
+        done);
+  let nrows_seen = if deleted then 0 else nrows in
   let txn = E.begin_txn db in
   let scan () = E.index_scan txn ~table:"t" ~index:"t_pkey" ~lo:(vi 100) ~hi:(vi (100 + nrows - 1)) in
-  Alcotest.(check int) "rows" nrows (List.length (scan ()));
+  Alcotest.(check int) "rows" nrows_seen (List.length (scan ()));
   Alcotest.(check bool) "SIREAD-tracked" true
     (P.owner_lock_count (E.predicate_locks db) (E.xid txn) > 0);
   let rounds = 100 in
@@ -315,7 +323,7 @@ let test_tracked_scan_allocation () =
   E.commit txn;
   (* A row copy is a header and [width] fields; a list cell is three
      words. *)
-  let result = float (nrows * (1 + width + 3)) in
+  let result = float (nrows_seen * (1 + width + 3)) in
   if words > result +. slack then
     Alcotest.failf "%.1f words per %d-row tracked scan (budget %.0f + %.0f)" words nrows result slack
 
@@ -437,34 +445,6 @@ let test_update_allocation () =
   E.commit txn;
   within "tracked update" ~budget:235. words
 
-(* A scan that finds rows deleted by a committed transaction reports each
-   deletion to the certifier (a w:r dependency on the deleter), walking
-   the version chain and allocating nothing per row: 50 deleted rows cost
-   what the scan's per-call constant does. *)
-let test_scan_of_deleted_rows_allocation () =
-  let nrows = 50 and slack = 170. in
-  let db = E.create () in
-  E.create_table db ~name:"t" ~cols:[ "k"; "v" ] ~key:"k";
-  E.with_txn ~isolation:E.Read_committed db (fun t ->
-      for k = 0 to 999 do
-        E.insert t ~table:"t" [| vi k; vi (-k) |]
-      done);
-  E.with_txn db (fun t ->
-      for k = 100 to 100 + nrows - 1 do
-        ignore (E.delete t ~table:"t" ~key:(vi k))
-      done);
-  let txn = E.begin_txn db in
-  let scan () = E.index_scan txn ~table:"t" ~index:"t_pkey" ~lo:(vi 100) ~hi:(vi (100 + nrows - 1)) in
-  Alcotest.(check int) "every row deleted" 0 (List.length (scan ()));
-  let rounds = 100 in
-  let before = Gc.minor_words () in
-  for _ = 1 to rounds do
-    ignore (Sys.opaque_identity (scan ()))
-  done;
-  let words = (Gc.minor_words () -. before) /. float rounds in
-  E.commit txn;
-  within (Printf.sprintf "tracked scan of %d deleted rows" nrows) ~budget:slack words
-
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -482,9 +462,9 @@ let () =
           Alcotest.test_case "deep savepoint rollback linear" `Quick
             test_deep_savepoint_rollback_linear;
           Alcotest.test_case "tracked index scan allocates its result" `Quick
-            test_tracked_scan_allocation;
-          Alcotest.test_case "tracked scan of deleted rows" `Quick
-            test_scan_of_deleted_rows_allocation;
+            (test_tracked_scan_allocation ~deleted:false);
+          Alcotest.test_case "tracked scan of deleted rows allocates no row" `Quick
+            (test_tracked_scan_allocation ~deleted:true);
         ] );
       ( "write path",
         [
