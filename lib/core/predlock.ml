@@ -199,6 +199,9 @@ type t = {
      string for a whole scan, so [==] answers most lookups. *)
   mutable last_name : string;
   mutable last_id : int;
+  (* Scratch for {!lock_tuples_slice}: the slice positions of the keys a
+     batch would lock afresh, in slice order. *)
+  mutable fresh : int array;
   config : config;
   oldc : Oldc_heap.h;
   obs : Obs.t;
@@ -227,6 +230,7 @@ let create ?(config = default_config) ?(obs = Obs.create ()) () =
     names = [||];
     last_name = "";
     last_id = -1;
+    fresh = Array.make 8 0;
     config;
     oldc = Oldc_heap.create ();
     obs;
@@ -501,16 +505,54 @@ let lock_tuple t ~owner ~rel ~key ~page =
   let state = owner_state t owner and r = intern t rel in
   if not (tuple_covered state r page) then lock_tuple_slow t owner state r key page
 
+(* Whether [key] equals one of the first [n] keys recorded in [t.fresh]. *)
+let rec among_fresh t keys key n =
+  n > 0 && (Value.equal keys.(t.fresh.(n - 1)) key || among_fresh t keys key (n - 1))
+
+(* The slice's distinct keys the owner does not hold yet, recorded in
+   [t.fresh] in slice order; counting stops once there are more than
+   [room].  Returns the count. *)
+let count_fresh t state r keys ~pos ~len ~room =
+  let n = ref 0 and i = ref pos in
+  while !n <= room && !i < pos + len do
+    let key = keys.(!i) in
+    if not (Tag_table.mem state.held (Tuple (r, key)) || among_fresh t keys key !n) then begin
+      if !n = Array.length t.fresh then begin
+        let a = Array.make (2 * !n) 0 in
+        Array.blit t.fresh 0 a 0 !n;
+        t.fresh <- a
+      end;
+      t.fresh.(!n) <- !i;
+      incr n
+    end;
+    incr i
+  done;
+  !n
+
+(* Sequential [lock_tuple] calls on the slice would grant its fresh keys
+   one by one and, at the one that crossed [max_tuple_locks_per_page],
+   promote the page, dropping every tuple lock on it again.  Counting the
+   fresh keys first gives the same final state without those grants: the
+   page lock directly when the count crosses, the tuple locks otherwise. *)
 let lock_tuples_slice t ~owner ~rel ~page keys ~pos ~len =
   let state = owner_state t owner and r = intern t rel in
-  if not (tuple_covered state r page) then
-    for i = pos to pos + len - 1 do
-      (* Re-check before each key: acquiring one may promote the owner to
-         page or relation coverage, after which the remaining keys are
-         no-ops — exactly as sequential [lock_tuple] calls behave.  The
-         re-check hits the cache/memo, never the [held] table. *)
-      if not (cached_cover state r page) then lock_tuple_slow t owner state r keys.(i) page
-    done
+  if not (tuple_covered state r page) then begin
+    let held_here =
+      match Tag_table.find state.tuples_by_page (Page (r, page)) with
+      | l -> List.length !l
+      | exception Not_found -> 0
+    in
+    let room = t.config.max_tuple_locks_per_page - held_here in
+    let n = count_fresh t state r keys ~pos ~len ~room in
+    if n > room then begin
+      Obs.incr t.metrics.m_promotions;
+      lock_page_id t owner state r page
+    end
+    else
+      for j = 0 to n - 1 do
+        lock_tuple_slow t owner state r keys.(t.fresh.(j)) page
+      done
+  end
 
 let lock_tuples_page t ~owner ~rel ~page ~keys =
   let keys = Array.of_list keys in

@@ -80,12 +80,27 @@ val lock_tuple : t -> owner:xid -> rel:string -> key:Value.t -> page:int -> unit
 val lock_tuples_slice :
   t -> owner:xid -> rel:string -> page:int -> Value.t array -> pos:int -> len:int -> unit
 (** Acquire tuple locks for a page's worth of keys from one scan, the
-    slice [keys.(pos) .. keys.(pos + len - 1)]: behaviorally identical to
-    calling {!lock_tuple} on each key in order, but the owner's
-    coarse-coverage check runs once for the whole batch — an owner already
-    holding a relation- or page-level lock pays nothing per tuple.  Reads
-    the slice only during the call and allocates nothing beyond the locks
-    it takes. *)
+    slice [keys.(pos) .. keys.(pos + len - 1)].  The final lock table,
+    the readers every [readers_for_*] lookup finds, {!promotions} and
+    {!total_lock_count} are exactly what calling {!lock_tuple} on each key
+    in order gives.
+
+    The owner's coarse-coverage check runs once for the whole batch: an
+    owner already holding a relation- or page-level lock pays nothing per
+    tuple.  Otherwise the batch counts the slice's distinct keys the owner
+    does not hold yet (a key held from another heap page is not fresh),
+    stopping once the count crosses the threshold, and adds the owner's
+    tuple locks already on [page].  If the sum exceeds
+    [max_tuple_locks_per_page], it counts one promotion and grants the page
+    lock directly, which can still promote to a relation lock; otherwise
+    it grants the fresh tuple locks in slice order.  Sequential calls
+    would grant tuple locks up to the threshold and drop them again at the
+    promotion, so the [predlock.locks.tuple] counter counts fewer
+    acquisitions: only the tuple locks the batch leaves held.
+
+    Reads the slice only during the call and allocates nothing beyond the
+    locks it takes and one lookup tag per key it checks (with a threshold
+    above 7, the first batch to need it also grows a scratch array). *)
 
 val lock_tuples_page :
   t -> owner:xid -> rel:string -> page:int -> keys:Value.t list -> unit

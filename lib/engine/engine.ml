@@ -137,8 +137,29 @@ type t = {
   mutable commit_wait : (commit_record -> unit) option;
   mutable fault_injector : (op:string -> unit) option;
   mutable wal_device : Wal.t option;  (** the durable log, when attached *)
-  scan : Scan_buffer.t;  (** reused by every index scan that cannot suspend *)
+  mutable scan : scan option;  (** made by the first index scan that cannot suspend *)
   mutable recorder : recorder option;
+}
+
+(* The state of an index scan that cannot suspend ({!index_scan_mvcc}).
+   An engine makes one at its first such scan and reuses it for every later
+   one, so a scan allocates neither its walk's callbacks nor its counters:
+   the callbacks read the scan in progress from the fields below, which
+   keep the last scan's values until the next one starts. *)
+and scan = {
+  buf : Scan_buffer.t;
+  mutable s_txn : txn;
+  mutable s_tbl : table_s;
+  mutable s_idx : index_s;
+  mutable s_gaps : bool;  (** the walk takes [s_idx]'s SIREAD gap locks *)
+  mutable s_locked_key : bool;  (** the walk has next-key gap-locked a key *)
+  mutable s_last : Value.t;  (** the last one, when [s_locked_key] *)
+  mutable s_tuples : int;  (** heap tuples examined *)
+  mutable s_pages : int;  (** leaf pages examined *)
+  on_page : int -> unit;
+  on_entry : Value.t -> Value.t -> unit;
+  skipped : Heap.xid -> unit;  (** [skipped_by s_txn] *)
+  lock : page:int -> Value.t array -> pos:int -> len:int -> unit;
 }
 
 (* An attached history recorder ({!set_recorder}).  The reads and first
@@ -201,7 +222,7 @@ let create ?(scheduler = Waitq.direct) ?(config = default_config) ?obs () =
     idx_by_name = Hashtbl.create 16;
     active = Hashtbl.create 64;
     prepared_by_gid = Hashtbl.create 8;
-    scan = Scan_buffer.create ();
+    scan = None;
     sched = scheduler;
     cfg = config;
     obs;
@@ -331,9 +352,9 @@ let log db record ~sync =
 (* ---- Schema --------------------------------------------------------------- *)
 
 let table_of db name =
-  match Hashtbl.find_opt db.tables name with
-  | Some tbl -> tbl
-  | None -> fail (Undefined_object ("Engine: unknown table " ^ name))
+  match Hashtbl.find db.tables name with
+  | tbl -> tbl
+  | exception Not_found -> fail (Undefined_object ("Engine: unknown table " ^ name))
 
 let table_schema t ~table = Heap.schema (table_of t table).heap
 
@@ -801,27 +822,28 @@ let note_absent_entry txn idx ikey head =
         C.read_from c node ~creator:v.xmax
   | No_sx -> ()
 
-(* Acquire the SIREAD gap locks for an index probe of [[lo, hi]], walking
-   its leaves before any row is visited.  Page mode locks every examined
-   leaf page; next-key mode locks the distinct keys found (for a point
-   probe, the [probe] key itself) plus the successor of [hi], which covers
-   every gap the scan observed (§5.2.1 "next-key locking" future work). *)
-let ssi_lock_index_gaps ?probe txn idx ~lo ~hi =
+(* The next-key gap lock above [key]: on its successor, or on the gap
+   above the highest key (§5.2.1 "next-key locking" future work). *)
+let ssi_lock_gap_above txn idx key =
+  let locks = txn.db.predlocks and owner = txn.txn_xid and index = idx.idx_name in
+  match Btree.next_key_after idx.tree key with
+  | Some succ -> Predlock.lock_index_key locks ~owner ~index ~key:succ
+  | None -> Predlock.lock_index_inf locks ~owner ~index
+
+(* Acquire the SIREAD gap locks for a point probe of [key], walking its
+   leaves before the row is visited.  Page mode locks every examined leaf
+   page; next-key mode locks [key] when an entry has it, then the gap
+   above it, which together cover every gap the probe observed. *)
+let ssi_lock_point_gaps txn idx key =
   let locks = txn.db.predlocks and owner = txn.txn_xid and index = idx.idx_name in
   if idx.next_key then begin
-    let last = ref None in
-    Btree.walk idx.tree ~lo ~hi ~page:ignore ~entry:(fun k _ ->
-        match !last with
-        | Some l when Value.equal l k -> ()
-        | Some _ | None ->
-            last := Some k;
-            Predlock.lock_index_key locks ~owner ~index ~key:(Option.value probe ~default:k));
-    match Btree.next_key_after idx.tree hi with
-    | Some succ -> Predlock.lock_index_key locks ~owner ~index ~key:succ
-    | None -> Predlock.lock_index_inf locks ~owner ~index
+    let found = ref false in
+    Btree.walk idx.tree ~lo:key ~hi:key ~page:ignore ~entry:(fun _ _ -> found := true);
+    if !found then Predlock.lock_index_key locks ~owner ~index ~key;
+    ssi_lock_gap_above txn idx key
   end
   else
-    Btree.walk_pages idx.tree ~lo ~hi ~page:(fun page ->
+    Btree.walk_pages idx.tree ~lo:key ~hi:key ~page:(fun page ->
         Predlock.lock_index_page locks ~owner ~index ~page)
 
 (* Under 2PL an index probe is only valid once shared locks on the visited
@@ -856,7 +878,7 @@ let fetch txn tbl key ~for_write =
       (if for_write then Lockmgr.X else Lockmgr.S);
     refresh_stmt_snapshot txn
   end
-  else if is_tracked txn then ssi_lock_index_gaps txn tbl.pk_index ~lo:key ~hi:key ~probe:key;
+  else if is_tracked txn then ssi_lock_point_gaps txn tbl.pk_index key;
   let head = Heap.head tbl.heap key in
   match visible txn ~skipped:(skipped_by txn) head with
   | v when Heap.is_absent v ->
@@ -897,9 +919,9 @@ let read txn ~table ~key =
   result
 
 let index_of db name =
-  match Hashtbl.find_opt db.idx_by_name name with
-  | Some i -> i
-  | None -> fail (Undefined_object ("Engine: unknown index " ^ name))
+  match Hashtbl.find db.idx_by_name name with
+  | i -> i
+  | exception Not_found -> fail (Undefined_object ("Engine: unknown index " ^ name))
 
 (* The version of [pk] that index entry [ikey] of [idx] leads [txn] to,
    from the chain head [head]: [Heap.absent] when no version is visible,
@@ -942,50 +964,111 @@ let index_scan_2pl txn tbl idx ~lo ~hi =
   finish_op db ~tuples:!tuples ~locks:(!tuples + npages) ~pages:(npages + !tuples);
   List.rev rows
 
-(* At every other isolation level the scan walks the live tree without a
-   suspension point, so it can use the engine's one [Scan_buffer]: the tuples it read collect
-   there and take their SIREAD locks a heap page at a time after the walk
-   (one coverage check per page instead of one hash probe per tuple), and
-   its rows collect there until the walk is over.  The reads are flushed
-   on the failure path too, so a mid-scan serialization failure leaves
-   exactly the locks the per-tuple path would have taken.  No other
-   transaction can run between a read and its flush, so conflict
-   detection is unchanged.  Both are emptied before [finish_op], which
-   can suspend. *)
-let index_scan_mvcc txn tbl idx ~lo ~hi =
-  let db = txn.db and rel = Heap.rel_name tbl.heap in
-  let buf = db.scan and skipped = skipped_by txn in
-  let tuples = ref 0 and npages = ref 0 in
-  let visit ikey pk =
-    let head = Heap.head tbl.heap pk in
-    if not (Heap.is_absent head) then begin
-      incr tuples;
-      let v = index_visible txn idx ~skipped ikey head in
-      if Heap.is_absent v then note_absent_entry txn idx ikey head
-      else begin
-        if note_read txn v then Scan_buffer.add_read buf ~key:pk ~page:(Heap.page_of_tid v.tid);
-        Scan_buffer.add_row buf (Array.copy v.row)
-      end
+(* The walk's callbacks.  [scan_page] counts a leaf and, in page mode,
+   gap-locks it before its entries are visited; [scan_entry] gap-locks a
+   next-key index's distinct keys, then visits the row; [scan_lock] takes
+   one heap page's batch of tuple locks. *)
+let scan_page s page =
+  s.s_pages <- s.s_pages + 1;
+  if s.s_gaps && not s.s_idx.next_key then
+    Predlock.lock_index_page s.s_txn.db.predlocks ~owner:s.s_txn.txn_xid ~index:s.s_idx.idx_name
+      ~page
+
+let scan_entry s ikey pk =
+  let txn = s.s_txn and idx = s.s_idx in
+  (if s.s_gaps && idx.next_key then
+     if not (s.s_locked_key && Value.equal s.s_last ikey) then begin
+       s.s_locked_key <- true;
+       s.s_last <- ikey;
+       Predlock.lock_index_key txn.db.predlocks ~owner:txn.txn_xid ~index:idx.idx_name ~key:ikey
+     end);
+  let head = Heap.head s.s_tbl.heap pk in
+  if not (Heap.is_absent head) then begin
+    s.s_tuples <- s.s_tuples + 1;
+    let v = index_visible txn idx ~skipped:s.skipped ikey head in
+    if Heap.is_absent v then note_absent_entry txn idx ikey head
+    else begin
+      if note_read txn v then Scan_buffer.add_read s.buf ~key:pk ~page:(Heap.page_of_tid v.tid);
+      Scan_buffer.add_row s.buf (Array.copy v.row)
     end
-  in
-  let lock ~page keys ~pos ~len =
-    if is_tracked txn then
-      Predlock.lock_tuples_slice db.predlocks ~owner:txn.txn_xid ~rel ~page keys ~pos ~len
-  in
+  end
+
+let scan_lock s ~page keys ~pos ~len =
+  let txn = s.s_txn in
   if is_tracked txn then
-    if idx.pred_locks then ssi_lock_index_gaps txn idx ~lo ~hi
-    else Predlock.lock_index_rel db.predlocks ~owner:txn.txn_xid ~index:idx.idx_name;
-  (match Btree.walk idx.tree ~lo ~hi ~page:(fun _ -> incr npages) ~entry:visit with
+    Predlock.lock_tuples_slice txn.db.predlocks ~owner:txn.txn_xid ~rel:(Heap.rel_name s.s_tbl.heap)
+      ~page keys ~pos ~len
+
+(* The engine's scan state, set up for a scan of [idx] by [txn] with its
+   counters at zero. *)
+let start_scan txn tbl idx =
+  let db = txn.db in
+  let s =
+    match db.scan with
+    | Some s ->
+        s.s_txn <- txn;
+        s.s_tbl <- tbl;
+        s.s_idx <- idx;
+        s
+    | None ->
+        let rec s =
+          {
+            buf = Scan_buffer.create ();
+            s_txn = txn;
+            s_tbl = tbl;
+            s_idx = idx;
+            s_gaps = false;
+            s_locked_key = false;
+            s_last = Value.Null;
+            s_tuples = 0;
+            s_pages = 0;
+            on_page = (fun page -> scan_page s page);
+            on_entry = (fun ikey pk -> scan_entry s ikey pk);
+            skipped = (fun w -> skipped_by s.s_txn w);
+            lock = (fun ~page keys ~pos ~len -> scan_lock s ~page keys ~pos ~len);
+          }
+        in
+        db.scan <- Some s;
+        s
+  in
+  s.s_locked_key <- false;
+  s.s_tuples <- 0;
+  s.s_pages <- 0;
+  s
+
+(* At every other isolation level the scan walks the live tree without a
+   suspension point, so it can use the engine's one [scan] state and its
+   [Scan_buffer]: the tuples it read collect there and take their SIREAD
+   locks a heap page at a time after the walk (one coverage check per page
+   instead of one hash probe per tuple), and its rows collect there until
+   the walk is over.  The walk takes the index's gap locks as it goes:
+   page mode locks each leaf as the walk announces it, next-key mode each
+   distinct key before its entry is visited and the gap above [hi] after
+   the last.  No other transaction can run during the walk or before its
+   reads are flushed, so conflict detection is the same as if every gap
+   lock were taken first.  On the failure path the reads are flushed too,
+   so a mid-scan serialization failure leaves the SIREAD locks of the rows
+   read and the gap locks of the leaves reached; leaves the walk never
+   reached are not gap-locked.  The buffer is emptied, and the counters
+   read, before [finish_op], which can suspend. *)
+let index_scan_mvcc txn tbl idx ~lo ~hi =
+  let db = txn.db in
+  let s = start_scan txn tbl idx in
+  let tracked = is_tracked txn in
+  s.s_gaps <- tracked && idx.pred_locks;
+  if tracked && not idx.pred_locks then
+    Predlock.lock_index_rel db.predlocks ~owner:txn.txn_xid ~index:idx.idx_name;
+  (match Btree.walk idx.tree ~lo ~hi ~page:s.on_page ~entry:s.on_entry with
   | () -> ()
   | exception e ->
-      Scan_buffer.drop_rows buf;
-      Scan_buffer.flush_reads buf lock;
+      Scan_buffer.drop_rows s.buf;
+      Scan_buffer.flush_reads s.buf s.lock;
       raise e);
-  let rows = Scan_buffer.take_rows buf in
-  Scan_buffer.flush_reads buf lock;
-  finish_op db ~tuples:!tuples
-    ~locks:(if is_tracked txn then !tuples + !npages else 0)
-    ~pages:(!npages + !tuples);
+  if s.s_gaps && idx.next_key then ssi_lock_gap_above txn idx hi;
+  let rows = Scan_buffer.take_rows s.buf in
+  Scan_buffer.flush_reads s.buf s.lock;
+  let tuples = s.s_tuples and npages = s.s_pages in
+  finish_op db ~tuples ~locks:(if tracked then tuples + npages else 0) ~pages:(npages + tuples);
   rows
 
 let index_scan txn ~table ~index ~lo ~hi =
@@ -996,9 +1079,9 @@ let index_scan txn ~table ~index ~lo ~hi =
   let idx = index_of db index in
   if idx.table_name <> table then invalid_arg "Engine.index_scan: index is on another table";
   let rows =
-    map_lock_errors txn (fun () ->
-        if is_2pl txn then index_scan_2pl txn tbl idx ~lo ~hi
-        else index_scan_mvcc txn tbl idx ~lo ~hi)
+    (* Only the 2PL scan takes heavyweight locks. *)
+    if is_2pl txn then map_lock_errors txn (fun () -> index_scan_2pl txn tbl idx ~lo ~hi)
+    else index_scan_mvcc txn tbl idx ~lo ~hi
   in
   (* The horizon after the scan: a 2PL scan re-takes its statement
      snapshot per tuple lock, and its last one saw every row it returned. *)
@@ -1296,17 +1379,15 @@ let op_timed txn h name f =
   let db = txn.db in
   let sp = Obs.Span.start db.obs ~parent:txn.span name in
   let t0 = db.sched.now () in
-  let close ok =
-    Obs.observe h (db.sched.now () -. t0);
-    if not ok then Obs.Span.add sp "error" (Obs.B true);
-    Obs.Span.finish db.obs sp
-  in
   match f () with
   | r ->
-      close true;
+      Obs.observe h (db.sched.now () -. t0);
+      Obs.Span.finish db.obs sp;
       r
   | exception e ->
-      close false;
+      Obs.observe h (db.sched.now () -. t0);
+      Obs.Span.add sp "error" (Obs.B true);
+      Obs.Span.finish db.obs sp;
       raise e
 
 let read txn ~table ~key =

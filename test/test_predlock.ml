@@ -222,6 +222,87 @@ let test_numerically_equal_keys () =
   Alcotest.(check (list int)) "fractional key is another target" []
     (readers_for_write t ~rel:"t" ~key:(Value.Float 3.5) ~page:1).xids
 
+(* ---- Page batches: the direct page grant ---------------------------------- *)
+
+module Obs = Ssi_obs.Obs
+
+(* Run [setup] on two lock managers under [small_config], then lock the
+   [keys] window [pos, len] on [page] of [r] for owner 1: one manager
+   takes the keys one {!lock_tuple} at a time, the other takes the window
+   as one {!lock_tuples_slice}.  The two must end with the same lock
+   table, lock count and promotion count; the batch manager and its
+   [predlock.locks.tuple] count come back for the case's own checks. *)
+let slice_vs_sequential ?(pos = 0) ?len ~setup ~page keys =
+  let len = Option.value len ~default:(List.length keys - pos) in
+  let keys = Array.of_list (List.map vi keys) in
+  let seq = create ~config:small_config () in
+  let obs = Obs.create () in
+  let batch = create ~config:small_config ~obs () in
+  setup seq;
+  setup batch;
+  let tuples_before = Obs.counter_value (Obs.counter obs "predlock.locks.tuple") in
+  for i = pos to pos + len - 1 do
+    lock_tuple seq ~owner:1 ~rel:"r" ~key:keys.(i) ~page
+  done;
+  lock_tuples_slice batch ~owner:1 ~rel:"r" ~page keys ~pos ~len;
+  Alcotest.(check (list string))
+    "same lock table as sequential lock_tuple"
+    (List.map (fun (tg, _, _) -> target_to_string tg) (dump seq))
+    (List.map (fun (tg, _, _) -> target_to_string tg) (dump batch));
+  Alcotest.(check int) "same lock count" (total_lock_count seq) (total_lock_count batch);
+  Alcotest.(check int) "same promotions" (promotions seq) (promotions batch);
+  (batch, Obs.counter_value (Obs.counter obs "predlock.locks.tuple") - tuples_before)
+
+(* Two distinct keys reach the threshold of 2 without crossing it: the
+   repeated 8 is one lock, not a second fresh key. *)
+let test_slice_duplicate_key () =
+  let t, tuples = slice_vs_sequential ~setup:ignore ~page:0 [ 8; 8; 4 ] in
+  Alcotest.(check bool) "no page lock" false (holds t ~owner:1 (Page ("r", 0)));
+  Alcotest.(check bool) "holds 8" true (holds t ~owner:1 (Tuple ("r", vi 8)));
+  Alcotest.(check bool) "holds 4" true (holds t ~owner:1 (Tuple ("r", vi 4)));
+  Alcotest.(check int) "no promotion" 0 (promotions t);
+  Alcotest.(check int) "two tuple locks granted" 2 tuples
+
+(* Key 5 is already held from heap page 1 (the row moved pages): locking
+   it again from page 0 is a no-op, so only 6 and 7 are fresh there. *)
+let test_slice_key_held_elsewhere () =
+  let t, tuples =
+    slice_vs_sequential ~page:0 [ 5; 6; 7 ]
+      ~setup:(fun t -> lock_tuple t ~owner:1 ~rel:"r" ~key:(vi 5) ~page:1)
+  in
+  Alcotest.(check bool) "no page lock" false (holds t ~owner:1 (Page ("r", 0)));
+  Alcotest.(check int) "three tuple locks" 3 (owner_lock_count t 1);
+  Alcotest.(check int) "two tuple locks granted" 2 tuples;
+  (* 5 is still filed under page 1, where [unlock_tuple] finds it. *)
+  unlock_tuple t ~owner:1 ~rel:"r" ~key:(vi 5);
+  Alcotest.(check bool) "5 released" false (holds t ~owner:1 (Tuple ("r", vi 5)))
+
+(* A window on a page the owner already holds is a no-op. *)
+let test_slice_covered_page () =
+  let t, tuples =
+    slice_vs_sequential ~pos:1 ~len:3 ~page:0 [ 9; 1; 2; 3; 9 ]
+      ~setup:(fun t -> lock_page t ~owner:1 ~rel:"r" ~page:0)
+  in
+  Alcotest.(check int) "only the page lock" 1 (owner_lock_count t 1);
+  Alcotest.(check int) "no tuple lock granted" 0 tuples;
+  Alcotest.(check int) "no promotion" 0 (promotions t)
+
+(* The window's three fresh keys cross the threshold: the page lock is
+   granted directly, and as the owner's third page on [r] it promotes to
+   a relation lock, dropping the tuple lock held on page 3. *)
+let test_slice_cascade_to_relation () =
+  let t, tuples =
+    slice_vs_sequential ~page:2 [ 1; 2; 3 ]
+      ~setup:(fun t ->
+        lock_page t ~owner:1 ~rel:"r" ~page:0;
+        lock_page t ~owner:1 ~rel:"r" ~page:1;
+        lock_tuple t ~owner:1 ~rel:"r" ~key:(vi 30) ~page:3)
+  in
+  Alcotest.(check bool) "relation lock" true (holds t ~owner:1 (Relation "r"));
+  Alcotest.(check int) "only the relation lock" 1 (owner_lock_count t 1);
+  Alcotest.(check int) "page then relation promotion" 2 (promotions t);
+  Alcotest.(check int) "no tuple lock granted" 0 tuples
+
 let () =
   Alcotest.run "predlock"
     [
@@ -244,6 +325,13 @@ let () =
           Alcotest.test_case "page to relation" `Quick test_promotion_page_to_relation;
           Alcotest.test_case "index pages" `Quick test_promotion_index;
           Alcotest.test_case "coarser subsumes finer" `Quick test_no_finer_lock_under_coarser;
+        ] );
+      ( "page batch",
+        [
+          Alcotest.test_case "duplicate key at the threshold" `Quick test_slice_duplicate_key;
+          Alcotest.test_case "key held from another page" `Quick test_slice_key_held_elsewhere;
+          Alcotest.test_case "covered page is a no-op" `Quick test_slice_covered_page;
+          Alcotest.test_case "direct page grant cascades" `Quick test_slice_cascade_to_relation;
         ] );
       ( "summarization",
         [

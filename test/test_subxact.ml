@@ -184,6 +184,69 @@ let test_own_write_lock_opt_enabled_at_top_level () =
      no t1 -> w edge from key 1, so w has no dangerous in-edge. *)
   E.commit w
 
+(* A tracked index scan that fails partway through its walk, inside a
+   savepoint, keeps the SIREAD locks it took before the failure: the
+   tuple locks of the rows it read and the gap locks of the index leaves
+   (next-key mode: the keys) it reached, none beyond.  The failure is a
+   dangerous structure completed by the scan's read of key 130: w
+   overwrote 130 and committed after t3, which overwrote a row w read. *)
+module P = Ssi_core.Predlock
+
+let test_scan_failure_keeps_reached_locks ~next_key () =
+  let db = E.create ~config:{ E.default_config with next_key_gaps = next_key } () in
+  E.create_table db ~name:"t" ~cols:[ "k"; "v" ] ~key:"k";
+  E.with_txn ~isolation:E.Read_committed db (fun t ->
+      for k = 0 to 999 do
+        E.insert t ~table:"t" [| vi k; vi 0 |]
+      done);
+  let set t k = ignore (E.update t ~table:"t" ~key:(vi k) ~f:(fun r -> [| r.(0); vi 1 |])) in
+  let scan t ~lo ~hi = E.index_scan t ~table:"t" ~index:"t_pkey" ~lo:(vi lo) ~hi:(vi hi) in
+  let held t = P.held_by (E.predicate_locks db) (E.xid t) in
+  let names = List.map P.target_to_string in
+  let gaps =
+    List.filter (function P.Index_page _ | P.Index_key _ | P.Index_inf _ -> true | _ -> false)
+  in
+  let heap = List.filter (function P.Tuple _ | P.Page _ | P.Relation _ -> true | _ -> false) in
+  let a = E.begin_txn db in
+  let w = E.begin_txn db in
+  ignore (E.read w ~table:"t" ~key:(vi 900));
+  E.with_txn db (fun t3 -> set t3 900);
+  set w 130;
+  E.commit w;
+  E.savepoint a "sp";
+  (match scan a ~lo:125 ~hi:180 with
+  | _ -> Alcotest.fail "the scan's read of key 130 completes a dangerous structure"
+  | exception E.Error (E.Serialization_failure _) -> ());
+  E.rollback_to_savepoint a "sp";
+  let a_held = held a in
+  (* 64 rows to a heap page: 125..127 on page 1, 128 and 129 on page 2,
+     too few on either for a page lock. *)
+  Alcotest.(check (list string))
+    "tuple locks of the rows read"
+    (names (List.map (fun k -> P.Tuple ("t", vi k)) [ 125; 126; 127; 128; 129 ]))
+    (names (heap a_held));
+  (if next_key then
+     Alcotest.(check (list string))
+       "gap locks of the keys reached"
+       (names (List.map (fun k -> P.Index_key ("t_pkey", vi k)) [ 125; 126; 127; 128; 129; 130 ]))
+       (names (gaps a_held))
+   else begin
+     (* Reference scans by fresh transactions: the leaves up to key 129
+        were reached, the whole range reaches more. *)
+     let leaves ~lo ~hi =
+       E.with_txn db (fun r ->
+           ignore (scan r ~lo ~hi);
+           gaps (held r))
+     in
+     let subset xs ys = List.for_all (fun x -> List.mem x ys) xs in
+     let reached = leaves ~lo:125 ~hi:129 and whole = leaves ~lo:125 ~hi:180 in
+     Alcotest.(check bool) "leaves before key 130 locked" true (subset reached (gaps a_held));
+     Alcotest.(check bool) "leaves within the range" true (subset (gaps a_held) whole);
+     Alcotest.(check bool) "leaves past key 130 not locked" true
+       (List.length (gaps a_held) < List.length whole)
+   end);
+  E.abort a
+
 let test_unknown_savepoint () =
   let db = fresh () in
   E.with_txn db (fun t ->
@@ -212,5 +275,9 @@ let () =
             test_own_write_lock_opt_disabled_in_subxact;
           Alcotest.test_case "drop-own-SIREAD active at top level" `Quick
             test_own_write_lock_opt_enabled_at_top_level;
+          Alcotest.test_case "scan failure keeps the leaf locks reached" `Quick
+            (test_scan_failure_keeps_reached_locks ~next_key:false);
+          Alcotest.test_case "scan failure keeps the key locks reached" `Quick
+            (test_scan_failure_keeps_reached_locks ~next_key:true);
         ] );
     ]
