@@ -193,6 +193,9 @@ and txn = {
       (** the span engine operations hang their child spans on — supplied
           by the client (retry loop) or opened at begin when absent *)
   span_owned : bool;  (** the engine opened [span] and must finish it *)
+  span_ctx : Obs.span_ctx;
+      (** [span]'s identity, which operations and the commit parent on: it
+          outlives the handle once a finished [span] leaves the span table *)
   mutable write_waiting_for : Heap.xid option;
       (** the transaction whose tuple write lock this one is waiting on *)
   mutable crashed : bool;
@@ -488,6 +491,7 @@ let make_txn db ~iso ~ro ~xid ~snapshot ~sxact ~span =
       subdepth = 0;
       span;
       span_owned;
+      span_ctx = Obs.Span.ctx span;
       write_waiting_for = None;
       crashed = false;
       wounded = false;
@@ -1359,55 +1363,48 @@ let delete txn ~table ~key =
 
 (* ---- Per-operation latency ------------------------------------------------------------- *)
 
-(* Wrap every data operation with an [engine.latency.<op>] histogram
-   observation of the virtual time it took — including lock waits, cost
-   charges and I/O stalls, and also on the failure path (a faulted or
-   conflicted operation still occupied the session). *)
-let timed db h f =
-  let t0 = db.sched.now () in
-  match f () with
-  | r ->
-      Obs.observe h (db.sched.now () -. t0);
-      r
-  | exception e ->
-      Obs.observe h (db.sched.now () -. t0);
-      raise e
+(* Every data operation is a child span of the transaction's span, so
+   lock waits and I/O stalls show up as gaps inside the right interval,
+   and its [engine.latency.<op>] observation is that span's duration —
+   including lock waits, cost charges and I/O stalls, and also on the
+   failure path (a faulted or conflicted operation still occupied the
+   session).  Spelled out per operation: a wrapper taking the operation
+   as a closure would allocate that closure on every call. *)
+let op_start txn name = Obs.Span.child txn.db.obs txn.span_ctx name
+let op_done txn sp h = Obs.Span.finish_observe txn.db.obs sp h
 
-(* Each data operation is also a child span of the transaction's span, so
-   lock waits and I/O stalls show up as gaps inside the right interval. *)
-let op_timed txn h name f =
-  let db = txn.db in
-  let sp = Obs.Span.start db.obs ~parent:txn.span name in
-  let t0 = db.sched.now () in
-  match f () with
-  | r ->
-      Obs.observe h (db.sched.now () -. t0);
-      Obs.Span.finish db.obs sp;
-      r
-  | exception e ->
-      Obs.observe h (db.sched.now () -. t0);
-      Obs.Span.add sp "error" (Obs.B true);
-      Obs.Span.finish db.obs sp;
-      raise e
+let op_failed txn sp h e =
+  Obs.Span.add sp "error" (Obs.B true);
+  op_done txn sp h;
+  raise e
 
 let read txn ~table ~key =
-  op_timed txn txn.db.metrics.h_read "op.read" (fun () -> read txn ~table ~key)
+  let sp = op_start txn "op.read" and h = txn.db.metrics.h_read in
+  match read txn ~table ~key with r -> op_done txn sp h; r | exception e -> op_failed txn sp h e
 
 let index_scan txn ~table ~index ~lo ~hi =
-  op_timed txn txn.db.metrics.h_index_scan "op.index_scan" (fun () ->
-      index_scan txn ~table ~index ~lo ~hi)
+  let sp = op_start txn "op.index_scan" and h = txn.db.metrics.h_index_scan in
+  match index_scan txn ~table ~index ~lo ~hi with
+  | r -> op_done txn sp h; r
+  | exception e -> op_failed txn sp h e
 
 let seq_scan txn ~table ?filter () =
-  op_timed txn txn.db.metrics.h_seq_scan "op.seq_scan" (fun () -> seq_scan txn ~table ?filter ())
+  let sp = op_start txn "op.seq_scan" and h = txn.db.metrics.h_seq_scan in
+  match seq_scan txn ~table ?filter () with
+  | r -> op_done txn sp h; r
+  | exception e -> op_failed txn sp h e
 
 let insert txn ~table row =
-  op_timed txn txn.db.metrics.h_insert "op.insert" (fun () -> insert txn ~table row)
+  let sp = op_start txn "op.insert" and h = txn.db.metrics.h_insert in
+  match insert txn ~table row with r -> op_done txn sp h; r | exception e -> op_failed txn sp h e
 
 let update txn ~table ~key ~f =
-  op_timed txn txn.db.metrics.h_update "op.update" (fun () -> update txn ~table ~key ~f)
+  let sp = op_start txn "op.update" and h = txn.db.metrics.h_update in
+  match update txn ~table ~key ~f with r -> op_done txn sp h; r | exception e -> op_failed txn sp h e
 
 let delete txn ~table ~key =
-  op_timed txn txn.db.metrics.h_delete "op.delete" (fun () -> delete txn ~table ~key)
+  let sp = op_start txn "op.delete" and h = txn.db.metrics.h_delete in
+  match delete txn ~table ~key with r -> op_done txn sp h; r | exception e -> op_failed txn sp h e
 
 (* ---- Commit / abort -------------------------------------------------------------------- *)
 
@@ -1558,7 +1555,7 @@ let commit txn =
   (* The commit span covers precommit through quorum wait; its context is
      stamped into the WAL record so replica apply spans parent to it. *)
   let cspan =
-    Obs.Span.start db.obs ~parent:txn.span "txn.commit" ~attrs:[ ("xid", Obs.I txn.txn_xid) ]
+    Obs.Span.start db.obs ~ctx:txn.span_ctx "txn.commit" ~attrs:[ ("xid", Obs.I txn.txn_xid) ]
   in
   (* A transaction doomed by another's conflict resolution fails here — and
      must be rolled back before the failure is surfaced, or its write locks
@@ -1580,7 +1577,14 @@ let commit txn =
 
 (* Commit latency includes the pre-commit SSI check, the commit-record
    I/O charge, and any WAL-hook work. *)
-let commit txn = timed txn.db txn.db.metrics.h_commit (fun () -> commit txn)
+let commit txn =
+  let db = txn.db in
+  let t0 = db.sched.now () in
+  match commit txn with
+  | () -> Obs.observe db.metrics.h_commit (db.sched.now () -. t0)
+  | exception e ->
+      Obs.observe db.metrics.h_commit (db.sched.now () -. t0);
+      raise e
 
 (* ---- Two-phase commit (§7.1) -------------------------------------------------------------- *)
 
@@ -1610,7 +1614,7 @@ let commit_prepared db ~gid =
   let txn = prepared_txn db gid in
   Hashtbl.remove db.prepared_by_gid gid;
   let cspan =
-    Obs.Span.start db.obs ~parent:txn.span "txn.commit"
+    Obs.Span.start db.obs ~ctx:txn.span_ctx "txn.commit"
       ~attrs:[ ("xid", Obs.I txn.txn_xid); ("gid", Obs.S gid) ]
   in
   commit_point db txn ~cspan ~gid:(Some gid)

@@ -27,15 +27,30 @@ type event = {
 
 type span_ctx = { trace_id : int; span_id : int }
 
-type span = {
-  sp_trace : int;
-  sp_id : int;
-  sp_parent : int option;
-  sp_name : string;
-  sp_start : float;
-  mutable sp_end : float;  (* nan while open *)
-  mutable sp_open : bool;
-  mutable sp_attrs : (string * field) list;  (* newest first *)
+(* A span is an int handle: its slot in the registry's span store, the
+   registry's index in [registries] and the slot's generation, which
+   moves on when the span is dropped, so a handle kept past that is
+   stale. *)
+type span = int
+
+let slot_bits = 23 and reg_bits = 21
+let slot_mask = (1 lsl slot_bits) - 1 and reg_mask = (1 lsl reg_bits) - 1
+let gen_mask = (1 lsl (62 - slot_bits - reg_bits)) - 1
+
+(* One slot per open or retained finished span, struct-of-arrays, so
+   opening and closing a span write unboxed fields and allocate nothing.
+   [grow] swaps in a larger copy. *)
+type store = {
+  start : float array;
+  stop : float array;  (* nan while open *)
+  trace : int array;
+  id : int array;
+  parent : int array;  (* -1 for none *)
+  name_id : int array;  (* index into [names] *)
+  gen : int array;
+  is_open : bool array;
+  attrs : (string * field) list array;  (* newest first *)
+  free : int array;  (* free slots: [free.(0 .. n_free - 1)] *)
 }
 
 type t = {
@@ -44,19 +59,31 @@ type t = {
   mutable last_ts : float;  (* last successful clock reading *)
   log : event array;  (* slot [seq mod capacity]; see [trace] *)
   mutable next_seq : int;
-  spans : span option array;  (* finished spans, bounded *)
+  reg : int;  (* index in [registries] *)
+  mutable st : store;
+  mutable n_free : int;
+  ring : int array;  (* finished spans' slots, in finish order *)
   mutable span_seq : int;  (* finished-span insertion index *)
   mutable next_trace : int;
   mutable next_span : int;
-  open_spans : (int, span) Hashtbl.t;  (* span_id -> span *)
   owner_spans : (int, span) Hashtbl.t;  (* txn xid -> owning span *)
   trace_dropped : counter;
   span_dropped : counter;
 }
 
+(* Every registry, weakly, so a bare handle finds its store. *)
+let registries = ref (Weak.create 8) and n_registries = ref 0
+
 let create ?(trace_capacity = 4096) ?(span_capacity = 4096) () =
   if trace_capacity <= 0 then invalid_arg "Obs.create: trace_capacity must be positive";
   if span_capacity <= 0 then invalid_arg "Obs.create: span_capacity must be positive";
+  let reg = !n_registries and w = !registries in
+  if reg > reg_mask then invalid_arg "Obs.create: too many registries";
+  incr n_registries;
+  if reg = Weak.length w then begin
+    registries := Weak.create (2 * reg);
+    Weak.blit w 0 !registries 0 reg
+  end;
   let metrics = Hashtbl.create 64 in
   (* The drop counters exist from birth so truncation is visible in every
      render, including as an explicit 0 when nothing was dropped. *)
@@ -65,21 +92,28 @@ let create ?(trace_capacity = 4096) ?(span_capacity = 4096) () =
     Hashtbl.replace metrics name (Counter c);
     c
   in
-  {
-    metrics;
-    clock = (fun () -> 0.);
-    last_ts = 0.;
-    log = Array.make trace_capacity { seq = -1; ts = 0.; name = ""; fields = [] };
-    next_seq = 0;
-    spans = Array.make span_capacity None;
-    span_seq = 0;
-    next_trace = 0;
-    next_span = 0;
-    open_spans = Hashtbl.create 64;
-    owner_spans = Hashtbl.create 64;
-    trace_dropped = eager "obs.trace.dropped";
-    span_dropped = eager "obs.spans.dropped";
-  }
+  let t =
+    {
+      metrics;
+      clock = (fun () -> 0.);
+      last_ts = 0.;
+      log = Array.make trace_capacity { seq = -1; ts = 0.; name = ""; fields = [] };
+      next_seq = 0;
+      reg;
+      st = { start = [||]; stop = [||]; trace = [||]; id = [||]; parent = [||]; name_id = [||];
+             gen = [||]; is_open = [||]; attrs = [||]; free = [||] };
+      n_free = 0;
+      ring = Array.make span_capacity 0;
+      span_seq = 0;
+      next_trace = 0;
+      next_span = 0;
+      owner_spans = Hashtbl.create 64;
+      trace_dropped = eager "obs.trace.dropped";
+      span_dropped = eager "obs.spans.dropped";
+    }
+  in
+  Weak.set !registries reg (Some t);
+  t
 
 let set_clock t f = t.clock <- f
 
@@ -259,6 +293,32 @@ let render t =
   Tablefmt.render ~header:[ "metric"; "kind"; "value" ] rows
 
 (* ------------------------------------------------------------------ *)
+(* Span handles                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let slot_of sp = sp land slot_mask
+let reg_of sp = (sp lsr slot_bits) land reg_mask
+let handle t s = (t.st.gen.(s) lsl (slot_bits + reg_bits)) lor (t.reg lsl slot_bits) lor s
+let stale () = invalid_arg "Obs.Span: stale span handle"
+let last = ref None (* the registry [find] returned last *)
+
+(* The registry holding a bare handle. *)
+let find sp =
+  match !last with
+  | Some t when t.reg = reg_of sp -> t
+  | _ -> (
+      match Weak.get !registries (reg_of sp) with
+      | Some t as r ->
+          last := r;
+          t
+      | None -> stale ())
+
+let home t sp = if reg_of sp = t.reg then t else find sp
+
+(* [sp]'s slot in its registry [t], while its span is stored there. *)
+let slot t sp = if handle t (slot_of sp) = sp then slot_of sp else stale ()
+
+(* ------------------------------------------------------------------ *)
 (* Trace events                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -271,7 +331,10 @@ let trace t ?span ?(fields = []) name =
   let fields =
     match span with
     | None -> fields
-    | Some sp -> ("span", I sp.sp_id) :: ("trace", I sp.sp_trace) :: fields
+    | Some sp ->
+        let r = home t sp in
+        let s = slot r sp in
+        ("span", I r.st.id.(s)) :: ("trace", I r.st.trace.(s)) :: fields
   in
   let cap = Array.length t.log in
   if seq >= cap then incr t.trace_dropped;
@@ -300,22 +363,23 @@ let json_escape s =
 
 let json_float x = if Float.is_finite x then Printf.sprintf "%.9g" x else "null"
 
-let field_to_json = function
-  | I n -> string_of_int n
-  | F x -> json_float x
-  | S s -> "\"" ^ json_escape s ^ "\""
-  | B b -> string_of_bool b
+(* Append [,"key":value] for each field. *)
+let add_fields buf =
+  List.iter (fun (k, v) ->
+      Buffer.add_string buf
+        (Printf.sprintf ",\"%s\":%s" (json_escape k)
+           (match v with
+           | I n -> string_of_int n
+           | F x -> json_float x
+           | S s -> "\"" ^ json_escape s ^ "\""
+           | B b -> string_of_bool b)))
 
 let event_to_json e =
   let buf = Buffer.create 128 in
   Buffer.add_string buf
     (Printf.sprintf "{\"seq\":%d,\"ts\":%s,\"event\":\"%s\"" e.seq (json_float e.ts)
        (json_escape e.name));
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf ",\"%s\":%s" (json_escape k) (field_to_json v)))
-    e.fields;
+  add_fields buf e.fields;
   Buffer.add_char buf '}';
   Buffer.contents buf
 
@@ -323,56 +387,112 @@ let event_to_json e =
 (* Spans                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Span names, interned process-wide. *)
+let name_ids = Hashtbl.create 64 and names = ref [||]
+
+let intern name =
+  match Hashtbl.find name_ids name with
+  | i -> i
+  | exception Not_found ->
+      Hashtbl.add name_ids name (Array.length !names);
+      names := Array.append !names [| name |];
+      Array.length !names - 1
+
+(* Double the store up to [span_capacity], then grow it by a quarter for
+   the spans still open beyond that. *)
+let grow t =
+  let st = t.st and n = Array.length t.st.gen and cap = Array.length t.ring in
+  let m = if n < cap then Stdlib.min cap (Stdlib.max 16 (2 * n)) else n + (n / 4) + 1 in
+  if m > slot_mask + 1 then failwith "Obs: span store full";
+  let ext a fill = Array.append a (Array.make (m - n) fill) in
+  t.st <-
+    { start = ext st.start nan; stop = ext st.stop nan; trace = ext st.trace 0; id = ext st.id 0;
+      parent = ext st.parent 0; name_id = ext st.name_id 0; gen = ext st.gen 0;
+      is_open = ext st.is_open false; attrs = ext st.attrs []; free = ext st.free 0 };
+  for s = m - 1 downto n do
+    t.st.free.(t.n_free) <- s;
+    t.n_free <- t.n_free + 1
+  done
+
+let open_span t ~trace ~parent name =
+  if t.n_free = 0 then grow t;
+  t.n_free <- t.n_free - 1;
+  let st = t.st and id = t.next_span in
+  let s = st.free.(t.n_free) in
+  t.next_span <- id + 1;
+  st.trace.(s) <- trace;
+  st.id.(s) <- id;
+  st.parent.(s) <- parent;
+  st.name_id.(s) <- intern name;
+  st.start.(s) <- now t;
+  st.stop.(s) <- nan;
+  st.is_open.(s) <- true;
+  handle t s
+
+(* Close [sp] into the finished ring.  A full ring drops its oldest span:
+   that slot's generation moves on and the slot is freed.  The closed
+   slot, or -1 when [sp] is not an open span of [t]. *)
+let close t sp =
+  let st = t.st and s = slot_of sp in
+  if handle t s <> sp || not st.is_open.(s) then -1
+  else begin
+    st.is_open.(s) <- false;
+    st.stop.(s) <- now t;
+    let cap = Array.length t.ring in
+    let r = t.span_seq mod cap in
+    if t.span_seq >= cap then begin
+      let d = t.ring.(r) in
+      st.gen.(d) <- (st.gen.(d) + 1) land gen_mask;
+      st.attrs.(d) <- [];
+      st.free.(t.n_free) <- d;
+      t.n_free <- t.n_free + 1;
+      incr t.span_dropped
+    end;
+    t.ring.(r) <- s;
+    t.span_seq <- t.span_seq + 1;
+    s
+  end
+
 module Span = struct
+  let child t c name = open_span t ~trace:c.trace_id ~parent:c.span_id name
+
   let start t ?parent ?ctx ?(attrs = []) name =
-    let sp_trace, sp_parent =
+    let sp =
       match (parent, ctx) with
-      | Some p, _ -> (p.sp_trace, Some p.sp_id)
-      | None, Some c -> (c.trace_id, Some c.span_id)
+      | Some p, _ ->
+          let r = home t p in
+          let s = slot r p in
+          open_span t ~trace:r.st.trace.(s) ~parent:r.st.id.(s) name
+      | None, Some c -> child t c name
       | None, None ->
           let tr = t.next_trace in
           t.next_trace <- tr + 1;
-          (tr, None)
+          open_span t ~trace:tr ~parent:(-1) name
     in
-    let sp_id = t.next_span in
-    t.next_span <- sp_id + 1;
-    let sp =
-      {
-        sp_trace;
-        sp_id;
-        sp_parent;
-        sp_name = name;
-        sp_start = now t;
-        sp_end = nan;
-        sp_open = true;
-        sp_attrs = List.rev attrs;
-      }
-    in
-    Hashtbl.replace t.open_spans sp_id sp;
+    (match attrs with [] -> () | _ -> t.st.attrs.(slot_of sp) <- List.rev attrs);
     sp
 
-  let finish t sp =
-    if sp.sp_open then begin
-      sp.sp_open <- false;
-      sp.sp_end <- now t;
-      Hashtbl.remove t.open_spans sp.sp_id;
-      let slot = t.span_seq mod Array.length t.spans in
-      (match t.spans.(slot) with Some _ -> incr t.span_dropped | None -> ());
-      t.spans.(slot) <- Some sp;
-      t.span_seq <- t.span_seq + 1
-    end
+  let finish t sp = ignore (close (home t sp) sp)
 
-  let add sp k v = sp.sp_attrs <- (k, v) :: List.remove_assoc k sp.sp_attrs
+  let finish_observe t sp h =
+    let t = home t sp in
+    let s = close t sp in
+    if s >= 0 then Bhist.add_interval h.h_hist t.st.start t.st.stop s
 
-  let ctx sp = { trace_id = sp.sp_trace; span_id = sp.sp_id }
-  let name sp = sp.sp_name
-  let trace_id sp = sp.sp_trace
-  let id sp = sp.sp_id
-  let parent sp = sp.sp_parent
-  let start_ts sp = sp.sp_start
-  let end_ts sp = sp.sp_end
-  let is_open sp = sp.sp_open
-  let attrs sp = List.rev sp.sp_attrs
+  let get f sp =
+    let t = find sp in
+    f t.st (slot t sp)
+
+  let add sp k v = get (fun st s -> st.attrs.(s) <- (k, v) :: List.remove_assoc k st.attrs.(s)) sp
+  let trace_id = get (fun st s -> st.trace.(s))
+  let id = get (fun st s -> st.id.(s))
+  let ctx = get (fun st s -> { trace_id = st.trace.(s); span_id = st.id.(s) })
+  let name = get (fun st s -> !names.(st.name_id.(s)))
+  let parent = get (fun st s -> if st.parent.(s) < 0 then None else Some st.parent.(s))
+  let start_ts = get (fun st s -> st.start.(s))
+  let end_ts = get (fun st s -> st.stop.(s))
+  let is_open = get (fun st s -> st.is_open.(s))
+  let attrs = get (fun st s -> List.rev st.attrs.(s))
 end
 
 let set_owner_span t xid sp = Hashtbl.replace t.owner_spans xid sp
@@ -380,18 +500,18 @@ let clear_owner_span t xid = Hashtbl.remove t.owner_spans xid
 let owner_span t xid = Hashtbl.find_opt t.owner_spans xid
 
 module Spans = struct
+  let by_id t a b = Int.compare t.st.id.(slot_of a) t.st.id.(slot_of b)
+
   let finished t =
-    Array.to_list t.spans
-    |> List.filter_map Fun.id
-    |> List.sort (fun a b -> Stdlib.compare a.sp_id b.sp_id)
+    List.init (Stdlib.min t.span_seq (Array.length t.ring)) (fun i -> handle t t.ring.(i))
+    |> List.sort (by_id t)
 
   let open_spans t =
-    Hashtbl.fold (fun _ sp acc -> sp :: acc) t.open_spans []
-    |> List.sort (fun a b -> Stdlib.compare a.sp_id b.sp_id)
+    let acc = ref [] in
+    Array.iteri (fun s o -> if o then acc := handle t s :: !acc) t.st.is_open;
+    List.sort (by_id t) !acc
 
-  let all t =
-    List.merge (fun a b -> Stdlib.compare a.sp_id b.sp_id) (finished t) (open_spans t)
-
+  let all t = List.merge (by_id t) (finished t) (open_spans t)
   let dropped t = counter_value t.span_dropped
 
   (* Chrome trace-event format (loadable in Perfetto / chrome://tracing):
@@ -406,47 +526,35 @@ module Spans = struct
       (fun ev ->
         match ev.fields with ("span", I id) :: _ -> Hashtbl.add by_span id ev | _ -> ())
       (List.rev (events t));
-    let buf = Buffer.create 4096 in
-    let now = now t in
+    let buf = Buffer.create 4096 and now = now t and st = t.st and first = ref true in
     Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    let first = ref true in
-    let sep () =
+    let item json =
       if !first then first := false else Buffer.add_char buf ',';
-      Buffer.add_string buf "\n"
-    in
-    let emit_attr (k, v) =
-      Buffer.add_string buf
-        (Printf.sprintf ",\"%s\":%s" (json_escape k) (field_to_json v))
+      Buffer.add_string buf ("\n" ^ json)
     in
     let emit_span sp =
-      sep ();
-      let te = if sp.sp_open then now else sp.sp_end in
-      let dur = Stdlib.max 0. (te -. sp.sp_start) in
-      Buffer.add_string buf
+      let s = slot_of sp in
+      let te = if st.is_open.(s) then now else st.stop.(s) in
+      item
         (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":1,\"tid\":%d,\"args\":{\"trace_id\":%d,\"span_id\":%d"
-           (json_escape sp.sp_name)
-           (json_float (sp.sp_start *. 1e6))
-           (json_float (dur *. 1e6))
-           sp.sp_trace sp.sp_trace sp.sp_id);
-      (match sp.sp_parent with
-      | Some p -> Buffer.add_string buf (Printf.sprintf ",\"parent_id\":%d" p)
-      | None -> ());
-      if sp.sp_open then Buffer.add_string buf ",\"incomplete\":true";
-      List.iter emit_attr (Span.attrs sp);
+           "{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":1,\"tid\":%d,\"args\":{\"trace_id\":%d,\"span_id\":%d%s%s"
+           (json_escape !names.(st.name_id.(s)))
+           (json_float (st.start.(s) *. 1e6))
+           (json_float (Stdlib.max 0. (te -. st.start.(s)) *. 1e6))
+           st.trace.(s) st.trace.(s) st.id.(s)
+           (if st.parent.(s) >= 0 then Printf.sprintf ",\"parent_id\":%d" st.parent.(s) else "")
+           (if st.is_open.(s) then ",\"incomplete\":true" else ""));
+      add_fields buf (List.rev st.attrs.(s));
       Buffer.add_string buf "}}";
       List.iter
         (fun ev ->
-          sep ();
-          Buffer.add_string buf
+          item
             (Printf.sprintf
                "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,\"pid\":1,\"tid\":%d,\"args\":{\"seq\":%d"
-               (json_escape ev.name)
-               (json_float (ev.ts *. 1e6))
-               sp.sp_trace ev.seq);
-          List.iter emit_attr ev.fields;
+               (json_escape ev.name) (json_float (ev.ts *. 1e6)) st.trace.(s) ev.seq);
+          add_fields buf ev.fields;
           Buffer.add_string buf "}}")
-        (Hashtbl.find_all by_span sp.sp_id)
+        (Hashtbl.find_all by_span st.id.(s))
     in
     List.iter emit_span (all t);
     Buffer.add_string buf "\n]}\n";

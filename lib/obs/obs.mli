@@ -198,6 +198,15 @@ type span_ctx = { trace_id : int; span_id : int }
     boundary. *)
 
 module Span : sig
+  (** A span is an [int] handle into its registry's span store (DESIGN
+      §8.1).  It stays valid while its span is open or retained among the
+      finished ones; once the span is dropped from the finished-span
+      table its slot may be reused, and the handle is {e stale}: every
+      accessor below ([add] through [attrs]) raises [Invalid_argument]
+      on it, as do [start ~parent] and [trace ~span], and {!finish}
+      ignores it.  No call ever reads or closes another span through a
+      stale handle. *)
+
   val start :
     t ->
     ?parent:span ->
@@ -209,9 +218,19 @@ module Span : sig
       neither, a fresh trace is started.  The start timestamp is taken
       from the registry clock. *)
 
+  val child : t -> span_ctx -> string -> span
+  (** [child t ctx name] is [start t ~ctx name] for hot paths: the
+      parent is positional, so the call allocates nothing, and named by
+      its identity, which stays valid after its handle goes stale. *)
+
   val finish : t -> span -> unit
   (** Close the span and move it into the bounded finished-span table.
       Idempotent: only the first call records anything. *)
+
+  val finish_observe : t -> span -> histogram -> unit
+  (** [finish], then observe the span's duration (end minus start) into
+      the histogram, without boxing it; nothing is observed when the
+      span was not open. *)
 
   val add : span -> string -> field -> unit
   (** Set an attribute (replacing any previous value for the key). *)

@@ -1,13 +1,16 @@
+(* The running sum and extremes live in an all-float record, which OCaml
+   stores flat, so [add] updates them without boxing. *)
+type sums = { mutable sum : float; mutable lo : float (* nan while empty *); mutable hi : float }
+
 type t = {
   alpha : float;
   gamma : float;
   log_gamma : float;
-  buckets : (int, int ref) Hashtbl.t;  (* index -> count, positive values *)
-  mutable zero : int;  (* observations <= 0, counted exactly *)
+  mutable counts : int array;  (* counts.(i - base): positive values in bucket i *)
+  mutable base : int;
+  mutable zero : int;  (* observations <= 0 (or nan, infinite), counted exactly *)
   mutable n : int;
-  mutable sum : float;
-  mutable lo : float;  (* nan while empty *)
-  mutable hi : float;
+  s : sums;
 }
 
 let create ?(accuracy = 0.01) () =
@@ -18,24 +21,21 @@ let create ?(accuracy = 0.01) () =
     alpha = accuracy;
     gamma;
     log_gamma = log gamma;
-    buckets = Hashtbl.create 64;
+    counts = [||];
+    base = 0;
     zero = 0;
     n = 0;
-    sum = 0.;
-    lo = nan;
-    hi = nan;
+    s = { sum = 0.; lo = nan; hi = nan };
   }
 
 let accuracy t = t.alpha
 let gamma t = t.gamma
 let count t = t.n
 let zero_count t = t.zero
-let total t = t.sum
-let mean t = if t.n = 0 then nan else t.sum /. float_of_int t.n
-let min_value t = t.lo
-let max_value t = t.hi
-
-let index t v = int_of_float (Float.ceil (log v /. t.log_gamma))
+let total t = t.s.sum
+let mean t = if t.n = 0 then nan else t.s.sum /. float_of_int t.n
+let min_value t = t.s.lo
+let max_value t = t.s.hi
 
 (* Midpoint estimate for bucket i, i.e. of (γ^(i-1), γ^i]: within
    relative error α of every value the bucket can hold. *)
@@ -43,30 +43,54 @@ let estimate t i = 2. *. exp (float_of_int i *. t.log_gamma) /. (t.gamma +. 1.)
 
 let bucket_upper t i = exp (float_of_int i *. t.log_gamma)
 
-let bump buckets i by =
-  match Hashtbl.find_opt buckets i with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.replace buckets i (ref by)
+(* Widen [counts] to cover bucket [i], at least doubling it so a stream
+   grows it O(log range) times. *)
+let cover t i =
+  let len = Array.length t.counts in
+  if len = 0 then begin
+    t.counts <- Array.make 16 0;
+    t.base <- i - 8
+  end
+  else if i < t.base || i >= t.base + len then begin
+    let lo = Stdlib.min t.base i and hi = Stdlib.max (t.base + len - 1) i in
+    let size = Stdlib.max (hi - lo + 1) (2 * len) in
+    let base = if i < t.base then hi + 1 - size else lo in
+    let counts = Array.make size 0 in
+    Array.blit t.counts 0 counts (t.base - base) len;
+    t.counts <- counts;
+    t.base <- base
+  end
 
-let add t v =
+let bump t i by =
+  cover t i;
+  t.counts.(i - t.base) <- t.counts.(i - t.base) + by
+
+(* Inlined into both entries, so the value stays unboxed. *)
+let[@inline] record t v =
   t.n <- t.n + 1;
-  t.sum <- t.sum +. v;
+  t.s.sum <- t.s.sum +. v;
   if t.n = 1 then begin
-    t.lo <- v;
-    t.hi <- v
+    t.s.lo <- v;
+    t.s.hi <- v
   end
   else begin
-    if v < t.lo then t.lo <- v;
-    if v > t.hi then t.hi <- v
+    if v < t.s.lo then t.s.lo <- v;
+    if v > t.s.hi then t.s.hi <- v
   end;
-  if v <= 0. then t.zero <- t.zero + 1 else bump t.buckets (index t v) 1
+  if v > 0. && v < infinity then bump t (int_of_float (Float.ceil (log v /. t.log_gamma))) 1
+  else t.zero <- t.zero + 1
 
-let buckets t =
-  Hashtbl.fold (fun i r acc -> (i, !r) :: acc) t.buckets []
-  |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
-  |> List.filter (fun (_, c) -> c > 0)
+let add t v = record t v
+let add_interval t starts stops i = record t (stops.(i) -. starts.(i))
 
-let bucket_count t = (if t.zero > 0 then 1 else 0) + List.length (buckets t)
+let fold_buckets t f acc =
+  let acc = ref acc in
+  Array.iteri (fun j c -> if c > 0 then acc := f (t.base + j) c !acc) t.counts;
+  !acc
+
+let buckets t = List.rev (fold_buckets t (fun i c acc -> (i, c) :: acc) [])
+
+let bucket_count t = fold_buckets t (fun _ _ k -> k + 1) (if t.zero > 0 then 1 else 0)
 
 let percentile t p =
   if t.n = 0 then nan
@@ -74,29 +98,20 @@ let percentile t p =
     let p = Float.max 0. (Float.min 1. p) in
     let rank = Stdlib.max 1 (int_of_float (Float.ceil (p *. float_of_int t.n))) in
     let rank = Stdlib.min rank t.n in
-    if rank <= t.zero then Stdlib.min t.lo 0.
+    if rank <= t.zero then Stdlib.min t.s.lo 0.
     else begin
-      let cum = ref t.zero and result = ref t.hi in
-      (try
-         List.iter
-           (fun (i, c) ->
-             cum := !cum + c;
-             if !cum >= rank then begin
-               result := estimate t i;
-               raise Exit
-             end)
-           (buckets t)
-       with Exit -> ());
+      let cum = ref t.zero and j = ref 0 in
+      while !cum + t.counts.(!j) < rank do
+        cum := !cum + t.counts.(!j);
+        incr j
+      done;
       (* The estimate is already within α of the true value; clamping to
          the exact observed range only ever tightens it. *)
-      Stdlib.min t.hi (Stdlib.max t.lo !result)
+      Stdlib.min t.s.hi (Stdlib.max t.s.lo (estimate t (t.base + !j)))
     end
   end
 
-let copy t =
-  let buckets = Hashtbl.create (Stdlib.max 16 (Hashtbl.length t.buckets)) in
-  Hashtbl.iter (fun i r -> Hashtbl.replace buckets i (ref !r)) t.buckets;
-  { t with buckets }
+let copy t = { t with counts = Array.copy t.counts; s = { t.s with sum = t.s.sum } }
 
 let same_accuracy op a b =
   if a.alpha <> b.alpha then
@@ -106,19 +121,14 @@ let same_accuracy op a b =
 let merge a b =
   same_accuracy "merge" a b;
   let r = copy a in
-  Hashtbl.iter (fun i c -> bump r.buckets i !c) b.buckets;
+  ignore (fold_buckets b (fun i c () -> bump r i c) ());
   r.zero <- a.zero + b.zero;
   r.n <- a.n + b.n;
-  r.sum <- a.sum +. b.sum;
-  (if b.n > 0 then
-     if a.n = 0 then begin
-       r.lo <- b.lo;
-       r.hi <- b.hi
-     end
-     else begin
-       r.lo <- Stdlib.min a.lo b.lo;
-       r.hi <- Stdlib.max a.hi b.hi
-     end);
+  r.s.sum <- a.s.sum +. b.s.sum;
+  if b.n > 0 then begin
+    r.s.lo <- (if a.n = 0 then b.s.lo else Stdlib.min a.s.lo b.s.lo);
+    r.s.hi <- (if a.n = 0 then b.s.hi else Stdlib.max a.s.hi b.s.hi)
+  end;
   r
 
 let diff ~cur ~base =
@@ -127,34 +137,28 @@ let diff ~cur ~base =
   let under i =
     invalid_arg (Printf.sprintf "Bhist.diff: base exceeds cur in bucket %d" i)
   in
-  Hashtbl.iter
-    (fun i c ->
-      let b = match Hashtbl.find_opt base.buckets i with Some r -> !r | None -> 0 in
-      if b > !c then under i;
-      if !c - b > 0 then Hashtbl.replace r.buckets i (ref (!c - b)))
-    cur.buckets;
-  Hashtbl.iter
-    (fun i c -> if !c > 0 && not (Hashtbl.mem cur.buckets i) then under i)
-    base.buckets;
+  let at h i = if i >= h.base && i < h.base + Array.length h.counts then h.counts.(i - h.base) else 0 in
+  ignore (fold_buckets base (fun i b () -> if b > at cur i then under i) ());
+  ignore (fold_buckets cur (fun i c () -> if c > at base i then bump r i (c - at base i)) ());
   if base.zero > cur.zero then under 0;
   r.zero <- cur.zero - base.zero;
   r.n <- cur.n - base.n;
   if r.n < 0 then invalid_arg "Bhist.diff: base has more observations than cur";
-  r.sum <- cur.sum -. base.sum;
+  r.s.sum <- cur.s.sum -. base.s.sum;
   (* Window extremes are not recoverable from cumulative state: answer
      bucket-resolution bounds (exact 0/cur.lo for the zero bucket). *)
   if r.n > 0 then begin
     let occupied = buckets r in
     let lo =
-      if r.zero > 0 then Stdlib.min cur.lo 0.
-      else match occupied with (i, _) :: _ -> estimate r i | [] -> cur.lo
+      if r.zero > 0 then Stdlib.min cur.s.lo 0.
+      else match occupied with (i, _) :: _ -> estimate r i | [] -> cur.s.lo
     in
     let hi =
       match List.rev occupied with
-      | (i, _) :: _ -> Stdlib.min cur.hi (bucket_upper r i)
-      | [] -> Stdlib.min cur.hi 0.
+      | (i, _) :: _ -> Stdlib.min cur.s.hi (bucket_upper r i)
+      | [] -> Stdlib.min cur.s.hi 0.
     in
-    r.lo <- lo;
-    r.hi <- Stdlib.max lo hi
+    r.s.lo <- lo;
+    r.s.hi <- Stdlib.max lo hi
   end;
   r

@@ -10,13 +10,18 @@
     [α] of every value the bucket can hold).  For values spanning
     [[vmin, vmax]] (positive) the sketch occupies at most
     [⌈log(vmax/vmin)/log γ⌉ + 1] buckets — e.g. ≈ 2100 buckets across
-    eighteen decades at [α = 0.01] — regardless of sample count.
+    eighteen decades at [α = 0.01] — regardless of sample count.  The
+    buckets are one dense [int array] over the occupied index range,
+    widened (at least doubled) when a value falls outside it, so a warm
+    {!add} allocates nothing; the sum and extremes sit in unboxed float
+    storage.
 
     Count, sum (hence mean), minimum and maximum are tracked exactly.
-    Values ≤ 0 are counted exactly in a dedicated zero bucket; the
-    sketch is intended for non-negative measurements (latencies, sizes),
-    so quantiles falling in the zero bucket answer the exact minimum
-    (0 for all-zero data) rather than a bucket estimate.
+    Values ≤ 0 (and nan or infinite ones) are counted exactly in a
+    dedicated zero bucket; the sketch is intended for non-negative
+    measurements (latencies, sizes), so quantiles falling in the zero
+    bucket answer the exact minimum (0 for all-zero data) rather than a
+    bucket estimate.
 
     Two sketches with the same [α] {!merge} by bucket-wise addition —
     associative and commutative on counts and quantiles — which is what
@@ -35,11 +40,18 @@ val accuracy : t -> float
 val gamma : t -> float
 
 val add : t -> float -> unit
-(** Record one observation.  O(1). *)
+(** Record one observation.  O(1); allocates nothing once the bucket
+    array covers the value. *)
+
+val add_interval : t -> float array -> float array -> int -> unit
+(** [add_interval t starts stops i] is [add t (stops.(i) -. starts.(i))]
+    without boxing the value: the entry for callers that keep intervals
+    in float arrays. *)
 
 val count : t -> int
 val zero_count : t -> int
-(** Observations ≤ 0 (held exactly in the zero bucket). *)
+(** Observations ≤ 0, nan or infinite (held exactly in the zero
+    bucket). *)
 
 val total : t -> float
 (** Exact sum of all observations. *)

@@ -384,6 +384,31 @@ let test_commit_misuse_leaves_no_span () =
   E.commit_prepared db ~gid:"g";
   Alcotest.(check int) "no span open once it commits" 0 (open_spans ())
 
+(* A transaction whose own span has already left a small span table —
+   finished at commit or at a crash, then pushed out by later spans —
+   still reports its own error on its next operation or commit. *)
+let test_errors_after_span_dropped () =
+  let db = E.create ~obs:(Ssi_obs.Obs.create ~span_capacity:4 ()) () in
+  E.create_table db ~name:"kv" ~cols:[ "k"; "v" ] ~key:"k";
+  let committed = E.begin_txn db in
+  put committed 1 "a";
+  E.commit committed;
+  let crashed = E.begin_txn db in
+  put crashed 2 "b";
+  E.simulate_connection_loss db;
+  for k = 3 to 12 do
+    E.with_txn db (fun t -> put t k "c")
+  done;
+  Alcotest.check_raises "op after commit"
+    (Invalid_argument "Engine: transaction already finished") (fun () -> ignore (get committed 1));
+  let transient f =
+    match f () with
+    | _ -> Alcotest.fail "expected a transient fault"
+    | exception E.Error (E.Transient_fault _) -> ()
+  in
+  transient (fun () -> ignore (get crashed 2));
+  transient (fun () -> E.commit crashed)
+
 let () =
   Alcotest.run "engine"
     [
@@ -427,5 +452,7 @@ let () =
           Alcotest.test_case "finished rejected" `Quick test_finished_txn_rejected;
           Alcotest.test_case "commit misuse leaves no span" `Quick
             test_commit_misuse_leaves_no_span;
+          Alcotest.test_case "errors after the span table wrapped" `Quick
+            test_errors_after_span_dropped;
         ] );
     ]

@@ -633,6 +633,385 @@ let test_watchdog_rate_and_gauge_rules () =
   step ~aborts:0 ~lag_v:0.;
   Alcotest.(check (list string)) "all clear re-arms" [] (Watchdog.active w)
 
+(* ---- The span store ---------------------------------------------------------- *)
+
+let occurrences ~needle hay =
+  let n = String.length needle in
+  let rec go i acc =
+    if i + n > String.length hay then acc
+    else go (i + 1) (if String.sub hay i n = needle then acc + 1 else acc)
+  in
+  go 0 0
+
+(* A transaction's root span stays open while far more finished children
+   than the table holds pass through it: finishing them recycles their
+   slots, never the open root's. *)
+let test_root_outlives_table () =
+  let obs = Obs.create ~span_capacity:8 () in
+  let root = Obs.Span.start obs ~attrs:[ ("xid", Obs.I 7) ] "txn" in
+  Obs.Span.add root "iso" (Obs.S "serializable");
+  let ctx = Obs.Span.ctx root in
+  for i = 1 to 50 do
+    let sp = Obs.Span.child obs ctx "op.read" in
+    Obs.Span.add sp "i" (Obs.I i);
+    Obs.Span.finish obs sp
+  done;
+  Alcotest.(check bool) "root still open" true (Obs.Span.is_open root);
+  Alcotest.(check bool) "same ctx" true (Obs.Span.ctx root = ctx);
+  Alcotest.(check bool) "attributes kept" true
+    (Obs.Span.attrs root = [ ("xid", Obs.I 7); ("iso", Obs.S "serializable") ]);
+  Alcotest.(check (list int)) "the one open span" [ ctx.Obs.span_id ]
+    (List.map Obs.Span.id (Obs.Spans.open_spans obs));
+  Alcotest.(check int) "children beyond the table dropped" 42 (Obs.Spans.dropped obs);
+  Obs.Span.finish obs root;
+  Alcotest.(check int) "root dropped nothing it held" 43 (Obs.Spans.dropped obs);
+  Alcotest.(check (list string)) "newest eight retained, in creation order"
+    ("txn" :: List.init 7 (fun _ -> "op.read"))
+    (List.map Obs.Span.name (Obs.Spans.finished obs));
+  let json = Obs.Spans.to_chrome_json obs in
+  Alcotest.(check int) "root exported once" 1 (occurrences ~needle:{|"name":"txn"|} json);
+  Alcotest.(check int) "complete" 0 (occurrences ~needle:"incomplete" json)
+
+(* A handle kept past its span's drop is stale once the slot is reused:
+   every accessor refuses it and finishing it touches nothing. *)
+let test_stale_handle () =
+  let obs = Obs.create ~span_capacity:2 () in
+  let old = Obs.Span.start obs ~attrs:[ ("k", Obs.I 1) ] "old" in
+  Obs.Span.finish obs old;
+  for _ = 1 to 2 do
+    Obs.Span.finish obs (Obs.Span.start obs "filler")
+  done;
+  let fresh = List.init 3 (fun i -> Obs.Span.start obs (Printf.sprintf "fresh%d" i)) in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s answered through a stale handle" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "ctx" (fun () -> ignore (Obs.Span.ctx old));
+  refused "name" (fun () -> ignore (Obs.Span.name old));
+  refused "trace_id" (fun () -> ignore (Obs.Span.trace_id old));
+  refused "id" (fun () -> ignore (Obs.Span.id old));
+  refused "parent" (fun () -> ignore (Obs.Span.parent old));
+  refused "start_ts" (fun () -> ignore (Obs.Span.start_ts old));
+  refused "end_ts" (fun () -> ignore (Obs.Span.end_ts old));
+  refused "is_open" (fun () -> ignore (Obs.Span.is_open old));
+  refused "attrs" (fun () -> ignore (Obs.Span.attrs old));
+  refused "add" (fun () -> Obs.Span.add old "k" (Obs.I 2));
+  refused "start ~parent" (fun () -> ignore (Obs.Span.start obs ~parent:old "c"));
+  refused "trace ~span" (fun () -> Obs.trace obs ~span:old "e");
+  Obs.Span.finish obs old;
+  Alcotest.(check (list string)) "fresh spans untouched" [ "fresh0"; "fresh1"; "fresh2" ]
+    (List.map Obs.Span.name (Obs.Spans.open_spans obs));
+  Alcotest.(check bool) "and open" true (List.for_all Obs.Span.is_open fresh);
+  Alcotest.(check bool) "no attribute leaked" true
+    (List.for_all (fun sp -> Obs.Span.attrs sp = []) fresh);
+  Alcotest.(check int) "finish of a stale handle drops nothing" 1 (Obs.Spans.dropped obs);
+  Alcotest.(check int) "nor retains anything" 2 (List.length (Obs.Spans.finished obs))
+
+(* The engine's op latency is the op span's own interval, observed when
+   the span closes and only then. *)
+let test_finish_observe () =
+  let obs = Obs.create () in
+  let now = ref 0. in
+  Obs.set_clock obs (fun () ->
+      now := !now +. 0.25;
+      !now);
+  let h = Obs.histogram obs "engine.latency.read" in
+  let sp = Obs.Span.child obs (Obs.Span.ctx (Obs.Span.start obs "txn")) "op.read" in
+  Obs.Span.finish_observe obs sp h;
+  Obs.Span.finish_observe obs sp h;
+  let hist = Obs.histogram_hist h in
+  Alcotest.(check int) "observed once" 1 (Bhist.count hist);
+  Alcotest.(check (float 0.)) "end minus start" (Obs.Span.end_ts sp -. Obs.Span.start_ts sp)
+    (Bhist.total hist);
+  Alcotest.(check (float 0.)) "one clock step" 0.25 (Bhist.total hist)
+
+(* A list-based reference for the span store: every span ever started,
+   the finish order, and the same rendering as the Chrome export. *)
+type ref_span = {
+  r_id : int;
+  r_trace : int;
+  r_parent : int option;
+  r_name : string;
+  r_start : float;
+  mutable r_end : float;
+  mutable r_attrs : (string * Obs.field) list;  (* newest first *)
+  handle : Obs.span;
+}
+
+type span_op =
+  | Root of string * (string * int) list
+  | Child of int * string
+  | Remote of int * int * string
+  | Add of int * string * int
+  | Finish of int
+  | Event of int
+  | Finish_dropped of int
+
+let span_op_gen =
+  QCheck.Gen.(
+    let name = oneofl [ "txn"; "op.read"; "net.msg"; "n\"q" ] in
+    let key = oneofl [ "a"; "b"; "c" ] in
+    frequency
+      [
+        (2, map2 (fun n a -> Root (n, a)) name (list_size (int_range 0 2) (pair key small_nat)));
+        (4, map2 (fun k n -> Child (k, n)) small_nat name);
+        (1, map3 (fun tr id n -> Remote (tr, id, n)) small_nat small_nat name);
+        (3, map3 (fun k key v -> Add (k, key, v)) small_nat key small_nat);
+        (5, map (fun k -> Finish k) small_nat);
+        (1, map (fun k -> Event k) small_nat);
+        (1, map (fun k -> Finish_dropped k) small_nat);
+      ])
+
+let print_span_op = function
+  | Root (n, a) -> Printf.sprintf "Root(%S,%d attrs)" n (List.length a)
+  | Child (k, n) -> Printf.sprintf "Child(%d,%S)" k n
+  | Remote (tr, id, n) -> Printf.sprintf "Remote(%d,%d,%S)" tr id n
+  | Add (k, key, v) -> Printf.sprintf "Add(%d,%s,%d)" k key v
+  | Finish k -> Printf.sprintf "Finish(%d)" k
+  | Event k -> Printf.sprintf "Event(%d)" k
+  | Finish_dropped k -> Printf.sprintf "Finish_dropped(%d)" k
+
+let ref_field = function
+  | Obs.I n -> string_of_int n
+  | F x -> Obs.json_float x
+  | S s -> "\"" ^ Obs.json_escape s ^ "\""
+  | B b -> string_of_bool b
+
+let ref_chrome ~now spans events =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  let first = ref true in
+  let item s =
+    if !first then first := false else Buffer.add_char buf ',';
+    Buffer.add_string buf ("\n" ^ s)
+  in
+  let attrs l = String.concat "" (List.map (fun (k, v) -> Printf.sprintf ",%S:%s" k (ref_field v)) l) in
+  List.iter
+    (fun r ->
+      let open_ = Float.is_nan r.r_end in
+      let dur = Float.max 0. ((if open_ then now else r.r_end) -. r.r_start) in
+      item
+        (Printf.sprintf
+           {|{"name":"%s","cat":"span","ph":"X","ts":%s,"dur":%s,"pid":1,"tid":%d,"args":{"trace_id":%d,"span_id":%d%s%s%s}}|}
+           (Obs.json_escape r.r_name) (Obs.json_float (r.r_start *. 1e6)) (Obs.json_float (dur *. 1e6))
+           r.r_trace r.r_trace r.r_id
+           (match r.r_parent with Some p -> Printf.sprintf {|,"parent_id":%d|} p | None -> "")
+           (if open_ then {|,"incomplete":true|} else "")
+           (attrs (List.rev r.r_attrs)));
+      List.iter
+        (fun (e : Obs.event) ->
+          if List.nth_opt e.fields 0 = Some ("span", Obs.I r.r_id) then
+            item
+              (Printf.sprintf {|{"name":"%s","ph":"i","s":"t","ts":%s,"pid":1,"tid":%d,"args":{"seq":%d%s}}|}
+                 (Obs.json_escape e.name) (Obs.json_float (e.ts *. 1e6)) r.r_trace e.seq (attrs e.fields)))
+        events)
+    spans;
+  Buffer.add_string buf "\n]}\n";
+  Buffer.contents buf
+
+let prop_span_store =
+  QCheck.Test.make ~name:"span store = list reference" ~count:500
+    QCheck.(pair (int_range 1 5) (make ~print:Print.(list print_span_op) Gen.(list_size (int_range 0 80) span_op_gen)))
+    (fun (cap, ops) ->
+      let obs = Obs.create ~span_capacity:cap () in
+      let now = ref 0. in
+      Obs.set_clock obs (fun () -> !now);
+      let spans = ref [] and finished = ref [] and next_trace = ref 0 and next_id = ref 0 in
+      let live () =
+        let kept = List.filteri (fun i _ -> i < cap) !finished in
+        List.filter (fun r -> Float.is_nan r.r_end || List.memq r kept) (List.rev !spans)
+      in
+      let dropped () = List.filter (fun r -> not (List.memq r (live ()))) (List.rev !spans) in
+      let nth l k = match l with [] -> None | l -> Some (List.nth l (k mod List.length l)) in
+      let start ~trace ~parent name attrs h =
+        let r =
+          { r_id = !next_id; r_trace = trace; r_parent = parent; r_name = name; r_start = !now;
+            r_end = nan; r_attrs = List.rev attrs; handle = h }
+        in
+        incr next_id;
+        spans := r :: !spans
+      in
+      List.iter
+        (fun op ->
+          now := !now +. 0.25;
+          match op with
+          | Root (name, attrs) ->
+              let attrs = List.map (fun (k, v) -> (k, Obs.I v)) attrs in
+              let h = Obs.Span.start obs ~attrs name in
+              start ~trace:!next_trace ~parent:None name attrs h;
+              incr next_trace
+          | Child (k, name) -> (
+              match nth (live ()) k with
+              | Some p -> start ~trace:p.r_trace ~parent:(Some p.r_id) name [] (Obs.Span.start obs ~parent:p.handle name)
+              | None -> ())
+          | Remote (trace_id, span_id, name) ->
+              let h = Obs.Span.child obs { Obs.trace_id; span_id } name in
+              start ~trace:trace_id ~parent:(Some span_id) name [] h
+          | Add (k, key, v) -> (
+              match nth (live ()) k with
+              | Some r ->
+                  Obs.Span.add r.handle key (Obs.I v);
+                  r.r_attrs <- (key, Obs.I v) :: List.remove_assoc key r.r_attrs
+              | None -> ())
+          | Finish k -> (
+              match nth (live ()) k with
+              | Some r ->
+                  Obs.Span.finish obs r.handle;
+                  if Float.is_nan r.r_end then begin
+                    r.r_end <- !now;
+                    finished := r :: !finished
+                  end
+              | None -> ())
+          | Event k -> (
+              match nth (live ()) k with
+              | Some r -> Obs.trace obs ~span:r.handle ~fields:[ ("k", Obs.I k) ] "ev"
+              | None -> ())
+          | Finish_dropped k -> (
+              match nth (dropped ()) k with Some r -> Obs.Span.finish obs r.handle | None -> ()))
+        ops;
+      let describe sp =
+        ( (Obs.Span.id sp, Obs.Span.trace_id sp, Obs.Span.parent sp, Obs.Span.name sp),
+          (Obs.Span.start_ts sp, Obs.Span.end_ts sp, Obs.Span.is_open sp, Obs.Span.attrs sp) )
+      in
+      let expect r =
+        ( (r.r_id, r.r_trace, r.r_parent, r.r_name),
+          (r.r_start, r.r_end, Float.is_nan r.r_end, List.rev r.r_attrs) )
+      in
+      let retained = List.filter (fun r -> not (Float.is_nan r.r_end)) (live ()) in
+      let opened = List.filter (fun r -> Float.is_nan r.r_end) (live ()) in
+      compare (List.map describe (Obs.Spans.finished obs)) (List.map expect retained) = 0
+      && compare (List.map describe (Obs.Spans.open_spans obs)) (List.map expect opened) = 0
+      && Obs.Spans.dropped obs = Stdlib.max 0 (List.length !finished - cap)
+      && Obs.Spans.to_chrome_json obs = ref_chrome ~now:!now (live ()) (Obs.events obs))
+
+(* ---- The dense histogram against the Hashtbl layout --------------------------- *)
+
+(* The sketch as it was laid out before its buckets became a dense
+   array: a Hashtbl from bucket index to count. *)
+module Ref_hist = struct
+  type t = {
+    log_gamma : float;
+    gamma : float;
+    buckets : (int, int) Hashtbl.t;
+    mutable zero : int;
+    mutable n : int;
+    mutable sum : float;
+    mutable lo : float;
+    mutable hi : float;
+  }
+
+  let create () =
+    let gamma = 1.01 /. 0.99 in
+    { log_gamma = log gamma; gamma; buckets = Hashtbl.create 16; zero = 0; n = 0; sum = 0.; lo = nan; hi = nan }
+
+  let bump t i by = Hashtbl.replace t.buckets i (by + Option.value ~default:0 (Hashtbl.find_opt t.buckets i))
+
+  let add t v =
+    t.n <- t.n + 1;
+    t.sum <- t.sum +. v;
+    if t.n = 1 then (t.lo <- v; t.hi <- v)
+    else (if v < t.lo then t.lo <- v; if v > t.hi then t.hi <- v);
+    if v <= 0. then t.zero <- t.zero + 1 else bump t (int_of_float (Float.ceil (log v /. t.log_gamma))) 1
+
+  let estimate t i = 2. *. exp (float_of_int i *. t.log_gamma) /. (t.gamma +. 1.)
+
+  let buckets t =
+    List.sort compare (List.filter (fun (_, c) -> c > 0) (List.of_seq (Hashtbl.to_seq t.buckets)))
+
+  let percentile t p =
+    if t.n = 0 then nan
+    else
+      let rank = Stdlib.min t.n (Stdlib.max 1 (int_of_float (Float.ceil (p *. float_of_int t.n)))) in
+      if rank <= t.zero then Float.min t.lo 0.
+      else
+        let rec go cum = function
+          | (i, c) :: rest -> if cum + c >= rank then estimate t i else go (cum + c) rest
+          | [] -> t.hi
+        in
+        Stdlib.min t.hi (Stdlib.max t.lo (go t.zero (buckets t)))
+
+  let copy t = { t with buckets = Hashtbl.copy t.buckets }
+
+  let merge a b =
+    let r = copy a in
+    Hashtbl.iter (fun i c -> bump r i c) b.buckets;
+    r.zero <- a.zero + b.zero;
+    r.n <- a.n + b.n;
+    r.sum <- a.sum +. b.sum;
+    if b.n > 0 then
+      if a.n = 0 then (r.lo <- b.lo; r.hi <- b.hi)
+      else (r.lo <- Stdlib.min a.lo b.lo; r.hi <- Stdlib.max a.hi b.hi);
+    r
+
+  let diff ~cur ~base =
+    let r = create () in
+    Hashtbl.iter
+      (fun i c ->
+        let b = Option.value ~default:0 (Hashtbl.find_opt base.buckets i) in
+        if c - b > 0 then Hashtbl.replace r.buckets i (c - b))
+      cur.buckets;
+    r.zero <- cur.zero - base.zero;
+    r.n <- cur.n - base.n;
+    r.sum <- cur.sum -. base.sum;
+    if r.n > 0 then begin
+      let occupied = buckets r in
+      let lo =
+        if r.zero > 0 then Stdlib.min cur.lo 0.
+        else match occupied with (i, _) :: _ -> estimate r i | [] -> cur.lo
+      in
+      let hi =
+        match List.rev occupied with
+        | (i, _) :: _ -> Stdlib.min cur.hi (exp (float_of_int i *. r.log_gamma))
+        | [] -> Stdlib.min cur.hi 0.
+      in
+      r.lo <- lo;
+      r.hi <- Stdlib.max lo hi
+    end;
+    r
+end
+
+let hist_values =
+  QCheck.(
+    list_of_size
+      Gen.(int_range 0 300)
+      (make ~print:string_of_float
+         Gen.(
+           frequency
+             [
+               (1, return 0.);
+               (1, map (fun x -> -.x) (float_range 0. 10.));
+               (8, map (fun e -> 10. ** e) (float_range (-9.) 3.));
+             ])))
+
+let same_view h r =
+  let ps = [ 0.; 0.5; 0.95; 0.99; 1. ] in
+  compare
+    ( (Bhist.count h, Bhist.total h, Bhist.min_value h, Bhist.max_value h),
+      (Bhist.buckets h, List.map (Bhist.percentile h) ps) )
+    ( (r.Ref_hist.n, r.sum, r.lo, r.hi),
+      (Ref_hist.buckets r, List.map (Ref_hist.percentile r) ps) )
+  = 0
+
+let prop_dense_hist =
+  QCheck.Test.make ~name:"dense Bhist = Hashtbl reference" ~count:500
+    QCheck.(pair hist_values hist_values)
+    (fun (xs, ys) ->
+      let obs = Obs.create () in
+      let h = Obs.histogram obs "x.latency" and a = Bhist.create () and b = Bhist.create () in
+      let ra = Ref_hist.create () and rb = Ref_hist.create () and rh = Ref_hist.create () in
+      List.iter (fun x -> Bhist.add a x; Ref_hist.add ra x; Obs.observe h x; Ref_hist.add rh x) xs;
+      let base = Bhist.copy a and rbase = Ref_hist.copy ra in
+      let snap = Obs.snap obs in
+      List.iter (fun y -> Bhist.add b y; Ref_hist.add rb y; Obs.observe h y; Ref_hist.add rh y) ys;
+      List.iter (Bhist.add a) ys;
+      List.iter (Ref_hist.add ra) ys;
+      same_view a ra && same_view base rbase
+      && same_view (Bhist.merge base b) (Ref_hist.merge rbase rb)
+      && same_view (Bhist.diff ~cur:a ~base) (Ref_hist.diff ~cur:ra ~base:rbase)
+      && same_view (Obs.delta_hist obs snap "x.latency") (Ref_hist.diff ~cur:rh ~base:rbase)
+      && same_view (Obs.histogram_hist h) rh)
+
 let () =
   Alcotest.run "obs"
     [
@@ -673,6 +1052,15 @@ let () =
           Alcotest.test_case "merge laws" `Quick test_merge_laws;
           Alcotest.test_case "diff inverts merge" `Quick test_diff_inverts_merge;
         ] );
+      ( "span store",
+        [
+          Alcotest.test_case "open root outlives the table" `Quick test_root_outlives_table;
+          Alcotest.test_case "stale handle" `Quick test_stale_handle;
+          Alcotest.test_case "finish_observe" `Quick test_finish_observe;
+          QCheck_alcotest.to_alcotest prop_span_store;
+        ] );
+      ( "dense histogram",
+        [ QCheck_alcotest.to_alcotest prop_dense_hist ] );
       ( "scrape",
         [
           Alcotest.test_case "windows and ring wrap" `Quick

@@ -17,9 +17,10 @@
      across runs on the virtual clock;
    - a budgeted deep-savepoint test that fails if rollback cost returns
      to quadratic in the undo-log length;
-   - allocation budgets for the tracked index scan and the write path
+   - allocation budgets for the tracked index scan, the write path
      (WAL append, the write-side SIREAD lookup, the own-lock release, a
-     tracked update), each a little above what the code allocates. *)
+     tracked update) and telemetry (spans, histogram observations, an
+     untracked read), each a little above what the code allocates. *)
 
 open Ssi_storage
 open Ssi_workload
@@ -300,18 +301,19 @@ let test_deep_savepoint_rollback_linear () =
 
 (* A serializable (SIREAD-tracked) index scan allocates the rows it
    returns — each row's copy and the list cell that carries it — plus a
-   constant per call: the operation's span and the B+-tree walk's cursor.
+   constant per call, most of it the B+-tree walk's cursor (the
+   operation's span allocates nothing).
    Its per-row bookkeeping (the version lookup, the visibility walk, the
    page-batched SIREAD acquisition and the result buffer) and its
    callbacks reuse the engine's scan state.  The scan is measured warm:
    the same 50-row range again in the same transaction, whose locks are
    held, so lock-table growth is not counted.  [slack] is the per-call
-   constant (66 words) with headroom short of 50 words, so one word more
+   constant (35 words) with headroom short of 50 words, so one word more
    per row exceeds it.  With [deleted], a committed transaction deleted
    the range first: the scan returns nothing and reports each deletion it
    saw to the certifier through a chain walk that allocates nothing. *)
 let test_tracked_scan_allocation ~deleted () =
-  let nrows = 50 and width = 2 and slack = 90. in
+  let nrows = 50 and width = 2 and slack = 60. in
   let db = E.create () in
   E.create_table db ~name:"t" ~cols:[ "k"; "v" ] ~key:"k";
   E.with_txn ~isolation:E.Read_committed db (fun t ->
@@ -458,7 +460,86 @@ let test_update_allocation () =
            words_of (fun () -> ignore (E.update txn ~table:"t" ~key:(vi (16 + i)) ~f:bump))))
   in
   E.commit txn;
-  within "tracked update" ~budget:235. words
+  within "tracked update" ~budget:195. words
+
+(* ---- Telemetry allocates nothing ---------------------------------------------- *)
+
+module Obs = Ssi_obs.Obs
+
+(* A registry whose span store has reached its steady state: more spans
+   finished than its table retains, so each finish drops the oldest and
+   frees its slot for the next start. *)
+let warm_registry () =
+  let obs = Obs.create ~span_capacity:64 () in
+  for _ = 1 to 200 do
+    Obs.Span.finish obs (Obs.Span.start obs "warmup")
+  done;
+  obs
+
+let spans_words f = median (List.init 32 (fun _ -> words_of f))
+
+(* An engine operation's child span, opened through the hot-path entry
+   (no [Some parent] to box) and finished. *)
+let test_child_span_allocation () =
+  let obs = warm_registry () in
+  let root = Obs.Span.start obs "txn" in
+  let ctx = Obs.Span.ctx root in
+  within "child span start/finish" ~budget:0.
+    (spans_words (fun () -> Obs.Span.finish obs (Obs.Span.child obs ctx "op.read")));
+  Alcotest.(check bool) "root still open" true (Obs.Span.is_open root)
+
+let test_root_span_allocation () =
+  let obs = warm_registry () in
+  within "root span start/finish" ~budget:0.
+    (spans_words (fun () -> Obs.Span.finish obs (Obs.Span.start obs "txn")))
+
+(* [observe] of a float the caller already holds boxed. *)
+let test_observe_allocation () =
+  let obs = Obs.create () in
+  let h = Obs.histogram obs "engine.latency.read" in
+  let x = Sys.opaque_identity 1.5e-4 in
+  Obs.observe h x;
+  within "observe" ~budget:0. (spans_words (fun () -> Obs.observe h x));
+  Alcotest.(check int) "every observation counted" 33 (Ssi_util.Bhist.count (Obs.histogram_hist h))
+
+(* The engine's per-operation close: finish the op span and observe its
+   duration into the latency histogram. *)
+let test_op_finish_allocation () =
+  let obs = warm_registry () in
+  let h = Obs.histogram obs "engine.latency.read" in
+  let ctx = Obs.Span.ctx (Obs.Span.start obs "txn") in
+  Obs.Span.finish_observe obs (Obs.Span.child obs ctx "op.read") h;
+  let words =
+    spans_words (fun () ->
+        let sp = Obs.Span.child obs ctx "op.read" in
+        Obs.Span.finish_observe obs sp h)
+  in
+  within "op finish-and-observe" ~budget:0. words;
+  Alcotest.(check int) "one observation per op" 33 (Ssi_util.Bhist.count (Obs.histogram_hist h))
+
+(* A warm snapshot-isolation point read of a present row: no SIREAD
+   lock, no span or histogram allocation.  What is left is the read
+   itself — the returned row's copy and its option — and the lookup's
+   B+-tree and visibility walk. *)
+let test_untracked_read_allocation () =
+  let db = E.create () in
+  E.create_table db ~name:"t" ~cols:[ "k"; "v" ] ~key:"k";
+  E.with_txn db (fun t ->
+      for k = 0 to 99 do
+        E.insert t ~table:"t" [| vi k; vi (-k) |]
+      done);
+  let txn = E.begin_txn ~isolation:E.Repeatable_read db in
+  for k = 0 to 99 do
+    ignore (E.read txn ~table:"t" ~key:(vi k))
+  done;
+  let words =
+    median
+      (List.init 32 (fun i ->
+           let key = vi (i + 10) in
+           words_of (fun () -> ignore (Sys.opaque_identity (E.read txn ~table:"t" ~key)))))
+  in
+  E.commit txn;
+  within "untracked read" ~budget:26. words
 
 (* ---- A cold tracked scan grants its page lock directly ------------------------ *)
 
@@ -468,10 +549,10 @@ let test_update_allocation () =
    the 4 tuple locks a page may hold, the heap page.  The batch grants
    the page lock directly; granting 5 tuple locks first and dropping
    them again at the promotion cost 140 words more.  [slack] is the
-   measured constant (213 words: the warm scan's 66, the index-leaf and
+   measured constant (182 words: the warm scan's 35, the index-leaf and
    heap-page lock grants) with headroom short of 50. *)
 let test_cold_scan_allocation () =
-  let nrows = 50 and width = 2 and slack = 250. in
+  let nrows = 50 and width = 2 and slack = 210. in
   let db = E.create () in
   E.create_table db ~name:"t" ~cols:[ "k"; "v" ] ~key:"k";
   E.with_txn ~isolation:E.Read_committed db (fun t ->
@@ -519,6 +600,15 @@ let () =
             (test_tracked_scan_allocation ~deleted:true);
           Alcotest.test_case "cold tracked scan grants its page lock directly" `Quick
             test_cold_scan_allocation;
+        ] );
+      ( "telemetry",
+        [
+          Alcotest.test_case "child span through the hot-path entry" `Quick
+            test_child_span_allocation;
+          Alcotest.test_case "root span without attributes" `Quick test_root_span_allocation;
+          Alcotest.test_case "observe of a boxed float" `Quick test_observe_allocation;
+          Alcotest.test_case "op span finish-and-observe" `Quick test_op_finish_allocation;
+          Alcotest.test_case "warm untracked point read" `Quick test_untracked_read_allocation;
         ] );
       ( "write path",
         [
