@@ -44,16 +44,6 @@ let zero_costs =
     io_commit = 0.;
   }
 
-type commit_record = {
-  wal_xid : Heap.xid;
-  wal_cseq : int;
-  wal_ops : Wal.op list;
-  wal_safe_point : bool;
-  wal_span : Obs.span_ctx option;
-      (** trace context of the origin commit span, so a replica's apply
-          span can be parented across the network *)
-}
-
 type config = {
   certifier : Certifier.config;
   tuples_per_page : int;
@@ -131,14 +121,17 @@ type t = {
   cfg : config;
   obs : Obs.t;
   metrics : metrics;
-  mutable on_commit : (commit_record -> unit) list;  (** registration order *)
+  mutable on_log : (Wal.record -> Obs.span_ctx option -> unit) list;  (** registration order *)
   mutable on_wait : waiter:Heap.xid -> holder:Heap.xid -> unit;
   mutable commit_gate : (unit -> unit) option;
-  mutable commit_wait : (commit_record -> unit) option;
+  mutable commit_wait : (int -> unit) option;
   mutable fault_injector : (op:string -> unit) option;
   mutable wal_device : Wal.t option;  (** the durable log, when attached *)
   mutable scan : scan option;  (** made by the first index scan that cannot suspend *)
   mutable recorder : recorder option;
+  mutable unsafe_tail : (Heap.xid * undo_entry list) list;
+      (** commits {!redo}ne since the last safe-point commit, newest first,
+          with the undo entries that take each back *)
 }
 
 (* The state of an index scan that cannot suspend ({!index_scan_mvcc}).
@@ -249,16 +242,17 @@ let create ?(scheduler = Waitq.direct) ?(config = default_config) ?obs () =
         h_commit = Obs.histogram obs "engine.latency.commit";
         g_active = Obs.gauge obs "engine.active_txns";
       };
-    on_commit = [];
+    on_log = [];
     on_wait = (fun ~waiter:_ ~holder:_ -> ());
     commit_gate = None;
     commit_wait = None;
     fault_injector = None;
     wal_device = None;
     recorder = None;
+    unsafe_tail = [];
   }
 
-let set_on_commit t f = t.on_commit <- t.on_commit @ [ f ]
+let set_on_log t f = t.on_log <- t.on_log @ [ f ]
 let set_on_wait t f = t.on_wait <- f
 
 let attach_wal t w =
@@ -312,6 +306,7 @@ let fault_point db ~op =
 let obs t = t.obs
 let certifier t = t.cert
 let certifier_kind t = t.cfg.certifier.kind
+let config t = t.cfg
 let predicate_locks t = t.predlocks
 
 let active_transactions t = Hashtbl.length t.active
@@ -352,6 +347,11 @@ let log db record ~sync =
       let lsn = Wal.append w record in
       match sync with `Flush -> Wal.flush w | `Wait -> Wal.wait_durable w db.sched lsn)
 
+(* DDL reaches the log hooks too, in log order with the commits. *)
+let log_ddl db record =
+  log db record ~sync:`Flush;
+  List.iter (fun hook -> hook record None) db.on_log
+
 (* ---- Schema --------------------------------------------------------------- *)
 
 let table_of db name =
@@ -391,7 +391,7 @@ let create_table db ~name ~cols ~key =
   hook_split db pk_index;
   Hashtbl.add db.tables name tbl;
   Hashtbl.add db.idx_by_name pk_name pk_index;
-  log db (Wal.Schema { d_name = name; d_cols = cols; d_key = key }) ~sync:`Flush
+  log_ddl db (Wal.Schema { d_name = name; d_cols = cols; d_key = key })
 
 let create_index db ~table ~name ~column ?(predicate_locks = true) ?next_key_gaps () =
   let tbl = table_of db table in
@@ -419,7 +419,7 @@ let create_index db ~table ~name ~column ?(predicate_locks = true) ?next_key_gap
         (Heap.versions head));
   tbl.secondary <- index :: tbl.secondary;
   Hashtbl.add db.idx_by_name name index;
-  log db ~sync:`Flush
+  log_ddl db
     (Wal.Index
        {
          table;
@@ -564,6 +564,15 @@ let begin_txn ?(isolation = Serializable) ?(read_only = false) ?(deferrable = fa
 let begin_txn ?isolation ?read_only ?deferrable ?span db =
   Obs.incr db.metrics.m_begins;
   begin_txn ?isolation ?read_only ?deferrable ?span db
+
+(* A standby's read at [horizon], owned by [xid], an id no clog hands
+   out: a primary commit redone later never counts as its own write. *)
+let begin_snapshot db ~xid ~horizon =
+  if xid >= 0 then invalid_arg "Engine.begin_snapshot: the owner xid must be negative";
+  Clog.install db.clog xid Clog.In_progress;
+  Obs.incr db.metrics.m_begins;
+  let snapshot = { Snapshot.owner = xid; horizon } in
+  make_txn db ~iso:Repeatable_read ~ro:true ~xid ~snapshot ~sxact:No_sx ~span:None
 
 (* SIREAD locks and the certifier's evidence hooks are live only while the
    transaction is tracked: plain snapshot-isolation transactions and
@@ -1186,7 +1195,7 @@ let index_keys tbl row = List.map (fun idx -> (idx.idx_name, row.(idx.col))) (al
 
 (* Stored rows are never mutated.  A heap version's row array is shared
    with the transaction's redo op, the commit record handed to the log and
-   the commit hooks, and the replicas that apply it, so every way out
+   the log hooks, and the replicas that apply it, so every way out
    copies instead: [read], the scans and [update]'s [f] get copies, and
    replay and recovery copy the logged row on insert.  [insert] copies the
    caller's row once, [update] stores the row [f] returned. *)
@@ -1452,14 +1461,14 @@ let abort txn =
     Obs.trace db.obs "txn.abort" ~fields:[ ("xid", Obs.I txn.txn_xid) ]
   end
 
-(* Hand the commit at [cseq] to the durable log and the commit hooks, then
+(* Hand the commit at [cseq] to the durable log and the log hooks, then
    hold the acknowledgment until it is durable and replicated.  Called with
    no suspension point since [Clog.commit], so the log's append order IS
    cseq order — the foundation of the recovery prefix invariant.  Every
    commit is logged, including read-only/empty ones: replicas and recovery
    both rely on a dense cseq sequence. *)
 let publish_commit db txn cseq ~cspan ~gid =
-  let device = db.wal_device and hooks = db.on_commit in
+  let device = db.wal_device and hooks = db.on_log in
   let safe =
     match (device, hooks) with
     | None, [] -> false
@@ -1472,22 +1481,15 @@ let publish_commit db txn cseq ~cspan ~gid =
     | None -> 0
     | Some w -> Wal.append_commit w ~xid:txn.txn_xid ~cseq ~gid ~rev_ops:txn.wal ~safe
   in
-  let record =
-    match hooks with
-    | [] -> None
-    | hooks ->
-        let r =
-          {
-            wal_xid = txn.txn_xid;
-            wal_cseq = cseq;
-            wal_ops = List.rev txn.wal;
-            wal_safe_point = safe;
-            wal_span = Some (Obs.Span.ctx cspan);
-          }
-        in
-        List.iter (fun hook -> hook r) hooks;
-        Some r
-  in
+  (match hooks with
+  | [] -> ()
+  | hooks ->
+      let r =
+        Wal.Commit
+          { c_xid = txn.txn_xid; c_cseq = cseq; c_gid = gid; c_ops = List.rev txn.wal; c_safe = safe }
+      in
+      let ctx = Some (Obs.Span.ctx cspan) in
+      List.iter (fun hook -> hook r ctx) hooks);
   charge_io db db.cfg.costs.io_commit;
   (* Group commit: the record is staged; the acknowledgment waits for the
      flush that makes it durable. *)
@@ -1495,7 +1497,7 @@ let publish_commit db txn cseq ~cspan ~gid =
   (* Quorum-synchronous replication: the commit is locally durable and
      visible; the acknowledgment to the client may still be held until
      enough replicas confirm (or the hold deadline passes). *)
-  match (db.commit_wait, record) with Some wait, Some r -> wait r | _ -> ()
+  match (db.commit_wait, hooks) with Some wait, _ :: _ -> wait cseq | _ -> ()
 
 (* Hand the recorder the committed transaction: its reads as issued, and
    one write per row it left changed, from its redo ops (which a rollback
@@ -1575,12 +1577,21 @@ let commit txn =
      raise e);
   commit_point db txn ~cspan ~gid:None
 
+(* A {!begin_snapshot} read ends without a cseq: its entry carries its
+   horizon. *)
+let end_snapshot txn =
+  ensure_running txn;
+  (match txn.db.recorder with
+  | Some r -> record_commit r txn.db txn ~cseq:(snapshot_cseq txn) ~gid:None
+  | None -> ());
+  finish_txn txn
+
 (* Commit latency includes the pre-commit SSI check, the commit-record
    I/O charge, and any WAL-hook work. *)
 let commit txn =
   let db = txn.db in
   let t0 = db.sched.now () in
-  match commit txn with
+  match if txn.txn_xid < 0 then end_snapshot txn else commit txn with
   | () -> Obs.observe db.metrics.h_commit (db.sched.now () -. t0)
   | exception e ->
       Obs.observe db.metrics.h_commit (db.sched.now () -. t0);
@@ -1710,56 +1721,63 @@ let note_epoch db epoch = log db (Wal.Epoch epoch) ~sync:`Flush
    cseq horizon — every commit record after it has a higher cseq, and
    replay needs only the records after it.  The image holds each table's
    rows visible at the horizon plus the prepared-transaction state. *)
+let image db ~prepared =
+  let horizon = Clog.next_cseq db.clog in
+  let snap = { Snapshot.owner = 0; horizon } in
+  (* Both folds below run over hash tables; sort the images (tables by
+     name, prepared transactions by gid) so the checkpoint bytes are a
+     deterministic function of the database state. *)
+  let tables =
+    Hashtbl.fold
+      (fun name tbl acc ->
+        let schema = Heap.schema tbl.heap in
+        let cols = Array.to_list (Schema.columns schema) in
+        let key = (Schema.columns schema).(Schema.key_index schema) in
+        let ki = Schema.key_index schema in
+        let rows =
+          Heap.fold_heads tbl.heap ~init:[] ~f:(fun acc head ->
+              let v = Visibility.find_visible db.clog snap ~skipped:ignore head in
+              if Heap.is_absent v then acc else Array.copy v.Heap.row :: acc)
+          |> List.sort (fun a b -> compare a.(ki) b.(ki))
+        in
+        let indexes =
+          List.rev_map
+            (fun i ->
+              {
+                Wal.i_name = i.idx_name;
+                i_column = (Schema.columns schema).(i.col);
+                i_pred_locks = i.pred_locks;
+                i_next_key = i.next_key;
+              })
+            tbl.secondary
+        in
+        {
+          Wal.s_def = { Wal.d_name = name; d_cols = cols; d_key = key };
+          s_indexes = indexes;
+          s_rows = rows;
+        }
+        :: acc)
+      db.tables []
+    |> List.sort (fun a b -> compare a.Wal.s_def.Wal.d_name b.Wal.s_def.Wal.d_name)
+  in
+  let prepared =
+    if not prepared then []
+    else
+      Hashtbl.fold (fun gid txn acc -> prepared_image_of db txn gid :: acc) db.prepared_by_gid []
+      |> List.sort (fun a b -> compare a.Wal.p_gid b.Wal.p_gid)
+  in
+  Wal.Checkpoint { k_cseq = horizon - 1; k_tables = tables; k_prepared = prepared }
+
 let checkpoint db =
   match db.wal_device with
   | None -> ()
   | Some _ ->
-      let horizon = Clog.next_cseq db.clog in
-      let snap = { Snapshot.owner = 0; horizon } in
-      (* Both folds below run over hash tables; sort the images (tables by
-         name, prepared transactions by gid) so the checkpoint bytes are a
-         deterministic function of the database state. *)
-      let tables =
-        Hashtbl.fold
-          (fun name tbl acc ->
-            let schema = Heap.schema tbl.heap in
-            let cols = Array.to_list (Schema.columns schema) in
-            let key = (Schema.columns schema).(Schema.key_index schema) in
-            let ki = Schema.key_index schema in
-            let rows =
-              Heap.fold_heads tbl.heap ~init:[] ~f:(fun acc head ->
-                  let v = Visibility.find_visible db.clog snap ~skipped:ignore head in
-                  if Heap.is_absent v then acc else Array.copy v.Heap.row :: acc)
-              |> List.sort (fun a b -> compare a.(ki) b.(ki))
-            in
-            let indexes =
-              List.rev_map
-                (fun i ->
-                  {
-                    Wal.i_name = i.idx_name;
-                    i_column = (Schema.columns schema).(i.col);
-                    i_pred_locks = i.pred_locks;
-                    i_next_key = i.next_key;
-                  })
-                tbl.secondary
-            in
-            {
-              Wal.s_def = { Wal.d_name = name; d_cols = cols; d_key = key };
-              s_indexes = indexes;
-              s_rows = rows;
-            }
-            :: acc)
-          db.tables []
-        |> List.sort (fun a b -> compare a.Wal.s_def.Wal.d_name b.Wal.s_def.Wal.d_name)
-      in
-      let prepared =
-        Hashtbl.fold (fun gid txn acc -> prepared_image_of db txn gid :: acc) db.prepared_by_gid []
-        |> List.sort (fun a b -> compare a.Wal.p_gid b.Wal.p_gid)
-      in
-      log db
-        (Wal.Checkpoint { k_cseq = horizon - 1; k_tables = tables; k_prepared = prepared })
-        ~sync:`Flush;
+      log db (image db ~prepared:true) ~sync:`Flush;
       charge_io db db.cfg.costs.io_commit
+
+(* A prepared transaction reaches a standby as its COMMIT PREPARED record,
+   which carries every op: the base backup leaves it out. *)
+let backup db = image db ~prepared:false
 
 (* ---- Cold-start recovery (redo replay) -------------------------------------------- *)
 
@@ -1887,6 +1905,53 @@ let install_checkpoint db ~base_xid ~k_cseq ~k_tables ~k_prepared =
     k_tables;
   List.iter (reinstate_prepared db) k_prepared
 
+(* Redo one log record: recovery's replay step, and how a standby applies
+   its primary's stream.  [base_xid] creates a checkpoint image's rows.
+   Plain commits keep their undo entries until a safe-point commit
+   arrives, so {!rollback_unsafe} can take back the tail past it. *)
+let redo db ~base_xid = function
+  | Wal.Schema d -> replay_table_def db d
+  | Wal.Index { table; def } -> replay_index_def db ~table def
+  | Wal.Prepare img -> reinstate_prepared db img
+  | Wal.Abort { a_gid; a_xid = _ } -> (
+      (* ROLLBACK PREPARED reached the log: the reinstated transaction
+         is rolled back again. *)
+      match Hashtbl.find_opt db.prepared_by_gid a_gid with
+      | Some txn ->
+          txn.prepared_gid <- None;
+          Hashtbl.remove db.prepared_by_gid a_gid;
+          abort txn
+      | None -> ())
+  | Wal.Commit { c_xid; c_cseq; c_gid = Some gid; _ } when Hashtbl.mem db.prepared_by_gid gid ->
+      (* COMMIT PREPARED: the writes were already redone when the
+         Prepare record was reinstated; committing is a status flip. *)
+      let txn = Hashtbl.find db.prepared_by_gid gid in
+      txn.prepared_gid <- None;
+      Hashtbl.remove db.prepared_by_gid gid;
+      Clog.install db.clog c_xid (Clog.Committed c_cseq);
+      (match txn.sxact with
+      | Sx ((module C), c, node) -> C.committed c node ~commit_cseq:c_cseq
+      | No_sx -> ());
+      finish_txn txn
+  | Wal.Commit { c_xid; c_cseq; c_ops; c_safe; _ } ->
+      let undo = ref [] in
+      List.iter (replay_op db ~xid:c_xid ~track:(Some undo)) c_ops;
+      Clog.install db.clog c_xid (Clog.Committed c_cseq);
+      db.unsafe_tail <- (if c_safe then [] else (c_xid, !undo) :: db.unsafe_tail)
+  | Wal.Checkpoint { k_cseq; k_tables; k_prepared } ->
+      install_checkpoint db ~base_xid ~k_cseq ~k_tables ~k_prepared
+  | Wal.Epoch _ -> ()
+
+let rollback_unsafe db =
+  let tail = db.unsafe_tail in
+  db.unsafe_tail <- [];
+  List.iter
+    (fun (xid, undo) ->
+      List.iter (apply_undo_entry db) undo;
+      Clog.install db.clog xid Clog.Aborted)
+    tail;
+  List.length tail
+
 let max_xid_of_record = function
   | Wal.Commit { c_xid; _ } -> c_xid
   | Wal.Prepare p -> p.Wal.p_xid
@@ -1920,45 +1985,12 @@ let recover ?scheduler ?config ?obs w =
   let replayed = ref 0 in
   List.iteri
     (fun i r ->
-      if i = !ck_index then (
-        match r with
-        | Wal.Checkpoint { k_cseq; k_tables; k_prepared } ->
-            ck_cseq := Some k_cseq;
-            install_checkpoint db ~base_xid ~k_cseq ~k_tables ~k_prepared
-        | _ -> ())
-      else if i > !ck_index then begin
-        incr replayed;
-        match r with
-        | Wal.Schema d -> replay_table_def db d
-        | Wal.Index { table; def } -> replay_index_def db ~table def
-        | Wal.Prepare img -> reinstate_prepared db img
-        | Wal.Abort { a_gid; a_xid = _ } -> (
-            (* ROLLBACK PREPARED reached the log: the reinstated transaction
-               is rolled back again. *)
-            match Hashtbl.find_opt db.prepared_by_gid a_gid with
-            | Some txn ->
-                txn.prepared_gid <- None;
-                Hashtbl.remove db.prepared_by_gid a_gid;
-                abort txn
-            | None -> ())
-        | Wal.Commit { c_xid; c_cseq; c_gid = Some gid; _ }
-          when Hashtbl.mem db.prepared_by_gid gid ->
-            (* COMMIT PREPARED: the writes were already redone when the
-               Prepare record was reinstated; committing is a status flip. *)
-            let txn = Hashtbl.find db.prepared_by_gid gid in
-            txn.prepared_gid <- None;
-            Hashtbl.remove db.prepared_by_gid gid;
-            Clog.install db.clog c_xid (Clog.Committed c_cseq);
-            (match txn.sxact with
-            | Sx ((module C), c, node) -> C.committed c node ~commit_cseq:c_cseq
-            | No_sx -> ());
-            finish_txn txn
-        | Wal.Commit { c_xid; c_cseq; c_ops; _ } ->
-            List.iter (replay_op db ~xid:c_xid ~track:None) c_ops;
-            Clog.install db.clog c_xid (Clog.Committed c_cseq)
-        | Wal.Epoch _ | Wal.Checkpoint _ -> ()
+      if i >= !ck_index then begin
+        (match r with Wal.Checkpoint { k_cseq; _ } -> ck_cseq := Some k_cseq | _ -> incr replayed);
+        redo db ~base_xid r
       end)
     records;
+  db.unsafe_tail <- [];
   Wal.reopen w;
   attach_wal db w;
   let n_prepared = Hashtbl.length db.prepared_by_gid in

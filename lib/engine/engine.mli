@@ -59,21 +59,6 @@ type costs = {
 
 val zero_costs : costs
 
-type commit_record = {
-  wal_xid : Heap.xid;
-  wal_cseq : int;
-  wal_ops : Ssi_wal.Wal.op list;
-      (** the transaction's effects, as shipped to replicas (§7.2) *)
-  wal_safe_point : bool;
-      (** No read/write serializable transaction was active when this
-          commit completed: the post-commit state is a safe snapshot
-          (used by replicas, §7.2). *)
-  wal_span : Ssi_obs.Obs.span_ctx option;
-      (** Trace context of the origin commit span.  Shipped inside the
-          record so a replica's apply span is parented across the
-          network to the commit that produced it. *)
-}
-
 type config = {
   certifier : Ssi_core.Certifier.config;
       (** Which serializability certifier the engine runs ([kind]: the
@@ -106,10 +91,15 @@ val create :
     is created when omitted.  The registry's clock is pointed at the
     scheduler's virtual clock. *)
 
-val set_on_commit : t -> (commit_record -> unit) -> unit
-(** Register a WAL-shipping hook.  Hooks run in registration order at every
-    commit; replication registers one, observers (chaos harness, tests) may
-    register more. *)
+val set_on_log : t -> (Ssi_wal.Wal.record -> Ssi_obs.Obs.span_ctx option -> unit) -> unit
+(** Register a log-shipping hook.  It sees, in log order, every
+    [Wal.Schema] and [Wal.Index] record this engine's DDL writes and one
+    [Wal.Commit] per commit, the last with the context of its commit span
+    so that a replica's apply span can be parented across the network.
+    Its [c_safe] marks a safe-snapshot point: no read/write serializable
+    transaction was active when the commit completed (§7.2).  Hooks run in
+    registration order; replication registers one, observers (chaos
+    harness, tests) may register more. *)
 
 val set_on_wait : t -> (waiter:Heap.xid -> holder:Heap.xid -> unit) -> unit
 (** Install the hook run before [waiter] waits for the write lock of an
@@ -142,12 +132,13 @@ val set_commit_gate : t -> (unit -> unit) option -> unit
     transaction back — how a fenced (deposed) primary refuses writes its
     cluster would discard. *)
 
-val set_commit_wait : t -> (commit_record -> unit) option -> unit
-(** Install (or clear) a post-commit acknowledgment hold.  It runs after
-    the commit is locally durable and its WAL record emitted, and may
-    suspend the committing session (quorum-synchronous replication waits
-    here for replica acks).  Raising is not allowed: the commit has
-    already happened.  Only invoked when a WAL hook is installed. *)
+val set_commit_wait : t -> (int -> unit) option -> unit
+(** Install (or clear) a post-commit acknowledgment hold, called with the
+    commit's cseq.  It runs after the commit is locally durable and its
+    record reached the log hooks, and may suspend the committing session
+    (quorum-synchronous replication waits here for replica acks).  Raising
+    is not allowed: the commit has already happened.  Only invoked when a
+    log hook is installed. *)
 
 val set_fault_injector : t -> (op:string -> unit) option -> unit
 (** Install (or clear) a fault injector.  The injector is invoked at the
@@ -209,12 +200,19 @@ val is_finished : txn -> bool
     transaction that vanished in {!simulate_connection_loss} is not
     finished: its next operation fails with {!Transient_fault}. *)
 
+val begin_snapshot : t -> xid:Heap.xid -> horizon:int -> txn
+(** A standby's read (§7.2): a read-only REPEATABLE READ transaction that
+    sees exactly the commits with cseq below [horizon].  Its owner [xid]
+    must be negative, an id no clog hands out, so that a primary commit
+    redone later with a freshly allocated xid never counts as its own
+    write.  It has no certifier node, and {!commit} consumes no cseq: the
+    recorded entry carries [horizon] as its cseq. *)
+
 val snapshot_cseq : txn -> int
 (** Commit-sequence horizon of the transaction's snapshot: every commit
     with cseq {e strictly below} this is visible (for
     snapshot-per-transaction isolation levels; statement-snapshot levels
-    report the current statement's horizon).  Streaming replication
-    stamps base snapshots with it. *)
+    report the current statement's horizon). *)
 
 val engine_of : txn -> t
 (** The engine this transaction runs on — lets a multi-primary harness
@@ -307,6 +305,25 @@ val checkpoint : t -> unit
     it.  Recovery replays only the records after the latest checkpoint.
     Captured atomically (no suspension point), so the image is exact.
     No-op without an attached log. *)
+
+val backup : t -> Ssi_wal.Wal.record
+(** A base backup: the [Wal.Checkpoint] image {!checkpoint} would log —
+    every table, its secondary indexes and its rows at the current commit
+    horizon — without the prepared transactions, which reach a standby as
+    their COMMIT PREPARED records.  Works without an attached log. *)
+
+val redo : t -> base_xid:Heap.xid -> Ssi_wal.Wal.record -> unit
+(** Apply one log record, as {!recover} does for each record from the
+    latest checkpoint on and as a standby does for its primary's stream:
+    DDL, a checkpoint image (its rows created by [base_xid], committed at
+    its horizon), and commits under their original xid and cseq.  The
+    undo entries of the commits redone since the last safe-point commit
+    are kept for {!rollback_unsafe}. *)
+
+val rollback_unsafe : t -> int
+(** Take back every commit {!redo}ne since the last safe-point commit,
+    newest first, and mark its xid aborted; returns how many.  A standby
+    promoted at its latest safe snapshot runs it (§7.2). *)
 
 val note_epoch : t -> int -> unit
 (** Record the replication epoch this node adopted as primary, so a
@@ -440,6 +457,7 @@ val certifier : t -> Ssi_core.Certifier.packed
     to introspect through {!Ssi_core.Certifier.S}. *)
 
 val certifier_kind : t -> Ssi_core.Certifier.kind
+val config : t -> config
 
 val predicate_locks : t -> Ssi_core.Predlock.t
 (** The certifier's SIREAD lock table. *)

@@ -17,8 +17,8 @@
       summarization storm, then restored;
     - {e lag spike}: the replica's apply lag jumps, then drains;
     - {e failover}: a marker event — the harness promotes the replica
-      ({!Ssi_replication.Replica.promote}) and checks it against the
-      primary.
+      ({!Ssi_replication.Replica.promote}) and checks the lineage it
+      leaves.
 
     Everything is derived from an integer seed through {!Ssi_util.Rng}, so
     a plan, its virtual-time schedule, and the full perturbed history

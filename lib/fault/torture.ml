@@ -103,7 +103,10 @@ let run_one ?wal_out ?(certifier = Ssi_core.Certifier.SSI) ~seed ~kill_point ~wi
     (Sim.run (fun () ->
          let db = E.create ~scheduler:Sim.scheduler ~config () in
          E.attach_wal db wal;
-         E.set_on_commit db (fun r -> Hashtbl.replace cseq_of r.E.wal_xid r.E.wal_cseq);
+         E.set_on_log db (fun r _ ->
+             match r with
+             | Wal.Commit { c_xid; c_cseq; _ } -> Hashtbl.replace cseq_of c_xid c_cseq
+             | _ -> ());
          E.create_table db ~name:table ~cols:[ "k"; "writer" ] ~key:"k";
          (* The seeding transaction (xid 1) stays out of the recorded
             history: its versions are the seeded state. *)
@@ -276,12 +279,13 @@ let run_one ?wal_out ?(certifier = Ssi_core.Certifier.SSI) ~seed ~kill_point ~wi
             identical — including rows recovered from before the crash. *)
          Stream.sync sub;
          Sim.delay 5e-3;
-         let rt = R.begin_read core `Latest_applied in
          let replica_rows =
            List.sort compare
              (List.map
                 (fun row -> (Value.as_int row.(0), Value.as_int row.(1)))
-                (R.scan rt ~table ()))
+                (match R.begin_read core `Latest_applied with
+                | rt -> E.seq_scan rt ~table ()
+                | exception E.Error _ -> []))
          in
          replica_ok := replica_rows = !final));
   (match wal_out with Some path -> Wal.save wal path | None -> ());

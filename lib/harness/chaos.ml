@@ -86,7 +86,7 @@ let run c =
   let acting p = match !failed_over with Some fo -> fo.Stream.new_primary | None -> p in
   let telemetry = ref None in
   (* The primary's recorded history and, after a failover, the promoted
-     engine's (newest first). *)
+     engine's (newest first): one lineage, joined at the promotion. *)
   let old_hist = ref [] and new_hist = ref [] in
   let record_new e = E.set_recorder e (Some (fun entry -> new_hist := entry :: !new_hist)) in
   let chaos db =
@@ -110,14 +110,14 @@ let run c =
       { F.engine = db; injector = Some injector; replica = None; fleet = []; net = None; net_ops = None }
     in
     if c.replicas = 0 then begin
-      (* Direct mode: the replica hangs off the primary's in-process commit
+      (* Direct mode: the replica hangs off the primary's in-process log
          hook; network events in the plan are logged as skipped. *)
       let r = Replica.attach db in
       direct := Some r;
       let observer phase (ev : F.event) =
         match (phase, ev.F.kind) with
         | `After, F.Failover ->
-            let p = Replica.promote r ~primary:db `Latest_safe in
+            let p = Replica.promote r `Latest_safe in
             record_new p.Replica.engine;
             promoted := Some p
         | _ -> ()
@@ -132,16 +132,17 @@ let run c =
       let subs =
         List.init c.replicas (fun i ->
             let name = Printf.sprintf "r%d" (i + 1) in
-            let core = Replica.create ~obs:(E.obs db) ~name () in
+            let core = Replica.create ~obs:(E.obs db) ~name ~config:(E.config db) () in
             Stream.subscribe n ~node:name ~primary_node:"p" ~epoch:1 core)
       in
       streamed := Some (n, p, subs);
       let observer phase (ev : F.event) =
         match (phase, ev.F.kind, subs) with
         | `After, F.Failover, first :: rest ->
-            let fo = Stream.promote first ~schema_from:db ?quorum `Latest_safe in
+            let fo = Stream.promote first ?quorum `Latest_safe in
             record_new (Stream.engine fo.Stream.new_primary);
             failed_over := Some fo;
+            promoted := Some fo.Stream.promotion;
             List.iter
               (fun s ->
                 Stream.resubscribe s ~primary_node:(Stream.sub_node first)
@@ -186,9 +187,9 @@ let run c =
   Option.iter
     (fun rep ->
       line "  replica            applied cseq %d, safe cseq %d" (Replica.applied_cseq rep)
-        (Replica.last_safe_cseq rep))
+        (Replica.last_safe_cseq rep);
+      Option.iter promotion_line !promoted)
     !direct;
-  Option.iter promotion_line !promoted;
   Option.iter
     (fun (n, p, subs) ->
       line "network:";
@@ -263,11 +264,14 @@ let run c =
     result;
     report = List.rev !report;
     exposition_valid = !exposition_valid;
-    (* Each era is checked on its own, as the read fleet checks them. *)
     violation =
-      (match Scenario.history_violation "primary" [ List.rev !old_hist ] with
-      | Some v -> Some v
-      | None -> Scenario.history_violation "promoted" [ List.rev !new_hist ]);
+      (let old_hist = List.rev !old_hist in
+       match Scenario.history_violation "primary" [ old_hist ] with
+       | Some v -> Some v
+       | None ->
+           Option.bind !promoted (fun p ->
+               Scenario.history_violation "lineage"
+                 [ Scenario.lineage old_hist ~promote_cseq:p.Replica.promote_cseq (List.rev !new_hist) ]));
   }
 
 let ok o = o.exposition_valid && o.violation = None
@@ -285,5 +289,5 @@ let pp ppf o =
   f "  attempts/commit    %.2f@." r.Driver.attempts_per_commit;
   List.iter (f "%s@?") o.report;
   match o.violation with
-  | None -> f "oracle: serializable (each era's DSG acyclic, every read exact)@."
+  | None -> f "oracle: serializable (DSG acyclic across the failover, every read exact)@."
   | Some v -> f "oracle: VIOLATION: %s@." v

@@ -4,7 +4,7 @@
     fails over — the [pg_ssi chaos] default mode.
 
     With [replicas = 0] the replica hangs off the primary's in-process
-    commit hook; otherwise WAL records stream to [replicas] subscribers
+    log hook; otherwise WAL records stream to [replicas] subscribers
     over a seeded adversarial {!Ssi_net.Net}, optionally
     quorum-synchronous, and the run ends by healing every partition and
     driving catch-up.  Optional telemetry (an always-on scrape plus the
@@ -44,9 +44,9 @@ type outcome = {
           alerts and the exposition check. *)
   exposition_valid : bool;  (** the OpenMetrics check passed, or did not run *)
   violation : string option;
-      (** The primary's recorded history, and after a failover the
-          promoted engine's, each checked on its own ({!Ssi_check.Dsg}):
-          a cycle or an inexact read, or [None]. *)
+      (** The primary's recorded history and, after a failover, the
+          lineage ({!Scenario.lineage}) checked by {!Ssi_check.Dsg}: a
+          cycle or an inexact read, or [None]. *)
 }
 
 (** {1 As a {!Scenario.S}} *)

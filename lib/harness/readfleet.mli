@@ -11,17 +11,16 @@
     workload quiesces and the network heals, the harness drives replica
     catch-up and then checks:
 
-    - {e exactness + serializability} of every routed read, per era: each
-      primary records its history ({!Ssi_engine.Engine.set_recorder}) and
-      each replica records its reads into the history of the primary it
+    - {e exactness + serializability} of every routed read: each primary
+      records its history ({!Ssi_engine.Engine.set_recorder}) and each
+      replica records its reads into the history of the primary it
       follows ({!Ssi_replication.Replica.set_recorder}); every read must
       return the last version committed before its snapshot
-      ({!Ssi_check.Dsg.stale_read}) and each era's graph must be acyclic
-      ({!Ssi_check.Dsg.check});
-    - {e cross-failover serializability}: the promoted primary starts from
-      exactly the old era's state at the promotion point.  No dependency
-      leads from a new-era transaction back to an old-era one, so with
-      that and both eras acyclic, the surviving lineage is acyclic too;
+      ({!Ssi_check.Dsg.stale_read}) and the graph must be acyclic
+      ({!Ssi_check.Dsg.check}), for the old era and for the lineage a
+      failover leaves ({!Scenario.lineage}): the promoted engine keeps the
+      old era's xids and cseqs, so the old era up to the promotion point
+      and the new era check as one history;
     - {e convergence}: every still-subscribed replica ends byte-identical
       to the acting primary;
     - {e availability}: no client-visible failure for a retryable fault

@@ -15,6 +15,9 @@ let history_violation name histories =
   | Error cycle -> Some (Printf.sprintf "%s DSG is cyclic\n%s" name (Dsg.pp_cycle cycle))
   | Ok () -> Option.map (fun e -> name ^ ": " ^ e) (Dsg.stale_read histories)
 
+let lineage old ~promote_cseq promoted =
+  List.filter (fun (t : Ssi_engine.Recorded.txn) -> t.cseq <= promote_cseq) old @ promoted
+
 (* Equal digests of the [Marshal] images: byte-identical outcomes. *)
 let fingerprint o = Digest.string (Marshal.to_string o [])
 

@@ -26,6 +26,12 @@ val history_violation : string -> Ssi_check.Dsg.history list -> string option
     the last version committed before its snapshot; the description
     starts with [name]. *)
 
+val lineage :
+  Ssi_check.Dsg.history -> promote_cseq:int -> Ssi_check.Dsg.history -> Ssi_check.Dsg.history
+(** [lineage old ~promote_cseq promoted]: the one history a failover
+    leaves — the old primary's entries at cseq [<= promote_cseq], then
+    the promoted engine's, which keeps the old era's xids and cseqs. *)
+
 type 'o verdict = {
   outcome : 'o;  (** the first run's *)
   ok : bool;  (** [S.ok outcome] *)

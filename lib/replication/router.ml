@@ -56,7 +56,7 @@ type t = {
   mutable r_primary : E.t;
   mutable members : member list;
   mutable era : int;
-  (* Commit frontier of the current primary, fed by a commit hook; the
+  (* Commit frontier of the current primary, fed by a log hook; the
      xid->cseq side table turns "my write committed" into a session
      token without racing other sessions' commits. *)
   mutable primary_cseq : int;
@@ -91,14 +91,15 @@ let update_healthy_gauge t =
   Obs.set_gauge t.g_healthy (float_of_int n)
 
 let install_primary_hook t db =
-  E.set_on_commit db (fun r ->
-      (* Hooks cannot be removed; guard so a deposed primary's late
-         commits stop moving the frontier after a failover. *)
-      if t.r_primary == db then begin
-        if r.E.wal_cseq > t.primary_cseq then t.primary_cseq <- r.E.wal_cseq;
-        if Hashtbl.length t.cseq_of_xid > 8192 then Hashtbl.reset t.cseq_of_xid;
-        Hashtbl.replace t.cseq_of_xid r.E.wal_xid r.E.wal_cseq
-      end)
+  E.set_on_log db (fun r _ ->
+      match r with
+      | Ssi_wal.Wal.Commit { c_xid; c_cseq; _ } when t.r_primary == db ->
+          (* Hooks cannot be removed; the guard stops a deposed primary's
+             late commits from moving the frontier after a failover. *)
+          if c_cseq > t.primary_cseq then t.primary_cseq <- c_cseq;
+          if Hashtbl.length t.cseq_of_xid > 8192 then Hashtbl.reset t.cseq_of_xid;
+          Hashtbl.replace t.cseq_of_xid c_xid c_cseq
+      | _ -> ())
 
 let create ?(policy = default_policy) ?(seed = 0) ~primary () =
   let obs = E.obs primary in
@@ -207,22 +208,13 @@ let mark_success t m =
 
 (* ---- Routing ---------------------------------------------------------------------------------- *)
 
-type ro = { ro_name : string; ro_horizon : int; ro_kind : kind }
-and kind = K_primary of E.t * E.txn | K_replica of Replica.rtxn
+type ro = { ro_name : string; ro_txn : E.txn }
 
 let backend ro = ro.ro_name
-let ro_cseq ro = ro.ro_horizon
-let ro_engine ro = match ro.ro_kind with K_primary (e, _) -> Some e | K_replica _ -> None
+let txn ro = ro.ro_txn
 
-let read ro ~table ~key =
-  match ro.ro_kind with
-  | K_primary (_, txn) -> E.read txn ~table ~key
-  | K_replica r -> Replica.read r ~table ~key
-
-let scan ro ~table ?filter () =
-  match ro.ro_kind with
-  | K_primary (_, txn) -> E.seq_scan txn ~table ?filter ()
-  | K_replica r -> Replica.scan r ~table ?filter ()
+(* Snapshot horizons are exclusive; [ro_cseq] is the inclusive one. *)
+let ro_cseq ro = E.snapshot_cseq ro.ro_txn - 1
 
 let snapshot_mode = function
   | `Latest_applied -> `Latest_applied
@@ -303,8 +295,8 @@ let replica_attempt t m ~consistency ~required ~route_span f =
                    (Replica.name rep) (Replica.last_safe_cseq rep) need;
              }))
   end;
-  let rtxn = Replica.begin_read rep (snapshot_mode consistency) in
-  let horizon = Replica.snapshot_cseq rtxn in
+  let ro = { ro_name = Replica.name rep; ro_txn = Replica.begin_read rep (snapshot_mode consistency) } in
+  let horizon = ro_cseq ro in
   let sp =
     Obs.Span.start t.r_obs ~parent:route_span "replica.read"
       ~attrs:
@@ -314,12 +306,13 @@ let replica_attempt t m ~consistency ~required ~route_span f =
           ("staleness", Obs.I (max 0 (t.primary_cseq - horizon)));
         ]
   in
-  match f { ro_name = Replica.name rep; ro_horizon = horizon; ro_kind = K_replica rtxn } with
+  match f ro with
   | v ->
-      Replica.finish_read rtxn;
+      E.commit ro.ro_txn;
       Obs.Span.finish t.r_obs sp;
       v
   | exception e ->
+      E.abort ro.ro_txn;
       Obs.Span.add sp "error" (Obs.B true);
       Obs.Span.finish t.r_obs sp;
       raise e
@@ -339,15 +332,7 @@ let primary_attempt t ~consistency ~route_span f =
   let policy = stop_on_switch t p in
   let deferrable = match consistency with `Deferrable -> Sim.running () | _ -> false in
   E.retry_with ~isolation:E.Serializable ~read_only:true ~deferrable ~policy ~rng:t.rng
-    ~span:route_span p (fun txn ->
-      (* The engine's snapshot horizon is exclusive; [ro_cseq] is the
-         inclusive convention the replica side uses. *)
-      f
-        {
-          ro_name = "primary";
-          ro_horizon = E.snapshot_cseq txn - 1;
-          ro_kind = K_primary (p, txn);
-        })
+    ~span:route_span p (fun txn -> f { ro_name = "primary"; ro_txn = txn })
 
 let read_only ?session ?(consistency = `Latest_safe) ?span t f =
   let sp =

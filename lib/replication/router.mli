@@ -79,7 +79,7 @@ val create : ?policy:policy -> ?seed:int -> primary:Ssi_engine.Engine.t -> unit 
 (** A router over [primary] with an empty fleet.  [seed] feeds the
     router's private rng (replica choice, mark-down jitter); routing is
     a deterministic function of it.  Registers the [fleet.*] metrics in
-    the primary's observability registry and a commit hook tracking the
+    the primary's observability registry and a log hook tracking the
     primary's commit frontier (and xid→cseq for session tokens). *)
 
 val add_replica : t -> Replica.t -> unit
@@ -121,21 +121,15 @@ type ro
 val backend : ro -> string
 (** ["primary"] or the replica's name. *)
 
+val txn : ro -> Ssi_engine.Engine.txn
+(** The read-only transaction to read through: a serializable one on the
+    primary, or a replica's snapshot ({!Replica.begin_read}), which
+    serves point reads, sequential scans and index scans alike. *)
+
 val ro_cseq : ro -> int
 (** Snapshot horizon: every commit with cseq <= this is visible (the
-    primary's exclusive snapshot horizon is normalized to this inclusive
+    engine's exclusive snapshot horizon, normalized to this inclusive
     convention). *)
-
-val ro_engine : ro -> Ssi_engine.Engine.t option
-(** The physical engine serving this read when it was routed to the
-    primary, [None] for replica-served reads — lets a harness attribute
-    a read to a lineage by engine identity across failovers. *)
-
-val read : ro -> table:string -> key:Ssi_storage.Value.t -> Ssi_storage.Value.t array option
-
-val scan :
-  ro -> table:string -> ?filter:(Ssi_storage.Value.t array -> bool) -> unit ->
-  Ssi_storage.Value.t array list
 
 val read_only :
   ?session:session -> ?consistency:consistency -> ?span:Ssi_obs.Obs.span ->

@@ -1,36 +1,40 @@
-(** WAL streaming over an unreliable network: sequence numbers, gap
+(** WAL streaming over an unreliable network: stream positions, gap
     detection and retransmission, multi-replica fan-out, quorum-synchronous
     commit, and epoch fencing at failover.
 
     The paper ships safe-snapshot points "in the WAL stream" (§7.2) and
     leaves the stream itself to PostgreSQL's streaming replication.  Here
-    the stream is first-class: a {!primary} attaches to an engine's commit
-    hook and ships every commit record, stamped [(epoch, cseq)], to its
-    subscribers over a {!Ssi_net.Net} — which may drop, duplicate, reorder
-    or partition.  A {!subscription} reassembles the stream exactly once
-    and in order for a {!Replica.t} core:
+    the stream is first-class: a {!primary} ships [Wal.record]s — a base
+    backup ({!Ssi_engine.Engine.backup}) at position 0, then every record
+    the engine's log hook sees, DDL and commits alike — each stamped with
+    the primary's epoch and a dense stream position, to its subscribers
+    over a {!Ssi_net.Net}, which may drop, duplicate, reorder or
+    partition.  A commit's span context travels in the message beside
+    its record.  A {!subscription} reassembles the stream exactly once and
+    in order for a {!Replica.t}:
 
-    - records arriving in order are applied and acknowledged;
+    - records arriving in order are applied and acknowledged by position;
     - a gap parks later records out-of-order and sends a bounded number of
       NACKs asking for retransmission;
     - duplicates (network or retransmission overlap) are dropped;
-    - a fresh or diverged subscriber is (re)seeded with a {e base
-      snapshot} record — the simulated base backup — then streamed the
-      records after it.
+    - a fresh or diverged subscriber is (re)seeded from position 0, the
+      base backup, then streamed the records after it.
 
     {b Epochs and fencing.}  Every stream message carries the primary's
-    epoch.  Failover ({!promote}) builds a new primary from a replica at
-    [epoch + 1]; subscribers adopt the higher epoch and from then on
-    reject the deposed primary's stale stream, replying with its new
-    epoch.  A deposed primary learns of its fencing from any such reply
-    and from then on {e refuses new commits} (its commit gate raises a
-    retryable [Engine.Transient_fault]) — after a partition heals there is
-    no split-brain: at most one primary accepts writes.
+    epoch.  Failover ({!promote}) turns a replica's engine into the
+    primary at [epoch + 1]; it ships the log the replica applied (less
+    the commits the promotion rolled back) and then its own, so its
+    subscribers replay one lineage.  Subscribers adopt the higher epoch
+    and from then on reject the deposed primary's stale stream, replying
+    with its new epoch.  A deposed primary learns of its fencing from any
+    such reply and from then on {e refuses new commits} (its commit gate
+    raises a retryable [Engine.Transient_fault]) — after a partition heals
+    there is no split-brain: at most one primary accepts writes.
 
     {b Quorum commit.}  With a {!quorum} configured, the primary holds
     each commit acknowledgment until [k] subscribers have acked the
-    record's cseq, or until [deadline] virtual seconds pass — in which
-    case the commit degrades to asynchronous (counted in
+    commit's position, or until [deadline] virtual seconds pass — in
+    which case the commit degrades to asynchronous (counted in
     [stream.quorum_timeouts]) rather than blocking forever under a
     partition.
 
@@ -44,8 +48,8 @@
 module E = Ssi_engine.Engine
 
 type msg
-(** The stream protocol: WAL and base-snapshot records, acks, nacks,
-    subscribe requests and fencing rejections. *)
+(** The stream protocol: positioned log records, acks, nacks, subscribe
+    requests and fencing rejections. *)
 
 type net = msg Ssi_net.Net.t
 
@@ -58,11 +62,10 @@ type subscription
 
 val make_primary : net -> node:string -> epoch:int -> ?quorum:quorum -> E.t -> primary
 (** Turn [engine] into a streaming primary on network node [node] (the
-    node is registered if new, its handler replaced if it already exists —
-    what a promoted replica does).  Synthesizes a base-snapshot record
-    from the engine's current state for late or diverged subscribers, and
-    installs the WAL-shipping commit hook, the fencing commit gate, and
-    (with [quorum]) the quorum-commit acknowledgment hold. *)
+    node is registered if new, its handler replaced if it already exists).
+    Takes the engine's base backup for late or diverged subscribers, and
+    installs the log-shipping hook, the fencing commit gate, and (with
+    [quorum]) the quorum-commit acknowledgment hold. *)
 
 val epoch : primary -> int
 val primary_node : primary -> string
@@ -73,11 +76,14 @@ val is_deposed : primary -> bool
     refuses new commits. *)
 
 val last_cseq : primary -> int
+(** The cseq of the newest commit (or base backup) in the shipped log. *)
+
 val subscribers : primary -> (string * int) list
-(** [(node, acked cseq)] per subscriber, in subscription order. *)
+(** [(node, acked stream position)] per subscriber, in subscription order;
+    [-1] before it holds the base backup. *)
 
 val retransmit_unacked : primary -> unit
-(** Resend every logged record past each subscriber's acked frontier —
+(** Resend every shipped record past each subscriber's acked position —
     the operator-driven catch-up used after a partition heals (the
     in-protocol NACK path is bounded so that a permanent partition cannot
     generate traffic forever). *)
@@ -85,7 +91,7 @@ val retransmit_unacked : primary -> unit
 val subscribe :
   net -> node:string -> primary_node:string -> epoch:int -> ?nack_timeout:float -> ?nack_retries:int -> Replica.t -> subscription
 (** Register [node] on the network feeding the given replica core, and ask
-    [primary_node] for the stream from the beginning (base snapshot, then
+    [primary_node] for the stream from the beginning (base backup, then
     every record after it).  [nack_timeout] (default [1e-3] virtual
     seconds) is how long to wait for a retransmission before renewing the
     NACK; at most [nack_retries] (default 16) renewals per gap, so a
@@ -96,23 +102,23 @@ val sub_epoch : subscription -> int
 val sub_node : subscription -> string
 
 val sync : subscription -> unit
-(** Ask the current primary to retransmit from this subscriber's applied
-    frontier (or for a fresh base if never bootstrapped) — the
+(** Ask the current primary to retransmit past this subscriber's applied
+    position (or from the base backup if never seeded) — the
     operator-driven catch-up after a heal, complementing
     {!retransmit_unacked} from the primary side. *)
 
 val resubscribe : subscription -> primary_node:string -> epoch:int -> unit
 (** Point the subscription at a (new) primary: reset the replica core,
-    adopt [epoch] and request a fresh base snapshot plus the stream after
-    it.  Used for replicas whose state may have diverged from the new
+    adopt [epoch] and request the stream from its base backup.  Used for replicas whose state may have diverged from the new
     primary's history (e.g. they applied commits the promotion discarded). *)
 
 type failover = { new_primary : primary; promotion : Replica.promotion }
 
-val promote : subscription -> schema_from:E.t -> ?quorum:quorum -> [ `Latest_safe | `Latest_applied ] -> failover
-(** Fenced failover: promote this subscription's replica core
-    ({!Replica.promote}) and turn the resulting engine into a streaming
-    primary on the same network node at [sub_epoch + 1].  Other replicas
-    adopt the new epoch when its stream reaches them (or explicitly via
-    {!resubscribe}); the deposed primary is fenced as soon as any
-    subscriber rejects its stale stream. *)
+val promote : subscription -> ?quorum:quorum -> [ `Latest_safe | `Latest_applied ] -> failover
+(** Fenced failover: promote this subscription's replica
+    ({!Replica.promote}) and turn its engine into a streaming primary on
+    the same network node at [sub_epoch + 1], shipping the log the
+    replica applied, less the commits the promotion rolled back.  Other
+    replicas adopt the new epoch when its stream reaches them (or
+    explicitly via {!resubscribe}); the deposed primary is fenced as soon
+    as any subscriber rejects its stale stream. *)

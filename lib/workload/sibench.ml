@@ -46,7 +46,7 @@ let query_min_routed ro =
     (fun row ->
       let v = Value.as_int row.(1) in
       if v < !best then best := v)
-    (Ssi_replication.Router.scan ro ~table ());
+    (E.seq_scan (Ssi_replication.Router.txn ro) ~table ());
   !best
 
 let specs ~rows ?(chunk = 50) () =

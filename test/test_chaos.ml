@@ -66,7 +66,9 @@ type outcome = {
   history : Dsg.history;  (** the recorded committed transactions, in commit order *)
   chaos_log : string list;
   final_rows : (int * int) list;  (** primary (key, writer), workload keys *)
-  replica_rows : (int * int) list;  (** replica `Latest_applied after drain *)
+  replica_rows : (int * int) list;
+      (** replica `Latest_applied after drain: the lagged one, or after a
+          failover the second *)
   promoted : ((int * int) list * int) option;  (** failover rows, safe cseq *)
   crash_checks : int;
   injected : int;
@@ -131,6 +133,9 @@ let run_plan cfg =
   let config = { E.default_config with E.costs = sim_costs } in
   let db = E.create ~scheduler:Sim.scheduler ~config () in
   let replica = R.attach db in
+  (* A promoted replica stops following the primary: the convergence
+     check of a failover plan reads a second one. *)
+  let mirror = R.attach db in
   E.set_fault_injector db (Some (fun ~op -> F.hook injector ~op));
   (* Around each crash: park a freshly-prepared transaction on a sentinel
      key, let the crash happen, then check §7.1's recovery contract. *)
@@ -158,7 +163,7 @@ let run_plan cfg =
         incr crash_checks
     | `After, F.Failover ->
         let safe = R.last_safe_cseq replica in
-        let eng = (R.promote replica ~primary:db `Latest_safe).R.engine in
+        let eng = (R.promote replica `Latest_safe).R.engine in
         let rows =
           E.with_txn ~isolation:E.Repeatable_read eng (fun t -> E.seq_scan t ~table ())
         in
@@ -216,8 +221,9 @@ let run_plan cfg =
              final_rows :=
                rows_of_scan
                  (E.with_txn ~isolation:E.Repeatable_read db (fun t -> E.seq_scan t ~table ()));
-             let rt = R.begin_read replica `Latest_applied in
-             replica_rows := rows_of_scan (R.scan rt ~table ());
+             let follower = if !promoted = None then replica else mirror in
+             let rt = R.begin_read follower `Latest_applied in
+             replica_rows := rows_of_scan (E.seq_scan rt ~table ());
              summarized := Ssi_obs.Obs.get_counter (E.obs db) "ssi.summarized";
              retries := Ssi_obs.Obs.get_counter (E.obs db) "engine.retries";
              giveups := Ssi_obs.Obs.get_counter (E.obs db) "engine.giveups")));

@@ -152,7 +152,7 @@ let test_replica_equivalence () =
                  List.sort compare
                    (List.map
                       (fun r -> (Value.as_int r.(0), Value.as_int r.(1)))
-                      (R.scan (R.begin_read replica `Latest_applied) ~table:"kv" ())))
+                      (E.seq_scan (R.begin_read replica `Latest_applied) ~table:"kv" ())))
          done));
   Alcotest.(check bool) "primary and replica converge to the same state" true
     (!final_primary = !final_replica && !final_primary <> [])
@@ -195,12 +195,12 @@ let test_savepoint_rollback_not_replicated () =
       E.rollback_to_savepoint t "sp";
       E.insert t ~table:"kv" [| vi 3; vi 3 |]);
   let rt = R.begin_read replica `Latest_applied in
-  Alcotest.(check bool) "kept insert shipped" true (R.read rt ~table:"kv" ~key:(vi 1) <> None);
+  Alcotest.(check bool) "kept insert shipped" true (E.read rt ~table:"kv" ~key:(vi 1) <> None);
   Alcotest.(check bool) "rolled-back insert not shipped" true
-    (R.read rt ~table:"kv" ~key:(vi 2) = None);
+    (E.read rt ~table:"kv" ~key:(vi 2) = None);
   Alcotest.(check bool) "post-savepoint insert shipped" true
-    (R.read rt ~table:"kv" ~key:(vi 3) <> None);
-  match R.read rt ~table:"kv" ~key:(vi 1) with
+    (E.read rt ~table:"kv" ~key:(vi 3) <> None);
+  match E.read rt ~table:"kv" ~key:(vi 1) with
   | Some row ->
       Alcotest.(check int) "rolled-back update not shipped" 1 (Value.as_int row.(1))
   | None -> Alcotest.fail "row missing"

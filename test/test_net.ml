@@ -109,7 +109,7 @@ let sorted_rows scan =
 let primary_rows db = sorted_rows (E.with_txn db (fun t -> E.seq_scan t ~table:"kv" ()))
 
 let replica_rows core =
-  sorted_rows (R.scan (R.begin_read core `Latest_applied) ~table:"kv" ())
+  sorted_rows (E.seq_scan (R.begin_read core `Latest_applied) ~table:"kv" ())
 
 (* Drive retransmission until every subscriber catches up with the
    primary's retained log (bounded, so a wedged protocol fails the test
@@ -208,7 +208,7 @@ let test_fencing_after_failover () =
          Sim.delay 0.05;
          (* The primary is cut off; r1 takes over at epoch 2. *)
          Net.isolate net "p";
-         let fo = Stream.promote s1 ~schema_from:db `Latest_applied in
+         let fo = Stream.promote s1 `Latest_applied in
          let np = fo.Stream.new_primary in
          Alcotest.(check int) "new epoch" 2 (Stream.epoch np);
          Alcotest.(check int) "nothing applied was discarded" 0

@@ -46,9 +46,9 @@ let test_rtxn_invalidated_by_reset () =
   let core = R.attach ~name:"r1" db in
   write db 0 7;
   let rtxn = R.begin_read core `Latest_applied in
-  Alcotest.(check bool) "read before reset" true (R.read rtxn ~table ~key:(vi 0) <> None);
+  Alcotest.(check bool) "read before reset" true (E.read rtxn ~table ~key:(vi 0) <> None);
   R.reset core;
-  match R.read rtxn ~table ~key:(vi 0) with
+  match E.read rtxn ~table ~key:(vi 0) with
   | exception e when is_transient e -> ()
   | _ -> Alcotest.fail "read through a reset snapshot must raise Transient_fault"
 
@@ -60,13 +60,13 @@ let test_rtxn_invalidated_by_promote () =
   write db 0 7;
   write db 1 8;
   let rtxn = R.begin_read core `Latest_applied in
-  let promo = R.promote core ~primary:db `Latest_applied in
+  let promo = R.promote core `Latest_applied in
   Alcotest.(check bool) "promotion kept the data" true
     (E.with_txn promo.R.engine (fun t -> E.read t ~table ~key:(vi 0)) <> None);
-  (match R.read rtxn ~table ~key:(vi 0) with
+  (match E.read rtxn ~table ~key:(vi 0) with
   | exception e when is_transient e -> ()
   | _ -> Alcotest.fail "read through a promoted-away snapshot must raise");
-  match R.scan rtxn ~table () with
+  match E.seq_scan rtxn ~table () with
   | exception e when is_transient e -> ()
   | _ -> Alcotest.fail "scan through a promoted-away snapshot must raise"
 
@@ -110,7 +110,7 @@ let test_routes_to_replica () =
     Router.read_only router (fun ro ->
         Alcotest.(check (option int))
           "replica serves the row" (Some 7)
-          (Option.map (fun r -> Value.as_int r.(1)) (Router.read ro ~table ~key:(vi 0)));
+          (Option.map (fun r -> Value.as_int r.(1)) (E.read (Router.txn ro) ~table ~key:(vi 0)));
         Router.backend ro)
   in
   Alcotest.(check string) "served by the replica" "r1" backend;
@@ -201,7 +201,7 @@ let test_read_your_writes () =
                (Router.ro_cseq ro >= token);
              Alcotest.(check (option int))
                "read its own write" (Some 42)
-               (Option.map (fun r -> Value.as_int r.(1)) (Router.read ro ~table ~key:(vi 0))));
+               (Option.map (fun r -> Value.as_int r.(1)) (E.read (Router.txn ro) ~table ~key:(vi 0))));
          Alcotest.(check bool) "waited for the frontier" true
            (counter db "fleet.session_waits" >= 1)))
 
@@ -229,7 +229,7 @@ let test_session_deadline_miss_counted () =
          Router.read_only ~session router (fun ro ->
              Alcotest.(check (option int))
                "fell back and read the session's write" (Some 42)
-               (Option.map (fun r -> Value.as_int r.(1)) (Router.read ro ~table ~key:(vi 0))));
+               (Option.map (fun r -> Value.as_int r.(1)) (E.read (Router.txn ro) ~table ~key:(vi 0))));
          Alcotest.(check bool) "deadline miss counted" true
            (counter db "fleet.session_deadline_misses" >= 1);
          Alcotest.(check bool) "wait attempted first" true
@@ -244,7 +244,7 @@ let test_spans_and_explain () =
   let router = Router.create ~primary:db () in
   Router.add_replica router core;
   write db 0 7;
-  ignore (Router.read_only router (fun ro -> Router.read ro ~table ~key:(vi 0)));
+  ignore (Router.read_only router (fun ro -> E.read (Router.txn ro) ~table ~key:(vi 0)));
   let obs = E.obs db in
   let spans = Obs.Spans.all obs in
   let named n = List.filter (fun s -> Obs.Span.name s = n) spans in

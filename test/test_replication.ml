@@ -5,7 +5,10 @@
 open Ssi_storage
 module E = Ssi_engine.Engine
 module R = Ssi_replication.Replica
+module Stream = Ssi_replication.Stream
+module Net = Ssi_net.Net
 module Sim = Ssi_sim.Sim
+module Certifier = Ssi_core.Certifier
 
 let vi i = Value.Int i
 
@@ -18,7 +21,7 @@ let fresh () =
 let bump t k v = ignore (E.update t ~table:"kv" ~key:(vi k) ~f:(fun r -> [| r.(0); vi v |]))
 
 let r_value rt k =
-  match R.read rt ~table:"kv" ~key:(vi k) with
+  match E.read rt ~table:"kv" ~key:(vi k) with
   | Some row -> Some (Value.as_int row.(1))
   | None -> None
 
@@ -111,7 +114,7 @@ let batch_scenario mode =
   let report () =
     let rt = R.begin_read replica mode in
     let visible_batch =
-      match R.read rt ~table:"control" ~key:(vi 0) with
+      match E.read rt ~table:"control" ~key:(vi 0) with
       | Some row -> Value.as_int row.(1)
       | None -> 0
     in
@@ -120,7 +123,7 @@ let batch_scenario mode =
       List.fold_left
         (fun acc row -> acc + Value.as_int row.(2))
         0
-        (R.scan rt ~table:"receipts" ~filter:(fun row -> Value.as_int row.(1) = prev) ())
+        (E.seq_scan rt ~table:"receipts" ~filter:(fun row -> Value.as_int row.(1) = prev) ())
     in
     (match Hashtbl.find_opt reported prev with
     | None -> Hashtbl.add reported prev total
@@ -184,9 +187,9 @@ let oracle_lag_scenario () =
 (* A read-only replica transaction over both keys, recorded. *)
 let replica_read replica mode =
   let rt = R.begin_read replica mode in
-  ignore (R.read rt ~table:"kv" ~key:(vi 0));
-  ignore (R.read rt ~table:"kv" ~key:(vi 1));
-  R.finish_read rt
+  ignore (E.read rt ~table:"kv" ~key:(vi 0));
+  ignore (E.read rt ~table:"kv" ~key:(vi 1));
+  E.commit rt
 
 let test_oracle_cycle_at_latest_applied () =
   let replica, history = oracle_lag_scenario () in
@@ -305,7 +308,7 @@ let test_promote_drains_pending () =
   E.with_txn db (fun t -> E.insert t ~table:"kv" [| vi 2; vi 20 |]);
   E.with_txn db (fun t -> E.insert t ~table:"kv" [| vi 3; vi 30 |]);
   Alcotest.(check int) "two records parked" 2 (R.pending_records replica);
-  let p = R.promote replica ~primary:db `Latest_applied in
+  let p = R.promote replica `Latest_applied in
   Alcotest.(check int) "nothing discarded" 0 p.R.discarded_commits;
   let n =
     E.with_txn p.R.engine (fun t -> List.length (E.seq_scan t ~table:"kv" ()))
@@ -321,7 +324,7 @@ let test_promote_reports_discarded () =
   ignore (E.read rw ~table:"kv" ~key:(vi 1));
   E.with_txn db (fun t -> E.insert t ~table:"kv" [| vi 2; vi 20 |]) (* unsafe *);
   E.with_txn db (fun t -> E.insert t ~table:"kv" [| vi 3; vi 30 |]) (* unsafe *);
-  let p = R.promote replica ~primary:db `Latest_safe in
+  let p = R.promote replica `Latest_safe in
   Alcotest.(check int) "two commits discarded" 2 p.R.discarded_commits;
   Alcotest.(check int) "promoted at the safe point" (R.last_safe_cseq replica)
     p.R.promote_cseq;
@@ -330,6 +333,156 @@ let test_promote_reports_discarded () =
   in
   Alcotest.(check int) "unsafe tail absent" 1 n;
   E.commit rw
+
+
+(* ---- The replica is an engine: indexes, configuration, in-place promotion ---- *)
+
+(* A primary with a secondary index on [c]: [t (k, c)]. *)
+let indexed ?config () =
+  let db = E.create ?config () in
+  E.create_table db ~name:"t" ~cols:[ "k"; "c" ] ~key:"k";
+  E.create_index db ~table:"t" ~name:"t_c" ~column:"c" ();
+  db
+
+let pairs rows = List.sort compare (List.map (fun r -> (Value.as_int r.(0), Value.as_int r.(1))) rows)
+let by_c txn lo hi = pairs (E.index_scan txn ~table:"t" ~index:"t_c" ~lo:(vi lo) ~hi:(vi hi))
+
+let test_replica_index_scan () =
+  let db = indexed () in
+  let replica = R.attach db in
+  E.with_txn db (fun t ->
+      E.insert t ~table:"t" [| vi 1; vi 10 |];
+      E.insert t ~table:"t" [| vi 2; vi 20 |]);
+  let begins () = Ssi_obs.Obs.get_counter (E.obs db) "engine.begins" in
+  let before = begins () in
+  let rt = R.begin_read replica `Latest_safe in
+  Alcotest.(check (list (pair int int))) "index scan on the replica" [ (2, 20) ] (by_c rt 15 25);
+  E.commit rt;
+  Alcotest.(check int) "the primary's engine counters do not move" before (begins ())
+
+let test_promoted_keeps_index () =
+  let db = indexed () in
+  let replica = R.attach db in
+  E.with_txn db (fun t -> E.insert t ~table:"t" [| vi 1; vi 10 |]);
+  let p = R.promote replica `Latest_applied in
+  Alcotest.(check (list (pair int int)))
+    "the promoted engine serves the primary's secondary index" [ (1, 10) ]
+    (E.with_txn p.R.engine (fun t -> by_c t 0 100))
+
+let test_promoted_keeps_certifier () =
+  let config =
+    { E.default_config with E.certifier = { Certifier.default_config with kind = Certifier.SSN } }
+  in
+  let db = indexed ~config () in
+  let replica = R.attach db in
+  E.with_txn db (fun t -> E.insert t ~table:"t" [| vi 1; vi 10 |]);
+  let p = R.promote replica `Latest_safe in
+  Alcotest.(check string) "promoted engine runs the primary's certifier" "ssn"
+    (Certifier.kind_to_string (E.certifier_kind p.R.engine))
+
+(* The design risk of in-place promotion: a [`Latest_safe] promotion must
+   take back, through the redo undo entries, every commit past the last
+   safe point — an insert, a delete, an update of an indexed column and a
+   new entry under an existing index key — and leave their keys free. *)
+let test_latest_safe_discard () =
+  let db = indexed () in
+  let replica = R.attach db in
+  E.with_txn db (fun t ->
+      E.insert t ~table:"t" [| vi 1; vi 10 |];
+      E.insert t ~table:"t" [| vi 2; vi 20 |]);
+  let safe = R.last_safe_cseq replica in
+  let rw = E.begin_txn db in
+  ignore (E.read rw ~table:"t" ~key:(vi 9));
+  E.with_txn db (fun t -> E.insert t ~table:"t" [| vi 3; vi 30 |]);
+  E.with_txn db (fun t -> ignore (E.delete t ~table:"t" ~key:(vi 2)));
+  E.with_txn db (fun t -> ignore (E.update t ~table:"t" ~key:(vi 1) ~f:(fun _ -> [| vi 1; vi 11 |])));
+  E.with_txn db (fun t -> E.insert t ~table:"t" [| vi 4; vi 10 |]);
+  Alcotest.(check int) "no safe point past the seed" safe (R.last_safe_cseq replica);
+  let p = R.promote replica `Latest_safe in
+  E.commit rw;
+  Alcotest.(check int) "every commit past the safe point discarded" 4 p.R.discarded_commits;
+  Alcotest.(check int) "promoted at the safe point" safe p.R.promote_cseq;
+  let before = [ (1, 10); (2, 20) ] in
+  E.with_txn p.R.engine (fun t ->
+      let value k = Option.map (fun r -> Value.as_int r.(1)) (E.read t ~table:"t" ~key:(vi k)) in
+      Alcotest.(check (list (option int)))
+        "read sees the safe state" [ Some 10; Some 20; None; None ] (List.map value [ 1; 2; 3; 4 ]);
+      Alcotest.(check (list (pair int int))) "seq scan sees the safe state" before
+        (pairs (E.seq_scan t ~table:"t" ()));
+      Alcotest.(check (list (pair int int))) "index scan sees the safe state" before
+        (by_c t 0 100);
+      Alcotest.(check (list (pair int int))) "no index entry of the discarded update" []
+        (by_c t 11 11);
+      Alcotest.(check (list (pair int int))) "no index entry of the discarded insert" []
+        (by_c t 30 30));
+  (* Every discarded key is free: no first-updater-wins failure. *)
+  E.with_txn p.R.engine (fun t ->
+      E.insert t ~table:"t" [| vi 3; vi 31 |];
+      E.insert t ~table:"t" [| vi 4; vi 41 |];
+      Alcotest.(check bool) "update the discarded delete's key" true
+        (E.update t ~table:"t" ~key:(vi 2) ~f:(fun _ -> [| vi 2; vi 21 |]));
+      Alcotest.(check bool) "update the discarded update's key" true
+        (E.update t ~table:"t" ~key:(vi 1) ~f:(fun _ -> [| vi 1; vi 12 |])));
+  Alcotest.(check (list (pair int int)))
+    "new writes visible" [ (1, 12); (2, 21); (3, 31); (4, 41) ]
+    (E.with_txn p.R.engine (fun t -> by_c t 0 100))
+
+let test_latest_safe_empty_history () =
+  (* No safe point has arrived since the (empty) base backup: the
+     promotion discards every commit and starts from the empty history. *)
+  let db, replica = fresh () in
+  let rw = E.begin_txn db in
+  ignore (E.read rw ~table:"kv" ~key:(vi 9));
+  E.with_txn db (fun t -> E.insert t ~table:"kv" [| vi 1; vi 10 |]);
+  E.with_txn db (fun t -> E.insert t ~table:"kv" [| vi 2; vi 20 |]);
+  let p = R.promote replica `Latest_safe in
+  Alcotest.(check int) "promoted at the empty base" 0 p.R.promote_cseq;
+  Alcotest.(check int) "both commits discarded" 2 p.R.discarded_commits;
+  Alcotest.(check int) "empty" 0 (E.with_txn p.R.engine (fun t -> E.row_count t ~table:"kv"));
+  E.commit rw
+
+(* DDL issued after the replica starts must reach it before the commits
+   that use it, on either transport. *)
+let ddl_workload db =
+  E.create_table db ~name:"t" ~cols:[ "k"; "c" ] ~key:"k";
+  E.with_txn db (fun t -> E.insert t ~table:"t" [| vi 1; vi 10 |]);
+  E.create_index db ~table:"t" ~name:"t_c" ~column:"c" ();
+  for k = 2 to 20 do
+    E.with_txn db (fun t -> E.insert t ~table:"t" [| vi k; vi (10 * k) |])
+  done
+
+let check_ddl_replicated replica =
+  let rt = R.begin_read replica `Latest_applied in
+  Alcotest.(check int) "every row" 20 (E.row_count rt ~table:"t");
+  Alcotest.(check (list (pair int int))) "the late index is there" [ (1, 10); (2, 20) ]
+    (by_c rt 0 25)
+
+let test_ddl_after_attach () =
+  let db = E.create () in
+  let replica = R.attach db in
+  ddl_workload db;
+  check_ddl_replicated replica
+
+let test_ddl_after_subscribe () =
+  let replica = R.create ~name:"r1" () in
+  ignore
+    (Sim.run (fun () ->
+         let net = Net.create ~seed:11 () in
+         let db = E.create () in
+         let p = Stream.make_primary net ~node:"p" ~epoch:1 db in
+         let s = Stream.subscribe net ~node:"r1" ~primary_node:"p" ~epoch:1 replica in
+         Sim.delay 0.01;
+         Net.set_chaos net ~drop:0.3 ~duplicate:0.3 ~reorder:0.4 ();
+         ddl_workload db;
+         Sim.delay 0.01;
+         Net.set_chaos net ~drop:0. ~duplicate:0. ~reorder:0. ();
+         let rounds = ref 0 in
+         while R.applied_cseq (Stream.core s) < Stream.last_cseq p && !rounds < 50 do
+           incr rounds;
+           Stream.retransmit_unacked p;
+           Sim.delay 0.01
+         done));
+  check_ddl_replicated replica
 
 let () =
   Alcotest.run "replication"
@@ -341,12 +494,23 @@ let () =
           Alcotest.test_case "snapshot stability" `Quick test_snapshot_stability;
           Alcotest.test_case "apply lag" `Quick test_apply_lag;
           Alcotest.test_case "multi-replica attach" `Quick test_multi_replica_attach;
+          Alcotest.test_case "index scan on a replica" `Quick test_replica_index_scan;
+          Alcotest.test_case "DDL after attach" `Quick test_ddl_after_attach;
+          Alcotest.test_case "DDL after subscribe, under chaos" `Quick test_ddl_after_subscribe;
         ] );
       ( "failover",
         [
           Alcotest.test_case "promote drains pending WAL" `Quick test_promote_drains_pending;
           Alcotest.test_case "promote reports discarded commits" `Quick
             test_promote_reports_discarded;
+          Alcotest.test_case "promoted engine keeps the secondary index" `Quick
+            test_promoted_keeps_index;
+          Alcotest.test_case "promoted engine keeps the certifier" `Quick
+            test_promoted_keeps_certifier;
+          Alcotest.test_case "latest-safe discard takes every commit back" `Quick
+            test_latest_safe_discard;
+          Alcotest.test_case "no safe point yet promotes the empty history" `Quick
+            test_latest_safe_empty_history;
           Alcotest.test_case "wait with deadline times out" `Quick test_wait_snapshot_deadline;
           Alcotest.test_case "wait with deadline succeeds" `Quick
             test_wait_snapshot_deadline_success;

@@ -59,7 +59,8 @@ let test_rollback_drops_redo_ops () =
   let w = Wal.create () in
   E.attach_wal db w;
   let hooked = ref [] in
-  E.set_on_commit db (fun r -> hooked := r.E.wal_ops :: !hooked);
+  E.set_on_log db (fun r _ ->
+      match r with Wal.Commit { c_ops; _ } -> hooked := c_ops :: !hooked | _ -> ());
   E.with_txn db (fun t ->
       E.insert t ~table:"kv" [| vi 1; vi 0 |];
       E.savepoint t "a";

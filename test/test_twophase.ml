@@ -48,7 +48,7 @@ let test_commit_prepared_publishes () =
   let w = Wal.create () in
   E.attach_wal db w;
   let hooked = ref [] in
-  E.set_on_commit db (fun r -> hooked := r :: !hooked);
+  E.set_on_log db (fun r _ -> hooked := r :: !hooked);
   let t = E.begin_txn db in
   let xid = E.xid t in
   bump t 1;
@@ -57,10 +57,11 @@ let test_commit_prepared_publishes () =
   let ops = [ Wal.Update { table = "kv"; key = vi 1; row = [| vi 1; vi 1 |] } ] in
   let cseq =
     match !hooked with
-    | [ r ] ->
-        Alcotest.(check int) "hook xid" xid r.E.wal_xid;
-        Alcotest.(check bool) "hook ops" true (r.E.wal_ops = ops);
-        r.E.wal_cseq
+    | [ Wal.Commit r ] ->
+        Alcotest.(check int) "hook xid" xid r.c_xid;
+        Alcotest.(check (option string)) "hook gid" (Some "g1") r.c_gid;
+        Alcotest.(check bool) "hook ops" true (r.c_ops = ops);
+        r.c_cseq
     | l -> Alcotest.failf "%d commit hook calls, expected 1" (List.length l)
   in
   (match
