@@ -100,7 +100,12 @@ type index_s = {
   next_key : bool;  (** next-key gap locks instead of leaf-page locks *)
 }
 
-type table_s = { heap : Heap.t; pk_index : index_s; mutable secondary : index_s list }
+type table_s = {
+  heap : Heap.t;
+  pk_index : index_s;
+  mutable secondary : index_s list;
+  rel_lock : Lockmgr.target;  (** the table's relation lock target, built once *)
+}
 
 (* A serializable transaction's certifier node, packed with the
    certifier instance and implementation that created it. *)
@@ -128,6 +133,7 @@ type t = {
   mutable fault_injector : (op:string -> unit) option;
   mutable wal_device : Wal.t option;  (** the durable log, when attached *)
   mutable scan : scan option;  (** made by the first index scan that cannot suspend *)
+  probe : probe;
   mutable recorder : recorder option;
   mutable unsafe_tail : (Heap.xid * undo_entry list) list;
       (** commits {!redo}ne since the last safe-point commit, newest first,
@@ -153,6 +159,22 @@ and scan = {
   on_entry : Value.t -> Value.t -> unit;
   skipped : Heap.xid -> unit;  (** [skipped_by s_txn] *)
   lock : page:int -> Value.t array -> pos:int -> len:int -> unit;
+}
+
+(* The buffer a 2PL index probe walks into ({!lock_index_probe}): the
+   leaf pages it visits, leftmost first, and when asked the [(ikey, pk)]
+   entries in range, in key order.  One per engine, reused by every probe
+   through callbacks made once; a probe that has to wait for a lock copies
+   what it still needs out of it first, since other transactions' probes
+   run while it waits. *)
+and probe = {
+  mutable pr_pages : int array;
+  mutable pr_npages : int;
+  mutable pr_keys : Value.t array;
+  mutable pr_pks : Value.t array;
+  mutable pr_nentries : int;
+  pr_on_page : int -> unit;
+  pr_on_entry : Value.t -> Value.t -> unit;
 }
 
 (* An attached history recorder ({!set_recorder}).  The reads and first
@@ -203,6 +225,41 @@ and undo_entry =
   | U_index_entry of index_s * Value.t * Value.t
   | U_set_xmax of Heap.tuple
 
+let grow a fill =
+  let a' = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+let probe_page pr page =
+  let n = pr.pr_npages in
+  if n = Array.length pr.pr_pages then pr.pr_pages <- grow pr.pr_pages 0;
+  pr.pr_pages.(n) <- page;
+  pr.pr_npages <- n + 1
+
+let probe_entry pr ikey pk =
+  let n = pr.pr_nentries in
+  if n = Array.length pr.pr_keys then begin
+    pr.pr_keys <- grow pr.pr_keys Value.Null;
+    pr.pr_pks <- grow pr.pr_pks Value.Null
+  end;
+  pr.pr_keys.(n) <- ikey;
+  pr.pr_pks.(n) <- pk;
+  pr.pr_nentries <- n + 1
+
+let new_probe () =
+  let rec pr =
+    {
+      pr_pages = Array.make 8 0;
+      pr_npages = 0;
+      pr_keys = Array.make 8 Value.Null;
+      pr_pks = Array.make 8 Value.Null;
+      pr_nentries = 0;
+      pr_on_page = (fun page -> probe_page pr page);
+      pr_on_entry = (fun ikey pk -> probe_entry pr ikey pk);
+    }
+  in
+  pr
+
 let create ?(scheduler = Waitq.direct) ?(config = default_config) ?obs () =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   Obs.set_clock obs scheduler.Waitq.now;
@@ -219,6 +276,7 @@ let create ?(scheduler = Waitq.direct) ?(config = default_config) ?obs () =
     active = Hashtbl.create 64;
     prepared_by_gid = Hashtbl.create 8;
     scan = None;
+    probe = new_probe ();
     sched = scheduler;
     cfg = config;
     obs;
@@ -387,7 +445,7 @@ let create_table db ~name ~cols ~key =
       next_key = db.cfg.next_key_gaps;
     }
   in
-  let tbl = { heap; pk_index; secondary = [] } in
+  let tbl = { heap; pk_index; secondary = []; rel_lock = Lockmgr.Relation name } in
   hook_split db pk_index;
   Hashtbl.add db.tables name tbl;
   Hashtbl.add db.idx_by_name pk_name pk_index;
@@ -443,7 +501,8 @@ let drop_index db ~name =
       Hashtbl.remove db.idx_by_name name;
       (* §5.2.1: index-gap locks are replaced with a relation-level lock on
          the heap. *)
-      Predlock.drop_index_to_relation db.predlocks ~index:name ~heap_rel:index.table_name
+      Predlock.drop_index_to_relation db.predlocks ~index:name ~heap_rel:index.table_name;
+      log_ddl db (Wal.Drop_index name)
 
 let recluster db ~table =
   let tbl = table_of db table in
@@ -611,7 +670,9 @@ let ensure_running txn =
 let refresh_stmt_snapshot txn =
   match txn.iso with
   | Read_committed | Serializable_2pl ->
-      txn.snapshot <- Snapshot.take txn.db.clog ~owner:txn.txn_xid
+      (* No commit since the last one: it would be the same snapshot. *)
+      if txn.snapshot.Snapshot.horizon <> Clog.next_cseq txn.db.clog then
+        txn.snapshot <- Snapshot.take txn.db.clog ~owner:txn.txn_xid
   | Repeatable_read | Serializable -> ()
 
 let start_op txn =
@@ -859,22 +920,50 @@ let ssi_lock_point_gaps txn idx key =
     Btree.walk_pages idx.tree ~lo:key ~hi:key ~page:(fun page ->
         Predlock.lock_index_page locks ~owner ~index ~page)
 
+(* ---- Heavyweight locks (2PL) ------------------------------------------------ *)
+
+(* Take a heavyweight lock for [txn], waiting if it must.  The lock
+   manager fails the requester whose wait would close a cycle; that is a
+   serialization failure here. *)
+let lock txn target mode =
+  match Lockmgr.acquire txn.db.locks ~owner:txn.txn_xid target mode with
+  | () -> ()
+  | exception Lockmgr.Deadlock { victim; _ } ->
+      Obs.incr txn.db.metrics.m_deadlocks;
+      fail (Serialization_failure { xid = victim; reason = "deadlock detected" })
+
+(* Take a heavyweight lock only if it is granted at once, so that no other
+   transaction runs meanwhile; say whether it was. *)
+let lock_now txn target mode = Lockmgr.try_acquire txn.db.locks ~owner:txn.txn_xid target mode
+
+(* S-lock the leaf pages [pages.(0..i)], rightmost first, and say whether
+   any had to wait.  Before a wait, the pages still to lock are copied out
+   of the engine's probe buffer, which other probes reuse meanwhile. *)
+let rec lock_leaves txn idx pages i ~waited =
+  if i < 0 then waited
+  else
+    let target = Lockmgr.Index_page (idx.idx_name, pages.(i)) in
+    if lock_now txn target Lockmgr.S then lock_leaves txn idx pages (i - 1) ~waited
+    else begin
+      let pages = Array.sub pages 0 i in
+      lock txn target Lockmgr.S;
+      lock_leaves txn idx pages (i - 1) ~waited:true
+    end
+
 (* Under 2PL an index probe is only valid once shared locks on the visited
-   leaf pages are held: acquiring a lock can block, and by the time it is
-   granted the tree may have changed.  Rescan until every visited page was
-   already locked before the scan. *)
-let rec lock_index_probe txn idx ~probe =
-  let db = txn.db in
-  let pages = ref [] in
-  let result = probe ~pages in
-  let lock_unheld fresh p =
-    let target = Lockmgr.Index_page (idx.idx_name, p) in
-    let held = Lockmgr.holds db.locks ~owner:txn.txn_xid target Lockmgr.S in
-    if not held then Lockmgr.acquire db.locks ~owner:txn.txn_xid target Lockmgr.S;
-    fresh || not held
-  in
-  if List.fold_left lock_unheld false !pages then lock_index_probe txn idx ~probe
-  else (result, !pages)
+   leaf pages are held.  Walk [lo, hi] into the engine's probe buffer
+   (with its entries when [entries]), then lock the leaves.  Locks
+   granted at once let no other transaction run, so the walk still
+   stands; after a wait the tree may have changed, so walk again until
+   every leaf is locked without waiting. *)
+let rec lock_index_probe txn idx ~lo ~hi ~entries =
+  let pr = txn.db.probe in
+  pr.pr_npages <- 0;
+  pr.pr_nentries <- 0;
+  if entries then Btree.walk idx.tree ~lo ~hi ~page:pr.pr_on_page ~entry:pr.pr_on_entry
+  else Btree.walk_pages idx.tree ~lo ~hi ~page:pr.pr_on_page;
+  if lock_leaves txn idx pr.pr_pages (pr.pr_npages - 1) ~waited:false then
+    lock_index_probe txn idx ~lo ~hi ~entries
 
 (* Probe the primary-key index for gap protection, then walk the version
    chain.  Returns the visible version, recording SSI conflicts and
@@ -883,12 +972,9 @@ let fetch txn tbl key ~for_write =
   let db = txn.db in
   let rel = Heap.rel_name tbl.heap in
   if is_2pl txn then begin
-    Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Relation rel)
-      (if for_write then Lockmgr.IX else Lockmgr.IS);
-    ignore (lock_index_probe txn tbl.pk_index ~probe:(fun ~pages ->
-        Btree.lookup tbl.pk_index.tree key ~pages));
-    Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Tuple (rel, key))
-      (if for_write then Lockmgr.X else Lockmgr.S);
+    lock txn tbl.rel_lock (if for_write then Lockmgr.IX else Lockmgr.IS);
+    lock_index_probe txn tbl.pk_index ~lo:key ~hi:key ~entries:false;
+    lock txn (Lockmgr.Tuple (rel, key)) (if for_write then Lockmgr.X else Lockmgr.S);
     refresh_stmt_snapshot txn
   end
   else if is_tracked txn then ssi_lock_point_gaps txn tbl.pk_index key;
@@ -905,17 +991,11 @@ let fetch txn tbl key ~for_write =
 
 (* ---- Reads ------------------------------------------------------------------------ *)
 
-let map_lock_errors txn f =
-  try f ()
-  with Lockmgr.Deadlock { victim; _ } ->
-    Obs.incr txn.db.metrics.m_deadlocks;
-    fail (Serialization_failure { xid = victim; reason = "deadlock detected" })
-
 let read txn ~table ~key =
   start_op txn;
   fault_point txn.db ~op:"read";
   let tbl = table_of txn.db table in
-  let found = map_lock_errors txn (fun () -> fetch txn tbl key ~for_write:false) in
+  let found = fetch txn tbl key ~for_write:false in
   (match txn.db.recorder with
   | None -> ()
   | Some r ->
@@ -944,37 +1024,49 @@ let index_visible txn idx ~skipped ikey head =
   let v = visible txn ~skipped head in
   if Heap.is_absent v || Value.equal v.row.(idx.col) ikey then v else Heap.absent
 
-(* Under 2PL every lock acquisition can suspend, so the scan materialises
-   the entries its rescan validated instead of walking the live tree, and
-   collects its rows in a list of its own rather than the engine's shared
-   buffer. *)
-let index_scan_2pl txn tbl idx ~lo ~hi =
-  let db = txn.db and rel = Heap.rel_name tbl.heap in
-  Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Relation rel) Lockmgr.IS;
-  let entries, pages =
-    lock_index_probe txn idx ~probe:(fun ~pages -> Btree.range idx.tree ~lo ~hi ~pages)
-  in
+(* Visit the entries [keys.(i..n-1)], [pks.(i..n-1)] of a 2PL scan,
+   S-locking each row before its visibility check: the lock can wait, and
+   the row must then be read as of the post-wait state.  Before a wait
+   the entries still to visit are copied out of the engine's probe
+   buffer.  Returns the rows examined and the visible rows, newest
+   first. *)
+let rec scan_2pl txn tbl idx ~skipped keys pks i n tuples rows =
+  if i >= n then (tuples, rows)
+  else
+    let target = Lockmgr.Tuple (Heap.rel_name tbl.heap, pks.(i)) in
+    if lock_now txn target Lockmgr.S then
+      scan_2pl_row txn tbl idx ~skipped keys pks i n tuples rows
+    else begin
+      let keys = Array.sub keys i (n - i) and pks = Array.sub pks i (n - i) in
+      lock txn target Lockmgr.S;
+      scan_2pl_row txn tbl idx ~skipped keys pks 0 (n - i) tuples rows
+    end
+
+and scan_2pl_row txn tbl idx ~skipped keys pks i n tuples rows =
   refresh_stmt_snapshot txn;
-  let tuples = ref 0 and skipped = skipped_by txn in
-  let rows =
-    List.fold_left
-      (fun rows (ikey, pk) ->
-        (* The tuple lock precedes the visibility check: acquiring it can
-           block, and the row must then be read as of the post-wait
-           state. *)
-        Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Tuple (rel, pk)) Lockmgr.S;
-        refresh_stmt_snapshot txn;
-        let head = Heap.head tbl.heap pk in
-        if Heap.is_absent head then rows
-        else begin
-          incr tuples;
-          let v = index_visible txn idx ~skipped ikey head in
-          if Heap.is_absent v then rows else Array.copy v.row :: rows
-        end)
-      [] entries
+  let head = Heap.head tbl.heap pks.(i) in
+  if Heap.is_absent head then scan_2pl txn tbl idx ~skipped keys pks (i + 1) n tuples rows
+  else
+    let v = index_visible txn idx ~skipped keys.(i) head in
+    scan_2pl txn tbl idx ~skipped keys pks (i + 1) n (tuples + 1)
+      (if Heap.is_absent v then rows else Array.copy v.row :: rows)
+
+(* Under 2PL every lock acquisition can suspend, so the scan walks the
+   range into the probe buffer while it locks the leaves, and visits the
+   entries that walk validated instead of walking the live tree; it
+   collects its rows in a list of its own rather than the engine's shared
+   scan buffer. *)
+let index_scan_2pl txn tbl idx ~lo ~hi =
+  let db = txn.db in
+  lock txn tbl.rel_lock Lockmgr.IS;
+  lock_index_probe txn idx ~lo ~hi ~entries:true;
+  refresh_stmt_snapshot txn;
+  let pr = db.probe in
+  let npages = pr.pr_npages in
+  let tuples, rows =
+    scan_2pl txn tbl idx ~skipped:(skipped_by txn) pr.pr_keys pr.pr_pks 0 pr.pr_nentries 0 []
   in
-  let npages = List.length pages in
-  finish_op db ~tuples:!tuples ~locks:(!tuples + npages) ~pages:(npages + !tuples);
+  finish_op db ~tuples ~locks:(tuples + npages) ~pages:(npages + tuples);
   List.rev rows
 
 (* The walk's callbacks.  [scan_page] counts a leaf and, in page mode,
@@ -1093,7 +1185,7 @@ let index_scan txn ~table ~index ~lo ~hi =
   if idx.table_name <> table then invalid_arg "Engine.index_scan: index is on another table";
   let rows =
     (* Only the 2PL scan takes heavyweight locks. *)
-    if is_2pl txn then map_lock_errors txn (fun () -> index_scan_2pl txn tbl idx ~lo ~hi)
+    if is_2pl txn then index_scan_2pl txn tbl idx ~lo ~hi
     else index_scan_mvcc txn tbl idx ~lo ~hi
   in
   (* The horizon after the scan: a 2PL scan re-takes its statement
@@ -1117,36 +1209,35 @@ let seq_scan txn ~table ?(filter = fun _ -> true) () =
   let db = txn.db in
   let tbl = table_of db table in
   let rel = Heap.rel_name tbl.heap in
-  map_lock_errors txn (fun () ->
-      if is_2pl txn then begin
-        Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Relation rel) Lockmgr.S;
-        refresh_stmt_snapshot txn
-      end;
-      if is_tracked txn then Predlock.lock_relation db.predlocks ~owner:txn.txn_xid ~rel;
-      let tuples = ref 0 in
-      let rows = ref [] in
-      let skipped = skipped_by txn in
-      Heap.iter_heads tbl.heap (fun head ->
-          incr tuples;
-          let v = visible txn ~skipped head in
-          if Heap.is_absent v then note_absent txn head
-          else begin
-            (* The relation SIREAD lock above covers every row. *)
-            ignore (note_read txn v);
-            if filter v.row then rows := Array.copy v.row :: !rows
-          end);
-      (match db.recorder with
-      | None -> ()
-      | Some r ->
-          record_read r txn
-            (Recorded.Scan
-               { rel; range = None; horizon = txn.snapshot.Snapshot.horizon; own = own_rows txn rel }));
-      (* Read tracking is per tuple (visibility conflict-out checks), while
-         the 2PL baseline locks the whole relation once. *)
-      finish_op db ~tuples:!tuples
-        ~locks:(if is_tracked txn then !tuples else if is_2pl txn then 1 else 0)
-        ~pages:(Heap.npages tbl.heap);
-      !rows)
+  if is_2pl txn then begin
+    lock txn tbl.rel_lock Lockmgr.S;
+    refresh_stmt_snapshot txn
+  end;
+  if is_tracked txn then Predlock.lock_relation db.predlocks ~owner:txn.txn_xid ~rel;
+  let tuples = ref 0 in
+  let rows = ref [] in
+  let skipped = skipped_by txn in
+  Heap.iter_heads tbl.heap (fun head ->
+      incr tuples;
+      let v = visible txn ~skipped head in
+      if Heap.is_absent v then note_absent txn head
+      else begin
+        (* The relation SIREAD lock above covers every row. *)
+        ignore (note_read txn v);
+        if filter v.row then rows := Array.copy v.row :: !rows
+      end);
+  (match db.recorder with
+  | None -> ()
+  | Some r ->
+      record_read r txn
+        (Recorded.Scan
+           { rel; range = None; horizon = txn.snapshot.Snapshot.horizon; own = own_rows txn rel }));
+  (* Read tracking is per tuple (visibility conflict-out checks), while
+     the 2PL baseline locks the whole relation once. *)
+  finish_op db ~tuples:!tuples
+    ~locks:(if is_tracked txn then !tuples else if is_2pl txn then 1 else 0)
+    ~pages:(Heap.npages tbl.heap);
+  !rows
 
 let row_count txn ~table = List.length (seq_scan txn ~table ())
 
@@ -1187,8 +1278,7 @@ let index_insert ?(new_row = false) txn idx ~ikey ~pk =
             else Predlock.readers_for_index_insert db.predlocks ~index:idx.idx_name ~page)
      | No_sx -> ());
   if added && is_2pl txn then
-    Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Index_page (idx.idx_name, page))
-      Lockmgr.X
+    lock txn (Lockmgr.Index_page (idx.idx_name, page)) Lockmgr.X
 
 let all_indexes tbl = tbl.pk_index :: tbl.secondary
 let index_keys tbl row = List.map (fun idx -> (idx.idx_name, row.(idx.col))) (all_indexes tbl)
@@ -1208,57 +1298,56 @@ let insert txn ~table row =
   Schema.check_row schema row;
   let key = Schema.key_of_row schema row in
   ensure_writable txn;
-  map_lock_errors txn (fun () ->
-      if is_2pl txn then begin
-        Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Relation table) Lockmgr.IX;
-        Lockmgr.acquire db.locks ~owner:txn.txn_xid (Lockmgr.Tuple (table, key)) Lockmgr.X;
-        refresh_stmt_snapshot txn
-      end;
-      (* Over a head another transaction deleted, the new row may find the
-         index entries of the dead version: [new_row] still checks their
-         gaps.  Over its own delete the transaction only replaces its own
-         write, as an update does. *)
-      let new_row =
-        match live_head txn tbl key with
-        | None -> false
-        | Some v ->
-            let deleted =
-              v.xmax <> Heap.invalid_xid
-              && (v.xmax = txn.txn_xid || Clog.is_committed db.clog v.xmax)
-            in
-            if not deleted then fail (Unique_violation { table; key = Value.to_string key });
-            (* Re-inserting over a committed-dead head is a w:w dependency on
-               the dead version's creator and deleter. *)
-            (match tracking txn with
-            | Sx ((module C), c, node) ->
-                C.read_from c node ~creator:v.xmin;
-                if v.xmax <> Heap.invalid_xid then C.read_from c node ~creator:v.xmax
-            | No_sx -> ());
-            v.xmax <> txn.txn_xid
-      in
-      let old_page =
-        match Heap.head tbl.heap key with
-        | h when Heap.is_absent h -> -1
-        | h -> Heap.page_of_tid h.Heap.tid
-      in
-      let row = Array.copy row in
-      let tuple = Heap.insert_version tbl.heap ~key ~row ~xmin:txn.txn_xid in
-      txn.undo <- U_new_version (tbl, key) :: txn.undo;
-      (match tracking txn with
-      | Sx ((module C), c, node) ->
-          let page = Heap.page_of_tid tuple.tid in
-          C.conflict_in c node (Predlock.readers_for_write db.predlocks ~rel:table ~key ~page);
-          if old_page >= 0 && old_page <> page then
-            C.conflict_in c node
-              (Predlock.readers_for_write db.predlocks ~rel:table ~key ~page:old_page)
-      | No_sx -> ());
-      List.iter
-        (fun idx -> index_insert ~new_row txn idx ~ikey:row.(idx.col) ~pk:key)
-        (all_indexes tbl);
-      txn.wal <- Wal.Insert { table; key; row } :: txn.wal;
-      finish_op db ~tuples:1
-        ~locks:(if is_tracked txn || is_2pl txn then 2 + List.length tbl.secondary else 0)
-        ~pages:(2 + List.length tbl.secondary))
+  if is_2pl txn then begin
+    lock txn tbl.rel_lock Lockmgr.IX;
+    lock txn (Lockmgr.Tuple (table, key)) Lockmgr.X;
+    refresh_stmt_snapshot txn
+  end;
+  (* Over a head another transaction deleted, the new row may find the
+     index entries of the dead version: [new_row] still checks their
+     gaps.  Over its own delete the transaction only replaces its own
+     write, as an update does. *)
+  let new_row =
+    match live_head txn tbl key with
+    | None -> false
+    | Some v ->
+        let deleted =
+          v.xmax <> Heap.invalid_xid
+          && (v.xmax = txn.txn_xid || Clog.is_committed db.clog v.xmax)
+        in
+        if not deleted then fail (Unique_violation { table; key = Value.to_string key });
+        (* Re-inserting over a committed-dead head is a w:w dependency on
+           the dead version's creator and deleter. *)
+        (match tracking txn with
+        | Sx ((module C), c, node) ->
+            C.read_from c node ~creator:v.xmin;
+            if v.xmax <> Heap.invalid_xid then C.read_from c node ~creator:v.xmax
+        | No_sx -> ());
+        v.xmax <> txn.txn_xid
+  in
+  let old_page =
+    match Heap.head tbl.heap key with
+    | h when Heap.is_absent h -> -1
+    | h -> Heap.page_of_tid h.Heap.tid
+  in
+  let row = Array.copy row in
+  let tuple = Heap.insert_version tbl.heap ~key ~row ~xmin:txn.txn_xid in
+  txn.undo <- U_new_version (tbl, key) :: txn.undo;
+  (match tracking txn with
+  | Sx ((module C), c, node) ->
+      let page = Heap.page_of_tid tuple.tid in
+      C.conflict_in c node (Predlock.readers_for_write db.predlocks ~rel:table ~key ~page);
+      if old_page >= 0 && old_page <> page then
+        C.conflict_in c node
+          (Predlock.readers_for_write db.predlocks ~rel:table ~key ~page:old_page)
+  | No_sx -> ());
+  List.iter
+    (fun idx -> index_insert ~new_row txn idx ~ikey:row.(idx.col) ~pk:key)
+    (all_indexes tbl);
+  txn.wal <- Wal.Insert { table; key; row } :: txn.wal;
+  finish_op db ~tuples:1
+    ~locks:(if is_tracked txn || is_2pl txn then 2 + List.length tbl.secondary else 0)
+    ~pages:(2 + List.length tbl.secondary)
 
 (* Shared write-side logic of update and delete: locate the visible
    version and enforce first-updater-wins, waiting out in-progress writers
@@ -1327,28 +1416,27 @@ let update txn ~table ~key ~f =
   ensure_writable txn;
   let db = txn.db in
   let tbl = table_of db table in
-  map_lock_errors txn (fun () ->
-      match locate_for_write txn tbl key with
-      | None ->
-          finish_op db ~tuples:1 ~locks:1 ~pages:2;
-          false
-      | Some v ->
-          let schema = Heap.schema tbl.heap in
-          let row' = f (Array.copy v.row) in
-          Schema.check_row schema row';
-          if not (Value.equal (Schema.key_of_row schema row') key) then
-            fail (Invalid_request "Engine.update: primary key must not change");
-          Heap.set_xmax v txn.txn_xid;
-          txn.undo <- U_set_xmax v :: txn.undo;
-          let tuple = Heap.insert_version tbl.heap ~key ~row:row' ~xmin:txn.txn_xid in
-          txn.undo <- U_new_version (tbl, key) :: txn.undo;
-          List.iter (fun idx -> index_insert txn idx ~ikey:row'.(idx.col) ~pk:key) (all_indexes tbl);
-          ignore tuple;
-          txn.wal <- Wal.Update { table; key; row = row' } :: txn.wal;
-          finish_op db ~tuples:2
-            ~locks:(if is_tracked txn || is_2pl txn then 3 + List.length tbl.secondary else 0)
-            ~pages:(2 + List.length tbl.secondary);
-          true)
+  match locate_for_write txn tbl key with
+  | None ->
+      finish_op db ~tuples:1 ~locks:1 ~pages:2;
+      false
+  | Some v ->
+      let schema = Heap.schema tbl.heap in
+      let row' = f (Array.copy v.row) in
+      Schema.check_row schema row';
+      if not (Value.equal (Schema.key_of_row schema row') key) then
+        fail (Invalid_request "Engine.update: primary key must not change");
+      Heap.set_xmax v txn.txn_xid;
+      txn.undo <- U_set_xmax v :: txn.undo;
+      let tuple = Heap.insert_version tbl.heap ~key ~row:row' ~xmin:txn.txn_xid in
+      txn.undo <- U_new_version (tbl, key) :: txn.undo;
+      List.iter (fun idx -> index_insert txn idx ~ikey:row'.(idx.col) ~pk:key) (all_indexes tbl);
+      ignore tuple;
+      txn.wal <- Wal.Update { table; key; row = row' } :: txn.wal;
+      finish_op db ~tuples:2
+        ~locks:(if is_tracked txn || is_2pl txn then 3 + List.length tbl.secondary else 0)
+        ~pages:(2 + List.length tbl.secondary);
+      true
 
 let delete txn ~table ~key =
   start_op txn;
@@ -1356,19 +1444,18 @@ let delete txn ~table ~key =
   ensure_writable txn;
   let db = txn.db in
   let tbl = table_of db table in
-  map_lock_errors txn (fun () ->
-      match locate_for_write txn tbl key with
-      | None ->
-          finish_op db ~tuples:1 ~locks:1 ~pages:2;
-          false
-      | Some v ->
-          Heap.set_xmax v txn.txn_xid;
-          txn.undo <- U_set_xmax v :: txn.undo;
-          txn.wal <- Wal.Delete { table; key } :: txn.wal;
-          finish_op db ~tuples:1
-            ~locks:(if is_tracked txn || is_2pl txn then 2 else 0)
-            ~pages:1;
-          true)
+  match locate_for_write txn tbl key with
+  | None ->
+      finish_op db ~tuples:1 ~locks:1 ~pages:2;
+      false
+  | Some v ->
+      Heap.set_xmax v txn.txn_xid;
+      txn.undo <- U_set_xmax v :: txn.undo;
+      txn.wal <- Wal.Delete { table; key } :: txn.wal;
+      finish_op db ~tuples:1
+        ~locks:(if is_tracked txn || is_2pl txn then 2 else 0)
+        ~pages:1;
+      true
 
 (* ---- Per-operation latency ------------------------------------------------------------- *)
 
@@ -1912,6 +1999,7 @@ let install_checkpoint db ~base_xid ~k_cseq ~k_tables ~k_prepared =
 let redo db ~base_xid = function
   | Wal.Schema d -> replay_table_def db d
   | Wal.Index { table; def } -> replay_index_def db ~table def
+  | Wal.Drop_index name -> if Hashtbl.mem db.idx_by_name name then drop_index db ~name
   | Wal.Prepare img -> reinstate_prepared db img
   | Wal.Abort { a_gid; a_xid = _ } -> (
       (* ROLLBACK PREPARED reached the log: the reinstated transaction
@@ -1958,7 +2046,7 @@ let max_xid_of_record = function
   | Wal.Abort { a_xid; _ } -> a_xid
   | Wal.Checkpoint { k_prepared; _ } ->
       List.fold_left (fun acc (p : Wal.prepared_image) -> max acc p.Wal.p_xid) 0 k_prepared
-  | Wal.Schema _ | Wal.Index _ | Wal.Epoch _ -> 0
+  | Wal.Schema _ | Wal.Index _ | Wal.Drop_index _ | Wal.Epoch _ -> 0
 
 let recover ?scheduler ?config ?obs w =
   let db = create ?scheduler ?config ?obs () in

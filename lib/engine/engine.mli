@@ -162,7 +162,8 @@ val create_index :
 
 val drop_index : t -> name:string -> unit
 (** Replaces index-gap SIREAD locks with relation locks on the heap
-    (§5.2.1). *)
+    (§5.2.1).  The drop is logged like the index's creation, so
+    {!redo} drops it on a replica and in a recovered engine. *)
 
 val recluster : t -> table:string -> unit
 (** Rewrites the table (like CLUSTER / ALTER TABLE): physical locations

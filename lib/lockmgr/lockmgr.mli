@@ -9,7 +9,12 @@
     turns into a serialization failure.
 
     Lock targets use the same granularities as the SSI lock manager:
-    relation, heap page, tuple, and index leaf page. *)
+    relation, heap page, tuple, and index leaf page.
+
+    The lock, holding and owner records are recycled through free lists,
+    so once they hold what the transactions in flight take, a grant and
+    its release allocate nothing; only a request that must wait builds a
+    record. *)
 
 open Ssi_storage
 
@@ -42,7 +47,9 @@ val covers : mode -> mode -> bool
     redundant (e.g. [X] covers everything, [SIX] covers [S]). *)
 
 exception Deadlock of { victim : Heap.xid; cycle : Heap.xid list }
-(** Raised in the requester whose wait would close a waits-for [cycle] (which ends with it). *)
+(** Raised in the requester whose wait would close a waits-for [cycle]
+    (which ends with it).  A waiting request waits for the holders of an
+    incompatible mode and for every request queued ahead of it. *)
 
 type t
 
@@ -56,9 +63,13 @@ val create : ?obs:Ssi_obs.Obs.t -> Ssi_util.Waitq.scheduler -> t
 
 val acquire : t -> owner:Heap.xid -> target -> mode -> unit
 (** Grant the lock, suspending while incompatible locks are held by other
-    owners.  Re-acquiring a covered mode is a no-op.  May raise
-    {!Deadlock} (the request is withdrawn first) or
-    [Db_error.Error Lock_not_available] under the direct scheduler. *)
+    owners or any request is queued ahead (grants are FIFO).
+    Re-acquiring a covered mode is a no-op.  May raise {!Deadlock} (the
+    request is withdrawn first) or [Db_error.Error Lock_not_available]
+    under the direct scheduler.  The lock table keeps the [target] value
+    of the acquisition that created the lock until the lock's last holder
+    releases it, so a caller may build its targets once and share them;
+    they are immutable. *)
 
 val try_acquire : t -> owner:Heap.xid -> target -> mode -> bool
 (** Like {!acquire} but returns [false] instead of waiting. *)

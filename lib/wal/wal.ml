@@ -35,6 +35,7 @@ type table_image = {
 type record =
   | Schema of table_def
   | Index of { table : string; def : index_def }
+  | Drop_index of string
   | Commit of {
       c_xid : int;
       c_cseq : int;
@@ -242,6 +243,9 @@ let encode_record e = function
       w_u8 e 2;
       w_str e table;
       w_index_def e def
+  | Drop_index name ->
+      w_u8 e 8;
+      w_str e name
   | Commit { c_xid; c_cseq; c_gid; c_ops; c_safe } ->
       w_commit_head e ~xid:c_xid ~cseq:c_cseq ~gid:c_gid;
       w_list e w_op c_ops;
@@ -396,6 +400,7 @@ let decode_record buf pos len =
         let k_tables = r_list rd r_table_image in
         Checkpoint { k_cseq; k_tables; k_prepared = r_list rd r_prepared }
     | 7 -> Epoch (r_int rd)
+    | 8 -> Drop_index (r_str rd)
     | _ -> raise Corrupt
   in
   if rd.pos <> rd.limit then raise Corrupt;

@@ -62,6 +62,7 @@ type table_image = {
 type record =
   | Schema of table_def  (** CREATE TABLE *)
   | Index of { table : string; def : index_def }  (** CREATE INDEX *)
+  | Drop_index of string  (** DROP INDEX, by index name *)
   | Commit of {
       c_xid : int;
       c_cseq : int;

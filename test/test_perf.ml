@@ -541,6 +541,81 @@ let test_untracked_read_allocation () =
   E.commit txn;
   within "untracked read" ~budget:26. words
 
+(* ---- The 2PL baseline allocates what REPEATABLE READ does --------------------- *)
+
+(* A table of 100 rows and a committed 2PL transaction that read every
+   one and took the lock records, holdings and owner entry a transaction
+   of that size needs; its commit returned them to the lock manager's
+   pools. *)
+let s2pl_table () =
+  let db = E.create () in
+  E.create_table db ~name:"t" ~cols:[ "k"; "v" ] ~key:"k";
+  E.with_txn db (fun t ->
+      for k = 0 to 99 do
+        E.insert t ~table:"t" [| vi k; vi (-k) |]
+      done);
+  E.with_txn ~isolation:E.Serializable_2pl db (fun t ->
+      for k = 0 to 99 do
+        ignore (E.read t ~table:"t" ~key:(vi k))
+      done);
+  db
+
+(* Median words of a point read of [key i] for i in 0..31, in [txn]. *)
+let read_words txn key =
+  median
+    (List.init 32 (fun i ->
+         let key = key i in
+         words_of (fun () -> ignore (Sys.opaque_identity (E.read txn ~table:"t" ~key)))))
+
+(* A 2PL re-read of a row the transaction holds: the relation, leaf and
+   tuple locks are covered, so beyond what the REPEATABLE READ read
+   allocates (22 words) there are only the tuple and leaf targets the
+   read builds; the B+-tree is walked once, the statement snapshot is
+   kept while no commit happens, and no deadlock handler is a closure. *)
+let test_2pl_reread_allocation () =
+  let db = s2pl_table () in
+  let txn = E.begin_txn ~isolation:E.Serializable_2pl db in
+  for k = 0 to 99 do
+    ignore (E.read txn ~table:"t" ~key:(vi k))
+  done;
+  let words = read_words txn (fun i -> vi (i + 10)) in
+  E.commit txn;
+  within "warm 2PL re-read" ~budget:35. words
+
+(* A 2PL read of a row not locked yet, on a leaf that is: the new tuple
+   lock's record and holding come from the pools. *)
+let test_2pl_fresh_read_allocation () =
+  let db = s2pl_table () in
+  let txn = E.begin_txn ~isolation:E.Serializable_2pl db in
+  for k = 0 to 49 do
+    ignore (E.read txn ~table:"t" ~key:(vi (2 * k)))
+  done;
+  let words = read_words txn (fun i -> vi ((2 * i) + 1)) in
+  E.commit txn;
+  within "2PL read of a fresh row" ~budget:45. words
+
+(* A transaction that scans 20 rows through the primary key: under 2PL
+   the scan S-locks the leaves and each row, which the transaction takes
+   from the pools and gives back at commit, and its entries stay in the
+   engine's probe buffer; it allocates at most twice what the same
+   transaction does under REPEATABLE READ. *)
+let test_2pl_scan_allocation () =
+  let db = s2pl_table () in
+  let txn_words isolation =
+    let run () =
+      E.with_txn ~isolation db (fun t ->
+          ignore
+            (Sys.opaque_identity
+               (E.index_scan t ~table:"t" ~index:"t_pkey" ~lo:(vi 40) ~hi:(vi 59))))
+    in
+    run ();
+    median (List.init 32 (fun _ -> words_of run))
+  in
+  let rr = txn_words E.Repeatable_read and s2pl = txn_words E.Serializable_2pl in
+  within
+    (Printf.sprintf "20-row 2PL scan transaction (REPEATABLE READ: %.0f words)" rr)
+    ~budget:(2. *. rr) s2pl
+
 (* ---- A cold tracked scan grants its page lock directly ------------------------ *)
 
 (* The same 50-row scan, cold: each round is a new transaction's first
@@ -609,6 +684,13 @@ let () =
           Alcotest.test_case "observe of a boxed float" `Quick test_observe_allocation;
           Alcotest.test_case "op span finish-and-observe" `Quick test_op_finish_allocation;
           Alcotest.test_case "warm untracked point read" `Quick test_untracked_read_allocation;
+        ] );
+      ( "2pl",
+        [
+          Alcotest.test_case "warm 2PL re-read of a held row" `Quick test_2pl_reread_allocation;
+          Alcotest.test_case "2PL read of a fresh row on a locked leaf" `Quick
+            test_2pl_fresh_read_allocation;
+          Alcotest.test_case "20-row 2PL scan transaction" `Quick test_2pl_scan_allocation;
         ] );
       ( "write path",
         [

@@ -441,6 +441,30 @@ let test_latest_safe_empty_history () =
   Alcotest.(check int) "empty" 0 (E.with_txn p.R.engine (fun t -> E.row_count t ~table:"kv"));
   E.commit rw
 
+(* DROP INDEX is logged: a dropped index stays dropped on a replica, and
+   in the engine recovered from the primary's log, while the rows written
+   after the drop still arrive. *)
+let test_drop_index_replicated () =
+  let db = E.create () in
+  let w = Ssi_wal.Wal.create () in
+  E.attach_wal db w;
+  E.create_table db ~name:"t" ~cols:[ "k"; "c" ] ~key:"k";
+  E.create_index db ~table:"t" ~name:"t_c" ~column:"c" ();
+  let replica = R.attach db in
+  E.with_txn db (fun t -> E.insert t ~table:"t" [| vi 1; vi 10 |]);
+  E.drop_index db ~name:"t_c";
+  E.with_txn db (fun t -> E.insert t ~table:"t" [| vi 2; vi 20 |]);
+  let no_index what txn =
+    Alcotest.(check int) (what ^ ": every row") 2 (E.row_count txn ~table:"t");
+    (match by_c txn 0 100 with
+    | _ -> Alcotest.failf "%s: the dropped index still answers a scan" what
+    | exception E.Error (E.Undefined_object _) -> ());
+    E.commit txn
+  in
+  no_index "replica" (R.begin_read replica `Latest_applied);
+  let recovered, _ = E.recover w in
+  no_index "recovered" (E.begin_txn recovered)
+
 (* DDL issued after the replica starts must reach it before the commits
    that use it, on either transport. *)
 let ddl_workload db =
@@ -497,6 +521,7 @@ let () =
           Alcotest.test_case "index scan on a replica" `Quick test_replica_index_scan;
           Alcotest.test_case "DDL after attach" `Quick test_ddl_after_attach;
           Alcotest.test_case "DDL after subscribe, under chaos" `Quick test_ddl_after_subscribe;
+          Alcotest.test_case "dropped index stays dropped" `Quick test_drop_index_replicated;
         ] );
       ( "failover",
         [

@@ -43,6 +43,7 @@ let sample_records =
         table = "t";
         def = { Wal.i_name = "t_idx"; i_column = "v"; i_pred_locks = true; i_next_key = false };
       };
+    Wal.Drop_index "t_idx";
     Wal.Commit
       {
         c_xid = 5;
@@ -263,7 +264,7 @@ module Ref = struct
     | Wal.Prepare p -> u8 4 ^ prepared p
     | Wal.Checkpoint { k_cseq; k_tables; k_prepared } ->
         u8 6 ^ int k_cseq ^ list table_image k_tables ^ list prepared k_prepared
-    | Wal.Schema _ | Wal.Index _ | Wal.Abort _ | Wal.Epoch _ ->
+    | Wal.Schema _ | Wal.Index _ | Wal.Drop_index _ | Wal.Abort _ | Wal.Epoch _ ->
         invalid_arg "Ref.record: not generated"
 end
 
