@@ -2,9 +2,13 @@ open Ssi_storage
 
 type entry = { ik : Value.t; pk : Value.t }
 
-let compare_entry a b =
-  let c = Value.compare a.ik b.ik in
-  if c <> 0 then c else Value.compare a.pk b.pk
+(* Entry [a] against the entry [(ik, pk)], taken apart so that probes
+   build no record. *)
+let compare_key a ik pk =
+  let c = Value.compare a.ik ik in
+  if c <> 0 then c else Value.compare a.pk pk
+
+let compare_entry a b = compare_key a b.ik b.pk
 
 type node = Leaf of leaf | Internal of internal
 
@@ -44,21 +48,23 @@ let fresh_page t =
   t.next_page <- id + 1;
   id
 
-(* Index of the first element of [a] that is >= [e] (i.e. lower bound). *)
-let lower_bound a e =
+(* Index of the first element of [a] that is >= [(ik, pk)] (i.e. lower
+   bound). *)
+let lower_bound a ik pk =
   let lo = ref 0 and hi = ref (Array.length a) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if compare_entry a.(mid) e < 0 then lo := mid + 1 else hi := mid
+    if compare_key a.(mid) ik pk < 0 then lo := mid + 1 else hi := mid
   done;
   !lo
 
-(* Child to descend into for entry [e]: first separator > [e] decides. *)
-let child_index seps e =
+(* Child to descend into for entry [(ik, pk)]: first separator > it
+   decides. *)
+let child_index seps ik pk =
   let lo = ref 0 and hi = ref (Array.length seps) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if compare_entry seps.(mid) e <= 0 then lo := mid + 1 else hi := mid
+    if compare_key seps.(mid) ik pk <= 0 then lo := mid + 1 else hi := mid
   done;
   !lo
 
@@ -82,7 +88,7 @@ type split = No_split | Split of entry * node
 let rec insert_into t node e ~page_out =
   match node with
   | Leaf l ->
-      let i = lower_bound l.entries e in
+      let i = lower_bound l.entries e.ik e.pk in
       if i < Array.length l.entries && compare_entry l.entries.(i) e = 0 then begin
         page_out := l.lid;
         No_split
@@ -108,7 +114,7 @@ let rec insert_into t node e ~page_out =
         end
       end
   | Internal inner -> (
-      let ci = child_index inner.seps e in
+      let ci = child_index inner.seps e.ik e.pk in
       match insert_into t inner.children.(ci) e ~page_out with
       | No_split -> No_split
       | Split (sep, right_child) ->
@@ -145,67 +151,65 @@ let insert t ~key ~pk =
 let rec delete_from t node e =
   match node with
   | Leaf l ->
-      let i = lower_bound l.entries e in
+      let i = lower_bound l.entries e.ik e.pk in
       if i < Array.length l.entries && compare_entry l.entries.(i) e = 0 then begin
         l.entries <- array_remove l.entries i;
         t.count <- t.count - 1;
         true
       end
       else false
-  | Internal inner -> delete_from t inner.children.(child_index inner.seps e) e
+  | Internal inner -> delete_from t inner.children.(child_index inner.seps e.ik e.pk) e
 
 let delete t ~key ~pk = delete_from t t.root { ik = key; pk }
 
-let rec find_leaf node e =
+let rec find_leaf node ik pk =
   match node with
   | Leaf l -> l
-  | Internal inner -> find_leaf inner.children.(child_index inner.seps e) e
+  | Internal inner -> find_leaf inner.children.(child_index inner.seps ik pk) ik pk
 
-(* The smallest possible entry for index key [k]: Null sorts below every
-   other value, so [(k, Null)] lower-bounds all real entries with key [k]. *)
-let floor_entry k = { ik = k; pk = Value.Null }
+(* A walk from [lo] starts at the first entry >= [(lo, Null)]: Null sorts
+   below every other value, so that entry is the first with key >= [lo].
+   The leaf-chain loops below take every parameter as an argument, so a
+   walk builds no closure, pair or record. *)
+let start_leaf t lo = find_leaf t.root lo Value.Null
 
-(* The one leaf-chain cursor: [visit l i] handles leaf [l] from entry [i]
-   on and says whether to go on to the next leaf, which is announced to
-   [page] before it is visited. *)
-let rec scan l i ~page ~visit =
-  if visit l i then
+(* Visit the entries of [l] from [i] on, then the next leaves (each
+   announced to [page] first), until an entry beyond [hi]. *)
+let rec walk_entries l i ~lo ~hi ~page ~entry =
+  if i < Array.length l.entries then begin
+    let e = l.entries.(i) in
+    if Value.compare e.ik hi <= 0 then begin
+      if Value.compare e.ik lo >= 0 then entry e.ik e.pk;
+      walk_entries l (i + 1) ~lo ~hi ~page ~entry
+    end
+  end
+  else
     match l.next with
     | None -> ()
     | Some next ->
         page next.lid;
-        scan next 0 ~page ~visit
-
-(* Position of the first entry >= [e]: its leaf and index there. *)
-let seek t e =
-  let l = find_leaf t.root e in
-  (l, lower_bound l.entries e)
-
-(* Start a range walk at [lo]: announce the first leaf and scan from it. *)
-let walk_from t ~lo ~page ~visit =
-  let start, i = seek t (floor_entry lo) in
-  page start.lid;
-  scan start i ~page ~visit
+        walk_entries next 0 ~lo ~hi ~page ~entry
 
 let walk t ~lo ~hi ~page ~entry =
-  let rec visit l i =
-    i >= Array.length l.entries
-    ||
-    let e = l.entries.(i) in
-    Value.compare e.ik hi <= 0
-    && begin
-         if Value.compare e.ik lo >= 0 then entry e.ik e.pk;
-         visit l (i + 1)
-       end
-  in
-  walk_from t ~lo ~page ~visit
+  let l = start_leaf t lo in
+  page l.lid;
+  walk_entries l (lower_bound l.entries lo Value.Null) ~lo ~hi ~page ~entry
 
 (* The walk moves past a leaf exactly when every entry it has left there
    is <= [hi]; entries are sorted, so the last one decides. *)
+let rec walk_pages_from l i ~hi ~page =
+  let n = Array.length l.entries in
+  if i >= n || Value.compare l.entries.(n - 1).ik hi <= 0 then
+    match l.next with
+    | None -> ()
+    | Some next ->
+        page next.lid;
+        walk_pages_from next 0 ~hi ~page
+
 let walk_pages t ~lo ~hi ~page =
-  walk_from t ~lo ~page ~visit:(fun l i ->
-      let n = Array.length l.entries in
-      i >= n || Value.compare l.entries.(n - 1).ik hi <= 0)
+  let l = start_leaf t lo in
+  page l.lid;
+  walk_pages_from l (lower_bound l.entries lo Value.Null) ~hi ~page
 
 let range t ~lo ~hi ~pages =
   let results = ref [] in
@@ -221,20 +225,15 @@ let lookup t key ~pages =
     ~entry:(fun _ pk -> pks := pk :: !pks);
   List.rev !pks
 
+let rec succ_from l i key =
+  if i < Array.length l.entries then
+    let k = l.entries.(i).ik in
+    if Value.compare k key > 0 then Some k else succ_from l (i + 1) key
+  else match l.next with None -> None | Some next -> succ_from next 0 key
+
 let next_key_after t key =
-  let succ = ref None in
-  let rec visit l i =
-    i >= Array.length l.entries
-    ||
-    let e = l.entries.(i) in
-    if Value.compare e.ik key > 0 then begin
-      succ := Some e.ik;
-      false
-    end
-    else visit l (i + 1)
-  in
-  walk_from t ~lo:key ~page:ignore ~visit;
-  !succ
+  let l = start_leaf t key in
+  succ_from l (lower_bound l.entries key Value.Null) key
 
 let rec iter_node node f =
   match node with

@@ -45,13 +45,13 @@ val walk :
     [lo <= key <= hi], in ascending order; each page is announced before
     its entries.  The page holding the first entry beyond the range is also
     examined (and therefore announced): it covers the gap just past [hi].
-    The walk allocates nothing per entry; {!range} and {!lookup} are
+    The walk itself allocates nothing; {!range} and {!lookup} are
     list-building wrappers over it. *)
 
 val walk_pages : t -> lo:Value.t -> hi:Value.t -> page:(int -> unit) -> unit
 (** The pages {!walk} announces, in the same order, without visiting
-    entries: each leaf costs one comparison.  What a page-granularity gap
-    lock needs. *)
+    entries: each leaf costs one comparison, and the walk allocates
+    nothing.  What a page-granularity gap lock needs. *)
 
 val lookup : t -> Value.t -> pages:int list ref -> Value.t list
 (** Primary keys indexed under exactly [key]: {!range} over [[key, key]],

@@ -2,7 +2,6 @@
    of [Certifier_intf], the kind names, and [make], which packs the chosen
    implementation with its instance once per engine. *)
 
-open Ssi_storage
 module Obs = Ssi_obs.Obs
 include Certifier_intf
 
@@ -39,25 +38,3 @@ let graph_dot kind infos =
     infos;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-(* ---- Cross-node conflict summaries --------------------------------------------- *)
-
-type conflict_summary = {
-  cs_xid : Heap.xid;
-  cs_in_conflict : bool;
-  cs_out_conflict : bool;
-  cs_conservative : bool;
-}
-
-let conflict_summary (Cert ((module C), c)) ~xid =
-  match C.info c xid with
-  | Some i ->
-      {
-        cs_xid = xid;
-        cs_in_conflict = i.info_in <> [] || i.info_conservative_in;
-        cs_out_conflict = i.info_out <> [] || i.info_conservative_out;
-        cs_conservative = i.info_conservative_in || i.info_conservative_out;
-      }
-  | None ->
-      (* Summarized away: all we know is the §7.1 conservative bound. *)
-      { cs_xid = xid; cs_in_conflict = true; cs_out_conflict = true; cs_conservative = true }

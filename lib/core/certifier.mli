@@ -22,8 +22,6 @@
     [ssn.*], [essn.*]) so output from different certifiers never
     aliases. *)
 
-open Ssi_storage
-
 include module type of struct
   include Certifier_intf
 end
@@ -47,26 +45,3 @@ val make : ?config:config -> ?obs:Ssi_obs.Obs.t -> Ssi_mvcc.Mvcc.Clog.t -> packe
 val graph_dot : kind -> node_info list -> string
 (** A {!S.dump_graph} in Graphviz DOT format (rw edges only, as in the
     paper's Figure 3), as [digraph <prefix>]. *)
-
-(** {1 Cross-node conflict summaries}
-
-    The per-transaction digest a distributed coordinator needs to run the
-    dangerous-structure test across certifier instances that share no
-    memory (paper §5.7 applied to sharding): has the transaction an
-    rw-antidependency in, one out, and is that knowledge exact or the
-    conservative both-ways approximation left behind by crash recovery or
-    summarization? *)
-
-type conflict_summary = {
-  cs_xid : Heap.xid;
-  cs_in_conflict : bool;  (** some reader has an rw edge into this txn *)
-  cs_out_conflict : bool;  (** this txn has an rw edge out to some writer *)
-  cs_conservative : bool;
-      (** The flags are §7.1 conservative bits (2PC recovery, or a conflict
-          partner was summarized), not identified edges: the coordinator
-          must treat both directions as set. *)
-}
-
-val conflict_summary : packed -> xid:Heap.xid -> conflict_summary
-(** Derived from {!S.info}; a transaction the certifier no longer tracks
-    (already summarized away) reports the fully conservative summary. *)

@@ -59,11 +59,25 @@ type node_info = {
   info_out : Heap.xid list;
   info_conservative_in : bool;
       (** The in-conflict flag is the §7.1 conservative bit (set by 2PC
-          crash recovery, or when a conflict partner was summarized) rather
-          than an identified edge — a distributed coordinator must treat
-          the flag as set. *)
+          crash recovery or {!S.mark_conservative}) rather than an
+          identified edge — a distributed coordinator must treat the flag
+          as set. *)
   info_conservative_out : bool;
 }
+
+(** A node's rw-antidependency state as a distributed 2PC coordinator
+    needs it (§7.1): an edge in, an edge out, and whether the flags are
+    the §7.1 conservative bits rather than identified edges.  An edge
+    whose partner was summarized (§6.2) still counts. *)
+type conflicts = {
+  rw_in : bool;  (** some reader has an rw edge into this transaction *)
+  rw_out : bool;  (** this transaction has an rw edge out to some writer *)
+  conservative : bool;
+      (** Set by 2PC crash recovery or {!S.mark_conservative}: a
+          coordinator must treat both directions as set. *)
+}
+
+let no_conflicts = { rw_in = false; rw_out = false; conservative = false }
 
 (** Victim accounting, written once for every certifier: the
     [<prefix>.failures] and [<prefix>.dooms] counters, one
@@ -381,6 +395,10 @@ module type S = sig
   val info : t -> Heap.xid -> node_info option
   (** [List.find_opt] of [xid] over {!dump_graph}, answered from the
       per-xid table without building the graph. *)
+
+  val conflicts : node -> conflicts
+  (** The node's conflict flags, read from its own state: what a 2PC
+      participant reports to the coordinator at prepare and commit. *)
 
   val active_count : t -> int
   val committed_retained : t -> int

@@ -440,6 +440,45 @@ let check_pivot_out t ~actor ~r ~t3_cseq =
             ~rule:(ordered_rule t1) ~reason:"pivot gained rw-antidependency out")
   end
 
+(* A prepared T3 (§7.1) has passed its commit-time check and can no
+   longer abort, and nothing checks again when it commits, so a structure
+   completed while T3 is prepared must be resolved now, as if T3 had just
+   committed (PostgreSQL's OnConflict_CheckForSerializationFailure does
+   the same).  T3 then commits before every T1 and T2 still uncommitted,
+   and after a read-only T1's snapshot (Theorem 3). *)
+let follows_prepared n = n.status <> Committed && n.status <> Aborted && not n.doomed
+let t1_follows_prepared t n = follows_prepared n && not (t.config.read_only_opt && ro_in_theory n)
+
+let find_out_opt n p =
+  let rec go = function
+    | None -> None
+    | Some e -> if p e.e_writer then Some e.e_writer else go e.out_next
+  in
+  go n.out_first
+
+let check_prepared_t3 t ~actor ~reader ~writer =
+  let prepared n = n.status = Prepared in
+  (* writer as pivot: reader --rw--> writer --rw--> prepared T3. *)
+  (if t1_follows_prepared t reader && follows_prepared writer then
+     match find_out_opt writer prepared with
+     | Some t3 ->
+         victimize t ~actor ~t1:(Some reader) ~t2:writer ~t1v:(t1_fields reader)
+           ~t3:(t3.xid, -1) ~rule:(rule_for t reader)
+           ~reason:"pivot gained rw-antidependency in"
+     | None -> ());
+  (* reader as pivot: T1 --rw--> reader --rw--> prepared writer. *)
+  if prepared writer && follows_prepared reader then
+    if reader.conservative_in then
+      victimize t ~actor ~t1:None ~t2:reader ~t1v:(-1, -1, false) ~t3:(writer.xid, -1)
+        ~rule:"pivot" ~reason:"pivot with recovered prepared reader"
+    else
+      match find_in_opt reader (t1_follows_prepared t) with
+      | Some t1 ->
+          victimize t ~actor ~t1:(Some t1) ~t2:reader ~t1v:(t1_fields t1)
+            ~t3:(writer.xid, -1) ~rule:(rule_for t t1)
+            ~reason:"pivot gained rw-antidependency out"
+      | None -> ()
+
 (* ---- Conflict recording -------------------------------------------------- *)
 
 let note_out_target_committed r c =
@@ -472,7 +511,8 @@ let flag_conflict t ~actor ~reader ~writer =
     check_pivot_in t ~actor ~r:reader ~t2:writer;
     (* reader as pivot: T1 --rw--> reader --rw--> writer (writer = T3). *)
     if is_committed writer then
-      check_pivot_out t ~actor ~r:reader ~t3_cseq:writer.commit_cseq
+      check_pivot_out t ~actor ~r:reader ~t3_cseq:writer.commit_cseq;
+    check_prepared_t3 t ~actor ~reader ~writer
   end
 
 let note_write node =
@@ -876,6 +916,15 @@ let node_info n =
     info_out = List.map (fun x -> x.xid) (out_writers n);
     info_conservative_in = n.conservative_in;
     info_conservative_out = n.conservative_out;
+  }
+
+(* A summarized partner keeps its edge here: a summarized reader leaves
+   [summarized_in_max], a summarized writer [cached_earliest_out] (§6.2). *)
+let conflicts n =
+  {
+    rw_in = n.in_count > 0 || n.summarized_in_max > 0;
+    rw_out = n.out_count > 0 || n.cached_earliest_out <> invalid_cseq;
+    conservative = n.conservative_in || n.conservative_out;
   }
 
 let dump_graph t =

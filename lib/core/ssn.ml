@@ -513,6 +513,16 @@ let recover t =
 
 (* ---- Introspection ------------------------------------------------------------ *)
 
+(* SSN's conservative state after restore_prepared is the closed stamp
+   window [pstamp = sstamp = 0]: report it as both-ways conservative so a
+   distributed coordinator treats the restored txn as a §7.1 pivot
+   candidate, exactly like the SSI backend. *)
+let closed n = n.status = Prepared && n.pstamp = 0 && n.sstamp = 0
+
+let conflicts n =
+  let c = closed n in
+  { rw_in = n.in_readers <> [] || c; rw_out = n.out_writers <> [] || c; conservative = c }
+
 let node_info n =
   {
     info_xid = n.xid;
@@ -523,12 +533,8 @@ let node_info n =
     info_commit_cseq = (if n.status = Committed then Some n.commit_cseq else None);
     info_in = List.rev_map (fun r -> r.xid) n.in_readers;
     info_out = List.rev_map (fun w -> w.xid) n.out_writers;
-    (* SSN's conservative state after restore_prepared is the closed stamp
-       window [pstamp = sstamp = 0]: report it as both-ways conservative so
-       a distributed coordinator treats the restored txn as a §7.1 pivot
-       candidate, exactly like the SSI backend. *)
-    info_conservative_in = (n.status = Prepared && n.pstamp = 0 && n.sstamp = 0);
-    info_conservative_out = (n.status = Prepared && n.pstamp = 0 && n.sstamp = 0);
+    info_conservative_in = closed n;
+    info_conservative_out = closed n;
   }
 
 let dump_graph t =

@@ -1733,48 +1733,18 @@ let rollback_prepared db ~gid =
 let prepared_gids db =
   List.sort compare (Hashtbl.fold (fun gid _ acc -> gid :: acc) db.prepared_by_gid [])
 
-type prepared_summary = {
-  ps_gid : string;
-  ps_xid : int;
-  ps_snap_cseq : int;
-  ps_in_conflict : bool;
-  ps_out_conflict : bool;
-  ps_conservative : bool;
-  ps_siread_digest : string;
-}
-
 (* Distributed 2PC: some of the prepared transaction's rw edges live on
    other shards' certifiers.  Closing the local window with the §7.1
    conservative flags makes every transaction that forms a new edge with
-   it during the coordinator's decision window give way.  Call this AFTER
-   taking {!prepared_summary}: the summary must report the exact state at
-   prepare time, not the conservatism added here. *)
+   it during the coordinator's decision window give way. *)
 let mark_prepared_conservative db ~gid =
   let txn = prepared_txn db gid in
   match txn.sxact with Sx ((module C), c, node) -> C.mark_conservative c node | No_sx -> ()
 
-let prepared_summary db ~gid =
-  let txn = prepared_txn db gid in
-  let cs = Certifier.conflict_summary db.cert ~xid:txn.txn_xid in
-  let digest =
-    (* [Predlock.held_by] is sorted, so the digest is canonical for a given
-       SIREAD footprint and comparable across shards and runs. *)
-    Digest.to_hex
-      (Digest.string
-         (String.concat "|"
-            (List.map
-               Predlock.target_to_string
-               (Predlock.held_by db.predlocks txn.txn_xid))))
-  in
-  {
-    ps_gid = gid;
-    ps_xid = txn.txn_xid;
-    ps_snap_cseq = txn.snapshot.Snapshot.horizon;
-    ps_in_conflict = cs.Certifier.cs_in_conflict;
-    ps_out_conflict = cs.Certifier.cs_out_conflict;
-    ps_conservative = cs.Certifier.cs_conservative;
-    ps_siread_digest = digest;
-  }
+let conflicts txn =
+  match tracking txn with
+  | Sx ((module C), _, node) -> C.conflicts node
+  | No_sx -> Certifier.no_conflicts
 
 let simulate_connection_loss db =
   (* In-flight (non-prepared) transactions vanish: their effects are rolled

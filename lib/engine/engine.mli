@@ -248,34 +248,23 @@ val prepared_gids : t -> string list
 (** Sorted by gid, so recovery reports and coordinator recovery scans are
     byte-identical across runs. *)
 
-type prepared_summary = {
-  ps_gid : string;
-  ps_xid : int;
-  ps_snap_cseq : int;
-  ps_in_conflict : bool;  (** some reader has an rw edge into this txn *)
-  ps_out_conflict : bool;  (** this txn has an rw edge out to some writer *)
-  ps_conservative : bool;
-      (** The flags are the §7.1 conservative both-ways bits (crash
-          recovery, or a conflict partner was summarized), not identified
-          edges — a coordinator must treat both as set. *)
-  ps_siread_digest : string;
-      (** Canonical digest of the transaction's sorted SIREAD footprint;
-          comparable across shards and runs of the same seed. *)
-}
-(** The SSI conflict summary a distributed commit coordinator needs from a
-    prepared participant: piggybacked on prepare-acks so cross-shard
-    dangerous structures can be detected without shared memory (§5.7). *)
-
-val prepared_summary : t -> gid:string -> prepared_summary
-(** Fails with {!Undefined_object} if [gid] is not prepared here. *)
-
 val mark_prepared_conservative : t -> gid:string -> unit
 (** Close the prepared transaction's local conflict window with the §7.1
     conservative flags: its remote rw edges are invisible to this engine's
     certifier, so local transactions forming new edges with it during the
-    distributed coordinator's decision window must give way.  Take
-    {!prepared_summary} {e first} — the summary should report the exact
-    state at prepare time, not the conservatism added here. *)
+    distributed coordinator's decision window must give way.  The flags
+    are set here and by crash recovery only; a summarized conflict
+    partner leaves its edge on the transaction instead (§6.2), which
+    {!conflicts} reports.  Read {!conflicts} {e first} when the report
+    should hold the state at prepare time, not the conservatism added
+    here. *)
+
+val conflicts : txn -> Ssi_core.Certifier.conflicts
+(** The transaction's rw-antidependency flags from its certifier node
+    ({!Ssi_core.Certifier.S.conflicts}), valid after commit too: what a
+    2PC participant piggybacks on its prepare- and commit-acks (§7.1).
+    All [false] for a transaction the certifier does not track (not
+    serializable, or on a safe snapshot). *)
 
 val simulate_connection_loss : t -> unit
 (** Simulate a backend crash without losing server state: in-flight

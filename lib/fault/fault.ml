@@ -17,7 +17,6 @@ type injector = {
 let injector ~seed = { rng = Rng.make (Hashtbl.hash (seed, "fault-injector")); rate = 0.; count = 0 }
 
 let set_fault_rate inj r = inj.rate <- Float.max 0. (Float.min 1. r)
-let fault_rate inj = inj.rate
 let injected inj = inj.count
 
 let hook inj ~op =

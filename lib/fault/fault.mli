@@ -40,7 +40,6 @@ val hook : injector -> op:string -> unit
     probability [rate] per operation. *)
 
 val set_fault_rate : injector -> float -> unit
-val fault_rate : injector -> float
 val injected : injector -> int
 (** Faults raised so far. *)
 

@@ -117,8 +117,6 @@ let victims obs =
     (List.map (fun s -> s.victim) (structures obs)
     @ List.map (fun x -> x.x_victim) (exclusions obs))
 
-let for_victim obs xid = List.filter (fun s -> s.victim = xid) (structures obs)
-
 (* A structure is complete when all three transactions are identified and
    the firing rule is known — i.e. nothing about it was lost to
    summarization, crash recovery or table overwrites. *)

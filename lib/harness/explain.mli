@@ -75,7 +75,6 @@ val victims : Obs.t -> int list
 (** Distinct xids with at least one retained structure or exclusion
     window, ascending. *)
 
-val for_victim : Obs.t -> int -> structure list
 val complete : structure -> bool
 (** All three transactions identified and the rule known — nothing about
     the structure was lost to summarization or table overwrites. *)

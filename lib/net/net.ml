@@ -21,8 +21,7 @@ type 'msg t = {
   obs : Obs.t;
   mutable node_order : string list;  (* registration order, reversed *)
   node_by_name : (string, 'msg node) Hashtbl.t;
-  links : (string * string, link) Hashtbl.t;
-  mutable default : link;
+  link : link;  (* every pair's link *)
   mutable chaos_drop : float;
   mutable chaos_dup : float;
   mutable chaos_reorder : float;
@@ -42,8 +41,7 @@ let create ?obs ?(default_link = default_link) ~seed () =
     obs;
     node_order = [];
     node_by_name = Hashtbl.create 8;
-    links = Hashtbl.create 16;
-    default = default_link;
+    link = default_link;
     chaos_drop = 0.;
     chaos_dup = 0.;
     chaos_reorder = 0.;
@@ -68,14 +66,6 @@ let add_node t name ~handler =
 
 let set_handler t name handler = (node t name).handler <- handler
 let nodes t = List.rev t.node_order
-
-let set_link t ~src ~dst link =
-  ignore (node t src);
-  ignore (node t dst);
-  Hashtbl.replace t.links (src, dst) link
-
-let link_of t ~src ~dst =
-  match Hashtbl.find_opt t.links (src, dst) with Some l -> l | None -> t.default
 
 let set_chaos t ?drop ?duplicate ?reorder () =
   let clamp x = Float.max 0. (Float.min 1. x) in
@@ -132,7 +122,7 @@ let send t ?span_ctx ~src ~dst msg =
     close ~fate:"partitioned" ()
   end
   else begin
-    let l = link_of t ~src ~dst in
+    let l = t.link in
     let drop = Float.max l.drop t.chaos_drop in
     let dup = Float.max l.duplicate t.chaos_dup in
     let reorder = Float.max l.reorder t.chaos_reorder in

@@ -48,10 +48,6 @@ val set_handler : 'msg t -> string -> (src:string -> 'msg -> unit) -> unit
 val nodes : 'msg t -> string list
 (** Registered node names, in registration order. *)
 
-val set_link : 'msg t -> src:string -> dst:string -> link -> unit
-(** Override the directional link [src -> dst]; unset pairs use the
-    network default. *)
-
 val set_chaos : 'msg t -> ?drop:float -> ?duplicate:float -> ?reorder:float -> unit -> unit
 (** Network-wide fault floor, combined with each link by [max] — the knob
     the chaos scheduler turns.  Omitted parameters are left unchanged. *)

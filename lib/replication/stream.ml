@@ -40,12 +40,16 @@ type primary = {
   h_quorum_wait : Obs.histogram;
 }
 
+(* A subscriber waits [nack_timeout] virtual seconds for a
+   retransmission before renewing its NACK, at most [nack_retries] times
+   per gap, so a permanent partition cannot loop forever. *)
+let nack_timeout = 1e-3
+let nack_retries = 16
+
 type subscription = {
   s_net : net;
   s_node : string;
   s_core : Replica.t;
-  s_nack_timeout : float;
-  s_nack_retries : int;
   mutable s_primary : string;
   mutable s_epoch : int;
   (* Next stream position to apply; 0 = awaiting the base backup. *)
@@ -254,7 +258,7 @@ let rec request_retransmit s =
     let upto = Hashtbl.fold (fun pos _ acc -> min pos acc) s.s_ooo max_int in
     sub_send s (Nack { epoch = s.s_epoch; from_pos = s.s_next - 1; upto });
     let expected = s.s_next in
-    Sim.at ~after:s.s_nack_timeout (fun () ->
+    Sim.at ~after:nack_timeout (fun () ->
         if s.s_next = expected then begin
           s.s_nack_inflight <- false;
           if Hashtbl.length s.s_ooo > 0 then request_retransmit s
@@ -268,7 +272,7 @@ let restart s =
   Hashtbl.reset s.s_log;
   Hashtbl.reset s.s_ooo;
   s.s_nack_inflight <- false;
-  s.s_retries_left <- s.s_nack_retries;
+  s.s_retries_left <- nack_retries;
   Replica.reset s.s_core
 
 let apply s ((record, span) as entry) =
@@ -294,7 +298,7 @@ let accept s pos entry =
       | None -> continue := false
     done;
     s.s_nack_inflight <- false;
-    s.s_retries_left <- s.s_nack_retries;
+    s.s_retries_left <- nack_retries;
     ack s;
     (* The next gap, if a later record is already parked. *)
     if Hashtbl.length s.s_ooo > 0 then request_retransmit s
@@ -332,7 +336,7 @@ let handle_sub s ~src msg =
       end
   | Ack _ | Nack _ | Subscribe _ | Reject _ -> ()
 
-let subscribe net ~node ~primary_node ~epoch ?(nack_timeout = 1e-3) ?(nack_retries = 16) core =
+let subscribe net ~node ~primary_node ~epoch core =
   let obs = Replica.obs core in
   let metric suffix = Printf.sprintf "stream.%s.%s" (Replica.name core) suffix in
   let s =
@@ -340,8 +344,6 @@ let subscribe net ~node ~primary_node ~epoch ?(nack_timeout = 1e-3) ?(nack_retri
       s_net = net;
       s_node = node;
       s_core = core;
-      s_nack_timeout = nack_timeout;
-      s_nack_retries = nack_retries;
       s_primary = primary_node;
       s_epoch = epoch;
       s_next = 0;
@@ -360,12 +362,11 @@ let subscribe net ~node ~primary_node ~epoch ?(nack_timeout = 1e-3) ?(nack_retri
   s
 
 let core s = s.s_core
-let sub_epoch s = s.s_epoch
 let sub_node s = s.s_node
 
 let sync s =
   s.s_nack_inflight <- false;
-  s.s_retries_left <- s.s_nack_retries;
+  s.s_retries_left <- nack_retries;
   sub_send s (Subscribe { epoch = s.s_epoch; from_pos = s.s_next - 1 })
 
 let resubscribe s ~primary_node ~epoch =

@@ -88,17 +88,14 @@ val retransmit_unacked : primary -> unit
     in-protocol NACK path is bounded so that a permanent partition cannot
     generate traffic forever). *)
 
-val subscribe :
-  net -> node:string -> primary_node:string -> epoch:int -> ?nack_timeout:float -> ?nack_retries:int -> Replica.t -> subscription
+val subscribe : net -> node:string -> primary_node:string -> epoch:int -> Replica.t -> subscription
 (** Register [node] on the network feeding the given replica core, and ask
     [primary_node] for the stream from the beginning (base backup, then
-    every record after it).  [nack_timeout] (default [1e-3] virtual
-    seconds) is how long to wait for a retransmission before renewing the
-    NACK; at most [nack_retries] (default 16) renewals per gap, so a
-    permanent partition cannot loop forever. *)
+    every record after it).  A gap is NACKed and the NACK renewed after
+    [1e-3] virtual seconds without a retransmission, at most 16 times per
+    gap, so a permanent partition cannot loop forever. *)
 
 val core : subscription -> Replica.t
-val sub_epoch : subscription -> int
 val sub_node : subscription -> string
 
 val sync : subscription -> unit
@@ -117,8 +114,8 @@ type failover = { new_primary : primary; promotion : Replica.promotion }
 val promote : subscription -> ?quorum:quorum -> [ `Latest_safe | `Latest_applied ] -> failover
 (** Fenced failover: promote this subscription's replica
     ({!Replica.promote}) and turn its engine into a streaming primary on
-    the same network node at [sub_epoch + 1], shipping the log the
-    replica applied, less the commits the promotion rolled back.  Other
-    replicas adopt the new epoch when its stream reaches them (or
+    the same network node at the subscription's epoch + 1, shipping the
+    log the replica applied, less the commits the promotion rolled back.
+    Other replicas adopt the new epoch when its stream reaches them (or
     explicitly via {!resubscribe}); the deposed primary is fenced as soon
     as any subscriber rejects its stale stream. *)

@@ -13,23 +13,16 @@ module Waitq = Ssi_util.Waitq
 module Certifier = Ssi_core.Certifier
 
 (* The per-participant SSI conflict summary piggybacked on prepare-acks
-   and commit-acks (the wire format of DESIGN.md §12). *)
-type summary = {
-  sm_shard : int;
-  sm_xid : int;  (* branch xid local to the shard *)
-  sm_snap_cseq : int;
-  sm_in : bool;
-  sm_out : bool;
-  sm_conservative : bool;
-  sm_digest : string;  (* canonical SIREAD footprint digest *)
-}
+   and commit-acks (the wire format of DESIGN.md §12): the branch's own
+   certifier flags, read from its node. *)
+type summary = { sm_shard : int; sm_conflicts : Certifier.conflicts }
 
 type msg =
   | Prepare_req of { gid : string }
   | Prepare_ack of { gid : string; summary : summary }
   | Prepare_nack of { gid : string; shard : int; reason : string; fault : bool }
   | Commit_req of { gid : string }
-  | Commit_ack of { gid : string; shard : int; summary : summary }
+  | Commit_ack of { gid : string; summary : summary }
   | Abort_req of { gid : string }
   | Abort_ack of { gid : string; shard : int }
 
@@ -41,8 +34,8 @@ type pending = {
   pd_parts : int list;  (* participating shards, sorted *)
   mutable pd_phase : phase;
   mutable pd_acked : int list;  (* shards that answered the current phase *)
-  mutable pd_summaries : (int * summary) list;  (* prepare-time, by shard *)
-  mutable pd_commit_summaries : (int * summary) list;  (* commit-time *)
+  mutable pd_summaries : summary list;  (* prepare-time *)
+  mutable pd_commit_summaries : summary list;  (* commit-time *)
   mutable pd_nack : (string * bool) option;  (* reason, is-transient-fault *)
   pd_wake : Waitq.t;
 }
@@ -64,8 +57,8 @@ type t = {
   branches_of : (string, (int * E.txn) list) Hashtbl.t;
   (* (gid, shard) -> prepare-time summary, so a duplicate Prepare_req
      re-acks the ORIGINAL summary: after acking, the shard closes its
-     window with the conservative flags, and a re-taken summary would
-     misreport that deliberate conservatism as summarized metadata. *)
+     window with the conservative flags, and a re-read would report that
+     deliberate conservatism as crash-recovery state. *)
   acked_summaries : (string * int, summary) Hashtbl.t;
   (* The coordinator's decision log, written before phase 2 begins: the
      recovery scan resolves in-doubt participants from it. *)
@@ -106,45 +99,7 @@ let net_ops t = Net.ops t.net
 
 let shard_of_key t key = Hashtbl.hash key mod t.n_shards
 
-(* Real rw edges of a branch right now (committed or prepared), ignoring
-   the conservative flags: the commit-ack summary wants edges that formed
-   during the decision window, and the window-closing flags themselves
-   must not read as such. *)
-let edge_summary t shard ~xid ~snap_cseq =
-  let (Certifier.Cert ((module C), c)) = E.certifier t.engines.(shard) in
-  match C.info c xid with
-  | Some i ->
-      {
-        sm_shard = shard;
-        sm_xid = xid;
-        sm_snap_cseq = snap_cseq;
-        sm_in = i.Certifier.info_in <> [];
-        sm_out = i.info_out <> [];
-        sm_conservative = false;
-        sm_digest = "";
-      }
-  | None ->
-      {
-        sm_shard = shard;
-        sm_xid = xid;
-        sm_snap_cseq = snap_cseq;
-        sm_in = false;
-        sm_out = false;
-        sm_conservative = false;
-        sm_digest = "";
-      }
-
-let summary_of_prepared t shard ~gid =
-  let ps = E.prepared_summary t.engines.(shard) ~gid in
-  {
-    sm_shard = shard;
-    sm_xid = ps.E.ps_xid;
-    sm_snap_cseq = ps.E.ps_snap_cseq;
-    sm_in = ps.E.ps_in_conflict;
-    sm_out = ps.E.ps_out_conflict;
-    sm_conservative = ps.E.ps_conservative;
-    sm_digest = ps.E.ps_siread_digest;
-  }
+let branch_on t gid s = Option.bind (Hashtbl.find_opt t.branches_of gid) (List.assoc_opt s)
 
 let send t ~src ~dst m = Net.send t.net ~src ~dst m
 
@@ -162,7 +117,7 @@ let shard_handler t s ~src:_ msg =
           (* Duplicate (drop/retransmit/dup chaos): re-ack the original. *)
           if is_prepared e gid then reply (Prepare_ack { gid; summary })
       | None -> (
-          match List.assoc_opt s (Option.value ~default:[] (Hashtbl.find_opt t.branches_of gid)) with
+          match branch_on t gid s with
           | None -> ()  (* late retransmit after cleanup: decision already final *)
           | Some txn when E.is_finished txn ->
               () (* a retransmit after a failed prepare rolled it back and nacked *)
@@ -172,7 +127,7 @@ let shard_handler t s ~src:_ msg =
                 (* Summary first (exact state at prepare time), THEN close
                    the window: edges formed against this branch while the
                    coordinator deliberates make the edge-former give way. *)
-                let summary = summary_of_prepared t s ~gid in
+                let summary = { sm_shard = s; sm_conflicts = E.conflicts txn } in
                 E.mark_prepared_conservative e ~gid;
                 Hashtbl.replace t.acked_summaries (gid, s) summary;
                 reply (Prepare_ack { gid; summary })
@@ -182,15 +137,14 @@ let shard_handler t s ~src:_ msg =
               | E.Error (E.Transient_fault { reason; _ }) ->
                   reply (Prepare_nack { gid; shard = s; reason; fault = true }))))
   | Commit_req { gid } ->
-      let xid, snap =
-        match Hashtbl.find_opt t.acked_summaries (gid, s) with
-        | Some sm -> (sm.sm_xid, sm.sm_snap_cseq)
-        | None -> (0, 0)
-      in
       if is_prepared e gid then E.commit_prepared e ~gid;
       (* Idempotent ack; the piggybacked summary carries the edges the
-         branch accumulated during the decision window. *)
-      reply (Commit_ack { gid; shard = s; summary = edge_summary t s ~xid ~snap_cseq:snap })
+         branch accumulated during the decision window.  A branch already
+         cleaned up only answers a late retransmit nobody waits for. *)
+      let conflicts =
+        match branch_on t gid s with Some txn -> E.conflicts txn | None -> Certifier.no_conflicts
+      in
+      reply (Commit_ack { gid; summary = { sm_shard = s; sm_conflicts = conflicts } })
   | Abort_req { gid } ->
       if is_prepared e gid then E.rollback_prepared e ~gid;
       reply (Abort_ack { gid; shard = s })
@@ -211,7 +165,7 @@ let coord_handler t ~src:_ msg =
       with_pending gid (fun pd ->
           if pd.pd_phase = Preparing && not (List.mem summary.sm_shard pd.pd_acked) then begin
             pd.pd_acked <- summary.sm_shard :: pd.pd_acked;
-            pd.pd_summaries <- (summary.sm_shard, summary) :: pd.pd_summaries
+            pd.pd_summaries <- summary :: pd.pd_summaries
           end)
   | Prepare_nack { gid; shard; reason; fault } ->
       with_pending gid (fun pd ->
@@ -219,11 +173,11 @@ let coord_handler t ~src:_ msg =
             pd.pd_acked <- shard :: pd.pd_acked;
             if pd.pd_nack = None then pd.pd_nack <- Some (reason, fault)
           end)
-  | Commit_ack { gid; shard; summary } ->
+  | Commit_ack { gid; summary } ->
       with_pending gid (fun pd ->
-          if pd.pd_phase = Committing && not (List.mem shard pd.pd_acked) then begin
-            pd.pd_acked <- shard :: pd.pd_acked;
-            pd.pd_commit_summaries <- (shard, summary) :: pd.pd_commit_summaries
+          if pd.pd_phase = Committing && not (List.mem summary.sm_shard pd.pd_acked) then begin
+            pd.pd_acked <- summary.sm_shard :: pd.pd_acked;
+            pd.pd_commit_summaries <- summary :: pd.pd_commit_summaries
           end)
   | Abort_ack { gid; shard } ->
       with_pending gid (fun pd ->
@@ -418,9 +372,13 @@ let drive t pd ~complete ~send_round ~max_rounds =
    T1 nor T3 identifiable the commit-order test degrades to the paper's
    conservative abort. *)
 let cross_pivot summaries =
-  let flag f = List.filter_map (fun (s, sm) -> if f sm then Some s else None) summaries in
-  let ins = flag (fun sm -> sm.sm_in || sm.sm_conservative) in
-  let outs = flag (fun sm -> sm.sm_out || sm.sm_conservative) in
+  let flag f =
+    List.filter_map
+      (fun { sm_shard; sm_conflicts = c } -> if f c || c.conservative then Some sm_shard else None)
+      summaries
+  in
+  let ins = flag (fun c -> c.Certifier.rw_in) in
+  let outs = flag (fun c -> c.rw_out) in
   List.fold_left
     (fun acc a ->
       match acc with
@@ -483,7 +441,7 @@ let two_phase g parts =
         `Abort (reason, fault)
     | None -> (
         let conservative =
-          List.exists (fun (_, sm) -> sm.sm_conservative) pd.pd_summaries
+          List.exists (fun sm -> sm.sm_conflicts.Certifier.conservative) pd.pd_summaries
         in
         if conservative then Obs.incr t.c_conservative;
         match cross_pivot pd.pd_summaries with
@@ -524,13 +482,13 @@ let two_phase g parts =
            decision window — resolved conservatively by the closed
            window, surfaced here for the explainer. *)
         List.iter
-          (fun (s, sm) ->
+          (fun { sm_shard = s; sm_conflicts = c } ->
             let before =
-              match List.assoc_opt s pd.pd_summaries with
-              | Some p -> (p.sm_in, p.sm_out)
-              | None -> (false, false)
+              match List.find_opt (fun p -> p.sm_shard = s) pd.pd_summaries with
+              | Some p -> p.sm_conflicts
+              | None -> Certifier.no_conflicts
             in
-            if (sm.sm_in && not (fst before)) || (sm.sm_out && not (snd before)) then begin
+            if (c.rw_in && not before.rw_in) || (c.rw_out && not before.rw_out) then begin
               Obs.incr t.c_window_edges;
               Obs.trace t.sobs "shard.window_edge"
                 ~fields:[ ("gxid", Obs.I g.g_xid); ("shard", Obs.I s) ]

@@ -22,21 +22,22 @@
     - single-shard transactions commit directly on their shard (fast
       path) — the local certifier is exact;
     - multi-shard writers run the engine's 2PC.  Each participant's
-      prepare-ack piggybacks its SSI conflict summary (in/out conflict
-      flags, SIREAD footprint digest, snapshot cseq), taken at prepare
-      time.  The coordinator aborts the transaction as a potential pivot
-      when some shard reports an in-conflict and a {e different} shard an
-      out-conflict (same-shard pairs were already subjected to the local
-      precommit test).  A participant whose metadata was summarized away
-      reports the paper's conservative both-ways flags and counts as both;
+      prepare-ack carries its shard number and its branch's SSI conflict
+      flags ({!Ssi_engine.Engine.conflicts}: an rw edge in, one out, and
+      the §7.1 conservative bit of crash recovery), read from the
+      branch's certifier node at prepare time.  An edge to a conflict
+      partner that was summarized (§6.2) still counts.  The coordinator
+      aborts the transaction as a potential pivot when some shard reports
+      an in-conflict and a {e different} shard an out-conflict (same-shard
+      pairs were already subjected to the local precommit test).  A
+      conservative participant counts as both;
     - immediately after acking, each participant closes its local window
       ({!Ssi_engine.Engine.mark_prepared_conservative}): edges formed
       against the prepared branch while the coordinator deliberates make
       the {e edge-former} give way, exactly as after crash recovery;
-    - commit-acks piggyback a second summary, so edges that appeared
-      during the window are visible post-hoc ([shard.window_edges] and
-      the [shard.decision] trace — the raw material for reconstructing a
-      cross-shard T1 -> T2 -> T3 with [pg_ssi explain]).
+    - commit-acks carry the same flags read after the commit, so edges
+      that appeared during the window are visible post-hoc
+      ([shard.window_edges] and the [shard.window_edge] trace).
 
     The coordinator's commit-decision sequence ("commit timestamp") is a
     linear extension of every shard's per-key write order.  Every branch

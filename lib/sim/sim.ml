@@ -132,7 +132,6 @@ let resource ~capacity =
   { cap = capacity; used = 0; waiters = Waitq.create (); busy = 0. }
 
 let capacity r = r.cap
-let in_use r = r.used
 
 let acquire r =
   if r.used < r.cap then r.used <- r.used + 1

@@ -74,7 +74,6 @@ type resource
 
 val resource : capacity:int -> resource
 val capacity : resource -> int
-val in_use : resource -> int
 
 val acquire : resource -> unit
 (** Take one slot, suspending while none is free. *)

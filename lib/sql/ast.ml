@@ -49,29 +49,3 @@ type stmt =
   | Show_tables
   | Show_locks
   | Show_conflicts
-
-let pp_stmt ppf stmt =
-  let name =
-    match stmt with
-    | Create_table { name; _ } -> "CREATE TABLE " ^ name
-    | Create_index { name; _ } -> "CREATE INDEX " ^ name
-    | Drop_index n -> "DROP INDEX " ^ n
-    | Insert { table; _ } -> "INSERT INTO " ^ table
-    | Select { table; _ } -> "SELECT FROM " ^ table
-    | Update { table; _ } -> "UPDATE " ^ table
-    | Delete { table; _ } -> "DELETE FROM " ^ table
-    | Begin _ -> "BEGIN"
-    | Commit -> "COMMIT"
-    | Rollback -> "ROLLBACK"
-    | Savepoint s -> "SAVEPOINT " ^ s
-    | Rollback_to s -> "ROLLBACK TO " ^ s
-    | Release s -> "RELEASE " ^ s
-    | Prepare_transaction g -> "PREPARE TRANSACTION " ^ g
-    | Commit_prepared g -> "COMMIT PREPARED " ^ g
-    | Rollback_prepared g -> "ROLLBACK PREPARED " ^ g
-    | Vacuum -> "VACUUM"
-    | Show_tables -> "SHOW TABLES"
-    | Show_locks -> "SHOW LOCKS"
-    | Show_conflicts -> "SHOW CONFLICTS"
-  in
-  Format.pp_print_string ppf name

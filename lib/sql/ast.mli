@@ -61,5 +61,3 @@ type stmt =
   | Show_locks  (** the SIREAD lock table, like pg_locks *)
   | Show_conflicts  (** the rw-antidependency graph *)
 
-val pp_stmt : Format.formatter -> stmt -> unit
-(** Debug printer (coarse, not a pretty-printer). *)

@@ -4,8 +4,6 @@ let invalid_xid = 0
 
 type tid = { page : int; slot : int }
 
-let pp_tid ppf t = Format.fprintf ppf "(%d,%d)" t.page t.slot
-
 type tuple = {
   mutable tid : tid;
   key : Value.t;

@@ -20,8 +20,6 @@ val invalid_xid : xid
 type tid = { page : int; slot : int }
 (** Physical tuple location. *)
 
-val pp_tid : Format.formatter -> tid -> unit
-
 type tuple = private {
   mutable tid : tid;  (** mutable so table rewrites (DDL) can relocate *)
   key : Value.t;

@@ -66,6 +66,4 @@ let pop t =
     Some (top.time, top.seq, top.value)
   end
 
-let peek_time t = if t.n = 0 then None else Some t.heap.(0).time
-
 let clear t = t.n <- 0

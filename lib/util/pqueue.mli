@@ -17,7 +17,4 @@ val push : 'a t -> time:float -> seq:int -> 'a -> unit
 val pop : 'a t -> (float * int * 'a) option
 (** Remove and return the minimum element, or [None] when empty. *)
 
-val peek_time : 'a t -> float option
-(** Priority time of the minimum element, without removing it. *)
-
 val clear : 'a t -> unit

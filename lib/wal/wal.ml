@@ -425,7 +425,7 @@ type t = {
           it count as acknowledged to {!wait_durable} *)
   pending : enc;  (** staged appends, lost (or mangled) by a crash *)
   mutable pending_count : int;
-  mutable interval : float;
+  interval : float;
   mutable flush_scheduled : bool;
   mutable dead : bool;
   flush_wq : Waitq.t;
@@ -460,7 +460,6 @@ let create ?obs ?(flush_interval = 0.) () =
   }
 
 let set_obs t obs = register obs t
-let set_flush_interval t i = t.interval <- i
 let flush_interval t = t.interval
 let is_dead t = t.dead
 let durable_size t = t.durable_len

@@ -92,7 +92,6 @@ val set_obs : t -> Ssi_obs.Obs.t -> unit
 (** Re-register the [wal.*] metrics in another registry (e.g. the engine
     that adopts this log at recovery). *)
 
-val set_flush_interval : t -> float -> unit
 val flush_interval : t -> float
 
 val append : t -> record -> int

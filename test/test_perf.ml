@@ -19,8 +19,9 @@
      to quadratic in the undo-log length;
    - allocation budgets for the tracked index scan, the write path
      (WAL append, the write-side SIREAD lookup, the own-lock release, a
-     tracked update) and telemetry (spans, histogram observations, an
-     untracked read), each a little above what the code allocates. *)
+     tracked update), the B+-tree point walks and telemetry (spans,
+     histogram observations, an untracked read), each a little above what
+     the code allocates. *)
 
 open Ssi_storage
 open Ssi_workload
@@ -462,6 +463,27 @@ let test_update_allocation () =
   E.commit txn;
   within "tracked update" ~budget:195. words
 
+(* ---- B+-tree walks allocate nothing ------------------------------------------- *)
+
+module Btree = Ssi_btree.Btree
+
+(* 100,000 warm point walks over a 1,000-key tree, keys boxed and
+   callbacks built beforehand: the walk itself builds no closure, pair or
+   probe record. *)
+let test_point_walk_allocation () =
+  let t = Btree.create ~name:"t_pkey" () in
+  let keys = Array.init 1000 vi in
+  Array.iter (fun k -> ignore (Btree.insert t ~key:k ~pk:k)) keys;
+  let pages = ref 0 and hits = ref 0 in
+  let page _ = incr pages and entry _ _ = incr hits in
+  let walks f = words_of (fun () -> for i = 0 to 99_999 do f keys.(i mod 1000) done) in
+  within "100,000 point walks" ~budget:0.
+    (walks (fun k -> Btree.walk t ~lo:k ~hi:k ~page ~entry));
+  Alcotest.(check int) "every key found once per walk" 100_000 !hits;
+  within "100,000 point page walks" ~budget:0.
+    (walks (fun k -> Btree.walk_pages t ~lo:k ~hi:k ~page));
+  Alcotest.(check bool) "pages announced" true (!pages >= 200_000)
+
 (* ---- Telemetry allocates nothing ---------------------------------------------- *)
 
 module Obs = Ssi_obs.Obs
@@ -569,9 +591,10 @@ let read_words txn key =
 
 (* A 2PL re-read of a row the transaction holds: the relation, leaf and
    tuple locks are covered, so beyond what the REPEATABLE READ read
-   allocates (22 words) there are only the tuple and leaf targets the
-   read builds; the B+-tree is walked once, the statement snapshot is
-   kept while no commit happens, and no deadlock handler is a closure. *)
+   allocates (16 words) there are only the tuple and leaf targets the
+   read builds; the B+-tree is walked once and the walk allocates
+   nothing, the statement snapshot is kept while no commit happens, and
+   no deadlock handler is a closure. *)
 let test_2pl_reread_allocation () =
   let db = s2pl_table () in
   let txn = E.begin_txn ~isolation:E.Serializable_2pl db in
@@ -580,7 +603,7 @@ let test_2pl_reread_allocation () =
   done;
   let words = read_words txn (fun i -> vi (i + 10)) in
   E.commit txn;
-  within "warm 2PL re-read" ~budget:35. words
+  within "warm 2PL re-read" ~budget:24. words
 
 (* A 2PL read of a row not locked yet, on a leaf that is: the new tuple
    lock's record and holding come from the pools. *)
@@ -592,7 +615,7 @@ let test_2pl_fresh_read_allocation () =
   done;
   let words = read_words txn (fun i -> vi ((2 * i) + 1)) in
   E.commit txn;
-  within "2PL read of a fresh row" ~budget:45. words
+  within "2PL read of a fresh row" ~budget:28. words
 
 (* A transaction that scans 20 rows through the primary key: under 2PL
    the scan S-locks the leaves and each row, which the transaction takes
@@ -676,6 +699,8 @@ let () =
           Alcotest.test_case "cold tracked scan grants its page lock directly" `Quick
             test_cold_scan_allocation;
         ] );
+      ( "btree",
+        [ Alcotest.test_case "warm point walk" `Quick test_point_walk_allocation ] );
       ( "telemetry",
         [
           Alcotest.test_case "child span through the hot-path entry" `Quick

@@ -14,10 +14,10 @@ module Driver = Ssi_workload.Driver
 let table = "t"
 let vi k = Value.Int k
 
-let with_sys ?(shards = 2) ?(seed = 7) f =
+let with_sys ?config ?(shards = 2) ?(seed = 7) f =
   ignore
     (Sim.run (fun () ->
-         let sys = Shard.create ~shards ~seed () in
+         let sys = Shard.create ?config ~shards ~seed () in
          Shard.create_table sys ~name:table ~cols:[ "k"; "writer" ] ~key:"k";
          f sys))
 
@@ -169,6 +169,65 @@ let test_same_shard_conflicts_stay_local () =
       let cts = Shard.commit p in
       Alcotest.(check bool) "committed" true (cts > 0);
       Alcotest.(check int) "no cross-shard abort" 0 (stat sys "shard.cross_aborts"))
+
+(* ---- Summarized conflict partners (§6.2) ----------------------------------- *)
+
+(* Record every shard's history from now on; the returned thunk checks
+   them, joined on gids, as one DSG. *)
+let record sys =
+  let h = Array.make (Shard.shards sys) [] in
+  Array.iteri
+    (fun s e -> E.set_recorder e (Some (fun t -> h.(s) <- t :: h.(s))))
+    (Shard.engines sys);
+  fun () -> Ssi_check.Dsg.check (Array.to_list (Array.map List.rev h))
+
+let acyclic = function
+  | Ok () -> ()
+  | Error cycle -> Alcotest.failf "joined DSG is cyclic:\n%s" (Ssi_check.Dsg.pp_cycle cycle)
+
+let test_summarized_partners_split_pivot () =
+  (* The split pivot G with both partners summarized as soon as they
+     commit (no retained committed transactions).  G reads b (shard 1)
+     and d (shard 0, taking its snapshot there).  T3 overwrites b and c
+     and commits: G --rw--> T3 on shard 1.  T1 reads T3's c and reads a,
+     and commits: T3 --wr--> T1.  G then writes a: T1 --rw--> G on shard
+     0.  The cycle G -> T3 -> T1 -> G has each rw edge running to a
+     summarized partner, which a branch must still report. *)
+  with_sys ~config:(Shard_sweep.config ~budget:0) (fun sys ->
+      let a, c, d = match keys_on sys 0 3 with [ a; c; d ] -> (a, c, d) | _ -> assert false in
+      let b = List.hd (keys_on sys 1 1) in
+      seed_keys sys [ a; b; c; d ];
+      let dsg = record sys in
+      let g = Shard.begin_txn sys in
+      ignore (stamp_of g b);
+      ignore (stamp_of g d);
+      let t3 = Shard.begin_txn sys in
+      write t3 b;
+      write t3 c;
+      ignore (Shard.commit t3);
+      let t1 = Shard.begin_txn sys in
+      Alcotest.(check int) "T1 reads T3's c" (Shard.gxid t3) (stamp_of t1 c);
+      ignore (stamp_of t1 a);
+      ignore (Shard.commit t1);
+      write g a;
+      (match Shard.commit g with
+      | (_ : int) -> Alcotest.fail "the split pivot must not commit"
+      | exception E.Error (E.Serialization_failure { reason; _ }) ->
+          Alcotest.(check string) "cross-shard abort"
+            "cross-shard pivot: conflict in on shard 0, out on shard 1" reason);
+      acyclic (dsg ()))
+
+let test_summarization_sweep () =
+  List.iter
+    (fun budget ->
+      for seed = 1 to 50 do
+        match Shard_sweep.cycle ~budget ~seed with
+        | None -> ()
+        | Some cycle ->
+            Alcotest.failf "budget %d seed %d: joined DSG is cyclic:\n%s" budget seed
+              (Ssi_check.Dsg.pp_cycle cycle)
+      done)
+    [ 0; 1 ]
 
 (* ---- Wound-wait --------------------------------------------------------------- *)
 
@@ -435,6 +494,9 @@ let () =
             test_cross_shard_pivot_aborted;
           Alcotest.test_case "same-shard conflicts stay local" `Quick
             test_same_shard_conflicts_stay_local;
+          Alcotest.test_case "summarized partners still split a pivot" `Quick
+            test_summarized_partners_split_pivot;
+          Alcotest.test_case "summarization sweep, seeds 1-50" `Quick test_summarization_sweep;
         ] );
       ( "wound-wait",
         [

@@ -161,6 +161,45 @@ let test_prepared_pivot_aborts_active_instead () =
   E.commit_prepared db ~gid:"g1";
   E.with_txn db (fun t -> ignore (E.read t ~table:"kv" ~key:(vi 2)))
 
+let test_prepared_t3_resolved_at_once () =
+  (* T1 --rw--> T2 --rw--> T3 --rw--> T1 with T3 prepared before the
+     structure is complete: T3 can no longer abort and may still commit
+     first, and nothing checks again when it does, so the edge that
+     completes T1 -> T2 -> T3 must be resolved when it forms.  Both
+     orders: the pivot's in-edge last, then its out-edge last. *)
+  let cycle ~in_edge_last =
+    let db = fresh () in
+    let t1 = E.begin_txn db and t2 = E.begin_txn db and t3 = E.begin_txn db in
+    ignore (E.read t3 ~table:"kv" ~key:(vi 3));
+    bump t3 1;
+    E.prepare t3 ~gid:"t3";
+    let t2_reads_around_t3 () = ignore (E.read t2 ~table:"kv" ~key:(vi 1)) in
+    let t1_reads_around_t2 () =
+      bump t2 2;
+      ignore (E.read t1 ~table:"kv" ~key:(vi 2))
+    in
+    let failed =
+      match
+        if in_edge_last then (
+          t2_reads_around_t3 ();
+          t1_reads_around_t2 ())
+        else (
+          t1_reads_around_t2 ();
+          t2_reads_around_t3 ());
+        E.prepare t2 ~gid:"t2"
+      with
+      | () -> false
+      | exception E.Error (E.Serialization_failure _) -> true
+    in
+    Alcotest.(check bool) "the pivot cannot prepare" true failed;
+    if not (E.is_finished t2) then E.abort t2;
+    bump t1 3 (* t3 -> t1 *);
+    E.commit_prepared db ~gid:"t3";
+    E.commit t1
+  in
+  cycle ~in_edge_last:true;
+  cycle ~in_edge_last:false
+
 let test_simulate_connection_lossy_basic () =
   let db = fresh () in
   (* An in-flight transaction's writes vanish at the crash. *)
@@ -272,41 +311,6 @@ let test_duplicate_gid_rejected () =
   E.abort t2;
   E.rollback_prepared db ~gid:"g"
 
-(* One global transaction with a branch on each of two engines, as a
-   sharded coordinator drives them.  The SIREAD digest each shard acks at
-   prepare covers tuple, page, index-page and next-key targets with int,
-   float and escaped string keys; both digests are pinned. *)
-let test_prepared_summary_digest () =
-  (* Shard 0 indexes floats, shard 1 strings that need escaping. *)
-  let cat n k =
-    if n = 0 then Value.Float (float k /. 4.) else Value.Str (Printf.sprintf "c\"\\\n\xe9%d" k)
-  in
-  let shard n =
-    let db = E.create () in
-    E.create_table db ~name:"kv" ~cols:[ "k"; "v"; "cat" ] ~key:"k";
-    E.create_index db ~table:"kv" ~name:"kv_cat" ~column:"cat" ~next_key_gaps:true ();
-    E.with_txn db (fun t ->
-        for k = 0 to 9 do
-          E.insert t ~table:"kv" [| vi ((10 * n) + k); vi 0; cat n k |]
-        done);
-    db
-  in
-  let branch n db =
-    let t = E.begin_txn db in
-    ignore (E.read t ~table:"kv" ~key:(vi (10 * n)));
-    ignore (E.read t ~table:"kv" ~key:(Value.Str "q\"\\\n\xe9"));
-    ignore (E.read t ~table:"kv" ~key:(Value.Float (-0.)));
-    ignore (E.index_scan t ~table:"kv" ~index:"kv_cat" ~lo:(cat n 2) ~hi:(cat n 3));
-    ignore (E.update t ~table:"kv" ~key:(vi ((10 * n) + 5)) ~f:(fun r -> [| r.(0); vi 1; r.(2) |]));
-    E.prepare t ~gid:"g1";
-    (E.prepared_summary db ~gid:"g1").E.ps_siread_digest
-  in
-  let digests = List.map (fun n -> branch n (shard n)) [ 0; 1 ] in
-  Alcotest.(check (list string))
-    "siread digests"
-    [ "58e0510c0299215180d3b4437d48bb00"; "9643965692e22ac8521e74420a1e3cdb" ]
-    digests
-
 let () =
   Alcotest.run "twophase"
     [
@@ -318,7 +322,6 @@ let () =
           Alcotest.test_case "no ops after prepare" `Quick test_no_ops_after_prepare;
           Alcotest.test_case "duplicate gid" `Quick test_duplicate_gid_rejected;
           Alcotest.test_case "write locks held" `Quick test_write_lock_held_through_prepare;
-          Alcotest.test_case "prepared summary digest" `Quick test_prepared_summary_digest;
         ] );
       ( "ssi interactions (§7.1)",
         [
@@ -326,6 +329,8 @@ let () =
             test_prepare_runs_serialization_check;
           Alcotest.test_case "prepared pivot: active aborts, retry unsafe" `Quick
             test_prepared_pivot_aborts_active_instead;
+          Alcotest.test_case "a structure completed under a prepared T3" `Quick
+            test_prepared_t3_resolved_at_once;
         ] );
       ( "recovery",
         [
