@@ -55,9 +55,9 @@ let create ?obs ?(default_link = default_link) ~seed () =
   }
 
 let node t name =
-  match Hashtbl.find_opt t.node_by_name name with
-  | Some n -> n
-  | None -> invalid_arg ("Net: unknown node " ^ name)
+  match Hashtbl.find t.node_by_name name with
+  | n -> n
+  | exception Not_found -> invalid_arg ("Net: unknown node " ^ name)
 
 let add_node t name ~handler =
   if Hashtbl.mem t.node_by_name name then invalid_arg ("Net: duplicate node " ^ name);
@@ -91,8 +91,16 @@ let heal_all t = Hashtbl.reset t.cut
 
 (* ---- Transmission ---------------------------------------------------------- *)
 
+(* A [net.msg] span that never reaches its receiver closes now, saying why. *)
+let lost t sp fate =
+  match sp with
+  | Some s ->
+      Obs.Span.add s fate (Obs.B true);
+      Obs.Span.finish t.obs s
+  | None -> ()
+
 (* Each accepted copy is scheduled as its own simulation process at
-   [now + delay + jitter (+ reorder detour)]; the priority queue's (time,
+   [now + delay + jitter (+ reorder detour)]; the event heap's (time,
    seq) order makes concurrent deliveries deterministic. *)
 let send t ?span_ctx ~src ~dst msg =
   ignore (node t src);
@@ -110,16 +118,9 @@ let send t ?span_ctx ~src ~dst msg =
              "net.msg")
     | None -> None
   in
-  let close ?fate () =
-    match sp with
-    | Some s ->
-        (match fate with Some f -> Obs.Span.add s f (Obs.B true) | None -> ());
-        Obs.Span.finish t.obs s
-    | None -> ()
-  in
-  if partitioned t src dst then begin
+  if Hashtbl.length t.cut > 0 && partitioned t src dst then begin
     Obs.incr t.c_partition_drops;
-    close ~fate:"partitioned" ()
+    lost t sp "partitioned"
   end
   else begin
     let l = t.link in
@@ -128,7 +129,7 @@ let send t ?span_ctx ~src ~dst msg =
     let reorder = Float.max l.reorder t.chaos_reorder in
     if drop > 0. && Rng.chance t.rng drop then begin
       Obs.incr t.c_dropped;
-      close ~fate:"dropped" ()
+      lost t sp "dropped"
     end
     else begin
       let copies = if dup > 0. && Rng.chance t.rng dup then 2 else 1 in
@@ -147,7 +148,7 @@ let send t ?span_ctx ~src ~dst msg =
         in
         Sim.at ~after:latency (fun () ->
             Obs.incr t.c_delivered;
-            close ();
+            (match sp with Some s -> Obs.Span.finish t.obs s | None -> ());
             receiver.handler ~src msg)
       done
     end

@@ -3,11 +3,25 @@ open Ssi_util
 exception Not_in_simulation
 exception Stuck of { count : int; labels : string list }
 
+type event = Start of (unit -> unit) | Resume of (unit, unit) Effect.Deep.continuation | Free
+
+(* All-float, so its fields are stored unboxed: [at] carries an event's time
+   into [push] and [dur] a {!delay}'s length into the handler, neither boxed. *)
+type clock = { mutable now : float; mutable at : float; mutable dur : float }
+
 type state = {
-  events : (unit -> unit) Pqueue.t;
-  mutable now : float;
+  clock : clock;
+  mutable boxed_now : float;  (* [clock.now] for {!now}, boxed once per change *)
+  (* The event heap: a binary min-heap on (time, seq), as three arrays. *)
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable events : event array;
+  mutable n : int;
   mutable seq : int;
   mutable unfinished : int;  (* processes started but not yet returned *)
+  mutable register : (unit -> unit) -> unit;  (* {!suspend}'s argument *)
+  mutable queue : Waitq.t;  (* {!wait}'s argument *)
+  waiting : (int, int) Hashtbl.t;  (* processes suspended in {!wait}, per queue id *)
 }
 
 (* A single simulation runs at a time per OCaml thread; processes find their
@@ -17,105 +31,186 @@ let current : state option ref = ref None
 let get () = match !current with None -> raise Not_in_simulation | Some st -> st
 let running () = !current <> None
 
-type _ Effect.t +=
-  | Delay : float -> unit Effect.t
-  | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+(* The arguments travel through [state], so a perform allocates nothing. *)
+type _ Effect.t += Delay : unit Effect.t | Wait : unit Effect.t | Suspend : unit Effect.t
 
-let schedule st ~after f =
+(* Queue [ev] at [st.clock.at].  Its seq exceeds every queued one, so only
+   time decides the sift-up. *)
+let push st ev =
+  if st.n = Array.length st.times then begin
+    let double a fill = Array.append a (Array.make (Array.length a) fill) in
+    st.times <- double st.times 0.;
+    st.seqs <- double st.seqs 0;
+    st.events <- double st.events Free
+  end;
+  let t = st.clock.at and i = ref st.n in
   st.seq <- st.seq + 1;
-  Pqueue.push st.events ~time:(st.now +. after) ~seq:st.seq f
+  st.n <- st.n + 1;
+  while !i > 0 && t < st.times.((!i - 1) / 2) do
+    let p = (!i - 1) / 2 in
+    st.times.(!i) <- st.times.(p);
+    st.seqs.(!i) <- st.seqs.(p);
+    st.events.(!i) <- st.events.(p);
+    i := p
+  done;
+  st.times.(!i) <- t;
+  st.seqs.(!i) <- st.seq;
+  st.events.(!i) <- ev
 
-let rec exec_process st body =
-  let open Effect.Deep in
-  try_with
-    (fun () ->
-      body ();
-      st.unfinished <- st.unfinished - 1)
-    ()
-    {
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Delay d ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  schedule st ~after:d (fun () -> continue k ()))
-          | Suspend register ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  let resumed = ref false in
-                  register (fun () ->
-                      if !resumed then invalid_arg "Sim: process resumed twice";
-                      resumed := true;
-                      schedule st ~after:0. (fun () -> continue k ())))
-          | _ -> None);
-    }
+let before st a b =
+  st.times.(a) < st.times.(b) || (st.times.(a) = st.times.(b) && st.seqs.(a) < st.seqs.(b))
 
-and spawn_in st body =
+(* Remove the minimum, sifting the last event down from the root; the
+   vacated slot is cleared so a finished process is not retained. *)
+let pop st =
+  let n = st.n - 1 in
+  let t = st.times.(n) and s = st.seqs.(n) and ev = st.events.(n) in
+  st.n <- n;
+  st.events.(n) <- Free;
+  let i = ref 0 and l = ref 1 in
+  while !l < n do
+    let c = if !l + 1 < n && before st (!l + 1) !l then !l + 1 else !l in
+    if st.times.(c) < t || (st.times.(c) = t && st.seqs.(c) < s) then begin
+      st.times.(!i) <- st.times.(c);
+      st.seqs.(!i) <- st.seqs.(c);
+      st.events.(!i) <- st.events.(c);
+      i := c;
+      l := (2 * c) + 1
+    end
+    else l := n
+  done;
+  if n > 0 then begin
+    st.times.(!i) <- t;
+    st.seqs.(!i) <- s;
+    st.events.(!i) <- ev
+  end
+
+let resume_now st k =
+  st.clock.at <- st.clock.now;
+  push st (Resume k)
+
+let waiters st id = match Hashtbl.find st.waiting id with c -> c | exception Not_found -> 0
+
+(* One handler per run; its effect branches are preallocated. *)
+let handler st =
+  let delayed =
+    Some
+      (fun k ->
+        st.clock.at <- st.clock.now +. st.clock.dur;
+        push st (Resume k))
+  in
+  let waited =
+    Some
+      (fun k ->
+        let id = Waitq.id st.queue in
+        Hashtbl.replace st.waiting id (waiters st id + 1);
+        Waitq.enqueue st.queue (fun () ->
+            let c = waiters st id in
+            if c > 1 then Hashtbl.replace st.waiting id (c - 1) else Hashtbl.remove st.waiting id;
+            resume_now st k))
+  in
+  let suspended =
+    Some
+      (fun k ->
+        let register = st.register and resumed = ref false in
+        st.register <- ignore;
+        register (fun () ->
+            if !resumed then invalid_arg "Sim: process resumed twice";
+            resumed := true;
+            resume_now st k))
+  in
+  {
+    Effect.Deep.retc = (fun () -> st.unfinished <- st.unfinished - 1);
+    exnc = raise;
+    effc =
+      (fun (type a) (eff : a Effect.t) : ((a, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with Delay -> delayed | Wait -> waited | Suspend -> suspended | _ -> None);
+  }
+
+let start st body =
   st.unfinished <- st.unfinished + 1;
-  schedule st ~after:0. (fun () -> exec_process st body)
+  push st (Start body)
 
-(* Wait-queue id of every process suspended in {!wait}, by suspension;
-   labels are formatted only when someone asks for them. *)
-let suspended_at : (int, int) Hashtbl.t = Hashtbl.create 32
-let suspend_counter = ref 0
-
-let suspended_labels () =
-  Hashtbl.fold (fun _ q acc -> ("waitq:" ^ string_of_int q) :: acc) suspended_at []
+let no_queue = Waitq.create ()
 
 let run main =
-  (match !current with
-  | Some _ -> invalid_arg "Sim.run: a simulation is already running"
-  | None -> ());
-  let st = { events = Pqueue.create (); now = 0.; seq = 0; unfinished = 0 } in
-  current := Some st;
-  let finish () =
-    current := None;
-    Hashtbl.reset suspended_at
+  if running () then invalid_arg "Sim.run: a simulation is already running";
+  let st =
+    {
+      clock = { now = 0.; at = 0.; dur = 0. };
+      boxed_now = 0.;
+      times = Array.make 64 0.;
+      seqs = Array.make 64 0;
+      events = Array.make 64 Free;
+      n = 0;
+      seq = 0;
+      unfinished = 0;
+      register = ignore;
+      queue = no_queue;
+      waiting = Hashtbl.create 8;
+    }
   in
+  let handler = handler st in
+  current := Some st;
   (try
-     spawn_in st main;
-     let rec loop () =
-       match Pqueue.pop st.events with
-       | None -> ()
-       | Some (time, _, thunk) ->
-           st.now <- time;
-           thunk ();
-           loop ()
-     in
-     loop ()
+     start st main;
+     while st.n > 0 do
+       st.clock.now <- st.times.(0);
+       let ev = st.events.(0) in
+       pop st;
+       match ev with
+       | Start body -> Effect.Deep.match_with body () handler
+       | Resume k -> Effect.Deep.continue k ()
+       | Free -> ()
+     done
    with e ->
-     finish ();
+     current := None;
      raise e);
-  let t = st.now in
-  let stuck = st.unfinished in
-  let labels = if stuck > 0 then List.sort compare (suspended_labels ()) else [] in
-  finish ();
-  if stuck > 0 then begin
+  current := None;
+  if st.unfinished > 0 then begin
+    (* Labels are formatted only when a run is stuck. *)
+    let label q c acc = List.init c (fun _ -> "waitq:" ^ string_of_int q) @ acc in
+    let labels = List.sort compare (Hashtbl.fold label st.waiting []) in
     List.iter (fun l -> Printf.eprintf "[sim] stuck process at %s\n%!" l) labels;
-    raise (Stuck { count = stuck; labels })
+    raise (Stuck { count = st.unfinished; labels })
   end;
-  t
+  st.clock.now
 
-let spawn body = spawn_in (get ()) body
+let spawn body =
+  let st = get () in
+  st.clock.at <- st.clock.now;
+  start st body
 
 let at ~after body =
+  if Float.is_nan after then invalid_arg "Sim.at: NaN delay";
   let st = get () in
-  st.unfinished <- st.unfinished + 1;
-  schedule st ~after:(Float.max 0. after) (fun () -> exec_process st body)
-let delay d = if d > 0. then Effect.perform (Delay d) else ignore (get ())
-let now () = (get ()).now
-let yield () = Effect.perform (Delay 0.)
-let suspend register = Effect.perform (Suspend register)
+  st.clock.at <- (st.clock.now +. if after > 0. then after else 0.);
+  start st body
+
+let delay d =
+  if d > 0. then begin
+    (get ()).clock.dur <- d;
+    Effect.perform Delay
+  end
+  else if Float.is_nan d then invalid_arg "Sim.delay: NaN delay"
+  else ignore (get ())
+
+let now () =
+  let st = get () in
+  if st.boxed_now <> st.clock.now then st.boxed_now <- st.clock.now;
+  st.boxed_now
+
+let yield () =
+  (get ()).clock.dur <- 0.;
+  Effect.perform Delay
+
+let suspend register =
+  (get ()).register <- register;
+  Effect.perform Suspend
 
 let wait q =
-  incr suspend_counter;
-  let sid = !suspend_counter in
-  Hashtbl.replace suspended_at sid (Waitq.id q);
-  suspend (fun resume ->
-      Waitq.enqueue q (fun () ->
-          Hashtbl.remove suspended_at sid;
-          resume ()))
+  (get ()).queue <- q;
+  Effect.perform Wait
 
 let scheduler =
   { Waitq.suspend = wait; charge = delay; now }

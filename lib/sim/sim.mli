@@ -16,13 +16,15 @@ exception Not_in_simulation
 exception Stuck of { count : int; labels : string list }
 (** Raised by {!run} when the event queue drains while processes are still
     suspended: a lost-wakeup or deadlock bug in the simulated program.
-    [count] is the number of stuck processes and [labels] the
-    {!suspended_labels} of those suspended on a wait queue (sorted), so a
-    stuck chaos test names the queues it deadlocked on. *)
+    [count] is the number of stuck processes and [labels] holds one
+    ["waitq:<id>"] per process suspended in {!wait} (sorted), so a stuck
+    chaos test names the queues it deadlocked on. *)
 
 val run : (unit -> unit) -> float
 (** [run main] executes [main] as the initial process and drives the event
-    queue until it is empty.  Returns the final virtual time. *)
+    queue until it is empty.  Returns the final virtual time.  Events run
+    in [(time, seq)] order, [seq] counting every event queued, so
+    simultaneous events run first-queued first. *)
 
 val spawn : (unit -> unit) -> unit
 (** Start a new process at the current virtual time. *)
@@ -32,10 +34,13 @@ val at : after:float -> (unit -> unit) -> unit
     seconds from now — a one-shot timer.  Equivalent to
     [spawn (fun () -> delay after; body ())] without making the caller's
     schedule depend on an extra process switch; the network layer and
-    quorum deadlines are built on this. *)
+    quorum deadlines are built on this.  A negative [after] counts as 0;
+    a NaN one raises [Invalid_argument]. *)
 
 val delay : float -> unit
-(** Advance the calling process's virtual time by [d] seconds. *)
+(** Advance the calling process's virtual time by [d] seconds.  A [d] of
+    at most 0 returns at once without yielding; a NaN one raises
+    [Invalid_argument]. *)
 
 val now : unit -> float
 (** Current virtual time. *)
@@ -56,10 +61,6 @@ val suspend : ((unit -> unit) -> unit) -> unit
 
 val wait : Ssi_util.Waitq.t -> unit
 (** Suspend on a wait queue; woken by [Waitq.wake_all]/[wake_one]. *)
-
-val suspended_labels : unit -> string list
-(** Diagnostic labels ("waitq:<id>") of processes currently suspended on a
-    wait queue (not of processes sleeping in {!delay}). *)
 
 val scheduler : Ssi_util.Waitq.scheduler
 (** Scheduler record handed to the database engine: [suspend] is {!wait},

@@ -24,7 +24,9 @@ val enqueue : t -> (unit -> unit) -> unit
 (** Used by scheduler implementations: register a resume thunk. *)
 
 val wake_all : t -> unit
-(** Call (and remove) every registered resume thunk, in FIFO order. *)
+(** Call (and remove), in FIFO order, the resume thunks registered when
+    [wake_all] is called; a thunk registered meanwhile waits for the next
+    wake. *)
 
 val wake_one : t -> bool
 (** Call (and remove) the oldest resume thunk.  Returns [false] when the

@@ -19,9 +19,10 @@
      to quadratic in the undo-log length;
    - allocation budgets for the tracked index scan, the write path
      (WAL append, the write-side SIREAD lookup, the own-lock release, a
-     tracked update), the B+-tree point walks and telemetry (spans,
-     histogram observations, an untracked read), each a little above what
-     the code allocates. *)
+     tracked update), the B+-tree point walks, telemetry (spans,
+     histogram observations, an untracked read) and the simulator kernel
+     (a switch, a process start, a wait and wake, an untraced message),
+     each a little above what the code allocates. *)
 
 open Ssi_storage
 open Ssi_workload
@@ -676,6 +677,78 @@ let test_cold_scan_allocation () =
     Alcotest.failf "%.1f words per cold %d-row tracked scan (budget %.0f + %.0f)" words nrows
       result slack
 
+(* ---- The simulator kernel ----------------------------------------------------- *)
+
+module Net = Ssi_net.Net
+module Waitq = Ssi_util.Waitq
+
+let calls = 100_000
+
+(* Words per call of [f ()], a process making [calls] calls, measured
+   inside the simulation so that its start-up does not count. *)
+let per_call f =
+  let words = ref 0. in
+  ignore (Sim.run (fun () -> words := words_of f));
+  !words /. float calls
+
+(* A switch allocates the runtime's continuation and its [Resume] cell. *)
+let test_switch_allocation () =
+  within "Sim.yield" ~budget:4.
+    (per_call (fun () ->
+         for _ = 1 to calls do
+           Sim.yield ()
+         done));
+  within "Sim.delay" ~budget:4.
+    (per_call (fun () ->
+         for _ = 1 to calls do
+           Sim.delay 1e-6
+         done))
+
+(* A start allocates its [Start] cell and the runtime's effect closure. *)
+let test_spawn_allocation () =
+  let body () = () in
+  within "Sim.spawn" ~budget:12.
+    (per_call (fun () ->
+         for _ = 1 to calls do
+           Sim.spawn body
+         done;
+         Sim.yield ()));
+  within "Sim.at" ~budget:12.
+    (per_call (fun () ->
+         for _ = 1 to calls do
+           Sim.at ~after:1e-6 body
+         done;
+         Sim.delay 1e-3))
+
+(* A waiter woken by [wake_one], then the waker's yield. *)
+let test_wait_wake_allocation () =
+  let q = Waitq.create () in
+  within "Sim.wait + Waitq.wake_one" ~budget:22.
+    (per_call (fun () ->
+         Sim.spawn (fun () ->
+             for _ = 1 to calls do
+               Sim.wait q
+             done);
+         Sim.yield ();
+         for _ = 1 to calls do
+           if not (Waitq.wake_one q) then Alcotest.fail "no waiter";
+           Sim.yield ()
+         done))
+
+(* An untraced message: the delivery timer and its closure. *)
+let test_send_allocation () =
+  let net = Net.create ~seed:1 () in
+  let delivered = ref 0 in
+  Net.add_node net "a" ~handler:(fun ~src:_ _ -> ());
+  Net.add_node net "b" ~handler:(fun ~src:_ _ -> incr delivered);
+  within "Net.send + delivery" ~budget:34.
+    (per_call (fun () ->
+         for i = 1 to calls do
+           Net.send net ~src:"a" ~dst:"b" i
+         done;
+         Sim.delay 1.;
+         Alcotest.(check int) "all delivered" calls !delivered))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -725,5 +798,12 @@ let () =
           Alcotest.test_case "unlock_tuple touches one page list" `Quick
             test_unlock_tuple_allocation;
           Alcotest.test_case "tracked update of a 4-column row" `Quick test_update_allocation;
+        ] );
+      ( "simulator",
+        [
+          Alcotest.test_case "switch" `Quick test_switch_allocation;
+          Alcotest.test_case "process start" `Quick test_spawn_allocation;
+          Alcotest.test_case "wait and wake_one" `Quick test_wait_wake_allocation;
+          Alcotest.test_case "untraced send and delivery" `Quick test_send_allocation;
         ] );
     ]

@@ -1,5 +1,5 @@
 (* Unit and property tests for the utility library: RNG, statistics,
-   priority queue, wait queues and table formatting. *)
+   the simulator's event queue, wait queues and table formatting. *)
 
 open Ssi_util
 
@@ -119,52 +119,59 @@ let test_histogram () =
   Alcotest.(check int) "last bucket holds overflow" 2 (Stats.hist_bucket h 9);
   Alcotest.(check int) "render lines" 10 (List.length (Stats.hist_render h ~width:20))
 
-(* ---- Pqueue -------------------------------------------------------------------- *)
+(* ---- Event queue -------------------------------------------------------------- *)
+
+(* The simulator keeps its pending events in a min-heap on (time, seq); these
+   tests drive it through [Sim.at], numbering events in scheduling order, which
+   is the order [Sim] assigns seqs in. *)
+
+module Sim = Ssi_sim.Sim
 
 let prop_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue pops in priority order" ~count:200
     QCheck.(list (pair (float_bound_inclusive 100.) small_nat))
     (fun items ->
-      let q = Pqueue.create () in
-      List.iteri (fun i (t, _) -> Pqueue.push q ~time:t ~seq:i i) items;
-      let rec drain acc =
-        match Pqueue.pop q with
-        | None -> List.rev acc
-        | Some (t, s, _) -> drain ((t, s) :: acc)
-      in
-      let popped = drain [] in
-      popped = List.sort compare popped)
+      let popped = ref [] in
+      ignore
+        (Sim.run (fun () ->
+             List.iteri
+               (fun i (t, _) -> Sim.at ~after:t (fun () -> popped := (Sim.now (), i) :: !popped))
+               items));
+      let popped = List.rev !popped in
+      List.length popped = List.length items && popped = List.sort compare popped)
 
 let test_pqueue_fifo_ties () =
-  let q = Pqueue.create () in
-  List.iter (fun i -> Pqueue.push q ~time:1.0 ~seq:i i) [ 1; 2; 3; 4 ];
-  let order =
-    List.init 4 (fun _ -> match Pqueue.pop q with Some (_, _, v) -> v | None -> -1)
-  in
-  Alcotest.(check (list int)) "ties pop in sequence order" [ 1; 2; 3; 4 ] order
+  let order = ref [] in
+  ignore
+    (Sim.run (fun () ->
+         List.iter (fun i -> Sim.at ~after:1.0 (fun () -> order := i :: !order)) [ 1; 2; 3; 4 ]));
+  Alcotest.(check (list int)) "ties pop in sequence order" [ 1; 2; 3; 4 ] (List.rev !order)
 
 let test_pqueue_interleaved () =
-  (* Random interleaving of pushes and pops against a reference model. *)
+  (* Every event that fires schedules a random number of new ones, some at
+     the current time; each must fire as the minimum of a reference model. *)
   let rng = Rng.make 11 in
-  let q = Pqueue.create () in
   let reference = ref [] in
-  let seq = ref 0 in
-  for _ = 1 to 20_000 do
-    if Rng.bool rng || !reference = [] then begin
-      incr seq;
-      let t = Rng.float rng 50. in
-      Pqueue.push q ~time:t ~seq:!seq !seq;
-      reference := (t, !seq) :: !reference
-    end
-    else
-      match Pqueue.pop q with
-      | None -> Alcotest.fail "pqueue empty but model is not"
-      | Some (t, s, v) ->
-          Alcotest.(check int) "payload" s v;
-          let expected = List.fold_left min (List.hd !reference) (List.tl !reference) in
-          Alcotest.(check bool) "pops model minimum" true ((t, s) = expected);
-          reference := List.filter (fun x -> x <> (t, s)) !reference
-  done
+  let seq = ref 0 and fired = ref 0 in
+  let limit = 20_000 in
+  let rec push () =
+    incr seq;
+    let s = !seq in
+    let d = if Rng.int rng 4 = 0 then 0. else Rng.float rng 50. in
+    reference := (Sim.now () +. d, s) :: !reference;
+    Sim.at ~after:d (fun () -> fire s)
+  and fire s =
+    incr fired;
+    let expected = List.fold_left min (List.hd !reference) (List.tl !reference) in
+    Alcotest.(check bool) "pops model minimum" true ((Sim.now (), s) = expected);
+    reference := List.filter (fun x -> x <> expected) !reference;
+    while !seq < limit && (!reference = [] || Rng.bool rng) do
+      push ()
+    done
+  in
+  ignore (Sim.run push);
+  Alcotest.(check int) "every event fired" limit !fired;
+  Alcotest.(check bool) "model drained" true (!reference = [])
 
 (* ---- Waitq ---------------------------------------------------------------------- *)
 
