@@ -211,7 +211,7 @@ module Retention = struct
   let retained r = Queue.length r.committed
   let oldserxid_size r = Hashtbl.length r.oldserxid
   let retain r n = Queue.add n r.committed
-  let iter r f = Queue.iter f r.committed
+  let fold r f acc = Queue.fold f acc r.committed
   let to_list r = List.of_seq (Queue.to_seq r.committed)
   let find_old r xid = Hashtbl.find_opt r.oldserxid xid
 
@@ -234,37 +234,37 @@ module Retention = struct
     Queue.add (xid, commit) r.oldserxid_order;
     h.summarized c n
 
-  let cleanup r c ~nodes ~locks =
+  let rec drain r c ~nodes ~locks =
     let h = r.hooks in
+    match Queue.peek r.committed with
+    | n when h.commit_cseq n < nodes && h.lock_stamp c n < locks ->
+        ignore (Queue.pop r.committed);
+        Predlock.release_owner r.locks (h.xid n);
+        h.drained c n;
+        drain r c ~nodes ~locks
+    | _ | (exception Queue.Empty) -> ()
+
+  let rec purge r c ~nodes =
+    match Queue.peek r.oldserxid_order with
+    | xid, commit when commit < nodes ->
+        ignore (Queue.pop r.oldserxid_order);
+        (match Hashtbl.find r.oldserxid xid with
+        | e when e.old_commit = commit ->
+            Hashtbl.remove r.oldserxid xid;
+            r.hooks.purged c commit
+        | _ | (exception Not_found) -> ());
+        purge r c ~nodes
+    | _ | (exception Queue.Empty) -> ()
+
+  let cleanup r c ~nodes ~locks =
     Obs.incr r.m_cleanups;
-    let rec drain () =
-      match Queue.peek_opt r.committed with
-      | Some n when h.commit_cseq n < nodes && h.lock_stamp c n < locks ->
-          ignore (Queue.pop r.committed);
-          Predlock.release_owner r.locks (h.xid n);
-          h.drained c n;
-          drain ()
-      | Some _ | None -> ()
-    in
-    drain ();
-    h.before_summarize c;
+    drain r c ~nodes ~locks;
+    r.hooks.before_summarize c;
     while Queue.length r.committed > r.max_committed do
       summarize r c (Queue.pop r.committed)
     done;
     Predlock.cleanup_old_committed r.locks ~before:locks;
-    let rec purge () =
-      match Queue.peek_opt r.oldserxid_order with
-      | Some (xid, commit) when commit < nodes ->
-          ignore (Queue.pop r.oldserxid_order);
-          (match Hashtbl.find_opt r.oldserxid xid with
-          | Some e when e.old_commit = commit ->
-              Hashtbl.remove r.oldserxid xid;
-              h.purged c commit
-          | Some _ | None -> ());
-          purge ()
-      | Some _ | None -> ()
-    in
-    purge ()
+    purge r c ~nodes
 
   (** Crash recovery: release and forget every retained node and drop
       every dummy-owner record.  [oldserxid] entries wait for the next
@@ -317,6 +317,16 @@ module type S = sig
   val register :
     t -> xid:Heap.xid -> snap_cseq:cseq -> read_only:bool -> deferrable:bool -> node
   (** Call immediately after taking the transaction's snapshot. *)
+
+  val begin_safe : t -> xid:Heap.xid -> snap_cseq:cseq -> bool
+  (** At BEGIN of a READ ONLY, not DEFERRABLE transaction: true when its
+      snapshot is already safe (§4.2): the read-only optimizations are on
+      and every active or prepared transaction declared READ ONLY.  It
+      then has no node and holds only its cleanup horizon until
+      {!end_safe}; otherwise {!register} it. *)
+
+  val end_safe : t -> snap_cseq:cseq -> unit
+  (** Its commit or abort: release the horizon and run cleanup. *)
 
   val check_doomed : node -> unit
   (** Raise {!serialization_failure} if the node was doomed by a conflict

@@ -199,7 +199,6 @@ let iter_watchers n f = iter_links (fun w -> w.wi_next) f n.watchers_first
 let iter_watching n f = iter_links (fun w -> w.wo_next) f n.watching_first
 
 type t = {
-  clog : Mvcc.Clog.t;
   locks : Predlock.t;
   config : config;
   by_xid : (Heap.xid, node) Hashtbl.t;
@@ -214,6 +213,10 @@ type t = {
       (** commit cseq -> xid for every identity the manager still knows:
           retained committed nodes and summarized (oldserxid) entries —
           the index behind {!resolve_xid_by_cseq} *)
+  mutable safe_horizons : int array;
+      (** the first [safe_n] hold the snapshots, rising, of the live
+          transactions safe at BEGIN, which have no node *)
+  mutable safe_n : int;
   obs : Obs.t;
   conflicts : Obs.counter;
   safe_snapshots : Obs.counter;
@@ -254,6 +257,36 @@ let iter_active t f =
         go next
   in
   go t.active_first
+
+(* Whether a node on the active list did not declare READ ONLY: a
+   read-only snapshot taken now would have to watch it (§4.2). *)
+let rec rw_active = function
+  | None -> false
+  | Some n -> (not n.declared_read_only) || rw_active n.act_next
+
+(* The active list's least snapshot, from [acc] down. *)
+let rec min_snap acc = function
+  | None -> acc
+  | Some n -> min_snap (if n.snap_cseq < acc then n.snap_cseq else acc) n.act_next
+
+(* A transaction safe at BEGIN has no node, yet its snapshot holds back
+   cleanup as a node's would.  Snapshots rise, so each new one goes last. *)
+let hold_horizon t c =
+  if t.safe_n = Array.length t.safe_horizons then
+    t.safe_horizons <- Array.append t.safe_horizons t.safe_horizons;
+  t.safe_horizons.(t.safe_n) <- c;
+  t.safe_n <- t.safe_n + 1
+
+let release_horizon t c =
+  let a = t.safe_horizons and i = ref (t.safe_n - 1) in
+  while a.(!i) <> c do
+    decr i
+  done;
+  Array.blit a (!i + 1) a !i (t.safe_n - !i - 1);
+  t.safe_n <- t.safe_n - 1
+
+let min_active_snap t =
+  min_snap (if t.safe_n > 0 then t.safe_horizons.(0) else invalid_cseq) t.active_first
 
 let max_committed_sxacts t = Retention.max_committed t.ret
 let set_max_committed_sxacts t n = Retention.set_max_committed t.ret n
@@ -526,13 +559,16 @@ let drop_tracking t r =
   Predlock.release_owner t.locks r.xid;
   iter_out r unlink_edge
 
+let count_safe t xid =
+  Obs.incr t.safe_snapshots;
+  Obs.trace t.obs "ssi.safe_snapshot" ~fields:[ ("xid", Obs.I xid) ]
+
 let finalize_safety t r =
   if not r.safety_known then begin
     r.safety_known <- true;
     if not r.unsafe then begin
       r.safe <- true;
-      Obs.incr t.safe_snapshots;
-      Obs.trace t.obs "ssi.safe_snapshot" ~fields:[ ("xid", Obs.I r.xid) ];
+      count_safe t r.xid;
       drop_tracking t r
     end;
     Waitq.wake_all r.safety_wq
@@ -634,10 +670,7 @@ let conflict_out t node ~writer =
               if w_committed_first then begin
                 record_dangerous t ~victim:node.xid
                   ~reason:"conflict out to summarized pivot"
-                  ~rule:
-                    (if t.config.read_only_opt && ro_in_theory node then
-                       "read-only snapshot ordering"
-                     else "commit-ordering")
+                  ~rule:(rule_for t node)
                   ~t1:(t1_fields node) ~t2:(writer, old_commit)
                   ~t3:(resolve_xid_by_cseq t old_earliest_out, old_earliest_out);
                 fail t node "conflict out to summarized pivot"
@@ -693,34 +726,21 @@ let conflict_in t node readers =
 
 (* ---- Cleanup and summarization (§6) ---------------------------------------- *)
 
-let min_active_snap t =
-  let acc = ref invalid_cseq in
-  iter_active t (fun n ->
-      match n.status with
-      | Active | Prepared -> if n.snap_cseq < !acc then acc := n.snap_cseq
-      | Committed | Aborted -> ());
-  !acc
-
 let unlink_node n =
   iter_out n unlink_edge;
   iter_in n unlink_edge
 
+let release_retained t c =
+  Predlock.release_owner t.locks c.xid;
+  iter_in c unlink_edge;
+  t
+
 (* Read-only-only optimization (§6.1): when every active transaction is
-   read-only, committed transactions' SIREAD locks and in-conflict lists
-   can go — no future write can create a conflict with them. *)
+   read-only, or none is active, committed transactions' SIREAD locks and
+   in-conflict lists can go — no future write can create a conflict with
+   them. *)
 let release_if_read_only_only t =
-  let only_read_only =
-    let all = ref (t.active_first <> None) in
-    iter_active t (fun n ->
-        match n.status with
-        | Active | Prepared -> if not n.declared_read_only then all := false
-        | Committed | Aborted -> ());
-    !all
-  in
-  if only_read_only || t.active_first = None then
-    Retention.iter t.ret (fun c ->
-        Predlock.release_owner t.locks c.xid;
-        iter_in c unlink_edge)
+  if not (rw_active t.active_first) then ignore (Retention.fold t.ret release_retained t)
 
 let retention_hooks =
   {
@@ -747,10 +767,9 @@ let retention_hooks =
     before_summarize = release_if_read_only_only;
   }
 
-let create ?(config = default_config) ?(obs = Obs.create ()) clog =
+let create ?(config = default_config) ?(obs = Obs.create ()) _clog =
   let locks = Predlock.create ~config:config.predlock ~obs () in
   {
-    clog;
     locks;
     config;
     by_xid = Hashtbl.create 64;
@@ -760,6 +779,8 @@ let create ?(config = default_config) ?(obs = Obs.create ()) clog =
       Retention.create ~obs ~prefix:"ssi" ~locks
         ~max_committed:config.max_committed_sxacts retention_hooks;
     by_cseq = Hashtbl.create 64;
+    safe_horizons = Array.make 16 0;
+    safe_n = 0;
     obs;
     conflicts = Obs.counter obs "ssi.conflicts";
     safe_snapshots = Obs.counter obs "ssi.safe_snapshots";
@@ -771,6 +792,17 @@ let create ?(config = default_config) ?(obs = Obs.create ()) clog =
 let cleanup t =
   let horizon = min_active_snap t in
   Retention.cleanup t.ret t ~nodes:horizon ~locks:horizon
+
+(* Safe at BEGIN exactly when {!register} would finalize safety at once:
+   counted the same, but with no node, only a held horizon. *)
+let begin_safe t ~xid ~snap_cseq =
+  let safe = t.config.read_only_opt && not (rw_active t.active_first) in
+  if safe then (count_safe t xid; hold_horizon t snap_cseq);
+  safe
+
+let end_safe t ~snap_cseq =
+  release_horizon t snap_cseq;
+  cleanup t
 
 (* ---- Commit / abort --------------------------------------------------------- *)
 
@@ -927,11 +959,8 @@ let conflicts n =
     conservative = n.conservative_in || n.conservative_out;
   }
 
-let dump_graph t =
-  let active = ref [] in
-  iter_active t (fun n -> active := n :: !active);
-  let active = List.rev !active in
-  List.map node_info (active @ Retention.to_list t.ret)
+let rec active_nodes = function None -> [] | Some n -> n :: active_nodes n.act_next
+let dump_graph t = List.map node_info (active_nodes t.active_first @ Retention.to_list t.ret)
 
 (* [by_xid] holds exactly the nodes [dump_graph] lists: the active list
    (active and prepared) and the retained committed queue. *)
@@ -940,7 +969,8 @@ let info t xid = Option.map node_info (Hashtbl.find_opt t.by_xid xid)
 (* ---- Recovery ---------------------------------------------------------------- *)
 
 let recover t =
-  (* Non-prepared active transactions disappear. *)
+  (* Non-prepared active transactions disappear, safe-at-BEGIN ones too. *)
+  t.safe_n <- 0;
   iter_active t (fun n ->
       if n.status <> Prepared then begin
         n.status <- Aborted;

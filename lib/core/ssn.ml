@@ -282,6 +282,9 @@ let cleanup t =
 
 (* ---- Registration ---------------------------------------------------------- *)
 
+let begin_safe _ ~xid:_ ~snap_cseq:_ = false
+let end_safe _ ~snap_cseq:_ = ()
+
 let register t ~xid ~snap_cseq ~read_only ~deferrable =
   if deferrable then invalid_arg "Ssn.register: deferrable requires the SSI certifier";
   let node =

@@ -108,9 +108,11 @@ type table_s = {
 }
 
 (* A serializable transaction's certifier node, packed with the
-   certifier instance and implementation that created it. *)
+   certifier instance and implementation that created it; none when the
+   snapshot of a READ ONLY transaction is safe at BEGIN (§4.2). *)
 type sx =
   | No_sx
+  | Safe_sx
   | Sx : (module Certifier.S with type t = 'c and type node = 'n) * 'c * 'n -> sx
 
 type t = {
@@ -196,7 +198,7 @@ and txn = {
   iso : isolation;
   ro : bool;
   mutable snapshot : Snapshot.t;
-  sxact : sx;
+  mutable sxact : sx;  (** [No_sx] once a crash dropped a [Safe_sx] horizon *)
   mutable finished : bool;
   mutable prepared_gid : string option;
   mutable undo : undo_entry list;  (** stack, newest first *)
@@ -521,17 +523,24 @@ let tag txn name =
   match txn.db.recorder with None -> () | Some r -> (pending_of r txn.txn_xid).p_tag <- Some name
 
 let snapshot_is_safe txn =
-  match txn.sxact with Sx ((module C), _, node) -> C.is_safe node | No_sx -> false
+  match txn.sxact with Sx ((module C), _, node) -> C.is_safe node | Safe_sx -> true | No_sx -> false
+
+(* A safe-at-BEGIN transaction ends: release its snapshot's horizon. *)
+let end_safe txn =
+  let (Certifier.Cert ((module C), c)) = txn.db.cert in
+  C.end_safe c ~snap_cseq:txn.snapshot.Snapshot.horizon
 
 let make_txn db ~iso ~ro ~xid ~snapshot ~sxact ~span =
   (* Without a client-supplied span the transaction roots its own trace,
      so standalone [with_txn] users still get a complete tree. *)
   let span, span_owned =
     match span with
-    | Some s -> (s, false)
+    | Some s ->
+        Obs.Span.add s "xid" (Obs.I xid);
+        (s, false)
     | None ->
         ( Obs.Span.start db.obs "txn"
-            ~attrs:[ ("xid", Obs.I xid); ("iso", Obs.S (isolation_to_string iso)) ],
+            ~attrs:[ ("iso", Obs.S (isolation_to_string iso)); ("xid", Obs.I xid) ],
           true )
   in
   let txn =
@@ -557,7 +566,6 @@ let make_txn db ~iso ~ro ~xid ~snapshot ~sxact ~span =
       commit_wq = Waitq.create ();
     }
   in
-  Obs.Span.add span "xid" (Obs.I xid);
   (* Layers that know the transaction only by xid find it here: the
      certifier emits its conflict events under it, the lock manager
      parents its wait spans on it. *)
@@ -610,11 +618,9 @@ let begin_txn ?(isolation = Serializable) ?(read_only = false) ?(deferrable = fa
       match isolation with
       | Serializable ->
           let (Certifier.Cert (((module C) as m), c)) = db.cert in
-          Sx
-            ( m,
-              c,
-              C.register c ~xid ~snap_cseq:snapshot.Snapshot.horizon ~read_only
-                ~deferrable:false )
+          let snap_cseq = snapshot.Snapshot.horizon in
+          if read_only && C.begin_safe c ~xid ~snap_cseq then Safe_sx
+          else Sx (m, c, C.register c ~xid ~snap_cseq ~read_only ~deferrable:false)
       | Read_committed | Repeatable_read | Serializable_2pl -> No_sx
     in
     make_txn db ~iso:isolation ~ro:read_only ~xid ~snapshot ~sxact ~span
@@ -640,9 +646,9 @@ let begin_snapshot db ~xid ~horizon =
 let tracking txn =
   match txn.sxact with
   | Sx ((module C), _, node) when not (C.is_safe node) -> txn.sxact
-  | Sx _ | No_sx -> No_sx
+  | Sx _ | Safe_sx | No_sx -> No_sx
 
-let is_tracked txn = match tracking txn with Sx _ -> true | No_sx -> false
+let is_tracked txn = match tracking txn with Sx _ -> true | Safe_sx | No_sx -> false
 
 (* Misuse of a handle: operating on a finished or prepared transaction.  A
    crashed one is finished too, but fails with [ensure_running]'s retryable
@@ -659,7 +665,7 @@ let ensure_running txn =
   ensure_usable txn;
   if txn.wounded then
     fail (Serialization_failure { xid = txn.txn_xid; reason = "wounded by an older transaction" });
-  match txn.sxact with Sx ((module C), _, node) -> C.check_doomed node | No_sx -> ()
+  match txn.sxact with Sx ((module C), _, node) -> C.check_doomed node | Safe_sx | No_sx -> ()
 
 (* Per-statement snapshots: READ COMMITTED semantics, and the way the 2PL
    baseline sees the latest committed data once its locks are held.  Taken
@@ -834,7 +840,7 @@ let rec live_head txn tbl key =
 let skipped_by txn w =
   match tracking txn with
   | Sx ((module C), c, node) -> C.conflict_out c node ~writer:w
-  | No_sx -> ()
+  | Safe_sx | No_sx -> ()
 
 (* The version of a row that [txn]'s snapshot sees, from the chain head as
    [Heap.head] returns it, or [Heap.absent]; [skipped] hears every writer
@@ -852,7 +858,7 @@ let note_read txn (v : Heap.tuple) =
       if deleter <> Heap.invalid_xid then C.conflict_out c node ~writer:deleter;
       C.read_from c node ~creator:v.xmin;
       true
-  | No_sx -> false
+  | Safe_sx | No_sx -> false
 
 let sees txn x = Snapshot.sees_xid txn.db.clog txn.snapshot x
 
@@ -875,7 +881,7 @@ let note_absent txn head =
   | Sx ((module C), c, node) ->
       let v = seen_deletion txn head in
       if not (Heap.is_absent v) then C.read_from c node ~creator:v.xmax
-  | No_sx -> ()
+  | Safe_sx | No_sx -> ()
 
 (* The version a deletion removed, from the version [v] it marked dead:
    below any versions the deleter created itself, the one it first
@@ -894,7 +900,7 @@ let note_absent_entry txn idx ikey head =
       let v = seen_deletion txn head in
       if (not (Heap.is_absent v)) && Value.equal (deleted_image v).row.(idx.col) ikey then
         C.read_from c node ~creator:v.xmax
-  | No_sx -> ()
+  | Safe_sx | No_sx -> ()
 
 (* The next-key gap lock above [key]: on its successor, or on the gap
    above the highest key (§5.2.1 "next-key locking" future work). *)
@@ -1276,7 +1282,7 @@ let index_insert ?(new_row = false) txn idx ~ikey ~pk =
               Predlock.readers_for_index_insert_nextkey db.predlocks ~index:idx.idx_name
                 ~key:ikey ~succ:(Btree.next_key_after idx.tree ikey)
             else Predlock.readers_for_index_insert db.predlocks ~index:idx.idx_name ~page)
-     | No_sx -> ());
+     | Safe_sx | No_sx -> ());
   if added && is_2pl txn then
     lock txn (Lockmgr.Index_page (idx.idx_name, page)) Lockmgr.X
 
@@ -1322,7 +1328,7 @@ let insert txn ~table row =
         | Sx ((module C), c, node) ->
             C.read_from c node ~creator:v.xmin;
             if v.xmax <> Heap.invalid_xid then C.read_from c node ~creator:v.xmax
-        | No_sx -> ());
+        | Safe_sx | No_sx -> ());
         v.xmax <> txn.txn_xid
   in
   let old_page =
@@ -1340,7 +1346,7 @@ let insert txn ~table row =
       if old_page >= 0 && old_page <> page then
         C.conflict_in c node
           (Predlock.readers_for_write db.predlocks ~rel:table ~key ~page:old_page)
-  | No_sx -> ());
+  | Safe_sx | No_sx -> ());
   List.iter
     (fun idx -> index_insert ~new_row txn idx ~ikey:row.(idx.col) ~pk:key)
     (all_indexes tbl);
@@ -1407,7 +1413,7 @@ let locate_for_write txn tbl key =
          SIREAD lock can go — except inside a subtransaction, whose
          rollback to a savepoint would release the write lock (§7.3). *)
       if txn.subdepth = 0 then Predlock.unlock_tuple db.predlocks ~owner:txn.txn_xid ~rel ~key
-  | _, (Sx _ | No_sx) -> ());
+  | _, (Sx _ | Safe_sx | No_sx) -> ());
   result
 
 let update txn ~table ~key ~f =
@@ -1504,6 +1510,10 @@ let delete txn ~table ~key =
 
 (* ---- Commit / abort -------------------------------------------------------------------- *)
 
+(* Shared by the commit and [retry_with], which mark the same attempt
+   span: the second mark is then a no-op ({!Obs.Span.add}). *)
+let committed_attr = Obs.S "committed"
+
 let finish_txn txn =
   txn.finished <- true;
   txn.prepared_gid <- None;
@@ -1538,7 +1548,10 @@ let abort txn =
   if not txn.finished then begin
     let db = txn.db in
     discard txn;
-    (match txn.sxact with Sx ((module C), c, node) -> C.aborted c node | No_sx -> ());
+    (match txn.sxact with
+    | Sx ((module C), c, node) -> C.aborted c node
+    | Safe_sx -> end_safe txn
+    | No_sx -> ());
     (match txn.prepared_gid with
     | Some gid -> Hashtbl.remove db.prepared_by_gid gid
     | None -> ());
@@ -1625,8 +1638,9 @@ let commit_point db txn ~cspan ~gid =
   (match db.recorder with Some r -> record_commit r db txn ~cseq ~gid | None -> ());
   (match txn.sxact with
   | Sx ((module C), c, node) -> C.committed c node ~commit_cseq:cseq
+  | Safe_sx -> end_safe txn
   | No_sx -> ());
-  Obs.Span.add txn.span "outcome" (Obs.S "committed");
+  Obs.Span.add txn.span "outcome" committed_attr;
   finish_txn txn;
   Obs.incr db.metrics.m_commits;
   let fields = [ ("xid", Obs.I txn.txn_xid); ("cseq", Obs.I cseq) ] in
@@ -1656,7 +1670,7 @@ let commit txn =
         primary refuses new commits here, so clients see a retryable
         failure rather than a write the cluster will never accept. *)
      (match db.commit_gate with Some gate -> gate () | None -> ());
-     match txn.sxact with Sx ((module C), c, node) -> C.precommit c node | No_sx -> ()
+     match txn.sxact with Sx ((module C), c, node) -> C.precommit c node | Safe_sx | No_sx -> ()
    with Error _ as e ->
      Obs.Span.add cspan "error" (Obs.B true);
      Obs.Span.finish db.obs cspan;
@@ -1693,7 +1707,7 @@ let prepare txn ~gid =
      if Hashtbl.mem db.prepared_by_gid gid then
        fail (Duplicate_object ("Engine.prepare: duplicate gid " ^ gid));
      fault_point db ~op:"prepare";
-     match txn.sxact with Sx ((module C), c, node) -> C.prepare c node | No_sx -> ()
+     match txn.sxact with Sx ((module C), c, node) -> C.prepare c node | Safe_sx | No_sx -> ()
    with Error _ as e ->
      abort txn;
      raise e);
@@ -1739,12 +1753,14 @@ let prepared_gids db =
    it during the coordinator's decision window give way. *)
 let mark_prepared_conservative db ~gid =
   let txn = prepared_txn db gid in
-  match txn.sxact with Sx ((module C), c, node) -> C.mark_conservative c node | No_sx -> ()
+  match txn.sxact with
+  | Sx ((module C), c, node) -> C.mark_conservative c node
+  | Safe_sx | No_sx -> ()
 
 let conflicts txn =
   match tracking txn with
   | Sx ((module C), _, node) -> C.conflicts node
-  | No_sx -> Certifier.no_conflicts
+  | Safe_sx | No_sx -> Certifier.no_conflicts
 
 let simulate_connection_loss db =
   (* In-flight (non-prepared) transactions vanish: their effects are rolled
@@ -1766,6 +1782,9 @@ let simulate_connection_loss db =
     in_flight;
   let (Certifier.Cert ((module C), c)) = db.cert in
   C.recover c;
+  (* Recovery dropped every safe-at-BEGIN horizon; a prepared survivor
+     must not release its own again. *)
+  Hashtbl.iter (fun _ txn -> if txn.sxact == Safe_sx then txn.sxact <- No_sx) db.active;
   Obs.incr ~by:(List.length in_flight) db.metrics.m_aborts;
   Obs.trace db.obs "crash" ~fields:[ ("in_flight", Obs.I (List.length in_flight)) ]
 
@@ -1989,7 +2008,7 @@ let redo db ~base_xid = function
       Clog.install db.clog c_xid (Clog.Committed c_cseq);
       (match txn.sxact with
       | Sx ((module C), c, node) -> C.committed c node ~commit_cseq:c_cseq
-      | No_sx -> ());
+      | Safe_sx | No_sx -> ());
       finish_txn txn
   | Wal.Commit { c_xid; c_cseq; c_ops; c_safe; _ } ->
       let undo = ref [] in
@@ -2112,73 +2131,74 @@ let default_retry_policy =
     retry_if = (fun _ -> true);
   }
 
+(* Exponential backoff for the (n+1)-th attempt after [n] failures, with
+   seeded jitter spreading retries in [b*(1-jitter), b]. *)
+let backoff_after policy rng n =
+  if policy.backoff_base <= 0. then 0.
+  else begin
+    let b =
+      Float.min policy.backoff_max
+        (policy.backoff_base *. (policy.backoff_multiplier ** float_of_int (n - 1)))
+    in
+    match rng with
+    | Some rng when policy.jitter > 0. -> b *. (1. -. policy.jitter +. Rng.float rng policy.jitter)
+    | Some _ | None -> b
+  end
+
+let close_attempt db asp outcome =
+  match asp with
+  | Some s ->
+      Obs.Span.add s "outcome" outcome;
+      Obs.Span.finish db.obs s
+  | None -> ()
+
+let first_attempt = [ ("attempt", Obs.I 1) ]
+
+(* [started], the first attempt's time, is read only under a deadline. *)
+let rec attempt ?isolation ?read_only ?deferrable ~policy ~rng ~span ~started db f n =
+  (* With a client root span, each attempt is its own child span: a retry
+     storm shows up as a fan of failed attempt spans under one root. *)
+  let asp =
+    match span with
+    | Some parent ->
+        let attrs = if n = 1 then first_attempt else [ ("attempt", Obs.I n) ] in
+        Some (Obs.Span.start db.obs ~parent "txn.attempt" ~attrs)
+    | None -> None
+  in
+  match with_txn ?isolation ?read_only ?deferrable ?span:asp db f with
+  | result ->
+      close_attempt db asp committed_attr;
+      result
+  | exception (Error err as e) when retryable err && policy.retry_if err ->
+      (match err with
+      | Serialization_failure { xid; reason } ->
+          close_attempt db asp (Obs.S "serialization_failure");
+          Obs.incr db.metrics.m_serialization_failures;
+          Obs.trace db.obs "txn.serialization_failure"
+            ~fields:[ ("xid", Obs.I xid); ("reason", Obs.S reason) ]
+      | _ -> close_attempt db asp (Obs.S "fault"));
+      let out_of_time =
+        match policy.deadline with Some d -> db.sched.now () -. started >= d | None -> false
+      in
+      if n >= policy.max_attempts || out_of_time then begin
+        Obs.incr db.metrics.m_giveups;
+        Obs.trace db.obs "txn.giveup" ~fields:[ ("attempts", Obs.I n) ];
+        raise e
+      end
+      else begin
+        Obs.incr db.metrics.m_retries;
+        let b = backoff_after policy rng n in
+        if b > 0. then db.sched.charge b;
+        attempt ?isolation ?read_only ?deferrable ~policy ~rng ~span ~started db f (n + 1)
+      end
+  | exception e ->
+      close_attempt db asp (Obs.S "error");
+      raise e
+
 let retry_with ?isolation ?read_only ?deferrable ?(policy = default_retry_policy) ?rng ?span db
     f =
-  let started = db.sched.now () in
-  (* Exponential backoff for the (n+1)-th attempt after [n] failures, with
-     seeded jitter spreading retries in [b*(1-jitter), b]. *)
-  let backoff_after n =
-    if policy.backoff_base <= 0. then 0.
-    else begin
-      let b =
-        Float.min policy.backoff_max
-          (policy.backoff_base *. (policy.backoff_multiplier ** float_of_int (n - 1)))
-      in
-      match rng with
-      | Some rng when policy.jitter > 0. ->
-          b *. (1. -. policy.jitter +. Rng.float rng policy.jitter)
-      | Some _ | None -> b
-    end
-  in
-  let rec attempt n =
-    (* With a client root span, each attempt is its own child span: a retry
-       storm shows up as a fan of failed attempt spans under one root. *)
-    let asp =
-      match span with
-      | Some parent ->
-          Some (Obs.Span.start db.obs ~parent "txn.attempt" ~attrs:[ ("attempt", Obs.I n) ])
-      | None -> None
-    in
-    let close_attempt outcome =
-      match asp with
-      | Some s ->
-          Obs.Span.add s "outcome" (Obs.S outcome);
-          Obs.Span.finish db.obs s
-      | None -> ()
-    in
-    match with_txn ?isolation ?read_only ?deferrable ?span:asp db f with
-    | result ->
-        close_attempt "committed";
-        result
-    | exception (Error err as e) when retryable err && policy.retry_if err ->
-        (match err with
-        | Serialization_failure { xid; reason } ->
-            close_attempt "serialization_failure";
-            Obs.incr db.metrics.m_serialization_failures;
-            Obs.trace db.obs "txn.serialization_failure"
-              ~fields:[ ("xid", Obs.I xid); ("reason", Obs.S reason) ]
-        | _ -> close_attempt "fault");
-        let out_of_time =
-          match policy.deadline with
-          | Some d -> db.sched.now () -. started >= d
-          | None -> false
-        in
-        if n >= policy.max_attempts || out_of_time then begin
-          Obs.incr db.metrics.m_giveups;
-          Obs.trace db.obs "txn.giveup" ~fields:[ ("attempts", Obs.I n) ];
-          raise e
-        end
-        else begin
-          Obs.incr db.metrics.m_retries;
-          let b = backoff_after n in
-          if b > 0. then db.sched.charge b;
-          attempt (n + 1)
-        end
-    | exception e ->
-        close_attempt "error";
-        raise e
-  in
-  attempt 1
+  let started = match policy.deadline with Some _ -> db.sched.now () | None -> 0. in
+  attempt ?isolation ?read_only ?deferrable ~policy ~rng ~span ~started db f 1
 
 let retry ?isolation ?read_only ?deferrable ?max_attempts db f =
   let policy =

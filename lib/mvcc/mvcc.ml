@@ -8,59 +8,78 @@ let invalid_cseq = max_int
 module Clog = struct
   type status = In_progress | Committed of cseq | Aborted
 
+  (* One word per xid: a commit cseq (>= 0) or a negative code.  Xids from
+     1 index a dense array; standby reads' negative owners a side table. *)
+  let in_progress, aborted, unknown = (-1, -2, -3)
+
   type t = {
-    statuses : (xid, status) Hashtbl.t;
+    mutable codes : int array;
+    others : (xid, int) Hashtbl.t;
     mutable next_xid : xid;
     mutable next_cseq : cseq;
   }
 
-  let create () = { statuses = Hashtbl.create 256; next_xid = 1; next_cseq = 1 }
+  let create () =
+    { codes = Array.make 256 unknown; others = Hashtbl.create 8; next_xid = 1; next_cseq = 1 }
+
+  let set t xid code =
+    let n = Array.length t.codes in
+    if xid < 1 then Hashtbl.replace t.others xid code
+    else if xid < n then t.codes.(xid) <- code
+    else begin
+      t.codes <- Array.append t.codes (Array.make (Stdlib.max (xid + 1 - n) n) unknown);
+      t.codes.(xid) <- code
+    end
+
+  (* The code of an allocated xid.  Visibility checks call this once per
+     version examined, so it allocates nothing. *)
+  let code t xid =
+    let c =
+      if xid >= 1 && xid < Array.length t.codes then t.codes.(xid)
+      else match Hashtbl.find t.others xid with c -> c | exception Not_found -> unknown
+    in
+    if c = unknown then invalid_arg (Printf.sprintf "Clog.status: unknown xid %d" xid) else c
 
   let new_xid t =
     let xid = t.next_xid in
     t.next_xid <- xid + 1;
-    Hashtbl.replace t.statuses xid In_progress;
+    set t xid in_progress;
     xid
 
-  (* [find], not [find_opt]: visibility checks call this once per version
-     examined, and the option would be their only allocation. *)
   let status t xid =
-    match Hashtbl.find t.statuses xid with
-    | s -> s
-    | exception Not_found -> invalid_arg (Printf.sprintf "Clog.status: unknown xid %d" xid)
+    let c = code t xid in
+    if c = in_progress then In_progress else if c = aborted then Aborted else Committed c
+
+  let resolve t xid c ~what =
+    if code t xid <> in_progress then invalid_arg (what ^ ": transaction already resolved");
+    set t xid c
 
   let commit t xid =
-    (match status t xid with
-    | In_progress -> ()
-    | Committed _ | Aborted -> invalid_arg "Clog.commit: transaction already resolved");
     let c = t.next_cseq in
+    resolve t xid c ~what:"Clog.commit";
     t.next_cseq <- c + 1;
-    Hashtbl.replace t.statuses xid (Committed c);
     c
 
-  let abort t xid =
-    (match status t xid with
-    | In_progress -> ()
-    | Committed _ | Aborted -> invalid_arg "Clog.abort: transaction already resolved");
-    Hashtbl.replace t.statuses xid Aborted
-
+  let abort t xid = resolve t xid aborted ~what:"Clog.abort"
   let next_cseq t = t.next_cseq
 
   (* Recovery replay: reinstate a transaction under its ORIGINAL id (and,
      for commits, original cseq), keeping the allocators ahead of
      everything installed so post-recovery transactions never collide. *)
   let install t xid status =
-    Hashtbl.replace t.statuses xid status;
     if xid >= t.next_xid then t.next_xid <- xid + 1;
     match status with
-    | Committed c -> if c >= t.next_cseq then t.next_cseq <- c + 1
-    | In_progress | Aborted -> ()
+    | Committed c ->
+        set t xid c;
+        if c >= t.next_cseq then t.next_cseq <- c + 1
+    | In_progress -> set t xid in_progress
+    | Aborted -> set t xid aborted
 
   let commit_cseq t xid =
-    match status t xid with Committed c -> c | In_progress | Aborted -> invalid_cseq
+    let c = code t xid in
+    if c >= 0 then c else invalid_cseq
 
-  let is_committed t xid =
-    match status t xid with Committed _ -> true | In_progress | Aborted -> false
+  let is_committed t xid = code t xid >= 0
 end
 
 module Snapshot = struct
@@ -71,9 +90,8 @@ module Snapshot = struct
   let sees_xid clog t xid =
     xid = t.owner
     ||
-    match Clog.status clog xid with
-    | Committed c -> c < t.horizon
-    | In_progress | Aborted -> false
+    let c = Clog.code clog xid in
+    c >= 0 && c < t.horizon
 end
 
 module Visibility = struct
@@ -88,10 +106,10 @@ module Visibility = struct
   let conflict_writer clog snap w =
     if w = Heap.invalid_xid || w = snap.Snapshot.owner then Heap.invalid_xid
     else
-      match Clog.status clog w with
-      | Aborted -> Heap.invalid_xid
-      | In_progress -> w
-      | Committed c -> if c >= snap.Snapshot.horizon then w else Heap.invalid_xid
+      let c = Clog.code clog w in
+      if c = Clog.aborted then Heap.invalid_xid
+      else if c = Clog.in_progress || c >= snap.Snapshot.horizon then w
+      else Heap.invalid_xid
 
   let writer_opt w = if w = Heap.invalid_xid then None else Some w
 

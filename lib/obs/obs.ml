@@ -469,7 +469,8 @@ module Span = struct
           t.next_trace <- tr + 1;
           open_span t ~trace:tr ~parent:(-1) name
     in
-    (match attrs with [] -> () | _ -> t.st.attrs.(slot_of sp) <- List.rev attrs);
+    (* A new span's slot holds no attributes; one needs no reversing. *)
+    t.st.attrs.(slot_of sp) <- (match attrs with [ _ ] -> attrs | _ -> List.rev attrs);
     sp
 
   let finish t sp = ignore (close (home t sp) sp)
@@ -483,7 +484,21 @@ module Span = struct
     let t = find sp in
     f t.st (slot t sp)
 
-  let add sp k v = get (fun st s -> st.attrs.(s) <- (k, v) :: List.remove_assoc k st.attrs.(s)) sp
+  let rec has_key k = function [] -> false | (k', _) :: l -> String.equal k k' || has_key k l
+
+  let rec drop_key k = function
+    | [] -> []
+    | ((k', _) as a) :: l -> if String.equal k k' then l else a :: drop_key k l
+
+  (* Newest first, each key once.  A new key copies nothing; re-adding
+     the newest attribute's physically same value changes nothing. *)
+  let add sp k v =
+    let t = find sp in
+    let s = slot t sp in
+    match t.st.attrs.(s) with
+    | (k', v') :: _ when v' == v && String.equal k k' -> ()
+    | l -> t.st.attrs.(s) <- (k, v) :: (if has_key k l then drop_key k l else l)
+
   let trace_id = get (fun st s -> st.trace.(s))
   let id = get (fun st s -> st.id.(s))
   let ctx = get (fun st s -> { trace_id = st.trace.(s); span_id = st.id.(s) })

@@ -1,25 +1,33 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes and, with the mixing inlined,
+   [int] allocates nothing and [float] only its boxed result. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let make seed = { state = mix64 (Int64.of_int seed) }
+let of_state z =
+  let t = Bytes.create 8 in
+  set t 0 z;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let make seed = of_state (mix64 (Int64.of_int seed))
 
-let split t =
-  let s = bits64 t in
-  { state = mix64 s }
+let[@inline] bits64 t =
+  let s = Int64.add (get t 0) golden_gamma in
+  set t 0 s;
+  mix64 s
 
-let copy t = { state = t.state }
+let split t = of_state (mix64 (bits64 t))
+let copy = Bytes.copy
 
-let int t n =
+let[@inline] int t n =
   assert (n > 0);
   (* Rejection-free for practical n: take 62 nonnegative bits and mod.  The
      modulo bias is < n / 2^62, negligible for workload generation. *)
@@ -30,17 +38,13 @@ let int_incl t lo hi =
   assert (lo <= hi);
   lo + int t (hi - lo + 1)
 
-let float t x =
+let[@inline] float t x =
   let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   (* 53 significant bits, uniform in [0,1). *)
   x *. (v /. 9007199254740992.0)
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 let chance t p = float t 1.0 < p
-
-let pick t a =
-  assert (Array.length a > 0);
-  a.(int t (Array.length a))
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
@@ -49,10 +53,6 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let exponential t mean =
-  let u = Stdlib.max 1e-12 (float t 1.0) in
-  -.mean *. Stdlib.log u
 
 type zipf = { n : int; alpha : float; zetan : float; eta : float; half_pow : float }
 

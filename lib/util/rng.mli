@@ -36,14 +36,8 @@ val bool : t -> bool
 val chance : t -> float -> bool
 (** [chance t p] is true with probability [p]. *)
 
-val pick : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val exponential : t -> float -> float
-(** [exponential t mean] samples an exponential with the given mean. *)
 
 type zipf
 (** Precomputed Zipf distribution over [\[0, n)]. *)

@@ -109,14 +109,33 @@ type result = {
       (** per-reason serialization-failure breakdown, descending count *)
 }
 
-let pick_spec rng specs total_weight =
+(* One worker's spec, with what each of its transactions would otherwise
+   rebuild: the root span's attributes and the bodies over the worker's
+   generator. *)
+type entry = {
+  spec : spec;
+  attrs : (string * Obs.field) list;
+  txn_body : E.txn -> unit;
+  routed_body : (Ssi_replication.Router.ro -> unit) option;
+}
+
+let entry ~worker rng spec =
+  {
+    spec;
+    attrs =
+      [ ("spec", Obs.S spec.name); ("worker", Obs.I worker); ("read_only", Obs.B spec.read_only) ];
+    txn_body = (fun txn -> spec.body rng txn);
+    routed_body = Option.map (fun body ro -> body rng ro) spec.routed;
+  }
+
+let pick_entry rng entries total_weight =
   let x = Rng.float rng total_weight in
   let rec go acc = function
     | [] -> invalid_arg "Driver: empty spec list"
-    | [ s ] -> s
-    | s :: rest -> if acc +. s.weight > x then s else go (acc +. s.weight) rest
+    | [ e ] -> e
+    | e :: rest -> if acc +. e.spec.weight > x then e else go (acc +. e.spec.weight) rest
   in
-  go 0. specs
+  go 0. entries
 
 (* Counter deltas over the measurement window come from one registry
    snapshot taken when warmup ends — not from hand-copied totals, so
@@ -218,7 +237,7 @@ let run ~setup ~specs bench =
       let router = match bench.fleet with Some build -> Some (build db) | None -> None in
       setup db;
       charging := true;
-      let iso = isolation_of_mode bench.mode in
+      let isolation = Some (isolation_of_mode bench.mode) and policy = Some bench.retry in
       let t0 = Sim.now () in
       let measure_from = t0 +. bench.warmup in
       let t_end = measure_from +. bench.duration in
@@ -230,7 +249,7 @@ let run ~setup ~specs bench =
           base := Some (Obs.snap obs));
       for i = 1 to bench.workers do
         let rng = Rng.make (Hashtbl.hash (bench.seed, i)) in
-        let backoff_rng = Rng.make (Hashtbl.hash (bench.seed, i, "backoff")) in
+        let backoff_rng = Some (Rng.make (Hashtbl.hash (bench.seed, i, "backoff"))) in
         (* One session per worker: its reads must observe its own writes
            even when routed to a replica. *)
         let session =
@@ -238,51 +257,41 @@ let run ~setup ~specs bench =
           | Some r -> Some (Ssi_replication.Router.session r)
           | None -> None
         in
+        let entries = List.map (entry ~worker:i rng) specs in
+        let run_one e sp =
+          match (router, session) with
+          | Some r, Some s -> (
+              match e.routed_body with
+              | Some body when e.spec.read_only ->
+                  Ssi_replication.Router.read_only ~session:s ~span:sp r body
+              | Some _ | None ->
+                  if e.spec.read_only then
+                    E.retry_with ?isolation ~read_only:true ?policy ?rng:backoff_rng ~span:sp db
+                      e.txn_body
+                  else
+                    Ssi_replication.Router.write ~session:s ?isolation ?rng:backoff_rng ~span:sp r
+                      e.txn_body)
+          | _ ->
+              E.retry_with ?isolation ~read_only:e.spec.read_only ?policy ?rng:backoff_rng
+                ~span:sp db e.txn_body
+        in
         Sim.spawn (fun () ->
             while Sim.now () < t_end do
-              let spec = pick_spec rng specs total_weight in
+              let e = pick_entry rng entries total_weight in
               let started = Sim.now () in
               (* One root span per logical transaction: it survives the
                  retry loop, whose attempts nest underneath. *)
-              let sp =
-                Obs.Span.start obs
-                  ~attrs:
-                    [
-                      ("spec", Obs.S spec.name);
-                      ("worker", Obs.I i);
-                      ("read_only", Obs.B spec.read_only);
-                    ]
-                  "txn"
-              in
-              let close outcome =
-                Obs.Span.add sp "outcome" (Obs.S outcome);
-                Obs.Span.finish obs sp
-              in
-              let run_one () =
-                match (router, session) with
-                | Some r, Some s -> (
-                    match spec.routed with
-                    | Some body when spec.read_only ->
-                        Ssi_replication.Router.read_only ~session:s ~span:sp r (fun ro ->
-                            body rng ro)
-                    | Some _ | None ->
-                        if spec.read_only then
-                          E.retry_with ~isolation:iso ~read_only:true ~policy:bench.retry
-                            ~rng:backoff_rng ~span:sp db (fun txn -> spec.body rng txn)
-                        else
-                          Ssi_replication.Router.write ~session:s ~isolation:iso
-                            ~rng:backoff_rng ~span:sp r (fun txn -> spec.body rng txn))
-                | _ ->
-                    E.retry_with ~isolation:iso ~read_only:spec.read_only ~policy:bench.retry
-                      ~rng:backoff_rng ~span:sp db (fun txn -> spec.body rng txn)
-              in
-              match run_one () with
+              let sp = Obs.Span.start obs ~attrs:e.attrs "txn" in
+              match run_one e sp with
               | () ->
-                  close "committed";
+                  Obs.Span.add sp "outcome" (Obs.S "committed");
+                  Obs.Span.finish obs sp;
                   let finished = Sim.now () in
                   Obs.observe lat (finished -. started);
                   if finished >= measure_from && finished < t_end then incr committed
-              | exception E.Error e when E.retryable e -> close "gave_up"
+              | exception E.Error err when E.retryable err ->
+                  Obs.Span.add sp "outcome" (Obs.S "gave_up");
+                  Obs.Span.finish obs sp
             done)
       done;
       Sim.spawn (fun () ->

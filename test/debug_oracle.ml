@@ -19,7 +19,7 @@ module Obs = Ssi_obs.Obs
 let usage () =
   prerr_endline
     "usage: debug_oracle (SEED | LO-HI) [ssi|ssn|essn|2pl|si] \
-     [default|contended|summarizing|nextkey|all]";
+     [default|contended|summarizing|nextkey|readonly|all]";
   exit 2
 
 let arg i default = if Array.length Sys.argv > i then Sys.argv.(i) else default

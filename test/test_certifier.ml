@@ -171,6 +171,9 @@ let pinned =
     (Certifier.ESSN, "contended", "c1de6cf3ace6680f6943b4e34aacb28b");
     (Certifier.ESSN, "summarizing", "c1de6cf3ace6680f6943b4e34aacb28b");
     (Certifier.ESSN, "nextkey", "d9df1121024edc3ae50d09d1de97a486");
+    (Certifier.SSI, "readonly", "854774ab6e65e666f4797d1a3d11836d");
+    (Certifier.SSN, "readonly", "71ee41068e24c498fd09768dc4c02921");
+    (Certifier.ESSN, "readonly", "71ee41068e24c498fd09768dc4c02921");
   ]
 
 let test_pinned_histories () =

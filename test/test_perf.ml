@@ -20,8 +20,10 @@
    - allocation budgets for the tracked index scan, the write path
      (WAL append, the write-side SIREAD lookup, the own-lock release, a
      tracked update), the B+-tree point walks, telemetry (spans,
-     histogram observations, an untracked read) and the simulator kernel
-     (a switch, a process start, a wait and wake, an untraced message),
+     histogram observations, an untracked read), the simulator kernel
+     (a switch, a process start, a wait and wake, an untraced message)
+     and a transaction's fixed path (a snapshot safe at BEGIN, an empty
+     transaction, the retry loop, a span attribute, an [Rng] draw),
      each a little above what the code allocates. *)
 
 open Ssi_storage
@@ -749,6 +751,114 @@ let test_send_allocation () =
          Sim.delay 1.;
          Alcotest.(check int) "all delivered" calls !delivered))
 
+(* ---- A transaction's fixed path ------------------------------------------------- *)
+
+module Rng = Ssi_util.Rng
+module Certifier = Ssi_core.Certifier
+
+(* A 1,000-row table, and the boxed keys of the rows the reads visit. *)
+let fixed_path_db () =
+  let db = E.create () in
+  E.create_table db ~name:"t" ~cols:[ "k"; "v" ] ~key:"k";
+  E.with_txn ~isolation:E.Read_committed db (fun t ->
+      for k = 0 to 999 do
+        E.insert t ~table:"t" [| vi k; vi (-k) |]
+      done);
+  db
+
+let read_keys = Array.init 10 (fun i -> vi (100 * i))
+
+(* Median words of a READ ONLY BEGIN+COMMIT making [reads] point reads. *)
+let ro_txn_words db isolation ~reads =
+  let run () =
+    let txn = E.begin_txn ~isolation ~read_only:true db in
+    for i = 0 to reads - 1 do
+      ignore (Sys.opaque_identity (E.read txn ~table:"t" ~key:read_keys.(i)))
+    done;
+    E.commit txn
+  in
+  run ();
+  median (List.init 32 (fun _ -> words_of run))
+
+(* §4.2: a READ ONLY SERIALIZABLE transaction whose snapshot is safe at
+   BEGIN drops all SSI overhead.  It has no certifier node and allocates
+   exactly what the same REPEATABLE READ transaction does, plus the
+   [ssi.safe_snapshot] event, whose words are measured here too. *)
+let test_safe_snapshot_allocation () =
+  let db = fixed_path_db () in
+  let obs = E.obs db in
+  let xid = Sys.opaque_identity 7 in
+  let event =
+    median
+      (List.init 32 (fun _ ->
+           words_of (fun () -> Obs.trace obs "ssi.safe_snapshot" ~fields:[ ("xid", Obs.I xid) ])))
+  in
+  let txn = E.begin_txn ~read_only:true db in
+  let (Certifier.Cert ((module C), c)) = E.certifier db in
+  Alcotest.(check bool) "safe at BEGIN" true (E.snapshot_is_safe txn);
+  Alcotest.(check bool) "no certifier node" true (C.info c (E.xid txn) = None);
+  E.commit txn;
+  List.iter
+    (fun reads ->
+      let rr = ro_txn_words db E.Repeatable_read ~reads
+      and ssi = ro_txn_words db E.Serializable ~reads in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "%d reads: REPEATABLE READ %.0f words + event %.0f" reads rr event)
+        (rr +. event) ssi)
+    [ 0; 10 ]
+
+(* An empty REPEATABLE READ BEGIN+COMMIT: the floor under every
+   workload's transactions.  ROADMAP item 10 aims at 84 words. *)
+let test_empty_txn_allocation () =
+  let words = ro_txn_words (fixed_path_db ()) E.Repeatable_read ~reads:0 in
+  Printf.printf "empty REPEATABLE READ transaction: %.0f words, %.0f above 84\n" words
+    (words -. 84.);
+  within "empty REPEATABLE READ BEGIN+COMMIT" ~budget:150. words
+
+(* The retry loop under a client span adds the attempt span and its
+   handle over the transaction it runs. *)
+let test_retry_overhead () =
+  let db = fixed_path_db () in
+  let obs = E.obs db in
+  let body _ = () in
+  let under_span f =
+    let sp = Obs.Span.start obs "txn" in
+    f sp;
+    Obs.Span.finish obs sp
+  in
+  let words f =
+    under_span f;
+    median (List.init 32 (fun _ -> words_of (fun () -> under_span f)))
+  in
+  let plain = words (fun sp -> E.with_txn ~isolation:E.Repeatable_read ~span:sp db body)
+  and retried = words (fun sp -> E.retry_with ~isolation:E.Repeatable_read ~span:sp db body) in
+  Printf.printf "with_txn %.0f words, retry_with %.0f\n" plain retried;
+  within
+    (Printf.sprintf "retry_with over with_txn (with_txn: %.0f words)" plain)
+    ~budget:12. (retried -. plain)
+
+(* A new key costs its cell and pair; nothing is copied. *)
+let test_span_add_allocation () =
+  let obs = warm_registry () in
+  let sp = Obs.Span.start obs "txn" ~attrs:[ ("spec", Obs.S "s"); ("worker", Obs.I 1) ] in
+  let keys = Array.init 32 (fun i -> "k" ^ string_of_int i) and v = Obs.I 1 in
+  let i = ref 0 in
+  let words =
+    spans_words (fun () ->
+        Obs.Span.add sp keys.(!i) v;
+        incr i)
+  in
+  within "Span.add of a new key" ~budget:6. words;
+  Alcotest.(check int) "every key kept" 34 (List.length (Obs.Span.attrs sp))
+
+(* A draw keeps the generator's state unboxed: [int] allocates nothing,
+   [float] only its boxed result. *)
+let test_rng_allocation () =
+  let r = Rng.make 1 in
+  let draws f = words_of (fun () -> for _ = 1 to calls do f () done) /. float calls in
+  within "Rng.int" ~budget:0. (draws (fun () -> ignore (Sys.opaque_identity (Rng.int r 1000))));
+  within "Rng.float" ~budget:2. (draws (fun () -> ignore (Sys.opaque_identity (Rng.float r 1.0))))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -798,6 +908,15 @@ let () =
           Alcotest.test_case "unlock_tuple touches one page list" `Quick
             test_unlock_tuple_allocation;
           Alcotest.test_case "tracked update of a 4-column row" `Quick test_update_allocation;
+        ] );
+      ( "fixed path",
+        [
+          Alcotest.test_case "safe-at-BEGIN snapshot costs what REPEATABLE READ does" `Quick
+            test_safe_snapshot_allocation;
+          Alcotest.test_case "empty REPEATABLE READ transaction" `Quick test_empty_txn_allocation;
+          Alcotest.test_case "retry_with over with_txn" `Quick test_retry_overhead;
+          Alcotest.test_case "Span.add of a new key" `Quick test_span_add_allocation;
+          Alcotest.test_case "Rng draws" `Quick test_rng_allocation;
         ] );
       ( "simulator",
         [

@@ -39,6 +39,8 @@ let cfg_titles =
     (* Next-key index-gap locking (§5.2.1 future work) must lose no
        anomalies relative to page-granularity locking. *)
     ("nextkey", "with next-key gap locking");
+    (* Declared READ ONLY transactions: safe snapshots and Theorem 3. *)
+    ("readonly", "with read-only transactions");
   ]
 
 let fixed_seed_tests =

@@ -25,6 +25,34 @@ let test_rng_copy () =
   let b = Rng.copy a in
   Alcotest.(check int64) "copy continues identically" (Rng.bits64 a) (Rng.bits64 b)
 
+(* The first 1,000 draws of a seed, mixing every primitive: [int] over
+   bounds from 1 to near [max_int], [float] printed exactly, raw [bits64],
+   and [split] (the child's first word, then the parent goes on).  The
+   digests pin the stream, so a change to how the state is held cannot
+   move a single draw. *)
+let draws seed =
+  let t = Rng.make seed and buf = Buffer.create 16_384 in
+  for i = 0 to 999 do
+    (match i mod 4 with
+    | 0 -> Printf.bprintf buf "i%d" (Rng.int t (1 + (i * 7_919 * 1_000_003 land (max_int lsr 1))))
+    | 1 -> Printf.bprintf buf "f%h" (Rng.float t (float_of_int i +. 0.5))
+    | 2 -> Printf.bprintf buf "b%Lx" (Rng.bits64 t)
+    | _ -> Printf.bprintf buf "s%Lx" (Rng.bits64 (Rng.split t)));
+    Buffer.add_char buf ' '
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_rng_stream_pinned () =
+  List.iter
+    (fun (seed, want) -> Alcotest.(check string) (Printf.sprintf "seed %d" seed) want (draws seed))
+    [
+      (0, "1d430e7a8b786183f43e22b2eab15da7");
+      (1, "fd8a021c71d58d1ce60ea4e5e63da3ef");
+      (42, "5bdb8b33b6e781661cc134d8b0fd5e5b");
+      (-7, "d35e053451d1c626014a2c4322c2cdde");
+      (max_int, "b41de5c15b54a9a34944b897e42cffda");
+    ]
+
 let prop_int_range =
   QCheck.Test.make ~name:"Rng.int in range" ~count:500
     QCheck.(pair small_int (int_range 1 1000))
@@ -233,6 +261,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
           Alcotest.test_case "copy" `Quick test_rng_copy;
+          Alcotest.test_case "first 1,000 draws pinned" `Quick test_rng_stream_pinned;
           Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
           Alcotest.test_case "nurand range" `Quick test_nurand_range;
         ] );
